@@ -10,10 +10,9 @@ use reopt_planner::{CardinalityOverrides, Optimizer, OptimizerConfig};
 use reopt_sql::parse_sql;
 use reopt_workload::{load_nasdaq, NasdaqConfig};
 
-/// Every group in this file pins the single-threaded engine: these benches continue
-/// the BENCH_BASELINE → BENCH_PIPELINED → BENCH_MIDQUERY trajectory, whose numbers
-/// would become incomparable if `default_thread_count()` silently switched engines
-/// with the host's core count. The thread dimension is benchmarked explicitly in
+/// Every group in this file pins the single-threaded engine: its numbers would
+/// become incomparable across hosts if `default_thread_count()` silently switched
+/// engines with the core count. The thread dimension is benchmarked explicitly in
 /// `parallel_exec.rs`.
 fn execute_single_threaded(
     plan: &reopt_planner::PhysicalPlan,

@@ -1,8 +1,8 @@
 //! Morsel-driven parallel execution benchmarks: join-heavy JOB queries executed at
 //! 1/2/4/8 worker threads through `Executor::with_threads`. Thread count 1 takes the
 //! single-threaded engine (the exact code path of the `job_join_heavy` group in
-//! `execution.rs`), so the 1-thread numbers double as the baseline for the speedup
-//! ratios recorded in `BENCH_PARALLEL.json`.
+//! `execution.rs`), so the 1-thread numbers double as the baseline of each query's
+//! speedup curve.
 //!
 //! Interpreting results requires knowing the core count of the box: on a single-vCPU
 //! machine the >1-thread numbers measure pure coordination overhead (workers

@@ -7,7 +7,7 @@
 //! ```
 
 use reopt_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
-use reopt_bench::{Harness, HarnessConfig};
+use reopt_bench::{Harness, HarnessConfig, PINNED_SETTINGS};
 use std::time::Instant;
 
 fn main() {
@@ -18,9 +18,15 @@ fn main() {
         args
     };
 
-    let config = HarnessConfig::from_env();
+    let config = match HarnessConfig::from_env() {
+        Ok(config) => config,
+        Err(error) => {
+            eprintln!("experiments: {error}");
+            std::process::exit(2);
+        }
+    };
     eprintln!(
-        "# building synthetic IMDB (scale {}, stride {}, threshold {})",
+        "# building synthetic IMDB (scale {}, stride {}, threshold {}; {PINNED_SETTINGS})",
         config.scale, config.stride, config.threshold
     );
     let build_start = Instant::now();

@@ -1,69 +1,94 @@
 //! Release-mode perf/correctness smoke for CI.
 //!
-//! Walks the JOB suite family by family (up to `REOPT_SMOKE_PER_FAMILY` queries per
-//! family, default 3, skipping queries joining more than `REOPT_SMOKE_MAX_TABLES`
-//! relations, default 12) and executes every selected query under plain execution and
-//! under all three built-in re-optimization policies (materialize-restart,
-//! inject-only, mid-query) through the policy driver, checking that all four agree on
-//! the result. The first query of every family additionally runs the
-//! selective-improvement policy to completion. Exits non-zero on any divergence,
-//! which is what gates result-correctness regressions in CI — a concrete step from
-//! the old single-query smoke toward full 113-query suite coverage.
+//! Loads the synthetic IMDB once, picks up to [`PER_FAMILY`] queries of every JOB
+//! family (skipping queries joining more than [`MAX_TABLES`] relations) and runs that
+//! set through every leg of [`LEGS`]: threads {1, 4} × feedback {off, on}, columnar
+//! off × 2, a 1.25 MiB memory budget × 2, each pinned through `Database::set_*`.
+//! A leg executes every selected query under plain execution and under all three
+//! built-in re-optimization policies (materialize-restart, inject-only, mid-query)
+//! through the policy driver, checking that all four agree on the result; the first
+//! query of every family additionally runs the selective-improvement policy to
+//! completion. Exits non-zero on any divergence in any leg, which is what gates
+//! result-correctness regressions in CI.
 //!
-//! The smoke also gates the `REOPT_THREADS` and `REOPT_COLUMNAR` dimensions: every
-//! query's reference result is computed by a **forced single-threaded, row-engine**
-//! plain run (columnar execution disabled), and every other execution (plain and
-//! re-optimizing alike) runs at the configured thread count with the configured
-//! columnar setting. Running the smoke with `REOPT_THREADS=4` proves that
-//! morsel-driven parallel execution — including mid-query re-optimization over
-//! parallel pipelines — produces exactly the single-threaded results; running it
-//! with the default columnar engine proves the vectorized scan/filter kernels are
-//! row-identical to the row engine, and `REOPT_COLUMNAR=0` exercises the kill
-//! switch end to end. Rows are compared in sorted order when the query has no
-//! ORDER BY (output order is not plan-defined there, and parallel morsel interleaving
-//! legitimately permutes it); ORDER BY queries are compared exactly.
+//! Every query's reference result is computed by a **forced single-threaded,
+//! row-engine** plain run at an unlimited budget, and every other execution runs at
+//! the leg's settings. A 4-thread leg therefore proves that morsel-driven parallel
+//! execution — including mid-query re-optimization over parallel pipelines —
+//! produces exactly the single-threaded results; a columnar leg proves the
+//! vectorized scan/filter kernels are row-identical to the row engine, and a
+//! columnar-off leg exercises the kill switch end to end. Rows are compared in
+//! sorted order when the query has no ORDER BY (output order is not plan-defined
+//! there, and parallel morsel interleaving legitimately permutes it); ORDER BY
+//! queries are compared exactly.
 //!
-//! At `REOPT_THREADS>1` the smoke additionally asserts **zero single-engine
-//! fallbacks** (the parallel engine implements every plan shape the planner emits;
-//! a plan regressing onto the denylist fails the leg) and — in the resident-pool
-//! phase — that suspension-heavy mid-query rounds **start strictly fewer build
-//! pipelines than were planned** (lazy build scheduling skips the builds an
-//! abandoned plan never probed).
-//!
-//! `REOPT_MEM_BUDGET` adds the out-of-core dimension: with a finite byte budget the
-//! measured runs spill breaker state to disk (grace-hash partitioned builds,
-//! external sorts) while every reference run is pinned to an unlimited budget, so
-//! the smoke gates out-of-core execution against the in-memory truth. The run
-//! fails if a budget is configured but never denies a single grant (the budget was
-//! too large to prove anything).
+//! The process-wide counters are gated as per-leg deltas. At more than one thread a
+//! leg asserts **zero single-engine fallbacks** (the parallel engine implements
+//! every plan shape the planner emits; a plan regressing onto the denylist fails the
+//! leg) and — in the resident-pool phase — that suspension-heavy mid-query rounds
+//! **start strictly fewer build pipelines than were planned** (lazy build scheduling
+//! skips the builds an abandoned plan never probed) without spawning a thread. A
+//! budgeted leg spills breaker state to disk (grace-hash partitioned builds,
+//! external sorts) against the in-memory truth, and fails if the budget never
+//! denies a single grant (too large to prove anything) or a spill file outlives it.
+//! A feedback-on leg runs the set twice under the cross-query cache and fails
+//! unless pass 2 sheds rounds and median violation q-error.
 //!
 //! ```text
-//! cargo run --release -p reopt-bench --bin perf_smoke
-//! REOPT_THREADS=4 REOPT_SMOKE_PER_FAMILY=5 REOPT_SMOKE_MAX_TABLES=17 REOPT_SCALE=0.05 \
-//!     cargo run --release -p reopt-bench --bin perf_smoke
+//! cargo run --release -p reopt-bench --bin perf_smoke                 # all eight legs
+//! cargo run --release -p reopt-bench --bin perf_smoke -- t4-budget    # named legs only
 //! ```
 
 use reopt_bench::{Harness, HarnessConfig};
 use reopt_core::{
-    execute_with_reoptimization, feedback_enabled_by_default, selective_improvement, ReoptConfig,
-    ReoptMode, SelectiveConfig,
+    execute_with_policy_feedback, execute_with_reoptimization, Database, ReoptConfig, ReoptMode,
+    ReoptReport, SelectivePolicy,
 };
 use reopt_storage::Row;
 use reopt_workload::JobQuery;
 use std::time::{Duration, Instant};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Queries taken from each JOB family, smallest variants first as listed.
+const PER_FAMILY: usize = 3;
+/// Queries joining more relations than this are skipped.
+const MAX_TABLES: usize = 12;
+/// IMDB generator scale; the budget below is sized against it.
+const SCALE: f64 = 0.02;
+/// Q-error threshold of every re-optimizing run.
+const THRESHOLD: f64 = 8.0;
+/// 1.25 MiB sits just under the workload's largest unlimited build footprint: big
+/// enough that no single-key partition exceeds the whole budget (which is an honest
+/// error by contract), small enough that the biggest build must spill. A budgeted
+/// leg fails loudly if drift makes the budget vacuous.
+const BUDGET: u64 = 1_310_720;
+
+/// One configuration the whole query set is checked under.
+struct Leg {
+    name: &'static str,
+    threads: usize,
+    feedback: bool,
+    columnar: bool,
+    mem_budget: Option<u64>,
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const LEGS: [Leg; 8] = [
+    Leg { name: "t1", threads: 1, feedback: false, columnar: true, mem_budget: None },
+    Leg { name: "t4", threads: 4, feedback: false, columnar: true, mem_budget: None },
+    Leg { name: "t1-feedback", threads: 1, feedback: true, columnar: true, mem_budget: None },
+    Leg { name: "t4-feedback", threads: 4, feedback: true, columnar: true, mem_budget: None },
+    Leg { name: "t1-columnar-off", threads: 1, feedback: false, columnar: false, mem_budget: None },
+    Leg { name: "t4-columnar-off", threads: 4, feedback: false, columnar: false, mem_budget: None },
+    Leg { name: "t1-budget", threads: 1, feedback: false, columnar: true, mem_budget: Some(BUDGET) },
+    Leg { name: "t4-budget", threads: 4, feedback: false, columnar: true, mem_budget: Some(BUDGET) },
+];
+
+fn reopt_config(mode: ReoptMode, feedback: bool) -> ReoptConfig {
+    ReoptConfig {
+        threshold: THRESHOLD,
+        mode,
+        feedback,
+        ..ReoptConfig::default()
+    }
 }
 
 /// Canonicalize rows for comparison: sorted unless the query pins its output order
@@ -76,6 +101,49 @@ fn canonical(rows: &[Row], order_sensitive: bool) -> Vec<String> {
     rendered
 }
 
+/// One selected query with the rows every run in every leg must return: those of a
+/// forced single-threaded, row-engine plain execution at an unlimited memory budget.
+struct Case {
+    query: JobQuery,
+    order_sensitive: bool,
+    reference: Vec<String>,
+}
+
+impl Case {
+    /// Run the query under `config` at the pinned settings. A failed run is reported
+    /// (as `what`) and yields `None`; a diverging one is reported and still counted.
+    fn run_reoptimized(
+        &self,
+        db: &mut Database,
+        config: &ReoptConfig,
+        what: &str,
+        failed: &mut bool,
+    ) -> Option<(ReoptReport, Duration)> {
+        let id = &self.query.id;
+        let start = Instant::now();
+        match execute_with_reoptimization(db, &self.query.sql, config) {
+            Ok(report) => {
+                let elapsed = start.elapsed();
+                let got = canonical(&report.final_rows, self.order_sensitive);
+                if got != self.reference {
+                    eprintln!(
+                        "perf_smoke: RESULT MISMATCH for {id} under {} ({what}, {} threads): \
+                         {got:?} vs single-threaded {:?}",
+                        report.policy, report.threads, self.reference
+                    );
+                    *failed = true;
+                }
+                Some((report, elapsed))
+            }
+            Err(error) => {
+                eprintln!("perf_smoke: re-optimized run of {id} ({what}) failed: {error}");
+                *failed = true;
+                None
+            }
+        }
+    }
+}
+
 /// Whether the query's output order is plan-defined (ORDER BY present).
 fn is_order_sensitive(sql: &str) -> bool {
     reopt_sql::parse_sql(sql)
@@ -85,14 +153,20 @@ fn is_order_sensitive(sql: &str) -> bool {
 }
 
 fn main() {
-    let per_family = env_usize("REOPT_SMOKE_PER_FAMILY", 3).max(1);
-    let max_tables = env_usize("REOPT_SMOKE_MAX_TABLES", 12).max(2);
-    let scale = env_f64("REOPT_SCALE", 0.02);
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|name| !LEGS.iter().any(|leg| leg.name == name.as_str()))
+    {
+        let known: Vec<&str> = LEGS.iter().map(|leg| leg.name).collect();
+        eprintln!("perf_smoke: unknown leg '{unknown}' (known: {})", known.join(", "));
+        std::process::exit(2);
+    }
 
     let config = HarnessConfig {
-        scale,
+        scale: SCALE,
         stride: 1,
-        threshold: 8.0,
+        threshold: THRESHOLD,
         seed: 13,
         ..HarnessConfig::default()
     };
@@ -104,92 +178,120 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let threads = harness.db.threads();
-    // The governor was initialised from REOPT_MEM_BUDGET; remember the configured
-    // budget so reference runs (always unlimited) can restore it afterwards.
-    let mem_budget = harness.db.mem_budget();
     eprintln!(
-        "perf_smoke: data loaded ({} rows) in {:.1}s; executing at {} thread{}{}",
+        "perf_smoke: data loaded ({} rows) in {:.1}s",
         harness.db.storage().total_rows(),
         build_start.elapsed().as_secs_f64(),
-        threads,
-        if threads == 1 { "" } else { "s" },
-        match mem_budget {
+    );
+
+    // The references are the same in every leg, so they are computed once.
+    let db = &mut harness.db;
+    db.set_threads(Some(1));
+    db.set_columnar(Some(false));
+    db.set_mem_budget(None);
+    let reference_start = Instant::now();
+    let mut reference_failed = false;
+    let mut cases: Vec<Case> = Vec::new();
+    let mut family_counts = std::collections::HashMap::new();
+    for query in &harness.queries {
+        if query.table_count > MAX_TABLES {
+            continue;
+        }
+        let count = family_counts.entry(query.family).or_insert(0usize);
+        if *count >= PER_FAMILY {
+            continue;
+        }
+        *count += 1;
+        let order_sensitive = is_order_sensitive(&query.sql);
+        match db.execute(&query.sql) {
+            Ok(output) => cases.push(Case {
+                query: query.clone(),
+                order_sensitive,
+                reference: canonical(&output.rows, order_sensitive),
+            }),
+            Err(error) => {
+                eprintln!(
+                    "perf_smoke: single-threaded reference run of {} failed: {error}",
+                    query.id
+                );
+                reference_failed = true;
+            }
+        }
+    }
+    eprintln!(
+        "perf_smoke: {} queries across {} families (<= {PER_FAMILY}/family, <= {MAX_TABLES} \
+         tables); single-threaded row-engine references in {:.2}s",
+        cases.len(),
+        family_counts.len(),
+        reference_start.elapsed().as_secs_f64()
+    );
+
+    let mut failed_legs = Vec::new();
+    for leg in LEGS
+        .iter()
+        .filter(|leg| wanted.is_empty() || wanted.iter().any(|name| name == leg.name))
+    {
+        if !run_leg(db, &cases, leg) {
+            failed_legs.push(leg.name);
+        }
+    }
+    if reference_failed || !failed_legs.is_empty() {
+        eprintln!("perf_smoke: FAILED (legs: {})", failed_legs.join(", "));
+        std::process::exit(1);
+    }
+    println!(
+        "perf_smoke: single-threaded row-engine reference, plain and all policies agree on \
+         every query in every leg"
+    );
+}
+
+/// Run the whole smoke under one leg's settings; `true` when every gate held.
+fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
+    let threads = leg.threads;
+    println!(
+        "perf_smoke[{}]: {threads} thread(s), feedback {}, columnar {}{}",
+        leg.name,
+        if leg.feedback { "on" } else { "off" },
+        if leg.columnar { "on" } else { "off" },
+        match leg.mem_budget {
             Some(bytes) => format!(", memory budget {bytes} bytes"),
             None => String::new(),
         },
     );
+    db.set_threads(Some(threads));
+    db.set_columnar(Some(leg.columnar));
+    db.set_mem_budget(leg.mem_budget);
+    // Each leg starts from the cold cache a process of its own would have had.
+    db.catalog_mut().feedback_mut().clear();
 
-    // Up to `per_family` queries of every family, smallest variants first as listed.
-    let mut selected: Vec<JobQuery> = Vec::new();
-    let mut family_counts = std::collections::HashMap::new();
-    for query in &harness.queries {
-        if query.table_count > max_tables {
-            continue;
-        }
-        let count = family_counts.entry(query.family).or_insert(0usize);
-        if *count < per_family {
-            *count += 1;
-            selected.push(query.clone());
-        }
-    }
-    eprintln!(
-        "perf_smoke: {} queries across {} families (<= {per_family}/family, <= {max_tables} tables)",
-        selected.len(),
-        family_counts.len()
-    );
-
-    // Every measured run below executes at the configured thread count; at
-    // threads > 1 not a single plan shape may silently degrade to the
-    // single-threaded engine (the denylist is empty — a fallback is a regression).
+    // Process-wide counters, gated below as this leg's deltas. At threads > 1 not a
+    // single plan shape may silently degrade to the single-threaded engine (the
+    // denylist is empty — a fallback is a regression).
     let fallbacks_before = reopt_executor::plan_fallbacks_total();
+    let denials_before = db.governor().denials();
+    let live_spill_before = reopt_storage::live_spill_files();
 
     let modes = [ReoptMode::Materialize, ReoptMode::InjectOnly, ReoptMode::MidQuery];
     let mut mode_time = [Duration::ZERO; 3];
     let mut mode_rounds = [0usize; 3];
     let mut plain_time = Duration::ZERO;
-    let mut single_time = Duration::ZERO;
     let mut selective_runs = 0usize;
     let mut seen_families = std::collections::HashSet::new();
     let mut failed = false;
 
-    for query in &selected {
-        let id = &query.id;
-        let order_sensitive = is_order_sensitive(&query.sql);
-
-        // The reference result: a forced single-threaded, row-engine plain
-        // execution at an unlimited memory budget. Everything else below runs at
-        // the configured thread count with the configured columnar setting under
-        // the configured budget and must match it.
-        harness.db.set_threads(Some(1));
-        harness.db.set_columnar(Some(false));
-        harness.db.set_mem_budget(None);
-        let single_start = Instant::now();
-        let reference = match harness.db.execute(&query.sql) {
-            Ok(output) => canonical(&output.rows, order_sensitive),
-            Err(error) => {
-                eprintln!("perf_smoke: single-threaded execution of {id} failed: {error}");
-                failed = true;
-                harness.db.set_threads(None);
-                harness.db.set_columnar(None);
-                harness.db.set_mem_budget(mem_budget);
-                continue;
-            }
-        };
-        single_time += single_start.elapsed();
-        harness.db.set_threads(None);
-        harness.db.set_columnar(None);
-        harness.db.set_mem_budget(mem_budget);
-
+    for case in cases {
+        let id = &case.query.id;
+        let sql = &case.query.sql;
         let plain_start = Instant::now();
-        match harness.db.execute(&query.sql) {
+        match db.execute(sql) {
             Ok(output) => {
                 plain_time += plain_start.elapsed();
-                let got = canonical(&output.rows, order_sensitive);
-                if got != reference {
+                let got = canonical(&output.rows, case.order_sensitive);
+                if got != case.reference {
                     eprintln!(
                         "perf_smoke: RESULT MISMATCH for {id}: plain at {threads} threads \
-                         {got:?} vs single-threaded {reference:?}"
+                         {got:?} vs single-threaded {:?}",
+                        case.reference
                     );
                     failed = true;
                 }
@@ -202,54 +304,26 @@ fn main() {
         }
 
         for (idx, mode) in modes.iter().enumerate() {
-            // Feedback stays off here no matter what REOPT_FEEDBACK says: this
-            // phase compares the policies against each other, and cross-query
-            // seeding (mode N learning from mode N-1 on the same query) would
-            // blur exactly that comparison. The feedback phase below is the
-            // one that exercises the cache.
-            let config = ReoptConfig {
-                threshold: 8.0,
-                mode: *mode,
-                feedback: false,
-                ..ReoptConfig::default()
-            };
-            let start = Instant::now();
-            match execute_with_reoptimization(&mut harness.db, &query.sql, &config) {
-                Ok(report) => {
-                    mode_time[idx] += start.elapsed();
-                    mode_rounds[idx] += report.rounds.len();
-                    let got = canonical(&report.final_rows, order_sensitive);
-                    if got != reference {
-                        eprintln!(
-                            "perf_smoke: RESULT MISMATCH for {id} under {} ({mode:?}, \
-                             {} threads): {got:?} vs single-threaded {reference:?}",
-                            report.policy, report.threads
-                        );
-                        failed = true;
-                    }
-                }
-                Err(error) => {
-                    eprintln!("perf_smoke: re-optimized run of {id} ({mode:?}) failed: {error}");
-                    failed = true;
-                }
+            // Feedback stays off here in every leg: this phase compares the policies
+            // against each other, and cross-query seeding (mode N learning from mode
+            // N-1 on the same query) would blur exactly that comparison. The
+            // feedback phase below is the one that exercises the cache.
+            let config = reopt_config(*mode, false);
+            if let Some((report, elapsed)) =
+                case.run_reoptimized(db, &config, &format!("{mode:?}"), &mut failed)
+            {
+                mode_time[idx] += elapsed;
+                mode_rounds[idx] += report.rounds.len();
             }
         }
 
-        // The selective-improvement policy re-executes up to its iteration budget;
-        // run it once per family to keep the smoke's runtime linear in the suite.
-        if seen_families.insert(query.family) {
-            let selective = SelectiveConfig {
-                threshold: 8.0,
-                max_iterations: 8,
-            };
-            match selective_improvement(&mut harness.db, &query.sql, &selective) {
-                Ok(iterations) => {
-                    selective_runs += 1;
-                    if iterations.is_empty() {
-                        eprintln!("perf_smoke: selective improvement of {id} recorded no runs");
-                        failed = true;
-                    }
-                }
+        // The selective-improvement policy re-executes up to its iteration budget (8
+        // executions: 7 corrective rounds and the final run); run it once per family
+        // to keep the smoke's runtime linear in the suite.
+        if seen_families.insert(case.query.family) {
+            let mut policy = SelectivePolicy::new(THRESHOLD, 7);
+            match execute_with_policy_feedback(db, sql, &mut policy, leg.feedback) {
+                Ok(_) => selective_runs += 1,
                 Err(error) => {
                     eprintln!("perf_smoke: selective improvement of {id} failed: {error}");
                     failed = true;
@@ -264,66 +338,29 @@ fn main() {
     // fills the cache; pass 2 must be row-identical to the single-threaded plain
     // reference while needing strictly fewer re-optimization rounds with a
     // strictly lower median violation q-error — the cross-query payoff the cache
-    // exists for. Skipped when REOPT_FEEDBACK=0 (the cache is then off
-    // everywhere and there is nothing to measure). Set REOPT_FEEDBACK_JSON to a
-    // path to dump the pass data (the source of BENCH_FEEDBACK.json).
-    let mut feedback_passes: Vec<(usize, f64, Duration)> = Vec::new();
-    if feedback_enabled_by_default() {
-        harness.db.catalog_mut().feedback_mut().clear();
+    // exists for.
+    if leg.feedback {
+        db.catalog_mut().feedback_mut().clear();
         // The recorded/hits totals are lifetime counters (clear() drops entries,
-        // not history); snapshot them so the printed stats cover this phase only
-        // and not the earlier selective-improvement runs.
-        let recorded_before = harness.db.catalog().feedback().total_recorded();
-        let hits_before = harness.db.catalog().feedback().total_hits();
+        // not history); snapshot them so the printed stats cover this phase only.
+        let recorded_before = db.catalog().feedback().total_recorded();
+        let hits_before = db.catalog().feedback().total_hits();
+        let mut passes: Vec<(usize, f64)> = Vec::new();
         for pass in 1..=2usize {
             let mut rounds = 0usize;
             let mut q_errors: Vec<f64> = Vec::new();
             let mut elapsed = Duration::ZERO;
-            for query in &selected {
-                let id = &query.id;
-                let order_sensitive = is_order_sensitive(&query.sql);
-                harness.db.set_threads(Some(1));
-                harness.db.set_columnar(Some(false));
-                harness.db.set_mem_budget(None);
-                let reference = match harness.db.execute(&query.sql) {
-                    Ok(output) => canonical(&output.rows, order_sensitive),
-                    Err(error) => {
-                        eprintln!("perf_smoke: feedback reference run of {id} failed: {error}");
-                        failed = true;
-                        harness.db.set_threads(None);
-                        harness.db.set_columnar(None);
-                        harness.db.set_mem_budget(mem_budget);
-                        continue;
-                    }
-                };
-                harness.db.set_threads(None);
-                harness.db.set_columnar(None);
-                harness.db.set_mem_budget(mem_budget);
-                let config = ReoptConfig {
-                    threshold: 8.0,
-                    mode: ReoptMode::Materialize,
-                    feedback: true,
-                    ..ReoptConfig::default()
-                };
-                let start = Instant::now();
-                match execute_with_reoptimization(&mut harness.db, &query.sql, &config) {
-                    Ok(report) => {
-                        elapsed += start.elapsed();
-                        rounds += report.rounds.len();
-                        q_errors.extend(report.rounds.iter().map(|round| round.q_error));
-                        let got = canonical(&report.final_rows, order_sensitive);
-                        if got != reference {
-                            eprintln!(
-                                "perf_smoke: RESULT MISMATCH for {id} on feedback pass {pass}: \
-                                 {got:?} vs single-threaded {reference:?}"
-                            );
-                            failed = true;
-                        }
-                    }
-                    Err(error) => {
-                        eprintln!("perf_smoke: feedback pass {pass} of {id} failed: {error}");
-                        failed = true;
-                    }
+            let config = reopt_config(ReoptMode::Materialize, true);
+            for case in cases {
+                if let Some((report, took)) = case.run_reoptimized(
+                    db,
+                    &config,
+                    &format!("feedback pass {pass}"),
+                    &mut failed,
+                ) {
+                    elapsed += took;
+                    rounds += report.rounds.len();
+                    q_errors.extend(report.rounds.iter().map(|round| round.q_error));
                 }
             }
             q_errors.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));
@@ -337,10 +374,10 @@ fn main() {
                  q-error {median:.2}, {:.2}s",
                 elapsed.as_secs_f64()
             );
-            feedback_passes.push((rounds, median, elapsed));
+            passes.push((rounds, median));
         }
-        let (rounds_1, median_1, _) = feedback_passes[0];
-        let (rounds_2, median_2, _) = feedback_passes[1];
+        let (rounds_1, median_1) = passes[0];
+        let (rounds_2, median_2) = passes[1];
         if rounds_2 >= rounds_1 {
             eprintln!(
                 "perf_smoke: FEEDBACK REGRESSION: pass 2 rounds did not decrease \
@@ -355,38 +392,13 @@ fn main() {
             );
             failed = true;
         }
-        let cache = harness.db.catalog().feedback();
-        let recorded = cache.total_recorded() - recorded_before;
-        let hits = cache.total_hits() - hits_before;
+        let cache = db.catalog().feedback();
         println!(
-            "perf_smoke: feedback cache holds {} entries ({recorded} recorded, {hits} hits)",
+            "perf_smoke: feedback cache holds {} entries ({} recorded, {} hits)",
             cache.len(),
+            cache.total_recorded() - recorded_before,
+            cache.total_hits() - hits_before,
         );
-        if let Ok(path) = std::env::var("REOPT_FEEDBACK_JSON") {
-            let json = format!(
-                "{{\n  \"queries\": {},\n  \"threads\": {threads},\n  \"policy\": \
-                 \"materialize-restart\",\n  \"threshold\": 8.0,\n  \"pass1\": {{ \"rounds\": {}, \
-                 \"median_q_error\": {:.3}, \"seconds\": {:.3} }},\n  \"pass2\": {{ \"rounds\": {}, \
-                 \"median_q_error\": {:.3}, \"seconds\": {:.3} }},\n  \"cache\": {{ \"entries\": {}, \
-                 \"recorded\": {}, \"hits\": {} }}\n}}\n",
-                selected.len(),
-                rounds_1,
-                median_1,
-                feedback_passes[0].2.as_secs_f64(),
-                rounds_2,
-                median_2,
-                feedback_passes[1].2.as_secs_f64(),
-                cache.len(),
-                recorded,
-                hits,
-            );
-            if let Err(error) = std::fs::write(&path, json) {
-                eprintln!("perf_smoke: failed to write {path}: {error}");
-                failed = true;
-            }
-        }
-    } else {
-        println!("perf_smoke: feedback phase skipped (REOPT_FEEDBACK=0)");
     }
 
     // --- Resident-pool phase ---------------------------------------------------
@@ -398,42 +410,46 @@ fn main() {
     // into multi-worker morsel chains (at the default 1024-row batches one morsel
     // swallows every table at this scale and the pool never runs).
     if threads > 1 {
-        harness.db.set_batch_size(Some(64));
+        db.set_batch_size(Some(64));
         // Pinned unlimited for this phase: a denied grant makes the parallel
         // engine fall back to the single-threaded spill path, which would never
         // touch the pool — the zero-spawn assertion only means something when the
         // morsel chains actually run. The spill fallback itself is gated by the
         // budgeted main phase above.
-        harness.db.set_mem_budget(None);
+        db.set_mem_budget(None);
         // The whole phase — warm-up included — runs on hash-join-only plans: index-NL
         // joins probe an index and register no build, so the typical JOB spine would
         // carry zero or one build and the lazy-scheduling assertion below would have
         // nothing to skip.
-        harness.db.set_optimizer_config(reopt_planner::OptimizerConfig {
+        db.set_optimizer_config(reopt_planner::OptimizerConfig {
             enable_index_nl_joins: false,
             enable_merge_joins: false,
             ..reopt_planner::OptimizerConfig::default()
         });
-        let config = ReoptConfig {
-            threshold: 8.0,
-            mode: ReoptMode::MidQuery,
-            feedback: false,
-            ..ReoptConfig::default()
-        };
+        let config = reopt_config(ReoptMode::MidQuery, false);
         let pool = reopt_executor::WorkerPool::global();
         pool.ensure_available(threads);
-        // Warm-up runs the measured workload once — same queries, same mid-query
-        // config — so the pool reaches this workload's steady-state concurrency
-        // (including suspension/re-plan transients and blocked-sender replacement
-        // spawns, which plain executions never trigger) before the zero-spawn
-        // window opens.
-        for query in selected.iter().take(8) {
-            if let Err(error) = execute_with_reoptimization(&mut harness.db, &query.sql, &config) {
-                eprintln!("perf_smoke: pool warm-up of {} failed: {error}", query.id);
-                failed = true;
+        // Warm-up runs the measured workload — same queries, same mid-query config —
+        // so the pool reaches this workload's steady-state concurrency (including
+        // suspension/re-plan transients and blocked-sender replacement spawns, which
+        // plain executions never trigger) before the zero-spawn window opens. The pool
+        // grows whenever a request finds too few workers *idle at that instant*, so a
+        // pass is repeated (at most twice) until one adds no thread; a pool that spawns
+        // per pipeline never settles and still fails the window below.
+        let mut spawned_before = pool.threads_spawned_total();
+        for _ in 0..3 {
+            for case in cases.iter().take(8) {
+                if let Err(error) = execute_with_reoptimization(db, &case.query.sql, &config) {
+                    eprintln!("perf_smoke: pool warm-up of {} failed: {error}", case.query.id);
+                    failed = true;
+                }
             }
+            let spawned = pool.threads_spawned_total();
+            if spawned == spawned_before {
+                break;
+            }
+            spawned_before = spawned;
         }
-        let spawned_before = pool.threads_spawned_total();
         if spawned_before == 0 {
             eprintln!("perf_smoke: POOL REGRESSION: warm-up never reached the resident pool");
             failed = true;
@@ -445,13 +461,13 @@ fn main() {
         // planned across the phase.
         let lazy_planned_before = reopt_executor::lazy_builds_planned_total();
         let lazy_started_before = reopt_executor::lazy_builds_started_total();
-        for query in selected.iter().take(8) {
-            match execute_with_reoptimization(&mut harness.db, &query.sql, &config) {
+        for case in cases.iter().take(8) {
+            match execute_with_reoptimization(db, &case.query.sql, &config) {
                 Ok(report) => suspension_rounds += report.rounds.len(),
                 Err(error) => {
                     eprintln!(
                         "perf_smoke: pool-phase mid-query run of {} failed: {error}",
-                        query.id
+                        case.query.id
                     );
                     failed = true;
                 }
@@ -478,7 +494,7 @@ fn main() {
             "perf_smoke: lazy build scheduling started {lazy_started} of {lazy_planned} planned \
              build(s) across {suspension_rounds} mid-query round(s)"
         );
-        harness.db.set_optimizer_config(reopt_planner::OptimizerConfig::default());
+        db.set_optimizer_config(reopt_planner::OptimizerConfig::default());
         let spawned_after = pool.threads_spawned_total();
         if spawned_after != spawned_before {
             eprintln!(
@@ -493,23 +509,20 @@ fn main() {
             "perf_smoke: resident pool held at {spawned_after} thread(s) across \
              {suspension_rounds} mid-query round(s) — zero spawns after warm-up"
         );
-        harness.db.set_batch_size(None);
-        harness.db.set_mem_budget(mem_budget);
-    } else {
-        println!("perf_smoke: resident-pool phase skipped (single-threaded run)");
+        db.set_batch_size(None);
+        db.set_mem_budget(leg.mem_budget);
     }
 
     // --- Out-of-core gate -------------------------------------------------------
-    // When a budget is configured the smoke must have actually exercised spilling:
-    // at least one reservation denied, and no spill file left on disk. A budget
-    // that never denies proves nothing — fail loudly so CI legs don't rot.
-    if let Some(budget) = mem_budget {
-        let denials = harness.db.governor().denials();
-        let live = reopt_storage::live_spill_files();
+    // A budgeted leg must have actually exercised spilling: at least one reservation
+    // denied, and no spill file left on disk. A budget that never denies proves
+    // nothing — fail loudly so the leg doesn't rot.
+    if let Some(budget) = leg.mem_budget {
+        let denials = db.governor().denials() - denials_before;
         println!(
             "perf_smoke: memory budget {budget} bytes: {denials} denied grant(s), \
-             peak reserved {} bytes, {live} live spill file(s)",
-            harness.db.governor().peak_reserved()
+             governor peak reserved {} bytes",
+            db.governor().peak_reserved()
         );
         if denials == 0 {
             eprintln!(
@@ -518,15 +531,19 @@ fn main() {
             );
             failed = true;
         }
-        if live != 0 {
-            eprintln!("perf_smoke: SPILL LEAK: {live} spill file(s) still live after the run");
-            failed = true;
-        }
+    }
+    let live_spill = reopt_storage::live_spill_files();
+    if live_spill != live_spill_before {
+        eprintln!(
+            "perf_smoke: SPILL LEAK: live spill files went {live_spill_before} -> {live_spill} \
+             across the leg"
+        );
+        failed = true;
     }
 
     // --- Zero-fallback gate -----------------------------------------------------
     // The parallel engine implements every plan shape the planner emits; any plan
-    // that regressed onto the denylist during the smoke is a silent single-core run.
+    // that regressed onto the denylist during the leg is a silent single-core run.
     if threads > 1 {
         let fallbacks = reopt_executor::plan_fallbacks_total() - fallbacks_before;
         if fallbacks > 0 {
@@ -541,9 +558,8 @@ fn main() {
     }
 
     println!(
-        "perf_smoke: {} queries  single-threaded row engine {:>7.2}s  plain at {threads} thread(s) {:>7.2}s",
-        selected.len(),
-        single_time.as_secs_f64(),
+        "perf_smoke: {} queries  plain at {threads} thread(s) {:>7.2}s",
+        cases.len(),
         plain_time.as_secs_f64()
     );
     for (idx, mode) in modes.iter().enumerate() {
@@ -554,12 +570,10 @@ fn main() {
         );
     }
     println!("perf_smoke: selective improvement converged on {selective_runs} families");
-
-    if failed {
-        std::process::exit(1);
-    }
     println!(
-        "perf_smoke: single-threaded row-engine reference, plain at {threads} thread(s) and all \
-         policies agree on every query"
+        "perf_smoke[{}]: {}",
+        leg.name,
+        if failed { "FAILED" } else { "ok" }
     );
+    !failed
 }

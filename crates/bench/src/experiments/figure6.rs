@@ -2,7 +2,7 @@
 //! CREATE TEMP TABLE + rewritten SELECT script the controller produced.
 
 use crate::Harness;
-use reopt_core::{execute_with_reoptimization, DbError, ReoptConfig};
+use reopt_core::{execute_with_reoptimization, DbError};
 
 /// Run the experiment.
 pub fn run(harness: &mut Harness) -> Result<String, DbError> {
@@ -15,7 +15,7 @@ pub fn run(harness: &mut Harness) -> Result<String, DbError> {
         .find(|q| q.id == "2b")
         .cloned()
         .expect("suite contains query 2b");
-    let config = ReoptConfig::with_threshold(4.0);
+    let config = Harness::reopt_config(4.0);
     let report = execute_with_reoptimization(&mut harness.db, &query.sql, &config)?;
 
     let mut out = String::from("Figure 6: example of the re-optimization rewrite\n");

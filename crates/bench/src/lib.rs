@@ -17,7 +17,9 @@
 //! unlimited: cap the per-query relation count — the perfect-(n) oracle computes a true
 //! COUNT(*) for every connected relation subset, which is combinatorially explosive on
 //! the 14- and 17-table families even though the pipelined executor runs each count in
-//! bounded memory).
+//! bounded memory). A malformed value is an error, never a silent default
+//! ([`HarnessConfig::parse`]). Every engine setting is pinned through the API
+//! ([`PINNED_SETTINGS`]), so the runtime figures do not depend on the host's core count.
 
 pub mod experiments;
 
@@ -58,34 +60,59 @@ impl Default for HarnessConfig {
     }
 }
 
+/// The variables [`HarnessConfig::from_env`] reads.
+const HARNESS_VARS: [&str; 4] = [
+    "REOPT_SCALE",
+    "REOPT_QUERY_STRIDE",
+    "REOPT_THRESHOLD",
+    "REOPT_MAX_TABLES",
+];
+
 impl HarnessConfig {
-    /// Read the configuration from the environment (`REOPT_SCALE`, `REOPT_QUERY_STRIDE`,
-    /// `REOPT_THRESHOLD`), falling back to the defaults.
-    pub fn from_env() -> Self {
+    /// Read the configuration from the environment (`REOPT_SCALE`,
+    /// `REOPT_QUERY_STRIDE`, `REOPT_THRESHOLD`, `REOPT_MAX_TABLES`); unset variables
+    /// keep their defaults, a malformed one is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
         let mut config = Self::default();
-        if let Ok(scale) = std::env::var("REOPT_SCALE") {
-            if let Ok(scale) = scale.parse() {
-                config.scale = scale;
+        for var in HARNESS_VARS {
+            if let Some(value) = std::env::var_os(var) {
+                config.parse(var, &value.to_string_lossy())?;
             }
         }
-        if let Ok(stride) = std::env::var("REOPT_QUERY_STRIDE") {
-            if let Ok(stride) = stride.parse() {
-                config.stride = std::cmp::max(1, stride);
+        Ok(config)
+    }
+
+    /// Apply one `var=value` setting. Scale and threshold must be finite and above
+    /// zero, the stride at least 1 and the relation cap at least 2.
+    pub fn parse(&mut self, var: &str, value: &str) -> Result<(), String> {
+        let reject = |expected: &str| format!("{var}={value:?} is not {expected}");
+        let positive = |expected: &str| {
+            let parsed = value.parse::<f64>().ok();
+            parsed.filter(|v| v.is_finite() && *v > 0.0).ok_or_else(|| reject(expected))
+        };
+        let at_least = |min: usize, expected: &str| {
+            let parsed = value.parse::<usize>().ok();
+            parsed.filter(|v| *v >= min).ok_or_else(|| reject(expected))
+        };
+        match var {
+            "REOPT_SCALE" => self.scale = positive("a finite scale above 0 (e.g. 0.05)")?,
+            "REOPT_THRESHOLD" => {
+                self.threshold = positive("a finite q-error threshold above 0 (e.g. 32)")?
             }
-        }
-        if let Ok(threshold) = std::env::var("REOPT_THRESHOLD") {
-            if let Ok(threshold) = threshold.parse() {
-                config.threshold = threshold;
+            "REOPT_QUERY_STRIDE" => self.stride = at_least(1, "a whole stride of at least 1")?,
+            "REOPT_MAX_TABLES" => {
+                self.max_tables = at_least(2, "a whole relation cap of at least 2")?
             }
+            _ => return Err(format!("{var} is not a harness variable")),
         }
-        if let Ok(max_tables) = std::env::var("REOPT_MAX_TABLES") {
-            if let Ok(max_tables) = max_tables.parse() {
-                config.max_tables = std::cmp::max(2, max_tables);
-            }
-        }
-        config
+        Ok(())
     }
 }
+
+/// What [`Harness::new`] and [`Harness::reopt_config`] pin through the API, so that
+/// experiment timings mean the same on every host (mid-query re-optimization
+/// measured 2× slower at 2 threads than at 1). Feedback stays at the library default.
+pub const PINNED_SETTINGS: &str = "threads 1, columnar on, memory budget unlimited, feedback on";
 
 /// The shared experiment harness: a loaded database, the query suite and a memoized
 /// perfect-cardinality oracle.
@@ -104,6 +131,9 @@ impl Harness {
     /// Build a harness: generate the data, build indexes, ANALYZE.
     pub fn new(config: HarnessConfig) -> Result<Self, DbError> {
         let mut db = Database::new();
+        db.set_threads(Some(1));
+        db.set_columnar(Some(true));
+        db.set_mem_budget(None);
         load_imdb(
             &mut db,
             &ImdbConfig {
@@ -117,6 +147,11 @@ impl Harness {
             oracle: PerfectOracle::new(),
             config,
         })
+    }
+
+    /// The re-optimization configuration of every harness run at `threshold`.
+    pub fn reopt_config(threshold: f64) -> ReoptConfig {
+        ReoptConfig::with_threshold(threshold).with_feedback(true)
     }
 
     /// The queries selected by the configured stride and relation-count cap.
@@ -179,7 +214,7 @@ impl Harness {
         query: &JobQuery,
         threshold: f64,
     ) -> Result<QueryRun, DbError> {
-        let config = ReoptConfig::with_threshold(threshold);
+        let config = Self::reopt_config(threshold);
         let report = execute_with_reoptimization(&mut self.db, &query.sql, &config)?;
         Ok(QueryRun {
             query_id: query.id.clone(),
@@ -204,7 +239,7 @@ impl Harness {
                 .oracle
                 .overrides_for(&mut self.db, &select, n, &query.id)?;
             self.db.set_overrides(overrides);
-            let config = ReoptConfig::with_threshold(threshold);
+            let config = Self::reopt_config(threshold);
             let report = execute_with_reoptimization(&mut self.db, &query.sql, &config);
             self.db.clear_overrides();
             let report = report?;
@@ -271,5 +306,59 @@ mod tests {
         let config = HarnessConfig::default();
         assert_eq!(config.stride, 3);
         assert!(secs(Duration::from_millis(1500)) > 1.0);
+    }
+
+    #[test]
+    fn parse_accepts_well_formed_values() {
+        let mut config = HarnessConfig::default();
+        for (var, value) in [
+            ("REOPT_SCALE", "0.2"),
+            ("REOPT_THRESHOLD", "1"),
+            ("REOPT_QUERY_STRIDE", "1"),
+            ("REOPT_MAX_TABLES", "12"),
+        ] {
+            config.parse(var, value).unwrap();
+        }
+        assert_eq!(config.scale, 0.2);
+        assert_eq!(config.threshold, 1.0);
+        assert_eq!(config.stride, 1);
+        assert_eq!(config.max_tables, 12);
+    }
+
+    #[test]
+    fn parse_rejects_malformed_values_naming_variable_and_value() {
+        for (var, value) in [
+            ("REOPT_SCALE", "0,2"),
+            ("REOPT_SCALE", "nan"),
+            ("REOPT_SCALE", "inf"),
+            ("REOPT_SCALE", "0"),
+            ("REOPT_SCALE", "-0.05"),
+            ("REOPT_SCALE", ""),
+            ("REOPT_THRESHOLD", "nan"),
+            ("REOPT_THRESHOLD", "0"),
+            ("REOPT_THRESHOLD", "-32"),
+            ("REOPT_QUERY_STRIDE", "0"),
+            ("REOPT_QUERY_STRIDE", "1.5"),
+            ("REOPT_MAX_TABLES", "1"),
+            ("REOPT_MAX_TABLES", "twelve"),
+        ] {
+            let mut config = HarnessConfig::default();
+            let error = config.parse(var, value).unwrap_err();
+            assert!(error.contains(var), "{error}");
+            assert!(error.contains(&format!("{value:?}")), "{error}");
+            // A rejected value leaves the configuration untouched.
+            assert_eq!(config.scale, HarnessConfig::default().scale);
+            assert_eq!(config.threshold, HarnessConfig::default().threshold);
+        }
+        assert!(HarnessConfig::default().parse("SCALE", "1").is_err());
+    }
+
+    #[test]
+    fn harness_pins_every_engine_setting() {
+        let harness = tiny_harness();
+        assert_eq!(harness.db.threads(), 1);
+        assert!(harness.db.columnar());
+        assert_eq!(harness.db.mem_budget(), None);
+        assert!(Harness::reopt_config(8.0).feedback);
     }
 }

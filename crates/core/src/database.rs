@@ -4,7 +4,8 @@ use crate::error::DbError;
 use crate::session::{ServerState, Session};
 use reopt_catalog::Catalog;
 use reopt_executor::{
-    default_columnar, default_thread_count, Executor, MemoryGovernor, QueryMetrics,
+    default_thread_count, ExecConfig, Executor, MemoryGovernor, QueryMetrics, DEFAULT_BATCH_SIZE,
+    DEFAULT_COLUMNAR,
 };
 use reopt_planner::{
     explain_plan, CardinalityOverrides, EstimationLog, Optimizer, OptimizerConfig, PhysicalPlan,
@@ -67,28 +68,13 @@ pub struct Database {
     catalog: Catalog,
     optimizer: Optimizer,
     overrides: CardinalityOverrides,
-    /// Worker-pool size for execution; `None` defers to
-    /// [`reopt_executor::default_thread_count`] (`REOPT_THREADS` or the machine's
-    /// available parallelism).
-    threads: Option<usize>,
-    /// Whether scans use the vectorized columnar path; `None` defers to
-    /// [`reopt_executor::default_columnar`] (the `REOPT_COLUMNAR` kill switch).
-    columnar: Option<bool>,
-    /// Executor row-batch size; `None` defers to
-    /// [`reopt_executor::DEFAULT_BATCH_SIZE`]. Morsels are a fixed multiple of the
-    /// batch size, so shrinking this lets small test datasets split into enough
-    /// morsels to exercise the shared worker pool.
-    batch_size: Option<usize>,
-    /// Scheduling priority this database's queries register with on the shared
-    /// worker pool.
-    priority: u8,
+    /// The settings every statement executes with. Its governor — the out-of-core
+    /// memory budget breaker sinks reserve against, unlimited by default — is
+    /// shared across every clone/session exactly like the admission semaphore
+    /// (see [`reopt_executor::MemoryGovernor`]).
+    exec: ExecConfig,
     /// Admission control and session ids, shared across every clone/session.
     server: Arc<ServerState>,
-    /// The out-of-core memory budget breaker sinks reserve against, shared across
-    /// every clone/session exactly like the admission semaphore (see
-    /// [`reopt_executor::MemoryGovernor`]). Initialised from `REOPT_MEM_BUDGET`;
-    /// unlimited by default.
-    governor: Arc<MemoryGovernor>,
 }
 
 impl Default for Database {
@@ -110,12 +96,8 @@ impl Database {
             catalog: Catalog::new(),
             optimizer: Optimizer::new(config),
             overrides: CardinalityOverrides::new(),
-            threads: None,
-            columnar: None,
-            batch_size: None,
-            priority: reopt_executor::DEFAULT_PRIORITY,
+            exec: ExecConfig::default(),
             server: Arc::new(ServerState::new()),
-            governor: MemoryGovernor::from_env(),
         }
     }
 
@@ -139,10 +121,10 @@ impl Database {
         &self.server
     }
 
-    /// Change the admission cap inside the shared [`ServerState`]: every session
+    /// Change the admission cap inside the shared [`ServerState`] (default
+    /// [`DEFAULT_MAX_INFLIGHT`](crate::DEFAULT_MAX_INFLIGHT)): every session
     /// connected to this database — before or after this call — enforces the new
-    /// cap against the same inflight counter. Test/benchmark hook; production
-    /// configuration is `REOPT_MAX_INFLIGHT`.
+    /// cap against the same inflight counter.
     pub fn set_max_inflight(&mut self, max_inflight: usize) {
         self.server.set_max_inflight(max_inflight);
     }
@@ -150,56 +132,56 @@ impl Database {
     /// The shared memory governor breaker sinks reserve against (out-of-core
     /// execution's byte budget).
     pub fn governor(&self) -> &Arc<MemoryGovernor> {
-        &self.governor
+        &self.exec.governor
     }
 
-    /// Change the memory budget inside the shared governor (`None` = unlimited):
-    /// every session connected to this database — before or after this call —
-    /// reserves against the same counters, exactly like
-    /// [`Database::set_max_inflight`]. Test/benchmark hook; production
-    /// configuration is `REOPT_MEM_BUDGET`.
+    /// Change the memory budget inside the shared governor (`None` = unlimited,
+    /// the default): every session connected to this database — before or after
+    /// this call — reserves against the same counters, exactly like
+    /// [`Database::set_max_inflight`].
     pub fn set_mem_budget(&mut self, budget: Option<u64>) {
-        self.governor.set_budget(budget);
+        self.exec.governor.set_budget(budget);
     }
 
     /// The current memory budget in bytes, or `None` when unlimited.
     pub fn mem_budget(&self) -> Option<u64> {
-        self.governor.budget()
+        self.exec.governor.budget()
     }
 
     /// The scheduling priority queries register with on the shared worker pool.
     pub fn priority(&self) -> u8 {
-        self.priority
+        self.exec.priority
     }
 
     /// Set the scheduling priority for subsequent queries (higher runs first,
     /// equal priorities round-robin at morsel granularity).
     pub fn set_priority(&mut self, priority: u8) {
-        self.priority = priority;
+        self.exec.priority = priority;
     }
 
     /// Pin the executor worker-pool size for every statement this database runs
     /// (`1` = always the single-threaded engine). `None` restores the default:
-    /// `REOPT_THREADS` or the machine's available parallelism.
+    /// the machine's available parallelism
+    /// ([`reopt_executor::default_thread_count`]).
     pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads.map(|t| t.max(1));
+        self.exec.threads = threads.map_or_else(default_thread_count, |t| t.max(1));
     }
 
     /// The executor worker-pool size every statement runs with.
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(default_thread_count)
+        self.exec.threads
     }
 
     /// Pin whether scans use the vectorized columnar path (`false` = always decode
-    /// row-wise at the scan, the pre-columnar engine). `None` restores the default:
-    /// `REOPT_COLUMNAR` (any value but `"0"` enables it).
+    /// row-wise at the scan, the pre-columnar engine). `None` restores
+    /// [`reopt_executor::DEFAULT_COLUMNAR`] (on).
     pub fn set_columnar(&mut self, columnar: Option<bool>) {
-        self.columnar = columnar;
+        self.exec.columnar = columnar.unwrap_or(DEFAULT_COLUMNAR);
     }
 
     /// Whether scans use the vectorized columnar path.
     pub fn columnar(&self) -> bool {
-        self.columnar.unwrap_or_else(default_columnar)
+        self.exec.columnar
     }
 
     /// Pin the executor row-batch size (`None` restores
@@ -207,12 +189,19 @@ impl Database {
     /// the batch size, so tests and benchmarks shrink this to make small datasets
     /// split into enough morsels for real pool parallelism.
     pub fn set_batch_size(&mut self, batch_size: Option<usize>) {
-        self.batch_size = batch_size.map(|b| b.max(1));
+        self.exec.batch_size = batch_size.map_or(DEFAULT_BATCH_SIZE, |b| b.max(1));
     }
 
     /// The executor row-batch size every statement runs with.
     pub fn batch_size(&self) -> usize {
-        self.batch_size.unwrap_or(reopt_executor::DEFAULT_BATCH_SIZE)
+        self.exec.batch_size
+    }
+
+    /// An executor over this database's storage with its settings: the one place
+    /// database state becomes an [`Executor`] (plain statements and every
+    /// re-optimization round alike).
+    pub fn executor(&self) -> Executor<'_> {
+        Executor::with_config(&self.storage, self.exec.clone())
     }
 
     /// Shared access to storage.
@@ -460,12 +449,7 @@ impl Database {
     /// Execute a SELECT statement.
     pub fn execute_select(&mut self, select: &SelectStatement) -> Result<QueryOutput, DbError> {
         let (planned, planning_time) = self.plan_select(select)?;
-        let result = Executor::with_batch_size(&self.storage, self.batch_size())
-            .with_threads(self.threads())
-            .with_columnar(self.columnar())
-            .with_priority(self.priority)
-            .with_governor(Arc::clone(&self.governor))
-            .execute(&planned.plan)?;
+        let result = self.executor().execute(&planned.plan)?;
         Ok(QueryOutput {
             rows: result.rows,
             schema: result.schema,

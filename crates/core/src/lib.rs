@@ -49,7 +49,7 @@ pub use policy::{
 pub use qerror::{q_error, DEFAULT_REOPT_THRESHOLD};
 pub use reopt::{
     execute_with_policy, execute_with_policy_feedback, execute_with_reoptimization,
-    feedback_enabled_by_default, ReoptConfig, ReoptMode, ReoptReport, ReoptRound, ReoptRoundKind,
+    ReoptConfig, ReoptMode, ReoptReport, ReoptRound, ReoptRoundKind,
 };
 pub use report::{relative_runtime_buckets, QueryRun, RuntimeBucket, WorkloadRun};
 pub use selective::{selective_improvement, SelectiveConfig, SelectiveIteration};

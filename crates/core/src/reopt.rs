@@ -61,16 +61,15 @@
 //! indexing, and the next query over the same tables and predicates seeds its first
 //! planning pass from them ([`reopt_planner::seed_overrides_from_cache`]). Feedback
 //! defaults on and is controlled per-run by [`ReoptConfig::with_feedback`] /
-//! [`execute_with_policy_feedback`] and globally by the `REOPT_FEEDBACK` environment
-//! variable (`0` disables).
+//! [`execute_with_policy_feedback`].
 
 use crate::database::Database;
 use crate::error::DbError;
 use crate::policy::{PolicyContext, PolicyDecision, ReoptPolicy, ReoptTrigger, Violation};
 use crate::qerror::DEFAULT_REOPT_THRESHOLD;
 use reopt_executor::{
-    BreakerState, ExecError, ExecEvent, ExecutionObserver, Executor, ObserverDecision,
-    ObserverHandle, QueryMetrics,
+    BreakerState, ExecError, ExecEvent, ExecutionObserver, ObserverDecision, ObserverHandle,
+    QueryMetrics,
 };
 use reopt_expr::{ColumnRef, Expr};
 use reopt_planner::{
@@ -124,6 +123,9 @@ impl std::fmt::Display for ReoptRoundKind {
     }
 }
 
+/// Cross-query cardinality feedback is on unless a run pins it off.
+const DEFAULT_FEEDBACK: bool = true;
+
 /// Re-optimization configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReoptConfig {
@@ -135,8 +137,7 @@ pub struct ReoptConfig {
     /// Which built-in policy to run.
     pub mode: ReoptMode,
     /// Whether the run consults and feeds the catalog's cross-query cardinality
-    /// feedback cache. Defaults to [`feedback_enabled_by_default`] (the
-    /// `REOPT_FEEDBACK` environment variable; on unless set to `0`).
+    /// feedback cache. On by default.
     pub feedback: bool,
 }
 
@@ -146,17 +147,9 @@ impl Default for ReoptConfig {
             threshold: DEFAULT_REOPT_THRESHOLD,
             max_rounds: 16,
             mode: ReoptMode::Materialize,
-            feedback: feedback_enabled_by_default(),
+            feedback: DEFAULT_FEEDBACK,
         }
     }
-}
-
-/// Whether cross-query cardinality feedback is enabled by default: the
-/// `REOPT_FEEDBACK` environment variable, treated as on unless set to `0`.
-pub fn feedback_enabled_by_default() -> bool {
-    std::env::var("REOPT_FEEDBACK")
-        .map(|value| value != "0")
-        .unwrap_or(true)
 }
 
 impl ReoptConfig {
@@ -186,8 +179,8 @@ impl ReoptConfig {
         }
     }
 
-    /// The same configuration with cross-query cardinality feedback forced on or off,
-    /// overriding the `REOPT_FEEDBACK` environment default. Tests that assert exact
+    /// The same configuration with cross-query cardinality feedback forced on or off.
+    /// Tests that assert exact
     /// round counts across several runs on one database pin this off; benchmark
     /// second-pass runs pin it on.
     pub fn with_feedback(mut self, feedback: bool) -> Self {
@@ -327,14 +320,14 @@ pub fn execute_with_reoptimization(
 /// Run a query under an arbitrary [`ReoptPolicy`]: the unified driver behind every
 /// re-optimization scheme in this crate. See the [module documentation](self) for the
 /// decision semantics and [`crate::policy`] for the built-in policies. Cross-query
-/// cardinality feedback follows the `REOPT_FEEDBACK` environment default; use
+/// cardinality feedback is on (the [`ReoptConfig`] default); use
 /// [`execute_with_policy_feedback`] to pin it per-run.
 pub fn execute_with_policy(
     db: &mut Database,
     sql: &str,
     policy: &mut dyn ReoptPolicy,
 ) -> Result<ReoptReport, DbError> {
-    execute_with_policy_feedback(db, sql, policy, feedback_enabled_by_default())
+    execute_with_policy_feedback(db, sql, policy, DEFAULT_FEEDBACK)
 }
 
 /// [`execute_with_policy`] with cross-query cardinality feedback explicitly on or
@@ -1100,11 +1093,7 @@ fn run_pipeline(
     ctx: PolicyContext,
     observe: bool,
 ) -> Result<RunResult, DbError> {
-    let executor = Executor::with_batch_size(db.storage(), db.batch_size())
-        .with_threads(db.threads())
-        .with_columnar(db.columnar())
-        .with_priority(db.priority())
-        .with_governor(std::sync::Arc::clone(db.governor()));
+    let executor = db.executor();
     let adapter = observe.then(|| {
         Rc::new(RefCell::new(PolicyObserver {
             policy,
@@ -1786,8 +1775,8 @@ mod tests {
     #[test]
     fn mid_query_triggers_on_default_plans() {
         // With the default optimizer configuration the synthetic-data plans lean on
-        // index-NL joins (see BENCH_MIDQUERY.json notes) — exactly the shape that
-        // previously made MidQuery a silent no-op. Progress triggers close that gap.
+        // index-NL joins — exactly the shape that previously made MidQuery a silent
+        // no-op. Progress triggers close that gap.
         let mut db = test_database();
         let expected = db.execute(SKEWED_SQL).unwrap();
         let config = ReoptConfig {

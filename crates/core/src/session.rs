@@ -16,10 +16,10 @@
 //!   cardinalities observed by any session seed every other session's next
 //!   planning pass.
 //! * Admission control: a counting semaphore caps how many queries run at once
-//!   (`REOPT_MAX_INFLIGHT`, default [`DEFAULT_MAX_INFLIGHT`]); excess callers block
-//!   in [`Session::execute`] until a slot frees. Under the cap, fairness between
-//!   running queries is the worker pool's job (per-task priority + round-robin at
-//!   morsel granularity), not admission's.
+//!   ([`Database::set_max_inflight`], default [`DEFAULT_MAX_INFLIGHT`]); excess
+//!   callers block in [`Session::execute`] until a slot frees. Under the cap,
+//!   fairness between running queries is the worker pool's job (per-task priority +
+//!   round-robin at morsel granularity), not admission's.
 //! * Per-session **priority** ([`Session::set_priority`]) flows through the
 //!   executor into the pool's task registration, so a high-priority session's
 //!   morsels are served before lower-priority ones while equal priorities share
@@ -37,8 +37,8 @@ use crate::reopt::ReoptReport;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Default cap on concurrently executing queries (overridden by
-/// `REOPT_MAX_INFLIGHT`).
+/// Default cap on concurrently executing queries (changed by
+/// [`Database::set_max_inflight`]).
 pub const DEFAULT_MAX_INFLIGHT: usize = 8;
 
 /// State shared by every session connected to one database: the admission
@@ -63,19 +63,10 @@ pub struct ServerState {
 
 impl ServerState {
     pub(crate) fn new() -> Self {
-        let max_inflight = std::env::var("REOPT_MAX_INFLIGHT")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MAX_INFLIGHT)
-            .max(1);
-        Self::with_max_inflight(max_inflight)
-    }
-
-    pub(crate) fn with_max_inflight(max_inflight: usize) -> Self {
         Self {
             inflight: Mutex::new(0),
             slot_freed: Condvar::new(),
-            max_inflight: AtomicUsize::new(max_inflight.max(1)),
+            max_inflight: AtomicUsize::new(DEFAULT_MAX_INFLIGHT),
             peak_inflight: AtomicU64::new(0),
             admitted_total: AtomicU64::new(0),
             next_session: AtomicU64::new(1),

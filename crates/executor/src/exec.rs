@@ -45,7 +45,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Fan-out of one grace-hash partitioning pass (and of recursive repartitioning).
@@ -393,19 +393,15 @@ impl ProgressMeter {
 }
 
 /// The thread count the executor uses when none is configured explicitly: the
-/// `REOPT_THREADS` environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism. A value of 1 always selects the single-threaded
-/// engine.
+/// machine's available parallelism, looked up once per process. A value of 1 always
+/// selects the single-threaded engine.
 pub fn default_thread_count() -> usize {
-    std::env::var("REOPT_THREADS")
-        .ok()
-        .and_then(|value| value.parse::<usize>().ok())
-        .filter(|&threads| threads >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    static MACHINE_PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *MACHINE_PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The result of executing one plan.
@@ -434,71 +430,86 @@ pub fn execute_plan(plan: &PhysicalPlan, storage: &Storage) -> Result<ExecutionR
 /// this many output batches when an [`ExecutionObserver`] is installed.
 pub const DEFAULT_PROGRESS_INTERVAL: u64 = 8;
 
-/// Whether vectorized columnar execution is enabled by default: the `REOPT_COLUMNAR`
-/// environment variable set to `0` is the kill switch (used by the columnar-off CI
-/// leg). Storage stays columnar either way — with the switch off, scans decode every
-/// chunk to rows immediately and predicates run through the row-wise evaluator.
-pub fn default_columnar() -> bool {
-    std::env::var("REOPT_COLUMNAR")
-        .map(|value| value != "0")
-        .unwrap_or(true)
+/// Vectorized columnar execution is on by default. Storage stays columnar either
+/// way — with it off ([`Executor::with_columnar`]), scans decode every chunk to rows
+/// immediately and predicates run through the row-wise evaluator.
+pub const DEFAULT_COLUMNAR: bool = true;
+
+/// The default scheduling priority for queries on the shared worker pool.
+pub const DEFAULT_PRIORITY: u8 = 1;
+
+/// Every execution setting, in one value: [`Executor`] owns it and hands a clone to
+/// whichever engine runs the plan (the clone shares the governor).
+#[derive(Debug, Clone)]
+pub struct ExecConfig {
+    /// Rows per batch (at least one).
+    pub batch_size: usize,
+    /// Worker-pool size; 1 always selects the single-threaded engine.
+    pub threads: usize,
+    /// Streaming joins report progress every this many output batches (0 disables
+    /// periodic reports).
+    pub progress_every: u64,
+    /// Whether scans emit columnar batches and predicates use the mask kernels.
+    pub columnar: bool,
+    /// Scheduling priority of this executor's tasks on the shared worker pool.
+    pub priority: u8,
+    /// The byte budget breaker sinks reserve against.
+    pub governor: Arc<MemoryGovernor>,
+}
+
+impl Default for ExecConfig {
+    /// The defaults, with an unlimited governor of its own.
+    fn default() -> Self {
+        Self {
+            batch_size: DEFAULT_BATCH_SIZE,
+            threads: default_thread_count(),
+            progress_every: DEFAULT_PROGRESS_INTERVAL,
+            columnar: DEFAULT_COLUMNAR,
+            priority: DEFAULT_PRIORITY,
+            governor: MemoryGovernor::unlimited(),
+        }
+    }
 }
 
 /// The plan executor: a factory for [`Pipeline`]s.
 pub struct Executor<'a> {
     storage: &'a Storage,
-    batch_size: usize,
-    progress_every: u64,
-    threads: usize,
-    columnar: bool,
-    priority: u8,
-    governor: Arc<MemoryGovernor>,
+    config: ExecConfig,
 }
 
-/// The default scheduling priority for queries on the shared worker pool.
-pub const DEFAULT_PRIORITY: u8 = 1;
-
 impl<'a> Executor<'a> {
-    /// Create an executor over the given storage with [`default_thread_count`]
-    /// threads.
+    /// Create an executor over the given storage with the default [`ExecConfig`].
     pub fn new(storage: &'a Storage) -> Self {
-        Self {
-            storage,
-            batch_size: DEFAULT_BATCH_SIZE,
-            progress_every: DEFAULT_PROGRESS_INTERVAL,
-            threads: default_thread_count(),
-            columnar: default_columnar(),
-            priority: DEFAULT_PRIORITY,
-            governor: MemoryGovernor::from_env(),
-        }
+        Self::with_config(storage, ExecConfig::default())
+    }
+
+    /// Create an executor with the given settings (batch size and thread count are
+    /// clamped to at least one).
+    pub fn with_config(storage: &'a Storage, mut config: ExecConfig) -> Self {
+        config.batch_size = config.batch_size.max(1);
+        config.threads = config.threads.max(1);
+        Self { storage, config }
     }
 
     /// Create an executor with a custom batch size (clamped to at least one row).
     pub fn with_batch_size(storage: &'a Storage, batch_size: usize) -> Self {
-        Self {
+        Self::with_config(
             storage,
-            batch_size: batch_size.max(1),
-            progress_every: DEFAULT_PROGRESS_INTERVAL,
-            threads: default_thread_count(),
-            columnar: default_columnar(),
-            priority: DEFAULT_PRIORITY,
-            governor: MemoryGovernor::from_env(),
-        }
+            ExecConfig {
+                batch_size,
+                ..ExecConfig::default()
+            },
+        )
     }
 
     /// Install a shared [`MemoryGovernor`]: breaker sinks reserve their buffered
     /// bytes against it and spill (grace-hash partitioning / external merge sort)
-    /// when a grant is denied. Defaults to a per-executor governor initialised from
-    /// `REOPT_MEM_BUDGET`; a database installs its process-wide governor here so
-    /// every session's queries share one budget.
+    /// when a grant is denied. Defaults to an unlimited per-executor governor; a
+    /// database installs its process-wide governor here so every session's queries
+    /// share one budget.
     pub fn with_governor(mut self, governor: Arc<MemoryGovernor>) -> Self {
-        self.governor = governor;
+        self.config.governor = governor;
         self
-    }
-
-    /// The memory governor this executor's pipelines reserve against.
-    pub fn governor(&self) -> &Arc<MemoryGovernor> {
-        &self.governor
     }
 
     /// Set the scheduling priority used when this executor's queries register as
@@ -506,21 +517,16 @@ impl<'a> Executor<'a> {
     /// equal priorities round-robin at morsel granularity. Has no effect at
     /// `threads == 1`.
     pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
+        self.config.priority = priority;
         self
     }
 
     /// Enable or disable vectorized columnar execution (defaults to
-    /// [`default_columnar`]). With columnar off, scans decode to rows immediately:
+    /// [`DEFAULT_COLUMNAR`]). With columnar off, scans decode to rows immediately:
     /// the row-identity CI leg runs every query both ways and compares outputs.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
+        self.config.columnar = columnar;
         self
-    }
-
-    /// Whether vectorized columnar execution is enabled.
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar
     }
 
     /// Set the worker-pool size for morsel-driven parallel execution (clamped to at
@@ -529,20 +535,15 @@ impl<'a> Executor<'a> {
     /// ([`crate::parallel::plan_supported`]) run on the worker pool and everything
     /// else falls back to the single-threaded engine unchanged.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.config.threads = threads.max(1);
         self
-    }
-
-    /// The configured worker-pool size.
-    pub fn thread_count(&self) -> usize {
-        self.threads
     }
 
     /// Set the progress cadence: streaming joins report a [`ProgressEvent`] every
     /// `every_batches` output batches (0 disables periodic reports; index-NL
     /// outer-exhaustion reports still fire).
     pub fn with_progress_interval(mut self, every_batches: u64) -> Self {
-        self.progress_every = every_batches;
+        self.config.progress_every = every_batches;
         self
     }
 
@@ -607,7 +608,7 @@ impl<'a> Executor<'a> {
         // A `threads > 1` session that lands on the single-threaded engine is an
         // observable fallback: the reason rides along in the metrics and the
         // process-wide counter feeds the perf_smoke zero-fallback assertion.
-        let shape_fallback = if self.threads > 1 {
+        let shape_fallback = if self.config.threads > 1 {
             let reason = crate::parallel::fallback_reason(plan);
             if reason.is_some() {
                 crate::parallel::note_plan_fallback();
@@ -616,47 +617,23 @@ impl<'a> Executor<'a> {
         } else {
             None
         };
-        if self.threads > 1 && shape_fallback.is_none() {
-            // Keep everything needed to rebuild single-threaded: if a parallel
-            // breaker sink hits the memory budget and the observer declines to
-            // suspend, the run aborts (before any root batch is delivered — all
-            // breaker materialization happens up front) and the pipeline facade
-            // transparently restarts on the single-threaded spill engine.
-            let fallback = FallbackCtx {
-                storage: self.storage,
-                batch_size: self.batch_size,
-                progress_every: self.progress_every,
-                columnar: self.columnar,
-                governor: Arc::clone(&self.governor),
-                observer: observer.clone(),
-            };
-            return Ok(Pipeline {
-                inner: PipelineImpl::Parallel(Box::new(crate::parallel::ParallelPipeline::new(
-                    plan,
-                    self.storage,
-                    self.batch_size,
-                    self.threads,
-                    self.progress_every,
-                    self.columnar,
-                    self.priority,
-                    Arc::clone(&self.governor),
-                    observer,
-                ))),
-                fallback: Some(fallback),
-                fallback_note: None,
-            });
-        }
-        Ok(Pipeline {
-            inner: PipelineImpl::Single(open_single(
+        let inner = if self.config.threads > 1 && shape_fallback.is_none() {
+            PipelineImpl::Parallel(Box::new(crate::parallel::ParallelPipeline::new(
                 plan,
                 self.storage,
-                self.batch_size,
-                self.progress_every,
-                self.columnar,
-                Arc::clone(&self.governor),
+                self.config.clone(),
                 observer,
-            )?),
-            fallback: None,
+            )))
+        } else {
+            PipelineImpl::Single(open_single(
+                plan,
+                self.storage,
+                self.config.clone(),
+                observer,
+            )?)
+        };
+        Ok(Pipeline {
+            inner,
             fallback_note: shape_fallback,
         })
     }
@@ -681,28 +658,23 @@ impl<'a> Executor<'a> {
 
 /// Build a [`SinglePipeline`] over a plan (also the landing pad when a parallel run
 /// degrades to the single-threaded spill engine on memory pressure).
-fn open_single<'p>(
+pub(crate) fn open_single<'p>(
     plan: &'p PhysicalPlan,
     storage: &'p Storage,
-    batch_size: usize,
-    progress_every: u64,
-    columnar: bool,
-    governor: Arc<MemoryGovernor>,
+    config: ExecConfig,
     observer: Option<ObserverHandle<'p>>,
 ) -> Result<SinglePipeline<'p>, ExecError> {
     let tracker = Rc::new(MemoryTracker::default());
     let root_seam = Rc::new(Cell::new(false));
     let ctx = BuildContext {
         storage,
-        batch_size,
-        columnar,
         tracker: Rc::clone(&tracker),
-        governor,
         obs: ObserverCtx {
             observer,
             root_seam: Rc::clone(&root_seam),
-            progress_every,
+            progress_every: config.progress_every,
         },
+        config,
     };
     let (root, stats) = build_operator(plan, &ctx)?;
     Ok(SinglePipeline {
@@ -716,17 +688,6 @@ fn open_single<'p>(
     })
 }
 
-/// Everything needed to rebuild a parallel pipeline on the single-threaded spill
-/// engine when its run hits the memory budget (see [`Executor::open_observed`]).
-struct FallbackCtx<'p> {
-    storage: &'p Storage,
-    batch_size: usize,
-    progress_every: u64,
-    columnar: bool,
-    governor: Arc<MemoryGovernor>,
-    observer: Option<ObserverHandle<'p>>,
-}
-
 /// An opened plan, ready to produce batches: either a single-threaded operator tree
 /// or a morsel-driven parallel run ([`Executor::with_threads`]). Both engines honor
 /// the same contract — batch pulls, observer events, suspension, breaker-state
@@ -734,7 +695,6 @@ struct FallbackCtx<'p> {
 /// engine.
 pub struct Pipeline<'p> {
     inner: PipelineImpl<'p>,
-    fallback: Option<FallbackCtx<'p>>,
     /// Why a `threads > 1` session is running single-threaded (unsupported plan
     /// shape at open time, or a memory-budget restart mid-run); surfaced through
     /// [`QueryMetrics::fallback`].
@@ -763,28 +723,15 @@ impl Pipeline<'_> {
             PipelineImpl::Parallel(p) => p.next_batch(),
         };
         // A parallel run that hit the memory budget (and whose observer declined to
-        // suspend) aborts before delivering any root batch: restart the plan on the
-        // single-threaded engine, whose breaker sinks can actually spill.
+        // suspend) aborts before delivering any root batch — all breaker
+        // materialization happens up front: restart the plan on the single-threaded
+        // engine, whose breaker sinks can actually spill.
         if matches!(out, Err(ExecError::Spill(_))) {
             if let PipelineImpl::Parallel(p) = &self.inner {
                 if p.needs_spill_fallback() {
-                    if let Some(ctx) = self.fallback.take() {
-                        let plan = match &self.inner {
-                            PipelineImpl::Parallel(p) => p.plan(),
-                            PipelineImpl::Single(_) => unreachable!("checked above"),
-                        };
-                        self.inner = PipelineImpl::Single(open_single(
-                            plan,
-                            ctx.storage,
-                            ctx.batch_size,
-                            ctx.progress_every,
-                            ctx.columnar,
-                            ctx.governor,
-                            ctx.observer,
-                        )?);
-                        self.fallback_note = Some("memory budget: restarted on the spill engine");
-                        return self.next_batch();
-                    }
+                    self.inner = PipelineImpl::Single(p.reopen_single()?);
+                    self.fallback_note = Some("memory budget: restarted on the spill engine");
+                    return self.next_batch();
                 }
             }
         }
@@ -1025,11 +972,8 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
 /// Everything needed to translate a plan node into an operator.
 struct BuildContext<'p> {
     storage: &'p Storage,
-    batch_size: usize,
-    /// Whether scans emit columnar batches and predicates use the mask kernels.
-    columnar: bool,
+    config: ExecConfig,
     tracker: Rc<MemoryTracker>,
-    governor: Arc<MemoryGovernor>,
     obs: ObserverCtx<'p>,
 }
 
@@ -1157,7 +1101,7 @@ fn build_operator<'p>(
         child_stats.push(stats);
     }
 
-    let batch_size = ctx.batch_size;
+    let batch_size = ctx.config.batch_size;
     // Created before the operator so breaker sinks with a spill path (hash build,
     // sort, aggregate) can account spilled bytes/partitions as they seal runs.
     let stats = Rc::new(OpStats::default());
@@ -1172,12 +1116,12 @@ fn build_operator<'p>(
             // Decide the scan mode once: probe kernel support against a zero-row
             // slice of the *actual* column chunks (their encodings — including
             // `Val` promotions — never change during a query).
-            let columnar = ctx.columnar
+            let columnar = ctx.config.columnar
                 && predicate
                     .as_ref()
                     .map(|p| filter_mask(p, &table.scan_range(0..0), &mut mask_cache).is_some())
                     .unwrap_or(true);
-            scan_encoding = Some(scan_encoding_label(ctx.columnar, columnar, table));
+            scan_encoding = Some(scan_encoding_label(ctx.config.columnar, columnar, table));
             Box::new(SeqScanOp {
                 table,
                 pos: 0,
@@ -1245,7 +1189,7 @@ fn build_operator<'p>(
                 match_pos: 0,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.governor.reservation(),
+                reservation: ctx.config.governor.reservation(),
                 spill: None,
                 stats: Rc::clone(&stats),
                 obs: ctx.obs.clone_ref(),
@@ -1376,7 +1320,7 @@ fn build_operator<'p>(
                 emit: None,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.governor.reservation(),
+                reservation: ctx.config.governor.reservation(),
                 spill: None,
                 stats: Rc::clone(&stats),
                 obs: ctx.obs.clone_ref(),
@@ -1419,7 +1363,7 @@ fn build_operator<'p>(
                 pos: 0,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.governor.reservation(),
+                reservation: ctx.config.governor.reservation(),
                 spill: None,
                 merge: None,
                 stats: Rc::clone(&stats),
@@ -3653,9 +3597,9 @@ mod tests {
 
     // This module is the single-threaded engine's battery, so every helper pins
     // `with_threads(1)`: without the pin, `default_thread_count()` would silently
-    // route these tests through the parallel engine on multi-core hosts (or under
-    // an ambient REOPT_THREADS), losing the coverage. The parallel engine has its
-    // own battery in `crate::parallel::tests`, which pins 2/4/8 explicitly.
+    // route these tests through the parallel engine on multi-core hosts, losing
+    // the coverage. The parallel engine has its own battery in
+    // `crate::parallel::tests`, which pins 2/4/8 explicitly.
     fn run(sql: &str, storage: &Storage, catalog: &Catalog) -> ExecutionResult {
         let planned = plan(sql, storage, catalog);
         Executor::new(storage)

@@ -11,7 +11,7 @@
 //! row batch; columnar batches are decoded to rows at the root seam, at breaker
 //! materialization points, and in front of row-only operators, so the public
 //! `next_batch() -> Option<RowBatch>` contract is unchanged (see
-//! [`Executor::with_columnar`] and the `REOPT_COLUMNAR` kill switch). Memory is
+//! [`Executor::with_columnar`], the kill switch). Memory is
 //! bounded to one in-flight batch per streaming operator plus the buffers of
 //! *pipeline breakers* — the build side of a hash join, the inner side of a
 //! nested-loop join, both sorted inputs of a merge join, aggregate group states and
@@ -51,14 +51,14 @@ pub mod spill;
 pub use error::ExecError;
 pub use pool::{TaskHandle, WorkerPool, MAX_POOL_THREADS};
 pub use exec::{
-    default_columnar, default_thread_count, execute_plan, BreakerEvent, BreakerKind, BreakerState,
+    default_thread_count, execute_plan, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
     ExecEvent, ExecutionObserver, ExecutionResult, Executor, MemoryPressureEvent, ObserverDecision,
     ObserverHandle, Pipeline, ProgressEvent, ProgressSource, RowBatch, DEFAULT_BATCH_SIZE,
-    DEFAULT_PRIORITY, DEFAULT_PROGRESS_INTERVAL,
+    DEFAULT_COLUMNAR, DEFAULT_PRIORITY, DEFAULT_PROGRESS_INTERVAL,
 };
 pub use metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 pub use parallel::{
     fallback_reason, lazy_builds_planned_total, lazy_builds_started_total, plan_fallbacks_total,
     plan_supported,
 };
-pub use spill::{MemoryGovernor, Reservation, MEM_BUDGET_ENV};
+pub use spill::{MemoryGovernor, Reservation};

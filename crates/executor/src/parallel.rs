@@ -37,9 +37,9 @@
 //! * **merge-join inputs** run as their own pipelines into keyed sort sinks: each
 //!   worker sorts its retired run by `(key, morsel, sequence)`, the coordinator
 //!   k-way-merges the runs, and the joined output becomes a morselized
-//!   [`Source::MergeJoin`] whose left rows binary-search the sorted right side;
+//!   `Source::MergeJoin` whose left rows binary-search the sorted right side;
 //! * **nested-loop inners** are collected in morsel order and probed block-wise:
-//!   every outer morsel loops the shared buffered inner ([`StepKind::NlProbe`]);
+//!   every outer morsel loops the shared buffered inner (`StepKind::NlProbe`);
 //! * **LIMIT roots** use a morsel-ordered exchange: workers tag batches with their
 //!   morsel index and the coordinator reassembles them in morsel order, quiescing
 //!   the query through the per-query quiesce flag the moment the limit is
@@ -82,7 +82,7 @@
 //!
 //! Pipelines form a dependency DAG: a probe pipeline depends on its hash-build and
 //! nested-loop-inner pipelines, which in turn depend on whatever breakers feed
-//! *them*. [`Engine::compile`] walks the probe spine collecting the chain steps and
+//! *them*. `Engine::compile` walks the probe spine collecting the chain steps and
 //! **registering** build pipelines without executing them; builds run only after the
 //! spine's own source is runnable, innermost-first, with a stop check between each —
 //! so a suspension decision taken on an inner breaker (the common mid-query
@@ -100,11 +100,10 @@
 use crate::error::ExecError;
 use crate::exec::{
     bind as bind_exec, bind_opt as bind_exec_opt, extract_key, key_index as key_index_exec,
-    resolve_index_row_ids, scan_encoding_label, Accumulator,
-    BreakerEvent, BreakerKind, BreakerState, ExecEvent, MemoryPressureEvent, ObserverHandle,
-    ProgressEvent, ProgressSource, RowBatch,
+    open_single, resolve_index_row_ids, scan_encoding_label, Accumulator,
+    BreakerEvent, BreakerKind, BreakerState, ExecConfig, ExecEvent, MemoryPressureEvent,
+    ObserverHandle, ProgressEvent, ProgressSource, RowBatch, SinglePipeline,
 };
-use crate::spill::MemoryGovernor;
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use reopt_expr::{filter_mask, Expr, MaskCache};
@@ -207,8 +206,8 @@ struct Shared {
     seam: AtomicBool,
     /// Whether an observer is installed (workers skip event bookkeeping otherwise).
     observer_active: bool,
-    /// Progress cadence (0 disables periodic reports).
-    progress_every: u64,
+    /// The executor's settings; breaker sinks reserve against `config.governor`.
+    config: ExecConfig,
     /// Worker-enqueued events, drained by the coordinator in FIFO order.
     events: Mutex<VecDeque<ExecEvent>>,
     /// First worker error; its presence also quiesces the run.
@@ -221,8 +220,6 @@ struct Shared {
     buffered_bytes_current: AtomicU64,
     /// High-water mark of `buffered_bytes_current`.
     buffered_bytes_peak: AtomicU64,
-    /// The process-wide memory governor the run's breaker sinks reserve against.
-    governor: Arc<MemoryGovernor>,
     /// Bytes this run currently holds from the governor (released when the run's
     /// shared state drops, matching the single-threaded reservation lifetime).
     reserved: AtomicU64,
@@ -256,10 +253,10 @@ impl Shared {
     /// Try to reserve `bytes` of the run's memory budget. Unlimited budgets (the
     /// default) return immediately without touching shared counters.
     fn try_reserve(&self, bytes: u64) -> bool {
-        if self.governor.is_unlimited() {
+        if self.config.governor.is_unlimited() {
             return true;
         }
-        if self.governor.try_reserve(bytes) {
+        if self.config.governor.try_reserve(bytes) {
             self.reserved.fetch_add(bytes, Ordering::SeqCst);
             true
         } else {
@@ -275,7 +272,7 @@ impl Shared {
             estimated_rows,
             buffered_rows: self.buffered_current.load(Ordering::SeqCst),
             buffered_bytes: self.reserved.load(Ordering::SeqCst),
-            budget_bytes: self.governor.budget().unwrap_or(0),
+            budget_bytes: self.config.governor.budget().unwrap_or(0),
         })
     }
 
@@ -341,7 +338,7 @@ impl Drop for Shared {
         // partial sinks all hold an `Arc<Shared>`), so this is where the governor
         // reservation is returned — mirroring the single-threaded engine, whose
         // `Reservation` releases when the operator tree drops.
-        self.governor.release(*self.reserved.get_mut());
+        self.config.governor.release(*self.reserved.get_mut());
     }
 }
 
@@ -828,8 +825,8 @@ impl Step {
             let batches = self.stats.batches.fetch_add(1, Ordering::SeqCst) + 1;
             if let Some(progress) = &self.progress {
                 if shared.observer_active
-                    && shared.progress_every > 0
-                    && batches % shared.progress_every == 0
+                    && shared.config.progress_every > 0
+                    && batches % shared.config.progress_every == 0
                 {
                     // Snapshot the produced count under the queue lock: later events
                     // in the queue always carry counts >= earlier ones.
@@ -934,10 +931,6 @@ impl AggSpec {
 /// the resident pool are `'static`; the engine itself stays on the session thread.
 struct Engine<'p> {
     storage: &'p Storage,
-    batch_size: usize,
-    threads: usize,
-    /// Whether scans may use the vectorized columnar path (see `Executor::columnar`).
-    columnar: bool,
     observer: Option<ObserverHandle<'p>>,
     shared: Arc<Shared>,
     stop: std::cell::Cell<Option<StopMode>>,
@@ -1402,7 +1395,7 @@ impl<'p> Engine<'p> {
     fn record_limit(&self, stats: &StatsTree, rows: &[Row], start: Instant) {
         let mut offset = 0;
         while offset < rows.len() {
-            let len = (rows.len() - offset).min(self.batch_size);
+            let len = (rows.len() - offset).min(self.shared.config.batch_size);
             stats.stats.record(len, Duration::ZERO);
             offset += len;
         }
@@ -1630,7 +1623,7 @@ impl<'p> Engine<'p> {
                     // table's real column representations, so the decision holds for
                     // every morsel of the scan.
                     let mut probe_cache = MaskCache::new();
-                    let kernel = self.columnar
+                    let kernel = self.shared.config.columnar
                         && predicate
                             .as_ref()
                             .map(|p| {
@@ -1640,7 +1633,7 @@ impl<'p> Engine<'p> {
                     let _ = node_stats
                         .stats
                         .encoding
-                        .set(scan_encoding_label(self.columnar, kernel, &table));
+                        .set(scan_encoding_label(self.shared.config.columnar, kernel, &table));
                     break Source::Table {
                         table,
                         predicate,
@@ -1727,9 +1720,10 @@ impl<'p> Engine<'p> {
         // Steps were collected root-down; they apply source-up.
         steps.reverse();
         let total = source.len();
-        let morsel_rows = self.batch_size.saturating_mul(MORSEL_BATCHES).max(1);
+        let config = &self.shared.config;
+        let morsel_rows = config.batch_size.saturating_mul(MORSEL_BATCHES).max(1);
         let morsels = total.div_ceil(morsel_rows).max(1);
-        let workers = self.threads.min(morsels).max(1);
+        let workers = config.threads.min(morsels).max(1);
         Ok(Compiled {
             source,
             steps,
@@ -2483,7 +2477,7 @@ impl SinkFactory for LimitSink {
 fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>) -> JoinTable {
     fn merge_one(buckets: Vec<KeyedRows>) -> PartitionMap {
         let mut rows: KeyedRows = buckets.into_iter().flatten().collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.sort_by_key(|a| a.0);
         let mut map: PartitionMap = HashMap::new();
         for (_, key, row) in rows {
             map.entry(key).or_default().push(row);
@@ -2505,9 +2499,9 @@ fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>
             partition_inputs[part].push(bucket);
         }
     }
-    unkeyed_tagged.sort_by(|a, b| a.0.cmp(&b.0));
+    unkeyed_tagged.sort_by_key(|a| a.0);
     let unkeyed: Vec<Row> = unkeyed_tagged.into_iter().map(|(_, row)| row).collect();
-    let parts: Vec<PartitionMap> = if engine.threads > 1 && keyed_total > 65_536 {
+    let parts: Vec<PartitionMap> = if engine.shared.config.threads > 1 && keyed_total > 65_536 {
         // One pool job per partition; inputs and outputs live behind Arc'd slots
         // so the jobs are 'static.
         type MergeWork = (
@@ -2522,7 +2516,7 @@ fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>
             (0..nparts).map(|_| Mutex::new(None)).collect(),
         ));
         let gate = Arc::new(Gate::new(nparts));
-        engine.pool.ensure_available(nparts.min(engine.threads));
+        engine.pool.ensure_available(nparts.min(engine.shared.config.threads));
         for part in 0..nparts {
             let work = Arc::clone(&work);
             let gate = Arc::clone(&gate);
@@ -2698,12 +2692,7 @@ enum RunState {
 pub(crate) struct ParallelPipeline<'p> {
     plan: &'p PhysicalPlan,
     storage: &'p Storage,
-    batch_size: usize,
-    threads: usize,
-    progress_every: u64,
-    columnar: bool,
-    priority: u8,
-    governor: Arc<MemoryGovernor>,
+    config: ExecConfig,
     observer: Option<ObserverHandle<'p>>,
     stats: StatsTree,
     /// The per-run coordinator; lives for the whole pipeline (streaming roots keep
@@ -2718,28 +2707,17 @@ pub(crate) struct ParallelPipeline<'p> {
 }
 
 impl<'p> ParallelPipeline<'p> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         plan: &'p PhysicalPlan,
         storage: &'p Storage,
-        batch_size: usize,
-        threads: usize,
-        progress_every: u64,
-        columnar: bool,
-        priority: u8,
-        governor: Arc<MemoryGovernor>,
+        config: ExecConfig,
         observer: Option<ObserverHandle<'p>>,
     ) -> Self {
         let stats = build_stats_tree(plan);
         Self {
             plan,
             storage,
-            batch_size,
-            threads,
-            progress_every,
-            columnar,
-            priority,
-            governor,
+            config,
             observer,
             stats,
             engine: None,
@@ -2758,25 +2736,21 @@ impl<'p> ParallelPipeline<'p> {
     fn run(&mut self) -> Result<(), ExecError> {
         self.started = Some(Instant::now());
         let pool = WorkerPool::global();
-        let task = pool.register(self.priority);
+        let task = pool.register(self.config.priority);
         self.engine = Some(Engine {
             storage: self.storage,
-            batch_size: self.batch_size,
-            threads: self.threads,
-            columnar: self.columnar,
             observer: self.observer.clone(),
             shared: Arc::new(Shared {
                 quiesce: AtomicBool::new(false),
                 seam: AtomicBool::new(false),
                 observer_active: self.observer.is_some(),
-                progress_every: self.progress_every,
+                config: self.config.clone(),
                 events: Mutex::new(VecDeque::new()),
                 error: Mutex::new(None),
                 buffered_current: AtomicU64::new(0),
                 buffered_peak: AtomicU64::new(0),
                 buffered_bytes_current: AtomicU64::new(0),
                 buffered_bytes_peak: AtomicU64::new(0),
-                governor: Arc::clone(&self.governor),
                 reserved: AtomicU64::new(0),
                 spill_needed: AtomicBool::new(false),
             }),
@@ -2877,7 +2851,7 @@ impl<'p> ParallelPipeline<'p> {
                         // clean hand-off for schedulers that must not lose the batch
                         // that was in flight when the decision was made.
                         let mut rows = rows;
-                        rows.truncate(self.batch_size);
+                        rows.truncate(self.config.batch_size);
                         self.state = RunState::Serving {
                             rows,
                             pos: 0,
@@ -3054,7 +3028,7 @@ impl<'p> ParallelPipeline<'p> {
                     }
                     return Ok(None);
                 }
-                let end = (*pos + self.batch_size).min(rows.len());
+                let end = (*pos + self.config.batch_size).min(rows.len());
                 let batch = rows[*pos..end].to_vec();
                 *pos = end;
                 Ok(Some(batch))
@@ -3094,8 +3068,15 @@ impl<'p> ParallelPipeline<'p> {
 
     /// The plan this pipeline executes (the facade restarts it on the
     /// single-threaded spill engine after a memory-budget abort).
-    pub(crate) fn plan(&self) -> &'p PhysicalPlan {
-        self.plan
+    /// Open the same plan, with the same settings and observer, on the
+    /// single-threaded engine.
+    pub(crate) fn reopen_single(&self) -> Result<SinglePipeline<'p>, ExecError> {
+        open_single(
+            self.plan,
+            self.storage,
+            self.config.clone(),
+            self.observer.clone(),
+        )
     }
 
     /// Whether the run aborted because a breaker sink's memory reservation was
@@ -3706,12 +3687,11 @@ mod tests {
         let mut baseline = ParallelPipeline::new(
             &planned.plan,
             &storage,
-            DEFAULT_BATCH_SIZE,
-            4,
-            0,
-            true,
-            crate::exec::DEFAULT_PRIORITY,
-            MemoryGovernor::unlimited(),
+            ExecConfig {
+                threads: 4,
+                progress_every: 0,
+                ..ExecConfig::default()
+            },
             None,
         );
         while baseline.next_batch().unwrap().is_some() {}
@@ -3730,12 +3710,11 @@ mod tests {
         let mut pipeline = ParallelPipeline::new(
             &planned.plan,
             &storage,
-            DEFAULT_BATCH_SIZE,
-            4,
-            0,
-            true,
-            crate::exec::DEFAULT_PRIORITY,
-            MemoryGovernor::unlimited(),
+            ExecConfig {
+                threads: 4,
+                progress_every: 0,
+                ..ExecConfig::default()
+            },
             Some(observer as ObserverHandle),
         );
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);

@@ -14,17 +14,12 @@
 //! policy declines does the sink switch to its out-of-core strategy (grace-hash
 //! partitioning or external merge sort) and release its in-memory reservation.
 //!
-//! The default budget is **unlimited** (`REOPT_MEM_BUDGET` unset or `0`), in
-//! which case every reservation succeeds without touching shared state beyond a
-//! single atomic load — the spill path stays cold and execution is byte-for-byte
-//! identical to a build without this module.
+//! The default budget is **unlimited**, in which case every reservation succeeds
+//! without touching shared state beyond a single atomic load — the spill path stays
+//! cold and execution is byte-for-byte identical to a build without this module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Environment variable setting the initial byte budget. Unset or `0` means
-/// unlimited.
-pub const MEM_BUDGET_ENV: &str = "REOPT_MEM_BUDGET";
 
 /// Sentinel for "no budget": reservations always succeed.
 const UNLIMITED: u64 = u64::MAX;
@@ -56,16 +51,6 @@ impl MemoryGovernor {
             peak_reserved: AtomicU64::new(0),
             denials: AtomicU64::new(0),
         })
-    }
-
-    /// A governor initialised from `REOPT_MEM_BUDGET` (bytes; unset or `0` means
-    /// unlimited).
-    pub fn from_env() -> Arc<Self> {
-        let budget = std::env::var(MEM_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&b| b > 0);
-        Self::new(budget)
     }
 
     /// The current budget, or `None` when unlimited.

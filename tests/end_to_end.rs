@@ -339,11 +339,10 @@ fn parallel_execution_matches_single_threaded_across_the_suite_cross_section() {
 fn index_nl_job_plans_replan_on_progress_signals() {
     // Under the default optimizer configuration the JOB plans at this scale lean on
     // index-nested-loop joins whose inners are base tables: no reusable breaker state
-    // exists, so the old breaker-only MidQuery mode never fired here (see the
-    // BENCH_MIDQUERY.json setup note). Streaming progress events close that gap: the
-    // skewed keyword join overshoots its estimate after a few batches, the pipeline
-    // suspends, the observed bound is injected, and the remainder re-plans — with the
-    // result still agreeing with plain execution.
+    // exists, so the old breaker-only MidQuery mode never fired here. Streaming
+    // progress events close that gap: the skewed keyword join overshoots its estimate
+    // after a few batches, the pipeline suspends, the observed bound is injected, and
+    // the remainder re-plans — with the result still agreeing with plain execution.
     let mut db = imdb_database();
     let query = job_query("10a").unwrap();
     let expected = db.execute(&query.sql).unwrap();
@@ -658,6 +657,67 @@ fn memory_pressure_replans_instead_of_spilling_on_a_skewed_job_query() {
         "every spill file must be deleted after the report completes"
     );
     db.set_mem_budget(None);
+}
+
+#[test]
+fn parallel_run_over_budget_restarts_on_the_spill_engine_with_its_settings() {
+    // At threads > 1 a breaker sink whose grant is denied aborts the morsel run and
+    // the pipeline restarts on the single-threaded spill engine — with the same
+    // settings the parallel run was opened with, which row identity alone cannot
+    // show. A multi-row output makes the batch size visible in the root's batch
+    // count; hash joins only, so the join carries a build side worth governing.
+    let _serial = spill_serial();
+    let mut db = Database::with_config(OptimizerConfig {
+        enable_index_scans: false,
+        enable_index_nl_joins: false,
+        enable_merge_joins: false,
+        ..Default::default()
+    });
+    load_imdb(&mut db, &ImdbConfig { scale: 0.02, seed: 9 }).unwrap();
+    let sql = "SELECT t.id AS id, mk.keyword_id AS kw
+               FROM title AS t, movie_keyword AS mk
+               WHERE t.id = mk.movie_id";
+    let sorted = |mut rows: Vec<reopt_repro::storage::Row>| {
+        rows.sort_by_cached_key(|row| format!("{row}"));
+        rows
+    };
+    db.set_batch_size(Some(48));
+
+    db.set_threads(Some(1));
+    let unlimited = db.execute(sql).unwrap();
+    assert!(unlimited.rows.len() > 48, "the output must span several batches");
+    let budget = unlimited.peak_buffered_bytes / 4;
+    assert!(budget > 0, "the join must buffer a build side");
+    db.set_mem_budget(Some(budget));
+    // The batch count of the spill engine itself at this batch size and budget.
+    let direct = db.execute(sql).unwrap();
+    let direct_metrics = direct.metrics.unwrap();
+    assert_eq!(direct_metrics.fallback, None);
+    assert!(direct_metrics.root.total_spilled().0 > 0, "a quarter of the peak must spill");
+
+    let fallbacks_before = reopt_repro::executor::plan_fallbacks_total();
+    db.set_threads(Some(2));
+    let restarted = db.execute(sql).unwrap();
+    let metrics = restarted.metrics.unwrap();
+    assert_eq!(
+        metrics.fallback,
+        Some("memory budget: restarted on the spill engine")
+    );
+    assert_eq!(
+        metrics.root.metrics.batches, direct_metrics.root.metrics.batches,
+        "the restarted run must keep the configured batch size"
+    );
+    assert!(
+        metrics.root.metrics.batches >= (unlimited.rows.len() as u64).div_ceil(48),
+        "no root batch may exceed the configured 48 rows"
+    );
+    assert_eq!(sorted(restarted.rows), sorted(unlimited.rows));
+    assert_eq!(
+        reopt_repro::executor::plan_fallbacks_total(),
+        fallbacks_before,
+        "a memory-budget restart is not a plan-shape fallback"
+    );
+    assert_eq!(reopt_repro::storage::live_spill_files(), 0);
 }
 
 #[test]

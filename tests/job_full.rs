@@ -18,8 +18,8 @@
 //! `REOPT_SCALE` overrides the dataset scale (default 0.02, the perf_smoke
 //! scale).
 //!
-//! The constrained-memory pass re-runs the suite under a byte budget
-//! (`REOPT_JOB_MEM_BUDGET`, default 1 MiB): every query must stay row-identical
+//! The constrained-memory pass re-runs the suite under a 1 MiB byte budget
+//! ([`MEM_BUDGET`]): every query must stay row-identical
 //! to its unlimited reference while breaker sinks spill out of core, and every
 //! spill file must be gone when the battery drains.
 
@@ -30,6 +30,9 @@ use reopt_repro::storage::Row;
 use reopt_repro::workload::job::job_queries;
 use reopt_repro::workload::{load_imdb, ImdbConfig};
 use std::time::{Duration, Instant};
+
+/// The byte budget of the constrained-memory pass.
+const MEM_BUDGET: u64 = 1 << 20;
 
 fn canonical(rows: &[Row]) -> Vec<String> {
     let mut rendered: Vec<String> = rows.iter().map(|row| format!("{row}")).collect();
@@ -175,10 +178,6 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.02);
-    let budget: u64 = std::env::var("REOPT_JOB_MEM_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1 << 20);
     let mut db = Database::new();
     load_imdb(&mut db, &ImdbConfig { scale, seed: 13 }).unwrap();
     db.set_threads(Some(1));
@@ -200,11 +199,11 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
             }
         };
 
-        db.set_mem_budget(Some(budget));
+        db.set_mem_budget(Some(MEM_BUDGET));
         match db.execute(&query.sql) {
             Ok(output) => {
                 if canonical(&output.rows) != reference {
-                    failures.push(format!("{id}: plain run diverged under budget {budget}"));
+                    failures.push(format!("{id}: plain run diverged under budget {MEM_BUDGET}"));
                 }
                 let (bytes, _) = output
                     .metrics
@@ -230,7 +229,7 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
         match execute_with_reoptimization(&mut db, &query.sql, &config) {
             Ok(report) => {
                 if canonical(&report.final_rows) != reference {
-                    failures.push(format!("{id}: MidQuery diverged under budget {budget}"));
+                    failures.push(format!("{id}: MidQuery diverged under budget {MEM_BUDGET}"));
                 }
             }
             Err(error) => failures.push(format!("{id}: MidQuery failed under budget: {error}")),
@@ -242,12 +241,12 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
 
     let denials = db.governor().denials();
     eprintln!(
-        "job_full(budget): scale {scale}, budget {budget} bytes: {spilled_queries} plain \
+        "job_full(budget): scale {scale}, budget {MEM_BUDGET} bytes: {spilled_queries} plain \
          queries spilled {spilled_bytes} bytes total, {denials} denied grant(s)"
     );
     assert!(
         denials > 0,
-        "a {budget}-byte budget across the whole suite must deny at least one grant"
+        "a {MEM_BUDGET}-byte budget across the whole suite must deny at least one grant"
     );
     assert_eq!(
         reopt_repro::storage::live_spill_files(),
