@@ -1,6 +1,6 @@
 //! Optimizer micro-benchmarks: planning latency vs. number of relations, DPccp vs.
-//! greedy enumeration (the ablation called out in DESIGN.md), and planning with the
-//! perfect oracle's override table in place.
+//! greedy enumeration (the ablation behind `OptimizerConfig::greedy_threshold`), and
+//! raw csg-cmp pair enumeration.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use reopt_bench::{Harness, HarnessConfig};

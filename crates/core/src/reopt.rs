@@ -74,7 +74,7 @@ use reopt_executor::{
 use reopt_expr::{ColumnRef, Expr};
 use reopt_planner::{
     bind_select, collapse_spec, feedback_key, seed_overrides_from_cache, CardinalityOverrides,
-    Exactness, PlannedQuery, QuerySpec, RelSet,
+    EstimationLog, Exactness, PlannedQuery, QuerySpec, RelSet,
 };
 use reopt_sql::{parse_sql, SelectExpr, SelectItem, SelectStatement, Statement, TableRef};
 use reopt_storage::Row;
@@ -267,6 +267,9 @@ pub struct ReoptReport {
     pub final_rows: Vec<Row>,
     /// Planning time: original query + every re-planning round.
     pub planning_time: Duration,
+    /// Cardinality estimates requested by the first plan and every re-plan, merged
+    /// (Table I's counts for the whole run, not just its final plan).
+    pub estimation_log: EstimationLog,
     /// Execution time: every materialization + the final run.
     pub execution_time: Duration,
     /// Execution time spent in runs that were abandoned after triggering a round (not
@@ -487,6 +490,7 @@ struct Driver {
     injected: CardinalityOverrides,
     rounds: Vec<ReoptRound>,
     planning_time: Duration,
+    estimation_log: EstimationLog,
     materialization_time: Duration,
     detection_time: Duration,
     peak_buffered_rows: u64,
@@ -517,6 +521,7 @@ impl Driver {
             injected: CardinalityOverrides::new(),
             rounds: Vec::new(),
             planning_time: Duration::ZERO,
+            estimation_log: EstimationLog::default(),
             materialization_time: Duration::ZERO,
             detection_time: Duration::ZERO,
             peak_buffered_rows: 0,
@@ -563,6 +568,7 @@ impl Driver {
                 None => db.plan_select_with_overrides(&self.current, &self.injected)?,
             };
             self.planning_time += plan_time;
+            self.estimation_log.merge(&planned.estimation_log);
 
             // Past the round budget the policy is simply not consulted: the final
             // plan runs to completion instead of failing the query (a mid-query
@@ -1072,6 +1078,7 @@ impl Driver {
             rounds: std::mem::take(&mut self.rounds),
             final_rows: rows,
             planning_time: self.planning_time,
+            estimation_log: std::mem::take(&mut self.estimation_log),
             execution_time: self.materialization_time + metrics.execution_time,
             detection_time: self.detection_time,
             peak_buffered_rows: self.peak_buffered_rows,

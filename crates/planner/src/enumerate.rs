@@ -13,6 +13,12 @@
 //!   `greedy_threshold` (PostgreSQL switches to GEQO at `geqo_threshold`), and as a
 //!   baseline for the ablation benchmarks.
 //!
+//! Both fill one table of *prices*, not plans: per relation set the cheapest known
+//! `(cost, rows, split)`, the Selinger recurrence `DP[S] = DP[S₁] ⋈ DP[S₂]` over costs,
+//! where `split` points back at the two subsets and the join algorithm. The plan tree
+//! is built once, after the search, by following the back-pointers from the full set:
+//! exactly n − 1 join nodes per planning call, each taking its children by value.
+//!
 //! For every candidate join the enumerator prices a hash join (both build directions),
 //! an index nested-loop join (when the inner side is a single base relation with an
 //! index on the join key) and a sort-merge join, keeping the cheapest — so a large
@@ -20,15 +26,15 @@
 //! exactly the failure mode the paper's query 18a walk-through describes.
 
 use crate::cardinality::CardinalityEstimator;
-use crate::cost::CostModel;
+use crate::cost::{Cost, CostModel};
 use crate::error::PlanError;
 use crate::graph::JoinGraph;
 use crate::optimizer::OptimizerConfig;
-use crate::plan::{PhysicalPlan, PlanKind};
+use crate::plan::{JoinAlgorithm, PhysicalPlan, PlanKind};
 use crate::relset::RelSet;
-use crate::spec::QuerySpec;
+use crate::spec::{JoinEdge, QuerySpec};
 use reopt_expr::{conjoin, Expr};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Which enumeration strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,25 +54,57 @@ pub trait IndexInfo {
     fn table_rows(&self, rel: usize) -> f64;
 }
 
-/// Which join algorithm (and orientation) won the pricing race for one sub-plan pair.
-enum JoinChoiceKind {
-    /// Hash join; `swapped` means the right input is the probe side.
-    Hash { swapped: bool },
-    /// Sort-merge join.
-    Merge,
-    /// Index nested-loop join; `swapped` means the left input is the indexed inner.
-    IndexNl { swapped: bool },
-    /// Plain nested loop (only priced when nothing else is available).
-    NestedLoop,
+/// One DP-table entry: the price of the cheapest plan found so far for a relation set,
+/// and how to build it — `split` is `(outer, inner, algorithm)` for a join and `None`
+/// for a base relation's access path.
+#[derive(Debug, Clone, Copy)]
+struct DpEntry {
+    cost: Cost,
+    rows: f64,
+    split: Option<(RelSet, RelSet, JoinAlgorithm)>,
 }
 
-/// A priced join decision: the winning algorithm plus the context needed to build the
-/// plan node without re-deriving edges, complex predicates or the output estimate.
-struct JoinChoice<'a> {
-    algorithm: JoinChoiceKind,
-    edges: Vec<&'a crate::spec::JoinEdge>,
-    complex: Vec<Expr>,
-    output_rows: f64,
+type DpTable = HashMap<RelSet, DpEntry>;
+
+/// The table's starting entries: one per base relation's access path.
+fn base_table(base_plans: &[PhysicalPlan]) -> DpTable {
+    base_plans
+        .iter()
+        .map(|plan| {
+            let entry = DpEntry {
+                cost: plan.cost,
+                rows: plan.estimated_rows,
+                split: None,
+            };
+            (plan.rel_set, entry)
+        })
+        .collect()
+}
+
+/// What pricing needs to know about one join input.
+#[derive(Debug, Clone, Copy)]
+struct Input {
+    rel_set: RelSet,
+    cost: Cost,
+    estimated_rows: f64,
+}
+
+impl Input {
+    fn of_plan(plan: &PhysicalPlan) -> Self {
+        Self {
+            rel_set: plan.rel_set,
+            cost: plan.cost,
+            estimated_rows: plan.estimated_rows,
+        }
+    }
+
+    fn of_entry(table: &DpTable, rel_set: RelSet) -> Option<Self> {
+        table.get(&rel_set).map(|entry| Self {
+            rel_set,
+            cost: entry.cost,
+            estimated_rows: entry.rows,
+        })
+    }
 }
 
 /// The join enumerator.
@@ -76,26 +114,47 @@ pub struct JoinEnumerator<'a> {
     estimator: &'a CardinalityEstimator<'a>,
     cost_model: &'a CostModel,
     config: &'a OptimizerConfig,
-    index_info: &'a dyn IndexInfo,
+    /// Per join edge, the relations indexed on their end of it.
+    indexed_ends: Vec<RelSet>,
+    /// Per relation, the unfiltered row count of its table.
+    table_rows: Vec<f64>,
 }
 
 impl<'a> JoinEnumerator<'a> {
-    /// Create an enumerator for one query.
+    /// Create an enumerator for one query. `index_info` is asked once per join-edge
+    /// side and once per relation, never per priced pair.
     pub fn new(
         spec: &'a QuerySpec,
         graph: &'a JoinGraph,
         estimator: &'a CardinalityEstimator<'a>,
         cost_model: &'a CostModel,
         config: &'a OptimizerConfig,
-        index_info: &'a dyn IndexInfo,
+        index_info: &dyn IndexInfo,
     ) -> Self {
+        let indexed_ends = spec
+            .join_edges
+            .iter()
+            .map(|edge| {
+                [
+                    (edge.left_rel, &edge.left_column.name),
+                    (edge.right_rel, &edge.right_column.name),
+                ]
+                .into_iter()
+                .filter(|(rel, column)| index_info.has_index(*rel, column))
+                .fold(RelSet::EMPTY, |ends, (rel, _)| ends.insert(rel))
+            })
+            .collect();
+        let table_rows = (0..spec.relation_count())
+            .map(|rel| index_info.table_rows(rel))
+            .collect();
         Self {
             spec,
             graph,
             estimator,
             cost_model,
             config,
-            index_info,
+            indexed_ends,
+            table_rows,
         }
     }
 
@@ -107,29 +166,34 @@ impl<'a> JoinEnumerator<'a> {
         base_plans: Vec<PhysicalPlan>,
         algorithm: EnumerationAlgorithm,
     ) -> Result<PhysicalPlan, PlanError> {
-        assert_eq!(base_plans.len(), self.spec.relation_count());
-        if base_plans.len() == 1 {
+        let n = base_plans.len();
+        assert_eq!(n, self.spec.relation_count());
+        debug_assert!(base_plans
+            .iter()
+            .enumerate()
+            .all(|(rel, plan)| plan.rel_set == RelSet::single(rel)));
+        if n == 1 {
             return Ok(base_plans.into_iter().next().expect("one plan"));
         }
         if !self.graph.is_fully_connected() {
             return Err(PlanError::DisconnectedJoinGraph);
         }
+        let mut table = base_table(&base_plans);
         match algorithm {
-            EnumerationAlgorithm::DpCcp => self.dpccp(base_plans),
-            EnumerationAlgorithm::Greedy => self.greedy(base_plans),
+            EnumerationAlgorithm::DpCcp => self.dpccp(&mut table, n),
+            EnumerationAlgorithm::Greedy => self.greedy(&mut table, n)?,
         }
+        if !table.contains_key(&RelSet::all(n)) {
+            return Err(PlanError::DisconnectedJoinGraph);
+        }
+        let mut base: Vec<Option<PhysicalPlan>> = base_plans.into_iter().map(Some).collect();
+        Ok(self.build(&table, &mut base, RelSet::all(n)))
     }
 
     /// Exhaustive DP over csg-cmp pairs.
-    fn dpccp(&self, base_plans: Vec<PhysicalPlan>) -> Result<PhysicalPlan, PlanError> {
-        let n = base_plans.len();
-        let mut best: HashMap<RelSet, PhysicalPlan> = HashMap::new();
-        for plan in base_plans {
-            best.insert(plan.rel_set, plan);
-        }
-
-        // Process pairs in increasing size of the joined set so sub-plans exist:
-        // bucket by size (O(pairs)) instead of sorting the whole pair list.
+    fn dpccp(&self, table: &mut DpTable, n: usize) {
+        // Process pairs in increasing size of the joined set so both inputs are final
+        // before they are priced: bucket by size (O(pairs)) instead of sorting.
         let pairs = enumerate_csg_cmp_pairs(self.graph, n);
         let mut buckets: Vec<Vec<(RelSet, RelSet)>> = vec![Vec::new(); n + 1];
         for (s1, s2) in pairs {
@@ -137,424 +201,317 @@ impl<'a> JoinEnumerator<'a> {
         }
 
         for (s1, s2) in buckets.into_iter().flatten() {
-            let combined = s1.union(s2);
-            let candidate = {
-                let (Some(left), Some(right)) = (best.get(&s1), best.get(&s2)) else {
-                    continue;
-                };
-                // Price every join strategy first; a plan (with its cloned subtrees)
-                // is only materialized when the winner actually improves the DP table.
-                let Some((cost, choice)) = self.cheapest_join(left, right) else {
-                    continue;
-                };
-                match best.get(&combined) {
-                    Some(existing) if !cost.is_cheaper_than(existing.cost) => continue,
-                    _ => self.materialize_join(left, right, &choice),
-                }
+            let (Some(left), Some(right)) =
+                (Input::of_entry(table, s1), Input::of_entry(table, s2))
+            else {
+                continue;
             };
-            best.insert(combined, candidate);
+            let Some(candidate) = self.cheapest_join(left, right) else {
+                continue;
+            };
+            match table.entry(s1.union(s2)) {
+                Entry::Occupied(mut best) => {
+                    if candidate.cost.is_cheaper_than(best.get().cost) {
+                        best.insert(candidate);
+                    }
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(candidate);
+                }
+            }
         }
-
-        best.remove(&RelSet::all(n))
-            .ok_or(PlanError::DisconnectedJoinGraph)
     }
 
     /// Greedy operator ordering: repeatedly join the connected pair of components with
     /// the smallest estimated result.
-    fn greedy(&self, base_plans: Vec<PhysicalPlan>) -> Result<PhysicalPlan, PlanError> {
-        let mut components: Vec<PhysicalPlan> = base_plans;
+    fn greedy(&self, table: &mut DpTable, n: usize) -> Result<(), PlanError> {
+        let mut components: Vec<RelSet> = (0..n).map(RelSet::single).collect();
         while components.len() > 1 {
-            let mut best_pair: Option<(usize, usize, crate::cost::Cost, JoinChoice<'a>)> = None;
+            let mut best_pair: Option<(usize, usize, DpEntry)> = None;
             for i in 0..components.len() {
                 for j in (i + 1)..components.len() {
-                    let Some((cost, choice)) =
-                        self.cheapest_join(&components[i], &components[j])
-                    else {
+                    let (Some(left), Some(right)) = (
+                        Input::of_entry(table, components[i]),
+                        Input::of_entry(table, components[j]),
+                    ) else {
                         continue;
                     };
-                    let better = match &best_pair {
-                        None => true,
-                        Some((_, _, best_cost, best_choice)) => {
-                            choice.output_rows < best_choice.output_rows
-                                || (choice.output_rows == best_choice.output_rows
-                                    && cost.is_cheaper_than(*best_cost))
-                        }
+                    let Some(candidate) = self.cheapest_join(left, right) else {
+                        continue;
                     };
+                    let better = best_pair.map_or(true, |(_, _, best)| {
+                        candidate.rows < best.rows
+                            || (candidate.rows == best.rows
+                                && candidate.cost.is_cheaper_than(best.cost))
+                    });
                     if better {
-                        best_pair = Some((i, j, cost, choice));
+                        best_pair = Some((i, j, candidate));
                     }
                 }
             }
-            // Only the round's winner is materialized into a plan node.
-            let Some((i, j, _, choice)) = best_pair else {
+            let Some((i, j, entry)) = best_pair else {
                 return Err(PlanError::DisconnectedJoinGraph);
             };
-            let joined = self.materialize_join(&components[i], &components[j], &choice);
+            let joined = components[i].union(components[j]);
             // Remove j first (it is the larger index).
             components.remove(j);
             components.remove(i);
             components.push(joined);
+            table.insert(joined, entry);
         }
-        Ok(components.into_iter().next().expect("one component"))
+        Ok(())
     }
 
-    /// The cheapest way to join two disjoint sub-plans, or `None` if no join edge
-    /// connects them (Cartesian products are not considered).
-    pub fn best_join(
+    /// The join edges connecting the disjoint sets `a` and `b`, each with the
+    /// relations indexed on its ends.
+    fn connecting_edges(
         &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-    ) -> Option<PhysicalPlan> {
-        let (_, choice) = self.cheapest_join(left, right)?;
-        Some(self.materialize_join(left, right, &choice))
+        a: RelSet,
+        b: RelSet,
+    ) -> impl Iterator<Item = (&'a JoinEdge, RelSet)> + '_ {
+        self.spec
+            .join_edges
+            .iter()
+            .zip(self.indexed_ends.iter().copied())
+            .filter(move |(edge, _)| edge.connects(a, b))
     }
 
-    /// Price every enabled join strategy for two disjoint sub-plans and return the
-    /// winner's cost plus a descriptor that [`Self::materialize_join`] can turn into a
-    /// plan. Costing does not clone the sub-plans, so losing strategies (and DP
-    /// candidates that never beat the table) cost nothing but arithmetic.
-    fn cheapest_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-    ) -> Option<(crate::cost::Cost, JoinChoice<'a>)> {
-        let edges = self.spec.edges_between(left.rel_set, right.rel_set);
-        if edges.is_empty() {
+    /// Price every enabled join strategy for two disjoint inputs and return the winner
+    /// as the DP entry of their union, or `None` if no join edge connects them
+    /// (Cartesian products are not considered). Pure arithmetic: nothing is allocated.
+    fn cheapest_join(&self, left: Input, right: Input) -> Option<DpEntry> {
+        let mut keys = 0;
+        let mut indexed = RelSet::EMPTY;
+        for (_, ends) in self.connecting_edges(left.rel_set, right.rel_set) {
+            keys += 1;
+            indexed = indexed.union(ends);
+        }
+        if keys == 0 {
             return None;
         }
-        let combined = left.rel_set.union(right.rel_set);
-        let output_rows = self.estimator.estimate(combined).max(1.0);
-        let complex: Vec<Expr> = self
+        let rows = self
+            .estimator
+            .estimate(left.rel_set.union(right.rel_set))
+            .max(1.0);
+        let complex = self
             .spec
             .complex_predicates_for_join(left.rel_set, right.rel_set)
+            .count();
+        let price = |algorithm, outer: Input, inner: Input| DpEntry {
+            cost: self.join_cost(algorithm, outer, inner, keys, complex, rows),
+            rows,
+            split: Some((outer.rel_set, inner.rel_set, algorithm)),
+        };
+        // An index nested-loop inner is a single base relation indexed on a join key.
+        let index_inner = |inner: Input| {
+            self.config.enable_index_nl_joins
+                && inner.rel_set.len() == 1
+                && inner.rel_set.is_subset_of(indexed)
+        };
+        use JoinAlgorithm::{Hash, IndexNestedLoop, Merge};
+        let config = self.config;
+        let candidates = [
+            (config.enable_hash_joins, Hash, left, right),
+            (config.enable_hash_joins, Hash, right, left),
+            // One merge orientation: its cost is symmetric in our model.
+            (config.enable_merge_joins, Merge, left, right),
+            (index_inner(right), IndexNestedLoop, left, right),
+            (index_inner(left), IndexNestedLoop, right, left),
+        ];
+        // A running minimum; as with `min_by`, the first of equal totals wins.
+        let cheapest = candidates
             .into_iter()
+            .filter(|(enabled, ..)| *enabled)
+            .map(|(_, algorithm, outer, inner)| price(algorithm, outer, inner))
+            .reduce(|best, next| {
+                if next.cost.total < best.cost.total {
+                    next
+                } else {
+                    best
+                }
+            });
+        // Plain nested loop as a last resort (always available once there is an edge).
+        Some(cheapest.unwrap_or_else(|| price(JoinAlgorithm::NestedLoop, left, right)))
+    }
+
+    /// The cost of joining `outer` with `inner` by `algorithm` over `keys` join keys
+    /// and `complex` complex predicates — the one formula both pricing and
+    /// [`Self::build`] use.
+    fn join_cost(
+        &self,
+        algorithm: JoinAlgorithm,
+        outer: Input,
+        inner: Input,
+        keys: usize,
+        complex: usize,
+        rows: f64,
+    ) -> Cost {
+        let model = self.cost_model;
+        match algorithm {
+            JoinAlgorithm::Hash => model.hash_join(
+                outer.cost,
+                inner.cost,
+                outer.estimated_rows,
+                inner.estimated_rows,
+                rows,
+                keys,
+            ),
+            JoinAlgorithm::Merge => model.merge_join(
+                outer.cost,
+                inner.cost,
+                outer.estimated_rows,
+                inner.estimated_rows,
+                rows,
+                keys,
+            ),
+            JoinAlgorithm::NestedLoop => model.nested_loop_join(
+                outer.cost,
+                inner.cost,
+                outer.estimated_rows,
+                inner.estimated_rows,
+                rows,
+            ),
+            JoinAlgorithm::IndexNestedLoop => {
+                let inner_rel = inner.rel_set.min_index().expect("single relation");
+                let inner_table_rows = self.table_rows[inner_rel];
+                let matches_per_lookup =
+                    (rows / outer.estimated_rows.max(1.0)).clamp(0.1, inner_table_rows);
+                let has_inner_predicate = !self.spec.local_predicates[inner_rel].is_empty();
+                let residual_count = (keys - 1) + complex + (has_inner_predicate as usize);
+                model.index_nested_loop_join(
+                    outer.cost,
+                    outer.estimated_rows,
+                    inner_table_rows,
+                    matches_per_lookup,
+                    rows,
+                    residual_count,
+                )
+            }
+        }
+    }
+
+    /// Materialize the plan for `set` from the table's back-pointers, moving each base
+    /// access path out of `base` into the tree.
+    fn build(
+        &self,
+        table: &DpTable,
+        base: &mut [Option<PhysicalPlan>],
+        set: RelSet,
+    ) -> PhysicalPlan {
+        // Every split names two sets that were in the table before it was priced.
+        let entry = table[&set];
+        let Some((outer, inner, algorithm)) = entry.split else {
+            let rel = set.min_index().expect("base entry");
+            return base[rel].take().expect("each access path is built once");
+        };
+        let outer = self.build(table, base, outer);
+        let inner = self.build(table, base, inner);
+        let node = self.join(algorithm, outer, inner, entry.rows);
+        debug_assert!(
+            node.cost == entry.cost && node.estimated_rows == entry.rows,
+            "{set}: built {:?} / {} rows, priced {:?} / {} rows",
+            node.cost,
+            node.estimated_rows,
+            entry.cost,
+            entry.rows
+        );
+        node
+    }
+
+    /// The join node over two built inputs. An index nested-loop join reads its inner
+    /// relation through the index, so that input's access path is dropped.
+    fn join(
+        &self,
+        algorithm: JoinAlgorithm,
+        outer: PhysicalPlan,
+        inner: PhysicalPlan,
+        rows: f64,
+    ) -> PhysicalPlan {
+        let edges: Vec<(&JoinEdge, RelSet)> = self
+            .connecting_edges(outer.rel_set, inner.rel_set)
+            .collect();
+        let complex: Vec<Expr> = self
+            .spec
+            .complex_predicates_for_join(outer.rel_set, inner.rel_set)
             .cloned()
             .collect();
-        // Every edge from `edges_between` spans the two disjoint sets, so each one
-        // orients and contributes a join key.
-        let key_count = edges.len();
-
-        let mut candidates: Vec<(crate::cost::Cost, JoinChoiceKind)> = Vec::new();
-
-        // Hash joins, both build directions.
-        if self.config.enable_hash_joins {
-            candidates.push((
-                self.cost_model.hash_join(
-                    left.cost,
-                    right.cost,
-                    left.estimated_rows,
-                    right.estimated_rows,
-                    output_rows,
-                    key_count,
-                ),
-                JoinChoiceKind::Hash { swapped: false },
-            ));
-            candidates.push((
-                self.cost_model.hash_join(
-                    right.cost,
-                    left.cost,
-                    right.estimated_rows,
-                    left.estimated_rows,
-                    output_rows,
-                    key_count,
-                ),
-                JoinChoiceKind::Hash { swapped: true },
-            ));
-        }
-
-        // Merge join (one orientation; cost is symmetric in our model).
-        if self.config.enable_merge_joins {
-            candidates.push((
-                self.cost_model.merge_join(
-                    left.cost,
-                    right.cost,
-                    left.estimated_rows,
-                    right.estimated_rows,
-                    output_rows,
-                    key_count,
-                ),
-                JoinChoiceKind::Merge,
-            ));
-        }
-
-        // Index nested-loop joins when one side is a single base relation with an index
-        // on a join-key column.
-        if self.config.enable_index_nl_joins {
-            if let Some(cost) = self.index_nl_cost(left, right, &edges, &complex, output_rows) {
-                candidates.push((cost, JoinChoiceKind::IndexNl { swapped: false }));
-            }
-            if let Some(cost) = self.index_nl_cost(right, left, &edges, &complex, output_rows) {
-                candidates.push((cost, JoinChoiceKind::IndexNl { swapped: true }));
-            }
-        }
-
-        // Plain nested loop as a last resort (always available once there is an edge).
-        if candidates.is_empty() {
-            candidates.push((
-                self.cost_model.nested_loop_join(
-                    left.cost,
-                    right.cost,
-                    left.estimated_rows,
-                    right.estimated_rows,
-                    output_rows,
-                ),
-                JoinChoiceKind::NestedLoop,
-            ));
-        }
-
-        let (cost, algorithm) = candidates.into_iter().min_by(|a, b| {
-            a.0.total
-                .partial_cmp(&b.0.total)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-        Some((
-            cost,
-            JoinChoice {
-                algorithm,
-                edges,
-                complex,
-                output_rows,
-            },
-        ))
-    }
-
-    /// Build the plan a [`Self::cheapest_join`] descriptor stands for (this is where
-    /// the sub-plans are cloned into the join node).
-    fn materialize_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-        choice: &JoinChoice<'a>,
-    ) -> PhysicalPlan {
-        let JoinChoice {
+        let cost = self.join_cost(
             algorithm,
-            edges,
-            complex,
-            output_rows,
-        } = choice;
-        match algorithm {
-            JoinChoiceKind::Hash { swapped: false } => {
-                self.hash_join(left, right, edges, complex, *output_rows)
-            }
-            JoinChoiceKind::Hash { swapped: true } => {
-                self.hash_join(right, left, edges, complex, *output_rows)
-            }
-            JoinChoiceKind::Merge => self.merge_join(left, right, edges, complex, *output_rows),
-            JoinChoiceKind::IndexNl { swapped: false } => self
-                .index_nl_join(left, right, edges, complex, *output_rows)
-                .expect("priced index nested-loop candidate materializes"),
-            JoinChoiceKind::IndexNl { swapped: true } => self
-                .index_nl_join(right, left, edges, complex, *output_rows)
-                .expect("priced index nested-loop candidate materializes"),
-            JoinChoiceKind::NestedLoop => {
-                self.nested_loop_join(left, right, edges, complex, *output_rows)
-            }
-        }
-    }
-
-    /// The index-lookup key for an index nested-loop join with `inner` as the single
-    /// indexed base relation: the first orientable edge whose inner-side column has an
-    /// index (a non-orientable edge aborts the candidate, as in the seed enumerator).
-    /// Shared by pricing and materialization so their eligibility cannot drift.
-    fn index_nl_key(
-        &self,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-    ) -> Option<(usize, reopt_expr::ColumnRef, reopt_expr::ColumnRef)> {
-        if inner.rel_set.len() != 1 {
-            return None;
-        }
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        for (edge_idx, edge) in edges.iter().enumerate() {
-            let (inner_col, outer_col) = edge.oriented(inner.rel_set)?;
-            if self.index_info.has_index(inner_rel, &inner_col.name) {
-                return Some((edge_idx, inner_col, outer_col));
-            }
-        }
-        None
-    }
-
-    /// The cost of an index nested-loop join with `inner_rel` as the indexed base
-    /// relation (shared by [`Self::cheapest_join`] and [`Self::index_nl_join`]).
-    fn index_nl_cost_for(
-        &self,
-        outer: &PhysicalPlan,
-        inner_rel: usize,
-        edge_count: usize,
-        complex_count: usize,
-        output_rows: f64,
-    ) -> crate::cost::Cost {
-        let inner_table_rows = self.index_info.table_rows(inner_rel);
-        let matches_per_lookup =
-            (output_rows / outer.estimated_rows.max(1.0)).clamp(0.1, inner_table_rows);
-        let has_inner_predicate = !self.spec.local_predicates[inner_rel].is_empty();
-        let residual_count = (edge_count - 1) + complex_count + (has_inner_predicate as usize);
-        self.cost_model.index_nested_loop_join(
-            outer.cost,
-            outer.estimated_rows,
-            inner_table_rows,
-            matches_per_lookup,
-            output_rows,
-            residual_count,
-        )
-    }
-
-    /// The cost of an index nested-loop join with `inner` as the indexed base relation,
-    /// if possible (pricing counterpart of [`Self::index_nl_join`]).
-    fn index_nl_cost(
-        &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> Option<crate::cost::Cost> {
-        self.index_nl_key(inner, edges)?;
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        Some(self.index_nl_cost_for(outer, inner_rel, edges.len(), complex.len(), output_rows))
-    }
-
-    fn join_keys(
-        &self,
-        outer: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-    ) -> Vec<(reopt_expr::ColumnRef, reopt_expr::ColumnRef)> {
-        edges
-            .iter()
-            .filter_map(|edge| edge.oriented(outer.rel_set))
-            .collect()
-    }
-
-    fn hash_join(
-        &self,
-        outer: &PhysicalPlan,
-        build: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> PhysicalPlan {
-        let keys = self.join_keys(outer, edges);
-        let cost = self.cost_model.hash_join(
-            outer.cost,
-            build.cost,
-            outer.estimated_rows,
-            build.estimated_rows,
-            output_rows,
-            keys.len(),
+            Input::of_plan(&outer),
+            Input::of_plan(&inner),
+            edges.len(),
+            complex.len(),
+            rows,
         );
-        PhysicalPlan {
-            kind: PlanKind::HashJoin {
-                keys,
-                residual: conjoin(complex),
+        let rel_set = outer.rel_set.union(inner.rel_set);
+        let keys = || {
+            edges
+                .iter()
+                .filter_map(|(edge, _)| edge.oriented(outer.rel_set))
+                .collect()
+        };
+        let kind = match algorithm {
+            JoinAlgorithm::Hash => PlanKind::HashJoin {
+                keys: keys(),
+                residual: conjoin(&complex),
             },
-            schema: outer.schema.join(&build.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: outer.rel_set.union(build.rel_set),
-            children: vec![outer.clone(), build.clone()],
-        }
-    }
-
-    fn merge_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> PhysicalPlan {
-        let keys = self.join_keys(left, edges);
-        let cost = self.cost_model.merge_join(
-            left.cost,
-            right.cost,
-            left.estimated_rows,
-            right.estimated_rows,
-            output_rows,
-            keys.len(),
-        );
-        PhysicalPlan {
-            kind: PlanKind::MergeJoin {
-                keys,
-                residual: conjoin(complex),
+            JoinAlgorithm::Merge => PlanKind::MergeJoin {
+                keys: keys(),
+                residual: conjoin(&complex),
             },
-            schema: left.schema.join(&right.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: left.rel_set.union(right.rel_set),
-            children: vec![left.clone(), right.clone()],
-        }
-    }
-
-    fn nested_loop_join(
-        &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> PhysicalPlan {
-        let mut predicates: Vec<Expr> = edges.iter().map(|e| e.to_expr()).collect();
-        predicates.extend(complex.iter().cloned());
-        let cost = self.cost_model.nested_loop_join(
-            outer.cost,
-            inner.cost,
-            outer.estimated_rows,
-            inner.estimated_rows,
-            output_rows,
-        );
+            JoinAlgorithm::NestedLoop => {
+                let mut predicates: Vec<Expr> = edges.iter().map(|(e, _)| e.to_expr()).collect();
+                predicates.extend(complex);
+                PlanKind::NestedLoopJoin {
+                    predicate: conjoin(&predicates),
+                }
+            }
+            JoinAlgorithm::IndexNestedLoop => {
+                let inner_rel = inner.rel_set.min_index().expect("single relation");
+                let relation = &self.spec.relations[inner_rel];
+                // The lookup key is the first edge indexed on the inner side; the other
+                // edges and the complex predicates filter the joined row.
+                let key = edges
+                    .iter()
+                    .position(|(_, ends)| ends.contains(inner_rel))
+                    .expect("priced with an indexed join key");
+                let (inner_col, outer_col) = edges[key]
+                    .0
+                    .oriented(inner.rel_set)
+                    .expect("a connecting edge orients");
+                let mut residual: Vec<Expr> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(idx, _)| *idx != key)
+                    .map(|(_, (e, _))| e.to_expr())
+                    .collect();
+                residual.extend(complex);
+                return PhysicalPlan {
+                    kind: PlanKind::IndexNestedLoopJoin {
+                        inner_rel,
+                        inner_alias: relation.alias.clone(),
+                        inner_table: relation.table.clone(),
+                        outer_key: outer_col,
+                        inner_key: inner_col.name,
+                        inner_predicate: conjoin(&self.spec.local_predicates[inner_rel]),
+                        residual: conjoin(&residual),
+                    },
+                    schema: outer.schema.join(&relation.schema),
+                    estimated_rows: rows,
+                    cost,
+                    rel_set,
+                    children: vec![outer],
+                };
+            }
+        };
         PhysicalPlan {
-            kind: PlanKind::NestedLoopJoin {
-                predicate: conjoin(&predicates),
-            },
+            kind,
             schema: outer.schema.join(&inner.schema),
-            estimated_rows: output_rows,
+            estimated_rows: rows,
             cost,
-            rel_set: outer.rel_set.union(inner.rel_set),
-            children: vec![outer.clone(), inner.clone()],
+            rel_set,
+            children: vec![outer, inner],
         }
-    }
-
-    /// An index nested-loop join with `inner` as the indexed base relation, if possible.
-    fn index_nl_join(
-        &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> Option<PhysicalPlan> {
-        let (chosen_idx, inner_col, outer_col) = self.index_nl_key(inner, edges)?;
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        let relation = &self.spec.relations[inner_rel];
-
-        // Remaining join edges (beyond the index key) plus complex predicates are
-        // residual filters on the joined row.
-        let mut residual: Vec<Expr> = edges
-            .iter()
-            .enumerate()
-            .filter(|(edge_idx, _)| *edge_idx != chosen_idx)
-            .map(|(_, e)| e.to_expr())
-            .collect();
-        residual.extend(complex.iter().cloned());
-
-        let inner_predicate = conjoin(&self.spec.local_predicates[inner_rel]);
-        let cost = self.index_nl_cost_for(outer, inner_rel, edges.len(), complex.len(), output_rows);
-        Some(PhysicalPlan {
-            kind: PlanKind::IndexNestedLoopJoin {
-                inner_rel,
-                inner_alias: relation.alias.clone(),
-                inner_table: relation.table.clone(),
-                outer_key: outer_col,
-                inner_key: inner_col.name.clone(),
-                inner_predicate,
-                residual: conjoin(&residual),
-            },
-            schema: outer.schema.join(&relation.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: outer.rel_set.union(inner.rel_set),
-            children: vec![outer.clone()],
-        })
     }
 }
 
@@ -627,14 +584,23 @@ fn enumerate_cmp_rec(
         pairs.push((s1, s2.union(subset)));
     }
     for subset in neighbors.nonempty_subsets() {
-        enumerate_cmp_rec(graph, s1, s2.union(subset), prohibited.union(neighbors), pairs);
+        enumerate_cmp_rec(
+            graph,
+            s1,
+            s2.union(subset),
+            prohibited.union(neighbors),
+            pairs,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JoinEdge, RelationSpec};
+    use crate::cardinality::CardinalityOverrides;
+    use crate::spec::RelationSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use reopt_expr::ColumnRef;
     use reopt_sql::{SelectExpr, SelectItem};
     use reopt_storage::{Column, DataType, Schema};
@@ -765,6 +731,195 @@ mod tests {
             let graph = JoinGraph::new(&spec);
             let pairs = enumerate_csg_cmp_pairs(&graph, n);
             assert_eq!(pairs.len(), n * (n - 1) * (n + 1) / 6, "chain of {n}");
+        }
+    }
+
+    /// Test access paths: the relations in `indexed` have an index on every column.
+    struct FixtureIndexes {
+        indexed: RelSet,
+        rows: Vec<f64>,
+    }
+
+    impl IndexInfo for FixtureIndexes {
+        fn has_index(&self, rel: usize, _column: &str) -> bool {
+            self.indexed.contains(rel)
+        }
+
+        fn table_rows(&self, rel: usize) -> f64 {
+            self.rows[rel]
+        }
+    }
+
+    /// A seeded random connected graph: a random spanning tree over a shuffled
+    /// labelling plus a few extra edges.
+    fn random_connected_edges(rng: &mut StdRng, n: usize) -> Vec<(usize, usize)> {
+        let mut labels: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            labels.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut edges: Vec<(usize, usize)> = (1..n)
+            .map(|i| (labels[rng.gen_range(0..i)], labels[i]))
+            .collect();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let present = edges.contains(&(a, b)) || edges.contains(&(b, a));
+                if !present && rng.gen_bool(0.2) {
+                    edges.push((a, b));
+                }
+            }
+        }
+        edges
+    }
+
+    /// The optimal root cost by a naive subset DP: every connected bipartition of every
+    /// connected set, in both orders, priced by the enumerator's own `cheapest_join`.
+    fn naive_root_total(enumerator: &JoinEnumerator<'_>, base: &[PhysicalPlan]) -> f64 {
+        let n = base.len();
+        let graph = enumerator.graph;
+        let mut table = base_table(base);
+        let mut sets: Vec<RelSet> = (1..1u64 << n)
+            .map(RelSet::from_mask)
+            .filter(|s| s.len() > 1 && graph.is_connected(*s))
+            .collect();
+        sets.sort_by_key(|s| s.len());
+        for set in sets {
+            for s1 in set.nonempty_subsets().filter(|s1| *s1 != set) {
+                let s2 = set.difference(s1);
+                if !graph.is_connected(s1) || !graph.is_connected(s2) {
+                    continue;
+                }
+                let left = Input::of_entry(&table, s1).expect("smaller sets come first");
+                let right = Input::of_entry(&table, s2).expect("smaller sets come first");
+                let Some(candidate) = enumerator.cheapest_join(left, right) else {
+                    continue;
+                };
+                if table
+                    .get(&set)
+                    .map_or(true, |best| candidate.cost.total < best.cost.total)
+                {
+                    table.insert(set, candidate);
+                }
+            }
+        }
+        table[&RelSet::all(n)].cost.total
+    }
+
+    /// Every join node covers exactly its inputs: two disjoint children, or (index
+    /// nested loop) one child plus the indexed inner relation. Returns the join count.
+    fn check_join_tree(plan: &PhysicalPlan) -> usize {
+        match &plan.kind {
+            PlanKind::IndexNestedLoopJoin { inner_rel, .. } => {
+                let [outer] = plan.children.as_slice() else {
+                    panic!(
+                        "index nested-loop join with {} children",
+                        plan.children.len()
+                    );
+                };
+                assert!(!outer.rel_set.contains(*inner_rel));
+                assert_eq!(plan.rel_set, outer.rel_set.insert(*inner_rel));
+                1 + check_join_tree(outer)
+            }
+            _ if plan.is_join() => {
+                let [outer, inner] = plan.children.as_slice() else {
+                    panic!("join with {} children", plan.children.len());
+                };
+                assert!(outer.rel_set.is_disjoint(inner.rel_set));
+                assert_eq!(plan.rel_set, outer.rel_set.union(inner.rel_set));
+                1 + check_join_tree(outer) + check_join_tree(inner)
+            }
+            _ => {
+                assert_eq!(plan.rel_set.len(), 1, "a leaf is one base relation");
+                0
+            }
+        }
+    }
+
+    /// DPccp's root cost equals the naive reference's, and both DPccp and greedy build
+    /// well-formed trees over every relation, under random indexes, table sizes,
+    /// base costs, cardinality overrides and join-algorithm switches.
+    fn assert_optimal(rng: &mut StdRng, n: usize, edges: &[(usize, usize)]) {
+        let spec = spec_with_edges(n, edges);
+        let graph = JoinGraph::new(&spec);
+        let catalog = reopt_catalog::Catalog::new();
+        let mut overrides = CardinalityOverrides::new();
+        for mask in 1..1u64 << n {
+            let set = RelSet::from_mask(mask);
+            if graph.is_connected(set) && rng.gen_bool(0.4) {
+                overrides.set(set, 10f64.powf(rng.gen_range(0.0..6.0)).round());
+            }
+        }
+        let estimator = CardinalityEstimator::new(&spec, &catalog, &overrides);
+        let indexes = FixtureIndexes {
+            indexed: RelSet::from_indexes((0..n).filter(|_| rng.gen_bool(0.5))),
+            rows: (0..n)
+                .map(|_| 10f64.powf(rng.gen_range(1.0..6.0)))
+                .collect(),
+        };
+        let base: Vec<PhysicalPlan> = (0..n)
+            .map(|rel| PhysicalPlan {
+                kind: PlanKind::SeqScan {
+                    rel,
+                    alias: spec.relations[rel].alias.clone(),
+                    table: spec.relations[rel].table.clone(),
+                    predicate: None,
+                },
+                children: vec![],
+                schema: spec.relations[rel].schema.clone(),
+                estimated_rows: estimator.estimate(RelSet::single(rel)),
+                cost: Cost::new(0.0, rng.gen_range(1.0..10_000.0)),
+                rel_set: RelSet::single(rel),
+            })
+            .collect();
+        // Hash joins stay on: both build directions make every priced pair symmetric,
+        // so the reference may try each bipartition in either order.
+        let config = OptimizerConfig {
+            enable_merge_joins: rng.gen_bool(0.5),
+            enable_index_nl_joins: rng.gen_bool(0.7),
+            ..OptimizerConfig::default()
+        };
+        let model = CostModel::default();
+        let enumerator = JoinEnumerator::new(&spec, &graph, &estimator, &model, &config, &indexes);
+
+        let dp = enumerator
+            .enumerate(base.clone(), EnumerationAlgorithm::DpCcp)
+            .unwrap();
+        let context = format!("n={n} edges={edges:?}");
+        assert_eq!(
+            dp.cost.total,
+            naive_root_total(&enumerator, &base),
+            "{context}"
+        );
+        assert_eq!(check_join_tree(&dp), n - 1, "{context}");
+        assert_eq!(dp.rel_set, RelSet::all(n), "{context}");
+
+        let greedy = enumerator
+            .enumerate(base, EnumerationAlgorithm::Greedy)
+            .unwrap();
+        assert_eq!(greedy.rel_set, RelSet::all(n), "{context}");
+        assert_eq!(check_join_tree(&greedy), n - 1, "{context}");
+        assert!(dp.cost.total <= greedy.cost.total, "{context}");
+    }
+
+    #[test]
+    fn dpccp_is_optimal_on_fixtures_and_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let fixtures: [(usize, &[(usize, usize)]); 5] = [
+            (5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+            (5, &[(0, 1), (0, 2), (0, 3), (0, 4)]),
+            (4, &[(0, 1), (1, 2), (2, 3), (3, 0)]),
+            (4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            (7, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]),
+        ];
+        for _ in 0..8 {
+            for (n, edges) in fixtures {
+                assert_optimal(&mut rng, n, edges);
+            }
+        }
+        for n in 3..=7 {
+            for _ in 0..12 {
+                let edges = random_connected_edges(&mut rng, n);
+                assert_optimal(&mut rng, n, &edges);
+            }
         }
     }
 }

@@ -32,26 +32,28 @@ pub struct OptimizerConfig {
     /// Switch from exhaustive DP to greedy enumeration above this relation count.
     ///
     /// The default of 12 matches PostgreSQL's `geqo_threshold`, and was picked
-    /// empirically (PR 5, `greedy_tune` run at scale 0.03, single-threaded
-    /// execution; plan/exec wall-clock in ms):
+    /// empirically at scale 0.03 with single-threaded execution (wall-clock ms).
+    /// The exec columns are from PR 5's tuning run and still hold: the cost-table
+    /// enumerator builds byte-identical plans. The plan columns were re-measured
+    /// with it (best of five, data seed 42):
     ///
     /// | query | tables | DP plan | DP exec | greedy plan | greedy exec |
     /// |-------|--------|---------|---------|-------------|-------------|
-    /// | 13a   | 8      | 0.9     | 9.7     | 0.2         | 12.7        |
-    /// | 17a   | 11     | 7.4     | 57      | 0.3         | 73          |
-    /// | 20a   | 14     | 43      | 6 268   | 0.5         | 1 638       |
-    /// | 21a   | 17     | 461     | 1 362 996 | 0.8       | 77 767      |
+    /// | 13a   | 8      | 0.1     | 9.7     | 0.06        | 12.7        |
+    /// | 17a   | 11     | 0.5     | 57      | 0.1         | 73          |
+    /// | 20a   | 14     | 2.3     | 6 268   | 0.2         | 1 638       |
+    /// | 21a   | 17     | 16      | 1 362 996 | 0.2       | 77 767      |
     ///
-    /// Through 11 relations DPccp's plans execute faster than greedy's and its
-    /// planning latency is negligible, so exhaustive enumeration pays. Beyond that
-    /// the relationship *inverts* on the skewed families: with the default
-    /// estimator's errors compounding over 13+ joins, DPccp overfits to wrong
-    /// cardinalities and its "optimal" plans executed 4x (20a) to 17x (21a) slower
-    /// than greedy's conservative chains — while also spending 43-461 ms planning.
-    /// Exhaustive enumeration is only worth its latency when the estimates feeding
-    /// it are trustworthy, which is precisely the paper's re-optimization thesis;
+    /// Through 11 relations DPccp's plans execute faster than greedy's, so
+    /// exhaustive enumeration pays. Beyond that the relationship *inverts* on the
+    /// skewed families: with the default estimator's errors compounding over 13+
+    /// joins, DPccp overfits to wrong cardinalities and its "optimal" plans executed
+    /// 4x (20a) to 17x (21a) slower than greedy's conservative chains. Planning
+    /// latency is not the reason (2–16 ms against seconds of execution); plan
+    /// quality is. Exhaustive enumeration only pays when the estimates feeding it
+    /// are trustworthy, which is precisely the paper's re-optimization thesis;
     /// above the threshold, cheap plans plus observed-cardinality re-planning beat
-    /// expensive estimate-driven search.
+    /// estimate-driven search.
     pub greedy_threshold: usize,
     /// The cost model.
     pub cost_model: CostModel,

@@ -144,15 +144,18 @@ impl QuerySpec {
     /// Complex (non-equi-join multi-relation) predicates that become applicable exactly
     /// when joining `a` and `b`: every referenced relation is inside `a ∪ b` but not
     /// inside `a` or `b` alone.
-    pub fn complex_predicates_for_join(&self, a: RelSet, b: RelSet) -> Vec<&Expr> {
+    pub fn complex_predicates_for_join(
+        &self,
+        a: RelSet,
+        b: RelSet,
+    ) -> impl Iterator<Item = &Expr> + '_ {
         let combined = a.union(b);
         self.complex_predicates
             .iter()
-            .filter(|(set, _)| {
+            .filter(move |(set, _)| {
                 set.is_subset_of(combined) && !set.is_subset_of(a) && !set.is_subset_of(b)
             })
             .map(|(_, e)| e)
-            .collect()
     }
 
     /// The schema of the join of all relations in `set` (columns qualified by alias,
@@ -274,19 +277,23 @@ mod tests {
     fn complex_predicates_applied_at_the_right_join() {
         let spec = spec();
         // Joining {0} with {1}: complex predicate over {0,2} not yet applicable.
-        assert!(spec
-            .complex_predicates_for_join(RelSet::single(0), RelSet::single(1))
-            .is_empty());
+        assert_eq!(
+            spec.complex_predicates_for_join(RelSet::single(0), RelSet::single(1))
+                .count(),
+            0
+        );
         // Joining {0,1} with {2}: now applicable.
         assert_eq!(
             spec.complex_predicates_for_join(RelSet::from_indexes([0, 1]), RelSet::single(2))
-                .len(),
+                .count(),
             1
         );
         // Joining {0,2} with {1}: already subsumed by one side, not applied again.
-        assert!(spec
-            .complex_predicates_for_join(RelSet::from_indexes([0, 2]), RelSet::single(1))
-            .is_empty());
+        assert_eq!(
+            spec.complex_predicates_for_join(RelSet::from_indexes([0, 2]), RelSet::single(1))
+                .count(),
+            0
+        );
     }
 
     #[test]

@@ -240,6 +240,54 @@ fn mid_query_reopt_reuses_hash_build_state_on_a_skewed_job_query() {
 }
 
 #[test]
+fn mid_query_report_counts_the_estimates_of_every_plan() {
+    // The skewed family-10 run above, single-threaded and without feedback, so every
+    // run of it plans the same sequence of queries.
+    let mut db = Database::with_config(OptimizerConfig {
+        enable_index_scans: false,
+        enable_index_nl_joins: false,
+        enable_merge_joins: false,
+        ..Default::default()
+    });
+    load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
+    db.set_threads(Some(1));
+    let query = job_query("10a").unwrap();
+    let statement = parse_sql(&query.sql).unwrap();
+    let first = db.plan_select(statement.query().unwrap()).unwrap().0.estimation_log;
+    let mut run = |max_rounds: usize| {
+        let config = ReoptConfig {
+            threshold: 8.0,
+            mode: ReoptMode::MidQuery,
+            max_rounds,
+            ..ReoptConfig::default()
+        }
+        .with_feedback(false);
+        execute_with_reoptimization(&mut db, &query.sql, &config).unwrap()
+    };
+
+    // With no round budget the run plans once: exactly the first plan's estimates.
+    assert_eq!(run(0).estimation_log, first);
+
+    let full = run(ReoptConfig::default().max_rounds);
+    assert!(full.reoptimized(), "the skewed keyword join must trigger");
+    assert!(full.estimation_log.total() > first.total());
+
+    // A budget of k rounds replays the same first k + 1 plans, so each extra round
+    // adds one re-plan's estimates, and the full run's log is the sum over its plans.
+    let mut previous = first;
+    for k in 1..=full.rounds.len() {
+        let capped = run(k);
+        assert_eq!(capped.rounds.len(), k);
+        assert!(
+            capped.estimation_log.total() > previous.total(),
+            "re-plan {k} requested no estimate"
+        );
+        previous = capped.estimation_log;
+    }
+    assert_eq!(full.estimation_log, previous);
+}
+
+#[test]
 fn mid_query_reopt_at_four_threads_reuses_a_parallel_built_hash_side() {
     // The same scenario as mid_query_reopt_reuses_hash_build_state_on_a_skewed_job_query,
     // but executed on the morsel-driven parallel engine: the skewed hash-build side is
