@@ -20,6 +20,7 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 use reopt_storage::{ColumnData, Table, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options controlling ANALYZE.
 #[derive(Debug, Clone)]
@@ -111,7 +112,7 @@ fn summarize_full_column(table: &Table, idx: usize, row_count: usize) -> ColumnS
             .values()
             .iter()
             .zip(dict.counts())
-            .map(|(s, &c)| (Value::from(s.as_str()), c as usize))
+            .map(|(s, &c)| (Value::Text(Arc::clone(s)), c as usize))
             .collect(),
         _ => {
             let mut counts = HashMap::new();

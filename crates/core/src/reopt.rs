@@ -51,8 +51,10 @@
 //! safely across restarts (the optimizer pins their output projection to FROM order,
 //! so a different join order no longer permutes their columns), but materialize
 //! restarts degrade to injection for them (the temp table's mangled column names
-//! would leak into the expansion) and mid-query collapses stay carved out entirely
-//! (a virtual leaf's schema would replace the expanded base-relation columns).
+//! would leak into the expansion) and mid-query collapses stay carved out entirely.
+//! A wildcard makes every column visible, so a virtual leaf would hold them all, but
+//! the expansion walks the FROM list: it would name the leaf's columns by the leaf's
+//! generated alias, in the leaf's position, instead of by the base relations'.
 //!
 //! Every run also feeds the catalog's cross-query
 //! [`FeedbackCache`](reopt_catalog::FeedbackCache): observed true cardinalities — exhausted
@@ -358,10 +360,11 @@ pub fn execute_with_policy_feedback(
 
 /// Whether the SELECT list contains a wildcard. The optimizer pins a wildcard's
 /// output projection to FROM order, so restart-style re-planning is safe; but the
-/// temp-table rewrite (mangled column names) and the mid-query collapse (a virtual
-/// leaf's schema replaces the expanded base columns) would still change the expanded
-/// column set, so the driver degrades materialize restarts to injection and never
-/// observes events (no mid-query rounds) for wildcard queries.
+/// temp-table rewrite (mangled column names) and the mid-query collapse (the FROM-list
+/// expansion would reach the leaf's columns through its generated alias, not the base
+/// relations') would still change the expanded column set, so the driver degrades
+/// materialize restarts to injection and never observes events (no mid-query rounds)
+/// for wildcard queries.
 fn has_wildcard(select: &SelectStatement) -> bool {
     select
         .items
@@ -1236,47 +1239,19 @@ pub fn materialize_subset(
             .unwrap_or(false)
     };
 
-    // Columns of the subset that the remainder of the query still needs: anything
-    // referenced by the SELECT list, GROUP BY, ORDER BY, a join edge crossing the
-    // boundary, or a complex predicate not fully inside the subset.
-    let mut needed: BTreeSet<ColumnRef> = BTreeSet::new();
-    let note_refs = |needed: &mut BTreeSet<ColumnRef>, expr: &Expr| {
-        let mut refs = Vec::new();
-        reopt_expr::collect_column_refs(expr, &mut refs);
-        for reference in refs {
-            if in_subset(&reference) {
-                needed.insert(reference);
-            }
-        }
-    };
-    for item in &current.items {
-        match &item.expr {
-            SelectExpr::Scalar(expr) => note_refs(&mut needed, expr),
-            SelectExpr::Aggregate { arg: Some(expr), .. } => note_refs(&mut needed, expr),
-            _ => {}
-        }
-    }
-    for expr in &current.group_by {
-        note_refs(&mut needed, expr);
-    }
-    for item in &current.order_by {
-        note_refs(&mut needed, &item.expr);
-    }
-    for edge in &spec.join_edges {
-        let inside = subset.contains(edge.left_rel) as usize + subset.contains(edge.right_rel) as usize;
-        if inside == 1 {
-            if subset.contains(edge.left_rel) {
-                needed.insert(edge.left_column.clone());
-            } else {
-                needed.insert(edge.right_column.clone());
-            }
-        }
-    }
-    for (pred_set, predicate) in &spec.complex_predicates {
-        if !pred_set.is_subset_of(subset) {
-            note_refs(&mut needed, predicate);
-        }
-    }
+    // Columns of the subset that the remainder of the query still needs: exactly the
+    // columns visible at the subset, the same set a mid-query collapse registers.
+    let uses = spec.column_uses();
+    let needed: BTreeSet<ColumnRef> = subset
+        .iter()
+        .flat_map(|rel| {
+            let relation = &spec.relations[rel];
+            uses.visible_columns(rel, subset).map(move |col| {
+                let column = &relation.schema.columns()[col];
+                ColumnRef::qualified(relation.alias.as_str(), column.name())
+            })
+        })
+        .collect();
 
     // The temp table's defining query: project the needed columns as `alias_column`.
     let temp_items: Vec<SelectItem> = if needed.is_empty() {

@@ -34,7 +34,7 @@ use crate::error::ExecError;
 use crate::exact::ExactSum;
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::spill::{MemoryGovernor, Reservation};
-use reopt_expr::{filter_mask, Expr, MaskCache};
+use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
 use reopt_planner::plan::IndexLookup;
 use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_sql::AggregateFunc;
@@ -43,7 +43,7 @@ use reopt_storage::spill_file::{SpillDir, SpillReader, SpillRun, SpillWriter};
 use reopt_storage::{ColumnBatch, ColumnData, Index, Row, Schema, Storage, Table, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -67,7 +67,7 @@ pub type RowBatch = Vec<Row>;
 /// breaker emissions, and fallback paths). Decoding `Cols -> Rows` happens only at
 /// the root exchange, at breaker materialization points ([`Metered::drain`]), and in
 /// operators without a columnar implementation.
-enum Batch {
+pub(crate) enum Batch {
     /// Materialized rows.
     Rows(RowBatch),
     /// Typed column vectors.
@@ -82,7 +82,7 @@ impl Batch {
         }
     }
 
-    fn into_rows(self) -> RowBatch {
+    pub(crate) fn into_rows(self) -> RowBatch {
         match self {
             Batch::Rows(rows) => rows,
             Batch::Cols(cols) => cols.into_rows(),
@@ -1087,6 +1087,319 @@ pub(crate) fn resolve_index_row_ids(index: &Index, lookup: &IndexLookup) -> Vec<
     row_ids
 }
 
+/// The schema an access path's predicates bind against: the table's columns,
+/// qualified by the relation alias. A registered materialization (a mid-query
+/// virtual leaf) already qualifies its columns by the aliases they came from, and
+/// keeps them.
+pub(crate) fn relation_schema(table: &Table, alias: &str) -> Schema {
+    Schema::new(
+        table
+            .schema()
+            .columns()
+            .iter()
+            .map(|column| match column.qualifier() {
+                Some(_) => column.clone(),
+                None => column.with_qualifier(alias),
+            })
+            .collect(),
+    )
+}
+
+/// The position of column `qualifier.name` in `schema`, as a bind failure.
+fn position_in(schema: &Schema, qualifier: Option<&str>, name: &str) -> Result<usize, ExecError> {
+    schema
+        .index_of(qualifier, name)
+        .map_err(|e| ExecError::BindError(e.to_string()))
+}
+
+/// The positions (in `schema`) of every column of `columns`, in order.
+fn positions_in(schema: &Schema, columns: &Schema) -> Result<Vec<usize>, ExecError> {
+    columns
+        .columns()
+        .iter()
+        .map(|column| position_in(schema, column.qualifier(), column.name()))
+        .collect()
+}
+
+/// The distinct positions (in `schema`) of the columns an expression reads, in first
+/// use order.
+fn read_positions(expr: &Expr, schema: &Schema) -> Result<Vec<usize>, ExecError> {
+    let mut refs = Vec::new();
+    collect_column_refs(expr, &mut refs);
+    let mut positions = Vec::with_capacity(refs.len());
+    for reference in &refs {
+        let pos = position_in(schema, reference.qualifier.as_deref(), &reference.name)?;
+        if !positions.contains(&pos) {
+            positions.push(pos);
+        }
+    }
+    Ok(positions)
+}
+
+/// A base-table read narrowed to what its plan node needs. It decodes the node's
+/// output columns, in output order, followed by any other column its predicate
+/// reads. The predicate binds against the relation's full qualified schema,
+/// restricted to those columns.
+pub(crate) struct TableRead {
+    /// Table column ordinals: the output columns, then predicate-only columns.
+    columns: Vec<usize>,
+    /// How many of `columns` are output columns.
+    output: usize,
+    /// The predicate, bound to the `columns` layout.
+    predicate: Option<Expr>,
+    /// Positions (into `columns`) the predicate reads: decoded before it runs.
+    first: Vec<usize>,
+    /// The other output positions: decoded only for rows that pass.
+    rest: Vec<usize>,
+}
+
+impl TableRead {
+    /// A read producing the columns of `output` (each a column of `full`, the
+    /// relation's qualified schema) and filtering on `predicate`.
+    pub(crate) fn new(
+        full: &Schema,
+        output: &Schema,
+        predicate: Option<&Expr>,
+    ) -> Result<Self, ExecError> {
+        let mut columns = positions_in(full, output)?;
+        let output = columns.len();
+        let mut first = Vec::new();
+        if let Some(predicate) = predicate {
+            for col in read_positions(predicate, full)? {
+                let pos = match columns.iter().position(|&c| c == col) {
+                    Some(pos) => pos,
+                    None => {
+                        columns.push(col);
+                        columns.len() - 1
+                    }
+                };
+                first.push(pos);
+            }
+        }
+        let predicate = bind_opt(predicate, &full.project(&columns))?;
+        let rest = (0..output).filter(|pos| !first.contains(pos)).collect();
+        Ok(Self {
+            columns,
+            output,
+            predicate,
+            first,
+            rest,
+        })
+    }
+
+    /// Whether the vectorized kernel covers the predicate (true without one), probed
+    /// against a zero-row slice that carries the table's real column encodings.
+    pub(crate) fn kernel_covers(&self, table: &Table, cache: &mut MaskCache) -> bool {
+        self.predicate.as_ref().map_or(true, |predicate| {
+            filter_mask(predicate, &table.scan_range(0..0, &self.columns), cache).is_some()
+        })
+    }
+
+    /// Read the rows in `range`: only the read columns are sliced. With `columnar`
+    /// (the kernel covers the predicate) the batch stays columnar; otherwise the
+    /// chunk is decoded and filtered row by row. Either way only the output columns
+    /// leave.
+    pub(crate) fn scan(
+        &self,
+        table: &Table,
+        range: Range<usize>,
+        columnar: bool,
+        cache: &mut MaskCache,
+    ) -> Result<Batch, ExecError> {
+        let mut cols = table.scan_range(range, &self.columns);
+        if columnar {
+            let Some(predicate) = &self.predicate else {
+                return Ok(Batch::Cols(cols));
+            };
+            // The build-time probe said the kernel covers this predicate; fall back
+            // row-wise rather than failing if it ever declines a chunk at runtime.
+            if let Some(mask) = filter_mask(predicate, &cols, cache) {
+                cols.truncate_columns(self.output);
+                return Ok(Batch::Cols(cols.filter(&mask)));
+            }
+        }
+        let mut rows = cols.into_rows();
+        if let Some(predicate) = &self.predicate {
+            predicate.filter_batch(&mut rows)?;
+            if self.columns.len() > self.output {
+                for row in &mut rows {
+                    row.values_mut().truncate(self.output);
+                }
+            }
+        }
+        Ok(Batch::Rows(rows))
+    }
+
+    /// A scratch row shaped for [`TableRead::fetch`].
+    pub(crate) fn scratch(&self) -> Row {
+        Row::from_values(vec![Value::Null; self.columns.len()])
+    }
+
+    /// Decode row `id` into `scratch` and apply the predicate: `false` when the row
+    /// does not exist or fails. The predicate's columns are decoded first and the
+    /// remaining output columns only for rows that pass; the output is
+    /// `scratch.values()[..output]` (see [`TableRead::output`]).
+    pub(crate) fn fetch(
+        &self,
+        table: &Table,
+        id: usize,
+        scratch: &mut Row,
+    ) -> Result<bool, ExecError> {
+        if id >= table.row_count() {
+            return Ok(false);
+        }
+        let values = scratch.values_mut();
+        for &pos in &self.first {
+            values[pos] = table.value_at(id, self.columns[pos]);
+        }
+        if let Some(predicate) = &self.predicate {
+            if !predicate.eval_predicate(scratch)? {
+                return Ok(false);
+            }
+        }
+        let values = scratch.values_mut();
+        for &pos in &self.rest {
+            values[pos] = table.value_at(id, self.columns[pos]);
+        }
+        Ok(true)
+    }
+
+    /// The output columns of a fetched scratch row.
+    pub(crate) fn output<'r>(&self, scratch: &'r Row) -> &'r [Value] {
+        &scratch.values()[..self.output]
+    }
+
+    /// [`TableRead::fetch`] as an output row of its own (the index-scan case).
+    pub(crate) fn fetch_row(
+        &self,
+        table: &Table,
+        id: usize,
+        scratch: &mut Row,
+    ) -> Result<Option<Row>, ExecError> {
+        Ok(self
+            .fetch(table, id, scratch)?
+            .then(|| Row::from_values(self.output(scratch).to_vec())))
+    }
+}
+
+/// How a join assembles its output rows from its two sides. The residual binds
+/// against `outer ++ inner` (the children carry every column it reads) and runs
+/// first, on a compact scratch row of just those columns; a pair that passes costs
+/// one allocation, its output row, filled through a column map from both sides.
+/// Every join operator of both engines builds its rows here.
+pub(crate) struct JoinRows {
+    /// Per output column, its position in `outer ++ inner`.
+    output: Vec<usize>,
+    /// Number of outer columns: positions from here on index the inner side.
+    outer_len: usize,
+    /// The residual, bound to the layout of `residual_reads`.
+    residual: Option<Expr>,
+    /// Positions in `outer ++ inner` the residual reads.
+    residual_reads: Vec<usize>,
+}
+
+impl JoinRows {
+    /// The assembly of `output` (the join node's schema) from rows of `outer` and
+    /// `inner`, keeping only pairs that pass `residual`.
+    pub(crate) fn new(
+        outer: &Schema,
+        inner: &Schema,
+        output: &Schema,
+        residual: Option<&Expr>,
+    ) -> Result<Self, ExecError> {
+        let both = outer.join(inner);
+        let output = positions_in(&both, output)?;
+        let residual_reads = match residual {
+            Some(residual) => read_positions(residual, &both)?,
+            None => Vec::new(),
+        };
+        Ok(Self {
+            output,
+            outer_len: outer.len(),
+            residual: bind_opt(residual, &both.project(&residual_reads))?,
+            residual_reads,
+        })
+    }
+
+    fn value<'v>(&self, pos: usize, outer: &'v [Value], inner: &'v [Value]) -> &'v Value {
+        match pos.checked_sub(self.outer_len) {
+            Some(inner_pos) => &inner[inner_pos],
+            None => &outer[pos],
+        }
+    }
+
+    /// The output row of one matching pair, or `None` when the residual rejects it.
+    /// `scratch` is any reusable row (the residual's compact row).
+    pub(crate) fn join(
+        &self,
+        outer: &[Value],
+        inner: &[Value],
+        scratch: &mut Row,
+    ) -> Result<Option<Row>, ExecError> {
+        if let Some(residual) = &self.residual {
+            let values = scratch.values_mut();
+            values.clear();
+            values.extend(
+                self.residual_reads
+                    .iter()
+                    .map(|&pos| self.value(pos, outer, inner).clone()),
+            );
+            if !residual.eval_predicate(scratch)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(Row::from_values(
+            self.output
+                .iter()
+                .map(|&pos| self.value(pos, outer, inner).clone())
+                .collect(),
+        )))
+    }
+}
+
+/// The inner read and the row assembly of an index nested-loop join node. Per match
+/// it decodes only the inner columns the node outputs or its residual reads (those the
+/// inner predicate reads first), and the residual binds against the outer columns
+/// followed by those inner columns.
+pub(crate) fn index_nl_join(
+    plan: &PhysicalPlan,
+    table: &Table,
+) -> Result<(TableRead, JoinRows), ExecError> {
+    let PlanKind::IndexNestedLoopJoin {
+        inner_alias,
+        inner_predicate,
+        residual,
+        ..
+    } = &plan.kind
+    else {
+        return Err(ExecError::InvalidPlan(
+            "expected an index nested-loop join".into(),
+        ));
+    };
+    let full = relation_schema(table, inner_alias);
+    let mut residual_reads = Vec::new();
+    if let Some(residual) = residual {
+        collect_column_refs(residual, &mut residual_reads);
+    }
+    let inner = Schema::new(
+        full.columns()
+            .iter()
+            .filter(|column| {
+                plan.schema.contains(column.qualifier(), column.name())
+                    || residual_reads.iter().any(|reference| {
+                        column.matches(reference.qualifier.as_deref(), &reference.name)
+                    })
+            })
+            .cloned()
+            .collect(),
+    );
+    let outer = &plan.children[0].schema;
+    Ok((
+        TableRead::new(&full, &inner, inner_predicate.as_ref())?,
+        JoinRows::new(outer, &inner, &plan.schema, residual.as_ref())?,
+    ))
+}
+
 /// Translate a plan subtree into an operator tree, returning the root operator and the
 /// parallel stats tree.
 fn build_operator<'p>(
@@ -1108,24 +1421,27 @@ fn build_operator<'p>(
     let mut scan_encoding: Option<&'static str> = None;
     let op: Box<dyn Operator + 'p> = match &plan.kind {
         PlanKind::SeqScan {
-            table, predicate, ..
+            table,
+            alias,
+            predicate,
+            ..
         } => {
             let table = lookup_table(ctx.storage, table)?;
-            let predicate = bind_opt(predicate.as_ref(), &plan.schema)?;
+            let read = TableRead::new(
+                &relation_schema(table, alias),
+                &plan.schema,
+                predicate.as_ref(),
+            )?;
             let mut mask_cache = MaskCache::new();
             // Decide the scan mode once: probe kernel support against a zero-row
             // slice of the *actual* column chunks (their encodings — including
             // `Val` promotions — never change during a query).
-            let columnar = ctx.config.columnar
-                && predicate
-                    .as_ref()
-                    .map(|p| filter_mask(p, &table.scan_range(0..0), &mut mask_cache).is_some())
-                    .unwrap_or(true);
+            let columnar = ctx.config.columnar && read.kernel_covers(table, &mut mask_cache);
             scan_encoding = Some(scan_encoding_label(ctx.config.columnar, columnar, table));
             Box::new(SeqScanOp {
                 table,
                 pos: 0,
-                predicate,
+                read,
                 batch_size,
                 columnar,
                 mask_cache,
@@ -1133,6 +1449,7 @@ fn build_operator<'p>(
         }
         PlanKind::IndexScan {
             table,
+            alias,
             column,
             lookup,
             residual,
@@ -1147,11 +1464,17 @@ fn build_operator<'p>(
                     ExecError::InvalidPlan(format!("no usable index on column '{column}'"))
                 })?;
             scan_encoding = Some("row");
+            let read = TableRead::new(
+                &relation_schema(table, alias),
+                &plan.schema,
+                residual.as_ref(),
+            )?;
             Box::new(IndexScanOp {
                 table,
                 index,
                 lookup,
-                residual: bind_opt(residual.as_ref(), &plan.schema)?,
+                scratch: read.scratch(),
+                read,
                 row_ids: None,
                 pos: 0,
                 batch_size,
@@ -1177,10 +1500,11 @@ fn build_operator<'p>(
                 build_done: false,
                 build_rel_set: plan.children[1].rel_set,
                 build_estimated_rows: plan.children[1].estimated_rows,
-                build_schema: plan.children[1].schema.clone(),
+                build_schema: build_schema.clone(),
                 probe_keys,
                 build_keys,
-                residual: bind_opt(residual.as_ref(), &plan.schema)?,
+                rows: JoinRows::new(probe_schema, build_schema, &plan.schema, residual.as_ref())?,
+                scratch: Row::default(),
                 build_rows: Vec::new(),
                 table: HashMap::new(),
                 probe_batch: Vec::new(),
@@ -1198,18 +1522,15 @@ fn build_operator<'p>(
         }
         PlanKind::IndexNestedLoopJoin {
             inner_table,
-            inner_alias,
             outer_key,
             inner_key,
-            inner_predicate,
-            residual,
             ..
         } => {
             let outer_schema = &plan.children[0].schema;
             let table = lookup_table(ctx.storage, inner_table)?;
             let outer_key_idx = key_index(outer_schema, outer_key)?;
             let inner_key_idx = table.schema().index_of(None, inner_key)?;
-            let inner_schema = table.schema().qualified(inner_alias);
+            let (inner_read, rows) = index_nl_join(plan, table)?;
             let outer = children.pop().expect("index nested loop has one child");
             Box::new(IndexNlJoinOp {
                 outer,
@@ -1221,8 +1542,10 @@ fn build_operator<'p>(
                 inner_key_idx,
                 transient: None,
                 outer_key_idx,
-                inner_predicate: bind_opt(inner_predicate.as_ref(), &inner_schema)?,
-                residual: bind_opt(residual.as_ref(), &plan.schema)?,
+                rows,
+                inner_scratch: inner_read.scratch(),
+                inner_read,
+                scratch: Row::default(),
                 outer_batch: Vec::new(),
                 outer_pos: 0,
                 match_pos: 0,
@@ -1233,6 +1556,12 @@ fn build_operator<'p>(
             })
         }
         PlanKind::NestedLoopJoin { predicate } => {
+            let rows = JoinRows::new(
+                &plan.children[0].schema,
+                &plan.children[1].schema,
+                &plan.schema,
+                predicate.as_ref(),
+            )?;
             let inner = children.pop().expect("nested loop has two children");
             let outer = children.pop().expect("nested loop has two children");
             Box::new(NestedLoopJoinOp {
@@ -1242,7 +1571,8 @@ fn build_operator<'p>(
                 inner_rel_set: plan.children[1].rel_set,
                 inner_estimated_rows: plan.children[1].estimated_rows,
                 inner_schema: plan.children[1].schema.clone(),
-                predicate: bind_opt(predicate.as_ref(), &plan.schema)?,
+                rows,
+                scratch: Row::default(),
                 inner_rows: Vec::new(),
                 outer_batch: Vec::new(),
                 outer_pos: 0,
@@ -1275,7 +1605,8 @@ fn build_operator<'p>(
                 ],
                 left_keys,
                 right_keys,
-                residual: bind_opt(residual.as_ref(), &plan.schema)?,
+                rows: JoinRows::new(left_schema, right_schema, &plan.schema, residual.as_ref())?,
+                scratch: Row::default(),
                 left: Vec::new(),
                 right: Vec::new(),
                 i: 0,
@@ -1411,8 +1742,8 @@ pub(crate) fn scan_encoding_label(columnar: bool, kernel: bool, table: &Table) -
 // Streaming operators
 // ---------------------------------------------------------------------------
 
-/// Sequential scan: slices the table's column chunks a batch-sized range at a time.
-/// In columnar mode the predicate runs as a vectorized mask kernel
+/// Sequential scan: slices the columns its predicate or output reads, a batch-sized
+/// range at a time. In columnar mode the predicate runs as a vectorized mask kernel
 /// ([`reopt_expr::filter_mask`] — tight typed loops over native vectors and
 /// dictionary codes) and the surviving rows stay columnar; otherwise (kill switch, or
 /// a predicate shape the kernel does not cover) each chunk is decoded to rows and
@@ -1420,7 +1751,7 @@ pub(crate) fn scan_encoding_label(columnar: bool, kernel: bool, table: &Table) -
 struct SeqScanOp<'p> {
     table: &'p Table,
     pos: usize,
-    predicate: Option<Expr>,
+    read: TableRead,
     batch_size: usize,
     /// Whether this scan emits columnar batches (decided once at build time by
     /// probing kernel support against the actual column encodings).
@@ -1433,39 +1764,15 @@ impl Operator for SeqScanOp<'_> {
         let total = self.table.row_count();
         while self.pos < total {
             let chunk_end = self.pos.saturating_add(self.batch_size).min(total);
-            let cols = self.table.scan_range(self.pos..chunk_end);
+            let batch = self.read.scan(
+                self.table,
+                self.pos..chunk_end,
+                self.columnar,
+                &mut self.mask_cache,
+            )?;
             self.pos = chunk_end;
-            if self.columnar {
-                let cols = match &self.predicate {
-                    Some(predicate) => {
-                        match filter_mask(predicate, &cols, &mut self.mask_cache) {
-                            Some(mask) => cols.filter(&mask),
-                            // The build-time probe said the kernel covers this
-                            // predicate; fall back row-wise rather than failing if
-                            // it ever declines a chunk at runtime.
-                            None => {
-                                let mut rows = cols.into_rows();
-                                predicate.filter_batch(&mut rows)?;
-                                if rows.is_empty() {
-                                    continue;
-                                }
-                                return Ok(Some(Batch::Rows(rows)));
-                            }
-                        }
-                    }
-                    None => cols,
-                };
-                if cols.is_empty() {
-                    continue;
-                }
-                return Ok(Some(Batch::Cols(cols)));
-            }
-            let mut rows = cols.into_rows();
-            if let Some(predicate) = &self.predicate {
-                predicate.filter_batch(&mut rows)?;
-            }
-            if !rows.is_empty() {
-                return Ok(Some(Batch::Rows(rows)));
+            if batch.len() > 0 {
+                return Ok(Some(batch));
             }
         }
         Ok(None)
@@ -1478,7 +1785,10 @@ struct IndexScanOp<'p> {
     table: &'p Table,
     index: &'p Index,
     lookup: &'p IndexLookup,
-    residual: Option<Expr>,
+    /// The residual and the columns to decode per fetched row.
+    read: TableRead,
+    /// The row each fetch decodes into.
+    scratch: Row,
     row_ids: Option<Vec<usize>>,
     pos: usize,
     batch_size: usize,
@@ -1505,15 +1815,7 @@ impl Operator for IndexScanOp<'_> {
         while out.is_empty() && self.pos < row_ids.len() {
             let chunk_end = self.pos.saturating_add(self.batch_size).min(row_ids.len());
             for &row_id in &row_ids[self.pos..chunk_end] {
-                let Some(row) = self.table.row(row_id) else {
-                    continue;
-                };
-                if let Some(p) = &self.residual {
-                    if !p.eval_predicate(&row)? {
-                        continue;
-                    }
-                }
-                out.push(row);
+                out.extend(self.read.fetch_row(self.table, row_id, &mut self.scratch)?);
             }
             self.pos = chunk_end;
         }
@@ -1628,6 +1930,7 @@ impl Operator for LimitOp<'_> {
                         .iter()
                         .map(|c| c.slice(0..self.remaining))
                         .collect(),
+                    self.remaining,
                 )),
             }
         } else {
@@ -1661,7 +1964,9 @@ struct HashJoinOp<'p> {
     build_schema: Schema,
     probe_keys: Vec<usize>,
     build_keys: Vec<usize>,
-    residual: Option<Expr>,
+    /// Output-row assembly (residual first).
+    rows: JoinRows,
+    scratch: Row,
     build_rows: Vec<Row>,
     table: HashMap<Vec<Value>, Vec<usize>>,
     probe_batch: RowBatch,
@@ -2048,13 +2353,12 @@ impl HashJoinOp<'_> {
                     .expect("spilled probe rows always carry non-NULL keys");
                 if let Some(matches) = self.table.get(&key) {
                     for &build_idx in matches {
-                        let joined = row.join(&self.build_rows[build_idx]);
-                        if let Some(p) = &self.residual {
-                            if !p.eval_predicate(&joined)? {
-                                continue;
-                            }
+                        let build_row = self.build_rows[build_idx].values();
+                        if let Some(joined) =
+                            self.rows.join(row.values(), build_row, &mut self.scratch)?
+                        {
+                            out.push(joined);
                         }
-                        out.push(joined);
                     }
                 }
                 // Soft cap: one probe row's full match list may overshoot the
@@ -2143,13 +2447,13 @@ impl Operator for HashJoinOp<'_> {
                     }
                     let build_idx = matches[self.match_pos];
                     self.match_pos += 1;
-                    let joined = probe_row.join(&self.build_rows[build_idx]);
-                    if let Some(p) = &self.residual {
-                        if !p.eval_predicate(&joined)? {
-                            continue;
-                        }
+                    let build_row = self.build_rows[build_idx].values();
+                    if let Some(joined) =
+                        self.rows
+                            .join(probe_row.values(), build_row, &mut self.scratch)?
+                    {
+                        out.push(joined);
                     }
-                    out.push(joined);
                 }
                 self.probe_pos += 1;
                 self.match_pos = 0;
@@ -2198,8 +2502,13 @@ struct IndexNlJoinOp<'p> {
     inner_key_idx: usize,
     transient: Option<HashMap<Value, Vec<usize>>>,
     outer_key_idx: usize,
-    inner_predicate: Option<Expr>,
-    residual: Option<Expr>,
+    /// Output-row assembly over `outer ++ inner_read`'s output columns.
+    rows: JoinRows,
+    /// The inner predicate and the inner columns decoded per match.
+    inner_read: TableRead,
+    /// The row each inner fetch decodes into.
+    inner_scratch: Row,
+    scratch: Row,
     outer_batch: RowBatch,
     outer_pos: usize,
     match_pos: usize,
@@ -2269,21 +2578,19 @@ impl Operator for IndexNlJoinOp<'_> {
                     }
                     let row_id = matches[self.match_pos];
                     self.match_pos += 1;
-                    let Some(inner_row) = self.table.row(row_id) else {
+                    if !self
+                        .inner_read
+                        .fetch(self.table, row_id, &mut self.inner_scratch)?
+                    {
                         continue;
-                    };
-                    if let Some(p) = &self.inner_predicate {
-                        if !p.eval_predicate(&inner_row)? {
-                            continue;
-                        }
                     }
-                    let joined = outer_row.join(&inner_row);
-                    if let Some(p) = &self.residual {
-                        if !p.eval_predicate(&joined)? {
-                            continue;
-                        }
+                    let inner_row = self.inner_read.output(&self.inner_scratch);
+                    if let Some(joined) =
+                        self.rows
+                            .join(outer_row.values(), inner_row, &mut self.scratch)?
+                    {
+                        out.push(joined);
                     }
-                    out.push(joined);
                 }
                 self.outer_pos += 1;
                 self.match_pos = 0;
@@ -2315,7 +2622,9 @@ struct NestedLoopJoinOp<'p> {
     inner_rel_set: RelSet,
     inner_estimated_rows: f64,
     inner_schema: Schema,
-    predicate: Option<Expr>,
+    /// Output-row assembly; the join predicate is its residual.
+    rows: JoinRows,
+    scratch: Row,
     inner_rows: Vec<Row>,
     outer_batch: RowBatch,
     outer_pos: usize,
@@ -2388,15 +2697,14 @@ impl Operator for NestedLoopJoinOp<'_> {
                     if out.len() >= self.batch_size {
                         break 'fill;
                     }
-                    let inner_row = &self.inner_rows[self.inner_pos];
+                    let inner_row = self.inner_rows[self.inner_pos].values();
                     self.inner_pos += 1;
-                    let joined = outer_row.join(inner_row);
-                    if let Some(p) = &self.predicate {
-                        if !p.eval_predicate(&joined)? {
-                            continue;
-                        }
+                    if let Some(joined) =
+                        self.rows
+                            .join(outer_row.values(), inner_row, &mut self.scratch)?
+                    {
+                        out.push(joined);
                     }
-                    out.push(joined);
                 }
                 self.outer_pos += 1;
                 self.inner_pos = 0;
@@ -2452,7 +2760,9 @@ struct MergeJoinOp<'p> {
     input_meta: [(RelSet, f64); 2],
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    residual: Option<Expr>,
+    /// Output-row assembly (residual first).
+    rows: JoinRows,
+    scratch: Row,
     left: Vec<(Vec<Value>, Row)>,
     right: Vec<(Vec<Value>, Row)>,
     i: usize,
@@ -2549,18 +2859,19 @@ impl Operator for MergeJoinOp<'_> {
                     self.progress.tick(&self.obs, out.len())?;
                     return Ok(Some(Batch::Rows(out)));
                 }
-                let joined = self.left[block.li].1.join(&self.right[block.ri].1);
+                let joined = self.rows.join(
+                    self.left[block.li].1.values(),
+                    self.right[block.ri].1.values(),
+                    &mut self.scratch,
+                )?;
                 block.ri += 1;
                 if block.ri == block.j_end {
                     block.ri = self.j;
                     block.li += 1;
                 }
-                if let Some(p) = &self.residual {
-                    if !p.eval_predicate(&joined)? {
-                        continue;
-                    }
+                if let Some(joined) = joined {
+                    out.push(joined);
                 }
-                out.push(joined);
             }
             // Block exhausted: move past it.
             self.i = block.i_end;
@@ -4050,8 +4361,11 @@ mod tests {
             .expect("two-relation build state");
         assert_eq!(build.kind, BreakerKind::HashBuild);
         assert_eq!(build.rows.len(), 20);
-        assert_eq!(build.schema.len(), 4, "mk and k columns, original qualifiers");
+        // Only what the rest of the query reads leaves the build: mk.movie_id, for
+        // the join with t, under its original qualifier.
+        assert_eq!(build.schema.len(), 1, "{}", build.schema);
         assert!(build.schema.index_of(Some("mk"), "movie_id").is_ok());
+        assert!(build.rows.iter().all(|row| row.len() == 1));
         // The monitor saw the inner (single-relation) build complete first.
         let events = &monitor.borrow().events;
         assert!(events.len() >= 2);
@@ -4411,7 +4725,8 @@ mod tests {
         let sql = "SELECT count(*) AS c FROM movie_keyword AS mk, keyword AS k
                    WHERE mk.keyword_id = k.id AND k.id < 2";
         let planned = hash_only_plan(sql, &storage, &catalog);
-        let governor = MemoryGovernor::new(Some(16));
+        // The build carries k.id only: two 8-byte rows; spills 3 434 B in 16 runs.
+        let governor = MemoryGovernor::new(Some(8));
         let result = Executor::with_batch_size(&storage, 16)
             .with_threads(1)
             .with_governor(governor)
@@ -4758,5 +5073,184 @@ mod tests {
         assert!(bytes > 0, "the fallback run spilled");
         assert_eq!(live_spill_files(), 0);
         assert_eq!(governor.reserved(), 0, "both runs' reservations released");
+    }
+
+    /// Run `planned` at `threads` with the columnar path on and 8-row batches, so a
+    /// 100-row table is several morsels and two threads really split it.
+    fn run_at(
+        planned: &reopt_planner::PlannedQuery,
+        storage: &Storage,
+        threads: usize,
+    ) -> ExecutionResult {
+        Executor::with_batch_size(storage, 8)
+            .with_threads(threads)
+            .with_columnar(true)
+            .execute(&planned.plan)
+            .unwrap()
+    }
+
+    #[test]
+    fn count_star_counts_zero_column_scans_at_one_and_two_threads() {
+        let (storage, catalog) = build_env();
+        for (sql, expected) in [
+            ("SELECT count(*) AS c FROM title AS t", 100),
+            ("SELECT count(*) AS c FROM movie_keyword AS mk", 200),
+            // production_year = 1990 + i % 30: i % 30 in 25..30, three times over.
+            (
+                "SELECT count(*) AS c FROM title AS t WHERE t.production_year >= 2015",
+                15,
+            ),
+        ] {
+            let planned = plan(sql, &storage, &catalog);
+            // No column leaves the scan: its batches carry only a row count.
+            assert!(planned.plan.children[0].schema.is_empty(), "{sql}");
+            for threads in [1, 2] {
+                let result = run_at(&planned, &storage, threads);
+                assert_eq!(
+                    result.rows,
+                    vec![Row::from_values(vec![Value::Int(expected)])],
+                    "{sql} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// `a(x, y, pad) ⋈ b(y, z, pad) ⋈ c(z, x, pad)` on the cycle `a.y = b.y`,
+    /// `b.z = c.z`, `c.x = a.x`, indexed on `b.y`, `c.z` and `a.x`.
+    /// Returns the storage, its statistics and each table's `[first, second]` pairs.
+    fn cyclic_env() -> (Storage, Catalog, Vec<Vec<[i64; 2]>>) {
+        let mut storage = Storage::new();
+        let shapes: [(&str, [&str; 2], usize, [i64; 2]); 3] = [
+            ("a", ["x", "y"], 40, [10, 7]),
+            ("b", ["y", "z"], 30, [7, 5]),
+            ("c", ["z", "x"], 25, [5, 10]),
+        ];
+        let mut data = Vec::new();
+        for (name, [first, second], rows, [m1, m2]) in shapes {
+            let mut table = Table::new(
+                name,
+                Schema::new(vec![
+                    Column::not_null(first, DataType::Int),
+                    Column::not_null(second, DataType::Int),
+                    Column::new("pad", DataType::Text),
+                ]),
+            );
+            let mut values = Vec::new();
+            for i in 0..rows as i64 {
+                let pair = [i % m1, (i * 3) % m2];
+                table
+                    .push_row(Row::from_values(vec![
+                        Value::Int(pair[0]),
+                        Value::Int(pair[1]),
+                        Value::from(format!("{name}{i:02}")),
+                    ]))
+                    .unwrap();
+                values.push(pair);
+            }
+            table
+                .create_index(format!("{name}_idx"), first, IndexKind::Hash)
+                .unwrap();
+            storage.create_table(table).unwrap();
+            data.push(values);
+        }
+        let mut catalog = Catalog::new();
+        catalog.analyze_all(&storage).unwrap();
+        (storage, catalog, data)
+    }
+
+    #[test]
+    fn cyclic_join_residual_reads_columns_narrowed_away_above_it() {
+        let (storage, catalog, data) = cyclic_env();
+        let [a, b, c] = [&data[0], &data[1], &data[2]];
+        // Brute force: a = (x, y), b = (y, z), c = (z, x); the pad of a is "a" + index.
+        let mut expected_count = 0i64;
+        let mut expected_min: Option<String> = None;
+        for (ai, &[ax, ay]) in a.iter().enumerate() {
+            for &[by, bz] in b {
+                for &[cz, cx] in c {
+                    if ay == by && bz == cz && cx == ax {
+                        expected_count += 1;
+                        let pad = format!("a{ai:02}");
+                        if expected_min.as_ref().map_or(true, |m| &pad < m) {
+                            expected_min = Some(pad);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(expected_count > 0);
+        let expected = vec![Row::from_values(vec![
+            Value::Int(expected_count),
+            Value::from(expected_min.unwrap()),
+        ])];
+        let sql = "SELECT count(*) AS n, min(a.pad) AS p FROM a AS a, b AS b, c AS c
+                   WHERE a.y = b.y AND b.z = c.z AND c.x = a.x";
+        let configs = [
+            ("default", reopt_planner::OptimizerConfig::default()),
+            (
+                "index-nl",
+                reopt_planner::OptimizerConfig {
+                    enable_hash_joins: false,
+                    enable_merge_joins: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "nested-loop",
+                reopt_planner::OptimizerConfig {
+                    enable_hash_joins: false,
+                    enable_merge_joins: false,
+                    enable_index_nl_joins: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "merge",
+                reopt_planner::OptimizerConfig {
+                    enable_hash_joins: false,
+                    enable_index_nl_joins: false,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (name, config) in configs {
+            let statement = parse_sql(sql).unwrap();
+            let planned = Optimizer::new(config)
+                .plan_select(
+                    statement.query().unwrap(),
+                    &storage,
+                    &catalog,
+                    &CardinalityOverrides::new(),
+                )
+                .unwrap();
+            let top = &planned.plan.children[0];
+            assert_eq!(
+                top.schema.len(),
+                1,
+                "{name}: only a.pad leaves the top join"
+            );
+            if name == "index-nl" || name == "nested-loop" {
+                // The edge that closes the cycle is checked as a residual (or the
+                // nested loop's predicate) over a column the join does not output.
+                let residual = match &top.kind {
+                    PlanKind::IndexNestedLoopJoin { residual, .. } => residual.clone(),
+                    PlanKind::NestedLoopJoin { predicate } => predicate.clone(),
+                    other => panic!("{name}: unexpected top join {other:?}"),
+                }
+                .expect("the cycle's third edge");
+                let mut refs = Vec::new();
+                collect_column_refs(&residual, &mut refs);
+                assert!(
+                    refs.iter()
+                        .any(|r| !top.schema.contains(r.qualifier.as_deref(), &r.name)),
+                    "{name}: {}",
+                    residual.to_sql()
+                );
+            }
+            for threads in [1, 2] {
+                let result = run_at(&planned, &storage, threads);
+                assert_eq!(result.rows, expected, "{name} at {threads} threads");
+            }
+        }
     }
 }

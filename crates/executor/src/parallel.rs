@@ -99,14 +99,15 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, bind_opt as bind_exec_opt, extract_key, key_index as key_index_exec,
-    open_single, resolve_index_row_ids, scan_encoding_label, Accumulator,
-    BreakerEvent, BreakerKind, BreakerState, ExecConfig, ExecEvent, MemoryPressureEvent,
-    ObserverHandle, ProgressEvent, ProgressSource, RowBatch, SinglePipeline,
+    bind as bind_exec, bind_opt as bind_exec_opt, extract_key, index_nl_join,
+    key_index as key_index_exec, open_single, relation_schema, resolve_index_row_ids,
+    scan_encoding_label, Accumulator, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
+    ExecEvent, JoinRows, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
+    RowBatch, SinglePipeline, TableRead,
 };
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
-use reopt_expr::{filter_mask, Expr, MaskCache};
+use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_sql::AggregateFunc;
 use reopt_storage::{Row, Schema, Storage, Table, Value};
@@ -488,25 +489,27 @@ struct CompletedBuild {
 /// handles to their tables (not borrows) so a compiled pipeline is `'static` and
 /// its chain jobs can run on the resident pool, outliving any one stack frame.
 enum Source {
-    /// A sequential scan over a table's column chunks. Each morsel chunk is sliced
-    /// with [`Table::scan_range`]; when the vectorized kernel covers the predicate
-    /// the selection runs over the typed columns (dictionary codes compare as
-    /// integers) and only surviving rows are decoded at this source boundary — the
-    /// parallel chain itself stays row-shaped.
+    /// A sequential scan over a table's column chunks. Each morsel chunk slices
+    /// only the columns the predicate or the output reads (see [`TableRead`]);
+    /// when the vectorized kernel covers the predicate the selection runs over the
+    /// typed columns (dictionary codes compare as integers) and only surviving rows
+    /// are decoded at this source boundary — the parallel chain itself stays
+    /// row-shaped.
     Table {
         table: Arc<Table>,
-        predicate: Option<Expr>,
+        read: TableRead,
         /// Whether the vectorized kernel covers the predicate (probed at compile
         /// time against a zero-row slice, which preserves the real column
         /// representations).
         kernel: bool,
         stats: Arc<ParStats>,
     },
-    /// An index scan: the row-id list is resolved up front by the coordinator.
+    /// An index scan: the row-id list is resolved up front by the coordinator;
+    /// each fetched row decodes only the columns its residual or output reads.
     TableIds {
         table: Arc<Table>,
         ids: Vec<usize>,
-        residual: Option<Expr>,
+        read: TableRead,
         stats: Arc<ParStats>,
     },
     /// A materialized upstream breaker output (aggregate/sort emission).
@@ -522,7 +525,7 @@ enum Source {
     MergeJoin {
         left: Arc<Vec<(Vec<Value>, Row)>>,
         right: Arc<Vec<(Vec<Value>, Row)>>,
-        residual: Option<Expr>,
+        rows: JoinRows,
         /// The merge-join node's own stats (output rows/batches).
         stats: Arc<ParStats>,
     },
@@ -550,70 +553,36 @@ impl Source {
         let out = match self {
             Source::Table {
                 table,
-                predicate,
+                read,
                 kernel,
                 ..
-            } => {
-                let cols = table.scan_range(range);
-                match predicate {
-                    Some(predicate) if *kernel => match filter_mask(predicate, &cols, mask_cache) {
-                        Some(mask) => cols.filter(&mask).into_rows(),
-                        None => {
-                            // Defensive: the compile-time probe accepted this
-                            // predicate, so the kernel should not decline here.
-                            let mut rows = cols.into_rows();
-                            predicate.filter_batch(&mut rows)?;
-                            rows
-                        }
-                    },
-                    Some(predicate) => {
-                        let mut rows = cols.into_rows();
-                        predicate.filter_batch(&mut rows)?;
-                        rows
-                    }
-                    None => cols.into_rows(),
-                }
-            }
+            } => read.scan(table, range, *kernel, mask_cache)?.into_rows(),
             Source::TableIds {
-                table,
-                ids,
-                residual,
-                ..
+                table, ids, read, ..
             } => {
+                let mut scratch = read.scratch();
                 let mut out = Vec::new();
                 for &row_id in &ids[range] {
-                    let Some(row) = table.row(row_id) else {
-                        continue;
-                    };
-                    if let Some(p) = residual {
-                        if !p.eval_predicate(&row)? {
-                            continue;
-                        }
-                    }
-                    out.push(row);
+                    out.extend(read.fetch_row(table, row_id, &mut scratch)?);
                 }
                 out
             }
             Source::Rows(rows) => rows[range].to_vec(),
             Source::MergeJoin {
-                left,
-                right,
-                residual,
-                ..
+                left, right, rows, ..
             } => {
+                let mut scratch = Row::default();
                 let mut out = Vec::new();
                 for (key, left_row) in &left[range] {
                     // The equal-key run on the (sorted) right side.
                     let lo = right.partition_point(|entry| entry.0.as_slice() < key.as_slice());
                     let hi = right.partition_point(|entry| entry.0.as_slice() <= key.as_slice());
                     for (_, right_row) in &right[lo..hi] {
-                        let joined = left_row.join(right_row);
-                        if let Some(p) = residual {
-                            if !p.eval_predicate(&joined)? {
-                                continue;
-                            }
+                        if let Some(joined) =
+                            rows.join(left_row.values(), right_row.values(), &mut scratch)?
+                        {
+                            out.push(joined);
                         }
-                        out.push(joined);
                     }
                 }
                 out
@@ -657,7 +626,7 @@ enum StepKind {
     HashProbe {
         table: Arc<JoinTable>,
         keys: Vec<usize>,
-        residual: Option<Expr>,
+        rows: JoinRows,
     },
     IndexProbe {
         table: Arc<Table>,
@@ -669,15 +638,17 @@ enum StepKind {
         use_index: bool,
         transient: Option<Arc<HashMap<Value, Vec<usize>>>>,
         outer_key: usize,
-        inner_predicate: Option<Expr>,
-        residual: Option<Expr>,
+        /// The inner predicate and the inner columns decoded per match.
+        inner_read: TableRead,
+        rows: JoinRows,
     },
     /// Plain nested-loop probe: every outer row of the morsel loops the shared
     /// buffered inner side (block-partitioned outer, exactly the single-threaded
     /// operator's pairing order per outer row).
     NlProbe {
         inner: Arc<Vec<Row>>,
-        predicate: Option<Expr>,
+        /// Output-row assembly; the join predicate is its residual.
+        rows: JoinRows,
     },
 }
 
@@ -698,6 +669,8 @@ impl Step {
         batch_size: usize,
     ) -> Result<RowBatch, ExecError> {
         let start = Instant::now();
+        // The join residual's compact row, reused across the batch.
+        let mut scratch = Row::default();
         let out = match &self.kind {
             StepKind::Filter(predicate) => {
                 let mut batch = batch;
@@ -715,11 +688,7 @@ impl Step {
                 }
                 out
             }
-            StepKind::HashProbe {
-                table,
-                keys,
-                residual,
-            } => {
+            StepKind::HashProbe { table, keys, rows } => {
                 let mut out = Vec::new();
                 for row in &batch {
                     // An immediate quiesce request (suspension or a peer worker's
@@ -732,13 +701,11 @@ impl Step {
                         continue;
                     };
                     for build_row in table.lookup(&key) {
-                        let joined = row.join(build_row);
-                        if let Some(p) = residual {
-                            if !p.eval_predicate(&joined)? {
-                                continue;
-                            }
+                        if let Some(joined) =
+                            rows.join(row.values(), build_row.values(), &mut scratch)?
+                        {
+                            out.push(joined);
                         }
-                        out.push(joined);
                     }
                 }
                 out
@@ -749,9 +716,10 @@ impl Step {
                 use_index,
                 transient,
                 outer_key,
-                inner_predicate,
-                residual,
+                inner_read,
+                rows,
             } => {
+                let mut inner_scratch = inner_read.scratch();
                 let index = if *use_index {
                     table.index_on_column(*inner_key_idx, false)
                 } else {
@@ -773,39 +741,31 @@ impl Step {
                         }
                     };
                     for &row_id in matches {
-                        let Some(inner_row) = table.row(row_id) else {
+                        if !inner_read.fetch(table, row_id, &mut inner_scratch)? {
                             continue;
-                        };
-                        if let Some(p) = inner_predicate {
-                            if !p.eval_predicate(&inner_row)? {
-                                continue;
-                            }
                         }
-                        let joined = outer_row.join(&inner_row);
-                        if let Some(p) = residual {
-                            if !p.eval_predicate(&joined)? {
-                                continue;
-                            }
+                        let inner_row = inner_read.output(&inner_scratch);
+                        if let Some(joined) =
+                            rows.join(outer_row.values(), inner_row, &mut scratch)?
+                        {
+                            out.push(joined);
                         }
-                        out.push(joined);
                     }
                 }
                 out
             }
-            StepKind::NlProbe { inner, predicate } => {
+            StepKind::NlProbe { inner, rows } => {
                 let mut out = Vec::new();
                 for outer_row in &batch {
                     if shared.drop_inflight() {
                         break;
                     }
                     for inner_row in inner.iter() {
-                        let joined = outer_row.join(inner_row);
-                        if let Some(p) = predicate {
-                            if !p.eval_predicate(&joined)? {
-                                continue;
-                            }
+                        if let Some(joined) =
+                            rows.join(outer_row.values(), inner_row.values(), &mut scratch)?
+                        {
+                            out.push(joined);
                         }
-                        out.push(joined);
                     }
                 }
                 out
@@ -1498,7 +1458,12 @@ impl<'p> Engine<'p> {
                                 total_rows: 0,
                             }),
                             keys: probe_keys,
-                            residual: bind_exec_opt(residual.as_ref(), &node.schema)?,
+                            rows: JoinRows::new(
+                                probe_schema,
+                                build_schema,
+                                &node.schema,
+                                residual.as_ref(),
+                            )?,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
                         progress: Some(ProgressInfo {
@@ -1523,7 +1488,12 @@ impl<'p> Engine<'p> {
                         kind: StepKind::NlProbe {
                             // Placeholder: patched once the registered inner runs.
                             inner: Arc::new(Vec::new()),
-                            predicate: bind_exec_opt(predicate.as_ref(), &node.schema)?,
+                            rows: JoinRows::new(
+                                &node.children[0].schema,
+                                &node.children[1].schema,
+                                &node.schema,
+                                predicate.as_ref(),
+                            )?,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
                         progress: Some(ProgressInfo {
@@ -1554,24 +1524,26 @@ impl<'p> Engine<'p> {
                     break Source::MergeJoin {
                         left: Arc::new(left_rows),
                         right: Arc::new(right_rows),
-                        residual: bind_exec_opt(residual.as_ref(), &node.schema)?,
+                        rows: JoinRows::new(
+                            &left.schema,
+                            &right.schema,
+                            &node.schema,
+                            residual.as_ref(),
+                        )?,
                         stats: Arc::clone(&node_stats.stats),
                     };
                 }
                 PlanKind::IndexNestedLoopJoin {
                     inner_table,
-                    inner_alias,
                     outer_key,
                     inner_key,
-                    inner_predicate,
-                    residual,
                     ..
                 } => {
                     let outer_schema = &node.children[0].schema;
                     let table = lookup_table_arc(self.storage, inner_table)?;
                     let outer_key_idx = key_index_exec(outer_schema, outer_key)?;
                     let inner_key_idx = table.schema().index_of(None, inner_key)?;
-                    let inner_schema = table.schema().qualified(inner_alias);
+                    let (inner_read, rows) = index_nl_join(node, &table)?;
                     let use_index = table.index_on_column(inner_key_idx, false).is_some();
                     let transient = if !use_index {
                         // No usable index: build a transient lookup table once,
@@ -1600,8 +1572,8 @@ impl<'p> Engine<'p> {
                             use_index,
                             transient,
                             outer_key: outer_key_idx,
-                            inner_predicate: bind_exec_opt(inner_predicate.as_ref(), &inner_schema)?,
-                            residual: bind_exec_opt(residual.as_ref(), &node.schema)?,
+                            inner_read,
+                            rows,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
                         progress: Some(ProgressInfo {
@@ -1615,34 +1587,36 @@ impl<'p> Engine<'p> {
                     node_stats = &node_stats.children[0];
                 }
                 PlanKind::SeqScan {
-                    table, predicate, ..
+                    table,
+                    alias,
+                    predicate,
+                    ..
                 } => {
                     let table = lookup_table_arc(self.storage, table)?;
-                    let predicate = bind_exec_opt(predicate.as_ref(), &node.schema)?;
+                    let read = TableRead::new(
+                        &relation_schema(&table, alias),
+                        &node.schema,
+                        predicate.as_ref(),
+                    )?;
                     // Probe kernel support against a zero-row slice: it carries the
                     // table's real column representations, so the decision holds for
                     // every morsel of the scan.
-                    let mut probe_cache = MaskCache::new();
                     let kernel = self.shared.config.columnar
-                        && predicate
-                            .as_ref()
-                            .map(|p| {
-                                filter_mask(p, &table.scan_range(0..0), &mut probe_cache).is_some()
-                            })
-                            .unwrap_or(true);
+                        && read.kernel_covers(&table, &mut MaskCache::new());
                     let _ = node_stats
                         .stats
                         .encoding
                         .set(scan_encoding_label(self.shared.config.columnar, kernel, &table));
                     break Source::Table {
                         table,
-                        predicate,
+                        read,
                         kernel,
                         stats: Arc::clone(&node_stats.stats),
                     };
                 }
                 PlanKind::IndexScan {
                     table,
+                    alias,
                     column,
                     lookup,
                     residual,
@@ -1660,10 +1634,15 @@ impl<'p> Engine<'p> {
                     let ids = resolve_index_row_ids(index, lookup);
                     self.shared.acquire(ids.len() as u64, 8 * ids.len() as u64);
                     let _ = node_stats.stats.encoding.set("row");
+                    let read = TableRead::new(
+                        &relation_schema(&table, alias),
+                        &node.schema,
+                        residual.as_ref(),
+                    )?;
                     break Source::TableIds {
                         table,
                         ids,
-                        residual: bind_exec_opt(residual.as_ref(), &node.schema)?,
+                        read,
                         stats: Arc::clone(&node_stats.stats),
                     };
                 }
@@ -3448,8 +3427,11 @@ mod tests {
         // kw3 is attached to movies with id % 40 in {3} plus (id+1) % 40 == 3:
         // 2 * 12000/40 = 600 rows, built in parallel partitions and reassembled.
         assert_eq!(build.rows.len(), 600);
-        assert_eq!(build.schema.len(), 4, "mk and k columns, original qualifiers");
+        // Only what the rest of the query reads leaves the build: mk.movie_id, for
+        // the join with t, under its original qualifier.
+        assert_eq!(build.schema.len(), 1, "{}", build.schema);
         assert!(build.schema.index_of(Some("mk"), "movie_id").is_ok());
+        assert!(build.rows.iter().all(|row| row.len() == 1));
     }
 
     #[test]

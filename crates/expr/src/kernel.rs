@@ -190,7 +190,7 @@ fn float_ord(a: f64, lit: &Value) -> Ordering {
 /// [`Value::total_cmp`] of a dictionary string against a non-NULL literal.
 fn text_ord(s: &str, lit: &Value) -> Ordering {
     match lit {
-        Value::Text(t) => s.cmp(t.as_str()),
+        Value::Text(t) => s.cmp(t),
         Value::Int(_) | Value::Float(_) | Value::Bool(_) => Ordering::Greater,
         Value::Null => unreachable!("callers reject NULL literals"),
     }
@@ -397,7 +397,8 @@ mod tests {
                 column.push(row.value(idx).clone());
             }
         }
-        (schema, ColumnBatch::new(columns), rows)
+        let len = rows.len();
+        (schema, ColumnBatch::new(columns, len), rows)
     }
 
     /// Assert the kernel mask matches row-wise `eval_predicate` exactly.

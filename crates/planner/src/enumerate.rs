@@ -32,7 +32,7 @@ use crate::graph::JoinGraph;
 use crate::optimizer::OptimizerConfig;
 use crate::plan::{JoinAlgorithm, PhysicalPlan, PlanKind};
 use crate::relset::RelSet;
-use crate::spec::{JoinEdge, QuerySpec};
+use crate::spec::{ColumnUses, JoinEdge, QuerySpec};
 use reopt_expr::{conjoin, Expr};
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -114,6 +114,8 @@ pub struct JoinEnumerator<'a> {
     estimator: &'a CardinalityEstimator<'a>,
     cost_model: &'a CostModel,
     config: &'a OptimizerConfig,
+    /// Which columns each join node carries (its `rel_set`'s visible columns).
+    uses: &'a ColumnUses,
     /// Per join edge, the relations indexed on their end of it.
     indexed_ends: Vec<RelSet>,
     /// Per relation, the unfiltered row count of its table.
@@ -122,13 +124,14 @@ pub struct JoinEnumerator<'a> {
 
 impl<'a> JoinEnumerator<'a> {
     /// Create an enumerator for one query. `index_info` is asked once per join-edge
-    /// side and once per relation, never per priced pair.
+    /// side and once per relation, never per priced pair; `uses` is the spec's
+    /// [`QuerySpec::column_uses`], which shapes every join node's schema.
     pub fn new(
         spec: &'a QuerySpec,
         graph: &'a JoinGraph,
         estimator: &'a CardinalityEstimator<'a>,
-        cost_model: &'a CostModel,
         config: &'a OptimizerConfig,
+        uses: &'a ColumnUses,
         index_info: &dyn IndexInfo,
     ) -> Self {
         let indexed_ends = spec
@@ -151,8 +154,9 @@ impl<'a> JoinEnumerator<'a> {
             spec,
             graph,
             estimator,
-            cost_model,
+            cost_model: &config.cost_model,
             config,
+            uses,
             indexed_ends,
             table_rows,
         }
@@ -419,7 +423,8 @@ impl<'a> JoinEnumerator<'a> {
     }
 
     /// The join node over two built inputs. An index nested-loop join reads its inner
-    /// relation through the index, so that input's access path is dropped.
+    /// relation through the index, so that input's access path is dropped. The node
+    /// carries only the columns visible at its relation set.
     fn join(
         &self,
         algorithm: JoinAlgorithm,
@@ -444,6 +449,7 @@ impl<'a> JoinEnumerator<'a> {
             rows,
         );
         let rel_set = outer.rel_set.union(inner.rel_set);
+        let schema = self.uses.schema_of(self.spec, rel_set);
         let keys = || {
             edges
                 .iter()
@@ -496,7 +502,7 @@ impl<'a> JoinEnumerator<'a> {
                         inner_predicate: conjoin(&self.spec.local_predicates[inner_rel]),
                         residual: conjoin(&residual),
                     },
-                    schema: outer.schema.join(&relation.schema),
+                    schema,
                     estimated_rows: rows,
                     cost,
                     rel_set,
@@ -506,7 +512,7 @@ impl<'a> JoinEnumerator<'a> {
         };
         PhysicalPlan {
             kind,
-            schema: outer.schema.join(&inner.schema),
+            schema,
             estimated_rows: rows,
             cost,
             rel_set,
@@ -877,8 +883,8 @@ mod tests {
             enable_index_nl_joins: rng.gen_bool(0.7),
             ..OptimizerConfig::default()
         };
-        let model = CostModel::default();
-        let enumerator = JoinEnumerator::new(&spec, &graph, &estimator, &model, &config, &indexes);
+        let uses = spec.column_uses();
+        let enumerator = JoinEnumerator::new(&spec, &graph, &estimator, &config, &uses, &indexes);
 
         let dp = enumerator
             .enumerate(base.clone(), EnumerationAlgorithm::DpCcp)

@@ -49,4 +49,4 @@ pub use optimizer::{Optimizer, OptimizerConfig, PlannedQuery};
 pub use partial::{collapse_spec, remap_rel_set, CollapsedSpec};
 pub use plan::{AggregateExpr, JoinAlgorithm, OutputExpr, PhysicalPlan, PlanKind, ScanKind};
 pub use relset::RelSet;
-pub use spec::{JoinEdge, QuerySpec, RelationSpec};
+pub use spec::{ColumnUse, ColumnUses, JoinEdge, QuerySpec, RelationSpec};

@@ -11,7 +11,7 @@ use crate::plan::{
     PlanKind,
 };
 use crate::relset::RelSet;
-use crate::spec::QuerySpec;
+use crate::spec::{ColumnUses, QuerySpec};
 use reopt_catalog::Catalog;
 use reopt_expr::{as_column_constant_comparison, conjoin, BinaryOp, Expr};
 use reopt_sql::{SelectExpr, SelectStatement};
@@ -149,10 +149,11 @@ impl Optimizer {
     ) -> Result<PlannedQuery, PlanError> {
         let graph = JoinGraph::new(&spec);
         let estimator = CardinalityEstimator::new(&spec, catalog, overrides);
+        let uses = spec.column_uses();
 
         // Access paths for every base relation.
         let base_plans: Vec<PhysicalPlan> = (0..spec.relation_count())
-            .map(|rel| self.best_access_path(rel, &spec, storage, &estimator))
+            .map(|rel| self.best_access_path(rel, &spec, &uses, storage, &estimator))
             .collect();
 
         // Join enumeration.
@@ -163,14 +164,8 @@ impl Optimizer {
                 spec: &spec,
                 storage,
             };
-            let enumerator = JoinEnumerator::new(
-                &spec,
-                &graph,
-                &estimator,
-                &self.config.cost_model,
-                &self.config,
-                &index_info,
-            );
+            let enumerator =
+                JoinEnumerator::new(&spec, &graph, &estimator, &self.config, &uses, &index_info);
             let algorithm = if spec.relation_count() > self.config.greedy_threshold {
                 EnumerationAlgorithm::Greedy
             } else {
@@ -190,10 +185,13 @@ impl Optimizer {
     }
 
     /// Choose the cheapest access path (sequential or index scan) for a base relation.
+    /// The path outputs only the relation's columns read above it; its predicates read
+    /// the table itself, and its cost prices the full row width.
     fn best_access_path(
         &self,
         rel: usize,
         spec: &QuerySpec,
+        uses: &ColumnUses,
         storage: &Storage,
         estimator: &CardinalityEstimator<'_>,
     ) -> PhysicalPlan {
@@ -201,8 +199,8 @@ impl Optimizer {
         let predicates = &spec.local_predicates[rel];
         let estimated_rows = estimator.estimate(RelSet::single(rel));
         let table_rows = estimator.raw_table_rows(rel);
-        let schema = relation.schema.clone();
-        let width = schema.nominal_width() as f64;
+        let schema = uses.schema_of(spec, RelSet::single(rel));
+        let width = relation.schema.nominal_width() as f64;
 
         let seq_scan = PhysicalPlan {
             kind: PlanKind::SeqScan {

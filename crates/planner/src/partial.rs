@@ -10,10 +10,14 @@
 //!
 //! [`collapse_spec`] performs the query-level half of that: it rewrites a bound
 //! [`QuerySpec`] so the materialized subset becomes a single base relation backed by
-//! the virtual table. Because intermediate schemas in this engine keep every column of
-//! every base relation (qualified by its original alias), no column renaming or
-//! expression rewriting is needed — join edges, residual predicates, the SELECT list,
-//! GROUP BY and ORDER BY continue to bind against the virtual relation's schema
+//! the virtual table. A plan node over a relation set S carries exactly the columns
+//! *visible* at S ([`ColumnUse::visible_at`](crate::spec::ColumnUse::visible_at)),
+//! each qualified by its original alias: the columns the SELECT list, GROUP BY or
+//! ORDER BY read, and those a join edge or complex predicate reaching outside S reads.
+//! That is precisely everything the rest of the query reads of S, so a breaker state
+//! over S holds every column the collapsed spec binds, and no column renaming or
+//! expression rewriting is needed — the crossing join edges and complex predicates,
+//! the SELECT list, GROUP BY and ORDER BY bind against the virtual relation's schema
 //! verbatim. Join enumeration over the collapsed spec is therefore *seeded* with the
 //! pre-joined set as one atomic leaf: DPccp can no longer split it, and the true
 //! cardinality of the set (from the virtual table's ANALYZE statistics) anchors every
@@ -68,7 +72,8 @@ impl CollapsedSpec {
 /// subset members' local predicates, the join edges fully inside the subset, and the
 /// complex predicates fully inside the subset. Edges and predicates crossing the
 /// boundary are kept verbatim — their column references still resolve because the
-/// virtual relation's schema retains the original qualifiers.
+/// virtual relation's schema retains the original qualifiers, and a column they read
+/// reaches outside the subset, so it is visible there and in the materialized rows.
 ///
 /// # Panics
 ///

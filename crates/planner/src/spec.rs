@@ -1,8 +1,8 @@
 //! The bound logical query: relations, predicates, join edges and output shape.
 
 use crate::relset::RelSet;
-use reopt_expr::{referenced_qualifiers, ColumnRef, Expr};
-use reopt_sql::{OrderByItem, SelectItem};
+use reopt_expr::{collect_column_refs, referenced_qualifiers, ColumnRef, Expr};
+use reopt_sql::{OrderByItem, SelectExpr, SelectItem};
 use reopt_storage::Schema;
 
 /// One base relation in the FROM list.
@@ -61,6 +61,63 @@ impl JoinEdge {
         } else {
             None
         }
+    }
+}
+
+/// What reads one column of a base relation above the relation's access path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ColumnUse {
+    /// The SELECT list, GROUP BY or ORDER BY reads it (a wildcard reads every column).
+    pub read_by_output: bool,
+    /// The union of the relation sets of the join edges and complex predicates that
+    /// read it. Local predicates are not readers: the access path applies them.
+    pub readers: RelSet,
+}
+
+impl ColumnUse {
+    /// Whether a plan node over `set` (a set holding the column's relation) must carry
+    /// the column: the output reads it, or a reader reaches outside `set`. This is
+    /// exactly what anything outside `set` reads, so a materialization of `set` holds
+    /// every column the rest of the query binds.
+    pub fn visible_at(self, set: RelSet) -> bool {
+        self.read_by_output || !self.readers.is_subset_of(set)
+    }
+}
+
+/// The [`ColumnUse`] of every column of every relation of one query, indexed by
+/// relation and then by column ordinal in the relation's schema. Computed once per
+/// spec by [`QuerySpec::column_uses`]; every plan node's schema follows from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnUses {
+    uses: Vec<Vec<ColumnUse>>,
+}
+
+impl ColumnUses {
+    /// The use of column `col` of relation `rel`.
+    pub fn column(&self, rel: usize, col: usize) -> ColumnUse {
+        self.uses[rel][col]
+    }
+
+    /// The ordinals (into relation `rel`'s schema) of its columns visible at `set`.
+    pub fn visible_columns(&self, rel: usize, set: RelSet) -> impl Iterator<Item = usize> + '_ {
+        self.uses[rel]
+            .iter()
+            .enumerate()
+            .filter(move |(_, usage)| usage.visible_at(set))
+            .map(|(col, _)| col)
+    }
+
+    /// The output schema of a plan node over `set`: the columns of its relations that
+    /// are visible at `set`, in relation-index order and then schema order.
+    pub fn schema_of(&self, spec: &QuerySpec, set: RelSet) -> Schema {
+        let mut schema = Schema::empty();
+        for rel in set.iter() {
+            let columns = spec.relations[rel].schema.columns();
+            for col in self.visible_columns(rel, set) {
+                schema.push(columns[col].clone());
+            }
+        }
+        schema
     }
 }
 
@@ -171,6 +228,81 @@ impl QuerySpec {
     /// Total number of join edges.
     pub fn edge_count(&self) -> usize {
         self.join_edges.len()
+    }
+
+    /// Which columns anything above the access paths reads, and from where (see
+    /// [`ColumnUse`]). A plan node over a relation set carries a column exactly when
+    /// [`ColumnUse::visible_at`] that set says so.
+    pub fn column_uses(&self) -> ColumnUses {
+        let mut uses: Vec<Vec<ColumnUse>> = self
+            .relations
+            .iter()
+            .map(|relation| vec![ColumnUse::default(); relation.schema.len()])
+            .collect();
+        let mut refs = Vec::new();
+        for item in &self.output {
+            match &item.expr {
+                SelectExpr::Wildcard => {
+                    for usage in uses.iter_mut().flatten() {
+                        usage.read_by_output = true;
+                    }
+                }
+                SelectExpr::Scalar(expr)
+                | SelectExpr::Aggregate {
+                    arg: Some(expr), ..
+                } => collect_column_refs(expr, &mut refs),
+                SelectExpr::Aggregate { arg: None, .. } => {}
+            }
+        }
+        for expr in self
+            .group_by
+            .iter()
+            .chain(self.order_by.iter().map(|o| &o.expr))
+        {
+            collect_column_refs(expr, &mut refs);
+        }
+        for reference in &refs {
+            self.for_each_column(reference, |rel, col| uses[rel][col].read_by_output = true);
+        }
+        for edge in &self.join_edges {
+            for reference in [&edge.left_column, &edge.right_column] {
+                self.for_each_column(reference, |rel, col| {
+                    uses[rel][col].readers = uses[rel][col].readers.union(edge.rel_set());
+                });
+            }
+        }
+        for (set, predicate) in &self.complex_predicates {
+            refs.clear();
+            collect_column_refs(predicate, &mut refs);
+            for reference in &refs {
+                self.for_each_column(reference, |rel, col| {
+                    uses[rel][col].readers = uses[rel][col].readers.union(*set);
+                });
+            }
+        }
+        ColumnUses { uses }
+    }
+
+    /// Call `f(rel, col)` for the column a reference names. A qualified reference
+    /// normally names its relation's alias; a collapsed spec's virtual relation keeps
+    /// the original aliases as column qualifiers, so every relation's schema is searched
+    /// when the alias is not a relation. An unqualified reference (an ORDER BY output
+    /// alias) marks every column it could name, which only ever keeps a column too many.
+    fn for_each_column(&self, reference: &ColumnRef, mut f: impl FnMut(usize, usize)) {
+        let qualifier = reference.qualifier.as_deref();
+        let owner = qualifier.and_then(|alias| self.relation_by_alias(alias));
+        let candidates = match owner {
+            Some(rel) => rel..rel + 1,
+            None => 0..self.relations.len(),
+        };
+        for rel in candidates {
+            if let Ok(col) = self.relations[rel]
+                .schema
+                .index_of(qualifier, &reference.name)
+            {
+                f(rel, col);
+            }
+        }
     }
 }
 
@@ -294,6 +426,189 @@ mod tests {
                 .count(),
             0
         );
+    }
+
+    /// A relation over the named int columns.
+    fn rel_with(index: usize, alias: &str, columns: &[&str]) -> RelationSpec {
+        RelationSpec {
+            index,
+            alias: alias.into(),
+            table: alias.into(),
+            schema: Schema::new(
+                columns
+                    .iter()
+                    .map(|c| Column::new(*c, DataType::Int))
+                    .collect(),
+            )
+            .qualified(alias),
+        }
+    }
+
+    fn edge(left: (usize, &str, &str), right: (usize, &str, &str)) -> JoinEdge {
+        JoinEdge {
+            left_rel: left.0,
+            left_column: ColumnRef::qualified(left.1, left.2),
+            right_rel: right.0,
+            right_column: ColumnRef::qualified(right.1, right.2),
+        }
+    }
+
+    fn select(items: Vec<SelectExpr>) -> Vec<SelectItem> {
+        items
+            .into_iter()
+            .map(|expr| SelectItem { expr, alias: None })
+            .collect()
+    }
+
+    fn visible(spec: &QuerySpec, set: RelSet) -> Vec<String> {
+        spec.column_uses()
+            .schema_of(spec, set)
+            .columns()
+            .iter()
+            .map(|c| c.qualified_name())
+            .collect()
+    }
+
+    /// `a -(a.id = b.a_id)- b -(b.c_id = c.id)- c`, selecting `min(c.name)`.
+    fn chain() -> QuerySpec {
+        QuerySpec {
+            relations: vec![
+                rel_with(0, "a", &["id", "note"]),
+                rel_with(1, "b", &["a_id", "c_id", "pad"]),
+                rel_with(2, "c", &["id", "name"]),
+            ],
+            local_predicates: vec![
+                vec![Expr::eq(Expr::col("a", "note"), Expr::lit(1))],
+                vec![],
+                vec![],
+            ],
+            join_edges: vec![
+                edge((0, "a", "id"), (1, "b", "a_id")),
+                edge((1, "b", "c_id"), (2, "c", "id")),
+            ],
+            complex_predicates: vec![],
+            output: select(vec![SelectExpr::Aggregate {
+                func: reopt_sql::AggregateFunc::Min,
+                arg: Some(Expr::col("c", "name")),
+            }]),
+            group_by: vec![],
+            order_by: vec![],
+            limit: None,
+        }
+    }
+
+    #[test]
+    fn chain_keeps_only_what_is_read_above() {
+        let spec = chain();
+        // Access paths: the join keys leaving the relation plus the output column;
+        // a.note is read only by its local predicate, b.pad by nothing.
+        assert_eq!(visible(&spec, RelSet::single(0)), ["a.id"]);
+        assert_eq!(visible(&spec, RelSet::single(1)), ["b.a_id", "b.c_id"]);
+        assert_eq!(visible(&spec, RelSet::single(2)), ["c.id", "c.name"]);
+        // a ⋈ b consumed a.id = b.a_id: only b.c_id still leaves the set.
+        assert_eq!(visible(&spec, RelSet::from_indexes([0, 1])), ["b.c_id"]);
+        assert_eq!(
+            visible(&spec, RelSet::from_indexes([1, 2])),
+            ["b.a_id", "c.name"]
+        );
+        assert_eq!(visible(&spec, RelSet::all(3)), ["c.name"]);
+        let uses = spec.column_uses();
+        assert_eq!(uses.column(1, 0).readers, RelSet::from_indexes([0, 1]));
+        assert!(!uses.column(0, 1).read_by_output);
+        assert!(uses.column(2, 1).read_by_output);
+    }
+
+    #[test]
+    fn star_with_complex_predicate_keeps_its_columns_until_it_applies() {
+        // Hub h joins s1, s2, s3; `s1.x + s2.y > 3` spans two spokes.
+        let mut spec = QuerySpec {
+            relations: vec![
+                rel_with(0, "h", &["id", "v"]),
+                rel_with(1, "s1", &["h_id", "x"]),
+                rel_with(2, "s2", &["h_id", "y"]),
+                rel_with(3, "s3", &["h_id", "z"]),
+            ],
+            local_predicates: vec![vec![]; 4],
+            join_edges: vec![
+                edge((0, "h", "id"), (1, "s1", "h_id")),
+                edge((0, "h", "id"), (2, "s2", "h_id")),
+                edge((0, "h", "id"), (3, "s3", "h_id")),
+            ],
+            complex_predicates: vec![],
+            output: select(vec![SelectExpr::Aggregate {
+                func: reopt_sql::AggregateFunc::Count,
+                arg: None,
+            }]),
+            group_by: vec![],
+            order_by: vec![],
+            limit: None,
+        };
+        let predicate = Expr::binary(
+            reopt_expr::BinaryOp::Gt,
+            Expr::binary(
+                reopt_expr::BinaryOp::Add,
+                Expr::col("s1", "x"),
+                Expr::col("s2", "y"),
+            ),
+            Expr::lit(3),
+        );
+        spec.complex_predicates
+            .push((spec.rel_set_of(&predicate), predicate));
+        assert_eq!(visible(&spec, RelSet::single(1)), ["s1.h_id", "s1.x"]);
+        // h.id feeds three edges: visible until every spoke has joined.
+        assert_eq!(
+            visible(&spec, RelSet::from_indexes([0, 1])),
+            ["h.id", "s1.x"]
+        );
+        assert_eq!(
+            visible(&spec, RelSet::from_indexes([0, 1, 3])),
+            ["h.id", "s1.x"]
+        );
+        // Once s1 and s2 are both inside, the predicate has applied.
+        assert_eq!(visible(&spec, RelSet::from_indexes([0, 1, 2])), ["h.id"]);
+        assert!(visible(&spec, RelSet::all(4)).is_empty());
+        assert_eq!(spec.column_uses().column(3, 1), ColumnUse::default());
+    }
+
+    #[test]
+    fn group_by_and_order_by_columns_are_kept() {
+        let mut spec = chain();
+        spec.group_by = vec![Expr::col("a", "note")];
+        spec.order_by = vec![OrderByItem {
+            expr: Expr::col("b", "pad"),
+            ascending: true,
+        }];
+        assert_eq!(
+            visible(&spec, RelSet::all(3)),
+            ["a.note", "b.pad", "c.name"]
+        );
+        assert_eq!(visible(&spec, RelSet::single(0)), ["a.id", "a.note"]);
+    }
+
+    #[test]
+    fn a_wildcard_keeps_every_column() {
+        let mut spec = chain();
+        spec.output = select(vec![SelectExpr::Wildcard]);
+        assert_eq!(
+            visible(&spec, RelSet::all(3)),
+            spec.schema_of(RelSet::all(3))
+                .columns()
+                .iter()
+                .map(|c| c.qualified_name())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_count_star_root_keeps_no_column() {
+        let mut spec = chain();
+        spec.output = select(vec![SelectExpr::Aggregate {
+            func: reopt_sql::AggregateFunc::Count,
+            arg: None,
+        }]);
+        assert!(visible(&spec, RelSet::all(3)).is_empty());
+        // Below the root the join keys are still carried.
+        assert_eq!(visible(&spec, RelSet::from_indexes([0, 1])), ["b.c_id"]);
     }
 
     #[test]

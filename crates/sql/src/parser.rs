@@ -446,7 +446,7 @@ impl Parser {
             }
             TokenKind::StringLit(s) => {
                 self.advance();
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok(Expr::Literal(Value::from(s)))
             }
             TokenKind::Minus => {
                 self.advance();

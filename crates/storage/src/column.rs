@@ -216,7 +216,7 @@ impl ColumnData {
                 if code == NULL_CODE {
                     Value::Null
                 } else {
-                    Value::Text(dict.get(code).to_string())
+                    Value::Text(dict.get_shared(code))
                 }
             }
             ColumnData::Val(values) => values[idx].clone(),
@@ -401,9 +401,10 @@ pub struct ColumnBatch {
 }
 
 impl ColumnBatch {
-    /// Assemble a batch from columns (all must share the same length).
-    pub fn new(columns: Vec<ColumnData>) -> Self {
-        let len = columns.first().map(ColumnData::len).unwrap_or(0);
+    /// Assemble a batch of `len` rows from columns (each must hold `len` values). The
+    /// row count is explicit because a batch may carry no columns at all: a scan whose
+    /// parent reads no column (an unfiltered `count(*)`) still emits its rows.
+    pub fn new(columns: Vec<ColumnData>, len: usize) -> Self {
         debug_assert!(columns.iter().all(|c| c.len() == len));
         Self { columns, len }
     }
@@ -466,6 +467,11 @@ impl ColumnBatch {
         let columns: Vec<ColumnData> = self.columns.iter().map(|c| c.filter(mask)).collect();
         let len = mask.iter().filter(|&&b| b).count();
         ColumnBatch { columns, len }
+    }
+
+    /// Keep only the first `count` columns (the rows are unchanged).
+    pub fn truncate_columns(&mut self, count: usize) {
+        self.columns.truncate(count);
     }
 
     /// A batch holding the listed columns (projection to bound column ordinals).
@@ -619,7 +625,7 @@ mod tests {
             id.push(Value::Int(i));
             name.push(n.map(Value::from).unwrap_or(Value::Null));
         }
-        let batch = ColumnBatch::new(vec![id, name]);
+        let batch = ColumnBatch::new(vec![id, name], 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.column_count(), 2);
         let keys = batch.extract_keys(&[1]);
@@ -636,6 +642,17 @@ mod tests {
         let empty = ColumnBatch::empty_for(&schema);
         assert!(empty.is_empty());
         assert_eq!(empty.column_count(), 2);
+    }
+
+    #[test]
+    fn zero_column_batch_keeps_its_row_count() {
+        let mut batch = ColumnBatch::new(Vec::new(), 5);
+        assert_eq!(batch.len(), 5);
+        assert_eq!(batch.filter(&[true, false, true, false, false]).len(), 2);
+        batch.truncate_columns(0);
+        let rows = batch.into_rows();
+        assert_eq!(rows.len(), 5);
+        assert!(rows.iter().all(Row::is_empty));
     }
 
     #[test]

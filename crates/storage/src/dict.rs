@@ -13,6 +13,7 @@
 //! directly instead of re-hashing every row (see `reopt-catalog`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The code stored for SQL NULL. Real codes are dense from 0, so a column would need
 /// ~4.3 billion distinct strings before colliding with the sentinel.
@@ -21,10 +22,10 @@ pub const NULL_CODE: u32 = u32::MAX;
 /// An append-only, insertion-ordered dictionary of distinct strings.
 #[derive(Debug, Clone, Default)]
 pub struct StringDict {
-    /// Code -> string, dense from 0.
-    values: Vec<String>,
+    /// Code -> string, dense from 0. Decoded text values share these strings.
+    values: Vec<Arc<str>>,
     /// String -> code.
-    intern: HashMap<String, u32>,
+    intern: HashMap<Arc<str>, u32>,
     /// Code -> number of rows currently holding it (append-only, so this is exact).
     counts: Vec<u64>,
 }
@@ -54,8 +55,9 @@ impl StringDict {
         }
         let code = u32::try_from(self.values.len()).expect("dictionary overflow");
         assert_ne!(code, NULL_CODE, "dictionary exhausted the u32 code space");
-        self.values.push(s.to_string());
-        self.intern.insert(s.to_string(), code);
+        let shared: Arc<str> = Arc::from(s);
+        self.values.push(Arc::clone(&shared));
+        self.intern.insert(shared, code);
         self.counts.push(1);
         code
     }
@@ -70,8 +72,14 @@ impl StringDict {
         &self.values[code as usize]
     }
 
+    /// The shared string behind a code (a reference-count bump, no copy). Panics on
+    /// [`NULL_CODE`] or an unassigned code.
+    pub fn get_shared(&self, code: u32) -> Arc<str> {
+        Arc::clone(&self.values[code as usize])
+    }
+
     /// All strings in code order.
-    pub fn values(&self) -> &[String] {
+    pub fn values(&self) -> &[Arc<str>] {
         &self.values
     }
 
@@ -95,6 +103,7 @@ mod tests {
         assert_eq!(d.get(0), "drama");
         assert_eq!(d.get(1), "comedy");
         assert_eq!(d.counts(), &[2, 1]);
+        assert!(Arc::ptr_eq(&d.get_shared(0), &d.get_shared(0)));
     }
 
     #[test]

@@ -35,10 +35,16 @@ impl Row {
         self.values.is_empty()
     }
 
-    /// Value at position `idx`, or NULL if out of range (defensive; callers should have
-    /// resolved indices against the schema already).
+    /// Value at position `idx`. Callers resolve indices against the row's schema, so an
+    /// out-of-range index is a mis-mapped column: debug builds assert, and release
+    /// builds read NULL rather than panic mid-query.
     pub fn value(&self, idx: usize) -> &Value {
         static NULL: Value = Value::Null;
+        debug_assert!(
+            idx < self.values.len(),
+            "column {idx} read from a {}-column row",
+            self.values.len()
+        );
         self.values.get(idx).unwrap_or(&NULL)
     }
 
@@ -93,11 +99,23 @@ impl fmt::Display for Row {
 mod tests {
     use super::*;
 
+    /// An out-of-range read never reads past the row: release builds see NULL, and
+    /// debug builds (tier-1 runs with debug assertions) stop on the mis-mapped column.
     #[test]
     fn value_access_is_safe_out_of_range() {
         let row = Row::from_values(vec![Value::Int(1)]);
         assert_eq!(row.value(0), &Value::Int(1));
-        assert_eq!(row.value(5), &Value::Null);
+        let read = std::panic::catch_unwind(|| row.value(5).clone());
+        if cfg!(debug_assertions) {
+            let payload = read.expect_err("debug builds assert on an out-of-range read");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(message, "column 5 read from a 1-column row");
+        } else {
+            assert_eq!(read.expect("release builds read NULL"), Value::Null);
+        }
     }
 
     #[test]

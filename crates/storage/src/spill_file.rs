@@ -305,7 +305,7 @@ impl SpillReader {
                     if code as usize >= self.dict.len() {
                         return Err(corrupt("text code outside the run's dictionary"));
                     }
-                    Value::Text(self.dict.get(code).to_string())
+                    Value::Text(self.dict.get_shared(code))
                 }
                 _ => return Err(corrupt("unknown value tag")),
             };

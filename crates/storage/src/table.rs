@@ -127,13 +127,21 @@ impl Table {
         self.iter_rows().collect()
     }
 
-    /// A columnar batch of the rows in `range` (end clamped to the row count).
-    /// Native values and codes are copied; string dictionaries are shared by `Arc`.
-    pub fn scan_range(&self, range: Range<usize>) -> ColumnBatch {
+    /// A columnar batch of the listed columns (ordinals, in the listed order) over the
+    /// rows in `range` (end clamped to the row count). Only those columns are copied:
+    /// native values and codes are copied, string dictionaries shared by `Arc`. An
+    /// empty column list yields a batch that carries just the row count.
+    pub fn scan_range(&self, range: Range<usize>, columns: &[usize]) -> ColumnBatch {
         let start = range.start.min(self.row_count);
         let end = range.end.min(self.row_count);
         let range = start..end.max(start);
-        ColumnBatch::new(self.columns.iter().map(|c| c.slice(range.clone())).collect())
+        ColumnBatch::new(
+            columns
+                .iter()
+                .map(|&c| self.columns[c].slice(range.clone()))
+                .collect(),
+            range.len(),
+        )
     }
 
     /// Average row width in bytes (exact, from per-column byte sums maintained on
@@ -188,11 +196,12 @@ impl Table {
     /// Append a row without validation (bulk-load path used by data generators).
     pub fn push_row_unchecked(&mut self, row: Row) -> RowId {
         let row_id = self.row_count;
-        for index in self.indexes.values_mut() {
-            index.insert(row.value(index.column()), row_id);
-        }
         // A short row (only possible through the unchecked path) is padded with NULLs
         // so every column keeps one entry per row id.
+        for index in self.indexes.values_mut() {
+            let key = row.values().get(index.column()).unwrap_or(&Value::Null);
+            index.insert(key, row_id);
+        }
         for (idx, column) in self.columns.iter_mut().enumerate() {
             let value = row.values().get(idx).cloned().unwrap_or(Value::Null);
             self.meta[idx].observe(&value);
@@ -366,16 +375,24 @@ mod tests {
             ]))
             .unwrap();
         }
-        let batch = t.scan_range(3..6);
+        let all: Vec<usize> = (0..t.schema().len()).collect();
+        let batch = t.scan_range(3..6, &all);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.value_at(0, 0), Value::Int(3));
         // Oversized and empty ranges clamp instead of panicking (the morsel cursor
         // can overshoot the last chunk).
-        assert_eq!(t.scan_range(8..100).len(), 2);
-        assert_eq!(t.scan_range(20..30).len(), 0);
-        assert_eq!(t.scan_range(4..4).len(), 0);
+        assert_eq!(t.scan_range(8..100, &all).len(), 2);
+        assert_eq!(t.scan_range(20..30, &all).len(), 0);
+        assert_eq!(t.scan_range(4..4, &all).len(), 0);
         // Batch-size-1 split.
-        assert_eq!(t.scan_range(9..10).len(), 1);
+        assert_eq!(t.scan_range(9..10, &all).len(), 1);
+        // Only the listed columns are sliced, in the listed order; none at all
+        // still carries the row count.
+        let narrow = t.scan_range(3..6, &[2, 0]);
+        assert_eq!(narrow.column_count(), 2);
+        assert_eq!(narrow.value_at(0, 1), Value::Int(3));
+        let counted = t.scan_range(3..6, &[]);
+        assert_eq!((counted.column_count(), counted.len()), (0, 3));
     }
 
     #[test]

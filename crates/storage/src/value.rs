@@ -11,6 +11,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Supported column data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +59,9 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 string.
-    Text(String),
+    /// UTF-8 string, shared: a value decoded from a dictionary column points at the
+    /// dictionary's own string, so copying a text value never copies its bytes.
+    Text(Arc<str>),
     /// Boolean.
     Bool(bool),
 }
@@ -102,7 +104,7 @@ impl Value {
     /// Interpret the value as a string slice if it is text.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Text(s) => Some(s.as_str()),
+            Value::Text(s) => Some(s),
             _ => None,
         }
     }
@@ -268,13 +270,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::Text(Arc::from(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(Arc::from(v))
     }
 }
 
@@ -387,6 +389,17 @@ mod tests {
         assert_eq!(Value::Int(1).width(), 8);
         assert_eq!(Value::from("hello").width(), 5);
         assert_eq!(Value::Null.width(), 1);
+    }
+
+    #[test]
+    fn text_values_share_their_bytes_and_fit_in_24_bytes() {
+        let a = Value::from("shared");
+        let b = a.clone();
+        match (&a, &b) {
+            (Value::Text(x), Value::Text(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => panic!("expected text values"),
+        }
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]
