@@ -6,11 +6,12 @@
 //! ([`ColumnBatch`], produced by sequential scans and preserved through filters and
 //! column-only projections, where predicates run as vectorized mask kernels over
 //! typed vectors and dictionary codes) or **row-major** (`RowBatch`, everything
-//! else). Columnar batches are decoded to rows only at the root exchange, at
-//! pipeline-breaker materialization points, and on entry to operators without a
-//! columnar implementation. Streaming operators (scans, filters, projections, the
-//! probe side of a hash join, the outer side of the nested-loop joins, limit) hold
-//! no more than one batch of state; only *pipeline breakers* buffer:
+//! else). Columnar batches are decoded to rows only at the root exchange, where a
+//! pipeline breaker buffers rows, and on entry to operators without a columnar
+//! implementation; the aggregate folds them in place (`agg.rs`). Streaming
+//! operators (scans, filters, projections, the probe side of a hash join, the outer
+//! side of the nested-loop joins, limit) hold no more than one batch of state; only
+//! *pipeline breakers* buffer:
 //!
 //! * the build side of a hash join (the hash table),
 //! * the inner side of a plain nested-loop join,
@@ -31,7 +32,7 @@
 //! semantics of the old materializing executor ("elapsed excluding children").
 
 use crate::error::ExecError;
-use crate::exact::ExactSum;
+use crate::agg::{Accumulator, AggKernel, Group, GroupTable};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::spill::{MemoryGovernor, Reservation};
 use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
@@ -65,8 +66,8 @@ pub type RowBatch = Vec<Row>;
 /// A batch in one of its two shapes: columnar (scans, filters and column-only
 /// projections keep typed vectors and dictionary codes) or row-major (join outputs,
 /// breaker emissions, and fallback paths). Decoding `Cols -> Rows` happens only at
-/// the root exchange, at breaker materialization points ([`Metered::drain`]), and in
-/// operators without a columnar implementation.
+/// the root exchange, where a breaker buffers rows ([`Metered::drain`]), and in
+/// operators without a columnar implementation; the aggregate reads both shapes.
 pub(crate) enum Batch {
     /// Materialized rows.
     Rows(RowBatch),
@@ -75,11 +76,15 @@ pub(crate) enum Batch {
 }
 
 impl Batch {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Batch::Rows(rows) => rows.len(),
             Batch::Cols(cols) => cols.len(),
         }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     pub(crate) fn into_rows(self) -> RowBatch {
@@ -1019,8 +1024,10 @@ impl Metered<'_> {
         Ok(self.next_batch()?.map(Batch::into_rows))
     }
 
-    /// Drain the operator completely (used by pipeline breakers), feeding every batch
-    /// to `consume`. Breakers materialize rows, so this is a decode boundary.
+    /// Drain the operator completely (used by the row-buffering pipeline breakers:
+    /// hash build, nested-loop inner, merge inputs, sort), feeding every batch to
+    /// `consume` as rows — a decode boundary. The aggregate pulls
+    /// [`Metered::next_batch`] instead and reads column batches in place.
     fn drain(
         &mut self,
         mut consume: impl FnMut(RowBatch) -> Result<(), ExecError>,
@@ -1645,9 +1652,7 @@ fn build_operator<'p>(
                 input: Some(input),
                 input_done: false,
                 input_meta: (plan.children[0].rel_set, plan.children[0].estimated_rows),
-                group_exprs,
-                agg_funcs,
-                agg_args,
+                kernel: AggKernel::new(group_exprs, agg_funcs, agg_args),
                 emit: None,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
@@ -1771,7 +1776,7 @@ impl Operator for SeqScanOp<'_> {
                 &mut self.mask_cache,
             )?;
             self.pos = chunk_end;
-            if batch.len() > 0 {
+            if !batch.is_empty() {
                 return Ok(Some(batch));
             }
         }
@@ -2899,8 +2904,6 @@ impl Operator for MergeJoinOp<'_> {
 // Pipeline breakers: aggregate and sort
 // ---------------------------------------------------------------------------
 
-/// Aggregation: drains its input into accumulator states (the buffered state is one
-/// entry per group), then emits result rows in batches.
 /// On-disk runs of a hash aggregation that exceeded its memory grant. Each run
 /// holds `group key ++ encoded accumulator states` records in ascending key order,
 /// so a k-way merge can combine partial states for the same group with
@@ -2923,10 +2926,6 @@ struct AggMerge {
     _dir: SpillDir,
 }
 
-/// One merged output group from [`AggMerge`]: the group key plus the merged
-/// accumulator state across every run that carried the key.
-type MergedGroup = (Vec<Value>, Vec<Accumulator>);
-
 impl AggMerge {
     fn open(spill: AggSpill, key_len: usize, funcs: Vec<AggregateFunc>) -> Result<Self, ExecError> {
         let mut cursors = Vec::with_capacity(spill.runs.len());
@@ -2945,7 +2944,7 @@ impl AggMerge {
 
     /// Pop the next group: the minimal key across all heads, with every run's
     /// partial state for that key merged into one.
-    fn next_group(&mut self) -> Result<Option<MergedGroup>, ExecError> {
+    fn next_group(&mut self) -> Result<Option<Group>, ExecError> {
         let mut min_key: Option<Vec<Value>> = None;
         for (_, _, head) in &self.cursors {
             let Some(head) = head else { continue };
@@ -2980,30 +2979,29 @@ impl AggMerge {
                 }
             }
         }
-        Ok(Some((key, merged.expect("at least one run matched the min key"))))
+        let accs = merged.expect("at least one run matched the min key");
+        Ok(Some(Group { key, accs, tag: (0, 0) }))
     }
 }
 
 /// Seal the current group states as one key-sorted on-disk run, releasing the grant.
 fn flush_agg_run(
     spill: &mut AggSpill,
-    groups: &mut HashMap<Vec<Value>, usize>,
-    states: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
+    table: &mut GroupTable,
     stats: &OpStats,
     reservation: &mut Reservation,
 ) -> Result<(), ExecError> {
-    if states.is_empty() {
+    let mut flushed = table.take_states();
+    if flushed.is_empty() {
         return Ok(());
     }
-    let mut flushed = std::mem::take(states);
-    groups.clear();
-    flushed.sort_by(|a, b| a.0.cmp(&b.0));
+    flushed.sort_by(|a, b| a.key.cmp(&b.key));
     let mut writer = SpillWriter::create(&spill.dir).map_err(spill_err)?;
     let mut record = Vec::new();
-    for (key, accumulators) in flushed {
+    for group in flushed {
         record.clear();
-        record.extend(key);
-        for accumulator in accumulators {
+        record.extend(group.key);
+        for accumulator in group.accs {
             accumulator.spill_encode(&mut record);
         }
         writer.write_row(&record).map_err(spill_err)?;
@@ -3032,19 +3030,20 @@ fn decode_accumulators(
 /// How the aggregate emits its groups: straight from memory (first-seen order) or
 /// merged from spilled runs (sorted-key order).
 enum AggEmit {
-    InMemory(std::vec::IntoIter<(Vec<Value>, Vec<Accumulator>)>),
+    InMemory(std::vec::IntoIter<Group>),
     External(AggMerge),
 }
 
+/// Aggregation: folds its input batches into group states with the shared
+/// [`AggKernel`] (the buffered state is one entry per group), then emits result
+/// rows in batches.
 struct AggregateOp<'p> {
     /// Retained after draining so nested breaker states stay reachable.
     input: Option<Metered<'p>>,
     input_done: bool,
     /// `(rel_set, estimated_rows)` of the input subtree.
     input_meta: (RelSet, f64),
-    group_exprs: Vec<Expr>,
-    agg_funcs: Vec<AggregateFunc>,
-    agg_args: Vec<Option<Expr>>,
+    kernel: AggKernel,
     emit: Option<AggEmit>,
     batch_size: usize,
     tracker: Rc<MemoryTracker>,
@@ -3064,131 +3063,60 @@ impl AggregateOp<'_> {
         let Some(mut input) = self.input.take() else {
             return Ok(());
         };
-
-        let result = if self.group_exprs.is_empty() {
-            // Single-group aggregation always produces exactly one row; its state
-            // is a handful of accumulators, so it never spills.
-            let mut accumulators: Vec<Accumulator> =
-                self.agg_funcs.iter().map(|&f| Accumulator::new(f)).collect();
-            let agg_args = &self.agg_args;
-            let result = input.drain(|batch| {
-                for row in &batch {
-                    for (accumulator, arg) in accumulators.iter_mut().zip(agg_args) {
-                        accumulator.update(arg.as_ref(), row)?;
-                    }
+        let mut table = self.kernel.new_table();
+        // Admission of a new group: reserve its key bytes; on the first denial
+        // surface memory pressure (see HashJoinOp::build_table), then flush the
+        // states to a sorted run and keep going with an empty table.
+        let mut admit = |table: &mut GroupTable, key_bytes: u64| -> Result<(), ExecError> {
+            if let Some(spill) = self.spill.as_mut() {
+                if !self.reservation.grow(key_bytes) {
+                    flush_agg_run(spill, table, &self.stats, &mut self.reservation)?;
+                    let _ = self.reservation.grow(key_bytes);
                 }
-                Ok(())
-            });
-            if result.is_ok() {
-                self.tracker.acquire(1, 8);
-                self.emit = Some(AggEmit::InMemory(
-                    vec![(Vec::new(), accumulators)].into_iter(),
-                ));
+            } else if !self.reservation.grow(key_bytes) {
+                self.obs.notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
+                    kind: BreakerKind::AggregateInput,
+                    rel_set: self.input_meta.0,
+                    estimated_rows: self.input_meta.1,
+                    buffered_rows: table.len() as u64,
+                    buffered_bytes: self.reservation.bytes(),
+                    budget_bytes: self.reservation.governor().budget().unwrap_or(0),
+                }))?;
+                let spill = self.spill.insert(AggSpill {
+                    dir: SpillDir::create().map_err(spill_err)?,
+                    runs: Vec::new(),
+                });
+                flush_agg_run(spill, table, &self.stats, &mut self.reservation)?;
+                let _ = self.reservation.grow(key_bytes);
+            } else {
+                self.tracker.acquire(1, key_bytes);
             }
-            result
-        } else {
-            // Hash aggregation; groups are emitted in first-seen order for determinism.
-            let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut states: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-            let result = {
-                let group_exprs = &self.group_exprs;
-                let agg_funcs = &self.agg_funcs;
-                let agg_args = &self.agg_args;
-                let tracker = &self.tracker;
-                let groups = &mut groups;
-                let states = &mut states;
-                input.drain(|batch| {
-                    for row in &batch {
-                        let mut key = Vec::with_capacity(group_exprs.len());
-                        for expr in group_exprs {
-                            key.push(expr.eval(row)?);
-                        }
-                        let idx = match groups.get(&key) {
-                            Some(&idx) => idx,
-                            None => {
-                                let key_bytes: u64 =
-                                    key.iter().map(|v| v.width() as u64).sum();
-                                if let Some(spill) = self.spill.as_mut() {
-                                    if !self.reservation.grow(key_bytes) {
-                                        flush_agg_run(
-                                            spill,
-                                            groups,
-                                            states,
-                                            &self.stats,
-                                            &mut self.reservation,
-                                        )?;
-                                        let _ = self.reservation.grow(key_bytes);
-                                    }
-                                } else if !self.reservation.grow(key_bytes) {
-                                    // Surface memory pressure before the spill
-                                    // commits (see HashJoinOp::build_table).
-                                    self.obs.notify(ExecEvent::MemoryPressure(
-                                        MemoryPressureEvent {
-                                            kind: BreakerKind::AggregateInput,
-                                            rel_set: self.input_meta.0,
-                                            estimated_rows: self.input_meta.1,
-                                            buffered_rows: states.len() as u64,
-                                            buffered_bytes: self.reservation.bytes(),
-                                            budget_bytes: self
-                                                .reservation
-                                                .governor()
-                                                .budget()
-                                                .unwrap_or(0),
-                                        },
-                                    ))?;
-                                    let spill = self.spill.insert(AggSpill {
-                                        dir: SpillDir::create().map_err(spill_err)?,
-                                        runs: Vec::new(),
-                                    });
-                                    flush_agg_run(
-                                        spill,
-                                        groups,
-                                        states,
-                                        &self.stats,
-                                        &mut self.reservation,
-                                    )?;
-                                    let _ = self.reservation.grow(key_bytes);
-                                } else {
-                                    tracker.acquire(1, key_bytes);
-                                }
-                                let idx = states.len();
-                                groups.insert(key.clone(), idx);
-                                states.push((
-                                    key,
-                                    agg_funcs.iter().map(|&f| Accumulator::new(f)).collect(),
-                                ));
-                                idx
-                            }
-                        };
-                        for (accumulator, arg) in states[idx].1.iter_mut().zip(agg_args) {
-                            accumulator.update(arg.as_ref(), row)?;
-                        }
-                    }
-                    Ok(())
-                })
-            };
-            if result.is_ok() {
-                match self.spill.as_mut() {
-                    None => self.emit = Some(AggEmit::InMemory(states.into_iter())),
-                    Some(spill) => {
-                        flush_agg_run(
-                            spill,
-                            &mut groups,
-                            &mut states,
-                            &self.stats,
-                            &mut self.reservation,
-                        )?;
-                        let spill = self.spill.take().expect("checked above");
-                        self.emit = Some(AggEmit::External(AggMerge::open(
-                            spill,
-                            self.group_exprs.len(),
-                            self.agg_funcs.clone(),
-                        )?));
-                    }
-                }
-            }
-            result
+            Ok(())
         };
+        let kernel = &self.kernel;
+        let result = (|| -> Result<(), ExecError> {
+            while let Some(batch) = input.next_batch()? {
+                kernel.consume(&mut table, batch, 0, &mut admit)?;
+            }
+            Ok(())
+        })();
+        if result.is_ok() {
+            if !self.kernel.grouped() {
+                // The one group of a global aggregate is never reserved or spilled.
+                self.tracker.acquire(1, 8);
+            }
+            self.emit = Some(match self.spill.take() {
+                None => AggEmit::InMemory(table.into_states().into_iter()),
+                Some(mut spill) => {
+                    flush_agg_run(&mut spill, &mut table, &self.stats, &mut self.reservation)?;
+                    AggEmit::External(AggMerge::open(
+                        spill,
+                        self.kernel.key_len(),
+                        self.kernel.funcs().to_vec(),
+                    )?)
+                }
+            });
+        }
         let input_rows = input.stats.rows.get();
         // As in HashJoinOp: retain the drained child only for observed pipelines.
         if self.obs.active() {
@@ -3218,18 +3146,14 @@ impl Operator for AggregateOp<'_> {
         match emit {
             AggEmit::InMemory(groups) => {
                 out.reserve(self.batch_size.min(groups.len()));
-                for (key, accumulators) in groups.by_ref().take(self.batch_size) {
-                    let mut values = key;
-                    values.extend(accumulators.into_iter().map(Accumulator::finish));
-                    out.push(Row::from_values(values));
+                for group in groups.by_ref().take(self.batch_size) {
+                    out.push(group.finish()?);
                 }
             }
             AggEmit::External(merge) => {
                 while out.len() < self.batch_size {
-                    let Some((key, accumulators)) = merge.next_group()? else { break };
-                    let mut values = key;
-                    values.extend(accumulators.into_iter().map(Accumulator::finish));
-                    out.push(Row::from_values(values));
+                    let Some(group) = merge.next_group()? else { break };
+                    out.push(group.finish()?);
                 }
             }
         }
@@ -3565,250 +3489,6 @@ pub(crate) fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
         key.push(value.clone());
     }
     Some(key)
-}
-
-/// Aggregate accumulator state.
-#[derive(Debug, Clone)]
-pub(crate) enum Accumulator {
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Count { star: bool, count: u64 },
-    Sum { sum: ExactSum, any: bool, is_float: bool },
-    Avg { sum: ExactSum, count: u64 },
-}
-
-impl Accumulator {
-    pub(crate) fn new(func: AggregateFunc) -> Self {
-        match func {
-            AggregateFunc::Min => Accumulator::Min(None),
-            AggregateFunc::Max => Accumulator::Max(None),
-            AggregateFunc::Count => Accumulator::Count {
-                star: true,
-                count: 0,
-            },
-            AggregateFunc::Sum => Accumulator::Sum {
-                sum: ExactSum::new(),
-                any: false,
-                is_float: false,
-            },
-            AggregateFunc::Avg => Accumulator::Avg {
-                sum: ExactSum::new(),
-                count: 0,
-            },
-        }
-    }
-
-    /// Merge another partial state of the same aggregate into this one (the merge
-    /// step of parallel partial aggregation). Merging is exact for every function:
-    /// MIN/MAX/COUNT trivially so, SUM/AVG because [`ExactSum`] accumulates the
-    /// true fixed-point sum and rounds once at [`Accumulator::finish`] — which is
-    /// what makes float aggregates bit-identical across thread counts, merge
-    /// orders and repeated runs.
-    pub(crate) fn merge(&mut self, other: Accumulator) {
-        match (self, other) {
-            (Accumulator::Min(current), Accumulator::Min(Some(v)))
-                if current.as_ref().map(|c| &v < c).unwrap_or(true) =>
-            {
-                *current = Some(v);
-            }
-            (Accumulator::Max(current), Accumulator::Max(Some(v)))
-                if current.as_ref().map(|c| &v > c).unwrap_or(true) =>
-            {
-                *current = Some(v);
-            }
-            (
-                Accumulator::Count { star, count },
-                Accumulator::Count {
-                    star: other_star,
-                    count: other_count,
-                },
-            ) => {
-                // `star` is display bookkeeping: a worker that saw rows knows whether
-                // the aggregate was COUNT(*) or COUNT(expr).
-                if other_count > 0 {
-                    *star = other_star;
-                }
-                *count += other_count;
-            }
-            (
-                Accumulator::Sum { sum, any, is_float },
-                Accumulator::Sum {
-                    sum: other_sum,
-                    any: other_any,
-                    is_float: other_is_float,
-                },
-            ) => {
-                sum.merge(&other_sum);
-                *any |= other_any;
-                *is_float |= other_is_float;
-            }
-            (
-                Accumulator::Avg { sum, count },
-                Accumulator::Avg {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                sum.merge(&other_sum);
-                *count += other_count;
-            }
-            // Mismatched or empty partials carry nothing to merge.
-            _ => {}
-        }
-    }
-
-    /// Append this accumulator's state to a spill record. Each function uses a
-    /// fixed number of values, so decoding needs no per-record framing:
-    /// MIN/MAX → `[value-or-NULL]` (unambiguous because `update` never stores a
-    /// NULL), COUNT → `[star, count]`, SUM → `[flags, limbs…, any, is_float]`,
-    /// AVG → `[flags, limbs…, count]` (the exact-sum state bit-cast to ints —
-    /// spilling must not round, or merge order would become observable again).
-    pub(crate) fn spill_encode(self, out: &mut Vec<Value>) {
-        let encode_exact = |sum: &ExactSum, out: &mut Vec<Value>| {
-            let (flags, limbs) = sum.encode();
-            out.push(Value::Int(flags));
-            out.extend(limbs.iter().map(|&limb| Value::Int(limb)));
-        };
-        match self {
-            Accumulator::Min(v) | Accumulator::Max(v) => out.push(v.unwrap_or(Value::Null)),
-            Accumulator::Count { star, count } => {
-                out.push(Value::Bool(star));
-                out.push(Value::Int(count as i64));
-            }
-            Accumulator::Sum { sum, any, is_float } => {
-                encode_exact(&sum, out);
-                out.push(Value::Bool(any));
-                out.push(Value::Bool(is_float));
-            }
-            Accumulator::Avg { sum, count } => {
-                encode_exact(&sum, out);
-                out.push(Value::Int(count as i64));
-            }
-        }
-    }
-
-    /// Rebuild an accumulator from the values [`Accumulator::spill_encode`] wrote.
-    /// Returns `None` when the record is truncated or mistyped (a corrupt run).
-    pub(crate) fn spill_decode(
-        func: AggregateFunc,
-        values: &mut impl Iterator<Item = Value>,
-    ) -> Option<Self> {
-        match func {
-            AggregateFunc::Min => {
-                let v = values.next()?;
-                Some(Accumulator::Min(if v.is_null() { None } else { Some(v) }))
-            }
-            AggregateFunc::Max => {
-                let v = values.next()?;
-                Some(Accumulator::Max(if v.is_null() { None } else { Some(v) }))
-            }
-            AggregateFunc::Count => {
-                let star = values.next()?.as_bool()?;
-                let count = values.next()?.as_int()? as u64;
-                Some(Accumulator::Count { star, count })
-            }
-            AggregateFunc::Sum => {
-                let sum = Self::decode_exact(values)?;
-                let any = values.next()?.as_bool()?;
-                let is_float = values.next()?.as_bool()?;
-                Some(Accumulator::Sum { sum, any, is_float })
-            }
-            AggregateFunc::Avg => {
-                let sum = Self::decode_exact(values)?;
-                let count = values.next()?.as_int()? as u64;
-                Some(Accumulator::Avg { sum, count })
-            }
-        }
-    }
-
-    /// Decode the `[flags, limbs…]` prefix [`Accumulator::spill_encode`] writes
-    /// for SUM/AVG states.
-    fn decode_exact(values: &mut impl Iterator<Item = Value>) -> Option<ExactSum> {
-        let flags = values.next()?.as_int()?;
-        let mut limbs = Vec::with_capacity(ExactSum::ENCODED_LIMBS);
-        for _ in 0..ExactSum::ENCODED_LIMBS {
-            limbs.push(values.next()?.as_int()?);
-        }
-        ExactSum::decode(flags, limbs.into_iter())
-    }
-
-    pub(crate) fn update(&mut self, arg: Option<&Expr>, row: &Row) -> Result<(), ExecError> {
-        let value = match arg {
-            Some(expr) => Some(expr.eval(row)?),
-            None => None,
-        };
-        match self {
-            Accumulator::Min(current) => {
-                if let Some(v) = value {
-                    if !v.is_null() && current.as_ref().map(|c| &v < c).unwrap_or(true) {
-                        *current = Some(v);
-                    }
-                }
-            }
-            Accumulator::Max(current) => {
-                if let Some(v) = value {
-                    if !v.is_null() && current.as_ref().map(|c| &v > c).unwrap_or(true) {
-                        *current = Some(v);
-                    }
-                }
-            }
-            Accumulator::Count { star, count } => match value {
-                None => {
-                    *star = true;
-                    *count += 1;
-                }
-                Some(v) => {
-                    *star = false;
-                    if !v.is_null() {
-                        *count += 1;
-                    }
-                }
-            },
-            Accumulator::Sum { sum, any, is_float } => {
-                if let Some(v) = value {
-                    if let Some(f) = v.as_float() {
-                        sum.add(f);
-                        *any = true;
-                        if matches!(v, Value::Float(_)) {
-                            *is_float = true;
-                        }
-                    }
-                }
-            }
-            Accumulator::Avg { sum, count } => {
-                if let Some(v) = value {
-                    if let Some(f) = v.as_float() {
-                        sum.add(f);
-                        *count += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finish(self) -> Value {
-        match self {
-            Accumulator::Min(v) | Accumulator::Max(v) => v.unwrap_or(Value::Null),
-            Accumulator::Count { count, .. } => Value::Int(count as i64),
-            Accumulator::Sum { sum, any, is_float } => {
-                if !any {
-                    Value::Null
-                } else if is_float {
-                    Value::Float(sum.to_f64())
-                } else {
-                    Value::Int(sum.to_f64() as i64)
-                }
-            }
-            Accumulator::Avg { sum, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum.to_f64() / count as f64)
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -4774,29 +4454,59 @@ mod tests {
     fn external_aggregation_merges_partial_states() {
         let _guard = spill_serial();
         let (storage, catalog) = build_env();
+        let (agg_storage, agg_catalog) = agg_env();
         // Every accumulator kind crosses the spill encoding; groups recur across
-        // runs (a flushed year reappears in later input), forcing state merges.
-        let sql = "SELECT t.production_year AS y, count(*) AS c, min(t.title) AS first,
-                          avg(t.id) AS mean
-                   FROM title AS t GROUP BY t.production_year";
-        let planned = plan(sql, &storage, &catalog);
-        let reference = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .execute(&planned.plan)
-            .unwrap();
-        let governor = MemoryGovernor::new(Some(80));
-        let spilled = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_governor(Arc::clone(&governor))
-            .execute(&planned.plan)
-            .unwrap();
-        assert_eq!(spilled.rows.len(), 30);
-        // External emission is in sorted-key order (in-memory is first-seen), so
-        // compare as multisets.
-        assert_eq!(row_strings(&spilled.rows), row_strings(&reference.rows));
-        let (bytes, runs) = spilled.metrics.root.total_spilled();
-        assert!(bytes > 0 && runs >= 2, "{bytes} bytes in {runs} runs");
-        assert_eq!(live_spill_files(), 0);
+        // runs (a flushed key reappears in later input), forcing state merges. The
+        // `g` cases key on a native-int and on a dictionary column, whose group
+        // caches must forget every flushed group; `sum(g.i)` carries an exact
+        // integer total past 2^53 through the encoding.
+        let agg_cases = "count(*) AS c, min(g.d) AS first, max(g.f) AS top, sum(g.i) AS total,
+                         avg(g.v) AS mean, count(g.b) AS flags";
+        for (storage, catalog, sql, budget, groups) in [
+            (
+                &storage,
+                &catalog,
+                "SELECT t.production_year AS y, count(*) AS c, min(t.title) AS first,
+                        avg(t.id) AS mean
+                 FROM title AS t GROUP BY t.production_year"
+                    .to_string(),
+                80,
+                30,
+            ),
+            (
+                &agg_storage,
+                &agg_catalog,
+                format!("SELECT g.k AS k, {agg_cases} FROM g AS g GROUP BY g.k"),
+                10,
+                4,
+            ),
+            (
+                &agg_storage,
+                &agg_catalog,
+                format!("SELECT g.d AS d, {agg_cases} FROM g AS g GROUP BY g.d"),
+                10,
+                5,
+            ),
+        ] {
+            let planned = plan(&sql, storage, catalog);
+            let reference = Executor::with_batch_size(storage, 16)
+                .with_threads(1)
+                .execute(&planned.plan)
+                .unwrap();
+            let governor = MemoryGovernor::new(Some(budget));
+            let spilled = Executor::with_batch_size(storage, 16)
+                .with_threads(1)
+                .with_governor(Arc::clone(&governor))
+                .execute(&planned.plan)
+                .unwrap();
+            assert_eq!(spilled.rows.len(), groups, "{sql}");
+            // External emission is in sorted-key order (in-memory is first-seen), so
+            // compare as multisets.
+            assert_eq!(row_strings(&spilled.rows), row_strings(&reference.rows), "{sql}");
+            let (bytes, runs) = spilled.metrics.root.total_spilled();
+            assert!(bytes > 0 && runs >= 2, "{sql}: {bytes} bytes in {runs} runs");
+            assert_eq!(live_spill_files(), 0);
+        }
     }
 
     #[test]
@@ -5250,6 +4960,203 @@ mod tests {
             for threads in [1, 2] {
                 let result = run_at(&planned, &storage, threads);
                 assert_eq!(result.rows, expected, "{name} at {threads} threads");
+            }
+        }
+    }
+
+    /// `g(k, d, i, f, b, v)`: 61 rows covering every column encoding the
+    /// aggregation kernel reads in place — `k` a native-int key (0..4), `d` a
+    /// dictionary with NULLs and the empty string, `i` ints with NULLs (all NULL
+    /// where `k = 3`) and one value past 2^53, `f` floats with NULLs, `-0.0` and
+    /// magnitudes whose naive sum rounds, `b` bools with NULLs, and `v` a float
+    /// column holding ints too, which promotes it to exact `Val` storage.
+    fn agg_env() -> (Storage, Catalog) {
+        let mut g = Table::new(
+            "g",
+            Schema::new(vec![
+                Column::not_null("k", DataType::Int),
+                Column::new("d", DataType::Text),
+                Column::new("i", DataType::Int),
+                Column::new("f", DataType::Float),
+                Column::new("b", DataType::Bool),
+                Column::new("v", DataType::Float),
+            ]),
+        );
+        for n in 0..61i64 {
+            let k = n % 4;
+            let d = match n % 5 {
+                0 => Value::Null,
+                1 => Value::from(""),
+                2 => Value::from("gamma"),
+                3 => Value::from("delta!"),
+                _ => Value::from("b"),
+            };
+            let i = match (k, n) {
+                (3, _) => Value::Null,
+                (_, 17) => Value::Int(9_007_199_254_740_993),
+                _ => Value::Int((n * 7919) % 101 - 50),
+            };
+            let f = match n % 6 {
+                0 => Value::Null,
+                1 => Value::Float(-0.0),
+                2 => Value::Float(1e16),
+                3 => Value::Float(-1e16),
+                _ => Value::Float(0.1 * n as f64),
+            };
+            let b = if n % 3 == 0 { Value::Null } else { Value::Bool(n % 2 == 0) };
+            let v = match n % 7 {
+                0 => Value::Null,
+                1 | 4 => Value::Int(n),
+                _ => Value::Float(n as f64 + 0.25),
+            };
+            g.push_row(Row::from_values(vec![Value::Int(k), d, i, f, b, v]))
+                .unwrap();
+        }
+        let mut storage = Storage::new();
+        storage.create_table(g).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.analyze_all(&storage).unwrap();
+        (storage, catalog)
+    }
+
+    #[test]
+    fn aggregation_kernel_matches_the_row_engine() {
+        let (storage, catalog) = agg_env();
+        let aggs = "count(*) AS n,
+            min(g.d) AS d1, max(g.d) AS d2, count(g.d) AS d3, sum(g.d) AS d4, avg(g.d) AS d5,
+            min(g.i) AS i1, max(g.i) AS i2, count(g.i) AS i3, sum(g.i) AS i4, avg(g.i) AS i5,
+            min(g.f) AS f1, max(g.f) AS f2, count(g.f) AS f3, sum(g.f) AS f4, avg(g.f) AS f5,
+            min(g.b) AS b1, max(g.b) AS b2, count(g.b) AS b3, sum(g.b) AS b4, avg(g.b) AS b5,
+            min(g.v) AS v1, max(g.v) AS v2, count(g.v) AS v3, sum(g.v) AS v4, avg(g.v) AS v5";
+        let queries = [
+            format!("SELECT {aggs} FROM g AS g"),
+            format!("SELECT g.d AS d, {aggs} FROM g AS g GROUP BY g.d"),
+            format!("SELECT g.k AS k, {aggs} FROM g AS g GROUP BY g.k"),
+            format!("SELECT g.i AS i, {aggs} FROM g AS g GROUP BY g.i"),
+            format!("SELECT g.b AS b, {aggs} FROM g AS g GROUP BY g.b"),
+            format!("SELECT g.v AS v, {aggs} FROM g AS g GROUP BY g.v"),
+            format!("SELECT g.k AS k, g.d AS d, {aggs} FROM g AS g GROUP BY g.k, g.d"),
+            // Expression keys and arguments read rows (the one fallback).
+            format!("SELECT {aggs} FROM g AS g GROUP BY g.k + 1"),
+            format!("SELECT sum(g.i + g.k) AS e1, min(g.k * 2) AS e2, {aggs} FROM g AS g"),
+            format!(
+                "SELECT g.k AS k, sum(g.i + g.k) AS e1, min(g.k * 2) AS e2, {aggs}
+                 FROM g AS g GROUP BY g.k"
+            ),
+            // A kernel-covered filter keeps the batches columnar (masked).
+            format!("SELECT g.d AS d, {aggs} FROM g AS g WHERE g.k < 3 GROUP BY g.d"),
+            // Empty input, with and without GROUP BY.
+            format!("SELECT {aggs} FROM g AS g WHERE g.k > 100"),
+            format!("SELECT g.k AS k, {aggs} FROM g AS g WHERE g.k > 100 GROUP BY g.k"),
+        ];
+        // `{:?}` tells `Int(2)` from `Float(2.0)` and renders every float
+        // bit-exactly, which `Value`'s numeric equality would not.
+        let render = |rows: &[Row]| format!("{rows:?}");
+        for sql in &queries {
+            let planned = plan(sql, &storage, &catalog);
+            let reference = Executor::new(&storage)
+                .with_threads(1)
+                .with_columnar(false)
+                .execute(&planned.plan)
+                .unwrap();
+            for threads in [1, 2] {
+                for batch_size in [1, 7, 1024] {
+                    for columnar in [true, false] {
+                        let result = Executor::with_batch_size(&storage, batch_size)
+                            .with_threads(threads)
+                            .with_columnar(columnar)
+                            .execute(&planned.plan)
+                            .unwrap();
+                        assert_eq!(
+                            render(&result.rows),
+                            render(&reference.rows),
+                            "{sql}: threads {threads}, batch {batch_size}, columnar {columnar}"
+                        );
+                    }
+                }
+            }
+        }
+
+        // A budget far below one batch's groups flushes mid-batch: each flush must
+        // also empty the code / int caches, or later rows would update groups that
+        // are already on disk. External emission is key-sorted, so compare as sets.
+        let _guard = spill_serial();
+        for key in ["g.d", "g.k", "g.k, g.d", "g.i"] {
+            let sql = format!("SELECT {key}, {aggs} FROM g AS g GROUP BY {key}");
+            let planned = plan(&sql, &storage, &catalog);
+            let reference = Executor::new(&storage)
+                .with_threads(1)
+                .with_columnar(false)
+                .execute(&planned.plan)
+                .unwrap();
+            for threads in [1, 2] {
+                for batch_size in [7, 1024] {
+                    let governor = MemoryGovernor::new(Some(10));
+                    let result = Executor::with_batch_size(&storage, batch_size)
+                        .with_threads(threads)
+                        .with_governor(Arc::clone(&governor))
+                        .execute(&planned.plan)
+                        .unwrap();
+                    assert_eq!(
+                        row_strings(&result.rows),
+                        row_strings(&reference.rows),
+                        "{sql}: threads {threads}, batch {batch_size}"
+                    );
+                    let (bytes, runs) = result.metrics.root.total_spilled();
+                    assert!(runs >= 2, "{sql}: {bytes} bytes in {runs} runs");
+                    assert_eq!(live_spill_files(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_sum_is_exact_and_overflow_is_an_error() {
+        let table = |values: &[i64]| {
+            let mut t = Table::new("t", Schema::new(vec![Column::new("a", DataType::Int)]));
+            for &a in values {
+                t.push_row(Row::from_values(vec![Value::Int(a)])).unwrap();
+            }
+            let mut storage = Storage::new();
+            storage.create_table(t).unwrap();
+            let mut catalog = Catalog::new();
+            catalog.analyze_all(&storage).unwrap();
+            (storage, catalog)
+        };
+        let sql = "SELECT sum(t.a) AS s, max(t.a) AS m FROM t AS t";
+        // 2^53 + 1 has no f64: summing through floats returned 2^53.
+        let (storage, catalog) = table(&[9_007_199_254_740_993, 0]);
+        let planned = plan(sql, &storage, &catalog);
+        let (over_storage, over_catalog) = table(&[i64::MAX, 1]);
+        let over = plan(sql, &over_storage, &over_catalog);
+        for threads in [1, 2] {
+            for columnar in [true, false] {
+                let result = Executor::with_batch_size(&storage, 1)
+                    .with_threads(threads)
+                    .with_columnar(columnar)
+                    .execute(&planned.plan)
+                    .unwrap();
+                assert_eq!(
+                    format!("{:?}", result.rows),
+                    format!(
+                        "{:?}",
+                        vec![Row::from_values(vec![
+                            Value::Int(9_007_199_254_740_993),
+                            Value::Int(9_007_199_254_740_993)
+                        ])]
+                    ),
+                    "threads {threads}, columnar {columnar}"
+                );
+                // A total outside i64 is an error, never a saturated value.
+                let error = Executor::with_batch_size(&over_storage, 1)
+                    .with_threads(threads)
+                    .with_columnar(columnar)
+                    .execute(&over.plan)
+                    .unwrap_err();
+                assert!(
+                    matches!(&error, ExecError::Eval(detail) if detail.contains("out of range")),
+                    "threads {threads}, columnar {columnar}: {error}"
+                );
             }
         }
     }

@@ -40,6 +40,7 @@
 //! producing them (self time, excluding children) — the information the paper extracts
 //! from `EXPLAIN ANALYZE` to drive re-optimization.
 
+mod agg;
 pub mod error;
 pub mod exact;
 pub mod exec;

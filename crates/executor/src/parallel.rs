@@ -28,12 +28,14 @@
 //!   worker in parallel once every worker finished, ordering every bucket by the
 //!   build rows' `(morsel, sequence)` tags so probe fan-out order is run-identical
 //!   to the single-threaded build order;
-//! * **aggregation sinks** accumulate per-worker partial aggregation states, merged by
-//!   the coordinator at the breaker. Accumulator merging is *exact* for every
-//!   aggregate — float SUM/AVG accumulate into a fixed-point superaccumulator
-//!   ([`crate::exact::ExactSum`]) and round once at emission — and groups are emitted
-//!   in first-seen `(morsel, sequence)` order, so results are bit-identical across
-//!   runs, thread counts and merge orders;
+//! * **aggregation sinks** fold their batches with the same aggregation kernel as
+//!   the single-threaded engine into per-worker group tables, merged by the
+//!   coordinator at the breaker. Accumulator merging is *exact* for every
+//!   aggregate — SUM/AVG accumulate float terms into a fixed-point
+//!   superaccumulator ([`crate::exact::ExactSum`]) and integer terms into an `i128`,
+//!   and round once at emission — and groups are emitted in first-seen
+//!   `(morsel, sequence)` order, so results are bit-identical across runs, thread
+//!   counts and merge orders;
 //! * **merge-join inputs** run as their own pipelines into keyed sort sinks: each
 //!   worker sorts its retired run by `(key, morsel, sequence)`, the coordinator
 //!   k-way-merges the runs, and the joined output becomes a morselized
@@ -101,15 +103,15 @@ use crate::error::ExecError;
 use crate::exec::{
     bind as bind_exec, bind_opt as bind_exec_opt, extract_key, index_nl_join,
     key_index as key_index_exec, open_single, relation_schema, resolve_index_row_ids,
-    scan_encoding_label, Accumulator, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
+    scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
     ExecEvent, JoinRows, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
     RowBatch, SinglePipeline, TableRead,
 };
+use crate::agg::{AggKernel, GroupTable, Tag};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
-use reopt_sql::AggregateFunc;
 use reopt_storage::{Row, Schema, Storage, Table, Value};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
@@ -417,12 +419,6 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
 // Shared hash table for parallel joins
 // ---------------------------------------------------------------------------
 
-/// Deterministic position of a row in the pipeline's output: `(morsel index,
-/// per-worker sequence)`. A morsel is processed in full by exactly one worker, whose
-/// sequence counter grows monotonically, so sorting by tag reproduces the global
-/// scan order regardless of which worker claimed which morsel.
-type Tag = (usize, u64);
-
 /// Rows of one build partition buffer: output tag, pre-extracted join key, row.
 type KeyedRows = Vec<(Tag, Vec<Value>, Row)>;
 
@@ -492,9 +488,9 @@ enum Source {
     /// A sequential scan over a table's column chunks. Each morsel chunk slices
     /// only the columns the predicate or the output reads (see [`TableRead`]);
     /// when the vectorized kernel covers the predicate the selection runs over the
-    /// typed columns (dictionary codes compare as integers) and only surviving rows
-    /// are decoded at this source boundary — the parallel chain itself stays
-    /// row-shaped.
+    /// typed columns (dictionary codes compare as integers). The chain steps stay
+    /// row-shaped, so the survivors are decoded before the first step; a pipeline
+    /// without steps hands the masked column batch to its sink undecoded.
     Table {
         table: Arc<Table>,
         read: TableRead,
@@ -548,7 +544,7 @@ impl Source {
         &self,
         range: std::ops::Range<usize>,
         mask_cache: &mut MaskCache,
-    ) -> Result<RowBatch, ExecError> {
+    ) -> Result<Batch, ExecError> {
         let start = Instant::now();
         let out = match self {
             Source::Table {
@@ -556,7 +552,7 @@ impl Source {
                 read,
                 kernel,
                 ..
-            } => read.scan(table, range, *kernel, mask_cache)?.into_rows(),
+            } => read.scan(table, range, *kernel, mask_cache)?,
             Source::TableIds {
                 table, ids, read, ..
             } => {
@@ -565,9 +561,9 @@ impl Source {
                 for &row_id in &ids[range] {
                     out.extend(read.fetch_row(table, row_id, &mut scratch)?);
                 }
-                out
+                Batch::Rows(out)
             }
-            Source::Rows(rows) => rows[range].to_vec(),
+            Source::Rows(rows) => Batch::Rows(rows[range].to_vec()),
             Source::MergeJoin {
                 left, right, rows, ..
             } => {
@@ -585,7 +581,7 @@ impl Source {
                         }
                     }
                 }
-                out
+                Batch::Rows(out)
             }
         };
         match self {
@@ -820,66 +816,14 @@ struct BuildLocal {
     seq: u64,
 }
 
-/// Per-worker partial aggregation state (group key -> accumulators, tagged with the
-/// first-seen `(morsel, sequence)` position for deterministic emission order).
-struct AggLocal {
-    groups: HashMap<Vec<Value>, usize>,
-    states: Vec<(Vec<Value>, Vec<Accumulator>, Tag)>,
-    seq: u64,
-}
-
 /// The aggregate computation of one pipeline sink (shared by workers by reference).
+/// Each worker folds its batches into a private [`GroupTable`] whose groups carry
+/// their first-seen `(morsel, sequence)` tag, for deterministic emission order.
 struct AggSpec {
-    group_exprs: Vec<Expr>,
-    agg_funcs: Vec<AggregateFunc>,
-    agg_args: Vec<Option<Expr>>,
+    kernel: AggKernel,
     /// The aggregate input's relation set and estimate (for memory-pressure events).
     rel_set: RelSet,
     estimated_rows: f64,
-}
-
-impl AggSpec {
-    fn consume(
-        &self,
-        local: &mut AggLocal,
-        morsel: usize,
-        batch: &[Row],
-        shared: &Shared,
-    ) -> Result<(), ExecError> {
-        for row in batch {
-            let mut key = Vec::with_capacity(self.group_exprs.len());
-            for expr in &self.group_exprs {
-                key.push(expr.eval(row)?);
-            }
-            let idx = match local.groups.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = local.states.len();
-                    let key_bytes: u64 = key.iter().map(|v| v.width() as u64).sum();
-                    shared.reserve_or_spill(
-                        key_bytes,
-                        BreakerKind::AggregateInput,
-                        self.rel_set,
-                        self.estimated_rows,
-                    )?;
-                    local.groups.insert(key.clone(), idx);
-                    let tag = (morsel, local.seq);
-                    local.seq += 1;
-                    local.states.push((
-                        key,
-                        self.agg_funcs.iter().map(|&f| Accumulator::new(f)).collect(),
-                        tag,
-                    ));
-                    shared.acquire(1, key_bytes);
-                    idx
-                }
-            };
-            for (accumulator, arg) in local.states[idx].1.iter_mut().zip(&self.agg_args) {
-                accumulator.update(arg.as_ref(), row)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -994,15 +938,17 @@ impl<'p> Engine<'p> {
                 let child_stats = &stats.children[0];
                 let input_schema = &child.schema;
                 let spec = Arc::new(AggSpec {
-                    group_exprs: group_by
-                        .iter()
-                        .map(|e| bind_exec(e, input_schema))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    agg_funcs: aggregates.iter().map(|a| a.func).collect(),
-                    agg_args: aggregates
-                        .iter()
-                        .map(|a| bind_exec_opt(a.arg.as_ref(), input_schema))
-                        .collect::<Result<Vec<_>, _>>()?,
+                    kernel: AggKernel::new(
+                        group_by
+                            .iter()
+                            .map(|e| bind_exec(e, input_schema))
+                            .collect::<Result<Vec<_>, _>>()?,
+                        aggregates.iter().map(|a| a.func).collect(),
+                        aggregates
+                            .iter()
+                            .map(|a| bind_exec_opt(a.arg.as_ref(), input_schema))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    ),
                     rel_set: child.rel_set,
                     estimated_rows: child.estimated_rows,
                 });
@@ -1022,7 +968,7 @@ impl<'p> Engine<'p> {
                 if self.stopped() {
                     return Ok(Vec::new());
                 }
-                let rows = merge_aggregates(&spec, group_by.is_empty(), locals, &self.shared);
+                let rows = merge_aggregates(&spec.kernel, locals, &self.shared)?;
                 stats.stats.record(rows.len(), merge_start.elapsed());
                 stats.stats.exhausted.store(true, Ordering::SeqCst);
                 Ok(rows)
@@ -1246,7 +1192,7 @@ impl<'p> Engine<'p> {
                 &cursor,
                 &mut |_, batch| {
                     if let Some(batch) = batch {
-                        for row in batch {
+                        for row in batch.into_rows() {
                             if out_ref.len() >= count {
                                 break;
                             }
@@ -1843,7 +1789,7 @@ impl<'p> Engine<'p> {
                 &cursor,
                 &mut |_, batch| {
                     if let Some(batch) = batch {
-                        out.extend(batch);
+                        out.extend(batch.into_rows());
                     }
                     Ok(())
                 },
@@ -1902,7 +1848,7 @@ impl<'p> Engine<'p> {
         plan: &'p PhysicalPlan,
         stats: &StatsTree,
         spec: Arc<AggSpec>,
-    ) -> Result<Vec<AggLocal>, ExecError> {
+    ) -> Result<Vec<GroupTable>, ExecError> {
         let compiled = Arc::new(self.compile(plan, stats)?);
         if self.stopped() {
             return Ok(Vec::new());
@@ -1968,7 +1914,7 @@ fn process_one_morsel(
     shared: &Shared,
     cursor: &AtomicUsize,
     mask_cache: &mut MaskCache,
-    sink: &mut dyn FnMut(usize, Option<RowBatch>) -> Result<(), ExecError>,
+    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<bool, ExecError> {
     if shared.quiesce.load(Ordering::SeqCst) {
@@ -1988,12 +1934,25 @@ fn process_one_morsel(
             return Ok(false);
         }
         let chunk_end = pos.saturating_add(chunk).min(end);
-        let rows = compiled.source.scan(pos..chunk_end, mask_cache)?;
+        let batch = compiled.source.scan(pos..chunk_end, mask_cache)?;
         pos = chunk_end;
-        if rows.is_empty() {
+        if batch.is_empty() {
             continue;
         }
-        push_chain(&compiled.steps, rows, shared, chunk, &mut |batch| sink(morsel, Some(batch)), pump)?;
+        if compiled.steps.is_empty() {
+            // No chain step: the sink takes the source's batch as it is (an
+            // aggregate reads a column batch in place; other sinks decode it).
+            sink(morsel, Some(batch))?;
+            continue;
+        }
+        push_chain(
+            &compiled.steps,
+            batch.into_rows(),
+            shared,
+            chunk,
+            &mut |rows| sink(morsel, Some(Batch::Rows(rows))),
+            pump,
+        )?;
     }
     sink(morsel, None)?;
     Ok(true)
@@ -2005,7 +1964,7 @@ fn worker_loop(
     compiled: &Compiled,
     shared: &Shared,
     cursor: &AtomicUsize,
-    sink: &mut dyn FnMut(usize, Option<RowBatch>) -> Result<(), ExecError>,
+    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<(), ExecError> {
     // Worker-private kernel cache: truth tables are cheap to rebuild per worker and
@@ -2037,7 +1996,7 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
     // (the pool's own catch_unwind only keeps the worker thread alive).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sink_ref = &ctx.sink;
-        let mut sink = |morsel: usize, batch: Option<RowBatch>| match batch {
+        let mut sink = |morsel: usize, batch: Option<Batch>| match batch {
             Some(batch) => sink_ref.consume(&mut local, morsel, batch),
             None => sink_ref.morsel_done(&mut local, morsel),
         };
@@ -2132,11 +2091,13 @@ fn push_chain(
 trait SinkFactory: Send + Sync + 'static {
     type Local: Send + 'static;
     fn make(&self) -> Self::Local;
+    /// `batch` is the source's own batch when the pipeline has no chain step (a
+    /// column batch stays undecoded); sinks that buffer rows decode it on entry.
     fn consume(
         &self,
         local: &mut Self::Local,
         morsel: usize,
-        batch: RowBatch,
+        batch: Batch,
     ) -> Result<(), ExecError>;
     /// Called after the last batch of a fully-processed morsel (quiesced morsels
     /// never report done).
@@ -2171,7 +2132,8 @@ impl SinkFactory for BuildSinkFactory {
         }
     }
 
-    fn consume(&self, local: &mut BuildLocal, morsel: usize, batch: RowBatch) -> Result<(), ExecError> {
+    fn consume(&self, local: &mut BuildLocal, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+        let batch = batch.into_rows();
         let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
         self.shared.reserve_or_spill(
             bytes,
@@ -2202,39 +2164,24 @@ struct AggSinkFactory {
 }
 
 impl SinkFactory for AggSinkFactory {
-    type Local = AggLocal;
+    type Local = GroupTable;
 
-    fn make(&self) -> AggLocal {
-        let mut local = AggLocal {
-            groups: HashMap::new(),
-            states: Vec::new(),
-            seq: 0,
-        };
-        if self.spec.group_exprs.is_empty() {
-            local.states.push((
-                Vec::new(),
-                self.spec
-                    .agg_funcs
-                    .iter()
-                    .map(|&f| Accumulator::new(f))
-                    .collect(),
-                (0, 0),
-            ));
-        }
-        local
+    fn make(&self) -> GroupTable {
+        self.spec.kernel.new_table()
     }
 
-    fn consume(&self, local: &mut AggLocal, morsel: usize, batch: RowBatch) -> Result<(), ExecError> {
-        if self.spec.group_exprs.is_empty() {
-            for row in &batch {
-                for (accumulator, arg) in local.states[0].1.iter_mut().zip(&self.spec.agg_args) {
-                    accumulator.update(arg.as_ref(), row)?;
-                }
-            }
+    fn consume(&self, local: &mut GroupTable, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+        let spec = &self.spec;
+        spec.kernel.consume(local, batch, morsel, &mut |_, key_bytes| {
+            self.shared.reserve_or_spill(
+                key_bytes,
+                BreakerKind::AggregateInput,
+                spec.rel_set,
+                spec.estimated_rows,
+            )?;
+            self.shared.acquire(1, key_bytes);
             Ok(())
-        } else {
-            self.spec.consume(local, morsel, &batch, &self.shared)
-        }
+        })
     }
 }
 
@@ -2264,8 +2211,9 @@ impl SinkFactory for ChannelSink {
         &self,
         local: &mut SyncSender<RowBatch>,
         _morsel: usize,
-        batch: RowBatch,
+        batch: Batch,
     ) -> Result<(), ExecError> {
+        let batch = batch.into_rows();
         if self.task.blocking(|| local.send(batch)).is_err() {
             self.shared.quiesce.store(true, Ordering::SeqCst);
         }
@@ -2299,7 +2247,8 @@ impl SinkFactory for TaggedChannelSink {
         }
     }
 
-    fn consume(&self, local: &mut TaggedSender, morsel: usize, batch: RowBatch) -> Result<(), ExecError> {
+    fn consume(&self, local: &mut TaggedSender, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+        let batch = batch.into_rows();
         let tag = (morsel, local.seq);
         local.seq += 1;
         if self.task.blocking(|| local.tx.send((tag, batch))).is_err() {
@@ -2334,8 +2283,8 @@ impl SinkFactory for MergeSinkFactory {
         }
     }
 
-    fn consume(&self, local: &mut MergeLocal, morsel: usize, batch: RowBatch) -> Result<(), ExecError> {
-        for row in batch {
+    fn consume(&self, local: &mut MergeLocal, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+        for row in batch.into_rows() {
             let tag = (morsel, local.seq);
             local.seq += 1;
             // NULL join keys never match under equi-join semantics; drop them while
@@ -2425,11 +2374,11 @@ impl SinkFactory for LimitSink {
         &self,
         local: &mut SyncSender<LimitMsg>,
         morsel: usize,
-        batch: RowBatch,
+        batch: Batch,
     ) -> Result<(), ExecError> {
         let msg = LimitMsg {
             morsel,
-            batch: Some(batch),
+            batch: Some(batch.into_rows()),
         };
         if self.task.blocking(|| local.send(msg)).is_err() {
             self.shared.quiesce.store(true, Ordering::SeqCst);
@@ -2543,56 +2492,22 @@ fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>
 /// output row order is also run-identical across thread counts and matches the
 /// single-threaded engine's first-seen emission.
 fn merge_aggregates(
-    spec: &AggSpec,
-    single_group: bool,
-    locals: Vec<AggLocal>,
+    kernel: &AggKernel,
+    locals: Vec<GroupTable>,
     shared: &Shared,
-) -> Vec<Row> {
-    if single_group {
-        let mut merged: Vec<Accumulator> =
-            spec.agg_funcs.iter().map(|&f| Accumulator::new(f)).collect();
-        for local in locals {
-            if let Some((_, state, _)) = local.states.into_iter().next() {
-                for (accumulator, partial) in merged.iter_mut().zip(state) {
-                    accumulator.merge(partial);
-                }
-            }
-        }
-        shared.acquire(1, 8);
-        return vec![Row::from_values(
-            merged.into_iter().map(Accumulator::finish).collect(),
-        )];
-    }
-    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut states: Vec<(Vec<Value>, Vec<Accumulator>, Tag)> = Vec::new();
+) -> Result<Vec<Row>, ExecError> {
+    let mut merged = kernel.new_table();
     for local in locals {
-        for (key, partial, tag) in local.states {
-            match groups.get(&key) {
-                Some(&idx) => {
-                    for (accumulator, p) in states[idx].1.iter_mut().zip(partial) {
-                        accumulator.merge(p);
-                    }
-                    // Keep the earliest first-seen position across workers.
-                    if tag < states[idx].2 {
-                        states[idx].2 = tag;
-                    }
-                }
-                None => {
-                    groups.insert(key.clone(), states.len());
-                    states.push((key, partial, tag));
-                }
-            }
+        for group in local.into_states() {
+            merged.merge_group(group);
         }
     }
-    states.sort_by_key(|(_, _, tag)| *tag);
-    states
-        .into_iter()
-        .map(|(key, accumulators, _)| {
-            let mut values = key;
-            values.extend(accumulators.into_iter().map(Accumulator::finish));
-            Row::from_values(values)
-        })
-        .collect()
+    if !kernel.grouped() {
+        shared.acquire(1, 8);
+    }
+    let mut groups = merged.into_states();
+    groups.sort_by_key(|group| group.tag);
+    groups.into_iter().map(|group| group.finish()).collect()
 }
 
 /// Sort materialized rows by the bound sort keys (the parallel analogue of `SortOp`).

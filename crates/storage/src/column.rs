@@ -392,8 +392,10 @@ impl ColumnMeta {
 
 /// A columnar batch: one [`ColumnData`] per output column plus the row count. The
 /// columnar analogue of `RowBatch`, produced by scans and consumed by filter /
-/// project / hash-key kernels; decoded to rows ([`ColumnBatch::into_rows`]) only at
-/// the root exchange and at breaker materialization points.
+/// project / hash-key kernels and by the aggregation kernel, which reads it in
+/// place; decoded to rows ([`ColumnBatch::into_rows`]) only at the root exchange
+/// and where a breaker buffers rows (hash build, nested-loop inner, merge input,
+/// sort).
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,

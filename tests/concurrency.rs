@@ -15,8 +15,8 @@
 //! to shake out interleaving-dependent flakes.
 
 use reopt_repro::core::{
-    execute_with_reoptimization, Database, PolicyContext, PolicyDecision, ReoptConfig, ReoptMode,
-    ReoptPolicy,
+    execute_with_policy_feedback, Database, PolicyContext, PolicyDecision, ReoptConfig, ReoptMode,
+    ReoptPolicy, ReoptReport,
 };
 use reopt_repro::executor::{ExecEvent, QueryMetrics, WorkerPool};
 use reopt_repro::planner::{OptimizerConfig, QuerySpec, RelSet};
@@ -24,8 +24,9 @@ use reopt_repro::storage::{live_spill_files, Row};
 use reopt_repro::workload::job::{job_queries, job_query, JobQuery};
 use reopt_repro::workload::{load_imdb, ImdbConfig};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Extra battery repetitions (the CI leg raises this; locally 1 keeps it quick).
 fn stress_iters() -> usize {
@@ -284,6 +285,80 @@ fn observer_events_are_exactly_once_per_query_under_concurrency() {
     }
 }
 
+/// How long a held re-plan decision waits for the background session before the
+/// test fails (a stalled pool would otherwise hang it).
+const GATE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The mid-query policy, except that its first re-plan decision is held until
+/// the background session's completion counter advances. A background query
+/// therefore completes *while* this query is mid-re-optimization by
+/// construction, not by winning a wall-clock race; if the pool stalls instead,
+/// the deadline fails the test rather than hanging it.
+struct HeldReplan {
+    inner: Box<dyn ReoptPolicy>,
+    background_completed: Arc<AtomicU64>,
+    held: bool,
+}
+
+impl ReoptPolicy for HeldReplan {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn max_rounds(&self) -> usize {
+        self.inner.max_rounds()
+    }
+    fn wants_events(&self) -> bool {
+        self.inner.wants_events()
+    }
+    fn on_event(&mut self, event: &ExecEvent, ctx: &PolicyContext) -> PolicyDecision {
+        let decision = self.inner.on_event(event, ctx);
+        if !self.held && matches!(decision, PolicyDecision::ReplanMidQuery { .. }) {
+            self.held = true;
+            let seen = self.background_completed.load(Ordering::SeqCst);
+            let deadline = Instant::now() + GATE_DEADLINE;
+            while self.background_completed.load(Ordering::SeqCst) == seen {
+                assert!(
+                    Instant::now() < deadline,
+                    "the background session completed nothing in {GATE_DEADLINE:?} while \
+                     this query held its re-plan decision (stalled, or its thread panicked)"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        decision
+    }
+    fn on_complete(
+        &mut self,
+        metrics: &QueryMetrics,
+        spec: &QuerySpec,
+        ctx: &PolicyContext,
+    ) -> PolicyDecision {
+        self.inner.on_complete(metrics, spec, ctx)
+    }
+}
+
+/// Run `sql` under the mid-query policy (threshold 8) with its first re-plan held
+/// until `background_completed` advances. Cross-query feedback is off: while the
+/// decision is held the query's workers keep producing, so what a run records
+/// depends on timing, and a later run planned from it might not re-plan at all.
+fn reoptimize_holding_first_replan(
+    db: &mut Database,
+    sql: &str,
+    background_completed: &Arc<AtomicU64>,
+) -> ReoptReport {
+    let config = ReoptConfig {
+        threshold: 8.0,
+        mode: ReoptMode::MidQuery,
+        ..ReoptConfig::default()
+    };
+    let mut policy = HeldReplan {
+        inner: config.policy(),
+        background_completed: Arc::clone(background_completed),
+        held: false,
+    };
+    execute_with_policy_feedback(db, sql, &mut policy, false).unwrap()
+}
+
 #[test]
 fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     // The parallel LIMIT quiesces its workers the moment the count is satisfied;
@@ -299,7 +374,9 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
     db.set_threads(Some(2));
-    db.set_batch_size(Some(64));
+    // 16-row batches split the ~240-row title table into four morsels, so the
+    // background LIMIT runs on pool workers rather than inline.
+    db.set_batch_size(Some(16));
 
     let limits = [
         // No ORDER BY: the parallel engine must still return the scan-order prefix.
@@ -318,10 +395,11 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let stop_bg = Arc::clone(&stop);
+    let completed = Arc::new(AtomicU64::new(0));
+    let completed_bg = Arc::clone(&completed);
     let mut background = db.connect();
     let bg_expected = expected.clone();
     let bg_handle = std::thread::spawn(move || {
-        let mut completed = 0u64;
         while !stop_bg.load(Ordering::SeqCst) {
             for (sql, want) in limits.iter().zip(&bg_expected) {
                 let out = background.execute(sql).unwrap();
@@ -332,22 +410,17 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
                     "LIMIT output diverged while another session suspended mid-query"
                 );
             }
-            completed += 1;
+            completed_bg.fetch_add(1, Ordering::SeqCst);
         }
-        completed
     });
 
     // The foreground session repeatedly re-optimizes mid-query, so worker
-    // quiesce-and-resume keeps overlapping the background LIMIT teardowns.
+    // quiesce-and-resume keeps overlapping the background LIMIT teardowns; each
+    // run holds its first re-plan until a background iteration completes.
     let mut session = db.connect();
-    let config = ReoptConfig {
-        threshold: 8.0,
-        mode: ReoptMode::MidQuery,
-        ..ReoptConfig::default()
-    };
     for _ in 0..3 {
         let report =
-            execute_with_reoptimization(session.database_mut(), &skewed.sql, &config).unwrap();
+            reoptimize_holding_first_replan(session.database_mut(), &skewed.sql, &completed);
         assert_eq!(
             report.final_rows, expected_skewed.rows,
             "mid-query re-optimization changed the skewed query's result"
@@ -359,9 +432,9 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     }
 
     stop.store(true, Ordering::SeqCst);
-    let completed = bg_handle.join().expect("background session panicked");
+    bg_handle.join().expect("background session panicked");
     assert!(
-        completed >= 1,
+        completed.load(Ordering::SeqCst) >= 1,
         "the background session must complete LIMIT queries during re-optimization"
     );
 }
@@ -392,10 +465,11 @@ fn mid_query_reopt_corrects_one_session_while_others_complete_unaffected() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let stop_bg = Arc::clone(&stop);
+    let completed = Arc::new(AtomicU64::new(0));
+    let completed_bg = Arc::clone(&completed);
     let mut background = db.connect();
     let bg_expected = expected_background.clone();
     let bg_handle = std::thread::spawn(move || {
-        let mut completed = 0u64;
         while !stop_bg.load(Ordering::SeqCst) {
             let out = background.execute(&background_query.sql).unwrap();
             assert_eq!(
@@ -403,21 +477,16 @@ fn mid_query_reopt_corrects_one_session_while_others_complete_unaffected() {
                 bg_expected,
                 "background session corrupted while another session re-optimized"
             );
-            completed += 1;
+            completed_bg.fetch_add(1, Ordering::SeqCst);
         }
-        completed
     });
 
     // The foreground session re-optimizes mid-query (suspension, breaker-state
-    // reuse, re-planning) while the background session hammers the same pool.
+    // reuse, re-planning) while the background session hammers the same pool; its
+    // first re-plan is held until a background query completes.
     let mut session = db.connect();
-    let config = ReoptConfig {
-        threshold: 8.0,
-        mode: ReoptMode::MidQuery,
-        ..ReoptConfig::default()
-    };
     let report =
-        execute_with_reoptimization(session.database_mut(), &skewed.sql, &config).unwrap();
+        reoptimize_holding_first_replan(session.database_mut(), &skewed.sql, &completed);
     assert_eq!(
         report.final_rows, expected_skewed.rows,
         "mid-query re-optimization changed the skewed query's result"
@@ -428,9 +497,9 @@ fn mid_query_reopt_corrects_one_session_while_others_complete_unaffected() {
     );
 
     stop.store(true, Ordering::SeqCst);
-    let completed = bg_handle.join().expect("background session panicked");
+    bg_handle.join().expect("background session panicked");
     assert!(
-        completed >= 1,
+        completed.load(Ordering::SeqCst) >= 1,
         "the background session must complete queries during re-optimization"
     );
 }
