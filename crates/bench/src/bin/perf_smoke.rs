@@ -271,6 +271,16 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
     let fallbacks_before = reopt_executor::plan_fallbacks_total();
     let denials_before = db.governor().denials();
     let live_spill_before = reopt_storage::live_spill_files();
+    // At threads > 1 the process-wide pool is grown to this leg's size before its
+    // first query. The gate is a property the pool decides, not a race: from here
+    // on every spawn in the leg — however busy the workers are when a pipeline
+    // launches, replacements for blocked workers included — is a regression, and
+    // the resident-pool phase below fails on it.
+    let pool = reopt_executor::WorkerPool::global();
+    if threads > 1 {
+        pool.ensure_available(threads);
+    }
+    let spawned_before = pool.threads_spawned_total();
 
     let modes = [ReoptMode::Materialize, ReoptMode::InjectOnly, ReoptMode::MidQuery];
     let mut mode_time = [Duration::ZERO; 3];
@@ -405,9 +415,10 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
     // --- Resident-pool phase ---------------------------------------------------
     // PR 5 logged suspension-heavy policies paying a fresh thread-spawn per worker
     // per pipeline at threads>1 (ms-scale mid-query corrections dominated by spawn
-    // cost). The resident pool closes that follow-up: once a warm-up has grown the
-    // process-wide pool, suspension-heavy mid-query rounds must not spawn a single
-    // new thread. Batches shrink for this phase so smoke-scale tables still split
+    // cost). The resident pool closes that follow-up: once the process-wide pool has
+    // grown to the leg's thread count, neither the main phase above nor the
+    // suspension-heavy mid-query rounds below may spawn a single new thread.
+    // Batches shrink for this phase so smoke-scale tables still split
     // into multi-worker morsel chains (at the default 1024-row batches one morsel
     // swallows every table at this scale and the pool never runs).
     if threads > 1 {
@@ -418,7 +429,7 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
         // morsel chains actually run. The spill fallback itself is gated by the
         // budgeted main phase above.
         db.set_mem_budget(None);
-        // The whole phase — warm-up included — runs on hash-join-only plans: index-NL
+        // The whole phase runs on hash-join-only plans: index-NL
         // joins probe an index and register no build, so the typical JOB spine would
         // carry zero or one build and the lazy-scheduling assertion below would have
         // nothing to skip.
@@ -428,31 +439,11 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
             ..reopt_planner::OptimizerConfig::default()
         });
         let config = reopt_config(ReoptMode::MidQuery, false);
-        let pool = reopt_executor::WorkerPool::global();
-        pool.ensure_available(threads);
-        // Warm-up runs the measured workload — same queries, same mid-query config —
-        // so the pool reaches this workload's steady-state concurrency (including
-        // suspension/re-plan transients and blocked-sender replacement spawns, which
-        // plain executions never trigger) before the zero-spawn window opens. The pool
-        // grows whenever a request finds too few workers *idle at that instant*, so a
-        // pass is repeated (at most twice) until one adds no thread; a pool that spawns
-        // per pipeline never settles and still fails the window below.
-        let mut spawned_before = pool.threads_spawned_total();
-        for _ in 0..3 {
-            for case in cases.iter().take(8) {
-                if let Err(error) = execute_with_reoptimization(db, &case.query.sql, &config) {
-                    eprintln!("perf_smoke: pool warm-up of {} failed: {error}", case.query.id);
-                    failed = true;
-                }
-            }
-            let spawned = pool.threads_spawned_total();
-            if spawned == spawned_before {
-                break;
-            }
-            spawned_before = spawned;
-        }
-        if spawned_before == 0 {
-            eprintln!("perf_smoke: POOL REGRESSION: warm-up never reached the resident pool");
+        if spawned_before < threads {
+            eprintln!(
+                "perf_smoke: POOL REGRESSION: the pool holds {spawned_before} thread(s) after \
+                 a request for {threads}"
+            );
             failed = true;
         }
         let mut suspension_rounds = 0usize;
@@ -499,17 +490,18 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
         let spawned_after = pool.threads_spawned_total();
         if spawned_after != spawned_before {
             eprintln!(
-                "perf_smoke: POOL REGRESSION: suspension-heavy rounds spawned \
-                 {} new thread(s) ({spawned_before} -> {spawned_after}) — the worker \
+                "perf_smoke: POOL REGRESSION: the leg spawned {} new thread(s) \
+                 ({spawned_before} -> {spawned_after}) after sizing the pool — the worker \
                  pool must be resident across queries and re-optimization rounds",
                 spawned_after - spawned_before
             );
             failed = true;
+        } else {
+            println!(
+                "perf_smoke: resident pool held at {spawned_after} thread(s) across the leg \
+                 and {suspension_rounds} mid-query round(s) — zero spawns once at size"
+            );
         }
-        println!(
-            "perf_smoke: resident pool held at {spawned_after} thread(s) across \
-             {suspension_rounds} mid-query round(s) — zero spawns after warm-up"
-        );
         db.set_batch_size(None);
         db.set_mem_budget(leg.mem_budget);
     }

@@ -673,6 +673,122 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn ingested_rows_reach_int_indexes_for_joins_and_range_scans() {
+        use reopt_planner::plan::IndexLookup;
+        use reopt_planner::{PhysicalPlan, PlanKind};
+        let mut db = test_database_with_config(OptimizerConfig {
+            enable_hash_joins: false,
+            enable_merge_joins: false,
+            ..OptimizerConfig::default()
+        });
+        // Appends after the index build: ids past the end and below the start, a
+        // repeated id, and keyword 7 attached to them.
+        let title = |id: i64, year: i64| {
+            Row::from_values(vec![
+                Value::Int(id),
+                Value::from(format!("late {id}")),
+                Value::Int(year),
+            ])
+        };
+        db.ingest_rows("title", vec![title(1000, 2030), title(-5, 1970), title(150, 2001)])
+            .unwrap();
+        let pairs = [(1000, 7), (-5, 7), (150, 7), (1000, 0), (2000, 7)];
+        let links = pairs
+            .iter()
+            .map(|&(m, k)| Row::from_values(vec![Value::Int(m), Value::Int(k)]))
+            .collect();
+        db.ingest_rows("movie_keyword", links).unwrap();
+        for table in db.storage().tables() {
+            for index in table.indexes() {
+                assert!(index.is_int_keyed(), "{}: {}", table.name(), index.name());
+            }
+        }
+
+        // An index-NL join through the appended keys, against brute force.
+        let sql = "SELECT count(*) AS c, min(t.title) AS m FROM title AS t, movie_keyword AS mk
+                   WHERE t.id = mk.movie_id AND mk.keyword_id = 7";
+        let statement = parse_sql(sql).unwrap();
+        let (planned, _) = db.plan_select(statement.query().unwrap()).unwrap();
+        let mut index_nl = 0;
+        planned.plan.walk(&mut |node| {
+            index_nl += usize::from(matches!(node.kind, PlanKind::IndexNestedLoopJoin { .. }));
+        });
+        assert_eq!(index_nl, 1, "{}", db.explain(sql).unwrap());
+        let titles = db.storage().table("title").unwrap().to_rows();
+        let links = db.storage().table("movie_keyword").unwrap().to_rows();
+        let mut count = 0i64;
+        let mut min: Option<Value> = None;
+        for t in &titles {
+            for mk in &links {
+                if t.value(0) == mk.value(0) && mk.value(1) == &Value::Int(7) {
+                    count += 1;
+                    if min.as_ref().map_or(true, |m| t.value(1) < m) {
+                        min = Some(t.value(1).clone());
+                    }
+                }
+            }
+        }
+        let output = db.execute(sql).unwrap();
+        assert_eq!(output.rows[0].values(), &[Value::Int(count), min.unwrap()]);
+
+        // Index range scans over `title.id` with int, float and text bounds.
+        let id_schema = Schema::new(vec![Column::new("id", DataType::Int).with_qualifier("t")]);
+        let bound = |b: Option<(Value, bool)>, low: bool| {
+            move |v: &Value| match &b {
+                None => true,
+                Some((b, inclusive)) => match (v.total_cmp(b), low) {
+                    (std::cmp::Ordering::Equal, _) => *inclusive,
+                    (order, true) => order == std::cmp::Ordering::Greater,
+                    (order, false) => order == std::cmp::Ordering::Less,
+                },
+            }
+        };
+        let ranges = [
+            (Some((Value::Int(100), true)), Some((Value::Int(103), false))),
+            (Some((Value::Float(2.5), false)), Some((Value::Float(7.5), true))),
+            (Some((Value::Float(-10.0), true)), Some((Value::Int(3), true))),
+            (Some((Value::Int(1000), true)), Some((Value::Float(1000.0), true))),
+            (Some((Value::Float(149.5), true)), Some((Value::Float(150.0), true))),
+            (Some((Value::from("a"), true)), None),
+            (None, Some((Value::from("a"), false))),
+            (Some((Value::Int(290), false)), None),
+        ];
+        for (low, high) in ranges {
+            let plan = PhysicalPlan {
+                kind: PlanKind::IndexScan {
+                    rel: 0,
+                    alias: "t".into(),
+                    table: "title".into(),
+                    column: "id".into(),
+                    lookup: IndexLookup::Range {
+                        low: low.clone(),
+                        high: high.clone(),
+                    },
+                    residual: None,
+                },
+                children: Vec::new(),
+                schema: id_schema.clone(),
+                estimated_rows: 1.0,
+                cost: reopt_planner::cost::Cost::ZERO,
+                rel_set: reopt_planner::RelSet::from_indexes([0]),
+            };
+            let (above, below) = (bound(low.clone(), true), bound(high.clone(), false));
+            let expected: Vec<Row> = titles
+                .iter()
+                .filter(|t| above(t.value(0)) && below(t.value(0)))
+                .map(|t| Row::from_values(vec![t.value(0).clone()]))
+                .collect();
+            for threads in [1, 2] {
+                let result = reopt_executor::Executor::new(db.storage())
+                    .with_threads(threads)
+                    .execute(&plan)
+                    .unwrap();
+                assert_eq!(result.rows, expected, "{low:?} .. {high:?} at {threads} thread(s)");
+            }
+        }
+    }
+
+    #[test]
     fn execute_select_returns_rows_and_timings() {
         let mut db = test_database();
         let output = db

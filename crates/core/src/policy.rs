@@ -642,6 +642,7 @@ mod tests {
             exhausted: true,
             elapsed: std::time::Duration::ZERO,
             encoding: None,
+            probe: None,
             spilled_bytes: 0,
             spill_partitions: 0,
         };

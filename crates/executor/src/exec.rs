@@ -5,10 +5,12 @@
 //! [`DEFAULT_BATCH_SIZE`]). Batches flow in one of two shapes: **columnar**
 //! ([`ColumnBatch`], produced by sequential scans and preserved through filters and
 //! column-only projections, where predicates run as vectorized mask kernels over
-//! typed vectors and dictionary codes) or **row-major** (`RowBatch`, everything
-//! else). Columnar batches are decoded to rows only at the root exchange, where a
-//! pipeline breaker buffers rows, and on entry to operators without a columnar
-//! implementation; the aggregate folds them in place (`agg.rs`). Streaming
+//! typed vectors and dictionary codes, and gathered by index nested-loop joins,
+//! which probe a whole outer batch through the shared kernel in `index_nl.rs`) or
+//! **row-major** (`RowBatch`, everything else). Columnar batches are decoded to
+//! rows only at the root exchange, where a pipeline breaker buffers rows, and on
+//! entry to operators without a columnar implementation; the aggregate folds them
+//! in place (`agg.rs`). Streaming
 //! operators (scans, filters, projections, the probe side of a hash join, the outer
 //! side of the nested-loop joins, limit) hold no more than one batch of state; only
 //! *pipeline breakers* buffer:
@@ -32,6 +34,7 @@
 //! semantics of the old materializing executor ("elapsed excluding children").
 
 use crate::error::ExecError;
+use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::agg::{Accumulator, AggKernel, Group, GroupTable};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::spill::{MemoryGovernor, Reservation};
@@ -41,7 +44,7 @@ use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_sql::AggregateFunc;
 use reopt_planner::RelSet;
 use reopt_storage::spill_file::{SpillDir, SpillReader, SpillRun, SpillWriter};
-use reopt_storage::{ColumnBatch, ColumnData, Index, Row, Schema, Storage, Table, Value};
+use reopt_storage::{ColumnBatch, ColumnData, Index, IndexKind, Row, Schema, Storage, Table, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::ops::{Bound, Range};
@@ -63,9 +66,9 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// A batch of rows flowing between operators.
 pub type RowBatch = Vec<Row>;
 
-/// A batch in one of its two shapes: columnar (scans, filters and column-only
-/// projections keep typed vectors and dictionary codes) or row-major (join outputs,
-/// breaker emissions, and fallback paths). Decoding `Cols -> Rows` happens only at
+/// A batch in one of its two shapes: columnar (scans, filters, column-only
+/// projections and index nested-loop joins keep typed vectors and dictionary codes)
+/// or row-major (other join outputs, breaker emissions, and fallback paths). Decoding `Cols -> Rows` happens only at
 /// the root exchange, where a breaker buffers rows ([`Metered::drain`]), and in
 /// operators without a columnar implementation; the aggregate reads both shapes.
 pub(crate) enum Batch {
@@ -919,6 +922,9 @@ struct OpStats {
     /// `"fallback-row"` (columnar on, but the predicate has no kernel), or `"row"`
     /// (columnar off, or an index scan materializing by row id). `None` elsewhere.
     encoding: Cell<Option<&'static str>>,
+    /// For index nested-loop joins: `"columnar"` (the shared kernel over column
+    /// batches) or `"row"` (columnar execution off). `None` elsewhere.
+    probe: Cell<Option<&'static str>>,
     /// Bytes this operator wrote to spill runs (0 while it stays in memory).
     spilled_bytes: Cell<u64>,
     /// Spill runs this operator sealed (grace-hash partitions / sort runs).
@@ -967,6 +973,7 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
             exhausted,
             elapsed: stats.stats.inclusive.get().saturating_sub(child_inclusive),
             encoding: stats.stats.encoding.get(),
+            probe: stats.stats.probe.get(),
             spilled_bytes: stats.stats.spilled_bytes.get(),
             spill_partitions: stats.stats.spill_partitions.get(),
         },
@@ -1130,7 +1137,7 @@ fn positions_in(schema: &Schema, columns: &Schema) -> Result<Vec<usize>, ExecErr
 
 /// The distinct positions (in `schema`) of the columns an expression reads, in first
 /// use order.
-fn read_positions(expr: &Expr, schema: &Schema) -> Result<Vec<usize>, ExecError> {
+pub(crate) fn read_positions(expr: &Expr, schema: &Schema) -> Result<Vec<usize>, ExecError> {
     let mut refs = Vec::new();
     collect_column_refs(expr, &mut refs);
     let mut positions = Vec::with_capacity(refs.len());
@@ -1237,6 +1244,11 @@ impl TableRead {
         Ok(Batch::Rows(rows))
     }
 
+    /// The table column at read position `pos`.
+    pub(crate) fn column(&self, pos: usize) -> usize {
+        self.columns[pos]
+    }
+
     /// A scratch row shaped for [`TableRead::fetch`].
     pub(crate) fn scratch(&self) -> Row {
         Row::from_values(vec![Value::Null; self.columns.len()])
@@ -1326,6 +1338,26 @@ impl JoinRows {
             residual: bind_opt(residual, &both.project(&residual_reads))?,
             residual_reads,
         })
+    }
+
+    /// Number of outer columns.
+    pub(crate) fn outer_len(&self) -> usize {
+        self.outer_len
+    }
+
+    /// Per output column, its position in `outer ++ inner`.
+    pub(crate) fn output(&self) -> &[usize] {
+        &self.output
+    }
+
+    /// The residual, bound to the layout of [`JoinRows::residual_reads`].
+    pub(crate) fn residual(&self) -> Option<&Expr> {
+        self.residual.as_ref()
+    }
+
+    /// The positions in `outer ++ inner` the residual reads.
+    pub(crate) fn residual_reads(&self) -> &[usize] {
+        &self.residual_reads
     }
 
     fn value<'v>(&self, pos: usize, outer: &'v [Value], inner: &'v [Value]) -> &'v Value {
@@ -1426,6 +1458,7 @@ fn build_operator<'p>(
     // sort, aggregate) can account spilled bytes/partitions as they seal runs.
     let stats = Rc::new(OpStats::default());
     let mut scan_encoding: Option<&'static str> = None;
+    let mut probe: Option<&'static str> = None;
     let op: Box<dyn Operator + 'p> = match &plan.kind {
         PlanKind::SeqScan {
             table,
@@ -1529,29 +1562,32 @@ fn build_operator<'p>(
         }
         PlanKind::IndexNestedLoopJoin {
             inner_table,
-            outer_key,
             inner_key,
             ..
         } => {
-            let outer_schema = &plan.children[0].schema;
             let table = lookup_table(ctx.storage, inner_table)?;
-            let outer_key_idx = key_index(outer_schema, outer_key)?;
             let inner_key_idx = table.schema().index_of(None, inner_key)?;
-            let (inner_read, rows) = index_nl_join(plan, table)?;
+            let kernel = IndexNlKernel::new(plan, table)?;
             let outer = children.pop().expect("index nested loop has one child");
+            probe = Some(probe_label(ctx.config.columnar));
             Box::new(IndexNlJoinOp {
                 outer,
                 table,
                 // Use an existing index if present; otherwise the first pull builds a
-                // transient lookup table (keeps the operator correct even if an index
-                // was dropped after planning).
+                // transient one (keeps the operator correct even if an index was
+                // dropped after planning).
                 index: table.index_on_column(inner_key_idx, false),
                 inner_key_idx,
                 transient: None,
-                outer_key_idx,
-                rows,
-                inner_scratch: inner_read.scratch(),
-                inner_read,
+                columnar: ctx.config.columnar,
+                outer_cols: ColumnBatch::new(Vec::new(), 0),
+                cursor: Cursor::default(),
+                pairs: Pairs::default(),
+                emitted: 0,
+                carried: None,
+                mask_cache: MaskCache::new(),
+                inner_scratch: kernel.read.scratch(),
+                kernel,
                 scratch: Row::default(),
                 outer_batch: Vec::new(),
                 outer_pos: 0,
@@ -1716,6 +1752,7 @@ fn build_operator<'p>(
     };
 
     stats.encoding.set(scan_encoding);
+    stats.probe.set(probe);
     Ok((
         Metered {
             inner: op,
@@ -1726,6 +1763,16 @@ fn build_operator<'p>(
             children: child_stats,
         },
     ))
+}
+
+/// The probe label an index nested-loop join reports in EXPLAIN ANALYZE (see
+/// [`OpStats::probe`]).
+pub(crate) fn probe_label(columnar: bool) -> &'static str {
+    if columnar {
+        "columnar"
+    } else {
+        "row"
+    }
 }
 
 /// The encoding label a scan reports in EXPLAIN ANALYZE (see [`OpStats::encoding`]).
@@ -1930,13 +1977,7 @@ impl Operator for LimitOp<'_> {
                     rows.truncate(self.remaining);
                     Batch::Rows(rows)
                 }
-                Batch::Cols(cols) => Batch::Cols(ColumnBatch::new(
-                    cols.columns()
-                        .iter()
-                        .map(|c| c.slice(0..self.remaining))
-                        .collect(),
-                    self.remaining,
-                )),
+                Batch::Cols(cols) => Batch::Cols(cols.slice(0..self.remaining)),
             }
         } else {
             batch
@@ -2498,20 +2539,32 @@ impl Operator for HashJoinOp<'_> {
 }
 
 /// Index nested-loop join: streams the outer side, probing the inner table's index (or
-/// a transient hash map) per outer row, suspending mid-match-list when the output batch
-/// fills up.
+/// a transient one) for it. With columnar execution each pull runs the shared kernel
+/// ([`IndexNlKernel`]) over whole outer batches and emits gathered column batches of
+/// exactly `batch_size` rows; passing pairs beyond a full batch carry over to the next
+/// pull, and the tail of one outer batch is gathered before the next is pulled, so
+/// output batches and outer pulls fall exactly where the row path's do. The row path
+/// (`columnar == false`, the reference engine) probes one outer row at a time and
+/// suspends mid-match-list when the output batch fills up.
 struct IndexNlJoinOp<'p> {
     outer: Metered<'p>,
     table: &'p Table,
     index: Option<&'p Index>,
     inner_key_idx: usize,
-    transient: Option<HashMap<Value, Vec<usize>>>,
-    outer_key_idx: usize,
-    /// Output-row assembly over `outer ++ inner_read`'s output columns.
-    rows: JoinRows,
-    /// The inner predicate and the inner columns decoded per match.
-    inner_read: TableRead,
-    /// The row each inner fetch decodes into.
+    transient: Option<Index>,
+    kernel: IndexNlKernel,
+    columnar: bool,
+    /// Columnar path: the outer batch being probed and the probe position in it.
+    outer_cols: ColumnBatch,
+    cursor: Cursor,
+    /// Passing pairs of `outer_cols`; those before `emitted` are already output.
+    pairs: Pairs,
+    emitted: usize,
+    /// Output rows gathered from earlier outer batches, fewer than a batch.
+    carried: Option<ColumnBatch>,
+    mask_cache: MaskCache,
+    /// Row path: the row each inner fetch decodes into, the residual's scratch row,
+    /// and the position in the outer batch and in the current match list.
     inner_scratch: Row,
     scratch: Row,
     outer_batch: RowBatch,
@@ -2524,39 +2577,105 @@ struct IndexNlJoinOp<'p> {
 }
 
 impl IndexNlJoinOp<'_> {
-    /// Without an index, the first pull builds a transient lookup table over the inner
-    /// side (buffered state, bounded by the base table). Only the key column is
-    /// decoded — the other columns stay compressed until a probe hits.
+    /// Without an index, the first pull builds a transient one over the inner key
+    /// column (buffered state, bounded by the base table). Only the key column is
+    /// read — the other columns stay compressed until a probe hits.
     fn ensure_lookup(&mut self) {
         if self.index.is_some() || self.transient.is_some() {
             return;
         }
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        let key_column = self.table.column(self.inner_key_idx);
-        for row_id in 0..self.table.row_count() {
-            if !key_column.is_null_at(row_id) {
-                map.entry(key_column.value_at(row_id))
-                    .or_default()
-                    .push(row_id);
-            }
-        }
-        let entries = map.values().map(Vec::len).sum::<usize>() as u64;
+        let index = Index::from_column(
+            IndexKind::Hash,
+            "transient",
+            self.inner_key_idx,
+            self.table.column(self.inner_key_idx),
+        );
+        let entries = index.entry_count() as u64;
         self.tracker.acquire(entries, 8 * entries);
-        self.transient = Some(map);
+        self.transient = Some(index);
     }
-}
 
-impl Operator for IndexNlJoinOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.ensure_lookup();
+    /// The columnar path: gathered column batches from the kernel.
+    fn next_columns(&mut self) -> Result<Option<Batch>, ExecError> {
+        let Some(index) = self.index.or(self.transient.as_ref()) else {
+            return Ok(None);
+        };
+        loop {
+            let carried = self.carried.as_ref().map_or(0, ColumnBatch::len);
+            let pending = self.pairs.len() - self.emitted;
+            if carried + pending >= self.batch_size {
+                let end = self.emitted + (self.batch_size - carried);
+                let head = self
+                    .kernel
+                    .gather(self.table, &self.outer_cols, &self.pairs, self.emitted..end);
+                self.emitted = end;
+                let out = match self.carried.take() {
+                    Some(mut out) => {
+                        out.append(head);
+                        out
+                    }
+                    None => head,
+                };
+                self.progress.tick(&self.obs, out.len())?;
+                return Ok(Some(Batch::Cols(out)));
+            }
+            if !self.cursor.done(&self.outer_cols) {
+                // Only the pending pairs are kept: a fan-out outer batch would
+                // otherwise grow the pair list by its whole output.
+                self.pairs.discard(self.emitted);
+                self.emitted = 0;
+                self.kernel.probe(
+                    self.table,
+                    index,
+                    &self.outer_cols,
+                    &mut self.cursor,
+                    &mut self.pairs,
+                    &mut self.mask_cache,
+                )?;
+                continue;
+            }
+            // Every pair of this outer batch is found and fewer than a batch remain:
+            // carry them over before the next outer batch replaces this one.
+            if pending > 0 {
+                let tail = self.kernel.gather(
+                    self.table,
+                    &self.outer_cols,
+                    &self.pairs,
+                    self.emitted..self.pairs.len(),
+                );
+                match &mut self.carried {
+                    Some(carried) => carried.append(tail),
+                    None => self.carried = Some(tail),
+                }
+            }
+            self.pairs.clear();
+            self.emitted = 0;
+            let Some(batch) = self.outer.next_batch()? else {
+                // Every outer row has been probed: the rows counted so far plus the
+                // carried rows are the join's complete output, so the progress report
+                // carries a true cardinality — the earliest one an index-NL pipeline
+                // ever produces (it has no breaker).
+                let carried = self.carried.take();
+                self.progress
+                    .finish(&self.obs, carried.as_ref().map_or(0, ColumnBatch::len))?;
+                let Some(out) = carried else {
+                    return Ok(None);
+                };
+                self.progress.tick(&self.obs, out.len())?;
+                return Ok(Some(Batch::Cols(out)));
+            };
+            self.outer_cols = self.kernel.outer_columns(batch);
+            self.cursor = Cursor::default();
+        }
+    }
+
+    /// The row path: one outer row at a time, one fetched row per match.
+    fn next_rows(&mut self) -> Result<Option<Batch>, ExecError> {
         let mut out = Vec::new();
         'fill: loop {
             if self.outer_pos >= self.outer_batch.len() {
                 let Some(batch) = self.outer.next_rows()? else {
-                    // Every outer row has been probed: the rows counted so far plus
-                    // the batch under construction are the join's complete output, so
-                    // the progress report carries a true cardinality — the earliest
-                    // one an index-NL pipeline ever produces (it has no breaker).
+                    // As on the columnar path: the exhaustion report is exact.
                     self.progress.finish(&self.obs, out.len())?;
                     break;
                 };
@@ -2565,17 +2684,13 @@ impl Operator for IndexNlJoinOp<'_> {
                 self.match_pos = 0;
                 continue;
             }
+            let index = self.index.or(self.transient.as_ref());
+            let (read, rows) = (&self.kernel.read, &self.kernel.rows);
             while self.outer_pos < self.outer_batch.len() {
                 let outer_row = &self.outer_batch[self.outer_pos];
-                let key = outer_row.value(self.outer_key_idx);
-                let matches: &[usize] = if key.is_null() {
-                    &[]
-                } else {
-                    match (self.index, &self.transient) {
-                        (Some(index), _) => index.lookup(key),
-                        (None, Some(map)) => map.get(key).map(Vec::as_slice).unwrap_or(&[]),
-                        (None, None) => &[],
-                    }
+                let matches: &[usize] = match index {
+                    Some(index) => index.lookup(outer_row.value(self.kernel.outer_key())),
+                    None => &[],
                 };
                 while self.match_pos < matches.len() {
                     if out.len() >= self.batch_size {
@@ -2583,16 +2698,12 @@ impl Operator for IndexNlJoinOp<'_> {
                     }
                     let row_id = matches[self.match_pos];
                     self.match_pos += 1;
-                    if !self
-                        .inner_read
-                        .fetch(self.table, row_id, &mut self.inner_scratch)?
-                    {
+                    if !read.fetch(self.table, row_id, &mut self.inner_scratch)? {
                         continue;
                     }
-                    let inner_row = self.inner_read.output(&self.inner_scratch);
+                    let inner_row = read.output(&self.inner_scratch);
                     if let Some(joined) =
-                        self.rows
-                            .join(outer_row.values(), inner_row, &mut self.scratch)?
+                        rows.join(outer_row.values(), inner_row, &mut self.scratch)?
                     {
                         out.push(joined);
                     }
@@ -2609,6 +2720,17 @@ impl Operator for IndexNlJoinOp<'_> {
         } else {
             self.progress.tick(&self.obs, out.len())?;
             Ok(Some(Batch::Rows(out)))
+        }
+    }
+}
+
+impl Operator for IndexNlJoinOp<'_> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
+        self.ensure_lookup();
+        if self.columnar {
+            self.next_columns()
+        } else {
+            self.next_rows()
         }
     }
 
@@ -4960,6 +5082,18 @@ mod tests {
             for threads in [1, 2] {
                 let result = run_at(&planned, &storage, threads);
                 assert_eq!(result.rows, expected, "{name} at {threads} threads");
+                // The index-NL residual runs on gathered columns; its batch
+                // boundaries (carried pairs included) must not change the answer.
+                for batch_size in [1, 7, 1024] {
+                    let result = Executor::with_batch_size(&storage, batch_size)
+                        .with_threads(threads)
+                        .execute(&planned.plan)
+                        .unwrap();
+                    assert_eq!(
+                        result.rows, expected,
+                        "{name} at {threads} threads, batch {batch_size}"
+                    );
+                }
             }
         }
     }

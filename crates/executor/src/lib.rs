@@ -44,6 +44,7 @@ mod agg;
 pub mod error;
 pub mod exact;
 pub mod exec;
+mod index_nl;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;

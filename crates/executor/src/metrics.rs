@@ -35,6 +35,11 @@ pub struct OperatorMetrics {
     /// vectorized kernel), or `"row"` (columnar execution off, or an index scan
     /// materializing rows by id). `None` for non-scan operators.
     pub encoding: Option<&'static str>,
+    /// For index nested-loop joins: how the operator probed — `"columnar"` (the
+    /// kernel over column batches: native int keys, gathered output columns) or
+    /// `"row"` (columnar execution off: one outer row and one fetched row at a
+    /// time). `None` for other operators.
+    pub probe: Option<&'static str>,
     /// Bytes this operator wrote to spill files (0 unless a memory budget forced
     /// the breaker out of core).
     pub spilled_bytes: u64,
@@ -174,6 +179,11 @@ impl MetricsNode {
             .encoding
             .map(|e| format!(" encoding={e}"))
             .unwrap_or_default();
+        let probe = self
+            .metrics
+            .probe
+            .map(|p| format!(" probe={p}"))
+            .unwrap_or_default();
         // Spill accounting renders only when the operator actually spilled, so
         // in-memory runs (the default) are byte-identical to builds without the
         // out-of-core subsystem.
@@ -186,7 +196,7 @@ impl MetricsNode {
             String::new()
         };
         out.push_str(&format!(
-            "{indent}{arrow}{}  (estimated rows={:.0} actual rows={}{partial} batches={} q-error={:.2}{encoding}{spilled} time={:.3}ms)\n",
+            "{indent}{arrow}{}  (estimated rows={:.0} actual rows={}{partial} batches={} q-error={:.2}{encoding}{probe}{spilled} time={:.3}ms)\n",
             self.metrics.label,
             self.metrics.estimated_rows,
             self.metrics.actual_rows,
@@ -245,6 +255,7 @@ mod tests {
             exhausted: true,
             elapsed: Duration::from_millis(1),
             encoding: None,
+            probe: None,
             spilled_bytes: 0,
             spill_partitions: 0,
         }

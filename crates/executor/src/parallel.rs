@@ -101,18 +101,19 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, bind_opt as bind_exec_opt, extract_key, index_nl_join,
-    key_index as key_index_exec, open_single, relation_schema, resolve_index_row_ids,
+    bind as bind_exec, bind_opt as bind_exec_opt, extract_key,
+    key_index as key_index_exec, open_single, probe_label, relation_schema, resolve_index_row_ids,
     scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
     ExecEvent, JoinRows, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
     RowBatch, SinglePipeline, TableRead,
 };
 use crate::agg::{AggKernel, GroupTable, Tag};
+use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
-use reopt_storage::{Row, Schema, Storage, Table, Value};
+use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table, Value};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasher;
@@ -354,6 +355,8 @@ struct ParStats {
     exhausted: AtomicBool,
     /// For scans: how the source read its input (set once at pipeline compile).
     encoding: OnceLock<&'static str>,
+    /// For index nested-loop joins: how the probe step runs (set at compile).
+    probe: OnceLock<&'static str>,
 }
 
 impl ParStats {
@@ -406,6 +409,7 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
             exhausted,
             elapsed: Duration::from_nanos(stats.stats.nanos.load(Ordering::SeqCst)),
             encoding: stats.stats.encoding.get().copied(),
+            probe: stats.stats.probe.get().copied(),
             // The parallel engine never spills: a denied reservation aborts the run
             // and the facade restarts it on the single-threaded spill engine.
             spilled_bytes: 0,
@@ -488,9 +492,9 @@ enum Source {
     /// A sequential scan over a table's column chunks. Each morsel chunk slices
     /// only the columns the predicate or the output reads (see [`TableRead`]);
     /// when the vectorized kernel covers the predicate the selection runs over the
-    /// typed columns (dictionary codes compare as integers). The chain steps stay
-    /// row-shaped, so the survivors are decoded before the first step; a pipeline
-    /// without steps hands the masked column batch to its sink undecoded.
+    /// typed columns (dictionary codes compare as integers). The masked column
+    /// batch enters the chain as it is: an index probe reads it in place, every
+    /// other step decodes it, and a pipeline without steps hands it to its sink.
     Table {
         table: Arc<Table>,
         read: TableRead,
@@ -632,11 +636,13 @@ enum StepKind {
         /// table's few indexes — negligible next to probing a batch.
         inner_key_idx: usize,
         use_index: bool,
-        transient: Option<Arc<HashMap<Value, Vec<usize>>>>,
-        outer_key: usize,
-        /// The inner predicate and the inner columns decoded per match.
-        inner_read: TableRead,
-        rows: JoinRows,
+        /// Without a usable index: one built over the key column at compile time.
+        transient: Option<Arc<Index>>,
+        /// The shared kernel (its row read and assembly serve the row path).
+        kernel: Box<IndexNlKernel>,
+        /// Whether the step runs the kernel over column batches (`columnar`), or
+        /// one outer row at a time.
+        columnar: bool,
     },
     /// Plain nested-loop probe: every outer row of the morsel loops the shared
     /// buffered inner side (block-partitioned outer, exactly the single-threaded
@@ -657,23 +663,26 @@ struct Step {
 impl Step {
     /// Apply the step to one batch, recording stats in output-batch units (a fan-out
     /// join may produce several batches' worth of rows from one input chunk) and, for
-    /// join steps with an observer installed, enqueueing periodic progress events.
+    /// join steps with an observer installed, enqueueing periodic progress events. The
+    /// index probe reads and emits column batches; the other steps decode on entry.
     fn apply(
         &self,
-        batch: RowBatch,
+        batch: Batch,
         shared: &Shared,
         batch_size: usize,
-    ) -> Result<RowBatch, ExecError> {
+        cache: &mut MaskCache,
+    ) -> Result<Batch, ExecError> {
         let start = Instant::now();
         // The join residual's compact row, reused across the batch.
         let mut scratch = Row::default();
         let out = match &self.kind {
             StepKind::Filter(predicate) => {
-                let mut batch = batch;
+                let mut batch = batch.into_rows();
                 predicate.filter_batch(&mut batch)?;
-                batch
+                Batch::Rows(batch)
             }
             StepKind::Project(exprs) => {
+                let batch = batch.into_rows();
                 let mut out = Vec::with_capacity(batch.len());
                 for row in &batch {
                     let mut values = Vec::with_capacity(exprs.len());
@@ -682,11 +691,11 @@ impl Step {
                     }
                     out.push(Row::from_values(values));
                 }
-                out
+                Batch::Rows(out)
             }
             StepKind::HashProbe { table, keys, rows } => {
                 let mut out = Vec::new();
-                for row in &batch {
+                for row in &batch.into_rows() {
                     // An immediate quiesce request (suspension or a peer worker's
                     // error) stops fan-out work promptly: the partial output is
                     // still accounted, the worker drains at the next boundary.
@@ -704,55 +713,55 @@ impl Step {
                         }
                     }
                 }
-                out
+                Batch::Rows(out)
             }
             StepKind::IndexProbe {
                 table,
                 inner_key_idx,
                 use_index,
                 transient,
-                outer_key,
-                inner_read,
-                rows,
+                kernel,
+                columnar,
             } => {
-                let mut inner_scratch = inner_read.scratch();
                 let index = if *use_index {
                     table.index_on_column(*inner_key_idx, false)
                 } else {
-                    None
+                    transient.as_deref()
                 };
-                let mut out = Vec::new();
-                for outer_row in &batch {
-                    if shared.drop_inflight() {
-                        break;
+                match index {
+                    None => Batch::Rows(Vec::new()),
+                    Some(index) if *columnar => {
+                        let outer = kernel.outer_columns(batch);
+                        let mut cursor = Cursor::default();
+                        let mut pairs = Pairs::default();
+                        while !cursor.done(&outer) && !shared.drop_inflight() {
+                            kernel.probe(table, index, &outer, &mut cursor, &mut pairs, cache)?;
+                        }
+                        Batch::Cols(kernel.gather(table, &outer, &pairs, 0..pairs.len()))
                     }
-                    let key = outer_row.value(*outer_key);
-                    let matches: &[usize] = if key.is_null() {
-                        &[]
-                    } else {
-                        match (index, transient) {
-                            (Some(index), _) => index.lookup(key),
-                            (None, Some(map)) => map.get(key).map(Vec::as_slice).unwrap_or(&[]),
-                            (None, None) => &[],
+                    Some(index) => {
+                        let mut inner_scratch = kernel.read.scratch();
+                        let mut out = Vec::new();
+                        for outer_row in &batch.into_rows() {
+                            if shared.drop_inflight() {
+                                break;
+                            }
+                            kernel.join_row(
+                                table,
+                                index,
+                                outer_row,
+                                &mut inner_scratch,
+                                &mut scratch,
+                                &mut out,
+                            )?;
                         }
-                    };
-                    for &row_id in matches {
-                        if !inner_read.fetch(table, row_id, &mut inner_scratch)? {
-                            continue;
-                        }
-                        let inner_row = inner_read.output(&inner_scratch);
-                        if let Some(joined) =
-                            rows.join(outer_row.values(), inner_row, &mut scratch)?
-                        {
-                            out.push(joined);
-                        }
+                        Batch::Rows(out)
                     }
                 }
-                out
             }
             StepKind::NlProbe { inner, rows } => {
                 let mut out = Vec::new();
-                for outer_row in &batch {
+                for outer_row in &batch.into_rows() {
                     if shared.drop_inflight() {
                         break;
                     }
@@ -764,7 +773,7 @@ impl Step {
                         }
                     }
                 }
-                out
+                Batch::Rows(out)
             }
         };
         let elapsed = start.elapsed();
@@ -1481,45 +1490,39 @@ impl<'p> Engine<'p> {
                 }
                 PlanKind::IndexNestedLoopJoin {
                     inner_table,
-                    outer_key,
                     inner_key,
                     ..
                 } => {
-                    let outer_schema = &node.children[0].schema;
                     let table = lookup_table_arc(self.storage, inner_table)?;
-                    let outer_key_idx = key_index_exec(outer_schema, outer_key)?;
                     let inner_key_idx = table.schema().index_of(None, inner_key)?;
-                    let (inner_read, rows) = index_nl_join(node, &table)?;
+                    let kernel = Box::new(IndexNlKernel::new(node, &table)?);
                     let use_index = table.index_on_column(inner_key_idx, false).is_some();
                     let transient = if !use_index {
-                        // No usable index: build a transient lookup table once,
-                        // shared read-only by every worker (bounded by the base
-                        // table, like the single-threaded operator). Only the key
-                        // column is decoded; the other columns stay columnar.
-                        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-                        let key_column = table.column(inner_key_idx);
-                        for row_id in 0..table.row_count() {
-                            if !key_column.is_null_at(row_id) {
-                                map.entry(key_column.value_at(row_id))
-                                    .or_default()
-                                    .push(row_id);
-                            }
-                        }
-                        let entries = map.values().map(Vec::len).sum::<usize>() as u64;
+                        // No usable index: build a transient one once, shared
+                        // read-only by every worker (bounded by the base table, like
+                        // the single-threaded operator). Only the key column is read.
+                        let index = Index::from_column(
+                            IndexKind::Hash,
+                            "transient",
+                            inner_key_idx,
+                            table.column(inner_key_idx),
+                        );
+                        let entries = index.entry_count() as u64;
                         self.shared.acquire(entries, 8 * entries);
-                        Some(Arc::new(map))
+                        Some(Arc::new(index))
                     } else {
                         None
                     };
+                    let columnar = self.shared.config.columnar;
+                    let _ = node_stats.stats.probe.set(probe_label(columnar));
                     steps.push(Step {
                         kind: StepKind::IndexProbe {
                             table,
                             inner_key_idx,
                             use_index,
                             transient,
-                            outer_key: outer_key_idx,
-                            inner_read,
-                            rows,
+                            kernel,
+                            columnar,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
                         progress: Some(ProgressInfo {
@@ -1939,18 +1942,15 @@ fn process_one_morsel(
         if batch.is_empty() {
             continue;
         }
-        if compiled.steps.is_empty() {
-            // No chain step: the sink takes the source's batch as it is (an
-            // aggregate reads a column batch in place; other sinks decode it).
-            sink(morsel, Some(batch))?;
-            continue;
-        }
+        // The sink takes the chain's last batch as it is (an aggregate reads a
+        // column batch in place; other sinks decode it).
         push_chain(
             &compiled.steps,
-            batch.into_rows(),
+            batch,
             shared,
             chunk,
-            &mut |rows| sink(morsel, Some(Batch::Rows(rows))),
+            mask_cache,
+            &mut |batch| sink(morsel, Some(batch)),
             pump,
         )?;
     }
@@ -2046,38 +2046,54 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Push one batch through the remaining chain steps, re-chunking fan-out output to
 /// the batch size between steps so every downstream operator (and the sink exchange)
-/// sees batch-sized units. `pump` runs after every step (the inline coordinator
-/// drains observer events there, so a suspension decision stops the descent after at
-/// most one step's output instead of a whole morsel's fan-out; threaded workers pass
-/// a no-op — their coordinator pumps concurrently).
+/// sees batch-sized units (a column batch is re-chunked by slicing). `pump` runs after
+/// every step (the inline coordinator drains observer events there, so a suspension
+/// decision stops the descent after at most one step's output instead of a whole
+/// morsel's fan-out; threaded workers pass a no-op — their coordinator pumps
+/// concurrently).
 fn push_chain(
     steps: &[Step],
-    batch: RowBatch,
+    batch: Batch,
     shared: &Shared,
     batch_size: usize,
-    sink: &mut dyn FnMut(RowBatch) -> Result<(), ExecError>,
+    cache: &mut MaskCache,
+    sink: &mut dyn FnMut(Batch) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<(), ExecError> {
     let Some((step, rest)) = steps.split_first() else {
         return sink(batch);
     };
-    let out = step.apply(batch, shared, batch_size)?;
+    let out = step.apply(batch, shared, batch_size, cache)?;
     pump();
     if out.is_empty() || shared.drop_inflight() {
         return Ok(());
     }
     if out.len() <= batch_size {
-        return push_chain(rest, out, shared, batch_size, sink, pump);
+        return push_chain(rest, out, shared, batch_size, cache, sink, pump);
     }
-    let mut iter = out.into_iter();
-    loop {
-        let chunk: RowBatch = iter.by_ref().take(batch_size).collect();
-        if chunk.is_empty() {
-            return Ok(());
+    match out {
+        Batch::Rows(rows) => {
+            let mut iter = rows.into_iter();
+            loop {
+                let chunk: RowBatch = iter.by_ref().take(batch_size).collect();
+                if chunk.is_empty() {
+                    return Ok(());
+                }
+                push_chain(rest, Batch::Rows(chunk), shared, batch_size, cache, sink, pump)?;
+                if shared.drop_inflight() {
+                    return Ok(());
+                }
+            }
         }
-        push_chain(rest, chunk, shared, batch_size, sink, pump)?;
-        if shared.drop_inflight() {
-            return Ok(());
+        Batch::Cols(cols) => {
+            for start in (0..cols.len()).step_by(batch_size) {
+                let chunk = cols.slice(start..(start + batch_size).min(cols.len()));
+                push_chain(rest, Batch::Cols(chunk), shared, batch_size, cache, sink, pump)?;
+                if shared.drop_inflight() {
+                    break;
+                }
+            }
+            Ok(())
         }
     }
 }

@@ -24,9 +24,12 @@
 //! keeps draining.
 //!
 //! The pool grows on demand (`ensure_available`) up to [`MAX_POOL_THREADS`] and
-//! never shrinks; [`WorkerPool::threads_spawned_total`] exposes the lifetime spawn count so
-//! regression tests can pin "repeated re-optimization rounds reuse the resident
-//! workers instead of spawning".
+//! never shrinks. Growth is a property of the pool, not of the moment: once it holds
+//! `n` workers, `ensure_available(n)` spawns nothing, however busy those workers are
+//! when it is called. The only other spawns replace workers parked in a blocking
+//! section ([`TaskHandle::blocking`]). [`WorkerPool::threads_spawned_total`] exposes
+//! the lifetime spawn count so regression tests can pin "repeated re-optimization
+//! rounds reuse the resident workers instead of spawning".
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,6 +65,15 @@ struct PoolState {
     serve_clock: u64,
     /// Workers currently parked on the condvar waiting for work.
     idle: usize,
+}
+
+/// Why a worker is spawned.
+#[derive(Clone, Copy)]
+enum Spawn {
+    /// Growing the pool to this many workers.
+    GrowTo(usize),
+    /// Standing in for a worker parked in a blocking section.
+    Replacement,
 }
 
 struct PoolInner {
@@ -124,16 +136,20 @@ impl PoolInner {
         }
     }
 
-    /// Spawn one worker unless the cap is reached. The cap check and the counter
-    /// bump happen under the state lock, so concurrent callers cannot both pass
-    /// the check and overshoot [`MAX_POOL_THREADS`]. Workers inside a blocking
-    /// section are exempt from the cap (see [`MAX_POOL_THREADS`]).
-    fn try_spawn_worker(self: &Arc<Self>) -> bool {
+    /// Spawn one worker unless the cap is reached, or — growing the pool — it
+    /// already holds the requested number. The checks and the counter bumps happen
+    /// under the state lock, so concurrent callers cannot both pass them and
+    /// overshoot. Workers inside a blocking section are exempt from the cap (see
+    /// [`MAX_POOL_THREADS`]); a replacement stands in for such a worker.
+    fn try_spawn_worker(self: &Arc<Self>, spawn: Spawn) -> bool {
         let n = {
             let _state = self.state.lock().expect("pool state");
             let spawned = self.spawned_total.load(Ordering::SeqCst);
             let blocked = self.blocked.load(Ordering::SeqCst);
             if spawned.saturating_sub(blocked) >= MAX_POOL_THREADS {
+                return false;
+            }
+            if matches!(spawn, Spawn::GrowTo(size) if spawned >= size) {
                 return false;
             }
             self.spawned_total.fetch_add(1, Ordering::SeqCst)
@@ -198,21 +214,14 @@ impl WorkerPool {
         }
     }
 
-    /// Grow the pool so at least `n` workers are idle right now (best-effort:
-    /// concurrent submissions may grab them), without exceeding
-    /// [`MAX_POOL_THREADS`] total. Workers blocked inside jobs do not count as
-    /// idle, so a task queued behind long-running work still gets fresh threads
-    /// up to the cap.
+    /// Grow the pool to at least `n` resident workers, without exceeding
+    /// [`MAX_POOL_THREADS`] total. Workers never exit, so a pool that has spawned
+    /// `n` spawns nothing more here, whether its workers are idle or busy at that
+    /// instant: a task queued behind other tasks' morsels waits its round-robin
+    /// turn. Workers parked in a blocking section are replaced as they park (see
+    /// [`TaskHandle::blocking`] and [`TaskHandle::submit`]).
     pub fn ensure_available(&self, n: usize) {
-        let deficit = {
-            let state = self.inner.state.lock().expect("pool state");
-            n.saturating_sub(state.idle)
-        };
-        for _ in 0..deficit {
-            if !self.inner.try_spawn_worker() {
-                break;
-            }
-        }
+        while self.inner.try_spawn_worker(Spawn::GrowTo(n)) {}
     }
 
     /// Lifetime count of threads this pool has spawned. Monotonic; the
@@ -250,7 +259,7 @@ impl TaskHandle {
         };
         self.pool.work.notify_one();
         if needs_worker {
-            self.pool.try_spawn_worker();
+            self.pool.try_spawn_worker(Spawn::Replacement);
         }
     }
 
@@ -280,7 +289,7 @@ impl TaskHandle {
                     .any(|slot| slot.id != self.id && !slot.queue.is_empty())
         };
         if needs_worker {
-            self.pool.try_spawn_worker();
+            self.pool.try_spawn_worker(Spawn::Replacement);
         }
         f()
     }
@@ -549,5 +558,37 @@ mod tests {
         }
         pool.ensure_available(2);
         assert_eq!(pool.threads_spawned_total(), after);
+    }
+
+    #[test]
+    fn a_pool_at_its_requested_size_never_spawns_for_busy_workers() {
+        // Both workers are held inside jobs, so none is idle: a request for the
+        // size the pool already has must still spawn nothing, and a larger one
+        // grows it by exactly the difference.
+        let pool = WorkerPool::new();
+        pool.ensure_available(2);
+        assert_eq!(pool.threads_spawned_total(), 2);
+        let task = pool.register(1);
+        let hold = Arc::new(Gate::new(1));
+        let entered = Arc::new(Gate::new(2));
+        let done = Arc::new(Gate::new(2));
+        for _ in 0..2 {
+            let (hold, entered, done) = (Arc::clone(&hold), Arc::clone(&entered), Arc::clone(&done));
+            task.submit(move || {
+                entered.done_one();
+                hold.wait_pumping(&|| {});
+                done.done_one();
+            });
+        }
+        entered.wait_pumping(&|| {});
+        for _ in 0..10 {
+            pool.ensure_available(2);
+            pool.ensure_available(1);
+        }
+        assert_eq!(pool.threads_spawned_total(), 2);
+        pool.ensure_available(3);
+        assert_eq!(pool.threads_spawned_total(), 3);
+        hold.done_one();
+        done.wait_pumping(&|| {});
     }
 }

@@ -81,6 +81,27 @@ impl Bitmap {
         }
         out
     }
+
+    /// A new bitmap holding the bits at `ids`, in that order.
+    pub fn gather(&self, ids: &[usize]) -> Bitmap {
+        let mut words = vec![0u64; ids.len().div_ceil(64)];
+        for (bit, &id) in ids.iter().enumerate() {
+            if self.get(id) {
+                words[bit / 64] |= 1u64 << (bit % 64);
+            }
+        }
+        Bitmap {
+            words,
+            len: ids.len(),
+        }
+    }
+
+    /// Append every bit of `other`.
+    pub fn extend(&mut self, other: &Bitmap) {
+        for idx in 0..other.len {
+            self.push(other.get(idx));
+        }
+    }
 }
 
 /// All values of one column (or of one column of a batch), in row order.
@@ -266,6 +287,86 @@ impl ColumnData {
                 dict: Arc::clone(dict),
             },
             ColumnData::Val(values) => ColumnData::Val(values[range].to_vec()),
+        }
+    }
+
+    /// The values at `ids`, in that order (an id may repeat): the index nested-loop
+    /// join's output columns, gathered by row id. Dictionary columns share the
+    /// dictionary (an `Arc` clone), so gathering never re-interns strings.
+    pub fn gather(&self, ids: &[usize]) -> ColumnData {
+        match self {
+            ColumnData::Int { values, validity } => ColumnData::Int {
+                values: ids.iter().map(|&id| values[id]).collect(),
+                validity: validity.gather(ids),
+            },
+            ColumnData::Float { values, validity } => ColumnData::Float {
+                values: ids.iter().map(|&id| values[id]).collect(),
+                validity: validity.gather(ids),
+            },
+            ColumnData::Bool { values, validity } => ColumnData::Bool {
+                values: ids.iter().map(|&id| values[id]).collect(),
+                validity: validity.gather(ids),
+            },
+            ColumnData::Dict { codes, dict } => ColumnData::Dict {
+                codes: ids.iter().map(|&id| codes[id]).collect(),
+                dict: Arc::clone(dict),
+            },
+            ColumnData::Val(values) => {
+                ColumnData::Val(ids.iter().map(|&id| values[id].clone()).collect())
+            }
+        }
+    }
+
+    /// Append the values of `other`. Two columns of one native encoding (dictionary
+    /// columns: over the same dictionary) extend their vectors; any other pair falls
+    /// back to exact values, like a variant mismatch on [`ColumnData::push`].
+    pub fn append(&mut self, other: ColumnData) {
+        match (&mut *self, other) {
+            (
+                ColumnData::Int { values, validity },
+                ColumnData::Int {
+                    values: more,
+                    validity: more_validity,
+                },
+            ) => {
+                values.extend(more);
+                validity.extend(&more_validity);
+            }
+            (
+                ColumnData::Float { values, validity },
+                ColumnData::Float {
+                    values: more,
+                    validity: more_validity,
+                },
+            ) => {
+                values.extend(more);
+                validity.extend(&more_validity);
+            }
+            (
+                ColumnData::Bool { values, validity },
+                ColumnData::Bool {
+                    values: more,
+                    validity: more_validity,
+                },
+            ) => {
+                values.extend(more);
+                validity.extend(&more_validity);
+            }
+            (
+                ColumnData::Dict { codes, dict },
+                ColumnData::Dict {
+                    codes: more,
+                    dict: more_dict,
+                },
+            ) if Arc::ptr_eq(dict, &more_dict) => codes.extend(more),
+            (ColumnData::Val(values), other) => {
+                values.extend((0..other.len()).map(|idx| other.value_at(idx)));
+            }
+            (_, other) => {
+                let mut values: Vec<Value> = (0..self.len()).map(|idx| self.value_at(idx)).collect();
+                values.extend((0..other.len()).map(|idx| other.value_at(idx)));
+                *self = ColumnData::Val(values);
+            }
         }
     }
 
@@ -463,6 +564,42 @@ impl ColumnBatch {
         (0..self.len).map(|i| self.row(i)).collect()
     }
 
+    /// A batch of exact-value columns holding `rows` (each `width` values wide): how a
+    /// row batch enters a columnar kernel.
+    pub fn from_rows(rows: Vec<Row>, width: usize) -> ColumnBatch {
+        let len = rows.len();
+        let mut columns: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(len)).collect();
+        for row in rows {
+            let mut values = row.into_values();
+            values.resize(width, Value::Null);
+            for (column, value) in columns.iter_mut().zip(values) {
+                column.push(value);
+            }
+        }
+        ColumnBatch {
+            columns: columns.into_iter().map(ColumnData::Val).collect(),
+            len,
+        }
+    }
+
+    /// The rows in `range`, copied column by column (dictionaries shared).
+    pub fn slice(&self, range: Range<usize>) -> ColumnBatch {
+        ColumnBatch {
+            columns: self.columns.iter().map(|c| c.slice(range.clone())).collect(),
+            len: range.len(),
+        }
+    }
+
+    /// Append the rows of `other`, which must have the same column count (see
+    /// [`ColumnData::append`]).
+    pub fn append(&mut self, other: ColumnBatch) {
+        debug_assert_eq!(self.columns.len(), other.columns.len());
+        for (column, more) in self.columns.iter_mut().zip(other.columns) {
+            column.append(more);
+        }
+        self.len += other.len;
+    }
+
     /// Keep only the rows whose mask bit is set.
     pub fn filter(&self, mask: &[bool]) -> ColumnBatch {
         debug_assert_eq!(mask.len(), self.len);
@@ -644,6 +781,67 @@ mod tests {
         let empty = ColumnBatch::empty_for(&schema);
         assert!(empty.is_empty());
         assert_eq!(empty.column_count(), 2);
+    }
+
+    #[test]
+    fn gather_reads_by_id_and_append_joins_two_tails() {
+        let mut ints = ColumnData::new_for(DataType::Int);
+        let mut text = ColumnData::new_for(DataType::Text);
+        for i in 0..70 {
+            ints.push(if i % 7 == 3 { Value::Null } else { Value::Int(i - 35) });
+            text.push(if i % 5 == 1 { Value::Null } else { Value::from(format!("s{}", i % 3)) });
+        }
+        let ids = [69, 3, 3, 0, 66, 10, 1];
+        for column in [&ints, &text] {
+            let gathered = column.gather(&ids);
+            assert_eq!(gathered.len(), ids.len());
+            for (at, &id) in ids.iter().enumerate() {
+                assert_eq!(gathered.value_at(at), column.value_at(id));
+            }
+            // Two gathers over one dictionary append natively; the result reads like
+            // one gather over the concatenated ids.
+            let mut head = column.gather(&ids[..4]);
+            head.append(column.gather(&ids[4..]));
+            assert_eq!(std::mem::discriminant(&head), std::mem::discriminant(column));
+            for (at, &id) in ids.iter().enumerate() {
+                assert_eq!(head.value_at(at), column.value_at(id));
+            }
+        }
+        if let (ColumnData::Dict { dict: a, .. }, ColumnData::Dict { dict: b, .. }) =
+            (&text, &text.gather(&ids))
+        {
+            assert!(Arc::ptr_eq(a, b));
+        } else {
+            panic!("expected dict columns");
+        }
+        // Different dictionaries or encodings fall back to exact values.
+        let mut other = ColumnData::new_for(DataType::Text);
+        other.push(Value::from("x"));
+        let mut mixed = text.gather(&[0, 1]);
+        mixed.append(other);
+        mixed.append(ints.gather(&[2]));
+        assert!(matches!(mixed, ColumnData::Val(_)));
+        let expected = [text.value_at(0), Value::Null, Value::from("x"), ints.value_at(2)];
+        assert_eq!((0..4).map(|i| mixed.value_at(i)).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn batches_from_rows_slice_and_append() {
+        let rows = vec![
+            Row::from_values(vec![Value::Int(1), Value::from("a")]),
+            Row::from_values(vec![Value::Null, Value::from("b")]),
+            Row::from_values(vec![Value::Int(3), Value::Null]),
+        ];
+        let mut batch = ColumnBatch::from_rows(rows.clone(), 2);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.clone().into_rows(), rows);
+        let tail = batch.slice(1..3);
+        assert_eq!(tail.into_rows(), rows[1..].to_vec());
+        batch.append(batch.slice(0..1));
+        assert_eq!(batch.len(), 4);
+        assert_eq!(batch.row(3), rows[0]);
+        let counted = ColumnBatch::from_rows(vec![Row::default(); 4], 0);
+        assert_eq!((counted.column_count(), counted.len()), (0, 4));
     }
 
     #[test]

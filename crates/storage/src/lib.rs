@@ -17,9 +17,10 @@
 //! * [`Table`] — one column chunk per schema column plus secondary indexes;
 //!   per-column [`ColumnMeta`] (NULL count, min/max, byte width) is maintained on
 //!   append for ANALYZE and the cost model.
-//! * [`HashIndex`] / [`BTreeIndex`] — secondary indexes used by the optimizer for
+//! * [`Index`] — secondary indexes (hash or B-tree kind) used by the optimizer for
 //!   index-nested-loop access paths (the paper adds foreign-key indexes to make access
-//!   path selection harder, Section III-A).
+//!   path selection harder, Section III-A); int key columns are stored as sorted row-id
+//!   runs (CSR) probed by [`Index::lookup_int`].
 //! * [`Storage`] — the collection of named tables, including temporary tables created by
 //!   the re-optimization controller.
 
@@ -36,7 +37,7 @@ pub mod value;
 pub use column::{Bitmap, ColumnBatch, ColumnData, ColumnMeta};
 pub use dict::{StringDict, NULL_CODE};
 pub use error::StorageError;
-pub use index::{BTreeIndex, HashIndex, Index, IndexKind};
+pub use index::{Index, IndexKind};
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
 pub use spill_file::{live_spill_files, SpillDir, SpillReader, SpillRun, SpillWriter};

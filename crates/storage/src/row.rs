@@ -53,6 +53,11 @@ impl Row {
         &self.values
     }
 
+    /// The values, by move.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
     /// Mutable access to all values.
     pub fn values_mut(&mut self) -> &mut Vec<Value> {
         &mut self.values

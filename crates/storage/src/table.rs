@@ -224,8 +224,7 @@ impl Table {
             return Err(StorageError::IndexExists(index_name));
         }
         let column = self.schema.index_of(None, column_name)?;
-        let keys = (0..self.row_count).map(|id| self.columns[column].value_at(id));
-        let index = Index::build(kind, index_name.clone(), column, keys);
+        let index = Index::from_column(kind, index_name.clone(), column, &self.columns[column]);
         self.indexes.insert(index_name, index);
         Ok(())
     }
@@ -436,6 +435,34 @@ mod tests {
         assert_eq!(idx.lookup(&Value::Int(1991)).len(), 3);
         assert!(t.has_index_on(2));
         assert!(!t.has_index_on(1));
+    }
+
+    #[test]
+    fn push_rows_keeps_every_index_exact() {
+        let mut t = title_table();
+        let row = |id: i64, title: &str, year: Option<i64>| {
+            Row::from_values(vec![Value::Int(id), Value::from(title), Value::from(year)])
+        };
+        t.push_rows((0..6).map(|i| row(i, "a", Some(2000 + i % 3))).collect())
+            .unwrap();
+        t.create_index("title_year", "production_year", IndexKind::BTree)
+            .unwrap();
+        t.create_index("title_name", "title", IndexKind::Hash).unwrap();
+        // Rows before an invalid one are appended (and indexed); the rest are not.
+        let bad = Row::from_values(vec![Value::from("x"), Value::from("b"), Value::Int(1)]);
+        let late = row(9, "c", Some(2001));
+        assert!(t.push_rows(vec![row(6, "b", Some(2001)), bad, late]).is_err());
+        assert_eq!(t.row_count(), 7);
+        t.push_rows(vec![row(7, "a", None), row(8, "b", Some(1999))])
+            .unwrap();
+        let years = t.index_on_column(2, true).unwrap();
+        assert!(years.is_int_keyed());
+        assert_eq!(years.lookup(&Value::Int(2001)), &[1, 4, 6]);
+        assert_eq!(years.lookup_int(1999), &[8]);
+        assert_eq!(years.entry_count(), 8);
+        let names = t.index_on_column(1, false).unwrap();
+        assert_eq!(names.lookup(&Value::from("b")), &[6, 8]);
+        assert_eq!(names.lookup(&Value::from("a")).len(), 7);
     }
 
     #[test]
