@@ -435,7 +435,6 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
         // nothing to skip.
         db.set_optimizer_config(reopt_planner::OptimizerConfig {
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..reopt_planner::OptimizerConfig::default()
         });
         let config = reopt_config(ReoptMode::MidQuery, false);

@@ -678,7 +678,6 @@ pub(crate) mod tests {
         use reopt_planner::{PhysicalPlan, PlanKind};
         let mut db = test_database_with_config(OptimizerConfig {
             enable_hash_joins: false,
-            enable_merge_joins: false,
             ..OptimizerConfig::default()
         });
         // Appends after the index build: ids past the end and below the start, a

@@ -343,9 +343,9 @@ impl ReoptPolicy for MidQueryPolicy {
         }
         match event {
             ExecEvent::BreakerComplete(breaker) => {
-                // Non-reusable state (merge/aggregate/sort inputs) cannot seed a
-                // virtual leaf; those observations are still recorded by the driver
-                // and re-injected at the next re-plan.
+                // Non-reusable state (spilled builds, aggregate/sort inputs) cannot
+                // seed a virtual leaf; those observations are still recorded by the
+                // driver and re-injected at the next re-plan.
                 if breaker.reusable
                     && q_error(breaker.estimated_rows, breaker.actual_rows as f64)
                         > self.threshold

@@ -905,10 +905,10 @@ impl Driver {
         // Exact reusable state to collapse around: the violating subset itself when
         // the trigger was a reusable breaker completion; otherwise — a streaming
         // progress overshoot, or a policy that triggered on a non-reusable breaker
-        // (merge/aggregate/sort inputs buffer no exact materialization) — the
-        // largest completed reusable breaker elsewhere in the suspended plan, which
-        // may already have been partially consumed by its parent (the buffered rows
-        // themselves are complete, so the collapse stays exact; the re-planned
+        // (spilled builds and aggregate/sort inputs hold no exact materialization) —
+        // the largest completed reusable breaker elsewhere in the suspended plan,
+        // which may already have been partially consumed by its parent (the buffered
+        // rows themselves are complete, so the collapse stays exact; the re-planned
         // remainder recomputes any partially-done probing). When nothing is
         // reusable the round falls back to pure injection below.
         let exact_idx = (violation.trigger == ReoptTrigger::BreakerComplete)
@@ -1644,7 +1644,6 @@ mod tests {
         crate::database::tests::test_database_with_config(reopt_planner::OptimizerConfig {
             enable_index_scans: false,
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..Default::default()
         })
     }
@@ -1655,7 +1654,6 @@ mod tests {
     fn index_nl_only_database() -> Database {
         crate::database::tests::test_database_with_config(reopt_planner::OptimizerConfig {
             enable_hash_joins: false,
-            enable_merge_joins: false,
             ..Default::default()
         })
     }
@@ -1983,10 +1981,12 @@ mod tests {
     }
 
     /// A policy that re-plans mid-query on ANY breaker violation, including
-    /// non-reusable ones (merge/aggregate/sort inputs) — the driver must fall back to
-    /// injection instead of failing when no exact state is extractable.
+    /// non-reusable ones (spilled hash builds, aggregate/sort inputs) — the driver
+    /// must fall back to injection instead of failing when no exact state is
+    /// extractable. Records the `reusable` flag of every event it triggers on.
     struct ReplanOnAnyBreaker {
         threshold: f64,
+        triggered: Vec<bool>,
     }
 
     impl ReoptPolicy for ReplanOnAnyBreaker {
@@ -2008,6 +2008,7 @@ mod tests {
             {
                 return PolicyDecision::Continue;
             }
+            self.triggered.push(breaker.reusable);
             PolicyDecision::ReplanMidQuery {
                 violation: Violation {
                     rel_set: breaker.rel_set,
@@ -2030,22 +2031,22 @@ mod tests {
 
     #[test]
     fn non_reusable_breaker_triggers_fall_back_to_injection() {
-        // Merge-join-only plans: the skewed mk ⋈ k subtree surfaces as a MergeInput
-        // breaker completion, which buffers no reusable materialization. Triggering
-        // on it must degrade gracefully to an inject-and-replan round, not error.
-        let mut db = crate::database::tests::test_database_with_config(
-            reopt_planner::OptimizerConfig {
-                enable_hash_joins: false,
-                enable_index_nl_joins: false,
-                enable_index_scans: false,
-                ..Default::default()
-            },
-        );
+        // Hash-join-only plans under a 64-byte budget: the skewed mk ⋈ k build spills,
+        // and a spilled build is no reusable materialization. Triggering on it must
+        // degrade gracefully to a round that injects the observation, not error. One
+        // thread: the spilling hash join is the single-threaded engine's.
+        let mut db = hash_join_only_database();
+        db.set_threads(Some(1));
         let expected = db.execute(SKEWED_SQL).unwrap();
-        let mut policy = ReplanOnAnyBreaker { threshold: 4.0 };
+        db.set_mem_budget(Some(64));
+        let mut policy = ReplanOnAnyBreaker {
+            threshold: 4.0,
+            triggered: Vec::new(),
+        };
         let report = execute_with_policy(&mut db, SKEWED_SQL, &mut policy).unwrap();
         assert_eq!(report.final_rows, expected.rows);
-        assert!(report.reoptimized(), "the skewed merge input must trigger");
+        assert!(report.reoptimized(), "the skewed spilled build must trigger");
+        assert_eq!(policy.triggered.first(), Some(&false), "a spilled build triggers first");
         let round = &report.rounds[0];
         assert_eq!(round.kind, ReoptRoundKind::MidQuery);
         assert_eq!(round.trigger, ReoptTrigger::BreakerComplete);
@@ -2313,7 +2314,6 @@ mod tests {
             reopt_planner::OptimizerConfig {
                 enable_index_scans: false,
                 enable_index_nl_joins: false,
-                enable_merge_joins: false,
                 ..Default::default()
             },
         );

@@ -17,7 +17,6 @@
 //!
 //! * the build side of a hash join (the hash table),
 //! * the inner side of a plain nested-loop join,
-//! * both sorted inputs of a merge join,
 //! * the group states of an aggregate,
 //! * the full input of a sort,
 //! * the row-id list of an index scan (bounded by the base table).
@@ -105,8 +104,6 @@ pub enum BreakerKind {
     HashBuild,
     /// The inner side of a plain nested-loop join was fully buffered.
     NestedLoopInner,
-    /// One sorted input of a merge join was fully buffered (NULL join keys dropped).
-    MergeInput,
     /// An aggregate consumed its whole input.
     AggregateInput,
     /// A sort buffered its whole input.
@@ -128,8 +125,8 @@ pub struct BreakerEvent {
     /// The observed (true) cardinality of the subtree.
     pub actual_rows: u64,
     /// Whether the breaker's buffered state is an exact, reusable materialization of
-    /// `rel_set` (true for hash-build sides and nested-loop inners; false for merge
-    /// inputs, which drop NULL-key rows, and for aggregate/sort state).
+    /// `rel_set` (true for in-memory hash-build sides and nested-loop inners; false for
+    /// a hash build that spilled to disk, and for aggregate/sort state).
     pub reusable: bool,
 }
 
@@ -1032,9 +1029,9 @@ impl Metered<'_> {
     }
 
     /// Drain the operator completely (used by the row-buffering pipeline breakers:
-    /// hash build, nested-loop inner, merge inputs, sort), feeding every batch to
-    /// `consume` as rows — a decode boundary. The aggregate pulls
-    /// [`Metered::next_batch`] instead and reads column batches in place.
+    /// hash build, nested-loop inner, sort), feeding every batch to `consume` as
+    /// rows — a decode boundary. The aggregate pulls [`Metered::next_batch`] instead
+    /// and reads column batches in place.
     fn drain(
         &mut self,
         mut consume: impl FnMut(RowBatch) -> Result<(), ExecError>,
@@ -1620,41 +1617,6 @@ fn build_operator<'p>(
                 outer_batch: Vec::new(),
                 outer_pos: 0,
                 inner_pos: 0,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                obs: ctx.obs.clone_ref(),
-                progress: ProgressMeter::new(plan.rel_set, plan.estimated_rows),
-            })
-        }
-        PlanKind::MergeJoin { keys, residual } => {
-            let left_schema = &plan.children[0].schema;
-            let right_schema = &plan.children[1].schema;
-            let left_keys = keys
-                .iter()
-                .map(|(l, _)| key_index(left_schema, l))
-                .collect::<Result<Vec<_>, _>>()?;
-            let right_keys = keys
-                .iter()
-                .map(|(_, r)| key_index(right_schema, r))
-                .collect::<Result<Vec<_>, _>>()?;
-            let right = children.pop().expect("merge join has two children");
-            let left = children.pop().expect("merge join has two children");
-            Box::new(MergeJoinOp {
-                inputs: Some((left, right)),
-                inputs_done: false,
-                input_meta: [
-                    (plan.children[0].rel_set, plan.children[0].estimated_rows),
-                    (plan.children[1].rel_set, plan.children[1].estimated_rows),
-                ],
-                left_keys,
-                right_keys,
-                rows: JoinRows::new(left_schema, right_schema, &plan.schema, residual.as_ref())?,
-                scratch: Row::default(),
-                left: Vec::new(),
-                right: Vec::new(),
-                i: 0,
-                j: 0,
-                block: None,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
                 obs: ctx.obs.clone_ref(),
@@ -2864,164 +2826,6 @@ impl Operator for NestedLoopJoinOp<'_> {
     }
 }
 
-/// The cursor inside a run of equal keys on both merge-join sides.
-struct MergeBlock {
-    /// End (exclusive) of the equal-key run on the left side.
-    i_end: usize,
-    /// End (exclusive) of the equal-key run on the right side.
-    j_end: usize,
-    /// Current left row within the run.
-    li: usize,
-    /// Current right row within the run.
-    ri: usize,
-}
-
-/// Sort-merge join: both inputs are pipeline breakers (buffered and sorted by their join
-/// keys); the merge itself streams, suspending inside equal-key blocks when the output
-/// batch fills up.
-struct MergeJoinOp<'p> {
-    /// Retained after draining so nested breaker states stay reachable.
-    inputs: Option<(Metered<'p>, Metered<'p>)>,
-    inputs_done: bool,
-    /// `(rel_set, estimated_rows)` of the left and right inputs.
-    input_meta: [(RelSet, f64); 2],
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
-    /// Output-row assembly (residual first).
-    rows: JoinRows,
-    scratch: Row,
-    left: Vec<(Vec<Value>, Row)>,
-    right: Vec<(Vec<Value>, Row)>,
-    i: usize,
-    j: usize,
-    block: Option<MergeBlock>,
-    batch_size: usize,
-    tracker: Rc<MemoryTracker>,
-    obs: ObserverCtx<'p>,
-    progress: ProgressMeter,
-}
-
-impl MergeJoinOp<'_> {
-    fn buffer_and_sort(&mut self) -> Result<(), ExecError> {
-        if self.inputs_done {
-            return Ok(());
-        }
-        let Some((mut left_input, mut right_input)) = self.inputs.take() else {
-            return Ok(());
-        };
-        let result = (|| -> Result<(), ExecError> {
-            // Merge inputs drop NULL-key rows while buffering, so the buffered counts
-            // undercount: report the metered child row counts instead, and mark the
-            // state as not reusable.
-            drain_keyed(&mut left_input, &self.left_keys, &self.tracker, &mut self.left)?;
-            self.obs.notify_breaker(BreakerEvent {
-                kind: BreakerKind::MergeInput,
-                rel_set: self.input_meta[0].0,
-                estimated_rows: self.input_meta[0].1,
-                actual_rows: left_input.stats.rows.get(),
-                reusable: false,
-            })?;
-            drain_keyed(&mut right_input, &self.right_keys, &self.tracker, &mut self.right)?;
-            self.obs.notify_breaker(BreakerEvent {
-                kind: BreakerKind::MergeInput,
-                rel_set: self.input_meta[1].0,
-                estimated_rows: self.input_meta[1].1,
-                actual_rows: right_input.stats.rows.get(),
-                reusable: false,
-            })
-        })();
-        // As in HashJoinOp: retain the drained children only for observed pipelines.
-        if self.obs.active() {
-            self.inputs = Some((left_input, right_input));
-        }
-        result?;
-        self.inputs_done = true;
-        self.left.sort_by(|a, b| a.0.cmp(&b.0));
-        self.right.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(())
-    }
-
-    /// Advance `i`/`j` to the next pair of equal keys, opening a block cursor.
-    fn open_next_block(&mut self) {
-        while self.i < self.left.len() && self.j < self.right.len() {
-            match self.left[self.i].0.cmp(&self.right[self.j].0) {
-                std::cmp::Ordering::Less => self.i += 1,
-                std::cmp::Ordering::Greater => self.j += 1,
-                std::cmp::Ordering::Equal => {
-                    let key = &self.left[self.i].0;
-                    let mut i_end = self.i + 1;
-                    while i_end < self.left.len() && &self.left[i_end].0 == key {
-                        i_end += 1;
-                    }
-                    let mut j_end = self.j + 1;
-                    while j_end < self.right.len() && &self.right[j_end].0 == key {
-                        j_end += 1;
-                    }
-                    self.block = Some(MergeBlock {
-                        i_end,
-                        j_end,
-                        li: self.i,
-                        ri: self.j,
-                    });
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl Operator for MergeJoinOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.buffer_and_sort()?;
-        let mut out = Vec::new();
-        loop {
-            if self.block.is_none() {
-                self.open_next_block();
-            }
-            let Some(block) = &mut self.block else {
-                break;
-            };
-            while block.li < block.i_end {
-                if out.len() >= self.batch_size {
-                    self.progress.tick(&self.obs, out.len())?;
-                    return Ok(Some(Batch::Rows(out)));
-                }
-                let joined = self.rows.join(
-                    self.left[block.li].1.values(),
-                    self.right[block.ri].1.values(),
-                    &mut self.scratch,
-                )?;
-                block.ri += 1;
-                if block.ri == block.j_end {
-                    block.ri = self.j;
-                    block.li += 1;
-                }
-                if let Some(joined) = joined {
-                    out.push(joined);
-                }
-            }
-            // Block exhausted: move past it.
-            self.i = block.i_end;
-            self.j = block.j_end;
-            self.block = None;
-        }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        self.progress.tick(&self.obs, out.len())?;
-        Ok(Some(Batch::Rows(out)))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // The keyed, NULL-filtered merge buffers themselves are not reusable; only
-        // recurse into the children for nested states.
-        if let Some((left, right)) = &mut self.inputs {
-            left.inner.collect_breaker_states(out);
-            right.inner.collect_breaker_states(out);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline breakers: aggregate and sort
 // ---------------------------------------------------------------------------
@@ -3562,25 +3366,6 @@ impl Operator for SortOp<'_> {
     }
 }
 
-/// Drain one merge-join input into a keyed buffer, dropping rows with NULL keys (they
-/// cannot match under equi-join semantics) and accounting the buffered rows.
-fn drain_keyed(
-    input: &mut Metered<'_>,
-    keys: &[usize],
-    tracker: &MemoryTracker,
-    out: &mut Vec<(Vec<Value>, Row)>,
-) -> Result<(), ExecError> {
-    input.drain(|batch| {
-        for row in batch {
-            if let Some(key) = extract_key(&row, keys) {
-                tracker.acquire(1, row.width() as u64);
-                out.push((key, row));
-            }
-        }
-        Ok(())
-    })
-}
-
 /// Map a spill-file I/O failure into the executor's error space.
 fn spill_err(err: std::io::Error) -> ExecError {
     ExecError::Spill(err.to_string())
@@ -3617,7 +3402,7 @@ pub(crate) fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
 mod tests {
     use super::*;
     use reopt_catalog::Catalog;
-    use reopt_planner::{CardinalityOverrides, Optimizer};
+    use reopt_planner::{CardinalityOverrides, JoinAlgorithm, Optimizer};
     use reopt_sql::parse_sql;
     use reopt_storage::{Column, DataType, IndexKind};
 
@@ -3913,14 +3698,14 @@ mod tests {
         .unwrap();
 
         let mut results = Vec::new();
-        for (hash, merge, inl) in [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
+        for (hash, inl, algorithm) in [
+            (true, false, JoinAlgorithm::Hash),
+            (false, true, JoinAlgorithm::IndexNestedLoop),
+            // Neither enabled: the plain nested loop is the fallback.
+            (false, false, JoinAlgorithm::NestedLoop),
         ] {
             let config = reopt_planner::OptimizerConfig {
                 enable_hash_joins: hash,
-                enable_merge_joins: merge,
                 enable_index_nl_joins: inl,
                 ..Default::default()
             };
@@ -3933,6 +3718,9 @@ mod tests {
                     &CardinalityOverrides::new(),
                 )
                 .unwrap();
+            let mut joins = Vec::new();
+            planned.plan.walk(&mut |n| joins.extend(n.join_algorithm()));
+            assert_eq!(joins, [algorithm]);
             let result = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
@@ -4128,7 +3916,6 @@ mod tests {
         let optimizer = Optimizer::new(reopt_planner::OptimizerConfig {
             enable_index_scans: false,
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..Default::default()
         });
         let planned = optimizer
@@ -4279,7 +4066,6 @@ mod tests {
         .unwrap();
         let optimizer = Optimizer::new(reopt_planner::OptimizerConfig {
             enable_hash_joins: false,
-            enable_merge_joins: false,
             enable_index_nl_joins: true,
             ..Default::default()
         });
@@ -4369,7 +4155,6 @@ mod tests {
         .unwrap();
         let optimizer = Optimizer::new(reopt_planner::OptimizerConfig {
             enable_hash_joins: false,
-            enable_merge_joins: false,
             enable_index_nl_joins: true,
             ..Default::default()
         });
@@ -4400,39 +4185,6 @@ mod tests {
         assert!(states.is_empty());
     }
 
-    #[test]
-    fn merge_join_suspends_inside_equal_key_blocks() {
-        let (storage, catalog) = build_env();
-        let statement = parse_sql(
-            "SELECT count(*) AS c FROM movie_keyword AS mk, keyword AS k
-             WHERE mk.keyword_id = k.id",
-        )
-        .unwrap();
-        let optimizer = Optimizer::new(reopt_planner::OptimizerConfig {
-            enable_hash_joins: false,
-            enable_merge_joins: true,
-            enable_index_nl_joins: false,
-            ..Default::default()
-        });
-        let planned = optimizer
-            .plan_select(
-                statement.query().unwrap(),
-                &storage,
-                &catalog,
-                &CardinalityOverrides::new(),
-            )
-            .unwrap();
-        // Each keyword matches 20 movie_keyword rows: equal-key blocks of 20 rows must
-        // be split across batches of 3 without losing or duplicating pairs.
-        for batch_size in [1usize, 3, 16, 4096] {
-            let result = Executor::with_batch_size(&storage, batch_size)
-                .with_threads(1)
-                .execute(&planned.plan)
-                .unwrap();
-            assert_eq!(result.rows[0].value(0), &Value::Int(200), "batch {batch_size}");
-        }
-    }
-
     // -----------------------------------------------------------------------
     // Out-of-core execution: memory governor + spill paths
     // -----------------------------------------------------------------------
@@ -4456,7 +4208,6 @@ mod tests {
         let optimizer = Optimizer::new(reopt_planner::OptimizerConfig {
             enable_index_scans: false,
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..Default::default()
         });
         let statement = parse_sql(sql).unwrap();
@@ -5023,7 +4774,6 @@ mod tests {
                 "index-nl",
                 reopt_planner::OptimizerConfig {
                     enable_hash_joins: false,
-                    enable_merge_joins: false,
                     ..Default::default()
                 },
             ),
@@ -5031,7 +4781,6 @@ mod tests {
                 "nested-loop",
                 reopt_planner::OptimizerConfig {
                     enable_hash_joins: false,
-                    enable_merge_joins: false,
                     enable_index_nl_joins: false,
                     ..Default::default()
                 },

@@ -14,8 +14,7 @@
 //! [`Executor::with_columnar`], the kill switch). Memory is
 //! bounded to one in-flight batch per streaming operator plus the buffers of
 //! *pipeline breakers* — the build side of a hash join, the inner side of a
-//! nested-loop join, both sorted inputs of a merge join, aggregate group states and
-//! sort buffers. The rows and bytes held by breakers are tracked and surfaced as
+//! nested-loop join, aggregate group states and sort buffers. The rows and bytes held by breakers are tracked and surfaced as
 //! [`ExecutionResult::peak_buffered_rows`] / `peak_buffered_bytes`, which is what
 //! lets the many-to-many JOB join graphs (tens of millions of intermediate rows)
 //! execute in bounded memory instead of materializing every intermediate.

@@ -36,10 +36,6 @@
 //!   and round once at emission — and groups are emitted in first-seen
 //!   `(morsel, sequence)` order, so results are bit-identical across runs, thread
 //!   counts and merge orders;
-//! * **merge-join inputs** run as their own pipelines into keyed sort sinks: each
-//!   worker sorts its retired run by `(key, morsel, sequence)`, the coordinator
-//!   k-way-merges the runs, and the joined output becomes a morselized
-//!   `Source::MergeJoin` whose left rows binary-search the sorted right side;
 //! * **nested-loop inners** are collected in morsel order and probed block-wise:
 //!   every outer morsel loops the shared buffered inner (`StepKind::NlProbe`);
 //! * **LIMIT roots** use a morsel-ordered exchange: workers tag batches with their
@@ -128,7 +124,7 @@ pub const MORSEL_BATCHES: usize = 4;
 
 /// Why a plan would fall back to the single-threaded engine, or `None` when the
 /// parallel engine implements every operator in it. Every current plan shape —
-/// including merge joins, plain nested-loop joins, LIMIT and float SUM/AVG — has a
+/// including plain nested-loop joins, LIMIT and float SUM/AVG — has a
 /// parallel implementation, so today this always returns `None`; it exists so that a
 /// future plan kind without parallel support degrades to an *observable* fallback
 /// (surfaced in `EXPLAIN ANALYZE` / `ReoptReport` and counted in
@@ -514,21 +510,6 @@ enum Source {
     },
     /// A materialized upstream breaker output (aggregate/sort emission).
     Rows(Vec<Row>),
-    /// A merge join over two materialized, key-sorted inputs: morsels range over the
-    /// *left* rows; each left row binary-searches the right side for its equal-key
-    /// run and emits the (residual-filtered) cross product. Both sides are sorted by
-    /// `(key, morsel, sequence)` — a stable key sort in original scan order — so the
-    /// output order is run-identical to the single-threaded [`MergeJoinOp`]'s
-    /// stable-sorted merge.
-    ///
-    /// [`MergeJoinOp`]: crate::exec
-    MergeJoin {
-        left: Arc<Vec<(Vec<Value>, Row)>>,
-        right: Arc<Vec<(Vec<Value>, Row)>>,
-        rows: JoinRows,
-        /// The merge-join node's own stats (output rows/batches).
-        stats: Arc<ParStats>,
-    },
 }
 
 impl Source {
@@ -537,7 +518,6 @@ impl Source {
             Source::Table { table, .. } => table.row_count(),
             Source::TableIds { ids, .. } => ids.len(),
             Source::Rows(rows) => rows.len(),
-            Source::MergeJoin { left, .. } => left.len(),
         }
     }
 
@@ -568,30 +548,9 @@ impl Source {
                 Batch::Rows(out)
             }
             Source::Rows(rows) => Batch::Rows(rows[range].to_vec()),
-            Source::MergeJoin {
-                left, right, rows, ..
-            } => {
-                let mut scratch = Row::default();
-                let mut out = Vec::new();
-                for (key, left_row) in &left[range] {
-                    // The equal-key run on the (sorted) right side.
-                    let lo = right.partition_point(|entry| entry.0.as_slice() < key.as_slice());
-                    let hi = right.partition_point(|entry| entry.0.as_slice() <= key.as_slice());
-                    for (_, right_row) in &right[lo..hi] {
-                        if let Some(joined) =
-                            rows.join(left_row.values(), right_row.values(), &mut scratch)?
-                        {
-                            out.push(joined);
-                        }
-                    }
-                }
-                Batch::Rows(out)
-            }
         };
         match self {
-            Source::Table { stats, .. }
-            | Source::TableIds { stats, .. }
-            | Source::MergeJoin { stats, .. } => {
+            Source::Table { stats, .. } | Source::TableIds { stats, .. } => {
                 stats.record(out.len(), start.elapsed());
             }
             Source::Rows(_) => {}
@@ -601,9 +560,7 @@ impl Source {
 
     fn mark_exhausted(&self) {
         match self {
-            Source::Table { stats, .. }
-            | Source::TableIds { stats, .. }
-            | Source::MergeJoin { stats, .. } => {
+            Source::Table { stats, .. } | Source::TableIds { stats, .. } => {
                 stats.exhausted.store(true, Ordering::SeqCst);
             }
             Source::Rows(_) => {}
@@ -1124,38 +1081,6 @@ impl<'p> Engine<'p> {
         Ok(rows)
     }
 
-    /// Run one merge-join input as a pipeline into per-worker keyed sort sinks and
-    /// k-way-merge the retired runs: the result is sorted by `(key, morsel,
-    /// sequence)`, identical to the single-threaded operator's stable key sort over
-    /// the input's scan order. Fires the input's [`BreakerKind::MergeInput`] event
-    /// with the metered child row count (NULL-key rows are dropped while buffering,
-    /// so the buffered count undercounts), mirroring `MergeJoinOp`.
-    fn eval_merge_input(
-        &mut self,
-        plan: &'p PhysicalPlan,
-        stats: &StatsTree,
-        keys: Vec<usize>,
-    ) -> Result<Vec<(Vec<Value>, Row)>, ExecError> {
-        let compiled = Arc::new(self.compile(plan, stats)?);
-        let factory = MergeSinkFactory {
-            keys,
-            shared: Arc::clone(&self.shared),
-        };
-        let locals = self.execute_pipeline(&compiled, factory)?;
-        if self.stopped() {
-            return Ok(Vec::new());
-        }
-        let merged = kway_merge(locals.into_iter().map(|local| local.entries).collect());
-        self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
-            kind: BreakerKind::MergeInput,
-            rel_set: plan.rel_set,
-            estimated_rows: plan.estimated_rows,
-            actual_rows: stats.stats.rows.load(Ordering::SeqCst),
-            reusable: false,
-        }));
-        Ok(merged)
-    }
-
     /// Execute a LIMIT-rooted plan. The child pipeline runs through a morsel-ordered
     /// exchange: workers tag every batch with its morsel index and send a done marker
     /// per fully-processed morsel; the coordinator reassembles batches in morsel
@@ -1327,9 +1252,9 @@ impl<'p> Engine<'p> {
     /// run lazily after the spine's own source is known to be runnable,
     /// innermost-first, with a stop check between each — a suspension taken on an
     /// inner breaker skips every outer build a re-plan is about to discard.
-    /// Mid-chain breakers that *drive* the pipeline (aggregate/sort outputs,
-    /// merge-join inputs) still materialize during the walk: they are the source,
-    /// without which nothing downstream is runnable.
+    /// Mid-chain breakers that *drive* the pipeline (aggregate/sort outputs) still
+    /// materialize during the walk: they are the source, without which nothing
+    /// downstream is runnable.
     fn compile<'s>(
         &mut self,
         plan: &'p PhysicalPlan,
@@ -1460,33 +1385,6 @@ impl<'p> Engine<'p> {
                     exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
                     node = &node.children[0];
                     node_stats = &node_stats.children[0];
-                }
-                PlanKind::MergeJoin { keys, residual } => {
-                    let left = &node.children[0];
-                    let right = &node.children[1];
-                    let left_keys = keys
-                        .iter()
-                        .map(|(l, _)| key_index_exec(&left.schema, l))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let right_keys = keys
-                        .iter()
-                        .map(|(_, r)| key_index_exec(&right.schema, r))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let left_rows =
-                        self.eval_merge_input(left, &node_stats.children[0], left_keys)?;
-                    let right_rows =
-                        self.eval_merge_input(right, &node_stats.children[1], right_keys)?;
-                    break Source::MergeJoin {
-                        left: Arc::new(left_rows),
-                        right: Arc::new(right_rows),
-                        rows: JoinRows::new(
-                            &left.schema,
-                            &right.schema,
-                            &node.schema,
-                            residual.as_ref(),
-                        )?,
-                        stats: Arc::clone(&node_stats.stats),
-                    };
                 }
                 PlanKind::IndexNestedLoopJoin {
                     inner_table,
@@ -1703,7 +1601,7 @@ impl<'p> Engine<'p> {
         let worker_locals: Vec<S::Local> = if compiled.workers <= 1 {
             let cursor = AtomicUsize::new(0);
             let mut local = factory.make();
-            let result = worker_loop(
+            worker_loop(
                 compiled,
                 &self.shared,
                 &cursor,
@@ -1712,13 +1610,8 @@ impl<'p> Engine<'p> {
                     None => factory.morsel_done(&mut local, morsel),
                 },
                 &|| self.pump_events(),
-            );
-            if result.is_ok() {
-                factory.retire(&mut local);
-            }
-            let locals = vec![local];
-            result?;
-            locals
+            )?;
+            vec![local]
         } else {
             let ctx = self.launch_chains(compiled, factory);
             // The coordinator pumps worker-enqueued events while the pool drains
@@ -2016,7 +1909,6 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
                 .submit(move || run_chain_slice(job_ctx, local, cache));
         }
         Ok(Ok(false)) => {
-            ctx.sink.retire(&mut local);
             ctx.locals.lock().expect("chain locals").push(local);
             ctx.gate.done_one();
         }
@@ -2100,10 +1992,9 @@ fn push_chain(
 
 /// A pipeline sink with per-worker local state: `make` is called once per chain,
 /// `consume` once per produced chain batch (tagged with the morsel index it came
-/// from), `morsel_done` once per fully-processed morsel, and `retire` once when a
-/// chain retires cleanly. `execute_pipeline` returns every chain's local state for
-/// the merge step. `'static` because sinks ride inside pool jobs that may outlive
-/// the coordinating stack frame.
+/// from), and `morsel_done` once per fully-processed morsel. `execute_pipeline`
+/// returns every chain's local state for the merge step. `'static` because sinks
+/// ride inside pool jobs that may outlive the coordinating stack frame.
 trait SinkFactory: Send + Sync + 'static {
     type Local: Send + 'static;
     fn make(&self) -> Self::Local;
@@ -2120,9 +2011,6 @@ trait SinkFactory: Send + Sync + 'static {
     fn morsel_done(&self, _local: &mut Self::Local, _morsel: usize) -> Result<(), ExecError> {
         Ok(())
     }
-    /// Called once when a chain retires cleanly (cursor exhausted or quiesce), before
-    /// its local is handed to the merge step.
-    fn retire(&self, _local: &mut Self::Local) {}
 }
 
 /// Partitioned hash-join build sink: rows land in per-worker, per-partition buffers,
@@ -2272,94 +2160,6 @@ impl SinkFactory for TaggedChannelSink {
         }
         Ok(())
     }
-}
-
-/// Keyed sort sink of one merge-join input: every retired chain holds a run sorted
-/// by `(key, morsel, sequence)`; the coordinator k-way-merges the runs (see
-/// [`kway_merge`]). Buffered rows are tracked but not reserved against the memory
-/// governor, mirroring the single-threaded `drain_keyed`.
-struct MergeSinkFactory {
-    keys: Vec<usize>,
-    shared: Arc<Shared>,
-}
-
-/// One chain's keyed run: `(key, tag, row)` entries, sorted at retirement.
-struct MergeLocal {
-    entries: Vec<(Vec<Value>, Tag, Row)>,
-    seq: u64,
-}
-
-impl SinkFactory for MergeSinkFactory {
-    type Local = MergeLocal;
-
-    fn make(&self) -> MergeLocal {
-        MergeLocal {
-            entries: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    fn consume(&self, local: &mut MergeLocal, morsel: usize, batch: Batch) -> Result<(), ExecError> {
-        for row in batch.into_rows() {
-            let tag = (morsel, local.seq);
-            local.seq += 1;
-            // NULL join keys never match under equi-join semantics; drop them while
-            // buffering, exactly like the single-threaded `drain_keyed`.
-            let Some(key) = extract_key(&row, &self.keys) else {
-                continue;
-            };
-            self.shared.acquire(1, row.width() as u64);
-            local.entries.push((key, tag, row));
-        }
-        Ok(())
-    }
-
-    fn retire(&self, local: &mut MergeLocal) {
-        // The per-worker partitioned sort: each retired run is ordered by
-        // `(key, tag)`, so the coordinator's k-way merge yields the global
-        // `(key, morsel, sequence)` order.
-        local.entries.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-    }
-}
-
-/// K-way-merge per-worker sorted runs into one `(key, row)` list ordered by
-/// `(key, morsel, sequence)` — a linear min-scan over the run heads (the run count
-/// is bounded by the worker count, so a heap buys nothing).
-fn kway_merge(runs: Vec<Vec<(Vec<Value>, Tag, Row)>>) -> Vec<(Vec<Value>, Row)> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    // Reverse each run so its smallest entry sits at the back and `pop` yields it.
-    let mut runs: Vec<Vec<(Vec<Value>, Tag, Row)>> = runs
-        .into_iter()
-        .map(|mut run| {
-            run.reverse();
-            run
-        })
-        .collect();
-    let mut out: Vec<(Vec<Value>, Row)> = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let Some(head) = run.last() else {
-                continue;
-            };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let current = runs[b].last().expect("best run nonempty");
-                    // Ties are impossible: a tag belongs to exactly one run.
-                    if (&head.0, head.1) < (&current.0, current.1) {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(b) = best else {
-            break;
-        };
-        let (key, _, row) = runs[b].pop().expect("best run nonempty");
-        out.push((key, row));
-    }
-    out
 }
 
 /// One message of the LIMIT root exchange: a produced batch of `morsel`, or (with
@@ -3271,7 +3071,6 @@ mod tests {
         OptimizerConfig {
             enable_index_scans: false,
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..OptimizerConfig::default()
         }
     }
@@ -3392,8 +3191,8 @@ mod tests {
     #[test]
     fn every_plan_shape_is_parallel_supported() {
         let (storage, catalog) = build_env();
-        // The former denylist entries — LIMIT, float SUM/AVG, merge joins, plain NL
-        // joins — all have parallel implementations now.
+        // The former denylist entries — LIMIT, float SUM/AVG, plain NL joins — all
+        // have parallel implementations now.
         for sql in [
             "SELECT t.id AS id FROM title AS t LIMIT 3",
             "SELECT avg(t.rating) AS a FROM title AS t",
@@ -3495,53 +3294,8 @@ mod tests {
         }
     }
 
-    /// Merge-joins-only configuration (hash and index-NL joins disabled).
-    fn merge_only() -> OptimizerConfig {
-        OptimizerConfig {
-            enable_index_scans: false,
-            enable_hash_joins: false,
-            enable_index_nl_joins: false,
-            ..OptimizerConfig::default()
-        }
-    }
-
     fn has_kind(plan: &PhysicalPlan, f: &dyn Fn(&PlanKind) -> bool) -> bool {
         f(&plan.kind) || plan.children.iter().any(|child| has_kind(child, f))
-    }
-
-    #[test]
-    fn merge_join_parallel_matches_single_threaded() {
-        let (storage, catalog) = build_env();
-        for sql in [
-            "SELECT t.id AS id, mk.keyword_id AS kid
-             FROM title AS t, movie_keyword AS mk
-             WHERE t.id = mk.movie_id AND mk.keyword_id < 5",
-            "SELECT count(*) AS c, min(t.title) AS m
-             FROM title AS t, movie_keyword AS mk
-             WHERE t.id = mk.movie_id AND t.production_year >= 2010",
-        ] {
-            let planned = plan_with(sql, &storage, &catalog, merge_only());
-            assert!(
-                has_kind(&planned.plan, &|k| matches!(k, PlanKind::MergeJoin { .. })),
-                "expected a merge join: {sql}"
-            );
-            assert!(plan_supported(&planned.plan), "{sql}");
-            let reference = Executor::new(&storage)
-                .with_threads(1)
-                .execute(&planned.plan)
-                .unwrap();
-            for threads in [2usize, 4] {
-                let parallel = Executor::new(&storage)
-                    .with_threads(threads)
-                    .execute(&planned.plan)
-                    .unwrap();
-                assert_eq!(
-                    sorted_rows(&parallel.rows),
-                    sorted_rows(&reference.rows),
-                    "threads={threads} {sql}"
-                );
-            }
-        }
     }
 
     /// Plain-NL-joins-only configuration (every other join algorithm disabled).
@@ -3549,7 +3303,6 @@ mod tests {
         OptimizerConfig {
             enable_index_scans: false,
             enable_hash_joins: false,
-            enable_merge_joins: false,
             enable_index_nl_joins: false,
             ..OptimizerConfig::default()
         }
@@ -3558,31 +3311,42 @@ mod tests {
     #[test]
     fn nl_join_parallel_matches_single_threaded() {
         let (storage, catalog) = build_env();
-        let sql = "SELECT mk.movie_id AS mid, k.keyword AS kw
-                   FROM movie_keyword AS mk, keyword AS k
-                   WHERE mk.keyword_id = k.id AND mk.movie_id < 50";
-        let planned = plan_with(sql, &storage, &catalog, nl_only());
-        assert_eq!(fallback_reason(&planned.plan), None);
-        assert!(
-            has_kind(&planned.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })),
-            "expected a nested-loop join"
-        );
-        assert!(plan_supported(&planned.plan));
-        let reference = Executor::new(&storage)
-            .with_threads(1)
-            .execute(&planned.plan)
-            .unwrap();
-        assert!(!reference.rows.is_empty());
-        for threads in [2usize, 4] {
-            let parallel = Executor::new(&storage)
-                .with_threads(threads)
-                .execute(&planned.plan)
-                .unwrap();
-            assert_eq!(
-                sorted_rows(&parallel.rows),
-                sorted_rows(&reference.rows),
-                "threads={threads}"
+        for sql in [
+            "SELECT mk.movie_id AS mid, k.keyword AS kw
+             FROM movie_keyword AS mk, keyword AS k
+             WHERE mk.keyword_id = k.id AND mk.movie_id < 50",
+            "SELECT t.id AS id, mk.keyword_id AS kid
+             FROM title AS t, movie_keyword AS mk
+             WHERE t.id = mk.movie_id AND mk.keyword_id < 5",
+            "SELECT count(*) AS c, min(t.title) AS m
+             FROM title AS t, movie_keyword AS mk
+             WHERE t.id = mk.movie_id AND t.production_year >= 2010",
+        ] {
+            let planned = plan_with(sql, &storage, &catalog, nl_only());
+            assert_eq!(fallback_reason(&planned.plan), None, "{sql}");
+            assert!(
+                has_kind(&planned.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })),
+                "expected a nested-loop join: {sql}"
             );
+            // The reference is an independent plan: the same query joined by hashing.
+            let hashed = plan_with(sql, &storage, &catalog, hash_only());
+            assert!(!has_kind(&hashed.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })));
+            let reference = Executor::new(&storage)
+                .with_threads(1)
+                .execute(&hashed.plan)
+                .unwrap();
+            assert!(!reference.rows.is_empty(), "{sql}");
+            for threads in [1usize, 2, 4] {
+                let result = Executor::new(&storage)
+                    .with_threads(threads)
+                    .execute(&planned.plan)
+                    .unwrap();
+                assert_eq!(
+                    sorted_rows(&result.rows),
+                    sorted_rows(&reference.rows),
+                    "threads={threads} {sql}"
+                );
+            }
         }
     }
 

@@ -194,26 +194,6 @@ impl CostModel {
         Cost::new(input.total + cmp, input.total + cmp + rows * self.cpu_tuple_cost)
     }
 
-    /// Cost of a sort-merge join (sorting both inputs, then merging).
-    pub fn merge_join(
-        &self,
-        outer: Cost,
-        inner: Cost,
-        outer_rows: f64,
-        inner_rows: f64,
-        output_rows: f64,
-        key_count: usize,
-    ) -> Cost {
-        let sorted_outer = self.sort(outer, outer_rows, key_count);
-        let sorted_inner = self.sort(inner, inner_rows, key_count);
-        let merge = (outer_rows + inner_rows) * self.cpu_operator_cost * key_count.max(1) as f64;
-        let emit = output_rows * self.cpu_tuple_cost;
-        Cost::new(
-            sorted_outer.startup + sorted_inner.startup,
-            sorted_outer.total + sorted_inner.total + merge + emit,
-        )
-    }
-
     /// Cost of aggregating `input_rows` into `groups` groups with `aggregate_count`
     /// aggregate expressions.
     pub fn aggregate(&self, input: Cost, input_rows: f64, groups: f64, aggregates: usize) -> Cost {
@@ -294,15 +274,6 @@ mod tests {
         let inl = m.index_nested_loop_join(child, 1_000_000.0, 1_000_000.0, 2.0, 2_000_000.0, 0);
         let hash = m.hash_join(child, child, 1_000_000.0, 1_000_000.0, 2_000_000.0, 1);
         assert!(hash.total < inl.total);
-    }
-
-    #[test]
-    fn merge_join_costs_include_sorts() {
-        let m = CostModel::default();
-        let child = Cost::ZERO;
-        let merge = m.merge_join(child, child, 10_000.0, 10_000.0, 10_000.0, 1);
-        let hash = m.hash_join(child, child, 10_000.0, 10_000.0, 10_000.0, 1);
-        assert!(merge.total > hash.total);
     }
 
     #[test]

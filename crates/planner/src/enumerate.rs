@@ -19,11 +19,12 @@
 //! is built once, after the search, by following the back-pointers from the full set:
 //! exactly n − 1 join nodes per planning call, each taking its children by value.
 //!
-//! For every candidate join the enumerator prices a hash join (both build directions),
-//! an index nested-loop join (when the inner side is a single base relation with an
-//! index on the join key) and a sort-merge join, keeping the cheapest — so a large
-//! cardinality underestimate can flip the choice to a nested-loop strategy, which is
-//! exactly the failure mode the paper's query 18a walk-through describes.
+//! For every candidate join the enumerator prices a hash join (both build directions)
+//! and an index nested-loop join (when the inner side is a single base relation with an
+//! index on the join key), keeping the cheapest — so a large cardinality underestimate
+//! can flip the choice to a nested-loop strategy, which is exactly the failure mode the
+//! paper's query 18a walk-through describes. A plain nested-loop join is the fallback
+//! when neither applies.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::{Cost, CostModel};
@@ -312,13 +313,11 @@ impl<'a> JoinEnumerator<'a> {
                 && inner.rel_set.len() == 1
                 && inner.rel_set.is_subset_of(indexed)
         };
-        use JoinAlgorithm::{Hash, IndexNestedLoop, Merge};
-        let config = self.config;
+        use JoinAlgorithm::{Hash, IndexNestedLoop};
+        let hash = self.config.enable_hash_joins;
         let candidates = [
-            (config.enable_hash_joins, Hash, left, right),
-            (config.enable_hash_joins, Hash, right, left),
-            // One merge orientation: its cost is symmetric in our model.
-            (config.enable_merge_joins, Merge, left, right),
+            (hash, Hash, left, right),
+            (hash, Hash, right, left),
             (index_inner(right), IndexNestedLoop, left, right),
             (index_inner(left), IndexNestedLoop, right, left),
         ];
@@ -353,14 +352,6 @@ impl<'a> JoinEnumerator<'a> {
         let model = self.cost_model;
         match algorithm {
             JoinAlgorithm::Hash => model.hash_join(
-                outer.cost,
-                inner.cost,
-                outer.estimated_rows,
-                inner.estimated_rows,
-                rows,
-                keys,
-            ),
-            JoinAlgorithm::Merge => model.merge_join(
                 outer.cost,
                 inner.cost,
                 outer.estimated_rows,
@@ -450,19 +441,12 @@ impl<'a> JoinEnumerator<'a> {
         );
         let rel_set = outer.rel_set.union(inner.rel_set);
         let schema = self.uses.schema_of(self.spec, rel_set);
-        let keys = || {
-            edges
-                .iter()
-                .filter_map(|(edge, _)| edge.oriented(outer.rel_set))
-                .collect()
-        };
         let kind = match algorithm {
             JoinAlgorithm::Hash => PlanKind::HashJoin {
-                keys: keys(),
-                residual: conjoin(&complex),
-            },
-            JoinAlgorithm::Merge => PlanKind::MergeJoin {
-                keys: keys(),
+                keys: edges
+                    .iter()
+                    .filter_map(|(edge, _)| edge.oriented(outer.rel_set))
+                    .collect(),
                 residual: conjoin(&complex),
             },
             JoinAlgorithm::NestedLoop => {
@@ -879,7 +863,6 @@ mod tests {
         // Hash joins stay on: both build directions make every priced pair symmetric,
         // so the reference may try each bipartition in either order.
         let config = OptimizerConfig {
-            enable_merge_joins: rng.gen_bool(0.5),
             enable_index_nl_joins: rng.gen_bool(0.7),
             ..OptimizerConfig::default()
         };

@@ -34,9 +34,6 @@ fn render(node: &PhysicalPlan, depth: usize, out: &mut String) {
         }
         PlanKind::HashJoin {
             residual: Some(p), ..
-        }
-        | PlanKind::MergeJoin {
-            residual: Some(p), ..
         } => {
             out.push_str(&format!("{indent}     Join Filter: {}\n", p.to_sql()));
         }

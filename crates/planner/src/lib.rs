@@ -14,7 +14,7 @@
 //!   arbitrary (e.g. true) cardinalities per relation subset — the mechanism the paper
 //!   added to PostgreSQL 10.1.
 //! * [`cost`] — a PostgreSQL-flavoured cost model (`cpu_tuple_cost`, `random_page_cost`,
-//!   hash/merge/nested-loop join costing, access-path costing).
+//!   hash, index nested-loop and nested-loop join costing, access-path costing).
 //! * [`enumerate`] — DPccp join-order enumeration over connected subgraphs (bushy plans,
 //!   no Cartesian products) with a greedy (GOO) fallback beyond a configurable relation
 //!   count, mirroring PostgreSQL's GEQO threshold.

@@ -25,7 +25,9 @@ pub struct OptimizerConfig {
     pub enable_index_scans: bool,
     /// Consider hash joins.
     pub enable_hash_joins: bool,
-    /// Consider sort-merge joins.
+    /// Read by nothing: the planner has no sort-merge join. The field stays only
+    /// because the benchmark package (`benchmark/src/workloads.rs`) still sets it;
+    /// the next change allowed to edit `benchmark/` removes both.
     pub enable_merge_joins: bool,
     /// Consider index nested-loop joins.
     pub enable_index_nl_joins: bool,
@@ -64,7 +66,7 @@ impl Default for OptimizerConfig {
         Self {
             enable_index_scans: true,
             enable_hash_joins: true,
-            enable_merge_joins: true,
+            enable_merge_joins: false,
             enable_index_nl_joins: true,
             greedy_threshold: 12,
             cost_model: CostModel::default(),

@@ -32,8 +32,6 @@ pub enum JoinAlgorithm {
     IndexNestedLoop,
     /// Plain nested-loop join with an arbitrary predicate.
     NestedLoop,
-    /// Sort-merge join.
-    Merge,
 }
 
 impl fmt::Display for JoinAlgorithm {
@@ -42,7 +40,6 @@ impl fmt::Display for JoinAlgorithm {
             JoinAlgorithm::Hash => "Hash Join",
             JoinAlgorithm::IndexNestedLoop => "Index Nested Loop",
             JoinAlgorithm::NestedLoop => "Nested Loop",
-            JoinAlgorithm::Merge => "Merge Join",
         })
     }
 }
@@ -142,13 +139,6 @@ pub enum PlanKind {
         /// The join predicate (None = cross product).
         predicate: Option<Expr>,
     },
-    /// Sort-merge join. Children are sorted internally by the executor.
-    MergeJoin {
-        /// Equi-join keys, oriented (left column, right column).
-        keys: Vec<(ColumnRef, ColumnRef)>,
-        /// Residual predicate applied to joined rows.
-        residual: Option<Expr>,
-    },
     /// Filter on top of a child.
     Filter {
         /// The predicate.
@@ -207,7 +197,6 @@ impl PhysicalPlan {
             PlanKind::HashJoin { .. } => Some(JoinAlgorithm::Hash),
             PlanKind::IndexNestedLoopJoin { .. } => Some(JoinAlgorithm::IndexNestedLoop),
             PlanKind::NestedLoopJoin { .. } => Some(JoinAlgorithm::NestedLoop),
-            PlanKind::MergeJoin { .. } => Some(JoinAlgorithm::Merge),
             _ => None,
         }
     }
@@ -259,13 +248,6 @@ impl PhysicalPlan {
                 Some(p) => format!("Nested Loop Join on {}", p.to_sql()),
                 None => "Nested Loop Join (cross)".to_string(),
             },
-            PlanKind::MergeJoin { keys, .. } => {
-                let key_text: Vec<String> = keys
-                    .iter()
-                    .map(|(l, r)| format!("{l} = {r}"))
-                    .collect();
-                format!("Merge Join on {}", key_text.join(" AND "))
-            }
             PlanKind::Filter { predicate } => format!("Filter: {}", predicate.to_sql()),
             PlanKind::Aggregate {
                 group_by,
@@ -462,7 +444,7 @@ mod tests {
             rel_set: RelSet::single(0),
         };
         assert!(agg.label().contains("MIN(t.id)"));
-        assert_eq!(JoinAlgorithm::Merge.to_string(), "Merge Join");
+        assert_eq!(JoinAlgorithm::Hash.to_string(), "Hash Join");
     }
 
     #[test]

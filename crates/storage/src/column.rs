@@ -495,8 +495,7 @@ impl ColumnMeta {
 /// columnar analogue of `RowBatch`, produced by scans and consumed by filter /
 /// project / hash-key kernels and by the aggregation kernel, which reads it in
 /// place; decoded to rows ([`ColumnBatch::into_rows`]) only at the root exchange
-/// and where a breaker buffers rows (hash build, nested-loop inner, merge input,
-/// sort).
+/// and where a breaker buffers rows (hash build, nested-loop inner, sort).
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,

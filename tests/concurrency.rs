@@ -369,7 +369,6 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
@@ -449,7 +448,6 @@ fn mid_query_reopt_corrects_one_session_while_others_complete_unaffected() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();

@@ -193,7 +193,6 @@ fn mid_query_reopt_reuses_hash_build_state_on_a_skewed_job_query() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
@@ -246,7 +245,6 @@ fn mid_query_report_counts_the_estimates_of_every_plan() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
@@ -297,7 +295,6 @@ fn mid_query_reopt_at_four_threads_reuses_a_parallel_built_hash_side() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
@@ -415,6 +412,77 @@ fn index_nl_job_plans_replan_on_progress_signals() {
     assert_eq!(progress_round.kind, ReoptRoundKind::MidQuery);
     assert!(progress_round.corrections >= 1, "the observed bound is injected");
     assert!(report.render().contains("via progress"), "{}", report.render());
+}
+
+#[test]
+fn restart_and_progress_policies_trigger_on_10a() {
+    // 10a's skewed keyword join must trigger the restart policy and mid-query
+    // re-optimization both where it lands on a hash build (hash joins only) and in
+    // the default index-NL plan; at the paper's threshold of 32 the index-NL plan
+    // re-plans on a streaming progress signal. Feedback is off, so no run learns from
+    // the one before it on the same database. Every run keeps the plain result.
+    let query = job_query("10a").unwrap();
+    let mut hash_only = Database::with_config(OptimizerConfig {
+        enable_index_scans: false,
+        enable_index_nl_joins: false,
+        ..Default::default()
+    });
+    load_imdb(&mut hash_only, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
+    let mut index_nl = imdb_database();
+    for (label, hashed, threshold, mode) in [
+        ("hash-only restart", true, 8.0, ReoptMode::Materialize),
+        ("hash-only mid-query", true, 8.0, ReoptMode::MidQuery),
+        ("index-NL restart", false, 32.0, ReoptMode::Materialize),
+        ("index-NL mid-query", false, 32.0, ReoptMode::MidQuery),
+    ] {
+        let db = if hashed { &mut hash_only } else { &mut index_nl };
+        let expected = db.execute(&query.sql).unwrap();
+        let config = ReoptConfig {
+            threshold,
+            mode,
+            ..ReoptConfig::default()
+        }
+        .with_feedback(false);
+        let report = execute_with_reoptimization(db, &query.sql, &config).unwrap();
+        assert_eq!(report.final_rows, expected.rows, "{label} changed the result");
+        assert!(report.reoptimized(), "{label} must trigger on 10a");
+        if !hashed && mode == ReoptMode::MidQuery {
+            assert!(
+                report.rounds.iter().any(|r| r.trigger == ReoptTrigger::Progress),
+                "{label}: a streaming progress round must fire"
+            );
+        }
+    }
+}
+
+#[test]
+fn selectivity_memo_serves_most_lookups_while_planning() {
+    // The estimator memoizes join-edge selectivities across enumerated pairs: every
+    // subset estimate after the first touch of an edge is a memo hit. Inside the DP
+    // regime a 10- to 12-relation run walks each edge so often that over 90 % of
+    // lookups hit; above `greedy_threshold` greedy enumeration estimates far fewer
+    // subsets, so only the general floor applies there.
+    let db = imdb_database();
+    let greedy_threshold = OptimizerConfig::default().greedy_threshold;
+    for table_count in [4usize, 7, 10, 12, 17] {
+        let query = job_queries()
+            .into_iter()
+            .find(|q| q.table_count == table_count)
+            .expect("the suite covers this size");
+        let statement = parse_sql(&query.sql).unwrap();
+        let (planned, _) = db.plan_select(statement.query().unwrap()).unwrap();
+        let log = &planned.estimation_log;
+        let hit_rate = log.selectivity_memo_hit_rate();
+        let context = format!(
+            "{table_count}-relation planning ({}): memo hit rate {hit_rate:.3} \
+             ({} hits / {} misses)",
+            query.id, log.selectivity_memo_hits, log.selectivity_memo_misses
+        );
+        assert!(hit_rate > 0.5, "{context}");
+        if table_count >= 10 && table_count <= greedy_threshold {
+            assert!(hit_rate > 0.9, "{context}");
+        }
+    }
 }
 
 #[test]
@@ -597,7 +665,6 @@ fn large_job_families_spill_under_a_finite_budget_and_stay_row_identical() {
             greedy_threshold: 8,
             enable_index_scans: false,
             enable_index_nl_joins: false,
-            enable_merge_joins: false,
             ..Default::default()
         })
         .plan_select(&select, db.storage(), db.catalog(), &CardinalityOverrides::new())
@@ -649,7 +716,6 @@ fn memory_pressure_replans_instead_of_spilling_on_a_skewed_job_query() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
@@ -718,7 +784,6 @@ fn parallel_run_over_budget_restarts_on_the_spill_engine_with_its_settings() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(&mut db, &ImdbConfig { scale: 0.02, seed: 9 }).unwrap();

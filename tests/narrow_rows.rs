@@ -140,7 +140,6 @@ fn mid_query_collapse_around_a_narrow_build_matches_the_plain_run() {
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
-        enable_merge_joins: false,
         ..Default::default()
     });
     load_imdb(
