@@ -293,26 +293,11 @@ impl Database {
         Ok((planned, start.elapsed()))
     }
 
-    /// Plan a SELECT with explicit extra overrides merged on top of the session ones.
-    /// The returned duration includes the merge.
-    pub fn plan_select_with_overrides(
-        &self,
-        statement: &SelectStatement,
-        extra: &CardinalityOverrides,
-    ) -> Result<(PlannedQuery, Duration), DbError> {
-        let start = Instant::now();
-        let mut merged = self.overrides.clone();
-        merged.merge(extra);
-        let planned =
-            self.optimizer
-                .plan_select(statement, &self.storage, &self.catalog, &merged)?;
-        Ok((planned, start.elapsed()))
-    }
-
     /// Plan an already-bound query (e.g. a collapsed spec produced by
     /// [`reopt_planner::collapse_spec`]) with extra overrides merged on top of the
-    /// session ones. Used by the mid-query re-optimization controller, whose rewritten
-    /// queries exist only as specs — their virtual leaf tables have no SQL form.
+    /// session ones. The re-optimization driver plans every round this way: after
+    /// the first bind its query exists only as a spec. The returned duration includes
+    /// the merge.
     pub fn plan_bound_with_overrides(
         &self,
         spec: QuerySpec,
@@ -329,9 +314,10 @@ impl Database {
 
     /// Register already-materialized rows as a temporary table and ANALYZE it, so the
     /// next planning round sees its true cardinality. The schema may carry qualified
-    /// column names (the mid-query controller registers breaker state whose columns
-    /// keep their original relation aliases). Dropped by
-    /// [`Database::drop_temporary_tables`] like every other temporary table.
+    /// column names (the re-optimization driver registers a subset's rows — executed
+    /// from its restriction or reused from a breaker — under their original relation
+    /// aliases). Dropped by [`Database::drop_temporary_tables`] like every other
+    /// temporary table.
     pub fn register_materialized_table(
         &mut self,
         name: &str,
@@ -450,6 +436,23 @@ impl Database {
     /// Execute a SELECT statement.
     pub fn execute_select(&mut self, select: &SelectStatement) -> Result<QueryOutput, DbError> {
         let (planned, planning_time) = self.plan_select(select)?;
+        self.execute_planned(planned, planning_time)
+    }
+
+    /// Plan an already-bound query with the session overrides and execute it (the
+    /// re-optimization driver materializes a subset's restriction this way, and the
+    /// perfect-(n) oracle counts one).
+    pub fn execute_bound(&self, spec: QuerySpec) -> Result<QueryOutput, DbError> {
+        let (planned, planning_time) =
+            self.plan_bound_with_overrides(spec, &CardinalityOverrides::new())?;
+        self.execute_planned(planned, planning_time)
+    }
+
+    fn execute_planned(
+        &self,
+        planned: PlannedQuery,
+        planning_time: Duration,
+    ) -> Result<QueryOutput, DbError> {
         let result = self.executor().execute(&planned.plan)?;
         Ok(QueryOutput {
             rows: result.rows,
@@ -814,16 +817,10 @@ pub(crate) mod tests {
             extra.set(reopt_planner::RelSet::from_mask(mask << 1), mask as f64);
         }
         let spec = reopt_planner::bind_select(select, db.storage()).unwrap();
-        let plans: [&dyn Fn() -> Duration; 2] = [
-            &|| db.plan_select_with_overrides(select, &extra).unwrap().1,
-            &|| db.plan_bound_with_overrides(spec.clone(), &extra).unwrap().1,
-        ];
-        for plan in plans {
-            let start = Instant::now();
-            let planning = plan();
-            let call = start.elapsed();
-            assert!(planning * 2 >= call, "planning {planning:?} of a {call:?} call");
-        }
+        let start = Instant::now();
+        let planning = db.plan_bound_with_overrides(spec, &extra).unwrap().1;
+        let call = start.elapsed();
+        assert!(planning * 2 >= call, "planning {planning:?} of a {call:?} call");
     }
 
     #[test]

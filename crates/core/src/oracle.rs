@@ -6,17 +6,18 @@
 //! estimation model. Perfect-(17) is fully perfect for JOB, perfect-(0) is the default
 //! estimator.
 //!
-//! The oracle here computes true cardinalities by actually executing a `COUNT(*)`
-//! sub-query for each connected relation subset (Cartesian-product subsets are never
-//! estimated by the DP enumerator, so they are skipped, exactly like the paper's
-//! PostgreSQL instrumentation which only overrides estimates the planner asks for).
+//! The oracle here computes true cardinalities by actually executing a `COUNT(*)` over
+//! the query's restriction ([`QuerySpec::restrict`]) to each connected relation subset
+//! (Cartesian-product subsets are never estimated by the DP enumerator, so they are
+//! skipped, exactly like the paper's PostgreSQL instrumentation which only overrides
+//! estimates the planner asks for).
 //! Results are memoized per `(query key, subset)` so that sweeping n = 0 … 17 over the
 //! same workload (Figures 2 and 8) pays the execution cost only once.
 
 use crate::database::Database;
 use crate::error::DbError;
 use reopt_planner::{bind_select, CardinalityOverrides, JoinGraph, QuerySpec, RelSet};
-use reopt_sql::{AggregateFunc, SelectExpr, SelectItem, SelectStatement, TableRef};
+use reopt_sql::{AggregateFunc, SelectExpr, SelectItem, SelectStatement};
 use std::collections::{HashMap, HashSet};
 
 /// Enumerate every connected subset of the join graph with at most `max_size` relations.
@@ -104,13 +105,14 @@ impl PerfectOracle {
         if let Some(&rows) = self.cache.get(&key) {
             return Ok(rows);
         }
-        let count_query = counting_subquery(spec, subset);
+        let mut count = spec.restrict(subset);
+        count.output = vec![count_star()];
         // Execute without the session overrides: the sub-query's relation indexes do
         // not correspond to the outer query's, so reusing them would only confuse the
         // sub-plan (never its result, but there is no reason to).
         let saved = db.overrides().clone();
         db.clear_overrides();
-        let output = db.execute_select(&count_query);
+        let output = db.execute_bound(count);
         db.set_overrides(saved);
         let output = output?;
         let rows = output.rows[0].value(0).as_int().unwrap_or(0).max(0) as u64;
@@ -119,43 +121,14 @@ impl PerfectOracle {
     }
 }
 
-/// Build `SELECT count(*) FROM <subset relations> WHERE <all predicates local to the
-/// subset>` for a relation subset of a bound query.
-pub fn counting_subquery(spec: &QuerySpec, subset: RelSet) -> SelectStatement {
-    let from: Vec<TableRef> = subset
-        .iter()
-        .map(|rel| {
-            let relation = &spec.relations[rel];
-            TableRef::aliased(relation.table.clone(), relation.alias.clone())
-        })
-        .collect();
-
-    let mut predicates = Vec::new();
-    for rel in subset.iter() {
-        predicates.extend(spec.local_predicates[rel].iter().cloned());
-    }
-    for edge in spec.edges_within(subset) {
-        predicates.push(edge.to_expr());
-    }
-    for (pred_set, predicate) in &spec.complex_predicates {
-        if pred_set.is_subset_of(subset) {
-            predicates.push(predicate.clone());
-        }
-    }
-
-    SelectStatement {
-        items: vec![SelectItem {
-            expr: SelectExpr::Aggregate {
-                func: AggregateFunc::Count,
-                arg: None,
-            },
-            alias: Some("true_rows".into()),
-        }],
-        from,
-        where_clause: reopt_expr::conjoin(&predicates),
-        group_by: vec![],
-        order_by: vec![],
-        limit: None,
+/// `count(*) AS true_rows`.
+fn count_star() -> SelectItem {
+    SelectItem {
+        expr: SelectExpr::Aggregate {
+            func: AggregateFunc::Count,
+            arg: None,
+        },
+        alias: Some("true_rows".into()),
     }
 }
 
@@ -288,14 +261,22 @@ mod tests {
 
     #[test]
     fn counting_subquery_renders_valid_sql() {
+        // The oracle's count is the restriction with a `count(*)` output; rendered
+        // back to SQL it reparses, binds and counts the same rows.
         let mut db = test_database();
         let statement = parse_sql(JOIN_SQL).unwrap();
         let spec = bind_select(statement.query().unwrap(), db.storage()).unwrap();
-        let subquery = counting_subquery(&spec, RelSet::from_indexes([1, 2]));
-        let sql = subquery.to_sql();
-        // It must reparse and execute.
+        let mut count = spec.restrict(RelSet::from_indexes([1, 2]));
+        count.output = vec![count_star()];
+        let sql = crate::reopt::spec_to_statement(&count).to_sql();
+        assert_eq!(
+            sql,
+            "SELECT COUNT(*) AS true_rows\nFROM movie_keyword AS mk,\n     keyword AS k\n\
+             WHERE (k.keyword = 'kw0' AND mk.keyword_id = k.id)"
+        );
         let reparsed = parse_sql(&sql).unwrap();
         let output = db.execute_statement(&reparsed).unwrap();
         assert_eq!(output.rows.len(), 1);
+        assert_eq!(output.rows, db.execute_bound(count).unwrap().rows);
     }
 }

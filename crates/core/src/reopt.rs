@@ -16,22 +16,30 @@
 //! executes (forwarding the executor's [`ExecEvent`] stream to the policy), and applies
 //! whatever a [`ReoptPolicy`] decides:
 //!
-//! * [`PolicyDecision::Restart`] with `materialize: true` — split the violating subset
-//!   off as a temporary table ([`materialize_subset`], Figure 6 of the paper), rewrite
-//!   the remainder around it and start over.
+//! * [`PolicyDecision::Restart`] with `materialize: true` — execute the violating
+//!   subset's restriction of the bound query ([`QuerySpec::restrict`]), register its
+//!   rows as a temporary table with true statistics, collapse the query around it
+//!   ([`reopt_planner::collapse_spec`]) and start over (Figure 6 of the paper).
 //! * [`PolicyDecision::Restart`] with `materialize: false` — inject the observed
 //!   cardinalities into the estimator and re-plan the same query.
 //! * [`PolicyDecision::ReplanMidQuery`] — suspend the running pipeline where the
 //!   violation surfaced; when the trigger is a *reusable* completed breaker (hash-build
-//!   side or nested-loop inner) its rows are registered as a virtual leaf table with
-//!   true statistics, the query is collapsed around it
-//!   ([`reopt_planner::collapse_spec`]) and only the remainder is re-planned — the
+//!   side or nested-loop inner) its rows are registered and collapsed around exactly
+//!   like a materialize restart's, and only the remainder is re-planned — the
 //!   already-built state is never re-executed. When the trigger is a streaming
 //!   [`Progress`](crate::policy::ReoptTrigger::Progress) observation (e.g. an index-NL
 //!   pipeline overshooting its estimate, where no breaker state exists), the observed
 //!   bound plus every exact observation from the aborted run is injected and the
 //!   remainder re-planned from scratch — catching the mis-estimate after a few cheap
 //!   batches instead of a full detection run.
+//!
+//! Both kinds of round therefore end on one path: the driver binds the query once and
+//! from then on holds one [`QuerySpec`]; a round that has rows for a subset registers
+//! them (with ANALYZE — the paper's "materialize and collect statistics" step),
+//! collapses the spec around the new leaf, re-indexes the carried overrides and extends
+//! the map back to the original relations. A round with nothing to collapse — an empty
+//! subset, one covering the whole query, or no reusable state — injects what it
+//! observed instead. Rounds of either kind mix freely.
 //!
 //! The paper's three modes survive as [`ReoptMode`], a thin constructor over the
 //! built-in policies ([`ReoptConfig::policy`]); the selective-improvement simulation
@@ -47,14 +55,9 @@
 //! which must never be mistaken for true cardinalities. The *rewrite* additionally
 //! requires the output to be plan-order-insensitive (single-row aggregates — see
 //! `reopt_safe_under_limit`), because a multi-row output truncated by a LIMIT could
-//! keep a different subset under a different join order. Wildcard selects re-plan
-//! safely across restarts (the optimizer pins their output projection to FROM order,
-//! so a different join order no longer permutes their columns), but materialize
-//! restarts degrade to injection for them (the temp table's mangled column names
-//! would leak into the expansion) and mid-query collapses stay carved out entirely.
-//! A wildcard makes every column visible, so a virtual leaf would hold them all, but
-//! the expansion walks the FROM list: it would name the leaf's columns by the leaf's
-//! generated alias, in the leaf's position, instead of by the base relations'.
+//! keep a different subset under a different join order. `SELECT *` needs no
+//! exception: the binder expands it into explicit FROM-order columns, which a collapse
+//! keeps like any other column the output reads.
 //!
 //! Every run also feeds the catalog's cross-query
 //! [`FeedbackCache`](reopt_catalog::FeedbackCache): observed true cardinalities — exhausted
@@ -67,21 +70,22 @@
 
 use crate::database::Database;
 use crate::error::DbError;
-use crate::policy::{PolicyContext, PolicyDecision, ReoptPolicy, ReoptTrigger, Violation};
+use crate::policy::{
+    Correction, PolicyContext, PolicyDecision, ReoptPolicy, ReoptTrigger, Violation,
+};
 use crate::qerror::DEFAULT_REOPT_THRESHOLD;
 use reopt_executor::{
     BreakerState, ExecError, ExecEvent, ExecutionObserver, ObserverDecision, ObserverHandle,
     QueryMetrics,
 };
-use reopt_expr::{ColumnRef, Expr};
+use reopt_expr::Expr;
 use reopt_planner::{
     bind_select, collapse_spec, feedback_key, seed_overrides_from_cache, CardinalityOverrides,
-    EstimationLog, Exactness, PlannedQuery, QuerySpec, RelSet,
+    CollapsedSpec, EstimationLog, Exactness, PlannedQuery, QuerySpec, RelSet,
 };
-use reopt_sql::{parse_sql, SelectExpr, SelectItem, SelectStatement, Statement, TableRef};
+use reopt_sql::{parse_sql, SelectExpr, SelectStatement, Statement, TableRef};
 use reopt_storage::Row;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -227,8 +231,8 @@ pub struct ReoptRound {
     /// The aliases of the relations that were materialized (or whose cardinality was
     /// injected).
     pub materialized_aliases: Vec<String>,
-    /// The temporary table name (materialize restarts and state-reusing mid-query
-    /// rounds).
+    /// The temporary table the query was collapsed around (materialize restarts and
+    /// state-reusing mid-query rounds; `None` when the round injected instead).
     pub temp_table: Option<String>,
     /// The optimizer's estimate for the offending subset.
     pub estimated_rows: f64,
@@ -236,10 +240,11 @@ pub struct ReoptRound {
     pub actual_rows: u64,
     /// The Q-error that triggered this round.
     pub q_error: f64,
-    /// The `CREATE TEMP TABLE` statement issued (materialize restarts only), as SQL.
+    /// The `CREATE TEMP TABLE` statement a materialize restart executed, rendered from
+    /// the violating subset's restriction.
     pub create_sql: Option<String>,
-    /// Execution time of the materialization. For mid-query rounds this is only the
-    /// cost of registering and analyzing the already-built breaker state.
+    /// Execution time of the materialization plus registering and analyzing its rows.
+    /// For mid-query rounds this is only the latter: the rows were already built.
     pub materialization_time: Duration,
     /// Rows of completed breaker state carried into the re-planned remainder instead
     /// of being re-executed (mid-query rounds only).
@@ -289,9 +294,9 @@ pub struct ReoptReport {
     pub spilled_bytes: u64,
     /// Total spill partitions / runs written across the same statements.
     pub spill_partitions: u64,
-    /// The final re-optimized script (CREATE TEMP TABLE statements + final SELECT; for
-    /// mid-query rounds, comment lines describing the reused breaker state + the
-    /// collapsed final SELECT over the virtual tables).
+    /// The final re-optimized script: a CREATE TEMP TABLE statement per materialize
+    /// restart, a comment line per reused breaker state, and the final SELECT over the
+    /// collapsed query.
     pub final_sql: String,
     /// The metrics tree of the final execution, when one ran to completion. Lets
     /// callers verify plan shape and state reuse (a mid-query round's virtual table
@@ -349,27 +354,16 @@ pub fn execute_with_policy_feedback(
         .query()
         .ok_or_else(|| DbError::Reoptimization("re-optimization needs a SELECT".into()))?
         .clone();
-    let mut driver = Driver::new(select, feedback);
+    // Bind once: the bound original is the coordinate system of every feedback-cache
+    // key this run reads or writes, and every round rewrites a copy of it.
+    let spec = bind_select(&select, db.storage())?;
+    let mut driver = Driver::new(select, spec, feedback);
     let result = driver.run(db, policy);
     // Never leak the driver's temp/virtual tables, even on error — but drop only the
     // tables *this* run created: a user's own session temp tables must survive a
     // policy that never materializes anything.
     db.drop_tables(&driver.created_tables);
     result
-}
-
-/// Whether the SELECT list contains a wildcard. The optimizer pins a wildcard's
-/// output projection to FROM order, so restart-style re-planning is safe; but the
-/// temp-table rewrite (mangled column names) and the mid-query collapse (the FROM-list
-/// expansion would reach the leaf's columns through its generated alias, not the base
-/// relations') would still change the expanded column set, so the driver degrades
-/// materialize restarts to injection and never observes events (no mid-query rounds)
-/// for wildcard queries.
-fn has_wildcard(select: &SelectStatement) -> bool {
-    select
-        .items
-        .iter()
-        .any(|item| matches!(item.expr, SelectExpr::Wildcard))
 }
 
 /// Whether re-planning this query can change *which* rows a LIMIT keeps. Detection
@@ -471,23 +465,21 @@ fn violation_exactness(trigger: ReoptTrigger) -> Exactness {
 
 /// The mutable state of one [`execute_with_policy`] call.
 struct Driver {
+    /// The statement as written: its LIMIT shape gates re-planning, and its text is
+    /// the final script when no round collapsed the query.
     original: SelectStatement,
-    /// The statement form of the current query (rewritten by materialize restarts).
-    current: SelectStatement,
-    /// The bound form after a mid-query collapse (takes precedence over `current`).
-    collapsed: Option<QuerySpec>,
+    /// The original query in bound form — the indexing every feedback-cache key uses.
+    original_spec: QuerySpec,
+    /// The current query: the original, collapsed around every table a round
+    /// materialized or reused.
+    spec: QuerySpec,
     /// Whether this run consults and feeds the catalog's cross-query feedback cache.
     feedback: bool,
-    /// Whether the SELECT list contains a wildcard (see [`has_wildcard`]).
-    wildcard: bool,
-    /// The original query in bound form — the indexing every feedback-cache key uses.
-    original_spec: Option<QuerySpec>,
     /// Per-relation mapping from the *current* query's indexing back to the original
-    /// query's: identity at first, composed across every materialize rewrite (the
-    /// temp relation expands to the subset it materialized) and mid-query collapse
-    /// (the virtual leaf likewise). `None` marks a relation with no original-space
-    /// image; observations touching it are never recorded — a driver-created leaf
-    /// must not outlive its table in the cache.
+    /// query's: identity at first, composed across every collapse (the new leaf
+    /// expands to the subset it stands for). `None` marks a relation with no
+    /// original-space image; observations touching it are never recorded — a
+    /// driver-created leaf must not outlive its table in the cache.
     to_original: Vec<Option<RelSet>>,
     /// Corrections and carried observations, keyed in the current query's indexing.
     injected: CardinalityOverrides,
@@ -511,16 +503,15 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(original: SelectStatement, feedback: bool) -> Self {
-        let wildcard = has_wildcard(&original);
+    fn new(original: SelectStatement, spec: QuerySpec, feedback: bool) -> Self {
         Self {
-            current: original.clone(),
             original,
-            collapsed: None,
+            to_original: (0..spec.relation_count())
+                .map(|rel| Some(RelSet::single(rel)))
+                .collect(),
+            original_spec: spec.clone(),
+            spec,
             feedback,
-            wildcard,
-            original_spec: None,
-            to_original: Vec::new(),
             injected: CardinalityOverrides::new(),
             rounds: Vec::new(),
             planning_time: Duration::ZERO,
@@ -545,31 +536,19 @@ impl Driver {
         policy: &mut dyn ReoptPolicy,
     ) -> Result<ReoptReport, DbError> {
         // LIMIT safety gate shared by every policy (see `reopt_safe_under_limit`);
-        // unsafe queries execute plain, with no observer and no rounds. Wildcard
-        // queries re-plan across restarts but never observe events (no mid-query
-        // collapse; see `has_wildcard`).
+        // unsafe queries execute plain, with no observer and no rounds.
         let limit_safe = reopt_safe_under_limit(&self.original);
-
-        // Bind the original once: its indexing is the coordinate system of every
-        // feedback-cache key this run reads or writes.
-        let original_spec = bind_select(&self.original, db.storage())?;
-        self.to_original = (0..original_spec.relation_count())
-            .map(|rel| Some(RelSet::single(rel)))
-            .collect();
         if self.feedback && limit_safe {
             // Seed the first planning pass from the cache. Queries whose LIMIT makes
             // re-planning order-sensitive plan unseeded: a seeded first plan could
             // keep a different row subset than the same query planned cold.
-            let seeds = seed_overrides_from_cache(&original_spec, db.catalog().feedback());
+            let seeds = seed_overrides_from_cache(&self.original_spec, db.catalog().feedback());
             self.injected.merge(&seeds);
         }
-        self.original_spec = Some(original_spec);
 
         loop {
-            let (planned, plan_time) = match &self.collapsed {
-                Some(spec) => db.plan_bound_with_overrides(spec.clone(), &self.injected)?,
-                None => db.plan_select_with_overrides(&self.current, &self.injected)?,
-            };
+            let (planned, plan_time) =
+                db.plan_bound_with_overrides(self.spec.clone(), &self.injected)?;
             self.planning_time += plan_time;
             self.estimation_log.merge(&planned.estimation_log);
 
@@ -581,68 +560,26 @@ impl Driver {
                 all_relations: planned.spec.all_relations(),
                 rounds: self.rounds.len(),
             };
-            let observe = budget_open && !self.wildcard && policy.wants_events();
+            let observe = budget_open && policy.wants_events();
             let run = run_pipeline(db, &planned, policy, ctx.clone(), observe)?;
             self.peak_buffered_rows = self.peak_buffered_rows.max(run.peak_buffered_rows);
             self.peak_buffered_bytes = self.peak_buffered_bytes.max(run.peak_buffered_bytes);
-            {
-                let (RunOutcome::Completed(_, metrics) | RunOutcome::Suspended(_, metrics)) =
-                    &run.outcome;
-                let (bytes, partitions) = metrics.root.total_spilled();
-                self.spilled_bytes += bytes;
-                self.spill_partitions += partitions;
-            }
 
-            match run.outcome {
+            // Harvest into the cross-query cache before anything remaps the indexing:
+            // a run's exhausted counts are truths worth keeping whatever the policy
+            // decides.
+            let (decision, metrics, states, rows) = match run.outcome {
                 RunOutcome::Completed(rows, metrics) => {
-                    // Harvest into the cross-query cache before anything remaps the
-                    // indexing: a completed run's exhausted counts are truths worth
-                    // keeping whether or not the policy restarts.
                     self.record_feedback(db, &harvest_observations(&metrics));
                     let decision = if budget_open {
                         policy.on_complete(&metrics, &planned.spec, &ctx)
                     } else {
                         PolicyDecision::Continue
                     };
-                    match decision {
-                        PolicyDecision::Continue => {
-                            return Ok(self.finalize(
-                                policy.name(),
-                                db.threads(),
-                                &planned,
-                                rows,
-                                metrics,
-                            ));
-                        }
-                        PolicyDecision::ReplanMidQuery { .. } => {
-                            return Err(DbError::Reoptimization(
-                                "ReplanMidQuery is only valid from on_event — a completed \
-                                 run has nothing left to suspend"
-                                    .into(),
-                            ));
-                        }
-                        PolicyDecision::Restart {
-                            materialize,
-                            violation,
-                            corrections,
-                        } => {
-                            self.detection_time += metrics.execution_time;
-                            self.apply_restart(
-                                db,
-                                &planned,
-                                plan_time,
-                                metrics.execution_time,
-                                materialize,
-                                violation,
-                                &corrections,
-                            )?;
-                        }
-                    }
+                    (decision, metrics, Vec::new(), Some(rows))
                 }
-                RunOutcome::Suspended(states, partial_metrics) => {
-                    let partial_time = partial_metrics.execution_time;
-                    self.detection_time += partial_time;
-                    let mut observed = harvest_observations(&partial_metrics);
+                RunOutcome::Suspended(states, metrics) => {
+                    let mut observed = harvest_observations(&metrics);
                     if let Some(
                         PolicyDecision::Restart { violation, .. }
                         | PolicyDecision::ReplanMidQuery { violation },
@@ -666,70 +603,77 @@ impl Driver {
                             "pipeline suspended without a policy decision".into(),
                         )
                     })?;
-                    match decision {
-                        PolicyDecision::Continue => {
-                            return Err(DbError::Reoptimization(
-                                "pipeline suspended on a Continue decision".into(),
-                            ));
-                        }
-                        PolicyDecision::Restart {
-                            materialize,
-                            violation,
-                            corrections,
-                        } => {
-                            // An event-triggered restart: the abandoned partial run
-                            // is the whole detection cost.
-                            self.apply_restart(
-                                db,
-                                &planned,
-                                plan_time,
-                                partial_time,
-                                materialize,
-                                violation,
-                                &corrections,
-                            )?;
-                        }
-                        PolicyDecision::ReplanMidQuery { violation } => {
-                            self.apply_mid_query(
-                                db,
-                                &planned,
-                                plan_time,
-                                violation,
-                                &partial_metrics,
-                                states,
-                            )?;
-                        }
-                    }
+                    (decision, metrics, states, None)
+                }
+            };
+            self.add_spilled(&metrics);
+
+            // Continue accepts a completed run; a round abandons the run it decided
+            // on (a full detection run, or the partial run up to a suspension), which
+            // is detection time.
+            match (decision, rows) {
+                (PolicyDecision::Continue, Some(rows)) => {
+                    return Ok(self.finalize(policy.name(), db.threads(), rows, metrics));
+                }
+                (PolicyDecision::Continue, None) => {
+                    return Err(DbError::Reoptimization(
+                        "pipeline suspended on a Continue decision".into(),
+                    ));
+                }
+                (PolicyDecision::ReplanMidQuery { .. }, Some(_)) => {
+                    return Err(DbError::Reoptimization(
+                        "ReplanMidQuery is only valid from on_event — a completed \
+                         run has nothing left to suspend"
+                            .into(),
+                    ));
+                }
+                (
+                    PolicyDecision::Restart {
+                        materialize,
+                        violation,
+                        corrections,
+                    },
+                    _,
+                ) => {
+                    self.detection_time += metrics.execution_time;
+                    self.apply_restart(
+                        db,
+                        plan_time,
+                        metrics.execution_time,
+                        materialize,
+                        violation,
+                        &corrections,
+                    )?;
+                }
+                (PolicyDecision::ReplanMidQuery { violation }, None) => {
+                    self.detection_time += metrics.execution_time;
+                    self.apply_mid_query(db, plan_time, violation, &metrics, states)?;
                 }
             }
         }
     }
 
-    /// Apply a [`PolicyDecision::Restart`]: materialize the violating subset as a
-    /// temporary table (rewriting the statement around it) or inject the policy's
-    /// corrections, then loop.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_restart(
-        &mut self,
-        db: &mut Database,
-        planned: &PlannedQuery,
+    /// Add a run's spill totals to the report's.
+    fn add_spilled(&mut self, metrics: &QueryMetrics) {
+        let (bytes, partitions) = metrics.root.total_spilled();
+        self.spilled_bytes += bytes;
+        self.spill_partitions += partitions;
+    }
+
+    /// A round over the violating subset of the current query, with nothing
+    /// materialized or injected yet.
+    fn round(
+        &self,
+        kind: ReoptRoundKind,
+        violation: &Violation,
         plan_time: Duration,
         detection: Duration,
-        materialize: bool,
-        violation: Violation,
-        corrections: &[crate::policy::Correction],
-    ) -> Result<(), DbError> {
-        // A wildcard SELECT survives re-planning (its projection is pinned to FROM
-        // order) but not the temp-table rewrite, whose mangled column names would
-        // leak into the expansion: degrade to an inject-only round carrying the
-        // violation's observed count.
-        let degraded = materialize && self.wildcard;
-        let materialize = materialize && !degraded;
-        let mut round = ReoptRound {
-            kind: ReoptRoundKind::Restart,
+    ) -> ReoptRound {
+        ReoptRound {
+            kind,
             trigger: violation.trigger,
             rel_set: violation.rel_set,
-            materialized_aliases: aliases_of(&planned.spec, violation.rel_set),
+            materialized_aliases: aliases_of(&self.spec, violation.rel_set),
             temp_table: None,
             estimated_rows: violation.estimated_rows,
             actual_rows: violation.actual_rows,
@@ -740,98 +684,120 @@ impl Driver {
             planning_time: plan_time,
             detection_time: detection,
             corrections: 0,
-        };
-        if materialize {
-            // A materialize restart rewrites the SQL statement; once a mid-query
-            // round collapsed the query into a bound spec there is no statement left
-            // to rewrite. The built-in policies never mix the two.
-            if self.collapsed.is_some() {
-                return Err(DbError::Reoptimization(
-                    "cannot materialize-restart after a mid-query re-plan collapsed the query"
-                        .into(),
-                ));
-            }
-            self.temp_counter += 1;
-            let temp_name = format!("reopt_temp{}", self.temp_counter);
-            let (temp_query, rewritten) =
-                materialize_subset(&planned.spec, &self.current, violation.rel_set, &temp_name);
-            let create_output = db.create_table_as(&temp_name, true, &temp_query)?;
-            self.materialization_time += create_output.execution_time;
-            self.peak_buffered_rows =
-                self.peak_buffered_rows.max(create_output.peak_buffered_rows);
-            self.peak_buffered_bytes = self
-                .peak_buffered_bytes
-                .max(create_output.peak_buffered_bytes);
-            if let Some(metrics) = &create_output.metrics {
-                let (bytes, partitions) = metrics.root.total_spilled();
-                self.spilled_bytes += bytes;
-                self.spill_partitions += partitions;
-            }
-            let create_statement = Statement::CreateTableAs {
-                name: temp_name.clone(),
-                temporary: true,
-                query: temp_query,
-            };
-            round.materialization_time = create_output.execution_time;
-            round.create_sql = Some(create_statement.to_sql());
-            self.created_tables.push(temp_name.clone());
-            round.temp_table = Some(temp_name);
-            self.created_sql.push(format!("{};", create_statement.to_sql()));
-            // The rewrite re-numbers the relations (the temp table replaces the
-            // subset and lands at the end of the FROM list, which is how the binder
-            // will re-index them): carried overrides from earlier inject rounds must
-            // be remapped or they would silently pin the wrong relations.
-            let mut mapping: Vec<Option<usize>> = Vec::with_capacity(planned.spec.relation_count());
-            let mut next = 0usize;
-            for rel in 0..planned.spec.relation_count() {
-                if violation.rel_set.contains(rel) {
-                    mapping.push(None);
-                } else {
-                    mapping.push(Some(next));
-                    next += 1;
-                }
-            }
-            let mut remapped = CardinalityOverrides::new();
-            for (set, observed, exactness) in self.injected.iter_entries() {
-                if let Some(mapped) =
-                    reopt_planner::remap_rel_set(set, violation.rel_set, &mapping, next)
-                {
-                    match exactness {
-                        Exactness::Exact => remapped.set(mapped, observed),
-                        Exactness::AtLeast => remapped.set_at_least(mapped, observed),
-                    }
-                }
-            }
-            self.injected = remapped;
-            // Compose the original-space mapping: the temp relation (index `next`)
-            // expands to everything the materialized subset stood for.
-            let mut new_to_original: Vec<Option<RelSet>> = vec![None; next + 1];
-            for rel in 0..planned.spec.relation_count() {
-                if let Some(Some(new_index)) = mapping.get(rel) {
-                    new_to_original[*new_index] = self.to_original.get(rel).copied().flatten();
-                }
-            }
-            new_to_original[next] = self.original_image(violation.rel_set);
-            self.to_original = new_to_original;
-            self.current = rewritten;
+        }
+    }
+
+    /// Apply a [`PolicyDecision::Restart`]: materialize the violating subset's
+    /// restriction as a temporary table and collapse the query around it, or inject
+    /// the policy's corrections — the violation's own count when a materialize restart
+    /// has nothing to collapse — then loop.
+    fn apply_restart(
+        &mut self,
+        db: &mut Database,
+        plan_time: Duration,
+        detection: Duration,
+        materialize: bool,
+        violation: Violation,
+        corrections: &[Correction],
+    ) -> Result<(), DbError> {
+        let mut round = self.round(ReoptRoundKind::Restart, &violation, plan_time, detection);
+        let subset = violation.rel_set;
+        let name = format!("reopt_temp{}", self.temp_counter + 1);
+        let collapsed = if materialize {
+            let schema = self.spec.column_uses().schema_of(&self.spec, subset);
+            collapse_spec(&self.spec, subset, &name, &name, schema)
         } else {
-            for correction in corrections {
-                match violation_exactness(violation.trigger) {
-                    Exactness::Exact => self.injected.set(correction.rel_set, correction.rows),
-                    Exactness::AtLeast => {
-                        self.injected.set_at_least(correction.rel_set, correction.rows)
-                    }
+            None
+        };
+        match collapsed {
+            Some(collapsed) => {
+                // The paper's rewrite (Figure 6): execute the subset on its own, with
+                // the session overrides only — the carried ones are keyed in the
+                // whole query's indexing.
+                let restricted = self.spec.restrict(subset);
+                let create = Statement::CreateTableAs {
+                    name: name.clone(),
+                    temporary: true,
+                    query: spec_to_statement(&restricted),
                 }
+                .to_sql();
+                let output = db.execute_bound(restricted)?;
+                self.peak_buffered_rows = self.peak_buffered_rows.max(output.peak_buffered_rows);
+                self.peak_buffered_bytes =
+                    self.peak_buffered_bytes.max(output.peak_buffered_bytes);
+                if let Some(metrics) = &output.metrics {
+                    self.add_spilled(metrics);
+                }
+                self.temp_counter += 1;
+                let register = self.collapse(db, collapsed, output.rows, &[])?;
+                round.materialization_time = output.execution_time + register;
+                self.materialization_time += round.materialization_time;
+                self.created_sql.push(format!("{create};"));
+                round.create_sql = Some(create);
+                round.temp_table = Some(name);
             }
-            round.corrections = corrections.len();
-            if degraded && !violation.rel_set.is_empty() {
-                self.injected
-                    .set(violation.rel_set, violation.actual_rows as f64);
-                round.corrections += 1;
+            None => {
+                // An inject-only restart injects the policy's corrections; a
+                // materialize restart with nothing to collapse injects the
+                // violation's own count.
+                let observed = [Correction {
+                    rel_set: subset,
+                    rows: violation.actual_rows as f64,
+                }];
+                let injected = match materialize {
+                    false => corrections,
+                    true if subset.is_empty() => &[],
+                    true => &observed,
+                };
+                let exactness = violation_exactness(violation.trigger);
+                for correction in injected {
+                    self.injected
+                        .record(correction.rel_set, correction.rows, exactness);
+                }
+                round.corrections = injected.len();
             }
         }
         self.rounds.push(round);
         Ok(())
+    }
+
+    /// Register `rows` as the collapsed query's new leaf table (ANALYZE included) and
+    /// make the collapse current: the carried overrides, then `observations` (in the
+    /// pre-collapse indexing), are re-indexed into it, and the map back to the
+    /// original relations learns that the leaf stands for the collapsed subset.
+    /// Returns the registration time.
+    fn collapse(
+        &mut self,
+        db: &mut Database,
+        collapsed: CollapsedSpec,
+        rows: Vec<Row>,
+        observations: &[(RelSet, f64, Exactness)],
+    ) -> Result<Duration, DbError> {
+        let leaf = &collapsed.spec.relations[collapsed.virtual_index];
+        let start = Instant::now();
+        db.register_materialized_table(&leaf.table, leaf.schema.clone(), rows)?;
+        let elapsed = start.elapsed();
+        self.created_tables.push(leaf.table.clone());
+
+        let mut overrides = CardinalityOverrides::new();
+        let carried = self.injected.iter_entries();
+        for (set, rows, exactness) in carried.chain(observations.iter().copied()) {
+            if let Some(mapped) = collapsed.remap(set) {
+                overrides.record(mapped, rows, exactness);
+            }
+        }
+        self.injected = overrides;
+
+        let mut to_original: Vec<Option<RelSet>> = vec![None; collapsed.virtual_index + 1];
+        for (rel, new_index) in collapsed.mapping.iter().enumerate() {
+            if let Some(new_index) = new_index {
+                to_original[*new_index] = self.to_original[rel];
+            }
+        }
+        to_original[collapsed.virtual_index] = self.original_image(collapsed.subset);
+        self.to_original = to_original;
+        self.spec = collapsed.spec;
+        Ok(elapsed)
     }
 
     /// The original-space image of a relation set in the *current* query's indexing,
@@ -850,17 +816,14 @@ impl Driver {
     /// touch a relation with no original-space image are discarded — a key must
     /// never reference a driver-created temp or virtual leaf.
     fn record_feedback(&self, db: &Database, observations: &[(RelSet, f64, Exactness)]) {
-        if !self.feedback || observations.is_empty() {
+        if !self.feedback {
             return;
         }
-        let Some(spec) = self.original_spec.as_ref() else {
-            return;
-        };
         for (set, rows, exactness) in observations {
             let Some(original) = self.original_image(*set) else {
                 continue;
             };
-            let Some(key) = feedback_key(spec, original) else {
+            let Some(key) = feedback_key(&self.original_spec, original) else {
                 continue;
             };
             db.catalog()
@@ -876,31 +839,14 @@ impl Driver {
     fn apply_mid_query(
         &mut self,
         db: &mut Database,
-        planned: &PlannedQuery,
         plan_time: Duration,
         violation: Violation,
         partial_metrics: &QueryMetrics,
         states: Vec<BreakerState>,
     ) -> Result<(), DbError> {
-        let spec = &planned.spec;
         let partial_time = partial_metrics.execution_time;
-        let observations = harvest_observations(partial_metrics);
-        let mut round = ReoptRound {
-            kind: ReoptRoundKind::MidQuery,
-            trigger: violation.trigger,
-            rel_set: violation.rel_set,
-            materialized_aliases: aliases_of(spec, violation.rel_set),
-            temp_table: None,
-            estimated_rows: violation.estimated_rows,
-            actual_rows: violation.actual_rows,
-            q_error: violation.q_error(),
-            create_sql: None,
-            materialization_time: Duration::ZERO,
-            reused_rows: None,
-            planning_time: plan_time,
-            detection_time: partial_time,
-            corrections: 0,
-        };
+        let mut observations = harvest_observations(partial_metrics);
+        let mut round = self.round(ReoptRoundKind::MidQuery, &violation, plan_time, partial_time);
 
         // Exact reusable state to collapse around: the violating subset itself when
         // the trigger was a reusable breaker completion; otherwise — a streaming
@@ -923,96 +869,48 @@ impl Driver {
                 let mut states = states;
                 Some(states.swap_remove(idx))
             }
-            None => best_reusable_state(states, spec.all_relations(), violation.rel_set),
+            None => best_reusable_state(states, violation.rel_set),
         };
+        let name = format!("reopt_mq{}", self.virt_counter + 1);
+        let collapsed = reuse.and_then(|state| {
+            collapse_spec(&self.spec, state.rel_set, &name, &name, state.schema.clone())
+                .map(|collapsed| (state, collapsed))
+        });
+        // The violating observation goes in last, and never downgrades: its count
+        // includes the in-flight batch the suspension discarded, so it can exceed the
+        // metrics-tree count harvested for the same subset (`record` keeps whichever
+        // bound says more).
+        let violation_observation = (
+            violation.rel_set,
+            violation.actual_rows as f64,
+            violation_exactness(violation.trigger),
+        );
 
-        match reuse {
-            Some(state) => {
-                let BreakerState {
-                    kind,
-                    rel_set: subset,
-                    schema,
-                    rows,
-                } = state;
+        match collapsed {
+            Some((state, collapsed)) => {
+                let reused_rows = state.rows.len() as u64;
                 self.virt_counter += 1;
-                let virt_name = format!("reopt_mq{}", self.virt_counter);
-                let reused_rows = rows.len() as u64;
-                let state_aliases = aliases_of(spec, subset);
-
-                // Register the completed breaker state as a virtual leaf with true
-                // statistics. Registration + ANALYZE is the whole materialization
-                // cost — the rows were already built by the suspended pipeline.
-                let materialize_start = Instant::now();
-                db.register_materialized_table(&virt_name, schema.clone(), rows)?;
-                let materialize_elapsed = materialize_start.elapsed();
-                self.materialization_time += materialize_elapsed;
-                round.materialization_time = materialize_elapsed;
-
-                // Collapse the query around the virtual leaf and re-index every
-                // observation that survives: the carried overrides, everything the
-                // aborted run observed, and (for progress triggers) the violating
-                // lower bound itself.
-                let collapsed = collapse_spec(spec, subset, &virt_name, &virt_name, schema);
-                let mut overrides = CardinalityOverrides::new();
-                for (set, observed, exactness) in self.injected.iter_entries() {
-                    if let Some(mapped) = collapsed.remap(set) {
-                        match exactness {
-                            Exactness::Exact => overrides.set(mapped, observed),
-                            Exactness::AtLeast => overrides.set_at_least(mapped, observed),
-                        }
-                    }
-                }
-                for (set, observed, exactness) in &observations {
-                    if let Some(mapped) = collapsed.remap(*set) {
-                        match exactness {
-                            Exactness::Exact => overrides.set(mapped, *observed),
-                            Exactness::AtLeast => overrides.set_at_least(mapped, *observed),
-                        }
-                    }
-                }
+                self.annotations.push(format!(
+                    "-- {name}: reused in-flight {:?} state over [{}] ({reused_rows} rows)",
+                    state.kind,
+                    aliases_of(&self.spec, state.rel_set).join(", "),
+                ));
                 // When the collapse happened around a different subset than the
                 // violation (progress triggers, or a non-reusable breaker trigger
                 // that fell back to another state), the violating observation itself
-                // still needs injecting — last, and never downgrading a harvested
-                // count (the violation includes the in-flight batch the suspension
-                // discarded; `set_at_least` keeps whichever says more). The collapsed
-                // subset's own cardinality is carried by the virtual table's
-                // statistics.
-                if subset != violation.rel_set {
-                    if let Some(mapped) = collapsed.remap(violation.rel_set) {
-                        match violation_exactness(violation.trigger) {
-                            Exactness::Exact => {
-                                overrides.set(mapped, violation.actual_rows as f64)
-                            }
-                            Exactness::AtLeast => {
-                                overrides.set_at_least(mapped, violation.actual_rows as f64)
-                            }
-                        }
-                    }
+                // still needs injecting. The collapsed subset's own cardinality is
+                // carried by the registered table's statistics. Registration +
+                // ANALYZE is the whole materialization cost — the rows were already
+                // built by the suspended pipeline.
+                if state.rel_set != violation.rel_set {
+                    observations.push(violation_observation);
                 }
-                round.corrections = overrides.len();
-                self.injected = overrides;
-
-                // Compose the original-space mapping: the virtual leaf expands to
-                // everything the collapsed subset stood for.
-                let mut new_to_original: Vec<Option<RelSet>> =
-                    vec![None; collapsed.virtual_index + 1];
-                for rel in 0..spec.relation_count() {
-                    if let Some(Some(new_index)) = collapsed.mapping.get(rel) {
-                        new_to_original[*new_index] = self.to_original.get(rel).copied().flatten();
-                    }
-                }
-                new_to_original[collapsed.virtual_index] = self.original_image(subset);
-                self.to_original = new_to_original;
-
-                self.annotations.push(format!(
-                    "-- {virt_name}: reused in-flight {kind:?} state over [{}] ({reused_rows} rows)",
-                    state_aliases.join(", "),
-                ));
-                self.created_tables.push(virt_name.clone());
-                round.temp_table = Some(virt_name);
+                let register = self.collapse(db, collapsed, state.rows, &observations)?;
+                round.materialization_time = register;
+                self.materialization_time += register;
+                round.corrections = self.injected.len();
+                round.temp_table = Some(name);
                 round.reused_rows = Some(reused_rows);
-                self.collapsed = Some(collapsed.spec);
             }
             None => {
                 // Nothing reusable (e.g. a pure index-NL pipeline buffers no breaker
@@ -1021,30 +919,16 @@ impl Driver {
                 // cheap trigger is that very little work is lost, and in a pipelined
                 // plan the operators above the violation have usually produced most
                 // of their output too, so one suspension corrects many estimates.
-                let mut corrections = 0usize;
-                for (set, observed, exactness) in &observations {
-                    match exactness {
-                        Exactness::Exact => self.injected.set(*set, *observed),
-                        Exactness::AtLeast => self.injected.set_at_least(*set, *observed),
-                    }
-                    corrections += 1;
+                for &(set, rows, exactness) in &observations {
+                    self.injected.record(set, rows, exactness);
                 }
-                // The violation goes in last, and never downgrades: its count
-                // includes the in-flight batch the suspension discarded, so it can
-                // exceed the metrics-tree count harvested for the same subset
-                // (`set_at_least` keeps whichever says more).
+                let mut corrections = observations.len();
                 if !violation.rel_set.is_empty() {
                     if self.injected.get(violation.rel_set).is_none() {
                         corrections += 1;
                     }
-                    match violation_exactness(violation.trigger) {
-                        Exactness::Exact => self
-                            .injected
-                            .set(violation.rel_set, violation.actual_rows as f64),
-                        Exactness::AtLeast => self
-                            .injected
-                            .set_at_least(violation.rel_set, violation.actual_rows as f64),
-                    }
+                    let (set, rows, exactness) = violation_observation;
+                    self.injected.record(set, rows, exactness);
                 }
                 round.corrections = corrections;
             }
@@ -1058,21 +942,18 @@ impl Driver {
         &mut self,
         policy_name: &str,
         threads: usize,
-        planned: &PlannedQuery,
         rows: Vec<Row>,
         metrics: QueryMetrics,
     ) -> ReoptReport {
         let mut parts: Vec<String> = std::mem::take(&mut self.created_sql);
         parts.append(&mut self.annotations);
-        let statement_sql = if self.collapsed.is_some() {
-            // A collapsed query exists only as a bound spec; render it back to SQL
-            // for the report (virtual tables appear under their generated names —
-            // the text documents the executed shape, it is not meant to be re-run).
-            spec_to_statement(&planned.spec).to_sql()
-        } else if self.rounds.is_empty() {
+        let statement_sql = if self.created_tables.is_empty() {
             self.original.to_sql()
         } else {
-            self.current.to_sql()
+            // A collapsed query exists only as a bound spec; render it back to SQL
+            // for the report (its leaves appear under their generated table names —
+            // the text documents the executed shape, it is not meant to be re-run).
+            spec_to_statement(&self.spec).to_sql()
         };
         parts.push(format!("{statement_sql};"));
         ReoptReport {
@@ -1166,20 +1047,13 @@ fn aliases_of(spec: &QuerySpec, subset: RelSet) -> Vec<String> {
 }
 
 /// The largest completed reusable breaker state that can seed a virtual leaf without
-/// making the violating subset inexpressible after the collapse: it must be a
-/// non-empty proper subset of the query, and either disjoint from or contained in the
-/// violating subset (a partial overlap would leave the fresh bound un-injectable, and
-/// the same violation would immediately re-trigger).
-fn best_reusable_state(
-    states: Vec<BreakerState>,
-    all_relations: RelSet,
-    violation_set: RelSet,
-) -> Option<BreakerState> {
+/// making the violating subset inexpressible after the collapse: it must be either
+/// disjoint from or contained in the violating subset (a partial overlap would leave
+/// the fresh bound un-injectable, and the same violation would immediately
+/// re-trigger).
+fn best_reusable_state(states: Vec<BreakerState>, violation_set: RelSet) -> Option<BreakerState> {
     states
         .into_iter()
-        .filter(|state| {
-            !state.rel_set.is_empty() && state.rel_set.is_proper_subset_of(all_relations)
-        })
         .filter(|state| {
             violation_set.is_disjoint(state.rel_set)
                 || state.rel_set.is_subset_of(violation_set)
@@ -1187,10 +1061,12 @@ fn best_reusable_state(
         .max_by_key(|state| state.rel_set.len())
 }
 
-/// Render a bound (possibly collapsed) query back into a SELECT statement for the
-/// report's `final_sql`. Virtual tables render under their generated names; the text
-/// documents the executed shape, it is not meant to be re-runnable.
-fn spec_to_statement(spec: &QuerySpec) -> SelectStatement {
+/// Render a bound (possibly collapsed or restricted) query back into a SELECT
+/// statement for the report's `final_sql` and `create_sql`. Leaf tables a round
+/// registered render under their generated names and keep the original aliases'
+/// column references; the text documents the executed shape, it is not meant to be
+/// re-runnable.
+pub(crate) fn spec_to_statement(spec: &QuerySpec) -> SelectStatement {
     let mut predicates: Vec<Expr> = Vec::new();
     for rel_predicates in &spec.local_predicates {
         predicates.extend(rel_predicates.iter().cloned());
@@ -1221,171 +1097,10 @@ fn spec_to_statement(spec: &QuerySpec) -> SelectStatement {
     }
 }
 
-/// Split a query around a relation subset: the subset becomes a `CREATE TEMP TABLE`
-/// defining query and the remainder is rewritten to reference the temporary table
-/// (Figure 6 of the paper).
-pub fn materialize_subset(
-    spec: &QuerySpec,
-    current: &SelectStatement,
-    subset: RelSet,
-    temp_name: &str,
-) -> (SelectStatement, SelectStatement) {
-    let in_subset = |reference: &ColumnRef| -> bool {
-        reference
-            .qualifier
-            .as_deref()
-            .and_then(|alias| spec.relation_by_alias(alias))
-            .map(|rel| subset.contains(rel))
-            .unwrap_or(false)
-    };
-
-    // Columns of the subset that the remainder of the query still needs: exactly the
-    // columns visible at the subset, the same set a mid-query collapse registers.
-    let uses = spec.column_uses();
-    let needed: BTreeSet<ColumnRef> = subset
-        .iter()
-        .flat_map(|rel| {
-            let relation = &spec.relations[rel];
-            uses.visible_columns(rel, subset).map(move |col| {
-                let column = &relation.schema.columns()[col];
-                ColumnRef::qualified(relation.alias.as_str(), column.name())
-            })
-        })
-        .collect();
-
-    // The temp table's defining query: project the needed columns as `alias_column`.
-    let temp_items: Vec<SelectItem> = if needed.is_empty() {
-        // Nothing from the subset is referenced outside it: the subset is the
-        // whole query and the select list is bare `count(*)` (wildcard selects
-        // never reach the rewrite, see `Driver::run`). The temp table must
-        // still hold ONE ROW PER JOIN ROW — materializing the aggregate itself
-        // would make the rewritten `count(*)` count a single row.
-        vec![SelectItem {
-            expr: SelectExpr::Scalar(Expr::Literal(reopt_storage::Value::Int(1))),
-            alias: Some("materialized_row".into()),
-        }]
-    } else {
-        needed
-            .iter()
-            .map(|reference| SelectItem {
-                expr: SelectExpr::Scalar(Expr::Column(reference.clone())),
-                alias: Some(mangled_name(reference)),
-            })
-            .collect()
-    };
-
-    let mut temp_predicates: Vec<Expr> = Vec::new();
-    for rel in subset.iter() {
-        temp_predicates.extend(spec.local_predicates[rel].iter().cloned());
-    }
-    for edge in spec.edges_within(subset) {
-        temp_predicates.push(edge.to_expr());
-    }
-    for (pred_set, predicate) in &spec.complex_predicates {
-        if pred_set.is_subset_of(subset) {
-            temp_predicates.push(predicate.clone());
-        }
-    }
-    let temp_query = SelectStatement {
-        items: temp_items,
-        from: subset
-            .iter()
-            .map(|rel| {
-                let relation = &spec.relations[rel];
-                TableRef::aliased(relation.table.clone(), relation.alias.clone())
-            })
-            .collect(),
-        where_clause: reopt_expr::conjoin(&temp_predicates),
-        group_by: vec![],
-        order_by: vec![],
-        limit: None,
-    };
-
-    // The rewritten remainder: replace subset relations with the temp table and remap
-    // every reference into the subset onto the temp table's mangled column names.
-    let remap = |reference: &ColumnRef| -> ColumnRef {
-        if in_subset(reference) {
-            ColumnRef::qualified(temp_name, mangled_name(reference))
-        } else {
-            reference.clone()
-        }
-    };
-    let remap_expr = |expr: &Expr| expr.map_column_refs(&remap);
-
-    let rewritten_items: Vec<SelectItem> = current
-        .items
-        .iter()
-        .map(|item| SelectItem {
-            expr: match &item.expr {
-                SelectExpr::Wildcard => SelectExpr::Wildcard,
-                SelectExpr::Scalar(expr) => SelectExpr::Scalar(remap_expr(expr)),
-                SelectExpr::Aggregate { func, arg } => SelectExpr::Aggregate {
-                    func: *func,
-                    arg: arg.as_ref().map(&remap_expr),
-                },
-            },
-            alias: item.alias.clone(),
-        })
-        .collect();
-
-    let mut rewritten_from: Vec<TableRef> = spec
-        .relations
-        .iter()
-        .filter(|relation| !subset.contains(relation.index))
-        .map(|relation| TableRef::aliased(relation.table.clone(), relation.alias.clone()))
-        .collect();
-    rewritten_from.push(TableRef::new(temp_name));
-
-    let mut rewritten_predicates: Vec<Expr> = Vec::new();
-    for relation in &spec.relations {
-        if !subset.contains(relation.index) {
-            rewritten_predicates.extend(spec.local_predicates[relation.index].iter().cloned());
-        }
-    }
-    for edge in &spec.join_edges {
-        let fully_inside = subset.contains(edge.left_rel) && subset.contains(edge.right_rel);
-        if !fully_inside {
-            rewritten_predicates.push(remap_expr(&edge.to_expr()));
-        }
-    }
-    for (pred_set, predicate) in &spec.complex_predicates {
-        if !pred_set.is_subset_of(subset) {
-            rewritten_predicates.push(remap_expr(predicate));
-        }
-    }
-
-    let rewritten = SelectStatement {
-        items: rewritten_items,
-        from: rewritten_from,
-        where_clause: reopt_expr::conjoin(&rewritten_predicates),
-        group_by: current.group_by.iter().map(&remap_expr).collect(),
-        order_by: current
-            .order_by
-            .iter()
-            .map(|item| reopt_sql::OrderByItem {
-                expr: remap_expr(&item.expr),
-                ascending: item.ascending,
-            })
-            .collect(),
-        limit: current.limit,
-    };
-
-    (temp_query, rewritten)
-}
-
-/// The column name a subset column gets inside the temporary table (`alias_column`).
-fn mangled_name(reference: &ColumnRef) -> String {
-    match &reference.qualifier {
-        Some(qualifier) => format!("{qualifier}_{}", reference.name),
-        None => reference.name.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::tests::test_database;
-    use crate::policy::Correction;
     use crate::qerror::q_error;
     use reopt_planner::bind_select;
     use reopt_storage::Value;
@@ -1401,34 +1116,33 @@ mod tests {
     fn rewrite_splits_query_like_figure_6() {
         let db = test_database();
         let statement = parse_sql(SKEWED_SQL).unwrap();
-        let select = statement.query().unwrap().clone();
-        let spec = bind_select(&select, db.storage()).unwrap();
+        let spec = bind_select(statement.query().unwrap(), db.storage()).unwrap();
         let mk = spec.relation_by_alias("mk").unwrap();
         let k = spec.relation_by_alias("k").unwrap();
         let subset = RelSet::from_indexes([mk, k]);
 
-        let (temp_query, rewritten) = materialize_subset(&spec, &select, subset, "temp1");
-        let temp_sql = temp_query.to_sql();
-        let rewritten_sql = rewritten.to_sql();
-
         // The temp query selects the join column needed by the remainder and applies
         // the keyword filter plus the mk-k join condition.
-        assert!(temp_sql.contains("mk.movie_id AS mk_movie_id"));
-        assert!(temp_sql.contains("k.keyword = 'kw0'"));
-        assert!(temp_sql.contains("movie_keyword AS mk"));
-        assert!(!temp_sql.contains("title"));
+        let temp_sql = spec_to_statement(&spec.restrict(subset)).to_sql();
+        assert_eq!(
+            temp_sql,
+            "SELECT mk.movie_id\nFROM movie_keyword AS mk,\n     keyword AS k\n\
+             WHERE (k.keyword = 'kw0' AND mk.keyword_id = k.id)"
+        );
 
-        // The rewritten query references the temp table and drops the materialized
-        // relations.
-        assert!(rewritten_sql.contains("temp1"));
-        assert!(rewritten_sql.contains("t.id = temp1.mk_movie_id"));
+        // The remainder references the temp table in place of the materialized
+        // relations and keeps its own filter and the crossing edge.
+        let schema = spec.column_uses().schema_of(&spec, subset);
+        let collapsed = collapse_spec(&spec, subset, "temp1", "temp1", schema).unwrap();
+        let rewritten_sql = spec_to_statement(&collapsed.spec).to_sql();
+        assert!(rewritten_sql.contains("FROM title AS t,\n     temp1\n"), "{rewritten_sql}");
+        assert!(rewritten_sql.contains("t.id = mk.movie_id"));
+        assert!(rewritten_sql.contains("t.production_year > 1985"));
         assert!(!rewritten_sql.contains("movie_keyword"));
         assert!(!rewritten_sql.contains("keyword AS k"));
-        assert!(rewritten_sql.contains("t.production_year > 1985"));
 
-        // Both render to parseable SQL.
+        // The temp query renders to SQL that parses.
         assert!(parse_sql(&format!("{temp_sql};")).is_ok());
-        assert!(parse_sql(&format!("{rewritten_sql};")).is_ok());
     }
 
     #[test]
@@ -1499,40 +1213,51 @@ mod tests {
         let report = execute_with_reoptimization(&mut db, sql, &config).unwrap();
         assert!(report.reoptimized(), "skewed kw0 join must trigger");
         assert_eq!(report.final_rows, expected.rows);
+        // Nothing is left to plan around a temp table of the whole query: the round
+        // injects the observed count instead.
+        assert_eq!(report.rounds.len(), 1, "{}", report.render());
+        assert!(report.rounds[0].temp_table.is_none());
+        assert_eq!(report.rounds[0].corrections, 1);
         assert!(!db.storage().contains_table("reopt_temp1"));
     }
 
+    /// Multiset equality: a re-planned join may emit rows in another order.
+    fn sorted(rows: &[Row]) -> Vec<String> {
+        let mut rendered: Vec<String> = rows.iter().map(|row| format!("{row}")).collect();
+        rendered.sort();
+        rendered
+    }
+
+    const WILDCARD_SQL: &str = "SELECT * FROM title AS t, movie_keyword AS mk, keyword AS k
+        WHERE t.id = mk.movie_id AND mk.keyword_id = k.id
+          AND k.keyword = 'kw0' AND t.production_year > 1985";
+
     #[test]
-    fn wildcard_selects_replan_without_rewrite() {
-        // `SELECT *` cannot survive the temp-table rewrite (subset columns get
-        // mangled names), but with the projection pinned to FROM order it CAN be
-        // re-planned: the materialize policy degrades to injecting the observed
-        // count and restarts. The output must match plain execution as a multiset
-        // (the corrected join order may emit rows in a different order).
+    fn wildcard_selects_materialize_and_replan() {
+        // The binder expands `*` into FROM-order columns, so a materialize restart
+        // collapses a wildcard query like any other: the temp table holds the
+        // subset's columns under their own qualifiers, and the output keeps every
+        // column in FROM order.
         let mut db = test_database();
-        let sql = "SELECT * FROM movie_keyword AS mk, keyword AS k
-                   WHERE mk.keyword_id = k.id AND k.keyword = 'kw0'";
-        let expected = db.execute(sql).unwrap();
+        let expected = db.execute(WILDCARD_SQL).unwrap();
         let report = execute_with_reoptimization(
             &mut db,
-            sql,
-            &ReoptConfig::with_threshold(2.0).with_feedback(false),
+            WILDCARD_SQL,
+            &ReoptConfig::with_threshold(4.0).with_feedback(false),
         )
         .unwrap();
         assert!(
-            report.reoptimized(),
-            "the mis-estimated wildcard join must still be corrected"
+            report.rounds.iter().any(|r| r.temp_table.is_some()),
+            "the mis-estimated wildcard join must materialize: {}",
+            report.render()
         );
-        assert!(
-            report.rounds.iter().all(|r| r.temp_table.is_none()),
-            "wildcard rounds must degrade to injection, never rewrite"
+        assert!(report.final_sql.contains("CREATE TEMP TABLE reopt_temp1 AS\nSELECT"), "{}", report.final_sql);
+        assert_eq!(report.final_rows[0].len(), expected.rows[0].len());
+        assert_eq!(
+            sorted(&report.final_rows),
+            sorted(&expected.rows),
+            "re-planning changed the wildcard result set"
         );
-        assert!(report.rounds.iter().all(|r| r.corrections >= 1));
-        let mut got = report.final_rows.clone();
-        let mut want = expected.rows.clone();
-        got.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        assert_eq!(got, want, "re-planning changed the wildcard result set");
         assert!(report.detection_time > Duration::ZERO);
     }
 
@@ -1835,19 +1560,24 @@ mod tests {
     }
 
     #[test]
-    fn mid_query_wildcards_execute_plain() {
+    fn mid_query_wildcards_collapse_and_match_plain() {
+        // A wildcard query observes events like any other: the skewed build side is
+        // reused as a virtual leaf holding all of its columns.
         let mut db = hash_join_only_database();
-        let sql = "SELECT * FROM movie_keyword AS mk, keyword AS k
-                   WHERE mk.keyword_id = k.id AND k.keyword = 'kw0'";
-        let expected = db.execute(sql).unwrap();
+        let expected = db.execute(WILDCARD_SQL).unwrap();
         let config = ReoptConfig {
-            threshold: 2.0,
+            threshold: 4.0,
             mode: ReoptMode::MidQuery,
+            feedback: false,
             ..Default::default()
         };
-        let report = execute_with_reoptimization(&mut db, sql, &config).unwrap();
-        assert!(!report.reoptimized(), "wildcard queries must run unmodified");
-        assert_eq!(report.final_rows, expected.rows);
+        let report = execute_with_reoptimization(&mut db, WILDCARD_SQL, &config).unwrap();
+        assert!(
+            report.rounds.iter().any(|r| r.reused_rows.unwrap_or(0) > 0),
+            "the wildcard query must re-plan around reused state: {}",
+            report.render()
+        );
+        assert_eq!(sorted(&report.final_rows), sorted(&expected.rows));
     }
 
     #[test]
@@ -1926,60 +1656,6 @@ mod tests {
     // The policy API itself
     // -----------------------------------------------------------------------
 
-    /// A policy that restarts (inject-only) as soon as the *first* reusable breaker
-    /// completion violates its threshold — exercising the event-triggered-restart
-    /// path of the driver, which abandons the partial run instead of paying a full
-    /// detection execution.
-    struct RestartOnFirstBreaker {
-        threshold: f64,
-        fired: bool,
-    }
-
-    impl ReoptPolicy for RestartOnFirstBreaker {
-        fn name(&self) -> &str {
-            "restart-on-first-breaker"
-        }
-
-        fn wants_events(&self) -> bool {
-            true
-        }
-
-        fn on_event(&mut self, event: &ExecEvent, _ctx: &PolicyContext) -> PolicyDecision {
-            let ExecEvent::BreakerComplete(breaker) = event else {
-                return PolicyDecision::Continue;
-            };
-            if self.fired
-                || breaker.rel_set.is_empty()
-                || q_error(breaker.estimated_rows, breaker.actual_rows as f64) <= self.threshold
-            {
-                return PolicyDecision::Continue;
-            }
-            self.fired = true;
-            PolicyDecision::Restart {
-                materialize: false,
-                violation: Violation {
-                    rel_set: breaker.rel_set,
-                    estimated_rows: breaker.estimated_rows,
-                    actual_rows: breaker.actual_rows,
-                    trigger: ReoptTrigger::BreakerComplete,
-                },
-                corrections: vec![Correction {
-                    rel_set: breaker.rel_set,
-                    rows: breaker.actual_rows as f64,
-                }],
-            }
-        }
-
-        fn on_complete(
-            &mut self,
-            _metrics: &QueryMetrics,
-            _spec: &QuerySpec,
-            _ctx: &PolicyContext,
-        ) -> PolicyDecision {
-            PolicyDecision::Continue
-        }
-    }
-
     /// A policy that re-plans mid-query on ANY breaker violation, including
     /// non-reusable ones (spilled hash builds, aggregate/sort inputs) — the driver
     /// must fall back to injection instead of failing when no exact state is
@@ -2057,12 +1733,9 @@ mod tests {
     fn custom_policies_can_restart_from_events() {
         let mut db = hash_join_only_database();
         let expected = db.execute(SKEWED_SQL).unwrap();
-        let mut policy = RestartOnFirstBreaker {
-            threshold: 4.0,
-            fired: false,
-        };
+        let mut policy = Scripted(vec![Step::RestartOnBreaker]);
         let report = execute_with_policy(&mut db, SKEWED_SQL, &mut policy).unwrap();
-        assert_eq!(report.policy, "restart-on-first-breaker");
+        assert_eq!(report.policy, "scripted");
         assert_eq!(report.final_rows, expected.rows);
         assert_eq!(report.rounds.len(), 1);
         let round = &report.rounds[0];
@@ -2101,45 +1774,80 @@ mod tests {
         assert!(!db.storage().contains_table("user_temp"));
     }
 
-    /// Injects on its first round, then materializes on the second — mixing the two
-    /// restart flavors, which forces the driver to remap the carried overrides
-    /// across the temp-table rewrite's re-indexing.
-    struct InjectThenMaterialize {
-        threshold: f64,
-        rounds_done: usize,
+    /// One round kind per round, in order, each on the first subset it can take.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Re-plan mid-query around the first reusable proper-subset breaker.
+        Collapse,
+        /// Restart on that breaker, injecting its count: an event-triggered
+        /// restart, which abandons the partial run instead of paying a full
+        /// detection run.
+        RestartOnBreaker,
+        /// Restart, injecting the lowest exhausted proper join of the detection run.
+        Inject,
+        /// Restart, materializing that join.
+        Materialize,
     }
 
-    impl ReoptPolicy for InjectThenMaterialize {
+    /// Follows a script of round kinds, so tests can mix them in any order.
+    struct Scripted(Vec<Step>);
+
+    impl ReoptPolicy for Scripted {
         fn name(&self) -> &str {
-            "inject-then-materialize"
+            "scripted"
+        }
+
+        fn wants_events(&self) -> bool {
+            matches!(self.0.first(), Some(Step::Collapse | Step::RestartOnBreaker))
+        }
+
+        fn on_event(&mut self, event: &ExecEvent, ctx: &PolicyContext) -> PolicyDecision {
+            let ExecEvent::BreakerComplete(breaker) = event else {
+                return PolicyDecision::Continue;
+            };
+            if !breaker.reusable || !breaker.rel_set.is_proper_subset_of(ctx.all_relations) {
+                return PolicyDecision::Continue;
+            }
+            let violation = Violation {
+                rel_set: breaker.rel_set,
+                estimated_rows: breaker.estimated_rows,
+                actual_rows: breaker.actual_rows,
+                trigger: ReoptTrigger::BreakerComplete,
+            };
+            match self.0.remove(0) {
+                Step::Collapse => PolicyDecision::ReplanMidQuery { violation },
+                _ => PolicyDecision::Restart {
+                    materialize: false,
+                    violation,
+                    corrections: vec![Correction {
+                        rel_set: breaker.rel_set,
+                        rows: breaker.actual_rows as f64,
+                    }],
+                },
+            }
         }
 
         fn on_complete(
             &mut self,
             metrics: &QueryMetrics,
-            _spec: &QuerySpec,
-            _ctx: &PolicyContext,
+            _: &QuerySpec,
+            ctx: &PolicyContext,
         ) -> PolicyDecision {
-            let joins = metrics.root.joins_bottom_up();
-            let target = match self.rounds_done {
-                // Round 1: the worst violating join, injected.
-                0 => joins
-                    .iter()
-                    .find(|join| join.exhausted && join.q_error() > self.threshold)
-                    .copied(),
-                // Round 2: any exhausted multi-relation join, materialized — with
-                // the round-1 override still carried in the driver.
-                1 => joins
-                    .iter()
-                    .find(|join| join.exhausted && join.rel_set.len() >= 2)
-                    .copied(),
-                _ => None,
+            let materialize = match self.0.first() {
+                Some(Step::Inject) => false,
+                Some(Step::Materialize) => true,
+                _ => return PolicyDecision::Continue,
             };
-            let Some(join) = target else {
+            let Some(join) = metrics.root.joins_bottom_up().into_iter().find(|join| {
+                join.exhausted && join.rel_set.is_proper_subset_of(ctx.all_relations)
+            }) else {
                 return PolicyDecision::Continue;
             };
-            let materialize = self.rounds_done == 1;
-            self.rounds_done += 1;
+            self.0.remove(0);
+            let correction = Correction {
+                rel_set: join.rel_set,
+                rows: join.actual_rows as f64,
+            };
             PolicyDecision::Restart {
                 materialize,
                 violation: Violation {
@@ -2148,31 +1856,55 @@ mod tests {
                     actual_rows: join.actual_rows,
                     trigger: ReoptTrigger::DetectionRun,
                 },
-                corrections: if materialize {
-                    Vec::new()
-                } else {
-                    vec![Correction {
-                        rel_set: join.rel_set,
-                        rows: join.actual_rows as f64,
-                    }]
-                },
+                corrections: if materialize { Vec::new() } else { vec![correction] },
             }
         }
     }
 
     #[test]
     fn inject_then_materialize_rounds_compose() {
+        // The materialize round's collapse re-indexes the override the inject round
+        // left behind.
         let mut db = test_database();
         let expected = db.execute(SKEWED_SQL).unwrap();
-        let mut policy = InjectThenMaterialize {
-            threshold: 4.0,
-            rounds_done: 0,
-        };
+        let mut policy = Scripted(vec![Step::Inject, Step::Materialize]);
         let report = execute_with_policy(&mut db, SKEWED_SQL, &mut policy).unwrap();
         assert_eq!(report.final_rows, expected.rows);
         assert_eq!(report.rounds.len(), 2, "{}", report.render());
         assert!(report.rounds[0].temp_table.is_none());
         assert!(report.rounds[1].temp_table.is_some());
+        assert!(!db.storage().contains_table("reopt_temp1"));
+    }
+
+    #[test]
+    fn materialize_restart_after_a_mid_query_collapse_matches_plain() {
+        // Four relations, so the collapsed query still has a proper sub-join to
+        // materialize; hash joins only, so the first run buffers a reusable build.
+        let mut db = hash_join_only_database();
+        let sql = "SELECT min(t.title) AS movie_title, count(*) AS c
+            FROM title AS t, movie_keyword AS mk, keyword AS k, movie_keyword AS mk2
+            WHERE t.id = mk.movie_id AND mk.keyword_id = k.id AND t.id = mk2.movie_id
+              AND k.keyword = 'kw0'";
+        let expected = db.execute(sql).unwrap();
+        let mut policy = Scripted(vec![Step::Collapse, Step::Materialize]);
+        let report = execute_with_policy_feedback(&mut db, sql, &mut policy, false).unwrap();
+        assert_eq!(report.final_rows, expected.rows);
+        let kinds: Vec<_> = report
+            .rounds
+            .iter()
+            .map(|round| (round.kind, round.temp_table.as_deref()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (ReoptRoundKind::MidQuery, Some("reopt_mq1")),
+                (ReoptRoundKind::Restart, Some("reopt_temp1")),
+            ],
+            "{}",
+            report.render()
+        );
+        assert!(report.final_sql.contains("CREATE TEMP TABLE reopt_temp1 AS\nSELECT"));
+        assert!(!db.storage().contains_table("reopt_mq1"));
         assert!(!db.storage().contains_table("reopt_temp1"));
     }
 
@@ -2310,13 +2042,7 @@ mod tests {
             "the scenario must actually rewrite through a temp table"
         );
 
-        let mut db2 = crate::database::tests::test_database_with_config(
-            reopt_planner::OptimizerConfig {
-                enable_index_scans: false,
-                enable_index_nl_joins: false,
-                ..Default::default()
-            },
-        );
+        let mut db2 = hash_join_only_database();
         let mid = ReoptConfig {
             threshold: 4.0,
             mode: ReoptMode::MidQuery,
@@ -2434,24 +2160,23 @@ mod tests {
 
     #[test]
     fn wildcard_join_corrects_through_inject_rounds() {
-        // Regression (satellite of the wildcard carve-out fix): a badly
-        // mis-estimated `SELECT *` join must now actually get corrected — the
-        // restart rounds re-plan it with the observed counts injected — instead of
-        // silently running the bad plan to completion.
+        // A badly mis-estimated `SELECT *` join must get corrected — the inject-only
+        // rounds re-plan it with the observed counts injected — instead of silently
+        // running the bad plan to completion.
         let mut db = test_database();
-        let sql = "SELECT * FROM title AS t, movie_keyword AS mk, keyword AS k
-                   WHERE t.id = mk.movie_id AND mk.keyword_id = k.id
-                     AND k.keyword = 'kw0' AND t.production_year > 1985";
-        let expected = db.execute(sql).unwrap();
-        let config = ReoptConfig::with_threshold(4.0).with_feedback(false);
-        let report = execute_with_reoptimization(&mut db, sql, &config).unwrap();
+        let expected = db.execute(WILDCARD_SQL).unwrap();
+        let config = ReoptConfig {
+            mode: ReoptMode::InjectOnly,
+            ..ReoptConfig::with_threshold(4.0).with_feedback(false)
+        };
+        let report = execute_with_reoptimization(&mut db, WILDCARD_SQL, &config).unwrap();
         assert!(report.reoptimized(), "the skewed wildcard join must trigger");
         assert!(report.rounds.iter().all(|r| r.temp_table.is_none()));
-        let mut got: Vec<String> = report.final_rows.iter().map(|r| format!("{r}")).collect();
-        let mut want: Vec<String> = expected.rows.iter().map(|r| format!("{r}")).collect();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want, "correction changed the wildcard result set");
+        assert_eq!(
+            sorted(&report.final_rows),
+            sorted(&expected.rows),
+            "correction changed the wildcard result set"
+        );
         // The final round's injected counts leave the re-planned query accurate:
         // its worst q-error must beat the original violation.
         let final_metrics = report.final_metrics.as_ref().unwrap();

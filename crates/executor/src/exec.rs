@@ -2173,7 +2173,9 @@ impl HashJoinOp<'_> {
     /// Load one build partition into the in-memory hash table and open its probe
     /// counterpart for streaming. If the partition still exceeds the budget, both
     /// sides are repartitioned with a deeper salt (back onto `pending`); at
-    /// [`SPILL_MAX_DEPTH`] the join fails honestly instead of recursing forever.
+    /// [`SPILL_MAX_DEPTH`] the join fails honestly instead of recursing forever. A
+    /// partition of one row wider than the whole budget fails at once: no
+    /// repartitioning can split it.
     /// Returns `true` when a partition was loaded and is ready to probe.
     fn load_partition(
         &mut self,
@@ -2188,8 +2190,15 @@ impl HashJoinOp<'_> {
         while let Some(values) = reader.next_row().map_err(spill_err)? {
             let row = Row::from_values(values);
             if !self.reservation.grow(row.width() as u64) {
+                let budget = self.reservation.governor().budget().unwrap_or(u64::MAX);
+                if build_run.rows() == 1 && row.width() as u64 > budget {
+                    return Err(ExecError::Spill(format!(
+                        "grace-hash build row of {} bytes exceeds the memory budget of \
+                         {budget} bytes; repartitioning cannot split a single row",
+                        row.width(),
+                    )));
+                }
                 if depth >= SPILL_MAX_DEPTH {
-                    let budget = self.reservation.governor().budget().unwrap_or(u64::MAX);
                     if build_run.bytes() > budget {
                         return Err(ExecError::Spill(format!(
                             "grace-hash partition of {} rows still exceeds the memory \

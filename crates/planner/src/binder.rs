@@ -64,11 +64,24 @@ pub fn bind_select(stmt: &SelectStatement, storage: &Storage) -> Result<QuerySpe
         }
     }
 
-    // Validate and qualify the SELECT list, GROUP BY and ORDER BY.
+    // Validate and qualify the SELECT list, GROUP BY and ORDER BY. `*` expands here,
+    // once, into one column item per column in FROM order, so no later layer sees a
+    // wildcard and the chosen join order never leaks into the output's column order.
     let mut output = Vec::with_capacity(stmt.items.len());
     for item in &stmt.items {
         let expr = match &item.expr {
-            SelectExpr::Wildcard => SelectExpr::Wildcard,
+            SelectExpr::Wildcard => {
+                output.extend(spec.relations.iter().flat_map(|relation| {
+                    relation.schema.columns().iter().map(|column| reopt_sql::SelectItem {
+                        expr: SelectExpr::Scalar(Expr::Column(ColumnRef::qualified(
+                            relation.alias.as_str(),
+                            column.name(),
+                        ))),
+                        alias: None,
+                    })
+                }));
+                continue;
+            }
             SelectExpr::Scalar(e) => SelectExpr::Scalar(qualify_expr(e, &full_schema)?),
             SelectExpr::Aggregate { func, arg } => SelectExpr::Aggregate {
                 func: *func,
@@ -118,6 +131,19 @@ pub fn bind_select(stmt: &SelectStatement, storage: &Storage) -> Result<QuerySpe
         })
         .collect::<Result<Vec<_>, PlanError>>()?;
 
+    let wildcard = stmt
+        .items
+        .iter()
+        .any(|item| matches!(item.expr, SelectExpr::Wildcard));
+    let aggregates = stmt
+        .items
+        .iter()
+        .any(|item| matches!(item.expr, SelectExpr::Aggregate { .. }));
+    if wildcard && (aggregates || !spec.group_by.is_empty()) {
+        return Err(PlanError::Unsupported(
+            "SELECT * cannot be combined with aggregates".into(),
+        ));
+    }
     Ok(spec)
 }
 
@@ -343,6 +369,29 @@ mod tests {
         assert_eq!(spec.order_by.len(), 1);
         assert!(!spec.order_by[0].ascending);
         assert_eq!(spec.limit, Some(3));
+    }
+
+    #[test]
+    fn wildcard_expands_into_from_order_columns() {
+        let spec = bind("SELECT * FROM keyword AS k, title AS t WHERE t.id = k.id").unwrap();
+        let items: Vec<String> = spec.output.iter().map(|item| item.expr.to_sql()).collect();
+        assert_eq!(
+            items,
+            ["k.id", "k.keyword", "t.id", "t.title", "t.production_year"]
+        );
+        assert!(spec.output.iter().all(|item| item.alias.is_none()));
+        for sql in [
+            "SELECT *, count(*) FROM title AS t",
+            "SELECT * FROM title AS t GROUP BY t.id",
+        ] {
+            let err = bind(sql).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                PlanError::Unsupported("SELECT * cannot be combined with aggregates".into())
+                    .to_string(),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

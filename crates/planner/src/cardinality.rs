@@ -124,6 +124,16 @@ impl CardinalityOverrides {
         self.insert_entry(set, rows, Exactness::AtLeast);
     }
 
+    /// Record an observation of `set`: an exact count through
+    /// [`CardinalityOverrides::set`], a lower bound through
+    /// [`CardinalityOverrides::set_at_least`].
+    pub fn record(&mut self, set: RelSet, rows: f64, exactness: Exactness) {
+        match exactness {
+            Exactness::Exact => self.set(set, rows),
+            Exactness::AtLeast => self.set_at_least(set, rows),
+        }
+    }
+
     /// The injected cardinality for `set`, if any (exact or bound).
     pub fn get(&self, set: RelSet) -> Option<f64> {
         self.map.get(&set).map(|e| e.rows)
@@ -158,10 +168,7 @@ impl CardinalityOverrides {
     /// never-downgrade rule.
     pub fn merge(&mut self, other: &CardinalityOverrides) {
         for (set, entry) in &other.map {
-            match entry.exactness {
-                Exactness::Exact => self.set(*set, entry.rows),
-                Exactness::AtLeast => self.set_at_least(*set, entry.rows),
-            }
+            self.record(*set, entry.rows, entry.exactness);
         }
     }
 

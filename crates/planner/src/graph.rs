@@ -168,7 +168,10 @@ mod tests {
             join_edges,
             complex_predicates: vec![],
             output: vec![SelectItem {
-                expr: SelectExpr::Wildcard,
+                expr: SelectExpr::Aggregate {
+                    func: reopt_sql::AggregateFunc::Count,
+                    arg: None,
+                },
                 alias: None,
             }],
             group_by: vec![],

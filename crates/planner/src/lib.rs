@@ -46,7 +46,7 @@ pub use explain::explain_plan;
 pub use feedback::{feedback_key, relation_fingerprint, seed_overrides_from_cache};
 pub use graph::JoinGraph;
 pub use optimizer::{Optimizer, OptimizerConfig, PlannedQuery};
-pub use partial::{collapse_spec, remap_rel_set, CollapsedSpec};
+pub use partial::{collapse_spec, CollapsedSpec};
 pub use plan::{AggregateExpr, JoinAlgorithm, OutputExpr, PhysicalPlan, PlanKind, ScanKind};
 pub use relset::RelSet;
 pub use spec::{ColumnUse, ColumnUses, JoinEdge, QuerySpec, RelationSpec};

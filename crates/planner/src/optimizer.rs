@@ -350,39 +350,36 @@ impl Optimizer {
         }
 
         for (idx, item) in spec.output.iter().enumerate() {
-            match &item.expr {
-                SelectExpr::Aggregate { func, arg } => {
-                    let name = item
-                        .alias
-                        .clone()
-                        .unwrap_or_else(|| format!("{}_{idx}", func.name().to_ascii_lowercase()));
-                    schema_columns.push(Column::new(
-                        name.clone(),
-                        infer_aggregate_type(*func, arg.as_ref(), &input.schema),
-                    ));
-                    aggregates.push(AggregateExpr {
-                        func: *func,
-                        arg: arg.clone(),
-                        name,
-                    });
+            let SelectExpr::Aggregate { func, arg } = &item.expr else {
+                // Scalar expressions in an aggregate query must be group-by keys;
+                // they are already part of the output schema, so nothing to add
+                // unless they carry an alias that differs. (The binder rejects `*`
+                // beside aggregates.)
+                if !spec
+                    .group_by
+                    .iter()
+                    .any(|g| matches!(&item.expr, SelectExpr::Scalar(expr) if expr == g))
+                {
+                    return Err(PlanError::Unsupported(format!(
+                        "scalar expression '{}' in an aggregate query must appear in GROUP BY",
+                        item.expr.to_sql()
+                    )));
                 }
-                SelectExpr::Scalar(expr) => {
-                    // Scalar expressions in an aggregate query must be group-by keys;
-                    // they are already part of the output schema, so nothing to add
-                    // unless they carry an alias that differs.
-                    if !spec.group_by.iter().any(|g| g == expr) {
-                        return Err(PlanError::Unsupported(format!(
-                            "scalar expression '{}' in an aggregate query must appear in GROUP BY",
-                            expr.to_sql()
-                        )));
-                    }
-                }
-                SelectExpr::Wildcard => {
-                    return Err(PlanError::Unsupported(
-                        "SELECT * cannot be combined with aggregates".into(),
-                    ))
-                }
-            }
+                continue;
+            };
+            let name = item
+                .alias
+                .clone()
+                .unwrap_or_else(|| format!("{}_{idx}", func.name().to_ascii_lowercase()));
+            schema_columns.push(Column::new(
+                name.clone(),
+                infer_aggregate_type(*func, arg.as_ref(), &input.schema),
+            ));
+            aggregates.push(AggregateExpr {
+                func: *func,
+                arg: arg.clone(),
+                name,
+            });
         }
 
         let groups = if spec.group_by.is_empty() {
@@ -418,39 +415,33 @@ impl Optimizer {
         let mut exprs = Vec::new();
         let mut columns = Vec::new();
         for (idx, item) in spec.output.iter().enumerate() {
-            match &item.expr {
-                SelectExpr::Wildcard => {
-                    // Expand `*` in FROM order, not in the plan's output order: the
-                    // chosen join order is the optimizer's business and must never
-                    // leak into the query's observable column order — that is what
-                    // makes wildcard queries safe to re-plan mid-flight.
-                    for relation in &spec.relations {
-                        for column in relation.schema.columns() {
-                            exprs.push(OutputExpr {
-                                expr: Expr::Column(reopt_expr::ColumnRef {
-                                    qualifier: Some(relation.alias.clone()),
-                                    name: column.name().to_string(),
-                                }),
-                                name: column.name().to_string(),
-                            });
-                            columns.push(column.clone());
-                        }
-                    }
-                }
-                SelectExpr::Scalar(expr) => {
-                    let name = item
-                        .alias
-                        .clone()
-                        .or_else(|| expr.as_column_ref().map(|r| r.name.clone()))
-                        .unwrap_or_else(|| format!("column_{idx}"));
-                    columns.push(Column::new(name.clone(), infer_type(expr, &input.schema)));
-                    exprs.push(OutputExpr {
-                        expr: expr.clone(),
-                        name,
-                    });
-                }
-                SelectExpr::Aggregate { .. } => unreachable!("handled by build_aggregate"),
-            }
+            // Aggregates go to build_aggregate, and the binder expands `*`.
+            let SelectExpr::Scalar(expr) = &item.expr else {
+                return Err(PlanError::Unsupported(format!(
+                    "'{}' in a projection of an unbound query",
+                    item.expr.to_sql()
+                )));
+            };
+            let name = item
+                .alias
+                .clone()
+                .or_else(|| expr.as_column_ref().map(|r| r.name.clone()))
+                .unwrap_or_else(|| format!("column_{idx}"));
+            // An unaliased column passes through as itself — qualifier, type and
+            // nullability — which is what a `SELECT *` expansion outputs.
+            let passthrough = expr
+                .as_column_ref()
+                .filter(|_| item.alias.is_none())
+                .and_then(|r| input.schema.index_of(r.qualifier.as_deref(), &r.name).ok())
+                .and_then(|col| input.schema.column(col));
+            columns.push(match passthrough {
+                Some(column) => column.clone(),
+                None => Column::new(name.clone(), infer_type(expr, &input.schema)),
+            });
+            exprs.push(OutputExpr {
+                expr: expr.clone(),
+                name,
+            });
         }
         let cost = self
             .config

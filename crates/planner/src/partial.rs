@@ -1,31 +1,31 @@
 //! Plan-from-partial-state: seed join enumeration with pre-joined relation sets.
 //!
-//! The mid-query re-optimization controller suspends a running pipeline once a
-//! pipeline breaker finishes materializing a badly mis-estimated subtree. At that
-//! point the subtree's output — every row, with all of the subtree's local predicates
-//! and join edges already applied — exists in memory (a completed hash-build side or
-//! nested-loop inner). Rather than discarding that work, the controller registers the
-//! rows as a *virtual leaf table* and asks the optimizer to re-plan only the
-//! **remaining** join order.
+//! Both kinds of re-optimization round end the same way: the rows of a relation
+//! subset — every row, with all of the subset's local predicates and join edges
+//! already applied — exist as a temporary table, and the optimizer re-plans only the
+//! **remaining** join order around it. A materialize restart gets those rows by
+//! executing the subset's restriction ([`QuerySpec::restrict`]); a mid-query round
+//! finds them already buffered in a completed pipeline breaker (a hash-build side or
+//! nested-loop inner) of the suspended run.
 //!
 //! [`collapse_spec`] performs the query-level half of that: it rewrites a bound
 //! [`QuerySpec`] so the materialized subset becomes a single base relation backed by
-//! the virtual table. A plan node over a relation set S carries exactly the columns
+//! the temporary table. A plan node over a relation set S carries exactly the columns
 //! *visible* at S ([`ColumnUse::visible_at`](crate::spec::ColumnUse::visible_at)),
 //! each qualified by its original alias: the columns the SELECT list, GROUP BY or
 //! ORDER BY read, and those a join edge or complex predicate reaching outside S reads.
-//! That is precisely everything the rest of the query reads of S, so a breaker state
-//! over S holds every column the collapsed spec binds, and no column renaming or
-//! expression rewriting is needed — the crossing join edges and complex predicates,
-//! the SELECT list, GROUP BY and ORDER BY bind against the virtual relation's schema
-//! verbatim. Join enumeration over the collapsed spec is therefore *seeded* with the
-//! pre-joined set as one atomic leaf: DPccp can no longer split it, and the true
-//! cardinality of the set (from the virtual table's ANALYZE statistics) anchors every
-//! estimate above it.
+//! That is precisely everything the rest of the query reads of S — and precisely the
+//! output of S's restriction — so the materialized rows hold every column the
+//! collapsed spec binds, and no column renaming or expression rewriting is needed:
+//! the crossing join edges and complex predicates, the SELECT list, GROUP BY and
+//! ORDER BY bind against the virtual relation's schema verbatim. Join enumeration
+//! over the collapsed spec is therefore *seeded* with the pre-joined set as one atomic
+//! leaf: DPccp can no longer split it, and the true cardinality of the set (from the
+//! table's ANALYZE statistics) anchors every estimate above it.
 //!
-//! [`remap_rel_set`] translates relation subsets between the original and collapsed
-//! indexings so that observed cardinalities from the suspended run can be re-injected
-//! as [`CardinalityOverrides`](crate::CardinalityOverrides) for the re-planning round.
+//! [`CollapsedSpec::remap`] translates relation subsets from the original indexing
+//! into the collapsed one, so that observed cardinalities can be re-injected as
+//! [`CardinalityOverrides`](crate::CardinalityOverrides) for the re-planning round.
 //!
 //! The collapse also accepts a **mid-stream, partially-consumed** breaker set: when a
 //! suspension is triggered by a streaming progress signal rather than the breaker's
@@ -34,8 +34,8 @@
 //! complete materialization of their subtree (breakers fully drain their input before
 //! anything consumes them), so collapsing around such a set stays correct — the
 //! re-planned remainder simply recomputes whatever probing was in flight. The only
-//! constraints are structural and unchanged: the subset must be a non-empty proper
-//! subset of the query's relations.
+//! constraint is structural: the subset must be a non-empty proper subset of the
+//! query's relations.
 
 use crate::relset::RelSet;
 use crate::spec::{JoinEdge, QuerySpec, RelationSpec};
@@ -56,11 +56,31 @@ pub struct CollapsedSpec {
 }
 
 impl CollapsedSpec {
-    /// Translate a relation subset from the original indexing into this collapse's
-    /// indexing (see [`remap_rel_set`]). Returns `None` when the set is inexpressible:
-    /// interior to the virtual leaf, or partially overlapping it.
+    /// Translate a relation subset from the original indexing into this collapse's.
+    ///
+    /// Returns `None` when the set cannot be expressed in the collapsed spec: a strict
+    /// subset of the collapsed relations (its cardinality is interior to the virtual
+    /// leaf) or a partial overlap (the virtual leaf cannot be split). Sets disjoint
+    /// from the collapsed subset map member-wise; sets containing it map onto the
+    /// remapped members plus the virtual relation; the collapsed subset itself maps to
+    /// the virtual singleton.
     pub fn remap(&self, set: RelSet) -> Option<RelSet> {
-        remap_rel_set(set, self.subset, &self.mapping, self.virtual_index)
+        if set.is_empty() {
+            return None;
+        }
+        let outside = set.difference(self.subset);
+        let mapped = RelSet::from_indexes(
+            outside
+                .iter()
+                .map(|rel| self.mapping[rel].expect("relation outside the subset has a mapping")),
+        );
+        if set.is_disjoint(self.subset) {
+            Some(mapped)
+        } else if self.subset.is_subset_of(set) {
+            Some(mapped.insert(self.virtual_index))
+        } else {
+            None
+        }
     }
 }
 
@@ -75,22 +95,18 @@ impl CollapsedSpec {
 /// virtual relation's schema retains the original qualifiers, and a column they read
 /// reaches outside the subset, so it is visible there and in the materialized rows.
 ///
-/// # Panics
-///
-/// Panics if `subset` is empty or covers every relation of the query (there would be
-/// nothing left to plan).
+/// Returns `None` when `subset` is empty or covers every relation of the query: there
+/// is nothing to collapse, or nothing left to plan around the leaf.
 pub fn collapse_spec(
     spec: &QuerySpec,
     subset: RelSet,
     alias: &str,
     table: &str,
     schema: Schema,
-) -> CollapsedSpec {
-    assert!(!subset.is_empty(), "cannot collapse an empty subset");
-    assert!(
-        subset.is_proper_subset_of(spec.all_relations()),
-        "cannot collapse the whole query"
-    );
+) -> Option<CollapsedSpec> {
+    if subset.is_empty() || !subset.is_proper_subset_of(spec.all_relations()) {
+        return None;
+    }
 
     let mut mapping: Vec<Option<usize>> = Vec::with_capacity(spec.relation_count());
     let mut relations: Vec<RelationSpec> = Vec::new();
@@ -144,7 +160,7 @@ pub fn collapse_spec(
         })
         .collect();
 
-    CollapsedSpec {
+    Some(CollapsedSpec {
         spec: QuerySpec {
             relations,
             local_predicates,
@@ -158,39 +174,7 @@ pub fn collapse_spec(
         subset,
         mapping,
         virtual_index,
-    }
-}
-
-/// Translate a relation subset from the original indexing into the collapsed one.
-///
-/// Returns `None` when the set cannot be expressed in the collapsed spec: a strict
-/// subset of the collapsed relations (its cardinality is interior to the virtual leaf)
-/// or a partial overlap (the virtual leaf cannot be split). Sets disjoint from the
-/// collapsed subset map member-wise; sets containing it map onto the remapped members
-/// plus the virtual relation; the collapsed subset itself maps to the virtual
-/// singleton.
-pub fn remap_rel_set(
-    set: RelSet,
-    subset: RelSet,
-    mapping: &[Option<usize>],
-    virtual_index: usize,
-) -> Option<RelSet> {
-    if set.is_empty() {
-        return None;
-    }
-    let outside = set.difference(subset);
-    let mapped = RelSet::from_indexes(
-        outside
-            .iter()
-            .map(|rel| mapping[rel].expect("relation outside the subset has a mapping")),
-    );
-    if set.is_disjoint(subset) {
-        Some(mapped)
-    } else if subset.is_subset_of(set) {
-        Some(mapped.insert(virtual_index))
-    } else {
-        None
-    }
+    })
 }
 
 #[cfg(test)]
@@ -252,7 +236,10 @@ mod tests {
                 ),
             )],
             output: vec![SelectItem {
-                expr: SelectExpr::Wildcard,
+                expr: SelectExpr::Aggregate {
+                    func: reopt_sql::AggregateFunc::Count,
+                    arg: None,
+                },
                 alias: None,
             }],
             group_by: vec![],
@@ -275,7 +262,8 @@ mod tests {
             "mq1",
             "reopt_mq1",
             virtual_schema(&spec, subset),
-        );
+        )
+        .unwrap();
 
         assert_eq!(collapsed.spec.relation_count(), 2);
         assert_eq!(collapsed.mapping, vec![Some(0), None, None]);
@@ -312,7 +300,8 @@ mod tests {
         let spec = spec();
         let subset = RelSet::single(2);
         let collapsed =
-            collapse_spec(&spec, subset, "mq1", "reopt_mq1", virtual_schema(&spec, subset));
+            collapse_spec(&spec, subset, "mq1", "reopt_mq1", virtual_schema(&spec, subset))
+                .unwrap();
         assert_eq!(collapsed.spec.relation_count(), 3);
         assert_eq!(collapsed.virtual_index, 2);
         // Both edges survive; the mk-k edge now points at the virtual leaf.
@@ -327,10 +316,9 @@ mod tests {
         let spec = spec();
         let subset = RelSet::from_indexes([1, 2]);
         let collapsed =
-            collapse_spec(&spec, subset, "mq1", "reopt_mq1", virtual_schema(&spec, subset));
-        let remap = |set: RelSet| {
-            remap_rel_set(set, subset, &collapsed.mapping, collapsed.virtual_index)
-        };
+            collapse_spec(&spec, subset, "mq1", "reopt_mq1", virtual_schema(&spec, subset))
+                .unwrap();
+        let remap = |set: RelSet| collapsed.remap(set);
         // Disjoint: maps member-wise.
         assert_eq!(remap(RelSet::single(0)), Some(RelSet::single(0)));
         // The subset itself: the virtual singleton.
@@ -344,10 +332,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot collapse the whole query")]
-    fn collapsing_everything_panics() {
+    fn collapsing_everything_or_nothing_returns_none() {
         let spec = spec();
-        let subset = RelSet::all(3);
-        collapse_spec(&spec, subset, "mq1", "reopt_mq1", Schema::empty());
+        for subset in [RelSet::all(3), RelSet::EMPTY] {
+            assert_eq!(
+                collapse_spec(&spec, subset, "mq1", "reopt_mq1", Schema::empty()),
+                None,
+                "{subset}"
+            );
+        }
     }
 }

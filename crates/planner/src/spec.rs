@@ -67,7 +67,7 @@ impl JoinEdge {
 /// What reads one column of a base relation above the relation's access path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ColumnUse {
-    /// The SELECT list, GROUP BY or ORDER BY reads it (a wildcard reads every column).
+    /// The SELECT list, GROUP BY or ORDER BY reads it.
     pub read_by_output: bool,
     /// The union of the relation sets of the join edges and complex predicates that
     /// read it. Local predicates are not readers: the access path applies them.
@@ -241,17 +241,12 @@ impl QuerySpec {
             .collect();
         let mut refs = Vec::new();
         for item in &self.output {
-            match &item.expr {
-                SelectExpr::Wildcard => {
-                    for usage in uses.iter_mut().flatten() {
-                        usage.read_by_output = true;
-                    }
-                }
-                SelectExpr::Scalar(expr)
-                | SelectExpr::Aggregate {
-                    arg: Some(expr), ..
-                } => collect_column_refs(expr, &mut refs),
-                SelectExpr::Aggregate { arg: None, .. } => {}
+            if let SelectExpr::Scalar(expr)
+            | SelectExpr::Aggregate {
+                arg: Some(expr), ..
+            } = &item.expr
+            {
+                collect_column_refs(expr, &mut refs);
             }
         }
         for expr in self
@@ -281,6 +276,65 @@ impl QuerySpec {
             }
         }
         ColumnUses { uses }
+    }
+
+    /// The query restricted to `subset`: the subset's relations (re-indexed in index
+    /// order), their local predicates, and the join edges and complex predicates
+    /// inside it. Its output is the columns visible at `subset`
+    /// ([`ColumnUses::schema_of`]) — everything the rest of the query reads of the
+    /// subset — as unaliased column items, with no grouping, ordering or limit. Its
+    /// rows are what a collapse around `subset` binds against.
+    pub fn restrict(&self, subset: RelSet) -> QuerySpec {
+        let mut mapping = vec![0; self.relations.len()];
+        for (index, rel) in subset.iter().enumerate() {
+            mapping[rel] = index;
+        }
+        let map_set = |set: RelSet| RelSet::from_indexes(set.iter().map(|rel| mapping[rel]));
+        let output = self
+            .column_uses()
+            .schema_of(self, subset)
+            .columns()
+            .iter()
+            .map(|column| SelectItem {
+                expr: SelectExpr::Scalar(Expr::Column(ColumnRef {
+                    qualifier: column.qualifier().map(str::to_string),
+                    name: column.name().to_string(),
+                })),
+                alias: None,
+            })
+            .collect();
+        QuerySpec {
+            relations: subset
+                .iter()
+                .map(|rel| RelationSpec {
+                    index: mapping[rel],
+                    ..self.relations[rel].clone()
+                })
+                .collect(),
+            local_predicates: subset
+                .iter()
+                .map(|rel| self.local_predicates[rel].clone())
+                .collect(),
+            join_edges: self
+                .edges_within(subset)
+                .into_iter()
+                .map(|edge| JoinEdge {
+                    left_rel: mapping[edge.left_rel],
+                    right_rel: mapping[edge.right_rel],
+                    ..edge.clone()
+                })
+                .collect(),
+            complex_predicates: self
+                .complex_predicates
+                .iter()
+                .filter(|(set, _)| set.is_subset_of(subset))
+                .map(|(set, predicate)| (map_set(*set), predicate.clone()))
+                .collect(),
+            output,
+            group_by: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+        }
     }
 
     /// Call `f(rel, col)` for the column a reference names. A qualified reference
@@ -353,7 +407,10 @@ mod tests {
                 ),
             )],
             output: vec![SelectItem {
-                expr: SelectExpr::Wildcard,
+                expr: SelectExpr::Aggregate {
+                    func: reopt_sql::AggregateFunc::Count,
+                    arg: None,
+                },
                 alias: None,
             }],
             group_by: vec![],
@@ -587,8 +644,15 @@ mod tests {
 
     #[test]
     fn a_wildcard_keeps_every_column() {
+        // The binder expands `*` into one column item per column, in FROM order.
         let mut spec = chain();
-        spec.output = select(vec![SelectExpr::Wildcard]);
+        spec.output = select(
+            spec.schema_of(RelSet::all(3))
+                .columns()
+                .iter()
+                .map(|c| SelectExpr::Scalar(Expr::col(c.qualifier().unwrap(), c.name())))
+                .collect(),
+        );
         assert_eq!(
             visible(&spec, RelSet::all(3)),
             spec.schema_of(RelSet::all(3))
@@ -609,6 +673,40 @@ mod tests {
         assert!(visible(&spec, RelSet::all(3)).is_empty());
         // Below the root the join keys are still carried.
         assert_eq!(visible(&spec, RelSet::from_indexes([0, 1])), ["b.c_id"]);
+    }
+
+    #[test]
+    fn restrict_keeps_the_subset_and_outputs_its_visible_columns() {
+        let mut spec = chain();
+        let predicate = Expr::binary(
+            reopt_expr::BinaryOp::Gt,
+            Expr::col("b", "pad"),
+            Expr::col("c", "name"),
+        );
+        spec.complex_predicates
+            .push((spec.rel_set_of(&predicate), predicate));
+        let subset = RelSet::from_indexes([1, 2]);
+        let restricted = spec.restrict(subset);
+        // b and c, re-indexed from 0; the a filter and the a-b edge stay outside.
+        let aliases: Vec<&str> = restricted.relations.iter().map(|r| r.alias.as_str()).collect();
+        assert_eq!(aliases, ["b", "c"]);
+        assert_eq!(restricted.relations[1].index, 1);
+        assert!(restricted.local_predicates.iter().all(Vec::is_empty));
+        assert_eq!(restricted.join_edges.len(), 1);
+        assert_eq!(restricted.join_edges[0].rel_set(), RelSet::all(2));
+        assert_eq!(restricted.complex_predicates[0].0, RelSet::all(2));
+        // The output is what the rest of the query reads: b.a_id for the a-b edge and
+        // c.name for the SELECT list.
+        let output: Vec<String> = restricted
+            .output
+            .iter()
+            .map(|item| item.expr.to_sql())
+            .collect();
+        assert_eq!(output, visible(&spec, subset));
+        assert_eq!(output, ["b.a_id", "c.name"]);
+        assert!(restricted.group_by.is_empty() && restricted.limit.is_none());
+        // The a side keeps its filter.
+        assert_eq!(spec.restrict(RelSet::single(0)).local_predicates[0].len(), 1);
     }
 
     #[test]

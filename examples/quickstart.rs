@@ -65,8 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("rounds triggered: {}", report.rounds.len());
     for round in &report.rounds {
         println!(
-            "  materialized [{}]: estimated {:.0} rows, actual {} rows (q-error {:.1})",
+            "  [{}] -> {}: estimated {:.0} rows, actual {} rows (q-error {:.1})",
             round.materialized_aliases.join(", "),
+            round.temp_table.as_deref().unwrap_or("count injected"),
             round.estimated_rows,
             round.actual_rows,
             round.q_error

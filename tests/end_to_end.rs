@@ -834,6 +834,35 @@ fn parallel_run_over_budget_restarts_on_the_spill_engine_with_its_settings() {
 }
 
 #[test]
+fn a_build_row_wider_than_the_budget_fails_at_once() {
+    // Under a one-byte budget every grace-hash partition is over budget, down to
+    // partitions of a single row: repartitioning cannot split those, so the join
+    // fails at once, naming the row's size and the budget, and leaves no spill file.
+    let _serial = spill_serial();
+    let mut db = Database::with_config(OptimizerConfig {
+        enable_index_scans: false,
+        enable_index_nl_joins: false,
+        ..Default::default()
+    });
+    load_imdb(&mut db, &ImdbConfig { scale: 0.005, seed: 9 }).unwrap();
+    db.set_threads(Some(1));
+    db.set_mem_budget(Some(1));
+    let err = db
+        .execute(
+            "SELECT count(*) AS c FROM title AS t, movie_keyword AS mk, keyword AS k
+             WHERE t.id = mk.movie_id AND mk.keyword_id = k.id",
+        )
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("grace-hash build row of ")
+            && err.contains(" bytes exceeds the memory budget of 1 bytes"),
+        "{err}"
+    );
+    assert_eq!(reopt_repro::storage::live_spill_files(), 0);
+}
+
+#[test]
 fn unlimited_budget_keeps_reports_spill_free_across_policies_and_threads() {
     // The default (unlimited) governor must be invisible: no spill accounting in
     // reports, no "spilled" line in the rendering, and rows identical to plain

@@ -16,7 +16,9 @@
 //! "re-optimization fixes bad plans without hurting good ones" claim.
 //!
 //! `REOPT_SCALE` overrides the dataset scale (default 0.02, the perf_smoke
-//! scale).
+//! scale). At the default scale the battery also pins each policy's total round
+//! count ([`DEFAULT_SCALE_ROUNDS`]), so a change to the rewrite path cannot move
+//! rounds silently.
 //!
 //! The constrained-memory pass re-runs the suite under a 1 MiB byte budget
 //! ([`MEM_BUDGET`]): every query must stay row-identical
@@ -33,6 +35,16 @@ use std::time::{Duration, Instant};
 
 /// The byte budget of the constrained-memory pass.
 const MEM_BUDGET: u64 = 1 << 20;
+
+/// The dataset scale when `REOPT_SCALE` is unset.
+const DEFAULT_SCALE: f64 = 0.02;
+
+/// Rounds summed over the 113 queries at [`DEFAULT_SCALE`] (data seed 13, threshold 8,
+/// feedback off), per policy in the battery's order: Materialize, InjectOnly,
+/// MidQuery; the first row when the default thread count is 1, the second when it is
+/// more (the morsel engine's events trigger MidQuery differently; 2 and 4 threads
+/// agree). Recorded at 3198020, before materialize restarts became collapses.
+const DEFAULT_SCALE_ROUNDS: [[usize; 3]; 2] = [[201, 471, 366], [201, 471, 242]];
 
 fn canonical(rows: &[Row]) -> Vec<String> {
     let mut rendered: Vec<String> = rows.iter().map(|row| format!("{row}")).collect();
@@ -89,7 +101,7 @@ fn full_job_suite_runs_every_query_under_every_policy() {
     let scale = std::env::var("REOPT_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
+        .unwrap_or(DEFAULT_SCALE);
     let mut db = Database::new();
     load_imdb(&mut db, &ImdbConfig { scale, seed: 13 }).unwrap();
 
@@ -169,6 +181,14 @@ fn full_job_suite_runs_every_query_under_every_policy() {
         failures.len(),
         failures.join("\n")
     );
+    if scale == DEFAULT_SCALE {
+        let rounds: Vec<usize> = stats.iter().map(|stats| stats.rounds).collect();
+        let parallel = reopt_repro::executor::default_thread_count() > 1;
+        assert_eq!(
+            rounds, DEFAULT_SCALE_ROUNDS[usize::from(parallel)],
+            "round totals per policy (Materialize, InjectOnly, MidQuery) moved"
+        );
+    }
 }
 
 #[test]
@@ -177,7 +197,7 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
     let scale = std::env::var("REOPT_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(0.02);
+        .unwrap_or(DEFAULT_SCALE);
     let mut db = Database::new();
     load_imdb(&mut db, &ImdbConfig { scale, seed: 13 }).unwrap();
     db.set_threads(Some(1));

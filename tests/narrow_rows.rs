@@ -1,17 +1,15 @@
 //! Narrow rows: every plan node carries only the columns something above it reads
-//! (`QuerySpec::column_uses`), and both rewrite paths of the re-optimization driver
-//! materialize exactly that column set.
+//! (`QuerySpec::column_uses`), and both kinds of re-optimization round materialize
+//! exactly that column set.
 
-use reopt_repro::core::reopt::materialize_subset;
 use reopt_repro::core::{
     connected_subsets_up_to, execute_with_reoptimization, Database, ReoptConfig, ReoptMode,
 };
 use reopt_repro::executor::Executor;
-use reopt_repro::planner::{bind_select, JoinGraph, OptimizerConfig};
-use reopt_repro::sql::{parse_sql, SelectExpr};
+use reopt_repro::planner::{bind_select, CardinalityOverrides, JoinGraph, OptimizerConfig};
+use reopt_repro::sql::parse_sql;
 use reopt_repro::workload::job::{job_queries, job_query};
 use reopt_repro::workload::{load_imdb, ImdbConfig};
-use std::collections::BTreeSet;
 
 /// Every node of every JOB plan, on both benchmark data seeds: access paths and joins
 /// output exactly the columns visible at their relation set, and every expression of
@@ -63,9 +61,10 @@ fn every_job_plan_node_carries_exactly_its_visible_columns() {
 }
 
 /// A restart's temp table and a mid-query collapse's virtual leaf hold the same
-/// columns: `materialize_subset` projects exactly the columns visible at the subset,
-/// for every connected proper subset of JOB 10a (a superset of what the restart
-/// policies ever materialize on it).
+/// columns: for every connected proper subset of JOB 10a (a superset of what the
+/// restart policies ever materialize on it), the subset's restriction keeps its
+/// filters and inner edges, outputs exactly the columns visible at the subset, and
+/// plans to a root whose schema is that visible set.
 #[test]
 fn materialize_restart_keeps_the_visible_columns_of_every_10a_subset() {
     let mut db = Database::new();
@@ -79,29 +78,51 @@ fn materialize_restart_keeps_the_visible_columns_of_every_10a_subset() {
     .unwrap();
     let query = job_query("10a").unwrap();
     let statement = parse_sql(&query.sql).unwrap();
-    let select = statement.query().unwrap().clone();
-    let spec = bind_select(&select, db.storage()).unwrap();
+    let spec = bind_select(statement.query().unwrap(), db.storage()).unwrap();
     let uses = spec.column_uses();
     let n = spec.relation_count();
     let subsets = connected_subsets_up_to(&JoinGraph::new(&spec), n, n - 1);
     assert!(subsets.len() > n);
     for subset in subsets {
-        let (temp_query, _) = materialize_subset(&spec, &select, subset, "temp");
-        let materialized: BTreeSet<String> = temp_query
-            .items
+        let restricted = spec.restrict(subset);
+        let visible = uses.schema_of(&spec, subset);
+        let output: Vec<String> = restricted
+            .output
             .iter()
-            .filter_map(|item| match &item.expr {
-                SelectExpr::Scalar(expr) => expr.as_column_ref().map(|r| r.to_string()),
-                _ => None,
-            })
+            .map(|item| item.expr.to_sql())
             .collect();
-        let visible: BTreeSet<String> = uses
-            .schema_of(&spec, subset)
+        let visible_names: Vec<String> = visible
             .columns()
             .iter()
             .map(|column| column.qualified_name())
             .collect();
-        assert_eq!(materialized, visible, "subset {subset}");
+        assert_eq!(output, visible_names, "subset {subset}");
+
+        let filters: Vec<_> = subset
+            .iter()
+            .flat_map(|rel| &spec.local_predicates[rel])
+            .collect();
+        assert_eq!(
+            restricted.local_predicates.iter().flatten().collect::<Vec<_>>(),
+            filters,
+            "subset {subset}"
+        );
+        let edges: Vec<String> = spec
+            .edges_within(subset)
+            .iter()
+            .map(|edge| edge.to_expr().to_sql())
+            .collect();
+        let kept: Vec<String> = restricted
+            .join_edges
+            .iter()
+            .map(|edge| edge.to_expr().to_sql())
+            .collect();
+        assert_eq!(kept, edges, "subset {subset}");
+
+        let (planned, _) = db
+            .plan_bound_with_overrides(restricted, &CardinalityOverrides::new())
+            .unwrap();
+        assert_eq!(planned.plan.schema, visible, "subset {subset}");
     }
 }
 
