@@ -56,10 +56,9 @@ const MAX_TABLES: usize = 12;
 const SCALE: f64 = 0.02;
 /// Q-error threshold of every re-optimizing run.
 const THRESHOLD: f64 = 8.0;
-/// 256 KiB sits under the workload's largest unlimited build footprint: big enough
-/// that no single-key partition exceeds the whole budget (which is an honest error by
-/// contract), small enough that the biggest build must spill. A budgeted leg fails
-/// loudly if drift makes the budget vacuous.
+/// 256 KiB sits under the workload's largest unlimited build footprint, so the
+/// biggest build must spill. A budgeted leg fails loudly if drift makes the budget
+/// vacuous.
 /// Measured: unlimited peak reservation 337 689 B; this budget denies 9 (t1) / 10 (t4) grants.
 const BUDGET: u64 = 262_144;
 

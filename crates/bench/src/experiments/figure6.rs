@@ -25,8 +25,14 @@ pub fn run(harness: &mut Harness) -> Result<String, DbError> {
     out.push_str(&report.final_sql);
     out.push('\n');
     for (idx, round) in report.rounds.iter().enumerate() {
+        // A round whose subset is the whole (current) query builds no temp table: it
+        // injects the observed count instead.
+        let action = match round.temp_table {
+            Some(_) => "materialized",
+            None => "injected the count of",
+        };
         out.push_str(&format!(
-            "round {}: materialized [{}] (estimated {:.0} rows, actual {} rows, q-error {:.1})\n",
+            "round {}: {action} [{}] (estimated {:.0} rows, actual {} rows, q-error {:.1})\n",
             idx + 1,
             round.materialized_aliases.join(", "),
             round.estimated_rows,

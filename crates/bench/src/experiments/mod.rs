@@ -82,6 +82,14 @@ mod tests {
         for name in ["table3", "figures3_4", "figure6"] {
             let output = run_experiment(name, &mut harness).unwrap();
             assert!(!output.is_empty(), "{name} produced no output");
+            if name == "figure6" {
+                // A round says "materialized" exactly when the script creates its table.
+                assert_eq!(
+                    output.matches(": materialized [").count(),
+                    output.matches("CREATE TEMP TABLE").count(),
+                    "{output}"
+                );
+            }
         }
         assert!(run_experiment("nope", &mut harness).is_err());
     }

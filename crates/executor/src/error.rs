@@ -22,9 +22,8 @@ pub enum ExecError {
     /// completed breaker state remains extractable via
     /// [`Pipeline::take_breaker_states`](crate::exec::Pipeline::take_breaker_states).
     Suspended,
-    /// Out-of-core execution failed: a spill-file I/O error, or a grace-hash
-    /// partition still exceeded the memory budget at the recursion depth cap (all
-    /// rows sharing one join key, so repartitioning cannot help).
+    /// Out-of-core execution failed: a spill-file I/O error, or a grace-hash build
+    /// row wider than the whole memory budget (no repartitioning can split it).
     Spill(String),
 }
 

@@ -33,6 +33,7 @@
 //! semantics of the old materializing executor ("elapsed excluding children").
 
 use crate::error::ExecError;
+use crate::hash_join::{extract_key, JoinKernel, JoinTable, ProbeBatch};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::agg::{Accumulator, AggKernel, Group, GroupTable};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
@@ -45,7 +46,7 @@ use reopt_planner::RelSet;
 use reopt_storage::spill_file::{SpillDir, SpillReader, SpillRun, SpillWriter};
 use reopt_storage::{ColumnBatch, ColumnData, Index, IndexKind, Row, Schema, Storage, Table, Value};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::{Bound, Range};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
@@ -54,9 +55,9 @@ use std::time::{Duration, Instant};
 /// Fan-out of one grace-hash partitioning pass (and of recursive repartitioning).
 const SPILL_FANOUT: usize = 8;
 
-/// Maximum grace-hash recursion depth. A partition that still exceeds the budget
-/// this deep is dominated by one join key, which repartitioning can never split:
-/// the join reports an honest [`ExecError::Spill`] instead of recursing forever.
+/// Maximum grace-hash recursion depth. A partition that still exceeds its grant
+/// this deep is dominated by one join key, which repartitioning can never split: it
+/// joins by block nested loop instead of recursing forever.
 const SPILL_MAX_DEPTH: u32 = 6;
 
 /// Default number of rows per batch.
@@ -289,7 +290,8 @@ pub struct BreakerState {
     pub rel_set: RelSet,
     /// The schema of `rows` (columns qualified by the original relation aliases).
     pub schema: Schema,
-    /// The materialized rows.
+    /// The materialized rows, in the order the subtree produced them (the same at
+    /// every thread count).
     pub rows: Vec<Row>,
 }
 
@@ -1518,36 +1520,22 @@ fn build_operator<'p>(
                 tracker: Rc::clone(&ctx.tracker),
             })
         }
-        PlanKind::HashJoin { keys, residual } => {
-            let probe_schema = &plan.children[0].schema;
-            let build_schema = &plan.children[1].schema;
-            let probe_keys = keys
-                .iter()
-                .map(|(probe, _)| key_index(probe_schema, probe))
-                .collect::<Result<Vec<_>, _>>()?;
-            let build_keys = keys
-                .iter()
-                .map(|(_, build)| key_index(build_schema, build))
-                .collect::<Result<Vec<_>, _>>()?;
-            let build = children.pop().expect("hash join has two children");
-            let probe = children.pop().expect("hash join has two children");
-            Box::new(HashJoinOp {
+        PlanKind::HashJoin { .. } | PlanKind::NestedLoopJoin { .. } => {
+            let kernel = JoinKernel::new(plan)?;
+            let (Some(build), Some(probe)) = (children.pop(), children.pop()) else {
+                return Err(ExecError::InvalidPlan("a join has two children".into()));
+            };
+            Box::new(JoinOp {
                 probe,
                 build: Some(build),
                 build_done: false,
                 build_rel_set: plan.children[1].rel_set,
                 build_estimated_rows: plan.children[1].estimated_rows,
-                build_schema: build_schema.clone(),
-                probe_keys,
-                build_keys,
-                rows: JoinRows::new(probe_schema, build_schema, &plan.schema, residual.as_ref())?,
+                build_schema: plan.children[1].schema.clone(),
+                table: kernel.table(),
+                kernel,
+                batch: ProbeBatch::default(),
                 scratch: Row::default(),
-                build_rows: Vec::new(),
-                table: HashMap::new(),
-                probe_batch: Vec::new(),
-                probe_batch_keys: Vec::new(),
-                probe_pos: 0,
-                match_pos: 0,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
                 reservation: ctx.config.governor.reservation(),
@@ -1589,34 +1577,6 @@ fn build_operator<'p>(
                 outer_batch: Vec::new(),
                 outer_pos: 0,
                 match_pos: 0,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                obs: ctx.obs.clone_ref(),
-                progress: ProgressMeter::new(plan.rel_set, plan.estimated_rows),
-            })
-        }
-        PlanKind::NestedLoopJoin { predicate } => {
-            let rows = JoinRows::new(
-                &plan.children[0].schema,
-                &plan.children[1].schema,
-                &plan.schema,
-                predicate.as_ref(),
-            )?;
-            let inner = children.pop().expect("nested loop has two children");
-            let outer = children.pop().expect("nested loop has two children");
-            Box::new(NestedLoopJoinOp {
-                outer,
-                inner: Some(inner),
-                inner_done: false,
-                inner_rel_set: plan.children[1].rel_set,
-                inner_estimated_rows: plan.children[1].estimated_rows,
-                inner_schema: plan.children[1].schema.clone(),
-                rows,
-                scratch: Row::default(),
-                inner_rows: Vec::new(),
-                outer_batch: Vec::new(),
-                outer_pos: 0,
-                inner_pos: 0,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
                 obs: ctx.obs.clone_ref(),
@@ -1957,11 +1917,14 @@ impl Operator for LimitOp<'_> {
 // Joins
 // ---------------------------------------------------------------------------
 
-/// Hash join. The build side is a pipeline breaker (drained into the hash table on the
-/// first pull); probing is batch-at-a-time: keys for a whole probe batch are extracted
-/// up front, then the probe loop emits joined rows until the output batch is full,
-/// suspending mid-batch (and mid-match-list) when it is.
-struct HashJoinOp<'p> {
+/// Hash join, and the plain nested-loop join as a hash join on zero keys (see
+/// [`crate::hash_join`]). The build side (a nested-loop join's inner side) is a
+/// pipeline breaker, drained into a [`JoinTable`] on the first pull; probing runs the
+/// kernel's probe loop over whole probe batches, suspending mid-batch (and
+/// mid-match-list) when the output batch is full. A hash build reserves its bytes
+/// against the governor and goes out of core when a grant is denied; a nested-loop
+/// inner has no out-of-core path and reserves nothing.
+struct JoinOp<'p> {
     probe: Metered<'p>,
     /// The build child is retained (not dropped) after draining so that nested breaker
     /// states below it stay reachable for [`Operator::collect_breaker_states`].
@@ -1970,17 +1933,11 @@ struct HashJoinOp<'p> {
     build_rel_set: RelSet,
     build_estimated_rows: f64,
     build_schema: Schema,
-    probe_keys: Vec<usize>,
-    build_keys: Vec<usize>,
-    /// Output-row assembly (residual first).
-    rows: JoinRows,
+    kernel: JoinKernel,
+    table: JoinTable,
+    /// The probe batch being joined, with its cursor.
+    batch: ProbeBatch,
     scratch: Row,
-    build_rows: Vec<Row>,
-    table: HashMap<Vec<Value>, Vec<usize>>,
-    probe_batch: RowBatch,
-    probe_batch_keys: Vec<Option<Vec<Value>>>,
-    probe_pos: usize,
-    match_pos: usize,
     batch_size: usize,
     tracker: Rc<MemoryTracker>,
     /// Byte grant for the in-memory build; released when the build goes out of core.
@@ -1995,8 +1952,10 @@ struct HashJoinOp<'p> {
 /// Out-of-core state of a hash join whose build side exceeded its memory grant:
 /// grace-hash partitioning. Build and probe rows hash-partition into on-disk runs
 /// ([`SPILL_FANOUT`] per pass, salted by recursion depth); partitions are then
-/// joined one pair at a time by loading the build run back into the in-memory hash
-/// table, recursing on partitions that still exceed the budget.
+/// joined one pair at a time by loading the build run into the join table,
+/// repartitioning a partition that still exceeds the grant. At [`SPILL_MAX_DEPTH`] a
+/// partition is joined by block nested loop instead: one grant-sized build block at
+/// a time, re-scanning the partition's probe run per block.
 struct HashJoinSpill {
     /// Owns the on-disk partition files; the directory (and anything left in it)
     /// is removed when the join drops, however execution ended.
@@ -2011,17 +1970,252 @@ struct HashJoinSpill {
     probe_done: bool,
     /// `(build, probe, depth)` partition pairs still to join.
     pending: VecDeque<(SpillRun, SpillRun, u32)>,
-    /// The probe run streaming against the currently loaded build partition. The
-    /// run is kept alive beside its reader: dropping the run deletes the file.
-    probe_reader: Option<(SpillRun, SpillReader)>,
-    /// Block-nested-loop state for a partition that repartitioning cannot split
-    /// (one dominant join key) but that fits the *whole* budget: the build run
-    /// plus the next build-row offset to load. Each grant-sized build block
-    /// re-scans the partition's probe run once.
-    chunk: Option<(SpillRun, u64)>,
+    /// The build block in the join table, and the scan of its probe run.
+    loaded: Option<LoadedBlock>,
 }
 
-impl HashJoinOp<'_> {
+/// A build block of one partition pair, loaded into the join table, with the scan of
+/// the pair's probe run. The runs are kept alive beside the reader: dropping a run
+/// deletes its file.
+struct LoadedBlock {
+    build: SpillRun,
+    /// The build-run row the next block starts at (the run's row count once the
+    /// whole partition is loaded).
+    next: u64,
+    depth: u32,
+    probe: SpillRun,
+    reader: SpillReader,
+}
+
+impl HashJoinSpill {
+    /// Commit the build side to grace-hash partitioning: move the buffered rows into
+    /// [`SPILL_FANOUT`] on-disk partitions and release the memory grant.
+    fn start(table: &mut JoinTable, reservation: &mut Reservation) -> Result<Self, ExecError> {
+        let dir = SpillDir::create().map_err(spill_err)?;
+        let build_writers = spill_writers(&dir)?;
+        let mut spill = Self {
+            dir,
+            input_rows: 0,
+            build_writers,
+            build_runs: Vec::new(),
+            probe_done: false,
+            pending: VecDeque::new(),
+            loaded: None,
+        };
+        let rows = table.take_rows();
+        spill.write_build(rows, table.keys())?;
+        reservation.release_all();
+        Ok(spill)
+    }
+
+    /// Write build rows to their partitions. NULL-key rows count as input but never
+    /// join, and a spilled build is not a reusable materialization, so they go.
+    fn write_build(&mut self, rows: Vec<Row>, keys: &[usize]) -> Result<(), ExecError> {
+        for row in rows {
+            self.input_rows += 1;
+            if let Some(key) = extract_key(&row, keys) {
+                self.build_writers[spill_partition(0, &key)]
+                    .write_row(row.values())
+                    .map_err(spill_err)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seal the build partitions; the probe side partitions on its first pull.
+    fn seal_build(&mut self, stats: &OpStats) -> Result<(), ExecError> {
+        for writer in std::mem::take(&mut self.build_writers) {
+            let run = writer.finish().map_err(spill_err)?;
+            stats.record_spill_run(run.bytes());
+            self.build_runs.push(run);
+        }
+        Ok(())
+    }
+
+    /// Partition the whole probe input to disk, pairing each probe partition with
+    /// its build counterpart in `pending`. Empty pairs are skipped outright.
+    fn partition_probe(
+        &mut self,
+        probe: &mut Metered<'_>,
+        keys: &[usize],
+        stats: &OpStats,
+    ) -> Result<(), ExecError> {
+        let mut writers = spill_writers(&self.dir)?;
+        while let Some(batch) = probe.next_rows()? {
+            for row in batch {
+                if let Some(key) = extract_key(&row, keys) {
+                    writers[spill_partition(0, &key)]
+                        .write_row(row.values())
+                        .map_err(spill_err)?;
+                }
+            }
+        }
+        for (build_run, writer) in self.build_runs.drain(..).zip(writers) {
+            let probe_run = writer.finish().map_err(spill_err)?;
+            stats.record_spill_run(probe_run.bytes());
+            if build_run.rows() > 0 && probe_run.rows() > 0 {
+                self.pending.push_back((build_run, probe_run, 0));
+            }
+        }
+        self.probe_done = true;
+        Ok(())
+    }
+
+    /// The next probe rows (at most `batch_size`) of the partition loaded in `table`,
+    /// loading the next build block or partition pair when a probe run is drained.
+    /// `None` once every partition is joined.
+    fn next_probe_rows(
+        &mut self,
+        join: &mut SpillJoin<'_, '_>,
+        batch_size: usize,
+    ) -> Result<Option<RowBatch>, ExecError> {
+        if !self.probe_done {
+            self.partition_probe(join.probe, join.kernel.probe_keys(), join.stats)?;
+        }
+        loop {
+            if let Some(mut loaded) = self.loaded.take() {
+                let mut rows = Vec::new();
+                while rows.len() < batch_size {
+                    let Some(values) = loaded.reader.next_row().map_err(spill_err)? else {
+                        break;
+                    };
+                    rows.push(Row::from_values(values));
+                }
+                if !rows.is_empty() {
+                    self.loaded = Some(loaded);
+                    return Ok(Some(rows));
+                }
+                // The probe run is drained: a block-nested-loop partition re-scans it
+                // against its next build block.
+                if loaded.next < loaded.build.rows() {
+                    self.load(join, loaded.build, loaded.probe, loaded.depth, loaded.next)?;
+                    continue;
+                }
+            }
+            let Some((build, probe, depth)) = self.pending.pop_front() else {
+                join.table.take_rows();
+                join.reservation.release_all();
+                return Ok(None);
+            };
+            self.load(join, build, probe, depth, 0)?;
+        }
+    }
+
+    /// Load build rows `start..` of a partition pair into the join table, as many as
+    /// the grant allows, and open a scan of its probe run. A partition that exceeds
+    /// the grant is repartitioned with a deeper salt instead (back onto `pending`);
+    /// at [`SPILL_MAX_DEPTH`] it loads as one block of a block nested loop, whose
+    /// first row loads even when its grant is denied — a bounded overcommit of one
+    /// row that guarantees progress when enclosing operators hold the budget. A
+    /// partition of one row wider than the whole budget fails at once: no
+    /// repartitioning can split it.
+    fn load(
+        &mut self,
+        join: &mut SpillJoin<'_, '_>,
+        build: SpillRun,
+        probe: SpillRun,
+        depth: u32,
+        start: u64,
+    ) -> Result<(), ExecError> {
+        join.table.take_rows();
+        join.reservation.release_all();
+        let mut reader = build.read().map_err(spill_err)?;
+        let mut next = 0u64;
+        while let Some(values) = reader.next_row().map_err(spill_err)? {
+            if next < start {
+                next += 1;
+                continue;
+            }
+            let row = Row::from_values(values);
+            if !join.reservation.grow(row.width() as u64) {
+                let budget = join.reservation.governor().budget().unwrap_or(u64::MAX);
+                if build.rows() == 1 && row.width() as u64 > budget {
+                    return Err(ExecError::Spill(format!(
+                        "grace-hash build row of {} bytes exceeds the memory budget of \
+                         {budget} bytes; repartitioning cannot split a single row",
+                        row.width(),
+                    )));
+                }
+                if depth < SPILL_MAX_DEPTH {
+                    drop(reader);
+                    join.table.take_rows();
+                    join.reservation.release_all();
+                    return self.repartition(join, build, probe, depth);
+                }
+                if !join.table.is_empty() {
+                    break;
+                }
+            }
+            join.table.push(row);
+            next += 1;
+        }
+        drop(reader);
+        let reader = probe.read().map_err(spill_err)?;
+        self.loaded = Some(LoadedBlock {
+            build,
+            next,
+            depth,
+            probe,
+            reader,
+        });
+        Ok(())
+    }
+
+    /// Split an over-budget partition pair into [`SPILL_FANOUT`] sub-pairs using a
+    /// deeper salt, queueing the non-empty ones at `depth + 1`.
+    fn repartition(
+        &mut self,
+        join: &mut SpillJoin<'_, '_>,
+        build: SpillRun,
+        probe: SpillRun,
+        depth: u32,
+    ) -> Result<(), ExecError> {
+        let salt = depth + 1;
+        let mut sides = [spill_writers(&self.dir)?, spill_writers(&self.dir)?];
+        let keys = [join.table.keys(), join.kernel.probe_keys()];
+        for (side, source) in [&build, &probe].into_iter().enumerate() {
+            let mut reader = source.read().map_err(spill_err)?;
+            while let Some(values) = reader.next_row().map_err(spill_err)? {
+                let row = Row::from_values(values);
+                if let Some(key) = extract_key(&row, keys[side]) {
+                    sides[side][spill_partition(salt, &key)]
+                        .write_row(row.values())
+                        .map_err(spill_err)?;
+                }
+            }
+        }
+        let [build_writers, probe_writers] = sides;
+        for (build_writer, probe_writer) in build_writers.into_iter().zip(probe_writers) {
+            let sub_build = build_writer.finish().map_err(spill_err)?;
+            let sub_probe = probe_writer.finish().map_err(spill_err)?;
+            join.stats.record_spill_run(sub_build.bytes());
+            join.stats.record_spill_run(sub_probe.bytes());
+            if sub_build.rows() > 0 && sub_probe.rows() > 0 {
+                self.pending.push_back((sub_build, sub_probe, salt));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The parts of a [`JoinOp`] its out-of-core path works on, borrowed beside its
+/// [`HashJoinSpill`].
+struct SpillJoin<'a, 'p> {
+    probe: &'a mut Metered<'p>,
+    kernel: &'a JoinKernel,
+    table: &'a mut JoinTable,
+    reservation: &'a mut Reservation,
+    stats: &'a OpStats,
+}
+
+/// One open run writer per grace-hash partition.
+fn spill_writers(dir: &SpillDir) -> Result<Vec<SpillWriter>, ExecError> {
+    (0..SPILL_FANOUT)
+        .map(|_| SpillWriter::create(dir).map_err(spill_err))
+        .collect()
+}
+
+impl JoinOp<'_> {
     fn build_table(&mut self) -> Result<(), ExecError> {
         if self.build_done {
             return Ok(());
@@ -2032,42 +2226,32 @@ impl HashJoinOp<'_> {
         let result = build.drain(|batch| {
             if self.spill.is_none() {
                 let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-                if self.reservation.grow(bytes) {
+                if self.kernel.kind == BreakerKind::NestedLoopInner || self.reservation.grow(bytes)
+                {
                     self.tracker.acquire(batch.len() as u64, bytes);
                     for row in batch {
-                        let row_idx = self.build_rows.len();
-                        if let Some(key) = extract_key(&row, &self.build_keys) {
-                            self.table.entry(key).or_default().push(row_idx);
-                        }
-                        self.build_rows.push(row);
+                        self.table.push(row);
                     }
                     return Ok(());
                 }
                 // Grant denied. Surface memory pressure *before* committing the
                 // spill: a suspending observer re-plans with every buffer intact.
-                self.obs.notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
-                    kind: BreakerKind::HashBuild,
-                    rel_set: self.build_rel_set,
-                    estimated_rows: self.build_estimated_rows,
-                    buffered_rows: self.build_rows.len() as u64,
-                    buffered_bytes: self.reservation.bytes(),
-                    budget_bytes: self.reservation.governor().budget().unwrap_or(0),
-                }))?;
-                self.start_spill()?;
+                self.obs
+                    .notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
+                        kind: BreakerKind::HashBuild,
+                        rel_set: self.build_rel_set,
+                        estimated_rows: self.build_estimated_rows,
+                        buffered_rows: self.table.len() as u64,
+                        buffered_bytes: self.reservation.bytes(),
+                        budget_bytes: self.reservation.governor().budget().unwrap_or(0),
+                    }))?;
+                let spill = HashJoinSpill::start(&mut self.table, &mut self.reservation)?;
+                self.spill = Some(Box::new(spill));
             }
-            let spill = self.spill.as_mut().expect("spill committed above");
-            for row in batch {
-                spill.input_rows += 1;
-                // NULL keys never match under equi-join semantics; the spilled
-                // build is not a reusable materialization, so they are dropped.
-                if let Some(key) = extract_key(&row, &self.build_keys) {
-                    let part = spill_partition(0, &key);
-                    spill.build_writers[part]
-                        .write_row(row.values())
-                        .map_err(spill_err)?;
-                }
+            match self.spill.as_deref_mut() {
+                Some(spill) => spill.write_build(batch, self.table.keys()),
+                None => Ok(()),
             }
-            Ok(())
         });
         // Only observed pipelines (which may suspend and extract breaker state) need
         // the drained subtree kept alive; everywhere else, drop it now so nested
@@ -2077,21 +2261,15 @@ impl HashJoinOp<'_> {
         }
         result?;
         self.build_done = true;
-        let (actual_rows, reusable) = match self.spill.as_mut() {
-            None => (self.build_rows.len() as u64, true),
+        let (actual_rows, reusable) = match self.spill.as_deref_mut() {
+            None => (self.table.len() as u64, true),
             Some(spill) => {
-                // Seal the build partitions; probe partitioning happens lazily on
-                // the first probe pull.
-                for writer in std::mem::take(&mut spill.build_writers) {
-                    let run = writer.finish().map_err(spill_err)?;
-                    self.stats.record_spill_run(run.bytes());
-                    spill.build_runs.push(run);
-                }
+                spill.seal_build(&self.stats)?;
                 (spill.input_rows, false)
             }
         };
         self.obs.notify_breaker(BreakerEvent {
-            kind: BreakerKind::HashBuild,
+            kind: self.kernel.kind,
             rel_set: self.build_rel_set,
             estimated_rows: self.build_estimated_rows,
             actual_rows,
@@ -2099,392 +2277,49 @@ impl HashJoinOp<'_> {
         })
     }
 
-    /// Commit the build side to grace-hash partitioning: move the buffered rows
-    /// into [`SPILL_FANOUT`] on-disk partitions and release the memory grant.
-    fn start_spill(&mut self) -> Result<(), ExecError> {
-        let dir = SpillDir::create().map_err(spill_err)?;
-        let mut writers = Vec::with_capacity(SPILL_FANOUT);
-        for _ in 0..SPILL_FANOUT {
-            writers.push(SpillWriter::create(&dir).map_err(spill_err)?);
-        }
-        let input_rows = self.build_rows.len() as u64;
-        for row in self.build_rows.drain(..) {
-            if let Some(key) = extract_key(&row, &self.build_keys) {
-                let part = spill_partition(0, &key);
-                writers[part].write_row(row.values()).map_err(spill_err)?;
-            }
-        }
-        self.table.clear();
-        self.reservation.release_all();
-        self.spill = Some(Box::new(HashJoinSpill {
-            dir,
-            input_rows,
-            build_writers: writers,
-            build_runs: Vec::new(),
-            probe_done: false,
-            pending: VecDeque::new(),
-            probe_reader: None,
-            chunk: None,
-        }));
-        Ok(())
-    }
-
-    /// Partition the whole probe input to disk, pairing each probe partition with
-    /// its build counterpart in `pending`. Empty pairs are skipped outright.
-    fn partition_probe(&mut self) -> Result<(), ExecError> {
-        let spill = self.spill.as_mut().expect("probe partitioning requires spill");
-        let mut writers = Vec::with_capacity(SPILL_FANOUT);
-        for _ in 0..SPILL_FANOUT {
-            writers.push(SpillWriter::create(&spill.dir).map_err(spill_err)?);
-        }
-        // Flush any probe batch pulled before the build committed to spilling
-        // (possible only if a probe pull preceded the build, which next_batch
-        // never does today — defensive).
-        for row in self.probe_batch.drain(..) {
-            if let Some(key) = extract_key(&row, &self.probe_keys) {
-                writers[spill_partition(0, &key)]
-                    .write_row(row.values())
-                    .map_err(spill_err)?;
-            }
-        }
-        self.probe_batch_keys.clear();
-        self.probe_pos = 0;
-        self.match_pos = 0;
-        while let Some(batch) = self.probe.next_rows()? {
-            for row in batch {
-                if let Some(key) = extract_key(&row, &self.probe_keys) {
-                    writers[spill_partition(0, &key)]
-                        .write_row(row.values())
-                        .map_err(spill_err)?;
-                }
-            }
-        }
-        for (build_run, writer) in spill.build_runs.drain(..).zip(writers) {
-            let probe_run = writer.finish().map_err(spill_err)?;
-            self.stats.record_spill_run(probe_run.bytes());
-            if build_run.rows() > 0 && probe_run.rows() > 0 {
-                spill.pending.push_back((build_run, probe_run, 0));
-            }
-        }
-        spill.probe_done = true;
-        Ok(())
-    }
-
-    /// Load one build partition into the in-memory hash table and open its probe
-    /// counterpart for streaming. If the partition still exceeds the budget, both
-    /// sides are repartitioned with a deeper salt (back onto `pending`); at
-    /// [`SPILL_MAX_DEPTH`] the join fails honestly instead of recursing forever. A
-    /// partition of one row wider than the whole budget fails at once: no
-    /// repartitioning can split it.
-    /// Returns `true` when a partition was loaded and is ready to probe.
-    fn load_partition(
-        &mut self,
-        build_run: SpillRun,
-        probe_run: SpillRun,
-        depth: u32,
-    ) -> Result<bool, ExecError> {
-        self.build_rows.clear();
-        self.table.clear();
-        self.reservation.release_all();
-        let mut reader = build_run.read().map_err(spill_err)?;
-        while let Some(values) = reader.next_row().map_err(spill_err)? {
-            let row = Row::from_values(values);
-            if !self.reservation.grow(row.width() as u64) {
-                let budget = self.reservation.governor().budget().unwrap_or(u64::MAX);
-                if build_run.rows() == 1 && row.width() as u64 > budget {
-                    return Err(ExecError::Spill(format!(
-                        "grace-hash build row of {} bytes exceeds the memory budget of \
-                         {budget} bytes; repartitioning cannot split a single row",
-                        row.width(),
-                    )));
-                }
-                if depth >= SPILL_MAX_DEPTH {
-                    if build_run.bytes() > budget {
-                        return Err(ExecError::Spill(format!(
-                            "grace-hash partition of {} rows still exceeds the memory \
-                             budget at recursion depth {SPILL_MAX_DEPTH}; the partition \
-                             is dominated by a single join key that repartitioning \
-                             cannot split",
-                            build_run.rows(),
-                        )));
-                    }
-                    // The partition fits the whole budget; only the currently
-                    // *available* grant is too small (enclosing operators hold
-                    // the rest, and waiting for them would deadlock a
-                    // single-threaded pipeline). Block nested-loop fallback:
-                    // join the unsplittable partition one grant-sized build
-                    // block at a time, re-scanning its probe run per block.
-                    drop(reader);
-                    self.build_rows.clear();
-                    self.table.clear();
-                    self.reservation.release_all();
-                    return self.load_block(build_run, probe_run, 0);
-                }
-                drop(reader);
-                self.build_rows.clear();
-                self.table.clear();
-                self.reservation.release_all();
-                self.repartition(build_run, probe_run, depth)?;
-                return Ok(false);
-            }
-            let row_idx = self.build_rows.len();
-            let key = extract_key(&row, &self.build_keys)
-                .expect("spilled build rows always carry non-NULL keys");
-            self.table.entry(key).or_default().push(row_idx);
-            self.build_rows.push(row);
-        }
-        drop(reader);
-        let probe_reader = probe_run.read().map_err(spill_err)?;
-        let spill = self.spill.as_mut().expect("loading a partition requires spill");
-        spill.probe_reader = Some((probe_run, probe_reader));
-        Ok(true)
-    }
-
-    /// Load one block of a block-nested-loop partition, starting at build-run row
-    /// `start`, and open a fresh scan of its probe run. The first row of every
-    /// block loads even when its grant is denied — a bounded overcommit of one
-    /// row that guarantees progress when enclosing operators hold the entire
-    /// budget (the honest error in [`Self::load_partition`] covers partitions
-    /// larger than the whole budget).
-    fn load_block(
-        &mut self,
-        build_run: SpillRun,
-        probe_run: SpillRun,
-        start: u64,
-    ) -> Result<bool, ExecError> {
-        self.build_rows.clear();
-        self.table.clear();
-        self.reservation.release_all();
-        let mut reader = build_run.read().map_err(spill_err)?;
-        let mut idx = 0u64;
-        while let Some(values) = reader.next_row().map_err(spill_err)? {
-            if idx < start {
-                idx += 1;
-                continue;
-            }
-            let row = Row::from_values(values);
-            if !self.reservation.grow(row.width() as u64) && !self.build_rows.is_empty() {
-                break;
-            }
-            let row_idx = self.build_rows.len();
-            let key = extract_key(&row, &self.build_keys)
-                .expect("spilled build rows always carry non-NULL keys");
-            self.table.entry(key).or_default().push(row_idx);
-            self.build_rows.push(row);
-            idx += 1;
-        }
-        drop(reader);
-        let probe_reader = probe_run.read().map_err(spill_err)?;
-        let spill = self.spill.as_mut().expect("loading a block requires spill");
-        spill.chunk = Some((build_run, idx));
-        spill.probe_reader = Some((probe_run, probe_reader));
-        Ok(true)
-    }
-
-    /// Advance a block-nested-loop partition after its probe scan drained: load
-    /// the next build block and re-open the probe run against it. Returns `false`
-    /// (dropping both runs) when the build run is fully joined — or when no
-    /// chunked partition is active (the ordinary single-pass case).
-    fn next_chunk(&mut self, probe_run: SpillRun) -> Result<bool, ExecError> {
-        let spill = self.spill.as_mut().expect("advancing a chunk requires spill");
-        let Some((build_run, next)) = spill.chunk.take() else {
-            return Ok(false);
+    /// The next probe batch: the probe child's, or the next rows of a spilled
+    /// partition's probe run.
+    fn next_probe(&mut self) -> Result<Option<Batch>, ExecError> {
+        let Some(spill) = self.spill.as_deref_mut() else {
+            return self.probe.next_batch();
         };
-        if next >= build_run.rows() {
-            return Ok(false);
-        }
-        self.load_block(build_run, probe_run, next)
-    }
-
-    /// Split an over-budget partition pair into [`SPILL_FANOUT`] sub-pairs using a
-    /// deeper salt, queueing the non-empty ones at `depth + 1`.
-    fn repartition(
-        &mut self,
-        build_run: SpillRun,
-        probe_run: SpillRun,
-        depth: u32,
-    ) -> Result<(), ExecError> {
-        let salt = depth + 1;
-        let spill = self.spill.as_mut().expect("repartitioning requires spill");
-        let mut pairs = Vec::with_capacity(SPILL_FANOUT);
-        for _ in 0..SPILL_FANOUT {
-            pairs.push((
-                SpillWriter::create(&spill.dir).map_err(spill_err)?,
-                SpillWriter::create(&spill.dir).map_err(spill_err)?,
-            ));
-        }
-        for (source, keys, side) in [
-            (&build_run, &self.build_keys, 0usize),
-            (&probe_run, &self.probe_keys, 1usize),
-        ] {
-            let mut reader = source.read().map_err(spill_err)?;
-            while let Some(values) = reader.next_row().map_err(spill_err)? {
-                let row = Row::from_values(values);
-                let key = extract_key(&row, keys)
-                    .expect("spilled rows always carry non-NULL keys");
-                let part = spill_partition(salt, &key);
-                let writer = if side == 0 { &mut pairs[part].0 } else { &mut pairs[part].1 };
-                writer.write_row(row.values()).map_err(spill_err)?;
-            }
-        }
-        for (build_writer, probe_writer) in pairs {
-            let sub_build = build_writer.finish().map_err(spill_err)?;
-            let sub_probe = probe_writer.finish().map_err(spill_err)?;
-            self.stats.record_spill_run(sub_build.bytes());
-            self.stats.record_spill_run(sub_probe.bytes());
-            if sub_build.rows() > 0 && sub_probe.rows() > 0 {
-                spill.pending.push_back((sub_build, sub_probe, salt));
-            }
-        }
-        Ok(())
-    }
-
-    /// Out-of-core probe loop: stream the current partition's probe run against the
-    /// loaded build partition, advancing through `pending` as partitions finish.
-    fn next_batch_spilled(&mut self) -> Result<Option<Batch>, ExecError> {
-        if !self.spill.as_ref().expect("spilled next_batch requires spill").probe_done {
-            self.partition_probe()?;
-        }
-        let mut out = Vec::new();
-        'drive: loop {
-            // Stream the open probe run, emitting matches against the loaded table.
-            while let Some((_, reader)) = self
-                .spill
-                .as_mut()
-                .expect("spill state outlives the probe loop")
-                .probe_reader
-                .as_mut()
-            {
-                let Some(values) = reader.next_row().map_err(spill_err)? else {
-                    let spill = self.spill.as_mut().expect("checked above");
-                    let (probe_run, _) = spill.probe_reader.take().expect("checked above");
-                    // A block-nested-loop partition re-scans its probe run
-                    // against each successive build block before moving on.
-                    if self.next_chunk(probe_run)? {
-                        continue;
-                    }
-                    break;
-                };
-                let row = Row::from_values(values);
-                let key = extract_key(&row, &self.probe_keys)
-                    .expect("spilled probe rows always carry non-NULL keys");
-                if let Some(matches) = self.table.get(&key) {
-                    for &build_idx in matches {
-                        let build_row = self.build_rows[build_idx].values();
-                        if let Some(joined) =
-                            self.rows.join(row.values(), build_row, &mut self.scratch)?
-                        {
-                            out.push(joined);
-                        }
-                    }
-                }
-                // Soft cap: one probe row's full match list may overshoot the
-                // batch size, which downstream operators tolerate.
-                if out.len() >= self.batch_size {
-                    break 'drive;
-                }
-            }
-            // Advance to the next partition pair (skipping ones that repartition).
-            loop {
-                let next = self
-                    .spill
-                    .as_mut()
-                    .expect("spill state outlives the probe loop")
-                    .pending
-                    .pop_front();
-                let Some((build_run, probe_run, depth)) = next else {
-                    self.build_rows.clear();
-                    self.table.clear();
-                    self.reservation.release_all();
-                    break 'drive;
-                };
-                if self.load_partition(build_run, probe_run, depth)? {
-                    break;
-                }
-            }
-        }
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            self.progress.tick(&self.obs, out.len())?;
-            Ok(Some(Batch::Rows(out)))
-        }
-    }
-
-    /// Pull the next probe batch and precompute its keys. Returns `false` at EOF.
-    /// Columnar probe batches extract their keys with the typed hash-key kernel
-    /// (touching only the key columns) before decoding for join-output assembly.
-    fn refill_probe(&mut self) -> Result<bool, ExecError> {
-        let Some(batch) = self.probe.next_batch()? else {
-            return Ok(false);
+        let mut join = SpillJoin {
+            probe: &mut self.probe,
+            kernel: &self.kernel,
+            table: &mut self.table,
+            reservation: &mut self.reservation,
+            stats: &self.stats,
         };
-        match batch {
-            Batch::Cols(cols) => {
-                self.probe_batch_keys = cols.extract_keys(&self.probe_keys);
-                self.probe_batch = cols.into_rows();
-            }
-            Batch::Rows(rows) => {
-                self.probe_batch_keys.clear();
-                self.probe_batch_keys
-                    .extend(rows.iter().map(|row| extract_key(row, &self.probe_keys)));
-                self.probe_batch = rows;
-            }
-        }
-        self.probe_pos = 0;
-        self.match_pos = 0;
-        Ok(true)
+        Ok(spill
+            .next_probe_rows(&mut join, self.batch_size)?
+            .map(Batch::Rows))
     }
 }
 
-impl Operator for HashJoinOp<'_> {
+impl Operator for JoinOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         self.build_table()?;
-        if self.spill.is_some() {
-            return self.next_batch_spilled();
-        }
         let mut out = Vec::new();
-        'fill: loop {
-            if self.probe_pos >= self.probe_batch.len() {
-                if !self.refill_probe()? {
+        while out.len() < self.batch_size {
+            if self.batch.done() {
+                let Some(batch) = self.next_probe()? else {
                     break;
-                }
-                if self.probe_batch.is_empty() {
-                    continue;
-                }
-            }
-            while self.probe_pos < self.probe_batch.len() {
-                let matches = match &self.probe_batch_keys[self.probe_pos] {
-                    Some(key) => self.table.get(key).map(Vec::as_slice).unwrap_or(&[]),
-                    None => &[],
                 };
-                let probe_row = &self.probe_batch[self.probe_pos];
-                while self.match_pos < matches.len() {
-                    if out.len() >= self.batch_size {
-                        break 'fill;
-                    }
-                    let build_idx = matches[self.match_pos];
-                    self.match_pos += 1;
-                    let build_row = self.build_rows[build_idx].values();
-                    if let Some(joined) =
-                        self.rows
-                            .join(probe_row.values(), build_row, &mut self.scratch)?
-                    {
-                        out.push(joined);
-                    }
-                }
-                self.probe_pos += 1;
-                self.match_pos = 0;
+                self.batch = self.kernel.batch(batch);
             }
-            if out.len() >= self.batch_size {
-                break;
-            }
+            self.kernel.probe(
+                &self.table,
+                &mut self.batch,
+                self.batch_size,
+                &mut self.scratch,
+                &mut out,
+            )?;
         }
         if out.is_empty() {
-            Ok(None)
-        } else {
-            self.progress.tick(&self.obs, out.len())?;
-            Ok(Some(Batch::Rows(out)))
+            return Ok(None);
         }
+        self.progress.tick(&self.obs, out.len())?;
+        Ok(Some(Batch::Rows(out)))
     }
 
     fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
@@ -2496,14 +2331,13 @@ impl Operator for HashJoinOp<'_> {
         // An empty completed build is still extractable: knowing a subtree produced
         // zero rows is exactly the kind of truth a re-optimizer wants to reuse.
         // A spilled build is not: its rows live in NULL-key-stripped on-disk
-        // partitions, not in `build_rows` (its breaker event said `reusable: false`).
+        // partitions (its breaker event said `reusable: false`).
         if self.build_done && self.spill.is_none() {
-            self.table.clear();
             out.push(BreakerState {
-                kind: BreakerKind::HashBuild,
+                kind: self.kernel.kind,
                 rel_set: self.build_rel_set,
                 schema: self.build_schema.clone(),
-                rows: std::mem::take(&mut self.build_rows),
+                rows: self.table.take_rows(),
             });
         }
     }
@@ -2710,131 +2544,6 @@ impl Operator for IndexNlJoinOp<'_> {
     }
 }
 
-/// Plain nested-loop join: the inner side is a pipeline breaker (buffered fully); the
-/// outer side streams, with a cursor over (outer row, inner row) pairs.
-struct NestedLoopJoinOp<'p> {
-    outer: Metered<'p>,
-    /// Retained after draining so nested breaker states stay reachable.
-    inner: Option<Metered<'p>>,
-    inner_done: bool,
-    inner_rel_set: RelSet,
-    inner_estimated_rows: f64,
-    inner_schema: Schema,
-    /// Output-row assembly; the join predicate is its residual.
-    rows: JoinRows,
-    scratch: Row,
-    inner_rows: Vec<Row>,
-    outer_batch: RowBatch,
-    outer_pos: usize,
-    inner_pos: usize,
-    batch_size: usize,
-    tracker: Rc<MemoryTracker>,
-    obs: ObserverCtx<'p>,
-    progress: ProgressMeter,
-}
-
-impl NestedLoopJoinOp<'_> {
-    fn buffer_inner(&mut self) -> Result<(), ExecError> {
-        if self.inner_done {
-            return Ok(());
-        }
-        let Some(mut inner) = self.inner.take() else {
-            return Ok(());
-        };
-        let result = {
-            let inner_rows = &mut self.inner_rows;
-            let tracker = &self.tracker;
-            inner.drain(|batch| {
-                let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-                tracker.acquire(batch.len() as u64, bytes);
-                inner_rows.extend(batch);
-                Ok(())
-            })
-        };
-        // As in HashJoinOp: retain the drained child only for observed pipelines.
-        if self.obs.active() {
-            self.inner = Some(inner);
-        }
-        result?;
-        self.inner_done = true;
-        self.obs.notify_breaker(BreakerEvent {
-            kind: BreakerKind::NestedLoopInner,
-            rel_set: self.inner_rel_set,
-            estimated_rows: self.inner_estimated_rows,
-            actual_rows: self.inner_rows.len() as u64,
-            reusable: true,
-        })
-    }
-}
-
-impl Operator for NestedLoopJoinOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.buffer_inner()?;
-        if self.inner_rows.is_empty() {
-            // No output is possible, but still drain the outer side so its subtree
-            // reports true actual cardinalities (the seed executor always executed
-            // both children; leaving actual_rows=0 would feed spurious q-errors to
-            // the re-optimization controller).
-            self.outer.drain(|_| Ok(()))?;
-            return Ok(None);
-        }
-        let mut out = Vec::new();
-        'fill: loop {
-            if self.outer_pos >= self.outer_batch.len() {
-                let Some(batch) = self.outer.next_rows()? else {
-                    break;
-                };
-                self.outer_batch = batch;
-                self.outer_pos = 0;
-                self.inner_pos = 0;
-                continue;
-            }
-            while self.outer_pos < self.outer_batch.len() {
-                let outer_row = &self.outer_batch[self.outer_pos];
-                while self.inner_pos < self.inner_rows.len() {
-                    if out.len() >= self.batch_size {
-                        break 'fill;
-                    }
-                    let inner_row = self.inner_rows[self.inner_pos].values();
-                    self.inner_pos += 1;
-                    if let Some(joined) =
-                        self.rows
-                            .join(outer_row.values(), inner_row, &mut self.scratch)?
-                    {
-                        out.push(joined);
-                    }
-                }
-                self.outer_pos += 1;
-                self.inner_pos = 0;
-            }
-            if out.len() >= self.batch_size {
-                break;
-            }
-        }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        self.progress.tick(&self.obs, out.len())?;
-        Ok(Some(Batch::Rows(out)))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        self.outer.inner.collect_breaker_states(out);
-        if let Some(inner) = &mut self.inner {
-            inner.inner.collect_breaker_states(out);
-        }
-        // As for hash builds: an empty completed inner is still extractable truth.
-        if self.inner_done {
-            out.push(BreakerState {
-                kind: BreakerKind::NestedLoopInner,
-                rel_set: self.inner_rel_set,
-                schema: self.inner_schema.clone(),
-                rows: std::mem::take(&mut self.inner_rows),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline breakers: aggregate and sort
 // ---------------------------------------------------------------------------
@@ -3000,7 +2709,7 @@ impl AggregateOp<'_> {
         };
         let mut table = self.kernel.new_table();
         // Admission of a new group: reserve its key bytes; on the first denial
-        // surface memory pressure (see HashJoinOp::build_table), then flush the
+        // surface memory pressure (see JoinOp::build_table), then flush the
         // states to a sorted run and keep going with an empty table.
         let mut admit = |table: &mut GroupTable, key_bytes: u64| -> Result<(), ExecError> {
             if let Some(spill) = self.spill.as_mut() {
@@ -3053,7 +2762,7 @@ impl AggregateOp<'_> {
             });
         }
         let input_rows = input.stats.rows.get();
-        // As in HashJoinOp: retain the drained child only for observed pipelines.
+        // As in JoinOp: retain the drained child only for observed pipelines.
         if self.obs.active() {
             self.input = Some(input);
         }
@@ -3286,7 +2995,7 @@ impl SortOp<'_> {
             })
         };
         let input_rows = input.stats.rows.get();
-        // As in HashJoinOp: retain the drained child only for observed pipelines.
+        // As in JoinOp: retain the drained child only for observed pipelines.
         if self.obs.active() {
             self.input = Some(input);
         }
@@ -3391,20 +3100,6 @@ fn spill_partition(salt: u32, key: &[Value]) -> usize {
         value.hash(&mut hasher);
     }
     (hasher.finish() as usize) % SPILL_FANOUT
-}
-
-/// Extract a join key from a row; returns `None` when any key column is NULL (NULL never
-/// joins under equi-join semantics).
-pub(crate) fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(columns.len());
-    for &idx in columns {
-        let value = row.value(idx);
-        if value.is_null() {
-            return None;
-        }
-        key.push(value.clone());
-    }
-    Some(key)
 }
 
 #[cfg(test)]
@@ -4491,10 +4186,11 @@ mod tests {
     }
 
     #[test]
-    fn single_key_partition_over_budget_errors_at_depth_cap() {
+    fn single_key_partition_over_budget_joins_at_depth_cap() {
         let _guard = spill_serial();
         // Every row shares one join key: no amount of repartitioning can split the
-        // partition below the budget, so the join must fail honestly (not hang).
+        // partition below the budget, so at the depth cap it joins by block nested
+        // loop, one budget-sized build block per scan of its probe run.
         let mut storage = Storage::new();
         let mut build = Table::new(
             "skew_build",
@@ -4525,26 +4221,34 @@ mod tests {
             &catalog,
         );
         let governor = MemoryGovernor::new(Some(64));
-        let err = Executor::with_batch_size(&storage, 16)
+        let result = Executor::with_batch_size(&storage, 16)
             .with_threads(1)
             .with_governor(governor)
             .execute(&planned.plan)
-            .unwrap_err();
-        match err {
-            ExecError::Spill(detail) => {
-                assert!(detail.contains("recursion depth"), "{detail}")
-            }
-            other => panic!("expected a spill error, got {other:?}"),
-        }
-        assert_eq!(live_spill_files(), 0, "the error path still removes every file");
+            .unwrap();
+        let unlimited = Executor::with_batch_size(&storage, 16)
+            .with_threads(1)
+            .execute(&planned.plan)
+            .unwrap();
+        assert_eq!(
+            result.rows,
+            vec![Row::from_values(vec![Value::Int(40 * 200)])]
+        );
+        assert_eq!(result.rows, unlimited.rows);
+        assert!(
+            result.metrics.root.total_spilled().0 > 0,
+            "the join went out of core"
+        );
+        drop(result);
+        assert_eq!(live_spill_files(), 0, "every run is removed once joined");
     }
 
     #[test]
     fn unsplittable_partition_joins_via_block_nested_loop_under_contention() {
         let _guard = spill_serial();
         // Every build row shares one join key, so repartitioning cannot split the
-        // partition — but unlike the depth-cap error case above, the partition
-        // fits the *whole* budget: only the currently available grant is small,
+        // partition — but unlike the depth-cap case above, the partition fits the
+        // *whole* budget: only the currently available grant is small,
         // because another operator's reservation holds most of the budget. The
         // join must fall back to block nested-loop (grant-sized build blocks,
         // probe run re-scanned per block) and still produce every match.

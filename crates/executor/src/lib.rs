@@ -43,6 +43,7 @@ mod agg;
 pub mod error;
 pub mod exact;
 pub mod exec;
+mod hash_join;
 mod index_nl;
 pub mod metrics;
 pub mod parallel;

@@ -1,11 +1,12 @@
 //! Morsel-driven parallel execution.
 //!
 //! The plan is decomposed into *pipelines* at pipeline-breaker seams, exactly the
-//! decomposition HyPer-style morsel-driven schedulers use: every hash-join build side
-//! is a pipeline that terminates in a build sink, the probe spine is a pipeline that
-//! terminates at the root (or at an aggregate/sort sink), and pipelines execute in
-//! dependency order — a join's build pipeline completes (and fires its
-//! [`BreakerEvent`]) before the probe pipeline that consumes the hash table starts.
+//! decomposition HyPer-style morsel-driven schedulers use: the build side of every
+//! hash join (and the inner side of every plain nested-loop join) is a pipeline that
+//! terminates in a build sink, the probe spine is a pipeline that terminates at the
+//! root (or at an aggregate/sort sink), and pipelines execute in dependency order — a
+//! join's build pipeline completes (and fires its [`BreakerEvent`]) before the probe
+//! pipeline that consumes its join table starts.
 //!
 //! Within one pipeline the driving source (a table heap, an index-scan row-id list, or
 //! a materialized breaker output) is split into **morsels** — runs of
@@ -15,19 +16,20 @@
 //! itself at the back of its task's queue, so concurrent queries interleave at morsel
 //! granularity under the pool's priority + round-robin discipline (see
 //! [`crate::pool`]). A chain job pushes its morsel through the pipeline's operator
-//! chain (filters, projections, hash probes against the shared immutable partitioned
-//! hash table, index-NL probes against shared storage) and feeds the pipeline sink:
+//! chain (filters, projections, hash and nested-loop probes against a shared immutable
+//! join table, index-NL probes against shared storage) and feeds the pipeline sink:
 //!
 //! * **root / sort sinks** exchange row batches through a *bounded* channel to the
 //!   coordinator, so streaming operators keep flat memory no matter how fast workers
 //!   produce; for streaming-shaped roots the exchange stays live across `next_batch`
 //!   pulls — the pool keeps producing (up to the channel bound) while the client
 //!   consumes, instead of buffering the whole root result in the first pull;
-//! * **hash-join build sinks** partition rows by join-key hash into per-worker,
-//!   per-partition buffers; the merge step assembles one hash-table partition per
-//!   worker in parallel once every worker finished, ordering every bucket by the
-//!   build rows' `(morsel, sequence)` tags so probe fan-out order is run-identical
-//!   to the single-threaded build order;
+//! * **join build sinks** buffer each worker's rows with their `(morsel, sequence)`
+//!   tags; once every worker finished, the coordinator inserts them in tag order into
+//!   one join table (`hash_join.rs`), the single-threaded build's
+//!   order, so probe fan-out order and extracted breaker-state rows are the same at
+//!   every thread count. A hash build reserves its bytes against the governor; a
+//!   nested-loop inner (a join table on zero keys) reserves nothing;
 //! * **aggregation sinks** fold their batches with the same aggregation kernel as
 //!   the single-threaded engine into per-worker group tables, merged by the
 //!   coordinator at the breaker. Accumulator merging is *exact* for every
@@ -36,8 +38,6 @@
 //!   and round once at emission — and groups are emitted in first-seen
 //!   `(morsel, sequence)` order, so results are bit-identical across runs, thread
 //!   counts and merge orders;
-//! * **nested-loop inners** are collected in morsel order and probed block-wise:
-//!   every outer morsel loops the shared buffered inner (`StepKind::NlProbe`);
 //! * **LIMIT roots** use a morsel-ordered exchange: workers tag batches with their
 //!   morsel index and the coordinator reassembles them in morsel order, quiescing
 //!   the query through the per-query quiesce flag the moment the limit is
@@ -97,22 +97,20 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, bind_opt as bind_exec_opt, extract_key,
-    key_index as key_index_exec, open_single, probe_label, relation_schema, resolve_index_row_ids,
-    scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
-    ExecEvent, JoinRows, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
+    bind as bind_exec, bind_opt as bind_exec_opt, open_single, probe_label, relation_schema,
+    resolve_index_row_ids, scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState,
+    ExecConfig, ExecEvent, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
     RowBatch, SinglePipeline, TableRead,
 };
 use crate::agg::{AggKernel, GroupTable, Tag};
+use crate::hash_join::{JoinKernel, JoinTable};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table, Value};
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -415,66 +413,13 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared hash table for parallel joins
-// ---------------------------------------------------------------------------
-
-/// Rows of one build partition buffer: output tag, pre-extracted join key, row.
-type KeyedRows = Vec<(Tag, Vec<Value>, Row)>;
-
-/// One merged hash-table partition: join key → matching build rows.
-type PartitionMap = HashMap<Vec<Value>, Vec<Row>>;
-
-/// The merged, immutable result of a partitioned parallel hash-join build: one hash
-/// map per partition (partitioned by join-key hash), probed concurrently by every
-/// worker of the probe pipeline. NULL-key rows never match an equi-join but are part
-/// of the breaker's materialization, so they are retained for state extraction.
-#[derive(Clone)]
-struct JoinTable {
-    hasher: RandomState,
-    parts: Vec<PartitionMap>,
-    unkeyed: Vec<Row>,
-    total_rows: u64,
-}
-
-impl JoinTable {
-    fn partition_of(&self, key: &[Value]) -> usize {
-        (self.hasher.hash_one(key) as usize) % self.parts.len()
-    }
-
-    fn lookup(&self, key: &[Value]) -> &[Row] {
-        self.parts[self.partition_of(key)]
-            .get(key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Flatten back into the breaker's materialized rows (bag semantics; the order is
-    /// unspecified, like any registered virtual table).
-    fn into_rows(self) -> Vec<Row> {
-        let mut rows = self.unkeyed;
-        for part in self.parts {
-            for (_, mut bucket) in part {
-                rows.append(&mut bucket);
-            }
-        }
-        rows
-    }
-}
-
-/// The materialized payload of a completed parallel breaker.
-enum BuildPayload {
-    Hash(std::sync::Arc<JoinTable>),
-    Rows(std::sync::Arc<Vec<Row>>),
-}
-
 /// A completed parallel build retained (only for observed pipelines) so that
 /// suspension can surrender it as a [`BreakerState`].
 struct CompletedBuild {
     kind: BreakerKind,
     rel_set: reopt_planner::RelSet,
     schema: Schema,
-    payload: BuildPayload,
+    table: Arc<JoinTable>,
 }
 
 // ---------------------------------------------------------------------------
@@ -580,10 +525,11 @@ struct ProgressInfo {
 enum StepKind {
     Filter(Expr),
     Project(Vec<Expr>),
-    HashProbe {
+    /// A hash or plain nested-loop join probing the shared build table of its
+    /// completed build pipeline.
+    Probe {
         table: Arc<JoinTable>,
-        keys: Vec<usize>,
-        rows: JoinRows,
+        kernel: JoinKernel,
     },
     IndexProbe {
         table: Arc<Table>,
@@ -600,14 +546,6 @@ enum StepKind {
         /// Whether the step runs the kernel over column batches (`columnar`), or
         /// one outer row at a time.
         columnar: bool,
-    },
-    /// Plain nested-loop probe: every outer row of the morsel loops the shared
-    /// buffered inner side (block-partitioned outer, exactly the single-threaded
-    /// operator's pairing order per outer row).
-    NlProbe {
-        inner: Arc<Vec<Row>>,
-        /// Output-row assembly; the join predicate is its residual.
-        rows: JoinRows,
     },
 }
 
@@ -650,25 +588,15 @@ impl Step {
                 }
                 Batch::Rows(out)
             }
-            StepKind::HashProbe { table, keys, rows } => {
+            StepKind::Probe { table, kernel } => {
+                let mut probe = kernel.batch(batch);
                 let mut out = Vec::new();
-                for row in &batch.into_rows() {
-                    // An immediate quiesce request (suspension or a peer worker's
-                    // error) stops fan-out work promptly: the partial output is
-                    // still accounted, the worker drains at the next boundary.
-                    if shared.drop_inflight() {
-                        break;
-                    }
-                    let Some(key) = extract_key(row, keys) else {
-                        continue;
-                    };
-                    for build_row in table.lookup(&key) {
-                        if let Some(joined) =
-                            rows.join(row.values(), build_row.values(), &mut scratch)?
-                        {
-                            out.push(joined);
-                        }
-                    }
+                // An immediate quiesce request (suspension or a peer worker's error)
+                // stops fan-out work promptly: the partial output is still
+                // accounted, the worker drains at the next boundary.
+                while !probe.done() && !shared.drop_inflight() {
+                    let cap = out.len() + batch_size;
+                    kernel.probe(table, &mut probe, cap, &mut scratch, &mut out)?;
                 }
                 Batch::Rows(out)
             }
@@ -716,22 +644,6 @@ impl Step {
                     }
                 }
             }
-            StepKind::NlProbe { inner, rows } => {
-                let mut out = Vec::new();
-                for outer_row in &batch.into_rows() {
-                    if shared.drop_inflight() {
-                        break;
-                    }
-                    for inner_row in inner.iter() {
-                        if let Some(joined) =
-                            rows.join(outer_row.values(), inner_row.values(), &mut scratch)?
-                        {
-                            out.push(joined);
-                        }
-                    }
-                }
-                Batch::Rows(out)
-            }
         };
         let elapsed = start.elapsed();
         self.stats
@@ -773,12 +685,11 @@ impl Step {
 // Pipeline sinks
 // ---------------------------------------------------------------------------
 
-/// Per-worker partial state of a hash-join build sink: rows partitioned by key hash,
-/// tagged with their `(morsel, sequence)` position so the merge step can order every
-/// bucket identically to the single-threaded build.
+/// Per-worker partial state of a join build sink: rows tagged with their
+/// `(morsel, sequence)` position, so the merge step inserts them in the
+/// single-threaded build's order.
 struct BuildLocal {
-    parts: Vec<KeyedRows>,
-    unkeyed: Vec<(Tag, Row)>,
+    rows: Vec<(Tag, Row)>,
     seq: u64,
 }
 
@@ -990,95 +901,49 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Build a hash-join table from a build-side subtree: a pipeline ending in a
-    /// partitioned build sink, plus the breaker completion event and (for observed
-    /// runs) the retained state.
+    /// Build a join table from a build-side subtree (a hash build or a nested-loop
+    /// inner): a pipeline ending in a build sink, plus the breaker completion event
+    /// and (for observed runs) the retained state.
     fn eval_build(
         &mut self,
         plan: &'p PhysicalPlan,
         stats: &StatsTree,
-        keys: Vec<usize>,
+        table: JoinTable,
+        kind: BreakerKind,
         join_stats: &Arc<ParStats>,
     ) -> Result<Arc<JoinTable>, ExecError> {
         let compiled = Arc::new(self.compile(plan, stats)?);
-        let hasher = RandomState::new();
         let factory = BuildSinkFactory {
-            hasher: hasher.clone(),
-            keys,
-            nparts: compiled.workers.max(1),
+            kind,
             shared: Arc::clone(&self.shared),
             rel_set: plan.rel_set,
             estimated_rows: plan.estimated_rows,
         };
         let worker_locals = self.execute_pipeline(&compiled, factory)?;
         if self.stopped() {
-            return Ok(Arc::new(JoinTable {
-                hasher,
-                parts: vec![HashMap::new()],
-                unkeyed: Vec::new(),
-                total_rows: 0,
-            }));
+            return Ok(Arc::new(table));
         }
-
-        // The merge step: one hash map per partition, assembled in parallel (on the
-        // resident pool) when the build is large enough to be worth it.
         let merge_start = Instant::now();
-        let table = merge_build(hasher, worker_locals, self);
+        let table = Arc::new(merge_build(table, worker_locals));
         join_stats
             .nanos
             .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::SeqCst);
-
-        let table = Arc::new(table);
         if self.shared.observer_active {
             self.completed_builds.push(CompletedBuild {
-                kind: BreakerKind::HashBuild,
+                kind,
                 rel_set: plan.rel_set,
                 schema: plan.schema.clone(),
-                payload: BuildPayload::Hash(Arc::clone(&table)),
+                table: Arc::clone(&table),
             });
         }
         self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
-            kind: BreakerKind::HashBuild,
+            kind,
             rel_set: plan.rel_set,
             estimated_rows: plan.estimated_rows,
-            actual_rows: table.total_rows,
+            actual_rows: table.len() as u64,
             reusable: true,
         }));
         Ok(table)
-    }
-
-    /// Buffer a plain nested-loop join's inner side: a pipeline collected in
-    /// `(morsel, sequence)` order (the global scan order), shared read-only by every
-    /// probe worker — exactly the single-threaded operator's buffered inner.
-    fn eval_nl_inner(
-        &mut self,
-        plan: &'p PhysicalPlan,
-        stats: &StatsTree,
-    ) -> Result<Arc<Vec<Row>>, ExecError> {
-        let compiled = Arc::new(self.compile(plan, stats)?);
-        let rows = self.collect_compiled(&compiled)?;
-        if self.stopped() {
-            return Ok(Arc::new(rows));
-        }
-        let bytes: u64 = rows.iter().map(|row| row.width() as u64).sum();
-        self.shared.acquire(rows.len() as u64, bytes);
-        let rows = Arc::new(rows);
-        if self.shared.observer_active {
-            self.completed_builds.push(CompletedBuild {
-                kind: BreakerKind::NestedLoopInner,
-                rel_set: plan.rel_set,
-                schema: plan.schema.clone(),
-                payload: BuildPayload::Rows(Arc::clone(&rows)),
-            });
-        }
-        self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
-            kind: BreakerKind::NestedLoopInner,
-            rel_set: plan.rel_set,
-            estimated_rows: plan.estimated_rows,
-            actual_rows: rows.len() as u64,
-            reusable: true,
-        }));
-        Ok(rows)
     }
 
     /// Execute a LIMIT-rooted plan. The child pipeline runs through a morsel-ordered
@@ -1248,7 +1113,7 @@ impl<'p> Engine<'p> {
 
     /// Compile the streaming segment rooted at `plan` down to its driving source.
     /// Hash-join builds and nested-loop inners are **registered, not executed**,
-    /// while walking the spine (their probe steps get placeholder payloads); they
+    /// while walking the spine (their probe steps get an empty table); they
     /// run lazily after the spine's own source is known to be runnable,
     /// innermost-first, with a stop check between each — a suspension taken on an
     /// inner breaker skips every outer build a re-plan is about to discard.
@@ -1260,19 +1125,16 @@ impl<'p> Engine<'p> {
         plan: &'p PhysicalPlan,
         stats: &'s StatsTree,
     ) -> Result<Compiled, ExecError> {
-        /// The payload a lazily-registered build patches into its probe step.
-        enum BuildKind {
-            Hash { keys: Vec<usize> },
-            NlInner,
-        }
         struct BuildRequest<'p, 's> {
-            /// Index of the probe step (in collection order) holding the placeholder.
+            /// Index of the probe step (in collection order) waiting for its table.
             step: usize,
             plan: &'p PhysicalPlan,
             stats: &'s StatsTree,
             /// The join node's own stats (the build merge time lands there).
             join_stats: Arc<ParStats>,
-            kind: BuildKind,
+            /// The empty build table, keyed for the join.
+            table: JoinTable,
+            kind: BreakerKind,
         }
         let mut requests: Vec<BuildRequest<'p, 's>> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
@@ -1310,70 +1172,21 @@ impl<'p> Engine<'p> {
                     node = &node.children[0];
                     node_stats = &node_stats.children[0];
                 }
-                PlanKind::HashJoin { keys, residual } => {
-                    let probe_schema = &node.children[0].schema;
-                    let build_schema = &node.children[1].schema;
-                    let probe_keys = keys
-                        .iter()
-                        .map(|(probe, _)| key_index_exec(probe_schema, probe))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let build_keys = keys
-                        .iter()
-                        .map(|(_, build)| key_index_exec(build_schema, build))
-                        .collect::<Result<Vec<_>, _>>()?;
+                PlanKind::HashJoin { .. } | PlanKind::NestedLoopJoin { .. } => {
+                    let kernel = JoinKernel::new(node)?;
                     requests.push(BuildRequest {
                         step: steps.len(),
                         plan: &node.children[1],
                         stats: &node_stats.children[1],
                         join_stats: Arc::clone(&node_stats.stats),
-                        kind: BuildKind::Hash { keys: build_keys },
+                        table: kernel.table(),
+                        kind: kernel.kind,
                     });
                     steps.push(Step {
-                        kind: StepKind::HashProbe {
-                            // Placeholder: patched once the registered build runs.
-                            table: Arc::new(JoinTable {
-                                hasher: RandomState::new(),
-                                parts: vec![HashMap::new()],
-                                unkeyed: Vec::new(),
-                                total_rows: 0,
-                            }),
-                            keys: probe_keys,
-                            rows: JoinRows::new(
-                                probe_schema,
-                                build_schema,
-                                &node.schema,
-                                residual.as_ref(),
-                            )?,
-                        },
-                        stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: Some(ProgressInfo {
-                            rel_set: node.rel_set,
-                            estimated_rows: node.estimated_rows,
-                            reports_exhaustion: false,
-                        }),
-                    });
-                    exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
-                    node = &node.children[0];
-                    node_stats = &node_stats.children[0];
-                }
-                PlanKind::NestedLoopJoin { predicate } => {
-                    requests.push(BuildRequest {
-                        step: steps.len(),
-                        plan: &node.children[1],
-                        stats: &node_stats.children[1],
-                        join_stats: Arc::clone(&node_stats.stats),
-                        kind: BuildKind::NlInner,
-                    });
-                    steps.push(Step {
-                        kind: StepKind::NlProbe {
-                            // Placeholder: patched once the registered inner runs.
-                            inner: Arc::new(Vec::new()),
-                            rows: JoinRows::new(
-                                &node.children[0].schema,
-                                &node.children[1].schema,
-                                &node.schema,
-                                predicate.as_ref(),
-                            )?,
+                        // The table is patched in once the registered build runs.
+                        kind: StepKind::Probe {
+                            table: Arc::default(),
+                            kernel,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
                         progress: Some(ProgressInfo {
@@ -1522,24 +1335,15 @@ impl<'p> Engine<'p> {
                 }
                 BUILDS_STARTED.fetch_add(1, Ordering::SeqCst);
                 self.builds_started.set(self.builds_started.get() + 1);
-                match request.kind {
-                    BuildKind::Hash { keys } => {
-                        let table =
-                            self.eval_build(request.plan, request.stats, keys, &request.join_stats)?;
-                        if let StepKind::HashProbe { table: slot, .. } =
-                            &mut steps[request.step].kind
-                        {
-                            *slot = table;
-                        }
-                    }
-                    BuildKind::NlInner => {
-                        let inner = self.eval_nl_inner(request.plan, request.stats)?;
-                        if let StepKind::NlProbe { inner: slot, .. } =
-                            &mut steps[request.step].kind
-                        {
-                            *slot = inner;
-                        }
-                    }
+                let table = self.eval_build(
+                    request.plan,
+                    request.stats,
+                    request.table,
+                    request.kind,
+                    &request.join_stats,
+                )?;
+                if let StepKind::Probe { table: slot, .. } = &mut steps[request.step].kind {
+                    *slot = table;
                 }
             }
         }
@@ -1760,12 +1564,9 @@ impl<'p> Engine<'p> {
         self.completed_builds
             .drain(..)
             .map(|build| {
-                let rows = match build.payload {
-                    BuildPayload::Hash(table) => std::sync::Arc::try_unwrap(table)
-                        .unwrap_or_else(|shared| (*shared).clone())
-                        .into_rows(),
-                    BuildPayload::Rows(rows) => std::sync::Arc::try_unwrap(rows)
-                        .unwrap_or_else(|shared| (*shared).clone()),
+                let rows = match Arc::try_unwrap(build.table) {
+                    Ok(mut table) => table.take_rows(),
+                    Err(shared) => shared.rows().to_vec(),
                 };
                 BreakerState {
                     kind: build.kind,
@@ -2013,12 +1814,11 @@ trait SinkFactory: Send + Sync + 'static {
     }
 }
 
-/// Partitioned hash-join build sink: rows land in per-worker, per-partition buffers,
-/// keyed and pre-hashed with the table's shared hasher.
+/// Join build sink: each worker buffers its rows with their tags. A hash build
+/// reserves its bytes (and aborts to the spill engine when denied); a nested-loop
+/// inner, as in the single-threaded engine, reserves nothing.
 struct BuildSinkFactory {
-    hasher: RandomState,
-    keys: Vec<usize>,
-    nparts: usize,
+    kind: BreakerKind,
     shared: Arc<Shared>,
     /// The build subtree's relation set and estimate (for memory-pressure events).
     rel_set: RelSet,
@@ -2030,32 +1830,27 @@ impl SinkFactory for BuildSinkFactory {
 
     fn make(&self) -> BuildLocal {
         BuildLocal {
-            parts: (0..self.nparts).map(|_| Vec::new()).collect(),
-            unkeyed: Vec::new(),
+            rows: Vec::new(),
             seq: 0,
         }
     }
 
-    fn consume(&self, local: &mut BuildLocal, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+    fn consume(
+        &self,
+        local: &mut BuildLocal,
+        morsel: usize,
+        batch: Batch,
+    ) -> Result<(), ExecError> {
         let batch = batch.into_rows();
         let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-        self.shared.reserve_or_spill(
-            bytes,
-            BreakerKind::HashBuild,
-            self.rel_set,
-            self.estimated_rows,
-        )?;
+        if self.kind == BreakerKind::HashBuild {
+            self.shared
+                .reserve_or_spill(bytes, self.kind, self.rel_set, self.estimated_rows)?;
+        }
         self.shared.acquire(batch.len() as u64, bytes);
         for row in batch {
-            let tag = (morsel, local.seq);
+            local.rows.push(((morsel, local.seq), row));
             local.seq += 1;
-            match extract_key(&row, &self.keys) {
-                Some(key) => {
-                    let part = (self.hasher.hash_one(&key[..]) as usize) % local.parts.len();
-                    local.parts[part].push((tag, key, row));
-                }
-                None => local.unkeyed.push((tag, row)),
-            }
         }
         Ok(())
     }
@@ -2214,89 +2009,16 @@ impl SinkFactory for LimitSink {
     }
 }
 
-/// Merge the per-worker partitioned build buffers into one [`JoinTable`], in parallel
-/// across partitions (on the resident pool) when the build is large. Rows are
-/// inserted in `(morsel, sequence)` order — the global scan order — so every bucket's
-/// fan-out order during probing is run-identical to the single-threaded build.
-fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>) -> JoinTable {
-    fn merge_one(buckets: Vec<KeyedRows>) -> PartitionMap {
-        let mut rows: KeyedRows = buckets.into_iter().flatten().collect();
-        rows.sort_by_key(|a| a.0);
-        let mut map: PartitionMap = HashMap::new();
-        for (_, key, row) in rows {
-            map.entry(key).or_default().push(row);
-        }
-        map
+/// Insert the workers' buffered build rows into `table` in `(morsel, sequence)`
+/// order — the global scan order — so the table (its probe fan-out order and its
+/// extracted rows) is the single-threaded build's, at any thread count.
+fn merge_build(mut table: JoinTable, locals: Vec<BuildLocal>) -> JoinTable {
+    let mut rows: Vec<(Tag, Row)> = locals.into_iter().flat_map(|local| local.rows).collect();
+    rows.sort_unstable_by_key(|(tag, _)| *tag);
+    for (_, row) in rows {
+        table.push(row);
     }
-    let nparts = locals.iter().map(|l| l.parts.len()).max().unwrap_or(1);
-    let keyed_total: usize = locals
-        .iter()
-        .map(|l| l.parts.iter().map(Vec::len).sum::<usize>())
-        .sum();
-    // Transpose into per-partition buckets of per-worker buffers, moving the NULL-key
-    // rows out along the way (also tag-ordered, for deterministic state extraction).
-    let mut unkeyed_tagged: Vec<(Tag, Row)> = Vec::new();
-    let mut partition_inputs: Vec<Vec<KeyedRows>> = (0..nparts).map(|_| Vec::new()).collect();
-    for mut local in locals {
-        unkeyed_tagged.append(&mut local.unkeyed);
-        for (part, bucket) in local.parts.into_iter().enumerate() {
-            partition_inputs[part].push(bucket);
-        }
-    }
-    unkeyed_tagged.sort_by_key(|a| a.0);
-    let unkeyed: Vec<Row> = unkeyed_tagged.into_iter().map(|(_, row)| row).collect();
-    let parts: Vec<PartitionMap> = if engine.shared.config.threads > 1 && keyed_total > 65_536 {
-        // One pool job per partition; inputs and outputs live behind Arc'd slots
-        // so the jobs are 'static.
-        type MergeWork = (
-            Vec<Mutex<Option<Vec<KeyedRows>>>>,
-            Vec<Mutex<Option<PartitionMap>>>,
-        );
-        let work: Arc<MergeWork> = Arc::new((
-            partition_inputs
-                .into_iter()
-                .map(|i| Mutex::new(Some(i)))
-                .collect(),
-            (0..nparts).map(|_| Mutex::new(None)).collect(),
-        ));
-        let gate = Arc::new(Gate::new(nparts));
-        engine.pool.ensure_available(nparts.min(engine.shared.config.threads));
-        for part in 0..nparts {
-            let work = Arc::clone(&work);
-            let gate = Arc::clone(&gate);
-            let shared = Arc::clone(&engine.shared);
-            engine.task.submit(move || {
-                // As in `run_chain_slice`: a panic must still retire the gate and
-                // fail the query, or the coordinator below waits forever.
-                let map = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let input = work.0[part].lock().expect("merge input").take().unwrap_or_default();
-                    merge_one(input)
-                }));
-                match map {
-                    Ok(map) => *work.1[part].lock().expect("merge slot") = Some(map),
-                    Err(payload) => shared.fail(ExecError::Eval(format!(
-                        "build merge panicked: {}",
-                        panic_message(&payload)
-                    ))),
-                }
-                gate.done_one();
-            });
-        }
-        gate.wait_pumping(&|| engine.pump_events());
-        work.1
-            .iter()
-            .map(|slot| slot.lock().expect("merge slot").take().unwrap_or_default())
-            .collect()
-    } else {
-        partition_inputs.into_iter().map(merge_one).collect()
-    };
-    let total_rows = (keyed_total + unkeyed.len()) as u64;
-    JoinTable {
-        hasher,
-        parts,
-        unkeyed,
-        total_rows,
-    }
+    table
 }
 
 /// Merge per-worker partial aggregation states and emit the result rows. Locals
@@ -3346,6 +3068,80 @@ mod tests {
                     sorted_rows(&reference.rows),
                     "threads={threads} {sql}"
                 );
+            }
+        }
+    }
+
+    /// The breaker states a run surrenders when it suspends once every join build
+    /// completed, ordered by relation set.
+    fn states_after_builds(
+        planned: &reopt_planner::PlannedQuery,
+        storage: &Storage,
+        threads: usize,
+    ) -> Vec<(RelSet, BreakerKind, Vec<Row>)> {
+        struct SuspendAtBreaker {
+            left: usize,
+        }
+        impl ExecutionObserver for SuspendAtBreaker {
+            fn on_event(&mut self, event: &ExecEvent) -> ObserverDecision {
+                if matches!(event, ExecEvent::BreakerComplete(_)) {
+                    self.left -= 1;
+                    if self.left == 0 {
+                        return ObserverDecision::Suspend;
+                    }
+                }
+                ObserverDecision::Continue
+            }
+        }
+        let builds = planned.plan.join_nodes().len();
+        let observer = Rc::new(RefCell::new(SuspendAtBreaker { left: builds }));
+        let executor = Executor::with_batch_size(storage, 64).with_threads(threads);
+        let mut pipeline = executor
+            .open_observed(&planned.plan, Some(observer as ObserverHandle))
+            .unwrap();
+        assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
+        let mut states: Vec<_> = pipeline
+            .take_breaker_states()
+            .into_iter()
+            .map(|state| (state.rel_set, state.kind, state.rows))
+            .collect();
+        states.sort_by_key(|(rel_set, _, _)| *rel_set);
+        states
+    }
+
+    #[test]
+    fn extracted_build_rows_are_identical_across_thread_counts() {
+        let (storage, catalog) = build_env();
+        // At batch size 64 a morsel is 256 rows, so every build below spans many
+        // morsels and, at more than one thread, many workers.
+        let cases = [
+            (
+                "SELECT count(*) AS c
+                 FROM title AS t, movie_keyword AS mk, keyword AS k
+                 WHERE t.id = mk.movie_id AND mk.keyword_id = k.id AND k.keyword < 'kw2'",
+                hash_only(),
+                BreakerKind::HashBuild,
+            ),
+            (
+                "SELECT count(*) AS c
+                 FROM title AS t, movie_keyword AS mk
+                 WHERE t.id = mk.movie_id AND mk.keyword_id < 3 AND t.production_year >= 2015",
+                nl_only(),
+                BreakerKind::NestedLoopInner,
+            ),
+        ];
+        for (sql, config, kind) in cases {
+            let planned = plan_with(sql, &storage, &catalog, config);
+            let reference = states_after_builds(&planned, &storage, 1);
+            assert!(
+                reference
+                    .iter()
+                    .any(|(_, k, rows)| *k == kind && rows.len() > 256),
+                "{sql}: a multi-morsel {kind:?} state"
+            );
+            for threads in [2, 4] {
+                let states = states_after_builds(&planned, &storage, threads);
+                assert_eq!(states, reference, "threads={threads} {sql}");
             }
         }
     }
