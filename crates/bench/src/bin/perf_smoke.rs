@@ -29,8 +29,11 @@
 //! **start strictly fewer build pipelines than were planned** (lazy build scheduling
 //! skips the builds an abandoned plan never probed) without spawning a thread. A
 //! budgeted leg spills breaker state to disk (grace-hash partitioned builds,
-//! external sorts) against the in-memory truth, and fails if the budget never
-//! denies a single grant (too large to prove anything) or a spill file outlives it.
+//! aggregate runs, external sorts) against the in-memory truth, and fails if the
+//! budget never denies a single grant (too large to prove anything) or a spill file
+//! outlives it. At more than one thread the budgeted leg also proves that the
+//! morsel engine spills in place: it fails if a plain or policy run reports an
+//! engine fallback, or if the parallel engine spilled no bytes across the leg.
 //! A feedback-on leg runs the set twice under the cross-query cache and fails
 //! unless pass 2 sheds rounds and median violation q-error.
 //!
@@ -44,6 +47,7 @@ use reopt_core::{
     execute_with_policy_feedback, execute_with_reoptimization, Database, ReoptConfig, ReoptMode,
     ReoptReport, SelectivePolicy,
 };
+use reopt_executor::QueryMetrics;
 use reopt_storage::Row;
 use reopt_workload::JobQuery;
 use std::time::{Duration, Instant};
@@ -140,6 +144,37 @@ impl Case {
                 *failed = true;
                 None
             }
+        }
+    }
+}
+
+/// The budgeted multi-threaded leg's proof that the morsel engine spills in place:
+/// every run must report the parallel engine without a fallback, and the leg's
+/// runs must spill.
+struct BudgetGate {
+    active: bool,
+    /// Bytes spilled by the leg's plain and policy runs.
+    spilled: u64,
+}
+
+impl BudgetGate {
+    fn check(&mut self, id: &str, metrics: Option<&QueryMetrics>, spilled: u64, failed: &mut bool) {
+        if !self.active {
+            return;
+        }
+        match metrics {
+            Some(metrics) if metrics.engine == "parallel" && metrics.fallback.is_none() => {
+                self.spilled += spilled;
+            }
+            Some(metrics) => {
+                eprintln!(
+                    "perf_smoke: ENGINE FALLBACK REGRESSION: {id} ran on {} under the memory \
+                     budget",
+                    metrics.engine_label()
+                );
+                *failed = true;
+            }
+            None => {}
         }
     }
 }
@@ -288,6 +323,7 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
     let mut selective_runs = 0usize;
     let mut seen_families = std::collections::HashSet::new();
     let mut failed = false;
+    let mut budget_gate = BudgetGate { active: leg.mem_budget.is_some() && threads > 1, spilled: 0 };
 
     for case in cases {
         let id = &case.query.id;
@@ -296,6 +332,8 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
         match db.execute(sql) {
             Ok(output) => {
                 plain_time += plain_start.elapsed();
+                let spilled = output.metrics.as_ref().map_or(0, |m| m.root.total_spilled().0);
+                budget_gate.check(id, output.metrics.as_ref(), spilled, &mut failed);
                 let got = canonical(&output.rows, case.order_sensitive);
                 if got != case.reference {
                     eprintln!(
@@ -324,6 +362,8 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
             {
                 mode_time[idx] += elapsed;
                 mode_rounds[idx] += report.rounds.len();
+                let metrics = report.final_metrics.as_ref();
+                budget_gate.check(id, metrics, report.spilled_bytes, &mut failed);
             }
         }
 
@@ -422,11 +462,10 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
     // swallows every table at this scale and the pool never runs).
     if threads > 1 {
         db.set_batch_size(Some(64));
-        // Pinned unlimited for this phase: a denied grant makes the parallel
-        // engine fall back to the single-threaded spill path, which would never
-        // touch the pool — the zero-spawn assertion only means something when the
-        // morsel chains actually run. The spill fallback itself is gated by the
-        // budgeted main phase above.
+        // Pinned unlimited for this phase: its gates count what lazy build
+        // scheduling and the resident pool do over in-memory mid-query rounds, and
+        // memory-pressure rounds would blur them. The morsel engine's spill path is
+        // gated by the budgeted main phase above.
         db.set_mem_budget(None);
         // The whole phase runs on hash-join-only plans: index-NL
         // joins probe an index and register no build, so the typical JOB spine would
@@ -521,6 +560,17 @@ fn run_leg(db: &mut Database, cases: &[Case], leg: &Leg) -> bool {
                  grant — raise the workload scale or lower the budget"
             );
             failed = true;
+        }
+        if budget_gate.active {
+            let spilled = budget_gate.spilled;
+            println!("perf_smoke: the parallel engine spilled {spilled} bytes");
+            if spilled == 0 {
+                eprintln!(
+                    "perf_smoke: SPILL REGRESSION: the parallel engine spilled nothing under \
+                     budget {budget} bytes at {threads} threads"
+                );
+                failed = true;
+            }
         }
     }
     let live_spill = reopt_storage::live_spill_files();

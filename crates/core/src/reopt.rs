@@ -1710,7 +1710,8 @@ mod tests {
         // Hash-join-only plans under a 64-byte budget: the skewed mk ⋈ k build spills,
         // and a spilled build is no reusable materialization. Triggering on it must
         // degrade gracefully to a round that injects the observation, not error. One
-        // thread: the spilling hash join is the single-threaded engine's.
+        // thread: the rows are compared in order, and a spilled join's output order
+        // depends on the thread count.
         let mut db = hash_join_only_database();
         db.set_threads(Some(1));
         let expected = db.execute(SKEWED_SQL).unwrap();

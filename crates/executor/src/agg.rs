@@ -20,13 +20,21 @@
 //! The value-keyed table decides group identity, so a dictionary holding a string
 //! twice, or `Int(2)` beside `Float(2.0)`, still lands in one group; the caches
 //! only remember where the table put a key. New groups go through the caller's
-//! admission callback (its memory reservation, pressure event and spill flush);
-//! a flush empties the table and its caches together.
+//! admission callback, which reserves their key bytes through [`GroupSpill`].
+//!
+//! A table whose grant is denied goes out of core: after the engine's pressure
+//! callback lets it, [`GroupSpill`] flushes the states as one key-sorted run
+//! (`sort.rs`), emptying the table and its caches together, and keeps folding into
+//! the emptied table. [`GroupSpill::finish`] merges every run — a morsel engine's
+//! workers each flush their own — combining the partial states of each key.
 
 use crate::error::ExecError;
 use crate::exact::ExactSum;
-use crate::exec::Batch;
+use crate::exec::{bind, bind_opt, Batch};
+use crate::sort::{Merge, Runs};
+use crate::spill::{Pressure, Reservation, SpillStats};
 use reopt_expr::Expr;
+use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_sql::AggregateFunc;
 use reopt_storage::{ColumnBatch, ColumnData, Row, StringDict, Value, NULL_CODE};
 use std::cmp::Ordering;
@@ -102,20 +110,20 @@ impl GroupTable {
     }
 
     /// Move every state out (key-to-index map and caches cleared): the spill flush.
-    pub(crate) fn take_states(&mut self) -> Vec<Group> {
+    fn take_states(&mut self) -> Vec<Group> {
         self.groups.clear();
         self.cache = KeyCache::Empty;
         std::mem::take(&mut self.states)
     }
 
     /// The states in first-seen order.
-    pub(crate) fn into_states(self) -> Vec<Group> {
+    fn into_states(self) -> Vec<Group> {
         self.states
     }
 
     /// Fold a partial group (the merge step of parallel partial aggregation): merge
     /// it into the group with the same key, keeping the earliest tag, or add it.
-    pub(crate) fn merge_group(&mut self, group: Group) {
+    fn merge_group(&mut self, group: Group) {
         match self.groups.get(&group.key) {
             Some(&idx) => {
                 let state = &mut self.states[idx];
@@ -195,6 +203,157 @@ impl GroupTable {
     }
 }
 
+/// The memory grant of one [`GroupTable`] and, once a grant was denied, the
+/// key-sorted runs its states were flushed to. A global aggregate's one group is
+/// never reserved or spilled.
+pub(crate) struct GroupSpill {
+    reservation: Reservation,
+    runs: Option<Runs>,
+    key_len: usize,
+    stats: Arc<SpillStats>,
+}
+
+impl GroupSpill {
+    pub(crate) fn new(key_len: usize, reservation: Reservation, stats: Arc<SpillStats>) -> Self {
+        Self {
+            reservation,
+            runs: None,
+            key_len,
+            stats,
+        }
+    }
+
+    /// Admit a new group of `table`: reserve its key bytes, and on a denial flush
+    /// the table as one run, then reserve again. The first denial reports
+    /// `pressure` before anything is written. Returns whether the bytes were
+    /// granted before the table went out of core (an engine's buffered-rows
+    /// accounting counts only those).
+    pub(crate) fn admit(
+        &mut self,
+        table: &mut GroupTable,
+        key_bytes: u64,
+        pressure: &mut Pressure<'_>,
+    ) -> Result<bool, ExecError> {
+        if self.reservation.grow(key_bytes) {
+            return Ok(self.runs.is_none());
+        }
+        let runs = match &mut self.runs {
+            Some(runs) => runs,
+            None => {
+                pressure(table.len() as u64, &self.reservation)?;
+                let directions = vec![true; self.key_len];
+                self.runs.insert(Runs::new(directions, Arc::clone(&self.stats))?)
+            }
+        };
+        flush(runs, table)?;
+        self.reservation.release_all();
+        let _ = self.reservation.grow(key_bytes);
+        Ok(false)
+    }
+
+    /// The groups to emit from one or more tables (the morsel engine's workers'),
+    /// each with its spill. In memory they are merged and emitted in first-seen
+    /// `(morsel, sequence)` order. Once any table spilled, every table is flushed
+    /// as a last run and the runs are merged, emitting in key order: the in-memory
+    /// order and the out-of-core order differ only under a finite budget.
+    pub(crate) fn finish(
+        kernel: &AggKernel,
+        mut parts: Vec<(GroupTable, GroupSpill)>,
+    ) -> Result<Groups, ExecError> {
+        let spilled: Vec<Runs> = parts.iter_mut().filter_map(|(_, spill)| spill.runs.take()).collect();
+        let mut spilled = spilled.into_iter();
+        let Some(mut runs) = spilled.next() else {
+            let mut parts = parts.into_iter().map(|(table, _)| table);
+            let mut merged = parts.next().unwrap_or_else(|| kernel.new_table());
+            for table in parts {
+                for group in table.into_states() {
+                    merged.merge_group(group);
+                }
+            }
+            let mut groups = merged.into_states();
+            groups.sort_by_key(|group| group.tag);
+            return Ok(Groups::Memory(groups.into_iter()));
+        };
+        spilled.for_each(|more| runs.absorb(more));
+        for (mut table, mut spill) in parts {
+            flush(&mut runs, &mut table)?;
+            spill.reservation.release_all();
+        }
+        Ok(Groups::Merged(runs.merge()?, kernel.funcs.clone()))
+    }
+}
+
+/// Seal a table's states as one key-sorted run of `key ++ encoded states` records.
+fn flush(runs: &mut Runs, table: &mut GroupTable) -> Result<(), ExecError> {
+    let records = table
+        .take_states()
+        .into_iter()
+        .map(|group| (group.key, group.accs))
+        .collect();
+    runs.write(records, |accs, record| {
+        for acc in accs {
+            acc.spill_encode(record);
+        }
+    })
+}
+
+/// The groups an aggregate emits.
+pub(crate) enum Groups {
+    Memory(std::vec::IntoIter<Group>),
+    /// The merge of spilled runs, and the functions their states decode to.
+    Merged(Merge, Vec<AggregateFunc>),
+}
+
+impl Groups {
+    fn next_group(&mut self) -> Result<Option<Group>, ExecError> {
+        let (merge, funcs) = match self {
+            Groups::Memory(groups) => return Ok(groups.next()),
+            Groups::Merged(merge, funcs) => (merge, funcs),
+        };
+        let Some(mut key) = merge.next()? else {
+            return Ok(None);
+        };
+        let mut accs = decode_accumulators(funcs, key.split_off(merge.key_len()))?;
+        // A key's partial states sit in consecutive records, one per run.
+        while merge.peek().is_some_and(|next| next.starts_with(&key)) {
+            let Some(mut next) = merge.next()? else { break };
+            let partial = decode_accumulators(funcs, next.split_off(key.len()))?;
+            for (acc, partial) in accs.iter_mut().zip(partial) {
+                acc.merge(partial);
+            }
+        }
+        Ok(Some(Group {
+            key,
+            accs,
+            tag: (0, 0),
+        }))
+    }
+
+    /// The next (at most `batch_size`) result rows, or `None` once every group was
+    /// emitted.
+    pub(crate) fn next_batch(&mut self, batch_size: usize) -> Result<Option<Vec<Row>>, ExecError> {
+        let mut out = Vec::new();
+        while out.len() < batch_size {
+            let Some(group) = self.next_group()? else { break };
+            out.push(group.finish()?);
+        }
+        Ok((!out.is_empty()).then_some(out))
+    }
+}
+
+/// Decode the accumulator states of one spilled group record.
+fn decode_accumulators(
+    funcs: &[AggregateFunc],
+    values: Vec<Value>,
+) -> Result<Vec<Accumulator>, ExecError> {
+    let mut values = values.into_iter();
+    funcs
+        .iter()
+        .map(|&func| Accumulator::spill_decode(func, &mut values))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| ExecError::Spill("truncated aggregate state record".into()))
+}
+
 /// The bound aggregation of one `Aggregate` plan node, shared by both engines.
 #[derive(Debug)]
 pub(crate) struct AggKernel {
@@ -216,12 +375,21 @@ fn bound_index(expr: &Expr) -> Option<usize> {
 }
 
 impl AggKernel {
-    /// A kernel over keys and arguments bound to the input schema.
-    pub(crate) fn new(
-        group_exprs: Vec<Expr>,
-        funcs: Vec<AggregateFunc>,
-        args: Vec<Option<Expr>>,
-    ) -> Self {
+    /// Compile an `Aggregate` node: its keys and arguments bound to the input schema.
+    pub(crate) fn new(plan: &PhysicalPlan) -> Result<Self, ExecError> {
+        let (PlanKind::Aggregate { group_by, aggregates }, [input]) = (&plan.kind, &plan.children[..])
+        else {
+            return Err(ExecError::InvalidPlan("expected an aggregate over one input".into()));
+        };
+        let group_exprs = group_by
+            .iter()
+            .map(|e| bind(e, &input.schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        let funcs = aggregates.iter().map(|a| a.func).collect();
+        let args = aggregates
+            .iter()
+            .map(|a| bind_opt(a.arg.as_ref(), &input.schema))
+            .collect::<Result<Vec<_>, _>>()?;
         let key_cols = group_exprs.iter().map(bound_index).collect();
         let arg_cols = args
             .iter()
@@ -230,18 +398,13 @@ impl AggKernel {
                 Some(expr) => bound_index(expr).map(Some),
             })
             .collect();
-        Self {
+        Ok(Self {
             group_exprs,
             funcs,
             args,
             key_cols,
             arg_cols,
-        }
-    }
-
-    /// The aggregate functions, in output order.
-    pub(crate) fn funcs(&self) -> &[AggregateFunc] {
-        &self.funcs
+        })
     }
 
     /// Number of key columns.

@@ -22,7 +22,7 @@
 //! * the row-id list of an index scan (bounded by the base table).
 //!
 //! Buffered rows (and their decoded byte widths) are accounted in a per-query
-//! `MemoryTracker`; the peaks are surfaced as
+//! `Buffered` tracker; the peaks are surfaced as
 //! [`ExecutionResult::peak_buffered_rows`] / [`ExecutionResult::peak_buffered_bytes`]
 //! so tests can assert that memory is bounded by pipeline-breaker output rather than
 //! join fan-out.
@@ -33,32 +33,22 @@
 //! semantics of the old materializing executor ("elapsed excluding children").
 
 use crate::error::ExecError;
-use crate::hash_join::{extract_key, JoinKernel, JoinTable, ProbeBatch};
+use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
-use crate::agg::{Accumulator, AggKernel, Group, GroupTable};
-use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
-use crate::spill::{MemoryGovernor, Reservation};
+use crate::agg::{AggKernel, GroupSpill, GroupTable, Groups};
+use crate::metrics::{Buffered, MetricsNode, OperatorMetrics, QueryMetrics};
+use crate::sort::{SortBuffer, Sorted};
+use crate::spill::{MemoryGovernor, Reservation, SpillStats};
 use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
 use reopt_planner::plan::IndexLookup;
 use reopt_planner::{PhysicalPlan, PlanKind};
-use reopt_sql::AggregateFunc;
 use reopt_planner::RelSet;
-use reopt_storage::spill_file::{SpillDir, SpillReader, SpillRun, SpillWriter};
 use reopt_storage::{ColumnBatch, ColumnData, Index, IndexKind, Row, Schema, Storage, Table, Value};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::ops::{Bound, Range};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Fan-out of one grace-hash partitioning pass (and of recursive repartitioning).
-const SPILL_FANOUT: usize = 8;
-
-/// Maximum grace-hash recursion depth. A partition that still exceeds its grant
-/// this deep is dominated by one join key, which repartitioning can never split: it
-/// joins by block nested loop instead of recursing forever.
-const SPILL_MAX_DEPTH: u32 = 6;
 
 /// Default number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
@@ -184,6 +174,26 @@ pub struct MemoryPressureEvent {
     pub buffered_bytes: u64,
     /// The governor's budget at the time of the denial.
     pub budget_bytes: u64,
+}
+
+impl MemoryPressureEvent {
+    /// The event of a denied `grant` at a `kind` breaker over the subtree
+    /// `(rel_set, estimated_rows)` that buffers `buffered_rows`.
+    pub(crate) fn denied(
+        kind: BreakerKind,
+        (rel_set, estimated_rows): (RelSet, f64),
+        buffered_rows: u64,
+        grant: &Reservation,
+    ) -> ExecEvent {
+        ExecEvent::MemoryPressure(MemoryPressureEvent {
+            kind,
+            rel_set,
+            estimated_rows,
+            buffered_rows,
+            buffered_bytes: grant.bytes(),
+            budget_bytes: grant.governor().budget().unwrap_or(0),
+        })
+    }
 }
 
 /// An execution event delivered to an [`ExecutionObserver`]: a pipeline breaker
@@ -663,15 +673,14 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Build a [`SinglePipeline`] over a plan (also the landing pad when a parallel run
-/// degrades to the single-threaded spill engine on memory pressure).
-pub(crate) fn open_single<'p>(
+/// Build a [`SinglePipeline`] over a plan.
+fn open_single<'p>(
     plan: &'p PhysicalPlan,
     storage: &'p Storage,
     config: ExecConfig,
     observer: Option<ObserverHandle<'p>>,
 ) -> Result<SinglePipeline<'p>, ExecError> {
-    let tracker = Rc::new(MemoryTracker::default());
+    let tracker = Rc::new(Buffered::default());
     let root_seam = Rc::new(Cell::new(false));
     let ctx = BuildContext {
         storage,
@@ -702,9 +711,8 @@ pub(crate) fn open_single<'p>(
 /// engine.
 pub struct Pipeline<'p> {
     inner: PipelineImpl<'p>,
-    /// Why a `threads > 1` session is running single-threaded (unsupported plan
-    /// shape at open time, or a memory-budget restart mid-run); surfaced through
-    /// [`QueryMetrics::fallback`].
+    /// Why a `threads > 1` session is running single-threaded (an unsupported plan
+    /// shape at open time); surfaced through [`QueryMetrics::fallback`].
     fallback_note: Option<&'static str>,
 }
 
@@ -725,24 +733,10 @@ impl Pipeline<'_> {
     /// further pulls but its completed breaker state stays extractable via
     /// [`Pipeline::take_breaker_states`].
     pub fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        let out = match &mut self.inner {
+        match &mut self.inner {
             PipelineImpl::Single(p) => p.next_batch(),
             PipelineImpl::Parallel(p) => p.next_batch(),
-        };
-        // A parallel run that hit the memory budget (and whose observer declined to
-        // suspend) aborts before delivering any root batch — all breaker
-        // materialization happens up front: restart the plan on the single-threaded
-        // engine, whose breaker sinks can actually spill.
-        if matches!(out, Err(ExecError::Spill(_))) {
-            if let PipelineImpl::Parallel(p) = &self.inner {
-                if p.needs_spill_fallback() {
-                    self.inner = PipelineImpl::Single(p.reopen_single()?);
-                    self.fallback_note = Some("memory budget: restarted on the spill engine");
-                    return self.next_batch();
-                }
-            }
         }
-        out
     }
 
     /// Whether an [`ExecutionObserver`] suspended this pipeline.
@@ -801,7 +795,7 @@ pub(crate) struct SinglePipeline<'p> {
     plan: &'p PhysicalPlan,
     root: Metered<'p>,
     stats: StatsNode,
-    tracker: Rc<MemoryTracker>,
+    tracker: Rc<Buffered>,
     /// Armed by an [`ObserverDecision::SuspendAtRootSeam`]; honored before the next pull.
     root_seam: Rc<Cell<bool>>,
     poisoned: bool,
@@ -872,37 +866,12 @@ impl SinglePipeline<'_> {
 
     /// Peak number of rows buffered by pipeline breakers so far.
     pub fn peak_buffered_rows(&self) -> u64 {
-        self.tracker.peak.get()
+        self.tracker.peaks().0
     }
 
     /// Peak decoded byte width of the rows buffered by pipeline breakers so far.
     pub fn peak_buffered_bytes(&self) -> u64 {
-        self.tracker.peak_bytes.get()
-    }
-}
-
-/// Rows (and their decoded byte widths) currently buffered by pipeline breakers, and
-/// the high-water marks.
-#[derive(Default)]
-struct MemoryTracker {
-    current: Cell<u64>,
-    peak: Cell<u64>,
-    current_bytes: Cell<u64>,
-    peak_bytes: Cell<u64>,
-}
-
-impl MemoryTracker {
-    fn acquire(&self, rows: u64, bytes: u64) {
-        let current = self.current.get() + rows;
-        self.current.set(current);
-        if current > self.peak.get() {
-            self.peak.set(current);
-        }
-        let current_bytes = self.current_bytes.get() + bytes;
-        self.current_bytes.set(current_bytes);
-        if current_bytes > self.peak_bytes.get() {
-            self.peak_bytes.set(current_bytes);
-        }
+        self.tracker.peaks().1
     }
 }
 
@@ -924,18 +893,8 @@ struct OpStats {
     /// For index nested-loop joins: `"columnar"` (the shared kernel over column
     /// batches) or `"row"` (columnar execution off). `None` elsewhere.
     probe: Cell<Option<&'static str>>,
-    /// Bytes this operator wrote to spill runs (0 while it stays in memory).
-    spilled_bytes: Cell<u64>,
-    /// Spill runs this operator sealed (grace-hash partitions / sort runs).
-    spill_partitions: Cell<u64>,
-}
-
-impl OpStats {
-    /// Account one sealed spill run.
-    fn record_spill_run(&self, bytes: u64) {
-        self.spilled_bytes.set(self.spilled_bytes.get() + bytes);
-        self.spill_partitions.set(self.spill_partitions.get() + 1);
-    }
+    /// What this operator's kernel spilled (nothing while it stays in memory).
+    spill: Arc<SpillStats>,
 }
 
 /// The stats tree, shaped like the plan tree.
@@ -961,6 +920,7 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
     // draining its child, and its actual_rows is a truncated count for its rel_set.
     let exhausted = stats.stats.exhausted.get()
         && children.iter().all(|child| child.metrics.exhausted);
+    let (spilled_bytes, spill_partitions) = stats.stats.spill.get();
     MetricsNode {
         metrics: OperatorMetrics {
             label: plan.label(),
@@ -973,8 +933,8 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
             elapsed: stats.stats.inclusive.get().saturating_sub(child_inclusive),
             encoding: stats.stats.encoding.get(),
             probe: stats.stats.probe.get(),
-            spilled_bytes: stats.stats.spilled_bytes.get(),
-            spill_partitions: stats.stats.spill_partitions.get(),
+            spilled_bytes,
+            spill_partitions,
         },
         children,
     }
@@ -984,7 +944,7 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
 struct BuildContext<'p> {
     storage: &'p Storage,
     config: ExecConfig,
-    tracker: Rc<MemoryTracker>,
+    tracker: Rc<Buffered>,
     obs: ObserverCtx<'p>,
 }
 
@@ -1539,8 +1499,9 @@ fn build_operator<'p>(
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
                 reservation: ctx.config.governor.reservation(),
-                spill: None,
-                stats: Rc::clone(&stats),
+                grace: None,
+                probe_partitioned: false,
+                spill: Arc::clone(&stats.spill),
                 obs: ctx.obs.clone_ref(),
                 progress: ProgressMeter::new(plan.rel_set, plan.estimated_rows),
             })
@@ -1591,32 +1552,28 @@ fn build_operator<'p>(
                 mask_cache: MaskCache::new(),
             })
         }
-        PlanKind::Aggregate {
-            group_by,
-            aggregates,
-        } => {
-            let input = children.pop().expect("aggregate has one child");
-            let input_schema = &plan.children[0].schema;
-            let group_exprs = group_by
-                .iter()
-                .map(|e| bind(e, input_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let agg_funcs: Vec<AggregateFunc> = aggregates.iter().map(|a| a.func).collect();
-            let agg_args = aggregates
-                .iter()
-                .map(|a| bind_opt(a.arg.as_ref(), input_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            Box::new(AggregateOp {
+        PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
+            let input = children.pop().expect("aggregate and sort have one child");
+            let grant = ctx.config.governor.reservation();
+            let spill = Arc::clone(&stats.spill);
+            let (kind, drain) = match &plan.kind {
+                PlanKind::Sort { .. } => {
+                    (BreakerKind::SortInput, Drain::Sort(SortBuffer::new(plan, grant, spill)?))
+                }
+                _ => {
+                    let kernel = AggKernel::new(plan)?;
+                    let spill = GroupSpill::new(kernel.key_len(), grant, spill);
+                    (BreakerKind::AggregateInput, Drain::Aggregate(kernel, spill))
+                }
+            };
+            Box::new(DrainOp {
                 input: Some(input),
-                input_done: false,
+                kind,
                 input_meta: (plan.children[0].rel_set, plan.children[0].estimated_rows),
-                kernel: AggKernel::new(group_exprs, agg_funcs, agg_args),
+                drain: Some(drain),
                 emit: None,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.config.governor.reservation(),
-                spill: None,
-                stats: Rc::clone(&stats),
                 obs: ctx.obs.clone_ref(),
             })
         }
@@ -1640,28 +1597,6 @@ fn build_operator<'p>(
                 input,
                 exprs,
                 indices,
-            })
-        }
-        PlanKind::Sort { keys } => {
-            let input = children.pop().expect("sort has one child");
-            let input_schema = &plan.children[0].schema;
-            Box::new(SortOp {
-                input: Some(input),
-                input_done: false,
-                input_meta: (plan.children[0].rel_set, plan.children[0].estimated_rows),
-                keys: keys
-                    .iter()
-                    .map(|(e, asc)| Ok((bind(e, input_schema)?, *asc)))
-                    .collect::<Result<Vec<_>, ExecError>>()?,
-                sorted: Vec::new(),
-                pos: 0,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.config.governor.reservation(),
-                spill: None,
-                merge: None,
-                stats: Rc::clone(&stats),
-                obs: ctx.obs.clone_ref(),
             })
         }
         PlanKind::Limit { count } => {
@@ -1766,7 +1701,7 @@ struct IndexScanOp<'p> {
     row_ids: Option<Vec<usize>>,
     pos: usize,
     batch_size: usize,
-    tracker: Rc<MemoryTracker>,
+    tracker: Rc<Buffered>,
 }
 
 impl IndexScanOp<'_> {
@@ -1922,8 +1857,9 @@ impl Operator for LimitOp<'_> {
 /// pipeline breaker, drained into a [`JoinTable`] on the first pull; probing runs the
 /// kernel's probe loop over whole probe batches, suspending mid-batch (and
 /// mid-match-list) when the output batch is full. A hash build reserves its bytes
-/// against the governor and goes out of core when a grant is denied; a nested-loop
-/// inner has no out-of-core path and reserves nothing.
+/// against the governor and goes out of core through the kernel's [`GraceJoin`] when
+/// a grant is denied; a nested-loop inner has no out-of-core path and reserves
+/// nothing.
 struct JoinOp<'p> {
     probe: Metered<'p>,
     /// The build child is retained (not dropped) after draining so that nested breaker
@@ -1939,280 +1875,16 @@ struct JoinOp<'p> {
     batch: ProbeBatch,
     scratch: Row,
     batch_size: usize,
-    tracker: Rc<MemoryTracker>,
-    /// Byte grant for the in-memory build; released when the build goes out of core.
+    tracker: Rc<Buffered>,
+    /// Byte grant for the in-memory build, and for each loaded block once spilled.
     reservation: Reservation,
-    /// Out-of-core state; `None` while the build fits its grant (the default).
-    spill: Option<Box<HashJoinSpill>>,
-    stats: Rc<OpStats>,
+    /// Grace-hash state; `None` while the build fits its grant (the default).
+    grace: Option<Box<GraceJoin>>,
+    /// Whether the probe input was partitioned into `grace`.
+    probe_partitioned: bool,
+    spill: Arc<SpillStats>,
     obs: ObserverCtx<'p>,
     progress: ProgressMeter,
-}
-
-/// Out-of-core state of a hash join whose build side exceeded its memory grant:
-/// grace-hash partitioning. Build and probe rows hash-partition into on-disk runs
-/// ([`SPILL_FANOUT`] per pass, salted by recursion depth); partitions are then
-/// joined one pair at a time by loading the build run into the join table,
-/// repartitioning a partition that still exceeds the grant. At [`SPILL_MAX_DEPTH`] a
-/// partition is joined by block nested loop instead: one grant-sized build block at
-/// a time, re-scanning the partition's probe run per block.
-struct HashJoinSpill {
-    /// Owns the on-disk partition files; the directory (and anything left in it)
-    /// is removed when the join drops, however execution ended.
-    dir: SpillDir,
-    /// Build-input rows seen (NULL-key rows included), for the breaker event.
-    input_rows: u64,
-    /// Open build-side partition writers while the build input drains.
-    build_writers: Vec<SpillWriter>,
-    /// Sealed build runs awaiting their probe counterparts.
-    build_runs: Vec<SpillRun>,
-    /// Whether the probe input has been fully partitioned into `pending`.
-    probe_done: bool,
-    /// `(build, probe, depth)` partition pairs still to join.
-    pending: VecDeque<(SpillRun, SpillRun, u32)>,
-    /// The build block in the join table, and the scan of its probe run.
-    loaded: Option<LoadedBlock>,
-}
-
-/// A build block of one partition pair, loaded into the join table, with the scan of
-/// the pair's probe run. The runs are kept alive beside the reader: dropping a run
-/// deletes its file.
-struct LoadedBlock {
-    build: SpillRun,
-    /// The build-run row the next block starts at (the run's row count once the
-    /// whole partition is loaded).
-    next: u64,
-    depth: u32,
-    probe: SpillRun,
-    reader: SpillReader,
-}
-
-impl HashJoinSpill {
-    /// Commit the build side to grace-hash partitioning: move the buffered rows into
-    /// [`SPILL_FANOUT`] on-disk partitions and release the memory grant.
-    fn start(table: &mut JoinTable, reservation: &mut Reservation) -> Result<Self, ExecError> {
-        let dir = SpillDir::create().map_err(spill_err)?;
-        let build_writers = spill_writers(&dir)?;
-        let mut spill = Self {
-            dir,
-            input_rows: 0,
-            build_writers,
-            build_runs: Vec::new(),
-            probe_done: false,
-            pending: VecDeque::new(),
-            loaded: None,
-        };
-        let rows = table.take_rows();
-        spill.write_build(rows, table.keys())?;
-        reservation.release_all();
-        Ok(spill)
-    }
-
-    /// Write build rows to their partitions. NULL-key rows count as input but never
-    /// join, and a spilled build is not a reusable materialization, so they go.
-    fn write_build(&mut self, rows: Vec<Row>, keys: &[usize]) -> Result<(), ExecError> {
-        for row in rows {
-            self.input_rows += 1;
-            if let Some(key) = extract_key(&row, keys) {
-                self.build_writers[spill_partition(0, &key)]
-                    .write_row(row.values())
-                    .map_err(spill_err)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Seal the build partitions; the probe side partitions on its first pull.
-    fn seal_build(&mut self, stats: &OpStats) -> Result<(), ExecError> {
-        for writer in std::mem::take(&mut self.build_writers) {
-            let run = writer.finish().map_err(spill_err)?;
-            stats.record_spill_run(run.bytes());
-            self.build_runs.push(run);
-        }
-        Ok(())
-    }
-
-    /// Partition the whole probe input to disk, pairing each probe partition with
-    /// its build counterpart in `pending`. Empty pairs are skipped outright.
-    fn partition_probe(
-        &mut self,
-        probe: &mut Metered<'_>,
-        keys: &[usize],
-        stats: &OpStats,
-    ) -> Result<(), ExecError> {
-        let mut writers = spill_writers(&self.dir)?;
-        while let Some(batch) = probe.next_rows()? {
-            for row in batch {
-                if let Some(key) = extract_key(&row, keys) {
-                    writers[spill_partition(0, &key)]
-                        .write_row(row.values())
-                        .map_err(spill_err)?;
-                }
-            }
-        }
-        for (build_run, writer) in self.build_runs.drain(..).zip(writers) {
-            let probe_run = writer.finish().map_err(spill_err)?;
-            stats.record_spill_run(probe_run.bytes());
-            if build_run.rows() > 0 && probe_run.rows() > 0 {
-                self.pending.push_back((build_run, probe_run, 0));
-            }
-        }
-        self.probe_done = true;
-        Ok(())
-    }
-
-    /// The next probe rows (at most `batch_size`) of the partition loaded in `table`,
-    /// loading the next build block or partition pair when a probe run is drained.
-    /// `None` once every partition is joined.
-    fn next_probe_rows(
-        &mut self,
-        join: &mut SpillJoin<'_, '_>,
-        batch_size: usize,
-    ) -> Result<Option<RowBatch>, ExecError> {
-        if !self.probe_done {
-            self.partition_probe(join.probe, join.kernel.probe_keys(), join.stats)?;
-        }
-        loop {
-            if let Some(mut loaded) = self.loaded.take() {
-                let mut rows = Vec::new();
-                while rows.len() < batch_size {
-                    let Some(values) = loaded.reader.next_row().map_err(spill_err)? else {
-                        break;
-                    };
-                    rows.push(Row::from_values(values));
-                }
-                if !rows.is_empty() {
-                    self.loaded = Some(loaded);
-                    return Ok(Some(rows));
-                }
-                // The probe run is drained: a block-nested-loop partition re-scans it
-                // against its next build block.
-                if loaded.next < loaded.build.rows() {
-                    self.load(join, loaded.build, loaded.probe, loaded.depth, loaded.next)?;
-                    continue;
-                }
-            }
-            let Some((build, probe, depth)) = self.pending.pop_front() else {
-                join.table.take_rows();
-                join.reservation.release_all();
-                return Ok(None);
-            };
-            self.load(join, build, probe, depth, 0)?;
-        }
-    }
-
-    /// Load build rows `start..` of a partition pair into the join table, as many as
-    /// the grant allows, and open a scan of its probe run. A partition that exceeds
-    /// the grant is repartitioned with a deeper salt instead (back onto `pending`);
-    /// at [`SPILL_MAX_DEPTH`] it loads as one block of a block nested loop, whose
-    /// first row loads even when its grant is denied — a bounded overcommit of one
-    /// row that guarantees progress when enclosing operators hold the budget. A
-    /// partition of one row wider than the whole budget fails at once: no
-    /// repartitioning can split it.
-    fn load(
-        &mut self,
-        join: &mut SpillJoin<'_, '_>,
-        build: SpillRun,
-        probe: SpillRun,
-        depth: u32,
-        start: u64,
-    ) -> Result<(), ExecError> {
-        join.table.take_rows();
-        join.reservation.release_all();
-        let mut reader = build.read().map_err(spill_err)?;
-        let mut next = 0u64;
-        while let Some(values) = reader.next_row().map_err(spill_err)? {
-            if next < start {
-                next += 1;
-                continue;
-            }
-            let row = Row::from_values(values);
-            if !join.reservation.grow(row.width() as u64) {
-                let budget = join.reservation.governor().budget().unwrap_or(u64::MAX);
-                if build.rows() == 1 && row.width() as u64 > budget {
-                    return Err(ExecError::Spill(format!(
-                        "grace-hash build row of {} bytes exceeds the memory budget of \
-                         {budget} bytes; repartitioning cannot split a single row",
-                        row.width(),
-                    )));
-                }
-                if depth < SPILL_MAX_DEPTH {
-                    drop(reader);
-                    join.table.take_rows();
-                    join.reservation.release_all();
-                    return self.repartition(join, build, probe, depth);
-                }
-                if !join.table.is_empty() {
-                    break;
-                }
-            }
-            join.table.push(row);
-            next += 1;
-        }
-        drop(reader);
-        let reader = probe.read().map_err(spill_err)?;
-        self.loaded = Some(LoadedBlock {
-            build,
-            next,
-            depth,
-            probe,
-            reader,
-        });
-        Ok(())
-    }
-
-    /// Split an over-budget partition pair into [`SPILL_FANOUT`] sub-pairs using a
-    /// deeper salt, queueing the non-empty ones at `depth + 1`.
-    fn repartition(
-        &mut self,
-        join: &mut SpillJoin<'_, '_>,
-        build: SpillRun,
-        probe: SpillRun,
-        depth: u32,
-    ) -> Result<(), ExecError> {
-        let salt = depth + 1;
-        let mut sides = [spill_writers(&self.dir)?, spill_writers(&self.dir)?];
-        let keys = [join.table.keys(), join.kernel.probe_keys()];
-        for (side, source) in [&build, &probe].into_iter().enumerate() {
-            let mut reader = source.read().map_err(spill_err)?;
-            while let Some(values) = reader.next_row().map_err(spill_err)? {
-                let row = Row::from_values(values);
-                if let Some(key) = extract_key(&row, keys[side]) {
-                    sides[side][spill_partition(salt, &key)]
-                        .write_row(row.values())
-                        .map_err(spill_err)?;
-                }
-            }
-        }
-        let [build_writers, probe_writers] = sides;
-        for (build_writer, probe_writer) in build_writers.into_iter().zip(probe_writers) {
-            let sub_build = build_writer.finish().map_err(spill_err)?;
-            let sub_probe = probe_writer.finish().map_err(spill_err)?;
-            join.stats.record_spill_run(sub_build.bytes());
-            join.stats.record_spill_run(sub_probe.bytes());
-            if sub_build.rows() > 0 && sub_probe.rows() > 0 {
-                self.pending.push_back((sub_build, sub_probe, salt));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The parts of a [`JoinOp`] its out-of-core path works on, borrowed beside its
-/// [`HashJoinSpill`].
-struct SpillJoin<'a, 'p> {
-    probe: &'a mut Metered<'p>,
-    kernel: &'a JoinKernel,
-    table: &'a mut JoinTable,
-    reservation: &'a mut Reservation,
-    stats: &'a OpStats,
-}
-
-/// One open run writer per grace-hash partition.
-fn spill_writers(dir: &SpillDir) -> Result<Vec<SpillWriter>, ExecError> {
-    (0..SPILL_FANOUT)
-        .map(|_| SpillWriter::create(dir).map_err(spill_err))
-        .collect()
 }
 
 impl JoinOp<'_> {
@@ -2224,7 +1896,7 @@ impl JoinOp<'_> {
             return Ok(());
         };
         let result = build.drain(|batch| {
-            if self.spill.is_none() {
+            if self.grace.is_none() {
                 let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
                 if self.kernel.kind == BreakerKind::NestedLoopInner || self.reservation.grow(bytes)
                 {
@@ -2236,20 +1908,18 @@ impl JoinOp<'_> {
                 }
                 // Grant denied. Surface memory pressure *before* committing the
                 // spill: a suspending observer re-plans with every buffer intact.
-                self.obs
-                    .notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
-                        kind: BreakerKind::HashBuild,
-                        rel_set: self.build_rel_set,
-                        estimated_rows: self.build_estimated_rows,
-                        buffered_rows: self.table.len() as u64,
-                        buffered_bytes: self.reservation.bytes(),
-                        budget_bytes: self.reservation.governor().budget().unwrap_or(0),
-                    }))?;
-                let spill = HashJoinSpill::start(&mut self.table, &mut self.reservation)?;
-                self.spill = Some(Box::new(spill));
+                self.obs.notify(MemoryPressureEvent::denied(
+                    BreakerKind::HashBuild,
+                    (self.build_rel_set, self.build_estimated_rows),
+                    self.table.len() as u64,
+                    &self.reservation,
+                ))?;
+                let spill = Arc::clone(&self.spill);
+                let grace = GraceJoin::start(&mut self.table, &mut self.reservation, spill)?;
+                self.grace = Some(Box::new(grace));
             }
-            match self.spill.as_deref_mut() {
-                Some(spill) => spill.write_build(batch, self.table.keys()),
+            match self.grace.as_deref_mut() {
+                Some(grace) => grace.write_build(batch, self.table.keys()),
                 None => Ok(()),
             }
         });
@@ -2261,11 +1931,11 @@ impl JoinOp<'_> {
         }
         result?;
         self.build_done = true;
-        let (actual_rows, reusable) = match self.spill.as_deref_mut() {
+        let (actual_rows, reusable) = match self.grace.as_deref_mut() {
             None => (self.table.len() as u64, true),
-            Some(spill) => {
-                spill.seal_build(&self.stats)?;
-                (spill.input_rows, false)
+            Some(grace) => {
+                grace.seal_build()?;
+                (grace.input_rows, false)
             }
         };
         self.obs.notify_breaker(BreakerEvent {
@@ -2277,22 +1947,26 @@ impl JoinOp<'_> {
         })
     }
 
-    /// The next probe batch: the probe child's, or the next rows of a spilled
-    /// partition's probe run.
+    /// The next probe batch: the probe child's, or, once the build spilled, the next
+    /// rows of a partition's probe run (the whole probe input is partitioned first).
     fn next_probe(&mut self) -> Result<Option<Batch>, ExecError> {
-        let Some(spill) = self.spill.as_deref_mut() else {
+        let Some(grace) = self.grace.as_deref_mut() else {
             return self.probe.next_batch();
         };
-        let mut join = SpillJoin {
-            probe: &mut self.probe,
-            kernel: &self.kernel,
-            table: &mut self.table,
-            reservation: &mut self.reservation,
-            stats: &self.stats,
-        };
-        Ok(spill
-            .next_probe_rows(&mut join, self.batch_size)?
-            .map(Batch::Rows))
+        if !self.probe_partitioned {
+            while let Some(batch) = self.probe.next_rows()? {
+                grace.write(batch, self.kernel.probe_keys())?;
+            }
+            grace.seal_probe()?;
+            self.probe_partitioned = true;
+        }
+        let rows = grace.next_probe_rows(
+            &mut self.table,
+            &mut self.reservation,
+            self.kernel.probe_keys(),
+            self.batch_size,
+        )?;
+        Ok(rows.map(Batch::Rows))
     }
 }
 
@@ -2332,7 +2006,7 @@ impl Operator for JoinOp<'_> {
         // zero rows is exactly the kind of truth a re-optimizer wants to reuse.
         // A spilled build is not: its rows live in NULL-key-stripped on-disk
         // partitions (its breaker event said `reusable: false`).
-        if self.build_done && self.spill.is_none() {
+        if self.build_done && self.grace.is_none() {
             out.push(BreakerState {
                 kind: self.kernel.kind,
                 rel_set: self.build_rel_set,
@@ -2376,7 +2050,7 @@ struct IndexNlJoinOp<'p> {
     outer_pos: usize,
     match_pos: usize,
     batch_size: usize,
-    tracker: Rc<MemoryTracker>,
+    tracker: Rc<Buffered>,
     obs: ObserverCtx<'p>,
     progress: ProgressMeter,
 }
@@ -2548,228 +2222,85 @@ impl Operator for IndexNlJoinOp<'_> {
 // Pipeline breakers: aggregate and sort
 // ---------------------------------------------------------------------------
 
-/// On-disk runs of a hash aggregation that exceeded its memory grant. Each run
-/// holds `group key ++ encoded accumulator states` records in ascending key order,
-/// so a k-way merge can combine partial states for the same group with
-/// [`Accumulator::merge`]. External emission is therefore in **sorted-key order**
-/// (the in-memory path emits first-seen order) — a divergence that only exists
-/// under a finite budget.
-struct AggSpill {
-    /// Owns the run files; removed when the aggregate drops.
-    dir: SpillDir,
-    runs: Vec<SpillRun>,
+/// What an aggregate or a sort drains its input into: a kernel's state.
+enum Drain {
+    Aggregate(AggKernel, GroupSpill),
+    Sort(SortBuffer),
 }
 
-/// K-way, key-merging cursor over sorted aggregation runs.
-struct AggMerge {
-    /// One cursor per run (run kept alive beside its reader) plus the head record.
-    cursors: Vec<(SpillRun, SpillReader, Option<Vec<Value>>)>,
-    key_len: usize,
-    funcs: Vec<AggregateFunc>,
-    /// Keeps the run directory (and files) alive until emission finishes.
-    _dir: SpillDir,
+/// What it then emits.
+enum Emit {
+    Groups(Groups),
+    Sorted(Sorted),
 }
 
-impl AggMerge {
-    fn open(spill: AggSpill, key_len: usize, funcs: Vec<AggregateFunc>) -> Result<Self, ExecError> {
-        let mut cursors = Vec::with_capacity(spill.runs.len());
-        for run in spill.runs {
-            let mut reader = run.read().map_err(spill_err)?;
-            let head = reader.next_row().map_err(spill_err)?;
-            cursors.push((run, reader, head));
-        }
-        Ok(Self {
-            cursors,
-            key_len,
-            funcs,
-            _dir: spill.dir,
-        })
-    }
-
-    /// Pop the next group: the minimal key across all heads, with every run's
-    /// partial state for that key merged into one.
-    fn next_group(&mut self) -> Result<Option<Group>, ExecError> {
-        let mut min_key: Option<Vec<Value>> = None;
-        for (_, _, head) in &self.cursors {
-            let Some(head) = head else { continue };
-            let key = &head[..self.key_len];
-            if min_key.as_ref().map(|m| key < &m[..]).unwrap_or(true) {
-                min_key = Some(key.to_vec());
-            }
-        }
-        let Some(key) = min_key else {
-            return Ok(None);
-        };
-        let mut merged: Option<Vec<Accumulator>> = None;
-        for idx in 0..self.cursors.len() {
-            let matches = self.cursors[idx]
-                .2
-                .as_ref()
-                .map(|head| head[..self.key_len] == key[..])
-                .unwrap_or(false);
-            if !matches {
-                continue;
-            }
-            let cursor = &mut self.cursors[idx];
-            let head = cursor.2.take().expect("matched head");
-            cursor.2 = cursor.1.next_row().map_err(spill_err)?;
-            let state = decode_accumulators(&self.funcs, &head[self.key_len..])?;
-            match merged.as_mut() {
-                None => merged = Some(state),
-                Some(acc) => {
-                    for (current, partial) in acc.iter_mut().zip(state) {
-                        current.merge(partial);
-                    }
-                }
-            }
-        }
-        let accs = merged.expect("at least one run matched the min key");
-        Ok(Some(Group { key, accs, tag: (0, 0) }))
-    }
-}
-
-/// Seal the current group states as one key-sorted on-disk run, releasing the grant.
-fn flush_agg_run(
-    spill: &mut AggSpill,
-    table: &mut GroupTable,
-    stats: &OpStats,
-    reservation: &mut Reservation,
-) -> Result<(), ExecError> {
-    let mut flushed = table.take_states();
-    if flushed.is_empty() {
-        return Ok(());
-    }
-    flushed.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut writer = SpillWriter::create(&spill.dir).map_err(spill_err)?;
-    let mut record = Vec::new();
-    for group in flushed {
-        record.clear();
-        record.extend(group.key);
-        for accumulator in group.accs {
-            accumulator.spill_encode(&mut record);
-        }
-        writer.write_row(&record).map_err(spill_err)?;
-    }
-    let run = writer.finish().map_err(spill_err)?;
-    stats.record_spill_run(run.bytes());
-    spill.runs.push(run);
-    reservation.release_all();
-    Ok(())
-}
-
-/// Decode the accumulator states of one spilled aggregation record.
-fn decode_accumulators(
-    funcs: &[AggregateFunc],
-    values: &[Value],
-) -> Result<Vec<Accumulator>, ExecError> {
-    let mut cursor = values.iter().cloned();
-    let states = funcs
-        .iter()
-        .map(|&func| Accumulator::spill_decode(func, &mut cursor))
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| ExecError::Spill("truncated aggregate state record".into()))?;
-    Ok(states)
-}
-
-/// How the aggregate emits its groups: straight from memory (first-seen order) or
-/// merged from spilled runs (sorted-key order).
-enum AggEmit {
-    InMemory(std::vec::IntoIter<Group>),
-    External(AggMerge),
-}
-
-/// Aggregation: folds its input batches into group states with the shared
-/// [`AggKernel`] (the buffered state is one entry per group), then emits result
-/// rows in batches.
-struct AggregateOp<'p> {
+/// Aggregation and sort: each drains its whole input into a kernel, the shared
+/// [`AggKernel`] (whose buffered state is one entry per group) or the
+/// [`SortBuffer`], then emits result rows in batches. Under a finite budget the
+/// kernel goes out of core when a grant is denied, spilling sorted runs of group
+/// states or of rows, and emission merges the runs.
+struct DrainOp<'p> {
     /// Retained after draining so nested breaker states stay reachable.
     input: Option<Metered<'p>>,
-    input_done: bool,
+    /// `AggregateInput` or `SortInput`.
+    kind: BreakerKind,
     /// `(rel_set, estimated_rows)` of the input subtree.
     input_meta: (RelSet, f64),
-    kernel: AggKernel,
-    emit: Option<AggEmit>,
+    /// The kernel state, until the input is drained.
+    drain: Option<Drain>,
+    emit: Option<Emit>,
     batch_size: usize,
-    tracker: Rc<MemoryTracker>,
-    /// Byte grant for the group-state table; released as runs flush to disk.
-    reservation: Reservation,
-    /// Sealed on-disk runs; `None` while the states fit their grant (the default).
-    spill: Option<AggSpill>,
-    stats: Rc<OpStats>,
+    tracker: Rc<Buffered>,
     obs: ObserverCtx<'p>,
 }
 
-impl AggregateOp<'_> {
-    fn consume_input(&mut self) -> Result<(), ExecError> {
-        if self.input_done {
-            return Ok(());
-        }
-        let Some(mut input) = self.input.take() else {
+impl DrainOp<'_> {
+    fn drain_input(&mut self) -> Result<(), ExecError> {
+        let (Some(drain), Some(mut input)) = (self.drain.take(), self.input.take()) else {
             return Ok(());
         };
-        let mut table = self.kernel.new_table();
-        // Admission of a new group: reserve its key bytes; on the first denial
-        // surface memory pressure (see JoinOp::build_table), then flush the
-        // states to a sorted run and keep going with an empty table.
-        let mut admit = |table: &mut GroupTable, key_bytes: u64| -> Result<(), ExecError> {
-            if let Some(spill) = self.spill.as_mut() {
-                if !self.reservation.grow(key_bytes) {
-                    flush_agg_run(spill, table, &self.stats, &mut self.reservation)?;
-                    let _ = self.reservation.grow(key_bytes);
-                }
-            } else if !self.reservation.grow(key_bytes) {
-                self.obs.notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
-                    kind: BreakerKind::AggregateInput,
-                    rel_set: self.input_meta.0,
-                    estimated_rows: self.input_meta.1,
-                    buffered_rows: table.len() as u64,
-                    buffered_bytes: self.reservation.bytes(),
-                    budget_bytes: self.reservation.governor().budget().unwrap_or(0),
-                }))?;
-                let spill = self.spill.insert(AggSpill {
-                    dir: SpillDir::create().map_err(spill_err)?,
-                    runs: Vec::new(),
-                });
-                flush_agg_run(spill, table, &self.stats, &mut self.reservation)?;
-                let _ = self.reservation.grow(key_bytes);
-            } else {
-                self.tracker.acquire(1, key_bytes);
-            }
-            Ok(())
+        let (tracker, obs, kind, meta) = (&self.tracker, &self.obs, self.kind, self.input_meta);
+        // A denied grant surfaces memory pressure before the kernel spills (see
+        // JoinOp::build_table).
+        let mut pressure = |rows: u64, grant: &Reservation| {
+            obs.notify(MemoryPressureEvent::denied(kind, meta, rows, grant))
         };
-        let kernel = &self.kernel;
-        let result = (|| -> Result<(), ExecError> {
-            while let Some(batch) = input.next_batch()? {
-                kernel.consume(&mut table, batch, 0, &mut admit)?;
-            }
-            Ok(())
-        })();
-        if result.is_ok() {
-            if !self.kernel.grouped() {
-                // The one group of a global aggregate is never reserved or spilled.
-                self.tracker.acquire(1, 8);
-            }
-            self.emit = Some(match self.spill.take() {
-                None => AggEmit::InMemory(table.into_states().into_iter()),
-                Some(mut spill) => {
-                    flush_agg_run(&mut spill, &mut table, &self.stats, &mut self.reservation)?;
-                    AggEmit::External(AggMerge::open(
-                        spill,
-                        self.kernel.key_len(),
-                        self.kernel.funcs().to_vec(),
-                    )?)
+        let result = match drain {
+            Drain::Aggregate(kernel, mut spill) => (|| {
+                let mut table = kernel.new_table();
+                let mut admit = |table: &mut GroupTable, key_bytes: u64| {
+                    if spill.admit(table, key_bytes, &mut pressure)? {
+                        tracker.acquire(1, key_bytes);
+                    }
+                    Ok(())
+                };
+                while let Some(batch) = input.next_batch()? {
+                    kernel.consume(&mut table, batch, 0, &mut admit)?;
                 }
-            });
-        }
+                if !kernel.grouped() {
+                    // The one group of a global aggregate is never reserved or spilled.
+                    tracker.acquire(1, 8);
+                }
+                Ok(Emit::Groups(GroupSpill::finish(&kernel, vec![(table, spill)])?))
+            })(),
+            Drain::Sort(mut buffer) => input
+                .drain(|batch| {
+                    let (rows, bytes) = (batch.len() as u64, batch.iter().map(|r| r.width() as u64).sum());
+                    if buffer.push(batch, bytes, &mut pressure)? {
+                        tracker.acquire(rows, bytes);
+                    }
+                    Ok(())
+                })
+                .and_then(|()| Ok(Emit::Sorted(buffer.finish()?))),
+        };
         let input_rows = input.stats.rows.get();
         // As in JoinOp: retain the drained child only for observed pipelines.
         if self.obs.active() {
             self.input = Some(input);
         }
-        result?;
-        self.input_done = true;
+        self.emit = Some(result?);
         self.obs.notify_breaker(BreakerEvent {
-            kind: BreakerKind::AggregateInput,
+            kind: self.kind,
             rel_set: self.input_meta.0,
             estimated_rows: self.input_meta.1,
             actual_rows: input_rows,
@@ -2778,328 +2309,26 @@ impl AggregateOp<'_> {
     }
 }
 
-impl Operator for AggregateOp<'_> {
+impl Operator for DrainOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.consume_input()?;
+        self.drain_input()?;
         // `emit` stays unset when a previous pull failed mid-drain; the pipeline is
         // poisoned at that point and further pulls just report exhaustion.
-        let Some(emit) = self.emit.as_mut() else {
-            return Ok(None);
+        let rows = match self.emit.as_mut() {
+            Some(Emit::Groups(groups)) => groups.next_batch(self.batch_size)?,
+            Some(Emit::Sorted(sorted)) => sorted.next_batch(self.batch_size)?,
+            None => None,
         };
-        let mut out = Vec::new();
-        match emit {
-            AggEmit::InMemory(groups) => {
-                out.reserve(self.batch_size.min(groups.len()));
-                for group in groups.by_ref().take(self.batch_size) {
-                    out.push(group.finish()?);
-                }
-            }
-            AggEmit::External(merge) => {
-                while out.len() < self.batch_size {
-                    let Some(group) = merge.next_group()? else { break };
-                    out.push(group.finish()?);
-                }
-            }
-        }
-        Ok(if out.is_empty() { None } else { Some(Batch::Rows(out)) })
+        Ok(rows.map(Batch::Rows))
     }
 
     fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // Group states are not a reusable materialization; only recurse.
+        // Group states and sort buffers are not reusable materializations; only
+        // recurse.
         if let Some(input) = &mut self.input {
             input.inner.collect_breaker_states(out);
         }
     }
-}
-
-/// Compare two key tuples under per-key sort directions.
-fn compare_sort_keys(a: &[Value], b: &[Value], directions: &[bool]) -> std::cmp::Ordering {
-    for (idx, ascending) in directions.iter().enumerate() {
-        let ordering = a[idx].cmp(&b[idx]);
-        let ordering = if *ascending { ordering } else { ordering.reverse() };
-        if ordering != std::cmp::Ordering::Equal {
-            return ordering;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Sort a keyed buffer in emission order (stable, direction-aware).
-fn sort_keyed(keyed: &mut [(Vec<Value>, Row)], directions: &[bool]) {
-    keyed.sort_by(|a, b| compare_sort_keys(&a.0, &b.0, directions));
-}
-
-/// On-disk runs of a sort that exceeded its memory grant. Each run holds
-/// `key values ++ row values` records in emission order; a k-way merge over the
-/// runs reproduces the exact output of the in-memory sort (stable, because rows
-/// are flushed to runs in input order and the merge breaks key ties by run index).
-struct SortSpill {
-    /// Owns the run files; removed when the sort drops, however execution ended.
-    dir: SpillDir,
-    runs: Vec<SpillRun>,
-}
-
-/// K-way merge cursor over sorted spill runs.
-struct SortMerge {
-    /// One cursor per run: the run kept alive beside its reader (dropping the run
-    /// deletes the file), plus the buffered head record.
-    cursors: Vec<(SpillRun, SpillReader, Option<Vec<Value>>)>,
-    key_len: usize,
-    directions: Vec<bool>,
-}
-
-impl SortMerge {
-    fn open(spill: SortSpill, key_len: usize, directions: Vec<bool>) -> Result<(Self, SpillDir), ExecError> {
-        let mut cursors = Vec::with_capacity(spill.runs.len());
-        for run in spill.runs {
-            let mut reader = run.read().map_err(spill_err)?;
-            let head = reader.next_row().map_err(spill_err)?;
-            cursors.push((run, reader, head));
-        }
-        Ok((
-            Self {
-                cursors,
-                key_len,
-                directions,
-            },
-            spill.dir,
-        ))
-    }
-
-    /// Pop the globally next row: the minimal head under the sort directions,
-    /// ties broken by run index (runs are filled in input order, so this keeps
-    /// the merge as stable as the in-memory sort).
-    fn next_row(&mut self) -> Result<Option<Row>, ExecError> {
-        let mut best: Option<usize> = None;
-        for idx in 0..self.cursors.len() {
-            if self.cursors[idx].2.is_none() {
-                continue;
-            }
-            best = match best {
-                None => Some(idx),
-                Some(current) => {
-                    let head = self.cursors[idx].2.as_deref().expect("checked above");
-                    let current_head =
-                        self.cursors[current].2.as_deref().expect("non-empty cursor");
-                    if compare_sort_keys(
-                        &head[..self.key_len],
-                        &current_head[..self.key_len],
-                        &self.directions,
-                    ) == std::cmp::Ordering::Less
-                    {
-                        Some(idx)
-                    } else {
-                        Some(current)
-                    }
-                }
-            };
-        }
-        let Some(winner) = best else {
-            return Ok(None);
-        };
-        let cursor = &mut self.cursors[winner];
-        let mut values = cursor.2.take().expect("winner has a head");
-        cursor.2 = cursor.1.next_row().map_err(spill_err)?;
-        let row_values = values.split_off(self.key_len);
-        Ok(Some(Row::from_values(row_values)))
-    }
-}
-
-/// Sort: drains and sorts its whole input (buffered), then emits batches. Under a
-/// finite memory budget the buffer flushes to sorted on-disk runs when its grant is
-/// denied, and emission becomes a k-way merge over the runs (external merge sort).
-struct SortOp<'p> {
-    /// Retained after draining so nested breaker states stay reachable.
-    input: Option<Metered<'p>>,
-    input_done: bool,
-    /// `(rel_set, estimated_rows)` of the input subtree.
-    input_meta: (RelSet, f64),
-    keys: Vec<(Expr, bool)>,
-    sorted: Vec<Row>,
-    pos: usize,
-    batch_size: usize,
-    tracker: Rc<MemoryTracker>,
-    /// Byte grant for the in-memory buffer; released as runs flush to disk.
-    reservation: Reservation,
-    /// Sealed on-disk runs; `None` while the buffer fits its grant (the default).
-    spill: Option<SortSpill>,
-    /// The k-way merge (and the run directory keeping files alive) once emission
-    /// starts in external mode.
-    merge: Option<(SortMerge, SpillDir)>,
-    stats: Rc<OpStats>,
-    obs: ObserverCtx<'p>,
-}
-
-impl SortOp<'_> {
-    fn buffer_and_sort(&mut self) -> Result<(), ExecError> {
-        if self.input_done {
-            return Ok(());
-        }
-        let Some(mut input) = self.input.take() else {
-            return Ok(());
-        };
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
-        let directions: Vec<bool> = self.keys.iter().map(|(_, asc)| *asc).collect();
-        let result = {
-            let keys = &self.keys;
-            let keyed = &mut keyed;
-            let directions = &directions;
-            input.drain(|batch| {
-                let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-                if let Some(spill) = self.spill.as_mut() {
-                    if !self.reservation.grow(bytes) {
-                        // Buffer refilled up to the budget: flush it as another run.
-                        // (The overshoot of one denied batch is bounded by batch size.)
-                        flush_sort_run(
-                            spill,
-                            keyed,
-                            directions,
-                            &self.stats,
-                            &mut self.reservation,
-                        )?;
-                    }
-                } else if self.reservation.grow(bytes) {
-                    self.tracker.acquire(batch.len() as u64, bytes);
-                    for row in batch {
-                        let mut key = Vec::with_capacity(keys.len());
-                        for (expr, _) in keys {
-                            key.push(expr.eval(&row)?);
-                        }
-                        keyed.push((key, row));
-                    }
-                    return Ok(());
-                } else {
-                    // Grant denied: surface memory pressure before the spill
-                    // commits, then switch to external merge sort.
-                    self.obs.notify(ExecEvent::MemoryPressure(MemoryPressureEvent {
-                        kind: BreakerKind::SortInput,
-                        rel_set: self.input_meta.0,
-                        estimated_rows: self.input_meta.1,
-                        buffered_rows: keyed.len() as u64,
-                        buffered_bytes: self.reservation.bytes(),
-                        budget_bytes: self.reservation.governor().budget().unwrap_or(0),
-                    }))?;
-                    self.spill = Some(SortSpill {
-                        dir: SpillDir::create().map_err(spill_err)?,
-                        runs: Vec::new(),
-                    });
-                }
-                for row in batch {
-                    let mut key = Vec::with_capacity(keys.len());
-                    for (expr, _) in keys {
-                        key.push(expr.eval(&row)?);
-                    }
-                    keyed.push((key, row));
-                }
-                Ok(())
-            })
-        };
-        let input_rows = input.stats.rows.get();
-        // As in JoinOp: retain the drained child only for observed pipelines.
-        if self.obs.active() {
-            self.input = Some(input);
-        }
-        result?;
-        self.input_done = true;
-        self.obs.notify_breaker(BreakerEvent {
-            kind: BreakerKind::SortInput,
-            rel_set: self.input_meta.0,
-            estimated_rows: self.input_meta.1,
-            actual_rows: input_rows,
-            reusable: false,
-        })?;
-        match self.spill.take() {
-            None => {
-                sort_keyed(&mut keyed, &directions);
-                self.sorted = keyed.into_iter().map(|(_, row)| row).collect();
-            }
-            Some(mut spill) => {
-                // Flush the tail buffer as the final run, then open the merge.
-                flush_sort_run(
-                    &mut spill,
-                    &mut keyed,
-                    &directions,
-                    &self.stats,
-                    &mut self.reservation,
-                )?;
-                self.merge = Some(SortMerge::open(spill, self.keys.len(), directions)?);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Seal the current keyed buffer as one sorted on-disk run, releasing its grant.
-fn flush_sort_run(
-    spill: &mut SortSpill,
-    keyed: &mut Vec<(Vec<Value>, Row)>,
-    directions: &[bool],
-    stats: &OpStats,
-    reservation: &mut Reservation,
-) -> Result<(), ExecError> {
-    if keyed.is_empty() {
-        return Ok(());
-    }
-    sort_keyed(keyed, directions);
-    let mut writer = SpillWriter::create(&spill.dir).map_err(spill_err)?;
-    let mut record = Vec::new();
-    for (key, row) in keyed.drain(..) {
-        record.clear();
-        record.extend(key);
-        record.extend(row.values().iter().cloned());
-        writer.write_row(&record).map_err(spill_err)?;
-    }
-    let run = writer.finish().map_err(spill_err)?;
-    stats.record_spill_run(run.bytes());
-    spill.runs.push(run);
-    reservation.release_all();
-    Ok(())
-}
-
-impl Operator for SortOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.buffer_and_sort()?;
-        if let Some((merge, _dir)) = self.merge.as_mut() {
-            let mut out = Vec::with_capacity(self.batch_size);
-            while out.len() < self.batch_size {
-                let Some(row) = merge.next_row()? else { break };
-                out.push(row);
-            }
-            return Ok(if out.is_empty() { None } else { Some(Batch::Rows(out)) });
-        }
-        if self.pos >= self.sorted.len() {
-            return Ok(None);
-        }
-        let chunk_end = self.pos.saturating_add(self.batch_size).min(self.sorted.len());
-        let out = self.sorted[self.pos..chunk_end].to_vec();
-        self.pos = chunk_end;
-        Ok(Some(Batch::Rows(out)))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // The sort buffer is not a join-subtree materialization; only recurse.
-        if let Some(input) = &mut self.input {
-            input.inner.collect_breaker_states(out);
-        }
-    }
-}
-
-/// Map a spill-file I/O failure into the executor's error space.
-fn spill_err(err: std::io::Error) -> ExecError {
-    ExecError::Spill(err.to_string())
-}
-
-/// The grace-hash partition of a join key: deterministic (SipHash with fixed keys),
-/// salted by recursion depth so each repartitioning pass splits differently, and
-/// independent of the `RandomState`-seeded in-memory hash table.
-fn spill_partition(salt: u32, key: &[Value]) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    salt.hash(&mut hasher);
-    for value in key {
-        value.hash(&mut hasher);
-    }
-    (hasher.finish() as usize) % SPILL_FANOUT
 }
 
 #[cfg(test)]
@@ -3983,15 +3212,17 @@ mod tests {
                    WHERE mk.keyword_id = k.id AND k.id < 2";
         let planned = hash_only_plan(sql, &storage, &catalog);
         // The build carries k.id only: two 8-byte rows; spills 3 434 B in 16 runs.
-        let governor = MemoryGovernor::new(Some(8));
-        let result = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_governor(governor)
-            .execute(&planned.plan)
-            .unwrap();
-        assert_eq!(result.rows[0].value(0), &Value::Int(40));
-        assert!(result.metrics.root.total_spilled().0 > 0);
-        assert_eq!(live_spill_files(), 0);
+        for threads in [1, 4] {
+            let governor = MemoryGovernor::new(Some(8));
+            let result = Executor::with_batch_size(&storage, 16)
+                .with_threads(threads)
+                .with_governor(governor)
+                .execute(&planned.plan)
+                .unwrap();
+            assert_eq!(result.rows[0].value(0), &Value::Int(40), "{threads} threads");
+            assert!(result.metrics.root.total_spilled().0 > 0, "{threads} threads");
+            assert_eq!(live_spill_files(), 0);
+        }
     }
 
     #[test]
@@ -4096,48 +3327,50 @@ mod tests {
             &storage,
             &catalog,
         );
-        let observer = RecordingObserver::new(ObserverDecision::Continue);
-        let governor = MemoryGovernor::new(Some(64));
-        let executor = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_governor(governor);
-        let mut pipeline = executor
-            .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
-            .unwrap();
-        let mut rows = 0;
-        while let Some(batch) = pipeline.next_batch().unwrap() {
-            rows += batch.len();
+        for threads in [1, 4] {
+            let observer = RecordingObserver::new(ObserverDecision::Continue);
+            let governor = MemoryGovernor::new(Some(64));
+            let executor = Executor::with_batch_size(&storage, 16)
+                .with_threads(threads)
+                .with_governor(governor);
+            let mut pipeline = executor
+                .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
+                .unwrap();
+            let mut rows = 0;
+            while let Some(batch) = pipeline.next_batch().unwrap() {
+                rows += batch.len();
+            }
+            assert_eq!(rows, 1);
+            let events = &observer.borrow().events;
+            let pressure_at = events
+                .iter()
+                .position(|e| matches!(e, ExecEvent::MemoryPressure(_)))
+                .expect("a memory-pressure event");
+            let build_at = events
+                .iter()
+                .position(|e| {
+                    matches!(e, ExecEvent::BreakerComplete(b) if b.kind == BreakerKind::HashBuild)
+                })
+                .expect("the build completion");
+            assert!(pressure_at < build_at, "pressure must precede the spilled build");
+            let ExecEvent::MemoryPressure(pressure) = &events[pressure_at] else {
+                unreachable!()
+            };
+            assert_eq!(pressure.kind, BreakerKind::HashBuild);
+            assert_eq!(pressure.budget_bytes, 64);
+            assert!(!events[pressure_at].is_exact(), "buffered counts are lower bounds");
+            let build = events
+                .iter()
+                .find_map(|e| match e {
+                    ExecEvent::BreakerComplete(b) if b.kind == BreakerKind::HashBuild => Some(b),
+                    _ => None,
+                })
+                .unwrap();
+            assert!(!build.reusable, "a spilled build is not a reusable materialization");
+            assert_eq!(build.actual_rows, 10, "{threads} threads");
+            drop(pipeline);
+            assert_eq!(live_spill_files(), 0);
         }
-        assert_eq!(rows, 1);
-        let events = &observer.borrow().events;
-        let pressure_at = events
-            .iter()
-            .position(|e| matches!(e, ExecEvent::MemoryPressure(_)))
-            .expect("a memory-pressure event");
-        let build_at = events
-            .iter()
-            .position(|e| {
-                matches!(e, ExecEvent::BreakerComplete(b) if b.kind == BreakerKind::HashBuild)
-            })
-            .expect("the build completion");
-        assert!(pressure_at < build_at, "pressure must precede the spilled build");
-        let ExecEvent::MemoryPressure(pressure) = &events[pressure_at] else {
-            unreachable!()
-        };
-        assert_eq!(pressure.kind, BreakerKind::HashBuild);
-        assert_eq!(pressure.budget_bytes, 64);
-        assert!(!events[pressure_at].is_exact(), "buffered counts are lower bounds");
-        let build = events
-            .iter()
-            .find_map(|e| match e {
-                ExecEvent::BreakerComplete(b) if b.kind == BreakerKind::HashBuild => Some(b),
-                _ => None,
-            })
-            .unwrap();
-        assert!(!build.reusable, "a spilled build is not a reusable materialization");
-        assert_eq!(build.actual_rows, 10);
-        drop(pipeline);
-        assert_eq!(live_spill_files(), 0);
     }
 
     /// Suspends the moment memory pressure is reported (the re-plan-instead-of-spill
@@ -4166,23 +3399,26 @@ mod tests {
             &storage,
             &catalog,
         );
-        let monitor = Rc::new(RefCell::new(SuspendOnPressure { saw: None }));
-        let governor = MemoryGovernor::new(Some(64));
-        let executor = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_governor(governor);
-        let mut pipeline = executor
-            .open_observed(&planned.plan, Some(monitor.clone() as ObserverHandle))
-            .unwrap();
-        assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
-        assert!(pipeline.is_suspended());
-        let pressure = monitor.borrow().saw.clone().expect("pressure was observed");
-        assert_eq!(pressure.kind, BreakerKind::HashBuild);
-        // The suspension preempted the spill: no file was ever written, and the
-        // re-optimizer takes over with every in-memory buffer intact.
-        assert_eq!(live_spill_files(), 0, "suspension must preempt the spill");
-        drop(pipeline);
-        assert_eq!(live_spill_files(), 0);
+        for threads in [1, 4] {
+            let monitor = Rc::new(RefCell::new(SuspendOnPressure { saw: None }));
+            let governor = MemoryGovernor::new(Some(64));
+            let executor = Executor::with_batch_size(&storage, 16)
+                .with_threads(threads)
+                .with_governor(Arc::clone(&governor));
+            let mut pipeline = executor
+                .open_observed(&planned.plan, Some(monitor.clone() as ObserverHandle))
+                .unwrap();
+            assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
+            assert!(pipeline.is_suspended());
+            let pressure = monitor.borrow().saw.clone().expect("pressure was observed");
+            assert_eq!(pressure.kind, BreakerKind::HashBuild);
+            // The suspension preempted the spill: no file was ever written, and the
+            // re-optimizer takes over with every in-memory buffer intact.
+            assert_eq!(live_spill_files(), 0, "suspension must preempt the spill");
+            drop(pipeline);
+            assert_eq!(live_spill_files(), 0);
+            assert_eq!(governor.reserved(), 0, "{threads} threads");
+        }
     }
 
     #[test]
@@ -4220,27 +3456,29 @@ mod tests {
             &storage,
             &catalog,
         );
-        let governor = MemoryGovernor::new(Some(64));
-        let result = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_governor(governor)
-            .execute(&planned.plan)
-            .unwrap();
         let unlimited = Executor::with_batch_size(&storage, 16)
             .with_threads(1)
             .execute(&planned.plan)
             .unwrap();
-        assert_eq!(
-            result.rows,
-            vec![Row::from_values(vec![Value::Int(40 * 200)])]
-        );
-        assert_eq!(result.rows, unlimited.rows);
-        assert!(
-            result.metrics.root.total_spilled().0 > 0,
-            "the join went out of core"
-        );
-        drop(result);
-        assert_eq!(live_spill_files(), 0, "every run is removed once joined");
+        for threads in [1, 4] {
+            let governor = MemoryGovernor::new(Some(64));
+            let result = Executor::with_batch_size(&storage, 16)
+                .with_threads(threads)
+                .with_governor(governor)
+                .execute(&planned.plan)
+                .unwrap();
+            assert_eq!(
+                result.rows,
+                vec![Row::from_values(vec![Value::Int(40 * 200)])]
+            );
+            assert_eq!(result.rows, unlimited.rows);
+            assert!(
+                result.metrics.root.total_spilled().0 > 0,
+                "the join went out of core at {threads} threads"
+            );
+            drop(result);
+            assert_eq!(live_spill_files(), 0, "every run is removed once joined");
+        }
     }
 
     #[test]
@@ -4310,43 +3548,41 @@ mod tests {
         let (storage, catalog) = build_env();
         let governor = MemoryGovernor::new(Some(300));
         // LIMIT stops pulling long before the k-way merge drains its runs.
-        let planned = plan(
+        let limited = plan(
             "SELECT t.title AS title FROM title AS t ORDER BY title LIMIT 5",
             &storage,
             &catalog,
         );
-        let result = Executor::with_batch_size(&storage, 4)
-            .with_threads(1)
-            .with_governor(Arc::clone(&governor))
-            .execute(&planned.plan)
-            .unwrap();
-        assert_eq!(result.rows.len(), 5);
-        assert_eq!(result.rows[0].value(0), &Value::from("movie 000"));
-        let (bytes, runs) = result.metrics.root.total_spilled();
-        assert!(bytes > 0 && runs >= 2, "{bytes} bytes in {runs} runs");
-        assert_eq!(live_spill_files(), 0, "abandoned runs die with the pipeline");
-        assert_eq!(governor.reserved(), 0);
-
         // Dropping a pipeline mid-merge (runs still open) also cleans up.
-        let planned = plan(
+        let unlimited = plan(
             "SELECT t.title AS title FROM title AS t ORDER BY title",
             &storage,
             &catalog,
         );
-        let executor = Executor::with_batch_size(&storage, 4)
-            .with_threads(1)
-            .with_governor(Arc::clone(&governor));
-        let mut pipeline = executor.open(&planned.plan).unwrap();
-        let first = pipeline.next_batch().unwrap().expect("first sorted batch");
-        assert!(!first.is_empty());
-        assert!(live_spill_files() > 0, "the merge holds live runs mid-flight");
-        drop(pipeline);
-        assert_eq!(live_spill_files(), 0);
-        assert_eq!(governor.reserved(), 0);
+        for threads in [1, 4] {
+            let executor = Executor::with_batch_size(&storage, 4)
+                .with_threads(threads)
+                .with_governor(Arc::clone(&governor));
+            let result = executor.execute(&limited.plan).unwrap();
+            assert_eq!(result.rows.len(), 5);
+            assert_eq!(result.rows[0].value(0), &Value::from("movie 000"));
+            let (bytes, runs) = result.metrics.root.total_spilled();
+            assert!(bytes > 0 && runs >= 2, "{bytes} bytes in {runs} runs at {threads} threads");
+            assert_eq!(live_spill_files(), 0, "abandoned runs die with the pipeline");
+            assert_eq!(governor.reserved(), 0);
+
+            let mut pipeline = executor.open(&unlimited.plan).unwrap();
+            let first = pipeline.next_batch().unwrap().expect("first sorted batch");
+            assert!(!first.is_empty());
+            assert!(live_spill_files() > 0, "the merge holds live runs mid-flight");
+            drop(pipeline);
+            assert_eq!(live_spill_files(), 0);
+            assert_eq!(governor.reserved(), 0);
+        }
     }
 
     #[test]
-    fn parallel_run_falls_back_to_the_spill_engine() {
+    fn parallel_run_spills_in_the_morsel_engine() {
         let _guard = spill_serial();
         let (storage, catalog) = build_env();
         let planned = hash_only_plan(
@@ -4356,19 +3592,63 @@ mod tests {
             &catalog,
         );
         let governor = MemoryGovernor::new(Some(64));
-        // The parallel build sink's grant is denied; the facade must restart the
-        // query on the single-threaded spill engine with the same rows out.
+        // The parallel build sink's grant is denied: the build goes out of core in
+        // the morsel engine itself, with the same rows out.
         let result = Executor::with_batch_size(&storage, 16)
             .with_threads(4)
             .with_governor(Arc::clone(&governor))
             .execute(&planned.plan)
             .unwrap();
         assert_eq!(result.rows[0].value(0), &Value::Int(200));
+        assert_eq!(result.metrics.engine, "parallel");
+        assert_eq!(result.metrics.fallback, None);
         assert!(governor.denials() >= 1, "the parallel sink must have been denied");
         let (bytes, _) = result.metrics.root.total_spilled();
-        assert!(bytes > 0, "the fallback run spilled");
+        assert!(bytes > 0, "the morsel engine spilled");
         assert_eq!(live_spill_files(), 0);
-        assert_eq!(governor.reserved(), 0, "both runs' reservations released");
+        assert_eq!(governor.reserved(), 0, "every grant released");
+    }
+
+    #[test]
+    fn grouped_sort_over_a_join_spills_every_breaker_at_every_thread_count() {
+        let _guard = spill_serial();
+        let (storage, catalog) = build_env();
+        let planned = hash_only_plan(
+            "SELECT t.production_year AS y, count(*) AS c, min(mk.keyword_id) AS kw
+             FROM movie_keyword AS mk, title AS t WHERE mk.movie_id = t.id
+             GROUP BY t.production_year ORDER BY t.production_year",
+            &storage,
+            &catalog,
+        );
+        let reference = Executor::with_batch_size(&storage, 8)
+            .with_threads(1)
+            .execute(&planned.plan)
+            .unwrap();
+        assert_eq!(reference.rows.len(), 30);
+        for threads in [1, 2, 4] {
+            // 64 bytes deny the build, the group table and the sort buffer alike.
+            let governor = MemoryGovernor::new(Some(64));
+            let result = Executor::with_batch_size(&storage, 8)
+                .with_threads(threads)
+                .with_governor(Arc::clone(&governor))
+                .execute(&planned.plan)
+                .unwrap();
+            assert_eq!(result.rows, reference.rows, "{threads} threads");
+            assert_eq!(result.metrics.fallback, None);
+            let mut spilled = Vec::new();
+            let mut stack = vec![&result.metrics.root];
+            while let Some(node) = stack.pop() {
+                if node.metrics.spilled_bytes > 0 {
+                    spilled.push(node.metrics.label.split(' ').take(2).collect::<Vec<_>>());
+                }
+                stack.extend(&node.children);
+            }
+            spilled.sort();
+            let expected = [["Group", "Aggregate"], ["Hash", "Join"], ["Sort", "(1"]];
+            assert_eq!(spilled, expected, "{threads} threads");
+            assert_eq!(live_spill_files(), 0);
+            assert_eq!(governor.reserved(), 0);
+        }
     }
 
     /// Run `planned` at `threads` with the columnar path on and 8-row batches, so a

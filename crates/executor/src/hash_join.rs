@@ -13,15 +13,31 @@
 //! [`JoinKernel::probe`] is the one probe loop. It resumes a [`ProbeBatch`] at its
 //! cursor (probe row, match position), so a probe row whose matches overflow one
 //! output batch continues in the next, and assembles output rows through
-//! [`JoinRows`]. The single-threaded `JoinOp` (in memory and over grace-hash
-//! partitions alike) and the morsel engine's probe step both call it; each engine
-//! keeps its own build, breaker events and memory accounting.
+//! [`JoinRows`]. The single-threaded `JoinOp` and the morsel engine's probe step
+//! both call it; each engine keeps its own build, breaker events and memory
+//! accounting.
+//!
+//! A hash build whose grant is denied goes out of core through [`GraceJoin`],
+//! grace-hash partitioning that both engines drive the same way: write the build
+//! rows, seal, write the probe rows, seal, then probe each loaded partition block
+//! with the same probe loop.
 
 use crate::error::ExecError;
 use crate::exec::{key_index, Batch, BreakerKind, JoinRows};
+use crate::spill::{spill_err, Reservation, SpillStats};
 use reopt_planner::{PhysicalPlan, PlanKind};
+use reopt_storage::spill_file::{SpillDir, SpillReader, SpillRun, SpillWriter};
 use reopt_storage::{Row, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// Fan-out of one grace-hash partitioning pass (and of recursive repartitioning).
+const SPILL_FANOUT: usize = 8;
+
+/// Maximum grace-hash recursion depth. A partition that still exceeds its grant
+/// this deep is dominated by one join key, which repartitioning can never split: it
+/// joins by block nested loop instead of recursing forever.
+const SPILL_MAX_DEPTH: u32 = 6;
 
 /// The build side of a hash or nested-loop join.
 #[derive(Default)]
@@ -205,7 +221,7 @@ impl JoinKernel {
 
 /// Extract a join key from a row; `None` when any key column is NULL (NULL never
 /// joins under equi-join semantics).
-pub(crate) fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
+fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(columns.len());
     for &idx in columns {
         let value = row.value(idx);
@@ -215,6 +231,274 @@ pub(crate) fn extract_key(row: &Row, columns: &[usize]) -> Option<Vec<Value>> {
         key.push(value.clone());
     }
     Some(key)
+}
+
+/// Grace-hash state of a join whose build exceeded its memory grant. Build and probe
+/// rows hash-partition into on-disk runs ([`SPILL_FANOUT`] per pass, salted by
+/// recursion depth); partitions are then joined one pair at a time by loading the
+/// build run into the join table, repartitioning a partition that still exceeds the
+/// grant. At [`SPILL_MAX_DEPTH`] a partition is joined by block nested loop instead:
+/// one grant-sized build block at a time, re-scanning the partition's probe run per
+/// block. Dropping the state removes every file.
+pub(crate) struct GraceJoin {
+    /// Build-input rows seen (NULL-key rows included), for the breaker event.
+    pub(crate) input_rows: u64,
+    /// Open partition writers of the side being written: the build side, then
+    /// (once it is sealed) the probe side.
+    writers: Vec<SpillWriter>,
+    /// Sealed build runs awaiting their probe counterparts.
+    build_runs: Vec<SpillRun>,
+    /// `(build, probe, depth)` partition pairs still to join.
+    pending: VecDeque<(SpillRun, SpillRun, u32)>,
+    /// The build block in the join table, and the scan of its probe run.
+    loaded: Option<LoadedBlock>,
+    stats: Arc<SpillStats>,
+    dir: SpillDir,
+}
+
+/// A build block of one partition pair, loaded into the join table, with the scan of
+/// the pair's probe run. The runs are kept alive beside the reader: dropping a run
+/// deletes its file.
+struct LoadedBlock {
+    build: SpillRun,
+    /// The build-run row the next block starts at (the run's row count once the
+    /// whole partition is loaded).
+    next: u64,
+    depth: u32,
+    probe: SpillRun,
+    reader: SpillReader,
+}
+
+/// One open run writer per grace-hash partition.
+fn spill_writers(dir: &SpillDir) -> Result<Vec<SpillWriter>, ExecError> {
+    (0..SPILL_FANOUT)
+        .map(|_| SpillWriter::create(dir).map_err(spill_err))
+        .collect()
+}
+
+/// The grace-hash partition of a join key: deterministic (SipHash with fixed keys),
+/// salted by recursion depth so each repartitioning pass splits differently, and
+/// independent of the `RandomState`-seeded in-memory hash table.
+fn spill_partition(salt: u32, key: &[Value]) -> usize {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    salt.hash(&mut hasher);
+    for value in key {
+        value.hash(&mut hasher);
+    }
+    (hasher.finish() as usize) % SPILL_FANOUT
+}
+
+impl GraceJoin {
+    /// Empty build partitions.
+    pub(crate) fn new(stats: Arc<SpillStats>) -> Result<Self, ExecError> {
+        let dir = SpillDir::create().map_err(spill_err)?;
+        Ok(Self {
+            input_rows: 0,
+            writers: spill_writers(&dir)?,
+            build_runs: Vec::new(),
+            pending: VecDeque::new(),
+            loaded: None,
+            stats,
+            dir,
+        })
+    }
+
+    /// Commit a build to grace-hash partitioning: move `table`'s rows into
+    /// [`SPILL_FANOUT`] on-disk partitions and release the grant.
+    pub(crate) fn start(
+        table: &mut JoinTable,
+        reservation: &mut Reservation,
+        stats: Arc<SpillStats>,
+    ) -> Result<Self, ExecError> {
+        let mut grace = Self::new(stats)?;
+        let rows = table.take_rows();
+        grace.write_build(rows, &table.keys)?;
+        reservation.release_all();
+        Ok(grace)
+    }
+
+    /// Write build rows to their partitions. NULL-key rows count as input but never
+    /// join, and a spilled build is not a reusable materialization, so they go.
+    pub(crate) fn write_build(&mut self, rows: Vec<Row>, keys: &[usize]) -> Result<(), ExecError> {
+        self.input_rows += rows.len() as u64;
+        self.write(rows, keys)
+    }
+
+    /// Write rows of the side being written (the probe side once the build is
+    /// sealed) to their partitions.
+    pub(crate) fn write(&mut self, rows: Vec<Row>, keys: &[usize]) -> Result<(), ExecError> {
+        for row in rows {
+            if let Some(key) = extract_key(&row, keys) {
+                self.writers[spill_partition(0, &key)]
+                    .write_row(row.values())
+                    .map_err(spill_err)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seal the build partitions and open the probe side's.
+    pub(crate) fn seal_build(&mut self) -> Result<(), ExecError> {
+        let probe_writers = spill_writers(&self.dir)?;
+        for writer in std::mem::replace(&mut self.writers, probe_writers) {
+            let run = writer.finish().map_err(spill_err)?;
+            self.stats.record(&run);
+            self.build_runs.push(run);
+        }
+        Ok(())
+    }
+
+    /// Seal the probe partitions, pairing each with its build counterpart. Empty
+    /// pairs are skipped outright.
+    pub(crate) fn seal_probe(&mut self) -> Result<(), ExecError> {
+        for (build_run, writer) in self.build_runs.drain(..).zip(self.writers.drain(..)) {
+            let probe_run = writer.finish().map_err(spill_err)?;
+            self.stats.record(&probe_run);
+            if build_run.rows() > 0 && probe_run.rows() > 0 {
+                self.pending.push_back((build_run, probe_run, 0));
+            }
+        }
+        Ok(())
+    }
+
+    /// The next probe rows (at most `batch_size`) of the block loaded in `table`,
+    /// loading the next build block or partition pair when a probe run is drained.
+    /// `None` once every partition is joined; `table` is then empty and the grant
+    /// released.
+    pub(crate) fn next_probe_rows(
+        &mut self,
+        table: &mut JoinTable,
+        reservation: &mut Reservation,
+        probe_keys: &[usize],
+        batch_size: usize,
+    ) -> Result<Option<Vec<Row>>, ExecError> {
+        loop {
+            if let Some(mut loaded) = self.loaded.take() {
+                let mut rows = Vec::new();
+                while rows.len() < batch_size {
+                    let Some(values) = loaded.reader.next_row().map_err(spill_err)? else {
+                        break;
+                    };
+                    rows.push(Row::from_values(values));
+                }
+                if !rows.is_empty() {
+                    self.loaded = Some(loaded);
+                    return Ok(Some(rows));
+                }
+                // The probe run is drained: a block-nested-loop partition re-scans it
+                // against its next build block.
+                if loaded.next < loaded.build.rows() {
+                    let pair = (loaded.build, loaded.probe, loaded.depth);
+                    self.load(table, reservation, probe_keys, pair, loaded.next)?;
+                    continue;
+                }
+            }
+            let Some(pair) = self.pending.pop_front() else {
+                table.take_rows();
+                reservation.release_all();
+                return Ok(None);
+            };
+            self.load(table, reservation, probe_keys, pair, 0)?;
+        }
+    }
+
+    /// Load build rows `start..` of a partition pair into the join table, as many as
+    /// the grant allows, and open a scan of its probe run. A partition that exceeds
+    /// the grant is repartitioned with a deeper salt instead (back onto `pending`);
+    /// at [`SPILL_MAX_DEPTH`] it loads as one block of a block nested loop, whose
+    /// first row loads even when its grant is denied — a bounded overcommit of one
+    /// row that guarantees progress when enclosing operators hold the budget. A
+    /// partition of one row wider than the whole budget fails at once: no
+    /// repartitioning can split it.
+    fn load(
+        &mut self,
+        table: &mut JoinTable,
+        reservation: &mut Reservation,
+        probe_keys: &[usize],
+        (build, probe, depth): (SpillRun, SpillRun, u32),
+        start: u64,
+    ) -> Result<(), ExecError> {
+        table.take_rows();
+        reservation.release_all();
+        let mut reader = build.read().map_err(spill_err)?;
+        let mut next = 0u64;
+        while let Some(values) = reader.next_row().map_err(spill_err)? {
+            if next < start {
+                next += 1;
+                continue;
+            }
+            let row = Row::from_values(values);
+            if !reservation.grow(row.width() as u64) {
+                let budget = reservation.governor().budget().unwrap_or(u64::MAX);
+                if build.rows() == 1 && row.width() as u64 > budget {
+                    return Err(ExecError::Spill(format!(
+                        "grace-hash build row of {} bytes exceeds the memory budget of \
+                         {budget} bytes; repartitioning cannot split a single row",
+                        row.width(),
+                    )));
+                }
+                if depth < SPILL_MAX_DEPTH {
+                    drop(reader);
+                    table.take_rows();
+                    reservation.release_all();
+                    return self.repartition(table.keys(), probe_keys, build, probe, depth);
+                }
+                if !table.is_empty() {
+                    break;
+                }
+            }
+            table.push(row);
+            next += 1;
+        }
+        drop(reader);
+        let reader = probe.read().map_err(spill_err)?;
+        self.loaded = Some(LoadedBlock {
+            build,
+            next,
+            depth,
+            probe,
+            reader,
+        });
+        Ok(())
+    }
+
+    /// Split an over-budget partition pair into [`SPILL_FANOUT`] sub-pairs using a
+    /// deeper salt, queueing the non-empty ones at `depth + 1`.
+    fn repartition(
+        &mut self,
+        build_keys: &[usize],
+        probe_keys: &[usize],
+        build: SpillRun,
+        probe: SpillRun,
+        depth: u32,
+    ) -> Result<(), ExecError> {
+        let salt = depth + 1;
+        let mut sides = [spill_writers(&self.dir)?, spill_writers(&self.dir)?];
+        let keys = [build_keys, probe_keys];
+        for (side, source) in [&build, &probe].into_iter().enumerate() {
+            let mut reader = source.read().map_err(spill_err)?;
+            while let Some(values) = reader.next_row().map_err(spill_err)? {
+                let row = Row::from_values(values);
+                if let Some(key) = extract_key(&row, keys[side]) {
+                    sides[side][spill_partition(salt, &key)]
+                        .write_row(row.values())
+                        .map_err(spill_err)?;
+                }
+            }
+        }
+        let [build_writers, probe_writers] = sides;
+        for (build_writer, probe_writer) in build_writers.into_iter().zip(probe_writers) {
+            let sub_build = build_writer.finish().map_err(spill_err)?;
+            let sub_probe = probe_writer.finish().map_err(spill_err)?;
+            self.stats.record(&sub_build);
+            self.stats.record(&sub_probe);
+            if sub_build.rows() > 0 && sub_probe.rows() > 0 {
+                self.pending.push_back((sub_build, sub_probe, salt));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

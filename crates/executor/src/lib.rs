@@ -48,6 +48,7 @@ mod index_nl;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
+mod sort;
 pub mod spill;
 
 pub use error::ExecError;

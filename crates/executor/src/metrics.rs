@@ -1,7 +1,37 @@
 //! Per-operator execution metrics (the EXPLAIN ANALYZE view of a run).
 
 use reopt_planner::RelSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Rows (and their decoded byte widths) currently buffered by the pipeline breakers
+/// of one run, in either engine, and the high-water marks.
+#[derive(Debug, Default)]
+pub(crate) struct Buffered {
+    rows: AtomicU64,
+    peak_rows: AtomicU64,
+    bytes: AtomicU64,
+    peak_bytes: AtomicU64,
+}
+
+impl Buffered {
+    pub(crate) fn acquire(&self, rows: u64, bytes: u64) {
+        let now = self.rows.fetch_add(rows, Ordering::SeqCst) + rows;
+        self.peak_rows.fetch_max(now, Ordering::SeqCst);
+        let now = self.bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        self.peak_bytes.fetch_max(now, Ordering::SeqCst);
+    }
+
+    /// Rows buffered now.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows.load(Ordering::SeqCst)
+    }
+
+    /// The high-water marks: `(rows, bytes)`.
+    pub(crate) fn peaks(&self) -> (u64, u64) {
+        (self.peak_rows.load(Ordering::SeqCst), self.peak_bytes.load(Ordering::SeqCst))
+    }
+}
 
 /// Metrics of a single executed operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,11 +250,10 @@ pub struct QueryMetrics {
     /// Which engine produced the result: `"parallel"` (the morsel-driven engine,
     /// `threads > 1`) or `"single-thread"` (the pull-based operator tree).
     pub engine: &'static str,
-    /// Why a `threads > 1` session ran (or finished) on the single-threaded engine
-    /// anyway: an unsupported plan shape, or a mid-run memory-budget abort that
-    /// restarted the query on the spill-capable engine. `None` when the engine
-    /// matches the session configuration — a silent fallback is an operator-visible
-    /// regression, not business as usual.
+    /// Why a `threads > 1` session ran on the single-threaded engine anyway: an
+    /// unsupported plan shape. `None` when the engine matches the session
+    /// configuration — a silent fallback is an operator-visible regression, not
+    /// business as usual. (A memory budget never causes one: both engines spill.)
     pub fallback: Option<&'static str>,
 }
 

@@ -19,17 +19,18 @@
 //! chain (filters, projections, hash and nested-loop probes against a shared immutable
 //! join table, index-NL probes against shared storage) and feeds the pipeline sink:
 //!
-//! * **root / sort sinks** exchange row batches through a *bounded* channel to the
-//!   coordinator, so streaming operators keep flat memory no matter how fast workers
-//!   produce; for streaming-shaped roots the exchange stays live across `next_batch`
-//!   pulls — the pool keeps producing (up to the channel bound) while the client
-//!   consumes, instead of buffering the whole root result in the first pull;
-//! * **join build sinks** buffer each worker's rows with their `(morsel, sequence)`
-//!   tags; once every worker finished, the coordinator inserts them in tag order into
-//!   one join table (`hash_join.rs`), the single-threaded build's
-//!   order, so probe fan-out order and extracted breaker-state rows are the same at
-//!   every thread count. A hash build reserves its bytes against the governor; a
-//!   nested-loop inner (a join table on zero keys) reserves nothing;
+//! * **streaming roots** exchange row batches through a *bounded* channel that stays
+//!   live across `next_batch` pulls — the pool keeps producing (up to the channel
+//!   bound) while the client consumes, instead of buffering the whole root result
+//!   in the first pull;
+//! * **collection sinks** (sort inputs, small or spilled streaming roots) keep each
+//!   worker's batches with their `(morsel, sequence)` tags, reassembled in tag order;
+//! * **join build sinks** buffer each worker's rows with their tags; once every
+//!   worker finished, the coordinator inserts them in tag order into one join table
+//!   (`hash_join.rs`), the single-threaded build's order, so probe fan-out order and
+//!   extracted breaker-state rows are the same at every thread count. A hash build
+//!   reserves its bytes against the governor; a nested-loop inner (a join table on
+//!   zero keys) reserves nothing;
 //! * **aggregation sinks** fold their batches with the same aggregation kernel as
 //!   the single-threaded engine into per-worker group tables, merged by the
 //!   coordinator at the breaker. Accumulator merging is *exact* for every
@@ -46,6 +47,22 @@
 //! Pipelines whose source is smaller than two morsels run *inline* on the coordinator
 //! through the same chain/sink code, so tiny dimension-table builds never pay thread
 //! spawn latency.
+//!
+//! # Out of core
+//!
+//! Under a memory budget the engine spills in place, through the same kernels as
+//! the single-threaded engine. A denied grant first reports memory pressure: inline
+//! and on the coordinator the event is delivered before the kernel spills, so a
+//! suspending observer stops the run before anything is written; a pool worker
+//! waits (bounded) until the coordinator took the event off the queue, and a file
+//! it writes while the decision is in flight goes with the stopped run. Then a
+//! denied build worker starts the join's grace-hash partitioning (`GraceJoin`) and
+//! every worker writes its rows there; the probe step of a spilled join partitions
+//! its probe rows, and after the main pass each loaded partition block is joined on
+//! the coordinator and its output re-enters the chain above the join as a bounded
+//! `Source::Rows` pass into the same sink. A denied aggregation worker flushes its
+//! group table as a key-sorted run for the coordinator's merge, and the coordinator
+//! runs the sort (`SortBuffer`).
 //!
 //! # The observer contract under parallelism
 //!
@@ -97,23 +114,25 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, bind_opt as bind_exec_opt, open_single, probe_label, relation_schema,
+    bind as bind_exec, probe_label, relation_schema,
     resolve_index_row_ids, scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState,
     ExecConfig, ExecEvent, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
-    RowBatch, SinglePipeline, TableRead,
+    RowBatch, TableRead,
 };
-use crate::agg::{AggKernel, GroupTable, Tag};
-use crate::hash_join::{JoinKernel, JoinTable};
+use crate::agg::{AggKernel, GroupSpill, GroupTable, Tag};
+use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
-use crate::metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
+use crate::metrics::{Buffered, MetricsNode, OperatorMetrics, QueryMetrics};
 use crate::pool::{Gate, TaskHandle, WorkerPool};
+use crate::sort::{SortBuffer, Sorted};
+use crate::spill::{Reservation, SpillStats};
 use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
-use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table, Value};
+use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Rows per morsel, in units of the executor batch size: each morsel is a contiguous
@@ -148,8 +167,6 @@ pub fn plan_supported(plan: &PhysicalPlan) -> bool {
 
 /// Plans that fell back to the single-threaded engine because of their *shape*
 /// (`fallback_reason` returned `Some`) despite `threads > 1`, process-wide.
-/// Memory-budget spill restarts are deliberately not counted — they are a resource
-/// decision, not a coverage gap.
 static PLAN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of plan-shape fallbacks to the single-threaded engine at
@@ -204,101 +221,58 @@ struct Shared {
     seam: AtomicBool,
     /// Whether an observer is installed (workers skip event bookkeeping otherwise).
     observer_active: bool,
-    /// The executor's settings; breaker sinks reserve against `config.governor`.
+    /// The executor's settings; breaker sinks reserve against `config.governor`
+    /// through grants of their own (the kernels' [`Reservation`]s).
     config: ExecConfig,
     /// Worker-enqueued events, drained by the coordinator in FIFO order.
     events: Mutex<VecDeque<ExecEvent>>,
     /// First worker error; its presence also quiesces the run.
     error: Mutex<Option<ExecError>>,
-    /// Rows currently buffered by breakers (partial and merged states alike).
-    buffered_current: AtomicU64,
-    /// High-water mark of `buffered_current`.
-    buffered_peak: AtomicU64,
-    /// Bytes currently buffered by breakers (same accounting points as rows).
-    buffered_bytes_current: AtomicU64,
-    /// High-water mark of `buffered_bytes_current`.
-    buffered_bytes_peak: AtomicU64,
-    /// Bytes this run currently holds from the governor (released when the run's
-    /// shared state drops, matching the single-threaded reservation lifetime).
-    reserved: AtomicU64,
-    /// A breaker sink's reservation was denied: the parallel engine has no spill
-    /// path of its own, so the run aborts with [`ExecError::Spill`] and the
-    /// pipeline facade restarts it on the single-threaded spill engine (unless
-    /// the observer chose to suspend on the memory-pressure event instead).
-    spill_needed: AtomicBool,
+    /// Rows and bytes buffered by breakers (partial and merged states alike).
+    buffered: Buffered,
+}
+
+/// Lock a join's grace-hash state, shared by the workers that spill into it. A worker
+/// that panicked while holding it left it half-written, and has failed the query.
+fn lock<T>(grace: &Mutex<T>) -> Result<MutexGuard<'_, T>, ExecError> {
+    grace
+        .lock()
+        .map_err(|_| ExecError::Spill("grace-hash partitions poisoned by a worker panic".into()))
 }
 
 impl Shared {
-    fn acquire(&self, rows: u64, bytes: u64) {
-        let current = self.buffered_current.fetch_add(rows, Ordering::SeqCst) + rows;
-        self.buffered_peak.fetch_max(current, Ordering::SeqCst);
-        let current_bytes = self
-            .buffered_bytes_current
-            .fetch_add(bytes, Ordering::SeqCst)
-            + bytes;
-        self.buffered_bytes_peak
-            .fetch_max(current_bytes, Ordering::SeqCst);
-    }
-
+    /// Stop the run on a worker error. A suspension reported from inside a sink (its
+    /// memory-pressure event stopped the run) is the stop itself, not a failure.
     fn fail(&self, error: ExecError) {
-        let mut slot = self.error.lock().expect("error lock");
-        if slot.is_none() {
-            *slot = Some(error);
+        if error != ExecError::Suspended {
+            let mut slot = self.error.lock().expect("error lock");
+            if slot.is_none() {
+                *slot = Some(error);
+            }
         }
         self.quiesce.store(true, Ordering::SeqCst);
     }
 
-    /// Try to reserve `bytes` of the run's memory budget. Unlimited budgets (the
-    /// default) return immediately without touching shared counters.
-    fn try_reserve(&self, bytes: u64) -> bool {
-        if self.config.governor.is_unlimited() {
-            return true;
-        }
-        if self.config.governor.try_reserve(bytes) {
-            self.reserved.fetch_add(bytes, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The memory-pressure event describing a denied reservation at `kind`.
-    fn pressure_event(&self, kind: BreakerKind, rel_set: RelSet, estimated_rows: f64) -> ExecEvent {
-        ExecEvent::MemoryPressure(MemoryPressureEvent {
-            kind,
-            rel_set,
-            estimated_rows,
-            buffered_rows: self.buffered_current.load(Ordering::SeqCst),
-            buffered_bytes: self.reserved.load(Ordering::SeqCst),
-            budget_bytes: self.config.governor.budget().unwrap_or(0),
-        })
-    }
-
-    /// Worker-side reservation: on denial, surface memory pressure to the observer
-    /// (via the event queue), mark the run as needing the spill engine, and return
-    /// the [`ExecError::Spill`] that aborts it. If the observer suspends on the
-    /// pressure event the coordinator resolves the abort as a suspension instead.
-    fn reserve_or_spill(
+    /// A sink's memory-pressure callback: enqueue the event of its denied `grant`
+    /// and let the coordinator take it (`pump`). Returns [`ExecError::Suspended`]
+    /// once the run is stopping, so the kernel commits no spill.
+    fn pressure(
         &self,
-        bytes: u64,
         kind: BreakerKind,
-        rel_set: RelSet,
-        estimated_rows: f64,
+        meta: (RelSet, f64),
+        grant: &Reservation,
+        pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
-        if self.try_reserve(bytes) {
-            return Ok(());
-        }
         if self.observer_active {
-            self.events
-                .lock()
-                .expect("event queue")
-                .push_back(self.pressure_event(kind, rel_set, estimated_rows));
+            let rows = self.buffered.rows();
+            let event = MemoryPressureEvent::denied(kind, meta, rows, grant);
+            self.events.lock().expect("event queue").push_back(event);
+            pump();
         }
-        self.spill_needed.store(true, Ordering::SeqCst);
-        Err(ExecError::Spill(
-            "memory budget exceeded in the parallel engine; restarting on the single-threaded spill engine"
-                .into(),
-        ))
+        if self.quiesce.load(Ordering::SeqCst) {
+            return Err(ExecError::Suspended);
+        }
+        Ok(())
     }
 
     /// Whether in-flight work should be abandoned mid-step (immediate suspension or
@@ -330,16 +304,6 @@ impl Shared {
     }
 }
 
-impl Drop for Shared {
-    fn drop(&mut self) {
-        // The run's breaker buffers die with its shared state (chains, tables and
-        // partial sinks all hold an `Arc<Shared>`), so this is where the governor
-        // reservation is returned — mirroring the single-threaded engine, whose
-        // `Reservation` releases when the operator tree drops.
-        self.config.governor.release(*self.reserved.get_mut());
-    }
-}
-
 /// Per-plan-node execution counters (the parallel analogue of `OpStats`).
 #[derive(Default)]
 struct ParStats {
@@ -351,6 +315,8 @@ struct ParStats {
     encoding: OnceLock<&'static str>,
     /// For index nested-loop joins: how the probe step runs (set at compile).
     probe: OnceLock<&'static str>,
+    /// What the node's kernel spilled, on any worker.
+    spill: Arc<SpillStats>,
 }
 
 impl ParStats {
@@ -385,6 +351,7 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
         .map(|(p, s)| assemble_metrics(p, s))
         .collect();
     let own = stats.stats.exhausted.load(Ordering::SeqCst);
+    let (spilled_bytes, spill_partitions) = stats.stats.spill.get();
     // A satisfied LIMIT is a finished operator even though its (truncated-early)
     // child is not — matching the single-threaded `LimitOp`, which stops pulling.
     let exhausted = if matches!(plan.kind, PlanKind::Limit { .. }) {
@@ -404,10 +371,8 @@ fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
             elapsed: Duration::from_nanos(stats.stats.nanos.load(Ordering::SeqCst)),
             encoding: stats.stats.encoding.get().copied(),
             probe: stats.stats.probe.get().copied(),
-            // The parallel engine never spills: a denied reservation aborts the run
-            // and the facade restarts it on the single-threaded spill engine.
-            spilled_bytes: 0,
-            spill_partitions: 0,
+            spilled_bytes,
+            spill_partitions,
         },
         children,
     }
@@ -526,11 +491,9 @@ enum StepKind {
     Filter(Expr),
     Project(Vec<Expr>),
     /// A hash or plain nested-loop join probing the shared build table of its
-    /// completed build pipeline.
-    Probe {
-        table: Arc<JoinTable>,
-        kernel: JoinKernel,
-    },
+    /// completed build pipeline, or partitioning its probe rows once the build
+    /// spilled.
+    Probe { build: Built, kernel: JoinKernel },
     IndexProbe {
         table: Arc<Table>,
         /// The inner join-key column; the index over it (when `use_index`) is
@@ -553,6 +516,13 @@ struct Step {
     kind: StepKind,
     stats: Arc<ParStats>,
     progress: Option<ProgressInfo>,
+}
+
+/// A completed join build: the shared table, or the grace-hash partitions of a
+/// build that went out of core.
+enum Built {
+    Table(Arc<JoinTable>),
+    Spilled(Box<Mutex<GraceJoin>>),
 }
 
 impl Step {
@@ -588,7 +558,17 @@ impl Step {
                 }
                 Batch::Rows(out)
             }
-            StepKind::Probe { table, kernel } => {
+            StepKind::Probe {
+                build: Built::Spilled(grace),
+                kernel,
+            } => {
+                lock(grace)?.write(batch.into_rows(), kernel.probe_keys())?;
+                Batch::Rows(Vec::new())
+            }
+            StepKind::Probe {
+                build: Built::Table(table),
+                kernel,
+            } => {
                 let mut probe = kernel.batch(batch);
                 let mut out = Vec::new();
                 // An immediate quiesce request (suspension or a peer worker's error)
@@ -645,13 +625,18 @@ impl Step {
                 }
             }
         };
-        let elapsed = start.elapsed();
+        self.account(out.len(), start, shared, batch_size);
+        Ok(out)
+    }
+
+    /// Record `rows` of output in output-batch units, so `batches` and the progress
+    /// cadence match the single-threaded engine, which paces join output at the
+    /// batch size.
+    fn account(&self, rows: usize, start: Instant, shared: &Shared, batch_size: usize) {
         self.stats
             .nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::SeqCst);
-        // Account in output-batch units so `batches` and the progress cadence match
-        // the single-threaded engine, which paces join output at the batch size.
-        let mut remaining = out.len();
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::SeqCst);
+        let mut remaining = rows;
         while remaining > 0 {
             let len = remaining.min(batch_size);
             remaining -= len;
@@ -677,7 +662,6 @@ impl Step {
                 }
             }
         }
-        Ok(out)
     }
 }
 
@@ -687,10 +671,11 @@ impl Step {
 
 /// Per-worker partial state of a join build sink: rows tagged with their
 /// `(morsel, sequence)` position, so the merge step inserts them in the
-/// single-threaded build's order.
+/// single-threaded build's order, and their grant.
 struct BuildLocal {
     rows: Vec<(Tag, Row)>,
     seq: u64,
+    grant: Reservation,
 }
 
 /// The aggregate computation of one pipeline sink (shared by workers by reference).
@@ -699,8 +684,9 @@ struct BuildLocal {
 struct AggSpec {
     kernel: AggKernel,
     /// The aggregate input's relation set and estimate (for memory-pressure events).
-    rel_set: RelSet,
-    estimated_rows: f64,
+    meta: (RelSet, f64),
+    /// The aggregate node's spill volume.
+    spill: Arc<SpillStats>,
 }
 
 // ---------------------------------------------------------------------------
@@ -725,6 +711,8 @@ struct Engine<'p> {
     /// This query's task registration: all jobs submit through it, so the pool's
     /// fairness discipline sees one queue per query.
     task: TaskHandle,
+    /// The grants of the in-memory join tables, held until the run ends.
+    held: Reservation,
 }
 
 /// Resolve a table to its shared chunk handle, which `'static` chain jobs can hold
@@ -807,29 +795,23 @@ impl<'p> Engine<'p> {
             return Ok(Vec::new());
         }
         match &plan.kind {
-            PlanKind::Aggregate {
-                group_by,
-                aggregates,
-            } => {
+            PlanKind::Aggregate { .. } => {
                 let child = &plan.children[0];
                 let child_stats = &stats.children[0];
-                let input_schema = &child.schema;
                 let spec = Arc::new(AggSpec {
-                    kernel: AggKernel::new(
-                        group_by
-                            .iter()
-                            .map(|e| bind_exec(e, input_schema))
-                            .collect::<Result<Vec<_>, _>>()?,
-                        aggregates.iter().map(|a| a.func).collect(),
-                        aggregates
-                            .iter()
-                            .map(|a| bind_exec_opt(a.arg.as_ref(), input_schema))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                    rel_set: child.rel_set,
-                    estimated_rows: child.estimated_rows,
+                    kernel: AggKernel::new(plan)?,
+                    meta: (child.rel_set, child.estimated_rows),
+                    spill: Arc::clone(&stats.stats.spill),
                 });
-                let locals = self.run_pipeline_agg(child, child_stats, Arc::clone(&spec))?;
+                let compiled = Arc::new(self.compile(child, child_stats)?);
+                if self.stopped() {
+                    return Ok(Vec::new());
+                }
+                let factory = AggSinkFactory {
+                    spec: Arc::clone(&spec),
+                    shared: Arc::clone(&self.shared),
+                };
+                let locals = self.execute_pipeline(&compiled, factory)?;
                 if self.stopped() {
                     return Ok(Vec::new());
                 }
@@ -850,100 +832,143 @@ impl<'p> Engine<'p> {
                 stats.stats.exhausted.store(true, Ordering::SeqCst);
                 Ok(rows)
             }
-            PlanKind::Sort { keys } => {
-                let child = &plan.children[0];
-                let child_stats = &stats.children[0];
-                let input_schema = &child.schema;
-                let bound_keys: Vec<(Expr, bool)> = keys
-                    .iter()
-                    .map(|(e, asc)| Ok((bind_exec(e, input_schema)?, *asc)))
-                    .collect::<Result<Vec<_>, ExecError>>()?;
-                let rows = self.run_pipeline_collect(child, child_stats)?;
-                if self.stopped() {
-                    return Ok(Vec::new());
-                }
-                let sort_start = Instant::now();
-                let bytes: u64 = rows.iter().map(|row| row.width() as u64).sum();
-                // Coordinator-side reservation: deliver the pressure event inline so
-                // the observer can suspend before the run aborts to the spill engine.
-                if !self.shared.try_reserve(bytes) {
-                    self.deliver_event(self.shared.pressure_event(
-                        BreakerKind::SortInput,
-                        child.rel_set,
-                        child.estimated_rows,
-                    ));
-                    if self.stopped() {
-                        return Ok(Vec::new());
-                    }
-                    self.shared.spill_needed.store(true, Ordering::SeqCst);
-                    return Err(ExecError::Spill(
-                        "memory budget exceeded in the parallel engine; restarting on the single-threaded spill engine"
-                            .into(),
-                    ));
-                }
-                self.shared.acquire(rows.len() as u64, bytes);
-                self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
-                    kind: BreakerKind::SortInput,
-                    rel_set: child.rel_set,
-                    estimated_rows: child.estimated_rows,
-                    actual_rows: child_stats.stats.rows.load(Ordering::SeqCst),
-                    reusable: false,
-                }));
-                if self.stopped() {
-                    return Ok(Vec::new());
-                }
-                let rows = sort_rows(rows, &bound_keys)?;
-                stats.stats.record(rows.len(), sort_start.elapsed());
-                stats.stats.exhausted.store(true, Ordering::SeqCst);
-                Ok(rows)
+            PlanKind::Sort { .. } => Ok(self
+                .eval_sort(plan, stats)?
+                .next_batch(usize::MAX)?
+                .unwrap_or_default()),
+            _ => {
+                let compiled = Arc::new(self.compile(plan, stats)?);
+                self.collect_compiled(&compiled)
             }
-            _ => self.run_pipeline_collect(plan, stats),
         }
+    }
+
+    /// Sort a `Sort` node's input on the coordinator with the sort kernel: in
+    /// memory, or, once a grant is denied, through sorted runs served by a merge.
+    fn eval_sort(&mut self, plan: &'p PhysicalPlan, stats: &StatsTree) -> Result<Sorted, ExecError> {
+        let governor = Arc::clone(&self.shared.config.governor);
+        let none = || Ok(Sorted::memory(Vec::new(), governor.reservation()));
+        let (child, child_stats) = (&plan.children[0], &stats.children[0]);
+        let spill = Arc::clone(&stats.stats.spill);
+        let mut buffer = SortBuffer::new(plan, governor.reservation(), spill)?;
+        let compiled = Arc::new(self.compile(child, child_stats)?);
+        let rows = self.collect_compiled(&compiled)?;
+        if self.stopped() {
+            return none();
+        }
+        let start = Instant::now();
+        let input_rows = rows.len();
+        let meta = (child.rel_set, child.estimated_rows);
+        let mut pressure = |_, grant: &Reservation| {
+            let buffered = self.shared.buffered.rows();
+            self.deliver_event(MemoryPressureEvent::denied(BreakerKind::SortInput, meta, buffered, grant));
+            if self.stopped() {
+                return Err(ExecError::Suspended);
+            }
+            Ok(())
+        };
+        let mut rows = rows.into_iter();
+        loop {
+            let batch: Vec<Row> = rows.by_ref().take(self.shared.config.batch_size).collect();
+            if batch.is_empty() {
+                break;
+            }
+            let (len, bytes) = (batch.len() as u64, batch.iter().map(|row| row.width() as u64).sum());
+            match buffer.push(batch, bytes, &mut pressure) {
+                Ok(granted) if granted => self.shared.buffered.acquire(len, bytes),
+                Ok(_) => {}
+                Err(ExecError::Suspended) if self.stopped() => return none(),
+                Err(error) => return Err(error),
+            }
+        }
+        self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
+            kind: BreakerKind::SortInput,
+            rel_set: child.rel_set,
+            estimated_rows: child.estimated_rows,
+            actual_rows: child_stats.stats.rows.load(Ordering::SeqCst),
+            reusable: false,
+        }));
+        if self.stopped() {
+            return none();
+        }
+        let sorted = buffer.finish()?;
+        stats.stats.record(input_rows, start.elapsed());
+        stats.stats.exhausted.store(true, Ordering::SeqCst);
+        Ok(sorted)
     }
 
     /// Build a join table from a build-side subtree (a hash build or a nested-loop
     /// inner): a pipeline ending in a build sink, plus the breaker completion event
-    /// and (for observed runs) the retained state.
+    /// and (for observed runs) the retained state. A build that spilled returns its
+    /// sealed partitions instead.
     fn eval_build(
         &mut self,
         plan: &'p PhysicalPlan,
         stats: &StatsTree,
-        table: JoinTable,
+        mut table: JoinTable,
         kind: BreakerKind,
         join_stats: &Arc<ParStats>,
-    ) -> Result<Arc<JoinTable>, ExecError> {
+    ) -> Result<Built, ExecError> {
         let compiled = Arc::new(self.compile(plan, stats)?);
+        let grace = Arc::new(Mutex::new(None));
         let factory = BuildSinkFactory {
             kind,
             shared: Arc::clone(&self.shared),
-            rel_set: plan.rel_set,
-            estimated_rows: plan.estimated_rows,
+            meta: (plan.rel_set, plan.estimated_rows),
+            keys: table.keys().to_vec(),
+            grace: Arc::clone(&grace),
+            spill: Arc::clone(&join_stats.spill),
         };
-        let worker_locals = self.execute_pipeline(&compiled, factory)?;
+        let locals = self.execute_pipeline(&compiled, factory)?;
         if self.stopped() {
-            return Ok(Arc::new(table));
+            return Ok(Built::Table(Arc::new(table)));
         }
         let merge_start = Instant::now();
-        let table = Arc::new(merge_build(table, worker_locals));
+        let spilled = lock(&grace)?.take();
+        let mut rows: Vec<(Tag, Row)> = Vec::new();
+        for local in locals {
+            rows.extend(local.rows);
+            if spilled.is_none() {
+                self.held.absorb(local.grant);
+            }
+        }
+        // Tag order is the global scan order: the table (its probe fan-out order and
+        // its extracted rows) is the single-threaded build's, at any thread count.
+        rows.sort_unstable_by_key(|(tag, _)| *tag);
+        let rows = rows.into_iter().map(|(_, row)| row);
+        let (built, actual_rows) = match spilled {
+            Some(mut grace) => {
+                grace.write_build(rows.collect(), table.keys())?;
+                grace.seal_build()?;
+                let input_rows = grace.input_rows;
+                (Built::Spilled(Box::new(Mutex::new(grace))), input_rows)
+            }
+            None => {
+                rows.for_each(|row| table.push(row));
+                let table = Arc::new(table);
+                if self.shared.observer_active {
+                    self.completed_builds.push(CompletedBuild {
+                        kind,
+                        rel_set: plan.rel_set,
+                        schema: plan.schema.clone(),
+                        table: Arc::clone(&table),
+                    });
+                }
+                let rows = table.len() as u64;
+                (Built::Table(table), rows)
+            }
+        };
         join_stats
             .nanos
             .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::SeqCst);
-        if self.shared.observer_active {
-            self.completed_builds.push(CompletedBuild {
-                kind,
-                rel_set: plan.rel_set,
-                schema: plan.schema.clone(),
-                table: Arc::clone(&table),
-            });
-        }
         self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
             kind,
             rel_set: plan.rel_set,
             estimated_rows: plan.estimated_rows,
-            actual_rows: table.len() as u64,
-            reusable: true,
+            actual_rows,
+            reusable: matches!(built, Built::Table(_)),
         }));
-        Ok(table)
+        Ok(built)
     }
 
     /// Execute a LIMIT-rooted plan. The child pipeline runs through a morsel-ordered
@@ -963,18 +988,29 @@ impl<'p> Engine<'p> {
         let child = &plan.children[0];
         let child_stats = &stats.children[0];
         let start = Instant::now();
-        // LIMIT over a breaker root (aggregate / sort) truncates the materialized
-        // output directly — the breaker drains its input completely either way.
-        if matches!(child.kind, PlanKind::Aggregate { .. } | PlanKind::Sort { .. }) {
-            let mut rows = self.eval_rows(child, child_stats)?;
-            if self.stopped() {
-                return Ok(Vec::new());
+        // LIMIT over a breaker root (aggregate / sort), which drains its input
+        // completely either way, or over a spilled join, whose partitions re-enter
+        // the chain after the main pass where no morsel-ordered cut can follow them,
+        // truncates the materialized output.
+        let compiled = match child.kind {
+            PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => None,
+            _ => Some(Arc::new(self.compile(child, child_stats)?)),
+        };
+        let compiled = match compiled {
+            Some(compiled) if !compiled.spilled() => compiled,
+            compiled => {
+                let mut rows = match compiled {
+                    Some(compiled) => self.collect_compiled(&compiled)?,
+                    None => self.eval_rows(child, child_stats)?,
+                };
+                if self.stopped() {
+                    return Ok(Vec::new());
+                }
+                rows.truncate(count);
+                self.record_limit(stats, &rows, start);
+                return Ok(rows);
             }
-            rows.truncate(count);
-            self.record_limit(stats, &rows, start);
-            return Ok(rows);
-        }
-        let compiled = Arc::new(self.compile(child, child_stats)?);
+        };
         if self.stopped() {
             return Ok(Vec::new());
         }
@@ -985,7 +1021,7 @@ impl<'p> Engine<'p> {
             let cursor = AtomicUsize::new(0);
             let shared = Arc::clone(&self.shared);
             let out_ref = &mut out;
-            let result = worker_loop(
+            worker_loop(
                 &compiled,
                 &self.shared,
                 &cursor,
@@ -1005,7 +1041,6 @@ impl<'p> Engine<'p> {
                 },
                 &|| self.pump_events(),
             );
-            result?;
         } else {
             let (tx, rx) = sync_channel::<LimitMsg>(compiled.workers * 2);
             let ctx = self.launch_chains(
@@ -1185,7 +1220,7 @@ impl<'p> Engine<'p> {
                     steps.push(Step {
                         // The table is patched in once the registered build runs.
                         kind: StepKind::Probe {
-                            table: Arc::default(),
+                            build: Built::Table(Arc::default()),
                             kernel,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
@@ -1219,7 +1254,7 @@ impl<'p> Engine<'p> {
                             table.column(inner_key_idx),
                         );
                         let entries = index.entry_count() as u64;
-                        self.shared.acquire(entries, 8 * entries);
+                        self.shared.buffered.acquire(entries, 8 * entries);
                         Some(Arc::new(index))
                     } else {
                         None
@@ -1292,7 +1327,7 @@ impl<'p> Engine<'p> {
                             ExecError::InvalidPlan(format!("no usable index on column '{column}'"))
                         })?;
                     let ids = resolve_index_row_ids(index, lookup);
-                    self.shared.acquire(ids.len() as u64, 8 * ids.len() as u64);
+                    self.shared.buffered.acquire(ids.len() as u64, 8 * ids.len() as u64);
                     let _ = node_stats.stats.encoding.set("row");
                     let read = TableRead::new(
                         &relation_schema(&table, alias),
@@ -1342,8 +1377,8 @@ impl<'p> Engine<'p> {
                     request.kind,
                     &request.join_stats,
                 )?;
-                if let StepKind::Probe { table: slot, .. } = &mut steps[request.step].kind {
-                    *slot = table;
+                if let StepKind::Probe { build, .. } = &mut steps[request.step].kind {
+                    *build = table;
                 }
             }
         }
@@ -1356,7 +1391,9 @@ impl<'p> Engine<'p> {
         let workers = config.threads.min(morsels).max(1);
         Ok(Compiled {
             source,
-            steps,
+            steps: steps.into(),
+            first_step: 0,
+            first_morsel: 0,
             exhaust_marks,
             morsel_rows,
             morsels,
@@ -1395,29 +1432,95 @@ impl<'p> Engine<'p> {
     }
 
     /// Run a compiled pipeline into per-worker sink states, returning one local state
-    /// per worker. Inline (single worker) execution uses the same sink code on the
-    /// coordinator thread, with the event pump interleaved after every chain batch.
-    fn execute_pipeline<S: SinkFactory>(
+    /// per worker (and per pass). After the main pass, each spilled join in the
+    /// chain, source-up, joins its partitions on the coordinator: the loaded blocks'
+    /// output re-enters the chain above the join as bounded `Source::Rows` passes
+    /// into the same sink (the passes of a lower join feed the probe partitions of
+    /// a higher one).
+    fn execute_pipeline<S: SinkFactory + Clone>(
         &self,
         compiled: &Arc<Compiled>,
         factory: S,
     ) -> Result<Vec<S::Local>, ExecError> {
-        let worker_locals: Vec<S::Local> = if compiled.workers <= 1 {
+        let mut locals = self.run_morsels(compiled, &factory)?;
+        let mut next_morsel = compiled.morsels;
+        let batch_size = self.shared.config.batch_size;
+        let bound = compiled.morsel_rows.saturating_mul(self.shared.config.threads.max(1));
+        for (idx, step) in compiled.steps.iter().enumerate() {
+            let StepKind::Probe {
+                build: Built::Spilled(grace),
+                kernel,
+            } = &step.kind
+            else {
+                continue;
+            };
+            let mut grace = lock(grace)?;
+            grace.seal_probe()?;
+            let (mut table, mut grant) = (kernel.table(), self.shared.config.governor.reservation());
+            let (mut probe, mut scratch) = (ProbeBatch::default(), Row::default());
+            while !self.shared.quiesce.load(Ordering::SeqCst) {
+                let start = Instant::now();
+                let mut out = Vec::new();
+                while out.len() < bound {
+                    if probe.done() {
+                        let keys = kernel.probe_keys();
+                        match grace.next_probe_rows(&mut table, &mut grant, keys, batch_size)? {
+                            Some(rows) => probe = kernel.batch(Batch::Rows(rows)),
+                            None => break,
+                        }
+                    }
+                    kernel.probe(&table, &mut probe, bound, &mut scratch, &mut out)?;
+                }
+                if out.is_empty() {
+                    break;
+                }
+                step.account(out.len(), start, &self.shared, batch_size);
+                let morsels = out.len().div_ceil(compiled.morsel_rows);
+                let pass = Arc::new(Compiled {
+                    source: Source::Rows(out),
+                    steps: Arc::clone(&compiled.steps),
+                    first_step: idx + 1,
+                    first_morsel: next_morsel,
+                    exhaust_marks: Vec::new(),
+                    morsel_rows: compiled.morsel_rows,
+                    morsels,
+                    workers: compiled.workers.min(morsels),
+                });
+                next_morsel += morsels;
+                locals.extend(self.run_morsels(&pass, &factory)?);
+                self.pump_events();
+            }
+        }
+        if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
+            self.finish_pipeline(compiled);
+        }
+        Ok(locals)
+    }
+
+    /// One pass over a compiled source: inline (single worker) on the coordinator
+    /// with the event pump interleaved after every chain batch, or on the pool.
+    fn run_morsels<S: SinkFactory + Clone>(
+        &self,
+        compiled: &Arc<Compiled>,
+        factory: &S,
+    ) -> Result<Vec<S::Local>, ExecError> {
+        let locals = if compiled.workers <= 1 {
             let cursor = AtomicUsize::new(0);
             let mut local = factory.make();
+            let pump = || self.pump_events();
             worker_loop(
                 compiled,
                 &self.shared,
                 &cursor,
                 &mut |morsel, batch| match batch {
-                    Some(batch) => factory.consume(&mut local, morsel, batch),
+                    Some(batch) => factory.consume(&mut local, morsel, batch, &pump),
                     None => factory.morsel_done(&mut local, morsel),
                 },
-                &|| self.pump_events(),
-            )?;
+                &pump,
+            );
             vec![local]
         } else {
-            let ctx = self.launch_chains(compiled, factory);
+            let ctx = self.launch_chains(compiled, factory.clone());
             // The coordinator pumps worker-enqueued events while the pool drains
             // the morsel queue.
             ctx.gate.wait_pumping(&|| self.pump_events());
@@ -1425,13 +1528,10 @@ impl<'p> Engine<'p> {
             let locals = std::mem::take(&mut *ctx.locals.lock().expect("chain locals"));
             locals
         };
-        if let Some(error) = self.take_error() {
-            return Err(error);
+        match self.take_error() {
+            Some(error) => Err(error),
+            None => Ok(locals),
         }
-        if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(compiled);
-        }
-        Ok(worker_locals)
     }
 
     /// Mark a fully-drained pipeline's operators exhausted and emit the one-shot
@@ -1442,7 +1542,7 @@ impl<'p> Engine<'p> {
         for mark in &compiled.exhaust_marks {
             mark.exhausted.store(true, Ordering::SeqCst);
         }
-        for step in &compiled.steps {
+        for step in compiled.steps.iter() {
             if let Some(progress) = &step.progress {
                 if progress.reports_exhaustion {
                     self.deliver_event(ExecEvent::Progress(ProgressEvent {
@@ -1461,103 +1561,16 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Run a pipeline that collects its output rows: workers exchange batches through
-    /// a bounded channel; the coordinator consumes them (so memory stays flat at
-    /// `workers x channel depth` batches) while pumping observer events.
-    fn run_pipeline_collect(
-        &mut self,
-        plan: &'p PhysicalPlan,
-        stats: &StatsTree,
-    ) -> Result<Vec<Row>, ExecError> {
-        let compiled = Arc::new(self.compile(plan, stats)?);
-        self.collect_compiled(&compiled)
-    }
-
-    /// Drain an already-compiled pipeline into a row vector (inline on the
-    /// coordinator at `workers <= 1`, through the exchange otherwise).
+    /// Drain an already-compiled pipeline into a row vector, in `(morsel, sequence)`
+    /// order: the global scan order, run-identical to an inline collection.
     fn collect_compiled(&self, compiled: &Arc<Compiled>) -> Result<Vec<Row>, ExecError> {
         if self.stopped() {
             return Ok(Vec::new());
         }
-        let mut out_rows: Vec<Row> = Vec::new();
-        if compiled.workers <= 1 {
-            let cursor = AtomicUsize::new(0);
-            let out = &mut out_rows;
-            let result = worker_loop(
-                compiled,
-                &self.shared,
-                &cursor,
-                &mut |_, batch| {
-                    if let Some(batch) = batch {
-                        out.extend(batch.into_rows());
-                    }
-                    Ok(())
-                },
-                &|| self.pump_events(),
-            );
-            result?;
-        } else {
-            let (tx, rx) = sync_channel::<(Tag, RowBatch)>(compiled.workers * 2);
-            let ctx = self.launch_chains(
-                compiled,
-                TaggedChannelSink {
-                    tx,
-                    shared: Arc::clone(&self.shared),
-                    task: self.task.clone(),
-                },
-            );
-            // Consume the exchange while the chains drain the cursor. The context
-            // itself holds a sender, so end-of-stream is detected through the gate
-            // (all chains retired) rather than channel disconnection.
-            let mut tagged: Vec<(Tag, RowBatch)> = Vec::new();
-            loop {
-                match rx.recv_timeout(Duration::from_micros(100)) {
-                    Ok(entry) => tagged.push(entry),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if ctx.gate.finished() {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-                self.pump_events();
-            }
-            while let Ok(entry) = rx.try_recv() {
-                tagged.push(entry);
-            }
-            self.pump_events();
-            // Reassemble in `(morsel, sequence)` order: run-identical to the inline
-            // (single-worker) collection, which is the global scan order.
-            tagged.sort_by_key(|(tag, _)| *tag);
-            for (_, batch) in tagged {
-                out_rows.extend(batch);
-            }
-        }
-        if let Some(error) = self.take_error() {
-            return Err(error);
-        }
-        if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(compiled);
-        }
-        Ok(out_rows)
-    }
-
-    /// Run a pipeline into per-worker partial-aggregation states.
-    fn run_pipeline_agg(
-        &mut self,
-        plan: &'p PhysicalPlan,
-        stats: &StatsTree,
-        spec: Arc<AggSpec>,
-    ) -> Result<Vec<GroupTable>, ExecError> {
-        let compiled = Arc::new(self.compile(plan, stats)?);
-        if self.stopped() {
-            return Ok(Vec::new());
-        }
-        let factory = AggSinkFactory {
-            spec,
-            shared: Arc::clone(&self.shared),
-        };
-        self.execute_pipeline(&compiled, factory)
+        let mut batches: Vec<(Tag, RowBatch)> =
+            self.execute_pipeline(compiled, CollectSink)?.into_iter().flatten().collect();
+        batches.sort_by_key(|(tag, _)| *tag);
+        Ok(batches.into_iter().flat_map(|(_, batch)| batch).collect())
     }
 
     fn breaker_states(&mut self) -> Vec<BreakerState> {
@@ -1584,12 +1597,28 @@ impl<'p> Engine<'p> {
 /// through an `Arc` and may outlive the stack frame that compiled it.
 struct Compiled {
     source: Source,
-    steps: Vec<Step>,
+    /// The chain, shared with the passes of its spilled joins.
+    steps: Arc<[Step]>,
+    /// The chain step the source feeds (past the spilled join, for a pass).
+    first_step: usize,
+    /// The morsel index of the source's first morsel (after the morsels of the
+    /// main pass and earlier passes, so sink tags stay unique and ordered).
+    first_morsel: usize,
     /// Stats of every chain operator, marked exhausted when the pipeline drains.
     exhaust_marks: Vec<Arc<ParStats>>,
     morsel_rows: usize,
     morsels: usize,
     workers: usize,
+}
+
+impl Compiled {
+    /// Whether a join in the chain spilled its build.
+    fn spilled(&self) -> bool {
+        let spilled = |step: &Step| {
+            matches!(step.kind, StepKind::Probe { build: Built::Spilled(_), .. })
+        };
+        self.steps.iter().any(spilled)
+    }
 }
 
 /// Compile-time proof that compiled pipelines (and their shared run state) can be
@@ -1639,33 +1668,39 @@ fn process_one_morsel(
         // The sink takes the chain's last batch as it is (an aggregate reads a
         // column batch in place; other sinks decode it).
         push_chain(
-            &compiled.steps,
+            &compiled.steps[compiled.first_step..],
             batch,
             shared,
             chunk,
             mask_cache,
-            &mut |batch| sink(morsel, Some(batch)),
+            &mut |batch| sink(compiled.first_morsel + morsel, Some(batch)),
             pump,
         )?;
     }
-    sink(morsel, None)?;
+    sink(compiled.first_morsel + morsel, None)?;
     Ok(true)
 }
 
 /// The morsel loop of the inline (single-worker) path: drain the cursor on the
-/// coordinator thread, pumping observer events after every chain step.
+/// coordinator thread, pumping observer events after every chain step. An error
+/// fails the run as a pool worker's would.
 fn worker_loop(
     compiled: &Compiled,
     shared: &Shared,
     cursor: &AtomicUsize,
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
-) -> Result<(), ExecError> {
+) {
     // Worker-private kernel cache: truth tables are cheap to rebuild per worker and
     // this keeps the hot mask loop lock-free.
     let mut mask_cache = MaskCache::new();
-    while process_one_morsel(compiled, shared, cursor, &mut mask_cache, sink, pump)? {}
-    Ok(())
+    loop {
+        match process_one_morsel(compiled, shared, cursor, &mut mask_cache, sink, pump) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(error) => return shared.fail(error),
+        }
+    }
 }
 
 /// The shared context of one pipeline run's chain jobs on the resident pool.
@@ -1690,8 +1725,9 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
     // (the pool's own catch_unwind only keeps the worker thread alive).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sink_ref = &ctx.sink;
+        let pump = || ctx.shared.wait_for_event_drain();
         let mut sink = |morsel: usize, batch: Option<Batch>| match batch {
-            Some(batch) => sink_ref.consume(&mut local, morsel, batch),
+            Some(batch) => sink_ref.consume(&mut local, morsel, batch, &pump),
             None => sink_ref.morsel_done(&mut local, morsel),
         };
         process_one_morsel(
@@ -1700,7 +1736,7 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
             &ctx.cursor,
             &mut cache,
             &mut sink,
-            &|| ctx.shared.wait_for_event_drain(),
+            &pump,
         )
     }));
     match outcome {
@@ -1801,11 +1837,14 @@ trait SinkFactory: Send + Sync + 'static {
     fn make(&self) -> Self::Local;
     /// `batch` is the source's own batch when the pipeline has no chain step (a
     /// column batch stays undecoded); sinks that buffer rows decode it on entry.
+    /// `pump` lets the coordinator deliver queued events (a memory-pressure event
+    /// before a spill).
     fn consume(
         &self,
         local: &mut Self::Local,
         morsel: usize,
         batch: Batch,
+        pump: &dyn Fn(),
     ) -> Result<(), ExecError>;
     /// Called after the last batch of a fully-processed morsel (quiesced morsels
     /// never report done).
@@ -1815,14 +1854,21 @@ trait SinkFactory: Send + Sync + 'static {
 }
 
 /// Join build sink: each worker buffers its rows with their tags. A hash build
-/// reserves its bytes (and aborts to the spill engine when denied); a nested-loop
-/// inner, as in the single-threaded engine, reserves nothing.
+/// reserves their bytes; on a denial (after the memory-pressure event) the first
+/// denied worker starts the join's grace-hash partitioning, and every denied worker
+/// then moves its buffered rows and its batch there. A nested-loop inner, as in the
+/// single-threaded engine, reserves nothing.
+#[derive(Clone)]
 struct BuildSinkFactory {
     kind: BreakerKind,
     shared: Arc<Shared>,
     /// The build subtree's relation set and estimate (for memory-pressure events).
-    rel_set: RelSet,
-    estimated_rows: f64,
+    meta: (RelSet, f64),
+    /// The build-side key columns.
+    keys: Vec<usize>,
+    grace: Arc<Mutex<Option<GraceJoin>>>,
+    /// The join node's spill volume.
+    spill: Arc<SpillStats>,
 }
 
 impl SinkFactory for BuildSinkFactory {
@@ -1832,6 +1878,7 @@ impl SinkFactory for BuildSinkFactory {
         BuildLocal {
             rows: Vec::new(),
             seq: 0,
+            grant: self.shared.config.governor.reservation(),
         }
     }
 
@@ -1840,14 +1887,26 @@ impl SinkFactory for BuildSinkFactory {
         local: &mut BuildLocal,
         morsel: usize,
         batch: Batch,
+        pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
         let batch = batch.into_rows();
         let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-        if self.kind == BreakerKind::HashBuild {
-            self.shared
-                .reserve_or_spill(bytes, self.kind, self.rel_set, self.estimated_rows)?;
+        if self.kind == BreakerKind::HashBuild && !local.grant.grow(bytes) {
+            let mut grace = lock(&self.grace)?;
+            let grace = match &mut *grace {
+                Some(grace) => grace,
+                slot => {
+                    let kind = BreakerKind::HashBuild;
+                    self.shared.pressure(kind, self.meta, &local.grant, pump)?;
+                    slot.insert(GraceJoin::new(Arc::clone(&self.spill))?)
+                }
+            };
+            let buffered = local.rows.drain(..).map(|(_, row)| row).collect();
+            grace.write_build(buffered, &self.keys)?;
+            local.grant.release_all();
+            return grace.write_build(batch, &self.keys);
         }
-        self.shared.acquire(batch.len() as u64, bytes);
+        self.shared.buffered.acquire(batch.len() as u64, bytes);
         for row in batch {
             local.rows.push(((morsel, local.seq), row));
             local.seq += 1;
@@ -1856,38 +1915,72 @@ impl SinkFactory for BuildSinkFactory {
     }
 }
 
-/// Partial-aggregation sink: one accumulator set per group per worker.
+/// Partial-aggregation sink: one accumulator set per group per worker, and the
+/// worker's grant and spilled runs.
+#[derive(Clone)]
 struct AggSinkFactory {
     spec: Arc<AggSpec>,
     shared: Arc<Shared>,
 }
 
 impl SinkFactory for AggSinkFactory {
-    type Local = GroupTable;
+    type Local = (GroupTable, GroupSpill);
 
-    fn make(&self) -> GroupTable {
-        self.spec.kernel.new_table()
+    fn make(&self) -> Self::Local {
+        let kernel = &self.spec.kernel;
+        let grant = self.shared.config.governor.reservation();
+        let spill = GroupSpill::new(kernel.key_len(), grant, Arc::clone(&self.spec.spill));
+        (kernel.new_table(), spill)
     }
 
-    fn consume(&self, local: &mut GroupTable, morsel: usize, batch: Batch) -> Result<(), ExecError> {
+    fn consume(
+        &self,
+        (table, spill): &mut Self::Local,
+        morsel: usize,
+        batch: Batch,
+        pump: &dyn Fn(),
+    ) -> Result<(), ExecError> {
         let spec = &self.spec;
-        spec.kernel.consume(local, batch, morsel, &mut |_, key_bytes| {
-            self.shared.reserve_or_spill(
-                key_bytes,
-                BreakerKind::AggregateInput,
-                spec.rel_set,
-                spec.estimated_rows,
-            )?;
-            self.shared.acquire(1, key_bytes);
+        spec.kernel.consume(table, batch, morsel, &mut |table, key_bytes| {
+            let mut pressure = |_, grant: &Reservation| {
+                self.shared.pressure(BreakerKind::AggregateInput, spec.meta, grant, pump)
+            };
+            if spill.admit(table, key_bytes, &mut pressure)? {
+                self.shared.buffered.acquire(1, key_bytes);
+            }
             Ok(())
         })
     }
 }
 
-/// Exchange sink: chain batches flow through a bounded channel to whichever
-/// thread holds the receiver (the coordinator for mid-plan collection, the
-/// client-pulled pipeline facade for a streaming root). Each chain sends through
-/// its own cloned handle. A send can only fail once the receiver is gone for
+/// Collection sink: each worker keeps its batches with their `(morsel, sequence)`
+/// tags, so the coordinator reassembles the collection in global scan order.
+#[derive(Clone)]
+struct CollectSink;
+
+impl SinkFactory for CollectSink {
+    type Local = Vec<(Tag, RowBatch)>;
+
+    fn make(&self) -> Self::Local {
+        Vec::new()
+    }
+
+    fn consume(
+        &self,
+        local: &mut Self::Local,
+        morsel: usize,
+        batch: Batch,
+        _pump: &dyn Fn(),
+    ) -> Result<(), ExecError> {
+        let tag = (morsel, local.len() as u64);
+        local.push((tag, batch.into_rows()));
+        Ok(())
+    }
+}
+
+/// Exchange sink of a streaming root: chain batches flow through a bounded channel
+/// to the client-pulled pipeline facade. Each chain sends through its own cloned
+/// handle. A send can only fail once the receiver is gone for
 /// good — the pipeline was suspended or dropped — so it quiesces the query
 /// rather than letting orphaned chains keep scanning.
 struct ChannelSink {
@@ -1911,46 +2004,10 @@ impl SinkFactory for ChannelSink {
         local: &mut SyncSender<RowBatch>,
         _morsel: usize,
         batch: Batch,
+        _pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
         let batch = batch.into_rows();
         if self.task.blocking(|| local.send(batch)).is_err() {
-            self.shared.quiesce.store(true, Ordering::SeqCst);
-        }
-        Ok(())
-    }
-}
-
-/// Tag-ordered exchange sink: like [`ChannelSink`], but every batch carries its
-/// `(morsel, sequence)` tag so the coordinator can reassemble the collection in
-/// global scan order — materialized mid-plan collections (sort inputs, nested-loop
-/// inners) become run-identical to the inline (single-worker) collection order.
-struct TaggedChannelSink {
-    tx: SyncSender<(Tag, RowBatch)>,
-    shared: Arc<Shared>,
-    task: TaskHandle,
-}
-
-/// Per-chain sender plus its batch sequence counter.
-struct TaggedSender {
-    tx: SyncSender<(Tag, RowBatch)>,
-    seq: u64,
-}
-
-impl SinkFactory for TaggedChannelSink {
-    type Local = TaggedSender;
-
-    fn make(&self) -> TaggedSender {
-        TaggedSender {
-            tx: self.tx.clone(),
-            seq: 0,
-        }
-    }
-
-    fn consume(&self, local: &mut TaggedSender, morsel: usize, batch: Batch) -> Result<(), ExecError> {
-        let batch = batch.into_rows();
-        let tag = (morsel, local.seq);
-        local.seq += 1;
-        if self.task.blocking(|| local.tx.send((tag, batch))).is_err() {
             self.shared.quiesce.store(true, Ordering::SeqCst);
         }
         Ok(())
@@ -1986,6 +2043,7 @@ impl SinkFactory for LimitSink {
         local: &mut SyncSender<LimitMsg>,
         morsel: usize,
         batch: Batch,
+        _pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
         let msg = LimitMsg {
             morsel,
@@ -2009,67 +2067,25 @@ impl SinkFactory for LimitSink {
     }
 }
 
-/// Insert the workers' buffered build rows into `table` in `(morsel, sequence)`
-/// order — the global scan order — so the table (its probe fan-out order and its
-/// extracted rows) is the single-threaded build's, at any thread count.
-fn merge_build(mut table: JoinTable, locals: Vec<BuildLocal>) -> JoinTable {
-    let mut rows: Vec<(Tag, Row)> = locals.into_iter().flat_map(|local| local.rows).collect();
-    rows.sort_unstable_by_key(|(tag, _)| *tag);
-    for (_, row) in rows {
-        table.push(row);
-    }
-    table
-}
-
 /// Merge per-worker partial aggregation states and emit the result rows. Locals
 /// arrive in worker *completion* order, which is nondeterministic — that is safe
 /// because every accumulator merges exactly (float SUM/AVG accumulate into a
 /// [`crate::exact::ExactSum`] fixed-point superaccumulator and round once at
-/// emission), making the merged values independent of merge order. Groups are
-/// emitted in first-seen `(morsel, sequence)` order — the global scan order — so the
-/// output row order is also run-identical across thread counts and matches the
-/// single-threaded engine's first-seen emission.
+/// emission), making the merged values independent of merge order. In memory,
+/// groups are emitted in first-seen `(morsel, sequence)` order — the global scan
+/// order — so the output row order is also run-identical across thread counts and
+/// matches the single-threaded engine's first-seen emission; merged from spilled
+/// runs, they come in key order, as in the single-threaded engine.
 fn merge_aggregates(
     kernel: &AggKernel,
-    locals: Vec<GroupTable>,
+    locals: Vec<(GroupTable, GroupSpill)>,
     shared: &Shared,
 ) -> Result<Vec<Row>, ExecError> {
-    let mut merged = kernel.new_table();
-    for local in locals {
-        for group in local.into_states() {
-            merged.merge_group(group);
-        }
-    }
     if !kernel.grouped() {
-        shared.acquire(1, 8);
+        shared.buffered.acquire(1, 8);
     }
-    let mut groups = merged.into_states();
-    groups.sort_by_key(|group| group.tag);
-    groups.into_iter().map(|group| group.finish()).collect()
-}
-
-/// Sort materialized rows by the bound sort keys (the parallel analogue of `SortOp`).
-fn sort_rows(rows: Vec<Row>, keys: &[(Expr, bool)]) -> Result<Vec<Row>, ExecError> {
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut key = Vec::with_capacity(keys.len());
-        for (expr, _) in keys {
-            key.push(expr.eval(&row)?);
-        }
-        keyed.push((key, row));
-    }
-    let directions: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
-    keyed.sort_by(|a, b| {
-        for (idx, ascending) in directions.iter().enumerate() {
-            let ordering = a.0[idx].cmp(&b.0[idx]);
-            let ordering = if *ascending { ordering } else { ordering.reverse() };
-            if ordering != std::cmp::Ordering::Equal {
-                return ordering;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+    let mut groups = GroupSpill::finish(kernel, locals)?;
+    Ok(groups.next_batch(usize::MAX)?.unwrap_or_default())
 }
 
 // ---------------------------------------------------------------------------
@@ -2090,11 +2106,11 @@ struct StreamingRoot {
 /// How far a parallel pipeline has progressed.
 enum RunState {
     NotStarted,
-    /// A materialized root (aggregate/sort breaker, inline run, or seam tail):
-    /// rows are served in batch-size chunks.
+    /// A materialized root (aggregate/sort breaker, inline or spilled run, or seam
+    /// tail): rows are served in batch-size chunks, a spilled sort's straight from
+    /// its run merge.
     Serving {
-        rows: Vec<Row>,
-        pos: usize,
+        rows: Sorted,
         /// Seam suspension: once `rows` is exhausted, report `Suspended` instead of
         /// end-of-stream.
         seam: bool,
@@ -2179,12 +2195,7 @@ impl<'p> ParallelPipeline<'p> {
                 config: self.config.clone(),
                 events: Mutex::new(VecDeque::new()),
                 error: Mutex::new(None),
-                buffered_current: AtomicU64::new(0),
-                buffered_peak: AtomicU64::new(0),
-                buffered_bytes_current: AtomicU64::new(0),
-                buffered_bytes_peak: AtomicU64::new(0),
-                reserved: AtomicU64::new(0),
-                spill_needed: AtomicBool::new(false),
+                buffered: Buffered::default(),
             }),
             stop: std::cell::Cell::new(None),
             completed_builds: Vec::new(),
@@ -2192,22 +2203,24 @@ impl<'p> ParallelPipeline<'p> {
             builds_started: std::cell::Cell::new(0),
             pool,
             task,
+            held: self.config.governor.reservation(),
         });
         let plan = self.plan;
-        if let PlanKind::Limit { count } = plan.kind {
-            let result = {
-                let engine = self.engine.as_mut().expect("engine");
-                engine.eval_limit(plan, &self.stats, count)
-            };
-            return self.settle_materialized(result);
-        }
-        if matches!(plan.kind, PlanKind::Aggregate { .. } | PlanKind::Sort { .. }) {
-            let result = {
-                let engine = self.engine.as_mut().expect("engine");
-                engine.eval_rows(plan, &self.stats)
-            };
-            return self.settle_materialized(result);
-        }
+        let engine = self.engine.as_mut().expect("engine");
+        let governor = Arc::clone(&self.config.governor);
+        let rows = move |rows: Vec<Row>| Sorted::memory(rows, governor.reservation());
+        let result = match plan.kind {
+            PlanKind::Limit { count } => engine.eval_limit(plan, &self.stats, count).map(rows),
+            PlanKind::Aggregate { .. } => engine.eval_rows(plan, &self.stats).map(rows),
+            PlanKind::Sort { .. } => engine.eval_sort(plan, &self.stats),
+            _ => return self.run_streaming(),
+        };
+        self.settle_materialized(result)
+    }
+
+    /// Start a streaming-shaped root.
+    fn run_streaming(&mut self) -> Result<(), ExecError> {
+        let plan = self.plan;
         // A streaming-shaped root: compile the spine (registered builds run lazily
         // at the end of the compile), then serve through a live exchange.
         let compiled = {
@@ -2219,11 +2232,13 @@ impl<'p> ParallelPipeline<'p> {
             Err(error) => return self.settle_materialized(Err(error)),
         };
         let engine = self.engine.as_ref().expect("engine");
-        if engine.stopped() || compiled.workers <= 1 {
-            // Stopped during the builds, or a source too small to parallelize:
-            // collect inline on the coordinator (tiny inputs never pay the pool).
+        if engine.stopped() || compiled.workers <= 1 || compiled.spilled() {
+            // Stopped during the builds, a source too small to parallelize (tiny
+            // inputs never pay the pool), or a spilled join, whose partition passes
+            // follow the main pass: collect on the coordinator.
             let result = engine.collect_compiled(&compiled);
-            return self.settle_materialized(result);
+            let rows = result.map(|rows| Sorted::memory(rows, self.config.governor.reservation()));
+            return self.settle_materialized(rows);
         }
         let (tx, rx) = sync_channel::<RowBatch>(compiled.workers * 2);
         let ctx = engine.launch_chains(
@@ -2245,62 +2260,46 @@ impl<'p> ParallelPipeline<'p> {
 
     /// Resolve a materialized run result into the serving/suspended/poisoned state,
     /// mirroring the single-threaded suspension contract.
-    fn settle_materialized(&mut self, result: Result<Vec<Row>, ExecError>) -> Result<(), ExecError> {
+    fn settle_materialized(&mut self, result: Result<Sorted, ExecError>) -> Result<(), ExecError> {
         let engine = self.engine.as_mut().expect("engine");
         engine.pump_events();
         let stop = engine.stop.get();
-        // A spill abort whose memory-pressure event led the observer to suspend
-        // resolves as a suspension: the policy chose to re-plan instead of paying
-        // for disk, so completed builds stay extractable and no error surfaces.
-        let spill_suspended = stop.is_some() && matches!(result, Err(ExecError::Spill(_)));
+        let result = match (result, stop) {
+            // Deliver the first produced root batch, then suspend: the clean hand-off
+            // for schedulers that must not lose the batch that was in flight when the
+            // decision was made.
+            (Ok(mut rows), Some(StopMode::Seam)) => rows.next_batch(self.config.batch_size).map(|first| {
+                Sorted::memory(first.unwrap_or_default(), self.config.governor.reservation())
+            }),
+            (result, _) => result,
+        };
         let states = match &result {
             Ok(_) => engine.breaker_states(),
-            Err(_) if spill_suspended => engine.breaker_states(),
             Err(_) => Vec::new(),
         };
         self.finalize_counters();
-        match result {
-            Err(_) if spill_suspended => {
-                self.breaker_states = states;
+        let rows = match result {
+            Ok(rows) => rows,
+            Err(error) => {
+                self.state = RunState::Poisoned;
+                return Err(error);
+            }
+        };
+        self.breaker_states = states;
+        match stop {
+            Some(StopMode::Immediate) => {
+                // In-flight output is discarded, exactly like a mid-pull suspension
+                // of the single-threaded root.
                 self.state = RunState::Suspended;
                 Err(ExecError::Suspended)
             }
-            Err(error) => {
-                self.state = RunState::Poisoned;
-                Err(error)
-            }
-            Ok(rows) => {
-                self.breaker_states = states;
-                match stop {
-                    Some(StopMode::Immediate) => {
-                        // In-flight output is discarded, exactly like a mid-pull
-                        // suspension of the single-threaded root.
-                        self.state = RunState::Suspended;
-                        Err(ExecError::Suspended)
-                    }
-                    Some(StopMode::Seam) => {
-                        // Deliver the first produced root batch, then suspend: the
-                        // clean hand-off for schedulers that must not lose the batch
-                        // that was in flight when the decision was made.
-                        let mut rows = rows;
-                        rows.truncate(self.config.batch_size);
-                        self.state = RunState::Serving {
-                            rows,
-                            pos: 0,
-                            seam: true,
-                        };
-                        Ok(())
-                    }
-                    None => {
-                        self.stats.stats.exhausted.store(true, Ordering::SeqCst);
-                        self.state = RunState::Serving {
-                            rows,
-                            pos: 0,
-                            seam: false,
-                        };
-                        Ok(())
-                    }
+            seam => {
+                if seam.is_none() {
+                    self.stats.stats.exhausted.store(true, Ordering::SeqCst);
                 }
+                let seam = seam.is_some();
+                self.state = RunState::Serving { rows, seam };
+                Ok(())
             }
         }
     }
@@ -2308,8 +2307,7 @@ impl<'p> ParallelPipeline<'p> {
     /// Capture the peak-buffer counters and wall time from the engine.
     fn finalize_counters(&mut self) {
         if let Some(engine) = &self.engine {
-            self.peak_buffered_rows = engine.shared.buffered_peak.load(Ordering::SeqCst);
-            self.peak_buffered_bytes = engine.shared.buffered_bytes_peak.load(Ordering::SeqCst);
+            (self.peak_buffered_rows, self.peak_buffered_bytes) = engine.shared.buffered.peaks();
         }
         if let Some(started) = self.started {
             self.wall = started.elapsed();
@@ -2337,17 +2335,11 @@ impl<'p> ParallelPipeline<'p> {
     fn stream_next(&mut self) -> Result<Option<RowBatch>, ExecError> {
         loop {
             self.engine.as_ref().expect("engine").pump_events();
-            let stop_pending = self.engine.as_ref().expect("engine").stop.get().is_some();
             if let Some(error) = self.engine.as_ref().expect("engine").take_error() {
-                // A spill abort is superseded by a suspension decision taken on its
-                // memory-pressure event: fall through to the stop-mode handling so
-                // the run suspends (with breaker states) instead of erroring.
-                if !(stop_pending && matches!(error, ExecError::Spill(_))) {
-                    self.shed_stream();
-                    self.state = RunState::Poisoned;
-                    self.finalize_counters();
-                    return Err(error);
-                }
+                self.shed_stream();
+                self.state = RunState::Poisoned;
+                self.finalize_counters();
+                return Err(error);
             }
             match self.engine.as_ref().expect("engine").stop.get() {
                 Some(StopMode::Immediate) => {
@@ -2452,19 +2444,17 @@ impl<'p> ParallelPipeline<'p> {
             )),
             RunState::Done => Ok(None),
             RunState::Streaming(_) => self.stream_next(),
-            RunState::Serving { rows, pos, seam } => {
-                if *pos >= rows.len() {
-                    if *seam {
-                        self.state = RunState::Suspended;
-                        return Err(ExecError::Suspended);
-                    }
-                    return Ok(None);
+            RunState::Serving { rows, seam } => match rows.next_batch(self.config.batch_size) {
+                Ok(None) if *seam => {
+                    self.state = RunState::Suspended;
+                    Err(ExecError::Suspended)
                 }
-                let end = (*pos + self.config.batch_size).min(rows.len());
-                let batch = rows[*pos..end].to_vec();
-                *pos = end;
-                Ok(Some(batch))
-            }
+                Err(error) => {
+                    self.state = RunState::Poisoned;
+                    Err(error)
+                }
+                batch => batch,
+            },
         }
     }
 
@@ -2497,28 +2487,6 @@ impl<'p> ParallelPipeline<'p> {
     pub(crate) fn peak_buffered_bytes(&self) -> u64 {
         self.peak_buffered_bytes
     }
-
-    /// The plan this pipeline executes (the facade restarts it on the
-    /// single-threaded spill engine after a memory-budget abort).
-    /// Open the same plan, with the same settings and observer, on the
-    /// single-threaded engine.
-    pub(crate) fn reopen_single(&self) -> Result<SinglePipeline<'p>, ExecError> {
-        open_single(
-            self.plan,
-            self.storage,
-            self.config.clone(),
-            self.observer.clone(),
-        )
-    }
-
-    /// Whether the run aborted because a breaker sink's memory reservation was
-    /// denied — the signal for the facade to restart on the spill engine.
-    pub(crate) fn needs_spill_fallback(&self) -> bool {
-        self.engine
-            .as_ref()
-            .map(|engine| engine.shared.spill_needed.load(Ordering::SeqCst))
-            .unwrap_or(false)
-    }
 }
 
 impl Drop for ParallelPipeline<'_> {
@@ -2539,6 +2507,7 @@ mod tests {
         ExecutionObserver, Executor, ObserverDecision, ObserverHandle, DEFAULT_BATCH_SIZE,
     };
     use reopt_catalog::Catalog;
+    use reopt_storage::Value;
     use reopt_planner::{CardinalityOverrides, Optimizer, OptimizerConfig};
     use reopt_sql::parse_sql;
     use reopt_storage::{Column, DataType, IndexKind};

@@ -1,4 +1,5 @@
-//! The process-wide memory governor for out-of-core execution.
+//! The process-wide memory governor, and what the kernels' out-of-core paths
+//! share.
 //!
 //! Breaker sinks (hash-join builds, sort and aggregation buffers) reserve bytes
 //! against one shared [`MemoryGovernor`] as they buffer. The governor is a plain
@@ -7,17 +8,22 @@
 //! sessions connected before or after the change all reserve against the same
 //! counters.
 //!
-//! When a reservation is denied, the sink does **not** immediately spill: it
-//! first surfaces [`ExecEvent::MemoryPressure`](crate::ExecEvent) through the
-//! observer stream, giving a re-optimization policy the chance to suspend and
-//! re-plan the remainder of the query instead of paying disk I/O. Only when the
-//! policy declines does the sink switch to its out-of-core strategy (grace-hash
-//! partitioning or external merge sort) and release its in-memory reservation.
+//! The out-of-core strategies live in the kernels both engines call: grace-hash
+//! partitioning in `hash_join.rs`, sorted group runs in `agg.rs`, and the run
+//! writer, k-way merge and external sort in `sort.rs`. When a reservation is
+//! denied, a kernel does **not** immediately spill: it first reports memory
+//! pressure through its engine's callback (`Pressure`), which surfaces
+//! [`ExecEvent::MemoryPressure`](crate::ExecEvent) to the observer. A
+//! re-optimization policy may suspend there and re-plan the remainder of the
+//! query instead of paying disk I/O; nothing has been written by then. Only when
+//! the policy declines does the kernel spill and release its reservation.
 //!
 //! The default budget is **unlimited**, in which case every reservation succeeds
 //! without touching shared state beyond a single atomic load — the spill path stays
 //! cold and execution is byte-for-byte identical to a build without this module.
 
+use crate::error::ExecError;
+use reopt_storage::spill_file::SpillRun;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,9 +94,8 @@ impl MemoryGovernor {
     }
 
     /// Try to reserve `bytes` more. Fails (without reserving anything) if the
-    /// budget would be exceeded. Callers outside [`Reservation`] (the parallel
-    /// engine's shared run state) must pair every success with [`release`].
-    pub(crate) fn try_reserve(&self, bytes: u64) -> bool {
+    /// budget would be exceeded.
+    fn try_reserve(&self, bytes: u64) -> bool {
         if self.is_unlimited() {
             return true;
         }
@@ -119,7 +124,7 @@ impl MemoryGovernor {
         }
     }
 
-    pub(crate) fn release(&self, bytes: u64) {
+    fn release(&self, bytes: u64) {
         if bytes > 0 {
             self.reserved.fetch_sub(bytes, Ordering::SeqCst);
         }
@@ -175,10 +180,47 @@ impl Reservation {
         self.bytes
     }
 
+    /// Take over another reservation's bytes (against the same governor).
+    pub(crate) fn absorb(&mut self, mut other: Reservation) {
+        self.bytes += std::mem::take(&mut other.bytes);
+    }
+
     /// The governor this reservation counts against.
     pub fn governor(&self) -> &Arc<MemoryGovernor> {
         &self.governor
     }
+}
+
+/// Reports a denied grant before a kernel commits a spill, with the rows the kernel
+/// buffers and its grant. An `Err` (an observer suspended the run) stops the kernel
+/// before anything is written.
+pub(crate) type Pressure<'a> = dyn FnMut(u64, &Reservation) -> Result<(), ExecError> + 'a;
+
+/// The spill volume of one plan node: bytes written to sealed runs, and how many
+/// runs (grace-hash partitions, sorted runs). Shared by the node's metrics and the
+/// kernel states that spill for it, on any worker.
+#[derive(Debug, Default)]
+pub(crate) struct SpillStats {
+    bytes: AtomicU64,
+    runs: AtomicU64,
+}
+
+impl SpillStats {
+    /// Account one sealed run.
+    pub(crate) fn record(&self, run: &SpillRun) {
+        self.bytes.fetch_add(run.bytes(), Ordering::Relaxed);
+        self.runs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(bytes, runs)` so far.
+    pub(crate) fn get(&self) -> (u64, u64) {
+        (self.bytes.load(Ordering::Relaxed), self.runs.load(Ordering::Relaxed))
+    }
+}
+
+/// Map a spill-file I/O failure into the executor's error space.
+pub(crate) fn spill_err(err: std::io::Error) -> ExecError {
+    ExecError::Spill(err.to_string())
 }
 
 impl Drop for Reservation {

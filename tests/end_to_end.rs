@@ -774,12 +774,12 @@ fn memory_pressure_replans_instead_of_spilling_on_a_skewed_job_query() {
 }
 
 #[test]
-fn parallel_run_over_budget_restarts_on_the_spill_engine_with_its_settings() {
-    // At threads > 1 a breaker sink whose grant is denied aborts the morsel run and
-    // the pipeline restarts on the single-threaded spill engine — with the same
-    // settings the parallel run was opened with, which row identity alone cannot
-    // show. A multi-row output makes the batch size visible in the root's batch
-    // count; hash joins only, so the join carries a build side worth governing.
+fn parallel_run_over_budget_spills_in_the_morsel_engine_with_its_settings() {
+    // At threads > 1 a breaker sink whose grant is denied goes out of core in the
+    // morsel engine itself — no restart, no fallback — and keeps the settings the
+    // run was opened with, which row identity alone cannot show. A multi-row output
+    // makes the batch size visible in the root's batch count; hash joins only, so
+    // the join carries a build side worth governing.
     let _serial = spill_serial();
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
@@ -802,35 +802,25 @@ fn parallel_run_over_budget_restarts_on_the_spill_engine_with_its_settings() {
     let budget = unlimited.peak_buffered_bytes / 4;
     assert!(budget > 0, "the join must buffer a build side");
     db.set_mem_budget(Some(budget));
-    // The batch count of the spill engine itself at this batch size and budget.
     let direct = db.execute(sql).unwrap();
     let direct_metrics = direct.metrics.unwrap();
     assert_eq!(direct_metrics.fallback, None);
     assert!(direct_metrics.root.total_spilled().0 > 0, "a quarter of the peak must spill");
 
-    let fallbacks_before = reopt_repro::executor::plan_fallbacks_total();
     db.set_threads(Some(2));
-    let restarted = db.execute(sql).unwrap();
-    let metrics = restarted.metrics.unwrap();
-    assert_eq!(
-        metrics.fallback,
-        Some("memory budget: restarted on the spill engine")
-    );
-    assert_eq!(
-        metrics.root.metrics.batches, direct_metrics.root.metrics.batches,
-        "the restarted run must keep the configured batch size"
-    );
+    let spilled = db.execute(sql).unwrap();
+    let metrics = spilled.metrics.unwrap();
+    assert_eq!(metrics.engine, "parallel");
+    assert_eq!(metrics.fallback, None);
+    assert!(metrics.root.total_spilled().0 > 0, "the morsel engine must spill");
     assert!(
         metrics.root.metrics.batches >= (unlimited.rows.len() as u64).div_ceil(48),
         "no root batch may exceed the configured 48 rows"
     );
-    assert_eq!(sorted(restarted.rows), sorted(unlimited.rows));
-    assert_eq!(
-        reopt_repro::executor::plan_fallbacks_total(),
-        fallbacks_before,
-        "a memory-budget restart is not a plan-shape fallback"
-    );
+    assert_eq!(sorted(spilled.rows), sorted(unlimited.rows));
     assert_eq!(reopt_repro::storage::live_spill_files(), 0);
+    assert_eq!(db.governor().reserved(), 0);
+    db.set_mem_budget(None);
 }
 
 #[test]

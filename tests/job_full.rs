@@ -30,7 +30,7 @@ use reopt_repro::core::{
 };
 use reopt_repro::storage::Row;
 use reopt_repro::workload::job::job_queries;
-use reopt_repro::workload::{load_imdb, ImdbConfig};
+use reopt_repro::workload::{load_imdb, ImdbConfig, JobQuery};
 use std::time::{Duration, Instant};
 
 /// The byte budget of the constrained-memory pass. At scale 0.02 (data seed 13) a
@@ -203,11 +203,34 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
         .unwrap_or(DEFAULT_SCALE);
     let mut db = Database::new();
     load_imdb(&mut db, &ImdbConfig { scale, seed: 13 }).unwrap();
-    db.set_threads(Some(1));
     db.set_columnar(Some(false));
-
     let queries = job_queries();
     let mut failures = Vec::new();
+    // One pass on the single-threaded engine and one on the morsel engine, which
+    // spills in place.
+    for threads in [1, 2] {
+        budget_pass(&mut db, &queries, threads, &mut failures);
+    }
+    assert_eq!(
+        reopt_repro::storage::live_spill_files(),
+        0,
+        "every spill file must be cleaned up once the suite drains"
+    );
+    assert!(
+        failures.is_empty(),
+        "{} runs failed under the memory budget:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// One budgeted pass over the suite at `threads`: every plain run and every
+/// MidQuery run must return the unlimited run's rows, and the pass must deny
+/// grants and make plain queries spill.
+fn budget_pass(db: &mut Database, queries: &[JobQuery], threads: usize, failures: &mut Vec<String>) {
+    db.set_threads(Some(threads));
+    let start = Instant::now();
+    let denials_before = db.governor().denials();
     let mut spilled_queries = 0usize;
     let mut spilled_bytes = 0u64;
 
@@ -228,11 +251,11 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
                 if canonical(&output.rows) != reference {
                     failures.push(format!("{id}: plain run diverged under budget {MEM_BUDGET}"));
                 }
-                let (bytes, _) = output
-                    .metrics
-                    .as_ref()
-                    .map(|m| m.root.total_spilled())
-                    .unwrap_or((0, 0));
+                let metrics = output.metrics.as_ref();
+                if let Some(reason) = metrics.and_then(|m| m.fallback) {
+                    failures.push(format!("{id}: fell back at {threads} threads: {reason}"));
+                }
+                let (bytes, _) = metrics.map(|m| m.root.total_spilled()).unwrap_or((0, 0));
                 if bytes > 0 {
                     spilled_queries += 1;
                     spilled_bytes += bytes;
@@ -249,7 +272,7 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
             feedback: false,
             ..ReoptConfig::default()
         };
-        match execute_with_reoptimization(&mut db, &query.sql, &config) {
+        match execute_with_reoptimization(db, &query.sql, &config) {
             Ok(report) => {
                 if canonical(&report.final_rows) != reference {
                     failures.push(format!("{id}: MidQuery diverged under budget {MEM_BUDGET}"));
@@ -262,28 +285,21 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
         }
     }
 
-    let denials = db.governor().denials();
+    let denials = db.governor().denials() - denials_before;
     eprintln!(
-        "job_full(budget): scale {scale}, budget {MEM_BUDGET} bytes: {spilled_queries} plain \
-         queries spilled {spilled_bytes} bytes total, {denials} denied grant(s)"
+        "job_full(budget): {threads} thread(s), budget {MEM_BUDGET} bytes: {spilled_queries} \
+         plain queries spilled {spilled_bytes} bytes total, {denials} denied grant(s), pass \
+         {:.1}s",
+        start.elapsed().as_secs_f64()
     );
     assert!(
         denials > 0,
-        "a {MEM_BUDGET}-byte budget across the whole suite must deny at least one grant"
+        "a {MEM_BUDGET}-byte budget across the whole suite must deny at least one grant \
+         at {threads} thread(s)"
     );
     assert!(
         spilled_queries > 0,
-        "a {MEM_BUDGET}-byte budget must make at least one plain query spill"
-    );
-    assert_eq!(
-        reopt_repro::storage::live_spill_files(),
-        0,
-        "every spill file must be cleaned up once the suite drains"
-    );
-    assert!(
-        failures.is_empty(),
-        "{} runs failed under the memory budget:\n{}",
-        failures.len(),
-        failures.join("\n")
+        "a {MEM_BUDGET}-byte budget must make at least one plain query spill at {threads} \
+         thread(s)"
     );
 }
