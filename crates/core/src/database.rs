@@ -528,8 +528,7 @@ impl Database {
                 "Spilled: {spilled_bytes} bytes in {spill_partitions} partitions\n"
             ));
         }
-        // Which engine actually ran the query — a multi-threaded session that fell
-        // back to the single-threaded engine says so (and why) instead of hiding it.
+        // Which engine ran the query.
         text.push_str(&format!("Engine: {}\n", metrics.engine_label()));
         text.push_str(&format!(
             "Peak Buffered: {} rows ({} bytes)\nPlanning Time: {:.3} ms\nExecution Time: {:.3} ms\n",

@@ -653,7 +653,6 @@ mod tests {
             },
             execution_time: std::time::Duration::ZERO,
             engine: "single-thread",
-            fallback: None,
         };
         let spec_ctx = ctx(2);
         let spec = dummy_spec();

@@ -56,8 +56,7 @@ impl ReoptReport {
             self.peak_buffered_rows,
             self.peak_buffered_bytes,
         ));
-        // Which engine produced the final run — a threads > 1 configuration that
-        // degraded to the single-threaded engine reports the fallback reason.
+        // Which engine produced the final run.
         if let Some(metrics) = &self.final_metrics {
             out.push_str(&format!("final run: {}\n", metrics.engine_label()));
         }

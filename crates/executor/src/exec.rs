@@ -27,18 +27,19 @@
 //! so tests can assert that memory is bounded by pipeline-breaker output rather than
 //! join fan-out.
 //!
-//! Every operator is wrapped in a `Metered` shell that accumulates rows, batches and
-//! inclusive wall-clock time; the per-operator *self* time reported in [`QueryMetrics`]
-//! is the inclusive time minus the children's inclusive time, which reproduces the
-//! semantics of the old materializing executor ("elapsed excluding children").
+//! Every operator is wrapped in a `Metered` shell that counts its rows and batches
+//! and its *self* time (the pull's time minus the time its children's pulls took
+//! inside it) on the operator's node of the shared counter tree
+//! (the `instrument` module), which assembles the [`QueryMetrics`] of both engines.
 
 use crate::error::ExecError;
 use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::agg::{AggKernel, GroupSpill, GroupTable, Groups};
-use crate::metrics::{Buffered, MetricsNode, OperatorMetrics, QueryMetrics};
+use crate::instrument::{observe, Buffered, OpStats, Progress, StatsNode, Stop};
+use crate::metrics::QueryMetrics;
 use crate::sort::{SortBuffer, Sorted};
-use crate::spill::{MemoryGovernor, Reservation, SpillStats};
+use crate::spill::{MemoryGovernor, Reservation};
 use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
 use reopt_planner::plan::IndexLookup;
 use reopt_planner::{PhysicalPlan, PlanKind};
@@ -125,7 +126,7 @@ pub struct BreakerEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgressSource {
     /// A periodic report: the operator produced another
-    /// [`Executor::with_progress_interval`] output batches.
+    /// [`PROGRESS_INTERVAL`](crate::PROGRESS_INTERVAL) output batches.
     OutputBatches,
     /// The outer side of an index nested-loop join exhausted: every outer row has been
     /// probed, so the reported count is the join's final output cardinality.
@@ -305,17 +306,13 @@ pub struct BreakerState {
     pub rows: Vec<Row>,
 }
 
-/// The per-operator view of the installed observer: the shared handle, the root-seam
-/// suspension flag, and the progress cadence. Cloned into every operator that emits
-/// events.
+/// The per-operator view of the installed observer: the shared handle and the
+/// root-seam suspension flag. Cloned into every operator that emits events.
 struct ObserverCtx<'p> {
     observer: Option<ObserverHandle<'p>>,
     /// Set when an observer asked to suspend on the root batch seam; checked by
     /// [`Pipeline::next_batch`] before every pull.
     root_seam: Rc<Cell<bool>>,
-    /// Emit a [`ProgressEvent`] every this many output batches (0 disables periodic
-    /// reports).
-    progress_every: u64,
 }
 
 impl<'p> ObserverCtx<'p> {
@@ -323,7 +320,6 @@ impl<'p> ObserverCtx<'p> {
         ObserverCtx {
             observer: self.observer.clone(),
             root_seam: Rc::clone(&self.root_seam),
-            progress_every: self.progress_every,
         }
     }
 
@@ -333,15 +329,14 @@ impl<'p> ObserverCtx<'p> {
         self.observer.is_some()
     }
 
-    /// Report an event, translating the decision into control flow: `Suspend` unwinds
-    /// with [`ExecError::Suspended`], `SuspendAtRootSeam` arms the root-seam flag.
+    /// Report an event, translating the stop it asks for into control flow: a stop
+    /// now unwinds with [`ExecError::Suspended`], a stop at the root seam arms the
+    /// root-seam flag.
     fn notify(&self, event: ExecEvent) -> Result<(), ExecError> {
-        if let Some(observer) = &self.observer {
-            match observer.borrow_mut().on_event(&event) {
-                ObserverDecision::Continue => {}
-                ObserverDecision::Suspend => return Err(ExecError::Suspended),
-                ObserverDecision::SuspendAtRootSeam => self.root_seam.set(true),
-            }
+        match observe(self.observer.as_ref(), &event) {
+            Some(Stop::Now) => return Err(ExecError::Suspended),
+            Some(Stop::AtRootSeam) => self.root_seam.set(true),
+            None => {}
         }
         Ok(())
     }
@@ -349,63 +344,28 @@ impl<'p> ObserverCtx<'p> {
     fn notify_breaker(&self, event: BreakerEvent) -> Result<(), ExecError> {
         self.notify(ExecEvent::BreakerComplete(event))
     }
-}
 
-/// Output-side progress accounting for a streaming join: counts produced rows and
-/// batches, reporting every `progress_every` batches (and once on exhaustion for
-/// index-NL joins, where the count is final).
-struct ProgressMeter {
-    rel_set: RelSet,
-    estimated_rows: f64,
-    produced_rows: u64,
-    batches: u64,
-    exhausted_reported: bool,
-}
-
-impl ProgressMeter {
-    fn new(rel_set: RelSet, estimated_rows: f64) -> Self {
-        Self {
-            rel_set,
-            estimated_rows,
-            produced_rows: 0,
-            batches: 0,
-            exhausted_reported: false,
-        }
-    }
-
-    /// Account one output batch and emit a periodic progress report when due.
-    fn tick(&mut self, ctx: &ObserverCtx<'_>, batch_len: usize) -> Result<(), ExecError> {
-        self.produced_rows += batch_len as u64;
-        self.batches += 1;
-        if ctx.active() && ctx.progress_every > 0 && self.batches % ctx.progress_every == 0 {
-            ctx.notify(ExecEvent::Progress(ProgressEvent {
-                source: ProgressSource::OutputBatches,
-                rel_set: self.rel_set,
-                estimated_rows: self.estimated_rows,
-                produced_rows: self.produced_rows,
-                batches: self.batches,
-                exhausted: false,
-            }))?;
+    /// Report the progress due once a join's output batch of `rows` rows, which it
+    /// is about to return, is counted on its node `stats` (its `Metered` wrapper
+    /// counts a batch when the operator returns it).
+    fn progress(&self, progress: &Progress, stats: &OpStats, rows: usize) -> Result<(), ExecError> {
+        let batches = stats.batches() + 1;
+        if self.active() && Progress::due(batches) {
+            self.notify(progress.periodic(stats.rows() + rows as u64, batches))?;
         }
         Ok(())
     }
 
-    /// Emit the one-shot exhaustion report (index-NL outer side done): `pending` rows
-    /// are produced but not yet ticked (the batch under construction).
-    fn finish(&mut self, ctx: &ObserverCtx<'_>, pending: usize) -> Result<(), ExecError> {
-        if self.exhausted_reported || !ctx.active() {
-            self.exhausted_reported = true;
+    /// Report an index-NL join's outer side drained, with `pending` output rows not
+    /// yet returned: the join's exact cardinality.
+    fn progress_end(&self, progress: &Progress, stats: &OpStats, pending: usize) -> Result<(), ExecError> {
+        if !self.active() {
             return Ok(());
         }
-        self.exhausted_reported = true;
-        ctx.notify(ExecEvent::Progress(ProgressEvent {
-            source: ProgressSource::OuterExhausted,
-            rel_set: self.rel_set,
-            estimated_rows: self.estimated_rows,
-            produced_rows: self.produced_rows + pending as u64,
-            batches: self.batches,
-            exhausted: true,
-        }))
+        match progress.end(stats.rows() + pending as u64, stats.batches()) {
+            Some(event) => self.notify(event),
+            None => Ok(()),
+        }
     }
 }
 
@@ -443,10 +403,6 @@ pub fn execute_plan(plan: &PhysicalPlan, storage: &Storage) -> Result<ExecutionR
     Executor::new(storage).execute(plan)
 }
 
-/// Default progress cadence: streaming joins report produced-vs-estimated rows every
-/// this many output batches when an [`ExecutionObserver`] is installed.
-pub const DEFAULT_PROGRESS_INTERVAL: u64 = 8;
-
 /// Vectorized columnar execution is on by default. Storage stays columnar either
 /// way — with it off ([`Executor::with_columnar`]), scans decode every chunk to rows
 /// immediately and predicates run through the row-wise evaluator.
@@ -456,16 +412,15 @@ pub const DEFAULT_COLUMNAR: bool = true;
 pub const DEFAULT_PRIORITY: u8 = 1;
 
 /// Every execution setting, in one value: [`Executor`] owns it and hands a clone to
-/// whichever engine runs the plan (the clone shares the governor).
+/// whichever engine runs the plan (the clone shares the governor). The progress
+/// cadence of streaming joins is not a setting but the constant
+/// [`PROGRESS_INTERVAL`](crate::PROGRESS_INTERVAL).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Rows per batch (at least one).
     pub batch_size: usize,
     /// Worker-pool size; 1 always selects the single-threaded engine.
     pub threads: usize,
-    /// Streaming joins report progress every this many output batches (0 disables
-    /// periodic reports).
-    pub progress_every: u64,
     /// Whether scans emit columnar batches and predicates use the mask kernels.
     pub columnar: bool,
     /// Scheduling priority of this executor's tasks on the shared worker pool.
@@ -480,7 +435,6 @@ impl Default for ExecConfig {
         Self {
             batch_size: DEFAULT_BATCH_SIZE,
             threads: default_thread_count(),
-            progress_every: DEFAULT_PROGRESS_INTERVAL,
             columnar: DEFAULT_COLUMNAR,
             priority: DEFAULT_PRIORITY,
             governor: MemoryGovernor::unlimited(),
@@ -488,7 +442,8 @@ impl Default for ExecConfig {
     }
 }
 
-/// The plan executor: a factory for [`Pipeline`]s.
+/// The plan executor: a factory for [`Pipeline`]s, configured through the `with_*`
+/// builders (batch size, threads, governor, priority, columnar execution).
 pub struct Executor<'a> {
     storage: &'a Storage,
     config: ExecConfig,
@@ -548,19 +503,9 @@ impl<'a> Executor<'a> {
 
     /// Set the worker-pool size for morsel-driven parallel execution (clamped to at
     /// least one). `threads == 1` always takes the single-threaded engine; with more
-    /// threads, plans whose operators all have a parallel implementation
-    /// ([`crate::parallel::plan_supported`]) run on the worker pool and everything
-    /// else falls back to the single-threaded engine unchanged.
+    /// threads every plan runs on the worker pool.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads.max(1);
-        self
-    }
-
-    /// Set the progress cadence: streaming joins report a [`ProgressEvent`] every
-    /// `every_batches` output batches (0 disables periodic reports; index-NL
-    /// outer-exhaustion reports still fire).
-    pub fn with_progress_interval(mut self, every_batches: u64) -> Self {
-        self.config.progress_every = every_batches;
         self
     }
 
@@ -622,19 +567,7 @@ impl<'a> Executor<'a> {
     where
         'a: 'p,
     {
-        // A `threads > 1` session that lands on the single-threaded engine is an
-        // observable fallback: the reason rides along in the metrics and the
-        // process-wide counter feeds the perf_smoke zero-fallback assertion.
-        let shape_fallback = if self.config.threads > 1 {
-            let reason = crate::parallel::fallback_reason(plan);
-            if reason.is_some() {
-                crate::parallel::note_plan_fallback();
-            }
-            reason
-        } else {
-            None
-        };
-        let inner = if self.config.threads > 1 && shape_fallback.is_none() {
+        let inner = if self.config.threads > 1 {
             PipelineImpl::Parallel(Box::new(crate::parallel::ParallelPipeline::new(
                 plan,
                 self.storage,
@@ -649,10 +582,7 @@ impl<'a> Executor<'a> {
                 observer,
             )?)
         };
-        Ok(Pipeline {
-            inner,
-            fallback_note: shape_fallback,
-        })
+        Ok(Pipeline { inner })
     }
 
     /// Execute a plan to completion, returning rows and metrics.
@@ -685,14 +615,15 @@ fn open_single<'p>(
     let ctx = BuildContext {
         storage,
         tracker: Rc::clone(&tracker),
+        clock: Rc::default(),
         obs: ObserverCtx {
             observer,
             root_seam: Rc::clone(&root_seam),
-            progress_every: config.progress_every,
         },
         config,
     };
-    let (root, stats) = build_operator(plan, &ctx)?;
+    let stats = StatsNode::new(plan);
+    let root = build_operator(plan, &stats, &ctx)?;
     Ok(SinglePipeline {
         plan,
         root,
@@ -711,9 +642,6 @@ fn open_single<'p>(
 /// engine.
 pub struct Pipeline<'p> {
     inner: PipelineImpl<'p>,
-    /// Why a `threads > 1` session is running single-threaded (an unsupported plan
-    /// shape at open time); surfaced through [`QueryMetrics::fallback`].
-    fallback_note: Option<&'static str>,
 }
 
 enum PipelineImpl<'p> {
@@ -763,14 +691,10 @@ impl Pipeline<'_> {
     /// For parallel runs, per-operator counters are aggregated across workers and
     /// `elapsed` is summed worker CPU time.
     pub fn metrics(&self) -> QueryMetrics {
-        let mut metrics = match &self.inner {
+        match &self.inner {
             PipelineImpl::Single(p) => p.metrics(),
             PipelineImpl::Parallel(p) => p.metrics(),
-        };
-        if metrics.fallback.is_none() {
-            metrics.fallback = self.fallback_note;
         }
-        metrics
     }
 
     /// Peak number of rows buffered by pipeline breakers so far.
@@ -854,13 +778,12 @@ impl SinglePipeline<'_> {
 
     /// The metrics tree observed so far (complete once `next_batch` returned `None`).
     pub fn metrics(&self) -> QueryMetrics {
-        let root = assemble_metrics(self.plan, &self.stats);
+        let root = self.stats.metrics(self.plan);
         let execution_time = root.total_elapsed();
         QueryMetrics {
             root,
             execution_time,
             engine: "single-thread",
-            fallback: None,
         }
     }
 
@@ -875,76 +798,14 @@ impl SinglePipeline<'_> {
     }
 }
 
-/// Per-operator counters, shared between the operator wrapper and metrics assembly.
-#[derive(Default)]
-struct OpStats {
-    rows: Cell<u64>,
-    batches: Cell<u64>,
-    /// Whether the operator returned `None` (ran to completion): only then is `rows` a
-    /// true cardinality rather than a count truncated by early termination.
-    exhausted: Cell<bool>,
-    /// Wall-clock time inside `next_batch`, *including* time spent pulling children.
-    inclusive: Cell<Duration>,
-    /// For scans: how the operator read its input — `"dictionary"` / `"native"`
-    /// (vectorized over column chunks, with/without dictionary-coded columns),
-    /// `"fallback-row"` (columnar on, but the predicate has no kernel), or `"row"`
-    /// (columnar off, or an index scan materializing by row id). `None` elsewhere.
-    encoding: Cell<Option<&'static str>>,
-    /// For index nested-loop joins: `"columnar"` (the shared kernel over column
-    /// batches) or `"row"` (columnar execution off). `None` elsewhere.
-    probe: Cell<Option<&'static str>>,
-    /// What this operator's kernel spilled (nothing while it stays in memory).
-    spill: Arc<SpillStats>,
-}
-
-/// The stats tree, shaped like the plan tree.
-struct StatsNode {
-    stats: Rc<OpStats>,
-    children: Vec<StatsNode>,
-}
-
-fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsNode) -> MetricsNode {
-    let children: Vec<MetricsNode> = plan
-        .children
-        .iter()
-        .zip(&stats.children)
-        .map(|(p, s)| assemble_metrics(p, s))
-        .collect();
-    let child_inclusive: Duration = stats
-        .children
-        .iter()
-        .map(|c| c.stats.inclusive.get())
-        .sum();
-    // An operator's count is a true cardinality only if it ran to completion AND so
-    // did its whole subtree: a Limit that hit its count returns `None` without
-    // draining its child, and its actual_rows is a truncated count for its rel_set.
-    let exhausted = stats.stats.exhausted.get()
-        && children.iter().all(|child| child.metrics.exhausted);
-    let (spilled_bytes, spill_partitions) = stats.stats.spill.get();
-    MetricsNode {
-        metrics: OperatorMetrics {
-            label: plan.label(),
-            rel_set: plan.rel_set,
-            is_join: plan.is_join(),
-            estimated_rows: plan.estimated_rows,
-            actual_rows: stats.stats.rows.get(),
-            batches: stats.stats.batches.get(),
-            exhausted,
-            elapsed: stats.stats.inclusive.get().saturating_sub(child_inclusive),
-            encoding: stats.stats.encoding.get(),
-            probe: stats.stats.probe.get(),
-            spilled_bytes,
-            spill_partitions,
-        },
-        children,
-    }
-}
-
 /// Everything needed to translate a plan node into an operator.
 struct BuildContext<'p> {
     storage: &'p Storage,
     config: ExecConfig,
     tracker: Rc<Buffered>,
+    /// The time of the pulls nested directly in the pull running now (see
+    /// [`Metered::next_batch`]).
+    clock: Rc<Cell<Duration>>,
     obs: ObserverCtx<'p>,
 }
 
@@ -959,26 +820,31 @@ trait Operator {
     fn collect_breaker_states(&mut self, _out: &mut Vec<BreakerState>) {}
 }
 
-/// An operator plus its shared counters. Parents pull through this wrapper so rows,
-/// batches and inclusive time are recorded uniformly.
+/// An operator plus its node of the counter tree. Parents pull through this wrapper
+/// so rows, batches and self time are recorded uniformly.
 struct Metered<'p> {
     inner: Box<dyn Operator + 'p>,
-    stats: Rc<OpStats>,
+    stats: Arc<OpStats>,
+    /// Shared by every wrapper of the pipeline: while a pull runs, the time of the
+    /// pulls nested directly in it.
+    clock: Rc<Cell<Duration>>,
 }
 
 impl Metered<'_> {
+    /// Pull the operator's next batch. Its self time is the pull's time minus what
+    /// the children's pulls inside it took, which they add to the clock.
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         let start = Instant::now();
+        let outer = self.clock.replace(Duration::ZERO);
         let out = self.inner.next_batch();
-        self.stats
-            .inclusive
-            .set(self.stats.inclusive.get() + start.elapsed());
+        let elapsed = start.elapsed();
+        self.stats.charge(elapsed.saturating_sub(self.clock.get()));
+        self.clock.set(outer + elapsed);
         match &out {
             Ok(Some(batch)) => {
-                self.stats.rows.set(self.stats.rows.get() + batch.len() as u64);
-                self.stats.batches.set(self.stats.batches.get() + 1);
+                self.stats.count(batch.len());
             }
-            Ok(None) => self.stats.exhausted.set(true),
+            Ok(None) => self.stats.finish(),
             Err(_) => {}
         }
         out
@@ -1398,26 +1264,21 @@ pub(crate) fn index_nl_join(
     ))
 }
 
-/// Translate a plan subtree into an operator tree, returning the root operator and the
-/// parallel stats tree.
+/// Translate a plan subtree into an operator tree counting on `stats`, the subtree's
+/// counters.
 fn build_operator<'p>(
     plan: &'p PhysicalPlan,
+    stats: &StatsNode,
     ctx: &BuildContext<'p>,
-) -> Result<(Metered<'p>, StatsNode), ExecError> {
-    let mut children = Vec::with_capacity(plan.children.len());
-    let mut child_stats = Vec::with_capacity(plan.children.len());
-    for child in &plan.children {
-        let (op, stats) = build_operator(child, ctx)?;
-        children.push(op);
-        child_stats.push(stats);
-    }
-
+) -> Result<Metered<'p>, ExecError> {
+    let mut children = plan
+        .children
+        .iter()
+        .zip(&stats.children)
+        .map(|(child, stats)| build_operator(child, stats, ctx))
+        .collect::<Result<Vec<_>, _>>()?;
     let batch_size = ctx.config.batch_size;
-    // Created before the operator so breaker sinks with a spill path (hash build,
-    // sort, aggregate) can account spilled bytes/partitions as they seal runs.
-    let stats = Rc::new(OpStats::default());
-    let mut scan_encoding: Option<&'static str> = None;
-    let mut probe: Option<&'static str> = None;
+    let node = &stats.stats;
     let op: Box<dyn Operator + 'p> = match &plan.kind {
         PlanKind::SeqScan {
             table,
@@ -1436,7 +1297,9 @@ fn build_operator<'p>(
             // slice of the *actual* column chunks (their encodings — including
             // `Val` promotions — never change during a query).
             let columnar = ctx.config.columnar && read.kernel_covers(table, &mut mask_cache);
-            scan_encoding = Some(scan_encoding_label(ctx.config.columnar, columnar, table));
+            let _ = node
+                .encoding
+                .set(scan_encoding_label(ctx.config.columnar, columnar, table));
             Box::new(SeqScanOp {
                 table,
                 pos: 0,
@@ -1462,7 +1325,7 @@ fn build_operator<'p>(
                 .ok_or_else(|| {
                     ExecError::InvalidPlan(format!("no usable index on column '{column}'"))
                 })?;
-            scan_encoding = Some("row");
+            let _ = node.encoding.set("row");
             let read = TableRead::new(
                 &relation_schema(table, alias),
                 &plan.schema,
@@ -1501,9 +1364,9 @@ fn build_operator<'p>(
                 reservation: ctx.config.governor.reservation(),
                 grace: None,
                 probe_partitioned: false,
-                spill: Arc::clone(&stats.spill),
+                stats: Arc::clone(node),
                 obs: ctx.obs.clone_ref(),
-                progress: ProgressMeter::new(plan.rel_set, plan.estimated_rows),
+                progress: Progress::new(plan),
             })
         }
         PlanKind::IndexNestedLoopJoin {
@@ -1515,7 +1378,7 @@ fn build_operator<'p>(
             let inner_key_idx = table.schema().index_of(None, inner_key)?;
             let kernel = IndexNlKernel::new(plan, table)?;
             let outer = children.pop().expect("index nested loop has one child");
-            probe = Some(probe_label(ctx.config.columnar));
+            let _ = node.probe.set(probe_label(ctx.config.columnar));
             Box::new(IndexNlJoinOp {
                 outer,
                 table,
@@ -1540,8 +1403,9 @@ fn build_operator<'p>(
                 match_pos: 0,
                 batch_size,
                 tracker: Rc::clone(&ctx.tracker),
+                stats: Arc::clone(node),
                 obs: ctx.obs.clone_ref(),
-                progress: ProgressMeter::new(plan.rel_set, plan.estimated_rows),
+                progress: Progress::new(plan),
             })
         }
         PlanKind::Filter { predicate } => {
@@ -1555,7 +1419,7 @@ fn build_operator<'p>(
         PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
             let input = children.pop().expect("aggregate and sort have one child");
             let grant = ctx.config.governor.reservation();
-            let spill = Arc::clone(&stats.spill);
+            let spill = Arc::clone(&node.spill);
             let (kind, drain) = match &plan.kind {
                 PlanKind::Sort { .. } => {
                     (BreakerKind::SortInput, Drain::Sort(SortBuffer::new(plan, grant, spill)?))
@@ -1608,22 +1472,15 @@ fn build_operator<'p>(
         }
     };
 
-    stats.encoding.set(scan_encoding);
-    stats.probe.set(probe);
-    Ok((
-        Metered {
-            inner: op,
-            stats: Rc::clone(&stats),
-        },
-        StatsNode {
-            stats,
-            children: child_stats,
-        },
-    ))
+    Ok(Metered {
+        inner: op,
+        stats: Arc::clone(node),
+        clock: Rc::clone(&ctx.clock),
+    })
 }
 
 /// The probe label an index nested-loop join reports in EXPLAIN ANALYZE (see
-/// [`OpStats::probe`]).
+/// [`OperatorMetrics::probe`](crate::OperatorMetrics::probe)).
 pub(crate) fn probe_label(columnar: bool) -> &'static str {
     if columnar {
         "columnar"
@@ -1632,7 +1489,8 @@ pub(crate) fn probe_label(columnar: bool) -> &'static str {
     }
 }
 
-/// The encoding label a scan reports in EXPLAIN ANALYZE (see [`OpStats::encoding`]).
+/// The encoding label a scan reports in EXPLAIN ANALYZE (see
+/// [`OperatorMetrics::encoding`](crate::OperatorMetrics::encoding)).
 pub(crate) fn scan_encoding_label(columnar: bool, kernel: bool, table: &Table) -> &'static str {
     if !columnar {
         "row"
@@ -1882,9 +1740,10 @@ struct JoinOp<'p> {
     grace: Option<Box<GraceJoin>>,
     /// Whether the probe input was partitioned into `grace`.
     probe_partitioned: bool,
-    spill: Arc<SpillStats>,
+    /// The join's node: its progress counts and its spill volume.
+    stats: Arc<OpStats>,
     obs: ObserverCtx<'p>,
-    progress: ProgressMeter,
+    progress: Progress,
 }
 
 impl JoinOp<'_> {
@@ -1914,7 +1773,7 @@ impl JoinOp<'_> {
                     self.table.len() as u64,
                     &self.reservation,
                 ))?;
-                let spill = Arc::clone(&self.spill);
+                let spill = Arc::clone(&self.stats.spill);
                 let grace = GraceJoin::start(&mut self.table, &mut self.reservation, spill)?;
                 self.grace = Some(Box::new(grace));
             }
@@ -1992,7 +1851,7 @@ impl Operator for JoinOp<'_> {
         if out.is_empty() {
             return Ok(None);
         }
-        self.progress.tick(&self.obs, out.len())?;
+        self.obs.progress(&self.progress, &self.stats, out.len())?;
         Ok(Some(Batch::Rows(out)))
     }
 
@@ -2051,8 +1910,10 @@ struct IndexNlJoinOp<'p> {
     match_pos: usize,
     batch_size: usize,
     tracker: Rc<Buffered>,
+    /// The join's node, whose counts its progress reports carry.
+    stats: Arc<OpStats>,
     obs: ObserverCtx<'p>,
-    progress: ProgressMeter,
+    progress: Progress,
 }
 
 impl IndexNlJoinOp<'_> {
@@ -2095,7 +1956,7 @@ impl IndexNlJoinOp<'_> {
                     }
                     None => head,
                 };
-                self.progress.tick(&self.obs, out.len())?;
+                self.obs.progress(&self.progress, &self.stats, out.len())?;
                 return Ok(Some(Batch::Cols(out)));
             }
             if !self.cursor.done(&self.outer_cols) {
@@ -2135,12 +1996,12 @@ impl IndexNlJoinOp<'_> {
                 // carries a true cardinality — the earliest one an index-NL pipeline
                 // ever produces (it has no breaker).
                 let carried = self.carried.take();
-                self.progress
-                    .finish(&self.obs, carried.as_ref().map_or(0, ColumnBatch::len))?;
+                let pending = carried.as_ref().map_or(0, ColumnBatch::len);
+                self.obs.progress_end(&self.progress, &self.stats, pending)?;
                 let Some(out) = carried else {
                     return Ok(None);
                 };
-                self.progress.tick(&self.obs, out.len())?;
+                self.obs.progress(&self.progress, &self.stats, out.len())?;
                 return Ok(Some(Batch::Cols(out)));
             };
             self.outer_cols = self.kernel.outer_columns(batch);
@@ -2155,7 +2016,7 @@ impl IndexNlJoinOp<'_> {
             if self.outer_pos >= self.outer_batch.len() {
                 let Some(batch) = self.outer.next_rows()? else {
                     // As on the columnar path: the exhaustion report is exact.
-                    self.progress.finish(&self.obs, out.len())?;
+                    self.obs.progress_end(&self.progress, &self.stats, out.len())?;
                     break;
                 };
                 self.outer_batch = batch;
@@ -2197,7 +2058,7 @@ impl IndexNlJoinOp<'_> {
         if out.is_empty() {
             Ok(None)
         } else {
-            self.progress.tick(&self.obs, out.len())?;
+            self.obs.progress(&self.progress, &self.stats, out.len())?;
             Ok(Some(Batch::Rows(out)))
         }
     }
@@ -2293,7 +2154,7 @@ impl DrainOp<'_> {
                 })
                 .and_then(|()| Ok(Emit::Sorted(buffer.finish()?))),
         };
-        let input_rows = input.stats.rows.get();
+        let input_rows = input.stats.rows();
         // As in JoinOp: retain the drained child only for observed pipelines.
         if self.obs.active() {
             self.input = Some(input);
@@ -3017,9 +2878,7 @@ mod tests {
         let (storage, catalog) = build_env();
         let planned = index_nl_plan(&storage, &catalog);
         let observer = RecordingObserver::new(ObserverDecision::Continue);
-        let executor = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_progress_interval(2);
+        let executor = Executor::with_batch_size(&storage, 4).with_threads(1);
         let mut pipeline = executor
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
@@ -3033,7 +2892,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        // 200 join rows at batch size 16 → ~13 batches → periodic reports every 2.
+        // 200 join rows at batch size 4 → 50 batches → a periodic report every
+        // PROGRESS_INTERVAL (8) of them.
         let periodic: Vec<_> = progress
             .iter()
             .filter(|p| p.source == ProgressSource::OutputBatches)
@@ -3053,27 +2913,6 @@ mod tests {
         let event = ExecEvent::Progress((*finals[0]).clone());
         assert!(event.is_exact());
         assert_eq!(event.observed_rows(), 200);
-    }
-
-    #[test]
-    fn progress_interval_zero_disables_periodic_reports() {
-        let (storage, catalog) = build_env();
-        let planned = index_nl_plan(&storage, &catalog);
-        let observer = RecordingObserver::new(ObserverDecision::Continue);
-        let executor = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_progress_interval(0);
-        let mut pipeline = executor
-            .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
-            .unwrap();
-        while pipeline.next_batch().unwrap().is_some() {}
-        let events = &observer.borrow().events;
-        // Only the one-shot outer-exhaustion report (and breaker completions) remain.
-        assert!(events.iter().all(|e| match e {
-            ExecEvent::Progress(p) => p.source == ProgressSource::OuterExhausted,
-            ExecEvent::BreakerComplete(_) | ExecEvent::MemoryPressure(_) => true,
-        }));
-        assert!(events.iter().any(|e| matches!(e, ExecEvent::Progress(_))));
     }
 
     #[test]
@@ -3100,16 +2939,18 @@ mod tests {
             )
             .unwrap();
         let observer = RecordingObserver::new(ObserverDecision::SuspendAtRootSeam);
-        let executor = Executor::with_batch_size(&storage, 16)
-            .with_threads(1)
-            .with_progress_interval(1);
+        let executor = Executor::with_batch_size(&storage, 2).with_threads(1);
         let mut pipeline = executor
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
 
-        let first = pipeline.next_batch().unwrap();
-        assert_eq!(first.map(|b| b.len()), Some(16), "in-flight batch is delivered");
-        assert!(!pipeline.is_suspended(), "suspension waits for the seam");
+        // The join's first report falls on its PROGRESS_INTERVAL-th output batch.
+        for pull in 1..=crate::PROGRESS_INTERVAL {
+            let batch = pipeline.next_batch().unwrap();
+            assert_eq!(batch.map(|b| b.len()), Some(2), "pull {pull} delivers its batch");
+            assert!(!pipeline.is_suspended(), "suspension waits for the seam");
+        }
+        assert_eq!(observer.borrow().events.len(), 1, "the report armed the seam");
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
         assert!(pipeline.is_suspended());
         // Suspension on the seam keeps breaker state extractable, like mid-drain
@@ -3601,7 +3442,6 @@ mod tests {
             .unwrap();
         assert_eq!(result.rows[0].value(0), &Value::Int(200));
         assert_eq!(result.metrics.engine, "parallel");
-        assert_eq!(result.metrics.fallback, None);
         assert!(governor.denials() >= 1, "the parallel sink must have been denied");
         let (bytes, _) = result.metrics.root.total_spilled();
         assert!(bytes > 0, "the morsel engine spilled");
@@ -3634,7 +3474,6 @@ mod tests {
                 .execute(&planned.plan)
                 .unwrap();
             assert_eq!(result.rows, reference.rows, "{threads} threads");
-            assert_eq!(result.metrics.fallback, None);
             let mut spilled = Vec::new();
             let mut stack = vec![&result.metrics.root];
             while let Some(node) = stack.pop() {

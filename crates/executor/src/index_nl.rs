@@ -897,10 +897,9 @@ mod tests {
             let mut delivered = Vec::new();
             for columnar in [true, false] {
                 let observer: ObserverHandle = Rc::new(RefCell::new(SuspendAt { at, seen: 0 }));
-                let executor = Executor::with_batch_size(&storage, 7)
+                let executor = Executor::with_batch_size(&storage, 3)
                     .with_threads(1)
-                    .with_columnar(columnar)
-                    .with_progress_interval(1);
+                    .with_columnar(columnar);
                 let mut pipeline = executor.open_observed(&plan, Some(observer)).unwrap();
                 let mut rows = Vec::new();
                 let error = loop {
@@ -912,8 +911,14 @@ mod tests {
                 };
                 assert_eq!(error, ExecError::Suspended);
                 assert!(pipeline.is_suspended());
-                // Report `at` fires on batch `at`, which is lost to the suspension.
-                assert_eq!(rows.len(), (at - 1) * 7, "columnar {columnar}, report {at}");
+                // Report `at` fires on batch `at * PROGRESS_INTERVAL`, which is lost to
+                // the suspension.
+                let batch = at * crate::PROGRESS_INTERVAL as usize;
+                assert_eq!(
+                    rows.len(),
+                    (batch - 1) * 3,
+                    "columnar {columnar}, report {at}"
+                );
                 assert_eq!(bits(&rows), bits(&expected[..rows.len()]));
                 delivered.push(bits(&rows));
             }

