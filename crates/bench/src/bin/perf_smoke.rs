@@ -61,9 +61,10 @@ const THRESHOLD: f64 = 8.0;
 /// policy runs. At this scale most plain plans join by index nested loops and
 /// reserve little: at 4, 8, 32, 128 and 256 KiB no plain run spills. Measured at
 /// 2 KiB: in each budgeted leg 2 plain runs spill 17 581 B; `t1-budget` denies
-/// 1 926 grants and its policy runs spill 15 090 330 B, `t4-budget` denies 4 917
-/// and spills 22 954 637 B. A budgeted leg fails loudly if drift makes the budget
-/// vacuous.
+/// 1 926 grants and its policy runs spill 15 090 330 B, `t4-budget` about 33 200
+/// and spills 157 695 725 B, 132 MB of it in 15a's MidQuery run, whose plan after
+/// its sixteenth round spills. A budgeted leg fails loudly if drift makes the
+/// budget vacuous.
 const BUDGET: u64 = 2048;
 
 /// One configuration the whole query set is checked under.

@@ -27,16 +27,20 @@
 //! so tests can assert that memory is bounded by pipeline-breaker output rather than
 //! join fan-out.
 //!
-//! Every operator is wrapped in a `Metered` shell that counts its rows and batches
-//! and its *self* time (the pull's time minus the time its children's pulls took
-//! inside it) on the operator's node of the shared counter tree
-//! (the `instrument` module), which assembles the [`QueryMetrics`] of both engines.
+//! Filters, projections and join probes are the streaming steps of `chain.rs`, which
+//! both engines run: here one operator shell pulls its child until the step yields.
+//!
+//! Every operator is wrapped in a `Metered` shell that records its *self* time (the
+//! pull's time minus the time its children's pulls took inside it) and counts the
+//! rows and batches it returns (a streaming step counts its own) on the operator's
+//! node of the shared counter tree (the `instrument` module), which assembles the
+//! [`QueryMetrics`] of both engines.
 
 use crate::error::ExecError;
-use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
-use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
+use crate::chain::{Built, Events, Step, StepState};
+use crate::hash_join::GraceJoin;
 use crate::agg::{AggKernel, GroupSpill, GroupTable, Groups};
-use crate::instrument::{observe, Buffered, OpStats, Progress, StatsNode, Stop};
+use crate::instrument::{observe, Buffered, OpStats, StatsNode, Stop};
 use crate::metrics::QueryMetrics;
 use crate::sort::{SortBuffer, Sorted};
 use crate::spill::{MemoryGovernor, Reservation};
@@ -44,11 +48,11 @@ use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
 use reopt_planner::plan::IndexLookup;
 use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_planner::RelSet;
-use reopt_storage::{ColumnBatch, ColumnData, Index, IndexKind, Row, Schema, Storage, Table, Value};
+use reopt_storage::{ColumnBatch, ColumnData, Index, Row, Schema, Storage, Table, Value};
 use std::cell::{Cell, RefCell};
 use std::ops::{Bound, Range};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default number of rows per batch.
@@ -323,12 +327,6 @@ impl<'p> ObserverCtx<'p> {
         }
     }
 
-    /// Whether an observer is installed (drained breaker children are only retained
-    /// for observed pipelines, so their state stays extractable after a suspension).
-    fn active(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Report an event, translating the stop it asks for into control flow: a stop
     /// now unwinds with [`ExecError::Suspended`], a stop at the root seam arms the
     /// root-seam flag.
@@ -341,31 +339,18 @@ impl<'p> ObserverCtx<'p> {
         Ok(())
     }
 
-    fn notify_breaker(&self, event: BreakerEvent) -> Result<(), ExecError> {
-        self.notify(ExecEvent::BreakerComplete(event))
+}
+
+impl Events for ObserverCtx<'_> {
+    /// Whether an observer is installed (drained breaker children are also retained
+    /// only for observed pipelines, so their state stays extractable after a
+    /// suspension).
+    fn active(&self) -> bool {
+        self.observer.is_some()
     }
 
-    /// Report the progress due once a join's output batch of `rows` rows, which it
-    /// is about to return, is counted on its node `stats` (its `Metered` wrapper
-    /// counts a batch when the operator returns it).
-    fn progress(&self, progress: &Progress, stats: &OpStats, rows: usize) -> Result<(), ExecError> {
-        let batches = stats.batches() + 1;
-        if self.active() && Progress::due(batches) {
-            self.notify(progress.periodic(stats.rows() + rows as u64, batches))?;
-        }
-        Ok(())
-    }
-
-    /// Report an index-NL join's outer side drained, with `pending` output rows not
-    /// yet returned: the join's exact cardinality.
-    fn progress_end(&self, progress: &Progress, stats: &OpStats, pending: usize) -> Result<(), ExecError> {
-        if !self.active() {
-            return Ok(());
-        }
-        match progress.end(stats.rows() + pending as u64, stats.batches()) {
-            Some(event) => self.notify(event),
-            None => Ok(()),
-        }
+    fn send(&self, event: &dyn Fn() -> ExecEvent) -> Result<(), ExecError> {
+        self.notify(event())
     }
 }
 
@@ -828,6 +813,9 @@ struct Metered<'p> {
     /// Shared by every wrapper of the pipeline: while a pull runs, the time of the
     /// pulls nested directly in it.
     clock: Rc<Cell<Duration>>,
+    /// Whether the wrapper counts the batches the operator returns (a streaming
+    /// step counts its own).
+    counts: bool,
 }
 
 impl Metered<'_> {
@@ -841,19 +829,13 @@ impl Metered<'_> {
         self.stats.charge(elapsed.saturating_sub(self.clock.get()));
         self.clock.set(outer + elapsed);
         match &out {
-            Ok(Some(batch)) => {
+            Ok(Some(batch)) if self.counts => {
                 self.stats.count(batch.len());
             }
             Ok(None) => self.stats.finish(),
-            Err(_) => {}
+            _ => {}
         }
         out
-    }
-
-    /// The next batch decoded to rows (the boundary for consumers without a columnar
-    /// implementation).
-    fn next_rows(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        Ok(self.next_batch()?.map(Batch::into_rows))
     }
 
     /// Drain the operator completely (used by the row-buffering pipeline breakers:
@@ -864,8 +846,8 @@ impl Metered<'_> {
         &mut self,
         mut consume: impl FnMut(RowBatch) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
-        while let Some(batch) = self.next_rows()? {
-            consume(batch)?;
+        while let Some(batch) = self.next_batch()? {
+            consume(batch.into_rows())?;
         }
         Ok(())
     }
@@ -892,6 +874,14 @@ pub(crate) fn key_index(
 pub(crate) fn lookup_table<'p>(storage: &'p Storage, name: &str) -> Result<&'p Table, ExecError> {
     storage
         .table(name)
+        .map_err(|_| ExecError::TableNotFound(name.to_string()))
+}
+
+/// Resolve a table to its shared chunk handle, which `'static` chain jobs and steps
+/// can hold without borrowing from the storage map.
+pub(crate) fn lookup_table_arc(storage: &Storage, name: &str) -> Result<Arc<Table>, ExecError> {
+    storage
+        .table_arc(name)
         .map_err(|_| ExecError::TableNotFound(name.to_string()))
 }
 
@@ -1113,16 +1103,21 @@ impl TableRead {
         &scratch.values()[..self.output]
     }
 
-    /// [`TableRead::fetch`] as an output row of its own (the index-scan case).
-    pub(crate) fn fetch_row(
+    /// [`TableRead::fetch`] of each row of `ids`, those that pass as output rows of
+    /// their own (the index-scan case).
+    pub(crate) fn fetch_rows(
         &self,
         table: &Table,
-        id: usize,
+        ids: &[usize],
         scratch: &mut Row,
-    ) -> Result<Option<Row>, ExecError> {
-        Ok(self
-            .fetch(table, id, scratch)?
-            .then(|| Row::from_values(self.output(scratch).to_vec())))
+    ) -> Result<RowBatch, ExecError> {
+        let mut out = Vec::new();
+        for &id in ids {
+            if self.fetch(table, id, scratch)? {
+                out.push(Row::from_values(self.output(scratch).to_vec()));
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -1271,14 +1266,53 @@ fn build_operator<'p>(
     stats: &StatsNode,
     ctx: &BuildContext<'p>,
 ) -> Result<Metered<'p>, ExecError> {
-    let mut children = plan
+    let children = plan
         .children
         .iter()
         .zip(&stats.children)
         .map(|(child, stats)| build_operator(child, stats, ctx))
         .collect::<Result<Vec<_>, _>>()?;
+    // A node's input comes first; a join's build side second.
+    let mut children = children.into_iter();
+    let mut child = || {
+        children
+            .next()
+            .ok_or_else(|| ExecError::InvalidPlan(format!("{} lacks a child", plan.label())))
+    };
     let batch_size = ctx.config.batch_size;
     let node = &stats.stats;
+    let metered = |inner: Box<dyn Operator + 'p>, counts: bool| Metered {
+        inner,
+        stats: Arc::clone(node),
+        clock: Rc::clone(&ctx.clock),
+        counts,
+    };
+    if let Some(step) = Step::new(plan, ctx.storage, &ctx.config, node)? {
+        // The step counts its own output batches.
+        let input = child()?;
+        let build = match step.build_table() {
+            Some((_, kind)) => Some(JoinBuild {
+                child: Some(child()?),
+                done: false,
+                kind,
+                side: &plan.children[1],
+                grant: ctx.config.governor.reservation(),
+            }),
+            None => None,
+        };
+        return Ok(metered(
+            Box::new(StreamOp {
+                input,
+                build,
+                state: step.state(),
+                step,
+                drained: false,
+                tracker: Rc::clone(&ctx.tracker),
+                obs: ctx.obs.clone_ref(),
+            }),
+            false,
+        ));
+    }
     let op: Box<dyn Operator + 'p> = match &plan.kind {
         PlanKind::SeqScan {
             table,
@@ -1343,81 +1377,8 @@ fn build_operator<'p>(
                 tracker: Rc::clone(&ctx.tracker),
             })
         }
-        PlanKind::HashJoin { .. } | PlanKind::NestedLoopJoin { .. } => {
-            let kernel = JoinKernel::new(plan)?;
-            let (Some(build), Some(probe)) = (children.pop(), children.pop()) else {
-                return Err(ExecError::InvalidPlan("a join has two children".into()));
-            };
-            Box::new(JoinOp {
-                probe,
-                build: Some(build),
-                build_done: false,
-                build_rel_set: plan.children[1].rel_set,
-                build_estimated_rows: plan.children[1].estimated_rows,
-                build_schema: plan.children[1].schema.clone(),
-                table: kernel.table(),
-                kernel,
-                batch: ProbeBatch::default(),
-                scratch: Row::default(),
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                reservation: ctx.config.governor.reservation(),
-                grace: None,
-                probe_partitioned: false,
-                stats: Arc::clone(node),
-                obs: ctx.obs.clone_ref(),
-                progress: Progress::new(plan),
-            })
-        }
-        PlanKind::IndexNestedLoopJoin {
-            inner_table,
-            inner_key,
-            ..
-        } => {
-            let table = lookup_table(ctx.storage, inner_table)?;
-            let inner_key_idx = table.schema().index_of(None, inner_key)?;
-            let kernel = IndexNlKernel::new(plan, table)?;
-            let outer = children.pop().expect("index nested loop has one child");
-            let _ = node.probe.set(probe_label(ctx.config.columnar));
-            Box::new(IndexNlJoinOp {
-                outer,
-                table,
-                // Use an existing index if present; otherwise the first pull builds a
-                // transient one (keeps the operator correct even if an index was
-                // dropped after planning).
-                index: table.index_on_column(inner_key_idx, false),
-                inner_key_idx,
-                transient: None,
-                columnar: ctx.config.columnar,
-                outer_cols: ColumnBatch::new(Vec::new(), 0),
-                cursor: Cursor::default(),
-                pairs: Pairs::default(),
-                emitted: 0,
-                carried: None,
-                mask_cache: MaskCache::new(),
-                inner_scratch: kernel.read.scratch(),
-                kernel,
-                scratch: Row::default(),
-                outer_batch: Vec::new(),
-                outer_pos: 0,
-                match_pos: 0,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                stats: Arc::clone(node),
-                obs: ctx.obs.clone_ref(),
-                progress: Progress::new(plan),
-            })
-        }
-        PlanKind::Filter { predicate } => {
-            let input = children.pop().expect("filter has one child");
-            Box::new(FilterOp {
-                input,
-                predicate: bind(predicate, &plan.children[0].schema)?,
-                mask_cache: MaskCache::new(),
-            })
-        }
         PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
-            let input = children.pop().expect("aggregate and sort have one child");
+            let input = child()?;
             let grant = ctx.config.governor.reservation();
             let spill = Arc::clone(&node.spill);
             let (kind, drain) = match &plan.kind {
@@ -1441,42 +1402,18 @@ fn build_operator<'p>(
                 obs: ctx.obs.clone_ref(),
             })
         }
-        PlanKind::Project { exprs } => {
-            let input = children.pop().expect("project has one child");
-            let input_schema = &plan.children[0].schema;
-            let exprs = exprs
-                .iter()
-                .map(|e| bind(&e.expr, input_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            // A projection of plain column references keeps batches columnar (the
-            // chunks are reordered, never decoded).
-            let indices = exprs
-                .iter()
-                .map(|e| match e {
-                    Expr::BoundColumn { index, .. } => Some(*index),
-                    _ => None,
-                })
-                .collect::<Option<Vec<usize>>>();
-            Box::new(ProjectOp {
-                input,
-                exprs,
-                indices,
-            })
-        }
-        PlanKind::Limit { count } => {
-            let input = children.pop().expect("limit has one child");
-            Box::new(LimitOp {
-                input,
-                remaining: *count,
-            })
+        PlanKind::Limit { count } => Box::new(LimitOp {
+            input: child()?,
+            remaining: *count,
+        }),
+        _ => {
+            return Err(ExecError::InvalidPlan(format!(
+                "{} has no operator",
+                plan.label()
+            )))
         }
     };
-
-    Ok(Metered {
-        inner: op,
-        stats: Arc::clone(node),
-        clock: Rc::clone(&ctx.clock),
-    })
+    Ok(metered(op, true))
 }
 
 /// The probe label an index nested-loop join reports in EXPLAIN ANALYZE (see
@@ -1562,112 +1499,25 @@ struct IndexScanOp<'p> {
     tracker: Rc<Buffered>,
 }
 
-impl IndexScanOp<'_> {
-    fn resolve_row_ids(&mut self) {
-        if self.row_ids.is_some() {
-            return;
-        }
-        let row_ids = resolve_index_row_ids(self.index, self.lookup);
-        self.tracker
-            .acquire(row_ids.len() as u64, 8 * row_ids.len() as u64);
-        self.row_ids = Some(row_ids);
-    }
-}
-
 impl Operator for IndexScanOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.resolve_row_ids();
-        let row_ids = self.row_ids.as_ref().expect("resolved above");
+        let row_ids = match &mut self.row_ids {
+            Some(row_ids) => row_ids,
+            unresolved => {
+                let row_ids = resolve_index_row_ids(self.index, self.lookup);
+                self.tracker
+                    .acquire(row_ids.len() as u64, 8 * row_ids.len() as u64);
+                unresolved.insert(row_ids)
+            }
+        };
         let mut out = Vec::new();
         while out.is_empty() && self.pos < row_ids.len() {
             let chunk_end = self.pos.saturating_add(self.batch_size).min(row_ids.len());
-            for &row_id in &row_ids[self.pos..chunk_end] {
-                out.extend(self.read.fetch_row(self.table, row_id, &mut self.scratch)?);
-            }
+            let ids = &row_ids[self.pos..chunk_end];
+            out = self.read.fetch_rows(self.table, ids, &mut self.scratch)?;
             self.pos = chunk_end;
         }
         Ok(if out.is_empty() { None } else { Some(Batch::Rows(out)) })
-    }
-}
-
-/// Filter: applies the predicate to each input batch. Columnar batches are filtered
-/// through the vectorized mask kernel (staying columnar) when the predicate shape is
-/// covered; otherwise — and for row batches — the row-wise evaluator runs.
-struct FilterOp<'p> {
-    input: Metered<'p>,
-    predicate: Expr,
-    mask_cache: MaskCache,
-}
-
-impl Operator for FilterOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        while let Some(batch) = self.input.next_batch()? {
-            match batch {
-                Batch::Cols(cols) => {
-                    match filter_mask(&self.predicate, &cols, &mut self.mask_cache) {
-                        Some(mask) => {
-                            let filtered = cols.filter(&mask);
-                            if !filtered.is_empty() {
-                                return Ok(Some(Batch::Cols(filtered)));
-                            }
-                        }
-                        None => {
-                            let mut rows = cols.into_rows();
-                            self.predicate.filter_batch(&mut rows)?;
-                            if !rows.is_empty() {
-                                return Ok(Some(Batch::Rows(rows)));
-                            }
-                        }
-                    }
-                }
-                Batch::Rows(mut rows) => {
-                    self.predicate.filter_batch(&mut rows)?;
-                    if !rows.is_empty() {
-                        return Ok(Some(Batch::Rows(rows)));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        self.input.inner.collect_breaker_states(out);
-    }
-}
-
-/// Projection: maps each input batch through the output expressions. When every
-/// expression is a plain column reference, columnar batches stay columnar (the
-/// chunks are reordered without decoding).
-struct ProjectOp<'p> {
-    input: Metered<'p>,
-    exprs: Vec<Expr>,
-    /// `Some` when every output expression is a bound column reference.
-    indices: Option<Vec<usize>>,
-}
-
-impl Operator for ProjectOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        if let (Batch::Cols(cols), Some(indices)) = (&batch, &self.indices) {
-            return Ok(Some(Batch::Cols(cols.project(indices))));
-        }
-        let batch = batch.into_rows();
-        let mut out = Vec::with_capacity(batch.len());
-        for row in &batch {
-            let mut values = Vec::with_capacity(self.exprs.len());
-            for expr in &self.exprs {
-                values.push(expr.eval(row)?);
-            }
-            out.push(Row::from_values(values));
-        }
-        Ok(Some(Batch::Rows(out)))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        self.input.inner.collect_breaker_states(out);
     }
 }
 
@@ -1706,376 +1556,161 @@ impl Operator for LimitOp<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Joins
-// ---------------------------------------------------------------------------
-
-/// Hash join, and the plain nested-loop join as a hash join on zero keys (see
-/// [`crate::hash_join`]). The build side (a nested-loop join's inner side) is a
-/// pipeline breaker, drained into a [`JoinTable`] on the first pull; probing runs the
-/// kernel's probe loop over whole probe batches, suspending mid-batch (and
-/// mid-match-list) when the output batch is full. A hash build reserves its bytes
-/// against the governor and goes out of core through the kernel's [`GraceJoin`] when
-/// a grant is denied; a nested-loop inner has no out-of-core path and reserves
-/// nothing.
-struct JoinOp<'p> {
-    probe: Metered<'p>,
-    /// The build child is retained (not dropped) after draining so that nested breaker
-    /// states below it stay reachable for [`Operator::collect_breaker_states`].
-    build: Option<Metered<'p>>,
-    build_done: bool,
-    build_rel_set: RelSet,
-    build_estimated_rows: f64,
-    build_schema: Schema,
-    kernel: JoinKernel,
-    table: JoinTable,
-    /// The probe batch being joined, with its cursor.
-    batch: ProbeBatch,
-    scratch: Row,
-    batch_size: usize,
+/// The operator shell of a streaming step (filter, projection, join probe): it pulls
+/// its input until the step yields, and the input's end is the step's end of input.
+/// A hash or nested-loop join first drains its build side into the step's table
+/// ([`JoinBuild`]); once the build spilled, the whole probe input goes to the
+/// partitions and the step then joins them pair by pair.
+struct StreamOp<'p> {
+    input: Metered<'p>,
+    build: Option<JoinBuild<'p>>,
+    step: Step,
+    state: StepState,
+    /// Whether the input returned `None`.
+    drained: bool,
     tracker: Rc<Buffered>,
-    /// Byte grant for the in-memory build, and for each loaded block once spilled.
-    reservation: Reservation,
-    /// Grace-hash state; `None` while the build fits its grant (the default).
-    grace: Option<Box<GraceJoin>>,
-    /// Whether the probe input was partitioned into `grace`.
-    probe_partitioned: bool,
-    /// The join's node: its progress counts and its spill volume.
-    stats: Arc<OpStats>,
     obs: ObserverCtx<'p>,
-    progress: Progress,
 }
 
-impl JoinOp<'_> {
-    fn build_table(&mut self) -> Result<(), ExecError> {
-        if self.build_done {
+impl Operator for StreamOp<'_> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
+        match &mut self.build {
+            Some(build) => build.run(&mut self.step, &self.tracker, &self.obs)?,
+            None => self.step.prepare(&self.tracker),
+        }
+        loop {
+            if let Some(batch) = self.step.next(&mut self.state, &self.obs)? {
+                return Ok(Some(batch));
+            }
+            if self.drained {
+                if let Some(build) = &mut self.build {
+                    let batch =
+                        self.step
+                            .next_spilled(&mut self.state, &mut build.grant, &self.obs)?;
+                    if batch.is_some() {
+                        return Ok(batch);
+                    }
+                }
+                return self.step.flush(&mut self.state, &self.obs);
+            }
+            match self.input.next_batch()? {
+                Some(batch) => self.step.push(&mut self.state, batch)?,
+                None => {
+                    self.drained = true;
+                    self.step.end(self.state.pending(), &self.obs)?;
+                }
+            }
+        }
+    }
+
+    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
+        // Innermost states first: recurse before extracting this join's own build.
+        self.input.inner.collect_breaker_states(out);
+        if let Some(build) = &mut self.build {
+            if let Some(child) = &mut build.child {
+                child.inner.collect_breaker_states(out);
+            }
+            // An empty completed build is still extractable: knowing a subtree
+            // produced zero rows is exactly the kind of truth a re-optimizer wants to
+            // reuse. A spilled build is not: its rows live in NULL-key-stripped
+            // on-disk partitions (its breaker event said `reusable: false`).
+            if let Some(rows) = self.step.take_build_rows().filter(|_| build.done) {
+                out.push(BreakerState {
+                    kind: build.kind,
+                    rel_set: build.side.rel_set,
+                    schema: build.side.schema.clone(),
+                    rows,
+                });
+            }
+        }
+    }
+}
+
+/// The build side of a hash or nested-loop join (see [`crate::hash_join`]), a
+/// pipeline breaker drained into the step's join table on the first pull. A hash
+/// build reserves its bytes against the governor and goes out of core through the
+/// kernel's [`GraceJoin`] when a grant is denied; a nested-loop inner has no
+/// out-of-core path and reserves nothing.
+struct JoinBuild<'p> {
+    /// Retained after draining (observed pipelines only) so that nested breaker
+    /// states below it stay reachable for [`Operator::collect_breaker_states`].
+    child: Option<Metered<'p>>,
+    done: bool,
+    kind: BreakerKind,
+    /// The build subtree.
+    side: &'p PhysicalPlan,
+    /// Byte grant for the in-memory build, and for each loaded block once spilled.
+    grant: Reservation,
+}
+
+impl JoinBuild<'_> {
+    fn run(
+        &mut self,
+        step: &mut Step,
+        tracker: &Buffered,
+        obs: &ObserverCtx<'_>,
+    ) -> Result<(), ExecError> {
+        if self.done {
             return Ok(());
         }
-        let Some(mut build) = self.build.take() else {
+        let (Some(mut child), Some((mut table, _))) = (self.child.take(), step.build_table())
+        else {
             return Ok(());
         };
-        let result = build.drain(|batch| {
-            if self.grace.is_none() {
+        let mut grace: Option<GraceJoin> = None;
+        let result = child.drain(|batch| {
+            if grace.is_none() {
                 let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
-                if self.kernel.kind == BreakerKind::NestedLoopInner || self.reservation.grow(bytes)
-                {
-                    self.tracker.acquire(batch.len() as u64, bytes);
+                if self.kind == BreakerKind::NestedLoopInner || self.grant.grow(bytes) {
+                    tracker.acquire(batch.len() as u64, bytes);
                     for row in batch {
-                        self.table.push(row);
+                        table.push(row);
                     }
                     return Ok(());
                 }
                 // Grant denied. Surface memory pressure *before* committing the
                 // spill: a suspending observer re-plans with every buffer intact.
-                self.obs.notify(MemoryPressureEvent::denied(
+                obs.notify(MemoryPressureEvent::denied(
                     BreakerKind::HashBuild,
-                    (self.build_rel_set, self.build_estimated_rows),
-                    self.table.len() as u64,
-                    &self.reservation,
+                    (self.side.rel_set, self.side.estimated_rows),
+                    table.len() as u64,
+                    &self.grant,
                 ))?;
-                let spill = Arc::clone(&self.stats.spill);
-                let grace = GraceJoin::start(&mut self.table, &mut self.reservation, spill)?;
-                self.grace = Some(Box::new(grace));
+                let spill = Arc::clone(&step.stats.spill);
+                grace = Some(GraceJoin::start(&mut table, &mut self.grant, spill)?);
             }
-            match self.grace.as_deref_mut() {
-                Some(grace) => grace.write_build(batch, self.table.keys()),
+            match grace.as_mut() {
+                Some(grace) => grace.write_build(batch, table.keys()),
                 None => Ok(()),
             }
         });
         // Only observed pipelines (which may suspend and extract breaker state) need
         // the drained subtree kept alive; everywhere else, drop it now so nested
         // breaker buffers are freed as execution proceeds.
-        if self.obs.active() {
-            self.build = Some(build);
+        if obs.active() {
+            self.child = Some(child);
         }
         result?;
-        self.build_done = true;
-        let (actual_rows, reusable) = match self.grace.as_deref_mut() {
-            None => (self.table.len() as u64, true),
-            Some(grace) => {
+        self.done = true;
+        let (built, actual_rows, reusable) = match grace {
+            None => {
+                let rows = table.len() as u64;
+                (Built::Table(Arc::new(table)), rows, true)
+            }
+            Some(mut grace) => {
                 grace.seal_build()?;
-                (grace.input_rows, false)
+                let rows = grace.input_rows;
+                (Built::Spilled(Box::new(Mutex::new(grace))), rows, false)
             }
         };
-        self.obs.notify_breaker(BreakerEvent {
-            kind: self.kernel.kind,
-            rel_set: self.build_rel_set,
-            estimated_rows: self.build_estimated_rows,
+        step.install(built);
+        obs.notify(ExecEvent::BreakerComplete(BreakerEvent {
+            kind: self.kind,
+            rel_set: self.side.rel_set,
+            estimated_rows: self.side.estimated_rows,
             actual_rows,
             reusable,
-        })
-    }
-
-    /// The next probe batch: the probe child's, or, once the build spilled, the next
-    /// rows of a partition's probe run (the whole probe input is partitioned first).
-    fn next_probe(&mut self) -> Result<Option<Batch>, ExecError> {
-        let Some(grace) = self.grace.as_deref_mut() else {
-            return self.probe.next_batch();
-        };
-        if !self.probe_partitioned {
-            while let Some(batch) = self.probe.next_rows()? {
-                grace.write(batch, self.kernel.probe_keys())?;
-            }
-            grace.seal_probe()?;
-            self.probe_partitioned = true;
-        }
-        let rows = grace.next_probe_rows(
-            &mut self.table,
-            &mut self.reservation,
-            self.kernel.probe_keys(),
-            self.batch_size,
-        )?;
-        Ok(rows.map(Batch::Rows))
-    }
-}
-
-impl Operator for JoinOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.build_table()?;
-        let mut out = Vec::new();
-        while out.len() < self.batch_size {
-            if self.batch.done() {
-                let Some(batch) = self.next_probe()? else {
-                    break;
-                };
-                self.batch = self.kernel.batch(batch);
-            }
-            self.kernel.probe(
-                &self.table,
-                &mut self.batch,
-                self.batch_size,
-                &mut self.scratch,
-                &mut out,
-            )?;
-        }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        self.obs.progress(&self.progress, &self.stats, out.len())?;
-        Ok(Some(Batch::Rows(out)))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // Innermost states first: recurse before extracting this operator's own build.
-        self.probe.inner.collect_breaker_states(out);
-        if let Some(build) = &mut self.build {
-            build.inner.collect_breaker_states(out);
-        }
-        // An empty completed build is still extractable: knowing a subtree produced
-        // zero rows is exactly the kind of truth a re-optimizer wants to reuse.
-        // A spilled build is not: its rows live in NULL-key-stripped on-disk
-        // partitions (its breaker event said `reusable: false`).
-        if self.build_done && self.grace.is_none() {
-            out.push(BreakerState {
-                kind: self.kernel.kind,
-                rel_set: self.build_rel_set,
-                schema: self.build_schema.clone(),
-                rows: self.table.take_rows(),
-            });
-        }
-    }
-}
-
-/// Index nested-loop join: streams the outer side, probing the inner table's index (or
-/// a transient one) for it. With columnar execution each pull runs the shared kernel
-/// ([`IndexNlKernel`]) over whole outer batches and emits gathered column batches of
-/// exactly `batch_size` rows; passing pairs beyond a full batch carry over to the next
-/// pull, and the tail of one outer batch is gathered before the next is pulled, so
-/// output batches and outer pulls fall exactly where the row path's do. The row path
-/// (`columnar == false`, the reference engine) probes one outer row at a time and
-/// suspends mid-match-list when the output batch fills up.
-struct IndexNlJoinOp<'p> {
-    outer: Metered<'p>,
-    table: &'p Table,
-    index: Option<&'p Index>,
-    inner_key_idx: usize,
-    transient: Option<Index>,
-    kernel: IndexNlKernel,
-    columnar: bool,
-    /// Columnar path: the outer batch being probed and the probe position in it.
-    outer_cols: ColumnBatch,
-    cursor: Cursor,
-    /// Passing pairs of `outer_cols`; those before `emitted` are already output.
-    pairs: Pairs,
-    emitted: usize,
-    /// Output rows gathered from earlier outer batches, fewer than a batch.
-    carried: Option<ColumnBatch>,
-    mask_cache: MaskCache,
-    /// Row path: the row each inner fetch decodes into, the residual's scratch row,
-    /// and the position in the outer batch and in the current match list.
-    inner_scratch: Row,
-    scratch: Row,
-    outer_batch: RowBatch,
-    outer_pos: usize,
-    match_pos: usize,
-    batch_size: usize,
-    tracker: Rc<Buffered>,
-    /// The join's node, whose counts its progress reports carry.
-    stats: Arc<OpStats>,
-    obs: ObserverCtx<'p>,
-    progress: Progress,
-}
-
-impl IndexNlJoinOp<'_> {
-    /// Without an index, the first pull builds a transient one over the inner key
-    /// column (buffered state, bounded by the base table). Only the key column is
-    /// read — the other columns stay compressed until a probe hits.
-    fn ensure_lookup(&mut self) {
-        if self.index.is_some() || self.transient.is_some() {
-            return;
-        }
-        let index = Index::from_column(
-            IndexKind::Hash,
-            "transient",
-            self.inner_key_idx,
-            self.table.column(self.inner_key_idx),
-        );
-        let entries = index.entry_count() as u64;
-        self.tracker.acquire(entries, 8 * entries);
-        self.transient = Some(index);
-    }
-
-    /// The columnar path: gathered column batches from the kernel.
-    fn next_columns(&mut self) -> Result<Option<Batch>, ExecError> {
-        let Some(index) = self.index.or(self.transient.as_ref()) else {
-            return Ok(None);
-        };
-        loop {
-            let carried = self.carried.as_ref().map_or(0, ColumnBatch::len);
-            let pending = self.pairs.len() - self.emitted;
-            if carried + pending >= self.batch_size {
-                let end = self.emitted + (self.batch_size - carried);
-                let head = self
-                    .kernel
-                    .gather(self.table, &self.outer_cols, &self.pairs, self.emitted..end);
-                self.emitted = end;
-                let out = match self.carried.take() {
-                    Some(mut out) => {
-                        out.append(head);
-                        out
-                    }
-                    None => head,
-                };
-                self.obs.progress(&self.progress, &self.stats, out.len())?;
-                return Ok(Some(Batch::Cols(out)));
-            }
-            if !self.cursor.done(&self.outer_cols) {
-                // Only the pending pairs are kept: a fan-out outer batch would
-                // otherwise grow the pair list by its whole output.
-                self.pairs.discard(self.emitted);
-                self.emitted = 0;
-                self.kernel.probe(
-                    self.table,
-                    index,
-                    &self.outer_cols,
-                    &mut self.cursor,
-                    &mut self.pairs,
-                    &mut self.mask_cache,
-                )?;
-                continue;
-            }
-            // Every pair of this outer batch is found and fewer than a batch remain:
-            // carry them over before the next outer batch replaces this one.
-            if pending > 0 {
-                let tail = self.kernel.gather(
-                    self.table,
-                    &self.outer_cols,
-                    &self.pairs,
-                    self.emitted..self.pairs.len(),
-                );
-                match &mut self.carried {
-                    Some(carried) => carried.append(tail),
-                    None => self.carried = Some(tail),
-                }
-            }
-            self.pairs.clear();
-            self.emitted = 0;
-            let Some(batch) = self.outer.next_batch()? else {
-                // Every outer row has been probed: the rows counted so far plus the
-                // carried rows are the join's complete output, so the progress report
-                // carries a true cardinality — the earliest one an index-NL pipeline
-                // ever produces (it has no breaker).
-                let carried = self.carried.take();
-                let pending = carried.as_ref().map_or(0, ColumnBatch::len);
-                self.obs.progress_end(&self.progress, &self.stats, pending)?;
-                let Some(out) = carried else {
-                    return Ok(None);
-                };
-                self.obs.progress(&self.progress, &self.stats, out.len())?;
-                return Ok(Some(Batch::Cols(out)));
-            };
-            self.outer_cols = self.kernel.outer_columns(batch);
-            self.cursor = Cursor::default();
-        }
-    }
-
-    /// The row path: one outer row at a time, one fetched row per match.
-    fn next_rows(&mut self) -> Result<Option<Batch>, ExecError> {
-        let mut out = Vec::new();
-        'fill: loop {
-            if self.outer_pos >= self.outer_batch.len() {
-                let Some(batch) = self.outer.next_rows()? else {
-                    // As on the columnar path: the exhaustion report is exact.
-                    self.obs.progress_end(&self.progress, &self.stats, out.len())?;
-                    break;
-                };
-                self.outer_batch = batch;
-                self.outer_pos = 0;
-                self.match_pos = 0;
-                continue;
-            }
-            let index = self.index.or(self.transient.as_ref());
-            let (read, rows) = (&self.kernel.read, &self.kernel.rows);
-            while self.outer_pos < self.outer_batch.len() {
-                let outer_row = &self.outer_batch[self.outer_pos];
-                let matches: &[usize] = match index {
-                    Some(index) => index.lookup(outer_row.value(self.kernel.outer_key())),
-                    None => &[],
-                };
-                while self.match_pos < matches.len() {
-                    if out.len() >= self.batch_size {
-                        break 'fill;
-                    }
-                    let row_id = matches[self.match_pos];
-                    self.match_pos += 1;
-                    if !read.fetch(self.table, row_id, &mut self.inner_scratch)? {
-                        continue;
-                    }
-                    let inner_row = read.output(&self.inner_scratch);
-                    if let Some(joined) =
-                        rows.join(outer_row.values(), inner_row, &mut self.scratch)?
-                    {
-                        out.push(joined);
-                    }
-                }
-                self.outer_pos += 1;
-                self.match_pos = 0;
-            }
-            if out.len() >= self.batch_size {
-                break;
-            }
-        }
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            self.obs.progress(&self.progress, &self.stats, out.len())?;
-            Ok(Some(Batch::Rows(out)))
-        }
-    }
-}
-
-impl Operator for IndexNlJoinOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.ensure_lookup();
-        if self.columnar {
-            self.next_columns()
-        } else {
-            self.next_rows()
-        }
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        self.outer.inner.collect_breaker_states(out);
+        }))
     }
 }
 
@@ -2122,7 +1757,7 @@ impl DrainOp<'_> {
         };
         let (tracker, obs, kind, meta) = (&self.tracker, &self.obs, self.kind, self.input_meta);
         // A denied grant surfaces memory pressure before the kernel spills (see
-        // JoinOp::build_table).
+        // `JoinBuild::run`).
         let mut pressure = |rows: u64, grant: &Reservation| {
             obs.notify(MemoryPressureEvent::denied(kind, meta, rows, grant))
         };
@@ -2155,18 +1790,18 @@ impl DrainOp<'_> {
                 .and_then(|()| Ok(Emit::Sorted(buffer.finish()?))),
         };
         let input_rows = input.stats.rows();
-        // As in JoinOp: retain the drained child only for observed pipelines.
+        // As in `JoinBuild`: retain the drained child only for observed pipelines.
         if self.obs.active() {
             self.input = Some(input);
         }
         self.emit = Some(result?);
-        self.obs.notify_breaker(BreakerEvent {
+        self.obs.notify(ExecEvent::BreakerComplete(BreakerEvent {
             kind: self.kind,
             rel_set: self.input_meta.0,
             estimated_rows: self.input_meta.1,
             actual_rows: input_rows,
             reusable: false,
-        })
+        }))
     }
 }
 

@@ -13,9 +13,8 @@
 //! [`JoinKernel::probe`] is the one probe loop. It resumes a [`ProbeBatch`] at its
 //! cursor (probe row, match position), so a probe row whose matches overflow one
 //! output batch continues in the next, and assembles output rows through
-//! [`JoinRows`]. The single-threaded `JoinOp` and the morsel engine's probe step
-//! both call it; each engine keeps its own build, breaker events and memory
-//! accounting.
+//! [`JoinRows`]. The one probe step of both engines (`chain.rs`) calls it; each
+//! engine keeps its own build, breaker events and memory accounting.
 //!
 //! A hash build whose grant is denied goes out of core through [`GraceJoin`],
 //! grace-hash partitioning that both engines drive the same way: write the build
@@ -93,13 +92,6 @@ pub(crate) struct ProbeBatch {
     row: usize,
     /// How many of that row's matches were already visited.
     matched: usize,
-}
-
-impl ProbeBatch {
-    /// Whether every probe row has been joined.
-    pub(crate) fn done(&self) -> bool {
-        self.row >= self.rows.len()
-    }
 }
 
 /// One hash or nested-loop join node, compiled for the kernel. Shared read-only by
@@ -630,13 +622,15 @@ mod tests {
                 Batch::Rows(chunk.to_vec())
             };
             let mut batch = kernel.batch(batch);
-            while !batch.done() {
+            // The probe stops short of `cap` rows only once the batch is joined.
+            loop {
                 kernel
                     .probe(&table, &mut batch, cap, &mut scratch, &mut out)
                     .unwrap();
-                if out.len() >= cap {
-                    batches.push(std::mem::take(&mut out));
+                if out.len() < cap {
+                    break;
                 }
+                batches.push(std::mem::take(&mut out));
             }
         }
         if !out.is_empty() {

@@ -16,9 +16,9 @@
 //! the gathered columns. Either way a pair passes exactly when the row path of the
 //! reference engine (`columnar == false`) would join it.
 //!
-//! The single-threaded `IndexNlJoinOp` and the morsel engine's index probe step both
-//! call [`IndexNlKernel::probe`] and [`IndexNlKernel::gather`]; each keeps its own
-//! batching (see `exec.rs` and `parallel.rs`).
+//! Both engines run the kernel through one streaming step (`chain.rs`), which owns
+//! the batching: it emits exactly `batch_size` rows a batch and carries the rest
+//! across outer batches.
 
 use crate::error::ExecError;
 use crate::exec::{
@@ -26,7 +26,7 @@ use crate::exec::{
 };
 use reopt_expr::{filter_mask, Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind};
-use reopt_storage::{ColumnBatch, ColumnData, Index, Row, RowId, Table};
+use reopt_storage::{ColumnBatch, ColumnData, Index, RowId, Table};
 use std::ops::Range;
 
 /// Candidates one [`IndexNlKernel::probe`] call collects before filtering them: it
@@ -46,14 +46,14 @@ enum Side {
 /// matches were already collected (a fan-out row can span several probe calls).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Cursor {
-    outer: usize,
-    matched: usize,
+    pub(crate) outer: usize,
+    pub(crate) matched: usize,
 }
 
 impl Cursor {
-    /// Whether every outer row of `outer` has been probed.
-    pub(crate) fn done(&self, outer: &ColumnBatch) -> bool {
-        self.outer >= outer.len()
+    /// Whether every row of an outer batch of `len` rows has been probed.
+    pub(crate) fn done(&self, len: usize) -> bool {
+        self.outer >= len
     }
 }
 
@@ -309,30 +309,6 @@ impl IndexNlKernel {
             ids.len(),
         )
     }
-
-    /// The morsel engine's row path (`columnar == false`): the output rows of one
-    /// outer row, probing `index` and fetching each match row by row. `inner` and
-    /// `scratch` are reusable rows ([`TableRead::scratch`] and any row).
-    pub(crate) fn join_row(
-        &self,
-        table: &Table,
-        index: &Index,
-        outer: &Row,
-        inner: &mut Row,
-        scratch: &mut Row,
-        out: &mut Vec<Row>,
-    ) -> Result<(), ExecError> {
-        for &row_id in index.lookup(outer.value(self.outer_key)) {
-            if !self.read.fetch(table, row_id, inner)? {
-                continue;
-            }
-            out.extend(
-                self.rows
-                    .join(outer.values(), self.read.output(inner), scratch)?,
-            );
-        }
-        Ok(())
-    }
 }
 
 /// Append candidates from `cursor` on until [`PROBE_CHUNK`] are collected or the
@@ -375,7 +351,7 @@ mod tests {
     use reopt_expr::BinaryOp;
     use reopt_planner::cost::Cost;
     use reopt_planner::RelSet;
-    use reopt_storage::{Column, DataType, IndexKind, Schema, Storage, Value};
+    use reopt_storage::{Column, DataType, IndexKind, Row, Schema, Storage, Value};
     use std::cell::RefCell;
     use std::rc::Rc;
 

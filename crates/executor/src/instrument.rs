@@ -6,8 +6,11 @@
 //!
 //! Each field of [`OperatorMetrics`] means the same in both engines:
 //!
-//! * `actual_rows` and `batches` count the node's output. The morsel engine counts
-//!   join and LIMIT output in batch-size units, the single-threaded engine's pacing.
+//! * `actual_rows` and `batches` count the node's output. A streaming step counts
+//!   its own batches in both engines (`chain.rs`); a LIMIT counts each input batch
+//!   it takes rows from, and an aggregate or sort each batch it hands over. The
+//!   morsel engine ends a step's input at each morsel's end, so a join there
+//!   counts at most one partial batch more per morsel.
 //! * `elapsed` is the time spent in the node's own code. The single-threaded
 //!   engine's operator wrapper takes off the time its children's pulls took
 //!   inside the same pull; the morsel engine times each source, chain step and
@@ -94,15 +97,10 @@ impl OpStats {
         self.batches.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Count `rows` rows of output in batches of at most `batch_size` rows, calling
-    /// `each` with the batch count after every batch.
-    pub(crate) fn count_batched(&self, rows: usize, batch_size: usize, mut each: impl FnMut(u64)) {
-        let mut remaining = rows;
-        while remaining > 0 {
-            let len = remaining.min(batch_size);
-            remaining -= len;
-            each(self.count(len));
-        }
+    /// Take back the count of an output batch of `rows` rows that was discarded.
+    pub(crate) fn discount(&self, rows: usize) {
+        self.rows.fetch_sub(rows as u64, Ordering::Relaxed);
+        self.batches.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Charge `elapsed` to the node's own time.

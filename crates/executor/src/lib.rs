@@ -42,6 +42,7 @@
 //! each field means the same whichever engine ran the plan.
 
 mod agg;
+mod chain;
 pub mod error;
 pub mod exact;
 pub mod exec;

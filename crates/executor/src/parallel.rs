@@ -15,9 +15,15 @@
 //! registers as a pool task, and each chain job processes one morsel then re-enqueues
 //! itself at the back of its task's queue, so concurrent queries interleave at morsel
 //! granularity under the pool's priority + round-robin discipline (see
-//! [`crate::pool`]). A chain job pushes its morsel through the pipeline's operator
-//! chain (filters, projections, hash and nested-loop probes against a shared immutable
-//! join table, index-NL probes against shared storage) and feeds the pipeline sink:
+//! [`crate::pool`]). A chain job pushes its morsel, a batch at a time, through the
+//! pipeline's chain of streaming steps — the same `chain.rs` steps the
+//! single-threaded engine runs (filters, projections, hash and nested-loop probes
+//! against a shared immutable join table, index-NL probes against shared storage),
+//! each worker with its own step states — and the end of the morsel is the end of
+//! the steps' input, so a join carries rows across the morsel's batches and emits
+//! the remainder there. Every batch a step yields goes down the chain at once, so
+//! no fan-out is held in memory beyond one batch per step. The chain feeds the
+//! pipeline sink:
 //!
 //! * **streaming roots** exchange row batches through a *bounded* channel that stays
 //!   live across `next_batch` pulls — the pool keeps producing (up to the channel
@@ -58,9 +64,9 @@
 //! it writes while the decision is in flight goes with the stopped run. Then a
 //! denied build worker starts the join's grace-hash partitioning (`GraceJoin`) and
 //! every worker writes its rows there; the probe step of a spilled join partitions
-//! its probe rows, and after the main pass each loaded partition block is joined on
-//! the coordinator and its output re-enters the chain above the join as a bounded
-//! `Source::Rows` pass into the same sink. A denied aggregation worker flushes its
+//! its probe rows, and after the main pass the coordinator drives the same step over
+//! the partitions and pushes each output batch down the chain above the join into
+//! the same sink, as one more morsel. A denied aggregation worker flushes its
 //! group table as a key-sorted run for the coordinator's merge, and the coordinator
 //! runs the sort (`SortBuffer`).
 //!
@@ -72,7 +78,8 @@
 //!
 //! * workers enqueue [`ProgressEvent`](crate::ProgressEvent)s into a mutex-ordered
 //!   queue (snapshots are taken under the queue lock, so produced-row counts are
-//!   monotonic in delivery order);
+//!   monotonic in delivery order) and wait (bounded) after each batch until the
+//!   coordinator delivered them, so a suspension stops a worker within a batch;
 //! * the coordinator drains that queue — in queue order — before delivering any
 //!   coordinator-generated event, and emits exactly one [`BreakerEvent`] per breaker,
 //!   carrying worker-aggregated actual rows, when the merge step completes;
@@ -92,9 +99,11 @@
 //! single-threaded engine's (the `instrument` module), with the same meaning for
 //! every field: workers add to a node's rows, batches and own time (so `elapsed`
 //! can exceed wall clock), a sink charges its consume time to the breaker it feeds,
-//! and a node is exhausted only when its whole pipeline, and so its whole subtree,
-//! ran to completion. Buffered rows are tracked through one shared atomic
-//! high-water mark.
+//! an aggregate or sort counts the batches it hands over, and a node is exhausted
+//! only when its whole pipeline, and so its whole subtree, ran to completion. A
+//! streaming step counts at most one batch more per morsel than in the
+//! single-threaded engine (its partial batch at the morsel's end). Buffered rows
+//! are tracked through one shared atomic high-water mark.
 //!
 //! # Lazy build scheduling
 //!
@@ -115,25 +124,25 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, probe_label, relation_schema,
-    resolve_index_row_ids, scan_encoding_label, Batch, BreakerEvent, BreakerKind, BreakerState,
-    ExecConfig, ExecEvent, MemoryPressureEvent, ObserverHandle, RowBatch, TableRead,
+    lookup_table_arc, relation_schema, resolve_index_row_ids, scan_encoding_label, Batch,
+    BreakerEvent, BreakerKind, BreakerState, ExecConfig, ExecEvent, MemoryPressureEvent,
+    ObserverHandle, RowBatch, TableRead,
 };
 use crate::agg::{AggKernel, GroupSpill, GroupTable, Tag};
-use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
-use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
-use crate::instrument::{observe, Buffered, OpStats, Progress, StatsNode, Stop};
+use crate::chain::{lock, Built, Events, Step, StepState};
+use crate::hash_join::{GraceJoin, JoinTable};
+use crate::instrument::{observe, Buffered, OpStats, StatsNode, Stop};
 use crate::metrics::QueryMetrics;
 use crate::pool::{Gate, TaskHandle, WorkerPool};
 use crate::sort::{SortBuffer, Sorted};
 use crate::spill::Reservation;
-use reopt_expr::{Expr, MaskCache};
+use reopt_expr::MaskCache;
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
-use reopt_storage::{Index, IndexKind, Row, Schema, Storage, Table};
+use reopt_storage::{Row, Schema, Storage, Table};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Rows per morsel, in units of the executor batch size: each morsel is a contiguous
@@ -190,14 +199,6 @@ struct Shared {
     buffered: Buffered,
 }
 
-/// Lock a join's grace-hash state, shared by the workers that spill into it. A worker
-/// that panicked while holding it left it half-written, and has failed the query.
-fn lock<T>(grace: &Mutex<T>) -> Result<MutexGuard<'_, T>, ExecError> {
-    grace
-        .lock()
-        .map_err(|_| ExecError::Spill("grace-hash partitions poisoned by a worker panic".into()))
-}
-
 impl Shared {
     /// Stop the run on a worker error. A suspension reported from inside a sink (its
     /// memory-pressure event stopped the run) is the stop itself, not a failure.
@@ -223,8 +224,7 @@ impl Shared {
     ) -> Result<(), ExecError> {
         if self.observer_active {
             let rows = self.buffered.rows();
-            let event = MemoryPressureEvent::denied(kind, meta, rows, grant);
-            self.events.lock().expect("event queue").push_back(event);
+            self.send(&|| MemoryPressureEvent::denied(kind, meta, rows, grant))?;
             pump();
         }
         if self.quiesce.load(Ordering::SeqCst) {
@@ -254,11 +254,27 @@ impl Shared {
             if self.quiesce.load(Ordering::Relaxed) {
                 return;
             }
+            // The queue is never poisoned: nothing that holds it can panic.
             if self.events.lock().expect("event queue").is_empty() {
                 return;
             }
             std::thread::yield_now();
         }
+    }
+}
+
+impl Events for Shared {
+    fn active(&self) -> bool {
+        self.observer_active
+    }
+
+    fn send(&self, event: &dyn Fn() -> ExecEvent) -> Result<(), ExecError> {
+        let mut queue = self
+            .events
+            .lock()
+            .map_err(|_| ExecError::Eval("event queue poisoned by a worker panic".into()))?;
+        queue.push_back(event());
+        Ok(())
     }
 }
 
@@ -272,10 +288,11 @@ struct CompletedBuild {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline sources and operator chain steps
+// Pipeline sources
 // ---------------------------------------------------------------------------
 
-/// The driving input of one pipeline, split into morsels. Sources own `Arc`
+/// The driving input of one pipeline, split into morsels (the chain steps over it
+/// are `chain.rs`'s). Sources own `Arc`
 /// handles to their tables (not borrows) so a compiled pipeline is `'static` and
 /// its chain jobs can run on the resident pool, outliving any one stack frame.
 enum Source {
@@ -302,8 +319,9 @@ enum Source {
         read: TableRead,
         stats: Arc<OpStats>,
     },
-    /// A materialized upstream breaker output (aggregate/sort emission).
-    Rows(Vec<Row>),
+    /// An aggregate's or sort's output, counted on the breaker's node as it is
+    /// scanned (`None`: the empty source of a stopped run).
+    Rows(Vec<Row>, Option<Arc<OpStats>>),
 }
 
 impl Source {
@@ -311,7 +329,7 @@ impl Source {
         match self {
             Source::Table { table, .. } => table.row_count(),
             Source::TableIds { ids, .. } => ids.len(),
-            Source::Rows(rows) => rows.len(),
+            Source::Rows(rows, _) => rows.len(),
         }
     }
 
@@ -333,15 +351,8 @@ impl Source {
             } => read.scan(table, range, *kernel, mask_cache)?,
             Source::TableIds {
                 table, ids, read, ..
-            } => {
-                let mut scratch = read.scratch();
-                let mut out = Vec::new();
-                for &row_id in &ids[range] {
-                    out.extend(read.fetch_row(table, row_id, &mut scratch)?);
-                }
-                Batch::Rows(out)
-            }
-            Source::Rows(rows) => Batch::Rows(rows[range].to_vec()),
+            } => Batch::Rows(read.fetch_rows(table, &ids[range], &mut read.scratch())?),
+            Source::Rows(rows, _) => Batch::Rows(rows[range].to_vec()),
         };
         if let Some(stats) = self.stats() {
             stats.charge(start.elapsed());
@@ -350,175 +361,12 @@ impl Source {
         Ok(out)
     }
 
-    /// The scan's node (a materialized breaker output is counted by its breaker).
+    /// The node that counts the source's batches.
     fn stats(&self) -> Option<&OpStats> {
         match self {
             Source::Table { stats, .. } | Source::TableIds { stats, .. } => Some(stats),
-            Source::Rows(_) => None,
+            Source::Rows(_, stats) => stats.as_deref(),
         }
-    }
-}
-
-/// One streaming operator of a pipeline chain.
-enum StepKind {
-    Filter(Expr),
-    Project(Vec<Expr>),
-    /// A hash or plain nested-loop join probing the shared build table of its
-    /// completed build pipeline, or partitioning its probe rows once the build
-    /// spilled.
-    Probe { build: Built, kernel: JoinKernel },
-    IndexProbe {
-        table: Arc<Table>,
-        /// The inner join-key column; the index over it (when `use_index`) is
-        /// re-resolved per batch because an `&Index` borrow into the `Arc`'d
-        /// table cannot live in a `'static` chain job. The lookup scans the
-        /// table's few indexes — negligible next to probing a batch.
-        inner_key_idx: usize,
-        use_index: bool,
-        /// Without a usable index: one built over the key column at compile time.
-        transient: Option<Arc<Index>>,
-        /// The shared kernel (its row read and assembly serve the row path).
-        kernel: Box<IndexNlKernel>,
-        /// Whether the step runs the kernel over column batches (`columnar`), or
-        /// one outer row at a time.
-        columnar: bool,
-    },
-}
-
-struct Step {
-    kind: StepKind,
-    stats: Arc<OpStats>,
-    /// The progress reports of a join step.
-    progress: Option<Progress>,
-}
-
-/// A completed join build: the shared table, or the grace-hash partitions of a
-/// build that went out of core.
-enum Built {
-    Table(Arc<JoinTable>),
-    Spilled(Box<Mutex<GraceJoin>>),
-}
-
-impl Step {
-    /// Apply the step to one batch, recording stats in output-batch units (a fan-out
-    /// join may produce several batches' worth of rows from one input chunk) and, for
-    /// join steps with an observer installed, enqueueing periodic progress events. The
-    /// index probe reads and emits column batches; the other steps decode on entry.
-    fn apply(
-        &self,
-        batch: Batch,
-        shared: &Shared,
-        batch_size: usize,
-        cache: &mut MaskCache,
-    ) -> Result<Batch, ExecError> {
-        let start = Instant::now();
-        // The join residual's compact row, reused across the batch.
-        let mut scratch = Row::default();
-        let out = match &self.kind {
-            StepKind::Filter(predicate) => {
-                let mut batch = batch.into_rows();
-                predicate.filter_batch(&mut batch)?;
-                Batch::Rows(batch)
-            }
-            StepKind::Project(exprs) => {
-                let batch = batch.into_rows();
-                let mut out = Vec::with_capacity(batch.len());
-                for row in &batch {
-                    let mut values = Vec::with_capacity(exprs.len());
-                    for expr in exprs {
-                        values.push(expr.eval(row)?);
-                    }
-                    out.push(Row::from_values(values));
-                }
-                Batch::Rows(out)
-            }
-            StepKind::Probe {
-                build: Built::Spilled(grace),
-                kernel,
-            } => {
-                lock(grace)?.write(batch.into_rows(), kernel.probe_keys())?;
-                Batch::Rows(Vec::new())
-            }
-            StepKind::Probe {
-                build: Built::Table(table),
-                kernel,
-            } => {
-                let mut probe = kernel.batch(batch);
-                let mut out = Vec::new();
-                // An immediate quiesce request (suspension or a peer worker's error)
-                // stops fan-out work promptly: the partial output is still
-                // accounted, the worker drains at the next boundary.
-                while !probe.done() && !shared.drop_inflight() {
-                    let cap = out.len() + batch_size;
-                    kernel.probe(table, &mut probe, cap, &mut scratch, &mut out)?;
-                }
-                Batch::Rows(out)
-            }
-            StepKind::IndexProbe {
-                table,
-                inner_key_idx,
-                use_index,
-                transient,
-                kernel,
-                columnar,
-            } => {
-                let index = if *use_index {
-                    table.index_on_column(*inner_key_idx, false)
-                } else {
-                    transient.as_deref()
-                };
-                match index {
-                    None => Batch::Rows(Vec::new()),
-                    Some(index) if *columnar => {
-                        let outer = kernel.outer_columns(batch);
-                        let mut cursor = Cursor::default();
-                        let mut pairs = Pairs::default();
-                        while !cursor.done(&outer) && !shared.drop_inflight() {
-                            kernel.probe(table, index, &outer, &mut cursor, &mut pairs, cache)?;
-                        }
-                        Batch::Cols(kernel.gather(table, &outer, &pairs, 0..pairs.len()))
-                    }
-                    Some(index) => {
-                        let mut inner_scratch = kernel.read.scratch();
-                        let mut out = Vec::new();
-                        for outer_row in &batch.into_rows() {
-                            if shared.drop_inflight() {
-                                break;
-                            }
-                            kernel.join_row(
-                                table,
-                                index,
-                                outer_row,
-                                &mut inner_scratch,
-                                &mut scratch,
-                                &mut out,
-                            )?;
-                        }
-                        Batch::Rows(out)
-                    }
-                }
-            }
-        };
-        self.account(out.len(), start, shared, batch_size);
-        Ok(out)
-    }
-
-    /// Record `rows` of output in output-batch units, so `batches` and the progress
-    /// cadence match the single-threaded engine, which paces join output at the
-    /// batch size.
-    fn account(&self, rows: usize, start: Instant, shared: &Shared, batch_size: usize) {
-        self.stats.charge(start.elapsed());
-        self.stats.count_batched(rows, batch_size, |batches| {
-            let Some(progress) = &self.progress else {
-                return;
-            };
-            if shared.observer_active && Progress::due(batches) {
-                // Snapshot the produced count under the queue lock: later events in
-                // the queue always carry counts >= earlier ones.
-                let mut queue = shared.events.lock().expect("event queue");
-                queue.push_back(progress.periodic(self.stats.rows(), batches));
-            }
-        });
     }
 }
 
@@ -572,14 +420,6 @@ struct Engine<'p> {
     held: Reservation,
 }
 
-/// Resolve a table to its shared chunk handle, which `'static` chain jobs can hold
-/// without borrowing from the storage map.
-fn lookup_table_arc(storage: &Storage, name: &str) -> Result<Arc<Table>, ExecError> {
-    storage
-        .table_arc(name)
-        .map_err(|_| ExecError::TableNotFound(name.to_string()))
-}
-
 impl<'p> Engine<'p> {
     fn stopped(&self) -> bool {
         self.stop.get().is_some()
@@ -592,19 +432,24 @@ impl<'p> Engine<'p> {
         if !self.shared.observer_active {
             return;
         }
+        // The queue is never poisoned: nothing that holds it can panic.
+        let queue = || self.shared.events.lock().expect("event queue");
         loop {
             let event = {
-                let mut queue = self.shared.events.lock().expect("event queue");
+                let mut queue = queue();
                 if self.stopped() {
                     queue.clear();
                     return;
                 }
-                queue.pop_front()
+                queue.front().cloned()
             };
             let Some(event) = event else {
                 return;
             };
             self.dispatch(&event);
+            // The event leaves the queue only once it is delivered: a worker waiting
+            // for the queue to drain sees the stop it asked for first.
+            queue().pop_front();
         }
     }
 
@@ -640,59 +485,57 @@ impl<'p> Engine<'p> {
 
     // -- plan evaluation ----------------------------------------------------
 
-    /// Evaluate a plan node to its materialized output rows.
-    fn eval_rows(&mut self, plan: &'p PhysicalPlan, stats: &StatsNode) -> Result<Vec<Row>, ExecError> {
+    /// Aggregate an `Aggregate` node's input into per-worker group tables, merged on
+    /// the coordinator: its output rows, which the caller hands over in batch-size
+    /// batches (counted on the node as they are, like a sort's).
+    fn eval_aggregate(
+        &mut self,
+        plan: &'p PhysicalPlan,
+        stats: &StatsNode,
+    ) -> Result<Option<Vec<Row>>, ExecError> {
         if self.stopped() {
-            return Ok(Vec::new());
+            return Ok(None);
         }
-        match &plan.kind {
-            PlanKind::Aggregate { .. } => {
-                let child = &plan.children[0];
-                let child_stats = &stats.children[0];
-                let spec = Arc::new(AggSpec {
-                    kernel: AggKernel::new(plan)?,
-                    meta: (child.rel_set, child.estimated_rows),
-                    node: Arc::clone(&stats.stats),
-                });
-                let compiled = Arc::new(self.compile(child, child_stats)?);
-                if self.stopped() {
-                    return Ok(Vec::new());
-                }
-                let factory = AggSinkFactory {
-                    spec: Arc::clone(&spec),
-                    shared: Arc::clone(&self.shared),
-                };
-                let locals = self.execute_pipeline(&compiled, factory)?;
-                if self.stopped() {
-                    return Ok(Vec::new());
-                }
-                let merge_start = Instant::now();
-                let input_rows = child_stats.stats.rows();
-                self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
-                    kind: BreakerKind::AggregateInput,
-                    rel_set: child.rel_set,
-                    estimated_rows: child.estimated_rows,
-                    actual_rows: input_rows,
-                    reusable: false,
-                }));
-                if self.stopped() {
-                    return Ok(Vec::new());
-                }
-                let rows = merge_aggregates(&spec.kernel, locals, &self.shared)?;
-                stats.stats.charge(merge_start.elapsed());
-                stats.stats.count(rows.len());
-                stats.stats.finish();
-                Ok(rows)
-            }
-            PlanKind::Sort { .. } => Ok(self
-                .eval_sort(plan, stats)?
-                .next_batch(usize::MAX)?
-                .unwrap_or_default()),
-            _ => {
-                let compiled = Arc::new(self.compile(plan, stats)?);
-                self.collect_compiled(&compiled)
-            }
+        let child = &plan.children[0];
+        let child_stats = &stats.children[0];
+        let spec = Arc::new(AggSpec {
+            kernel: AggKernel::new(plan)?,
+            meta: (child.rel_set, child.estimated_rows),
+            node: Arc::clone(&stats.stats),
+        });
+        let compiled = Arc::new(self.compile(child, child_stats)?);
+        if self.stopped() {
+            return Ok(None);
         }
+        let factory = AggSinkFactory {
+            spec: Arc::clone(&spec),
+            shared: Arc::clone(&self.shared),
+        };
+        let locals = self.execute_pipeline(&compiled, factory)?;
+        if self.stopped() {
+            return Ok(None);
+        }
+        let merge_start = Instant::now();
+        self.deliver_event(ExecEvent::BreakerComplete(BreakerEvent {
+            kind: BreakerKind::AggregateInput,
+            rel_set: child.rel_set,
+            estimated_rows: child.estimated_rows,
+            actual_rows: child_stats.stats.rows(),
+            reusable: false,
+        }));
+        if self.stopped() {
+            return Ok(None);
+        }
+        // Locals arrive in worker completion order, which is safe: every accumulator
+        // merges exactly (`crate::exact`). Groups come in first-seen `(morsel,
+        // sequence)` order, the single-threaded engine's, or in key order once
+        // merged from spilled runs, as there.
+        if !spec.kernel.grouped() {
+            self.shared.buffered.acquire(1, 8);
+        }
+        let rows = GroupSpill::finish(&spec.kernel, locals)?.next_batch(usize::MAX);
+        stats.stats.charge(merge_start.elapsed());
+        rows
     }
 
     /// Sort a `Sort` node's input on the coordinator with the sort kernel: in
@@ -709,7 +552,6 @@ impl<'p> Engine<'p> {
             return none();
         }
         let start = Instant::now();
-        let input_rows = rows.len();
         let meta = (child.rel_set, child.estimated_rows);
         let mut pressure = |_, grant: &Reservation| {
             let buffered = self.shared.buffered.rows();
@@ -745,23 +587,22 @@ impl<'p> Engine<'p> {
         }
         let sorted = buffer.finish()?;
         stats.stats.charge(start.elapsed());
-        stats.stats.count(input_rows);
-        stats.stats.finish();
         Ok(sorted)
     }
 
-    /// Build a join table from a build-side subtree (a hash build or a nested-loop
-    /// inner): a pipeline ending in a build sink, plus the breaker completion event
-    /// and (for observed runs) the retained state. A build that spilled returns its
-    /// sealed partitions instead.
+    /// Build the join table of `step` from its build-side subtree (a hash build or a
+    /// nested-loop inner): a pipeline ending in a build sink, plus the breaker
+    /// completion event and (for observed runs) the retained state. A build that
+    /// spilled installs its sealed partitions instead.
     fn eval_build(
         &mut self,
+        step: &mut Step,
         plan: &'p PhysicalPlan,
         stats: &StatsNode,
-        mut table: JoinTable,
-        kind: BreakerKind,
-        join_stats: &Arc<OpStats>,
-    ) -> Result<Built, ExecError> {
+    ) -> Result<(), ExecError> {
+        let (Some((mut table, kind)), join_stats) = (step.build_table(), &step.stats) else {
+            return Ok(());
+        };
         let compiled = Arc::new(self.compile(plan, stats)?);
         let grace = Arc::new(Mutex::new(None));
         let factory = BuildSinkFactory {
@@ -774,7 +615,7 @@ impl<'p> Engine<'p> {
         };
         let locals = self.execute_pipeline(&compiled, factory)?;
         if self.stopped() {
-            return Ok(Built::Table(Arc::new(table)));
+            return Ok(());
         }
         let merge_start = Instant::now();
         let spilled = lock(&grace)?.take();
@@ -819,53 +660,48 @@ impl<'p> Engine<'p> {
             actual_rows,
             reusable: matches!(built, Built::Table(_)),
         }));
-        Ok(built)
+        step.install(built);
+        Ok(())
     }
 
     /// Execute a LIMIT-rooted plan: its child's first `count` rows, from the
-    /// morsel-ordered exchange of [`Engine::limit_stream`] or by truncating a
-    /// materialized child. Output is run-identical to the single-threaded engine,
-    /// which truncates the same scan-ordered stream.
+    /// morsel-ordered exchange of [`Engine::limit_stream`]. Output is run-identical
+    /// to the single-threaded engine, which truncates the same scan-ordered stream,
+    /// and so are the counts: the LIMIT counts each input batch it takes rows from as
+    /// one output batch, and an aggregate or sort below it (the chain's source)
+    /// counts only the batches it handed over, as in the single-threaded `LimitOp`,
+    /// which stops pulling once it has `count` rows.
     fn eval_limit(
         &mut self,
         plan: &'p PhysicalPlan,
         stats: &StatsNode,
         count: usize,
     ) -> Result<Vec<Row>, ExecError> {
-        let child = &plan.children[0];
-        let child_stats = &stats.children[0];
         let node = &stats.stats;
-        // LIMIT over a breaker root (aggregate / sort), which drains its input
-        // completely either way, or over a spilled join, whose partitions re-enter
-        // the chain after the main pass where no morsel-ordered cut can follow them,
-        // truncates the materialized output.
-        let compiled = match child.kind {
-            PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => None,
-            _ => Some(Arc::new(self.compile(child, child_stats)?)),
-        };
-        let out = match compiled {
-            Some(compiled) if !compiled.spilled() => self.limit_stream(&compiled, node, count)?,
-            compiled => {
-                let mut rows = match compiled {
-                    Some(compiled) => self.collect_compiled(&compiled)?,
-                    None => self.eval_rows(child, child_stats)?,
-                };
-                if self.stopped() {
-                    return Ok(Vec::new());
+        let compiled = Arc::new(self.compile(&plan.children[0], &stats.children[0])?);
+        let out = if compiled.spilled() {
+            // A spilled join's partitions re-enter the chain after the main pass,
+            // where no morsel-ordered cut can follow them: take from its collected
+            // output.
+            let rows = self.collect_compiled(&compiled)?;
+            let start = Instant::now();
+            let mut out = Vec::new();
+            for batch in rows.chunks(self.shared.config.batch_size) {
+                if out.len() >= count {
+                    break;
                 }
-                let start = Instant::now();
-                rows.truncate(count);
-                node.charge(start.elapsed());
-                rows
+                limit_take(&mut out, batch.to_vec(), count, node);
             }
+            node.charge(start.elapsed());
+            out
+        } else {
+            self.limit_stream(&compiled, node, count)?
         };
         if self.stopped() {
             return Ok(out);
         }
-        node.count_batched(out.len(), self.shared.config.batch_size, |_| {});
-        // A satisfied LIMIT stops without draining its input, exactly like the
-        // single-threaded `LimitOp`, which stops pulling: it ran to completion only
-        // when its input ran out first.
+        // A satisfied LIMIT stops without draining its input: it ran to completion
+        // only when its input ran out first.
         if out.len() < count {
             node.finish();
         }
@@ -878,7 +714,9 @@ impl<'p> Engine<'p> {
     /// one morsel arrive in order — one morsel is processed by exactly one worker and
     /// the channel preserves per-sender order) and sets the query's quiesce flag the
     /// moment the limit is satisfied, so all workers retire at their next batch
-    /// boundary. The reassembly time is charged to the LIMIT's `node`.
+    /// boundary. The reassembly time is charged to the LIMIT's `node`. A chain over
+    /// materialized rows runs inline, so the breaker that made them hands over only
+    /// the batches the LIMIT takes.
     fn limit_stream(
         &mut self,
         compiled: &Arc<Compiled>,
@@ -889,7 +727,7 @@ impl<'p> Engine<'p> {
             return Ok(Vec::new());
         }
         let mut out: Vec<Row> = Vec::new();
-        if compiled.workers <= 1 {
+        if compiled.workers <= 1 || matches!(compiled.source, Source::Rows(..)) {
             // Inline: morsels are claimed in order by construction; stop claiming
             // the moment the limit is satisfied.
             let cursor = AtomicUsize::new(0);
@@ -902,12 +740,7 @@ impl<'p> Engine<'p> {
                 &mut |_, batch| {
                     let start = Instant::now();
                     if let Some(batch) = batch {
-                        for row in batch.into_rows() {
-                            if out_ref.len() >= count {
-                                break;
-                            }
-                            out_ref.push(row);
-                        }
+                        limit_take(out_ref, batch.into_rows(), count, node);
                         if out_ref.len() >= count {
                             shared.quiesce.store(true, Ordering::SeqCst);
                         }
@@ -921,7 +754,7 @@ impl<'p> Engine<'p> {
             let (tx, rx) = sync_channel::<LimitMsg>(compiled.workers * 2);
             let ctx = self.launch_chains(
                 compiled,
-                LimitSink {
+                ChannelSink {
                     tx,
                     shared: Arc::clone(&self.shared),
                     task: self.task.clone(),
@@ -929,30 +762,33 @@ impl<'p> Engine<'p> {
             );
             // Reassemble in morsel order: the frontier morsel's batches flow
             // straight to the output; later morsels park until every earlier morsel
-            // delivered its done marker. Parked buffers are truncated to the limit —
-            // at most `count` rows of any one morsel can ever be emitted — so the
-            // reorder buffer is bounded by `workers x count` rows.
+            // delivered its done marker. A morsel parks no batch once it parked
+            // `count` rows — no more of it can ever be emitted — so the reorder
+            // buffer is bounded by `workers x (count + batch_size)` rows.
             let mut next = 0usize;
-            let mut pending: HashMap<usize, (Vec<Row>, bool)> = HashMap::new();
+            // Per morsel: its parked batches, the rows they hold and whether the done
+            // marker arrived.
+            let mut pending: HashMap<usize, (Vec<RowBatch>, usize, bool)> = HashMap::new();
             let mut satisfied = false;
             loop {
                 match rx.recv_timeout(Duration::from_micros(100)) {
                     Ok(msg) => {
                         let start = Instant::now();
-                        let entry = pending.entry(msg.morsel).or_default();
+                        let (batches, rows, done) = pending.entry(msg.morsel).or_default();
                         match msg.batch {
-                            Some(batch) => {
-                                let room = count.saturating_sub(entry.0.len());
-                                entry.0.extend(batch.into_iter().take(room));
+                            Some(batch) if *rows < count => {
+                                *rows += batch.len();
+                                batches.push(batch);
                             }
-                            None => entry.1 = true,
+                            Some(_) => {}
+                            None => *done = true,
                         }
-                        while let Some((rows, done)) = pending.get_mut(&next) {
-                            for row in rows.drain(..) {
+                        while let Some((batches, _, done)) = pending.get_mut(&next) {
+                            for batch in batches.drain(..) {
                                 if out.len() >= count {
                                     break;
                                 }
-                                out.push(row);
+                                limit_take(&mut out, batch, count, node);
                             }
                             if out.len() >= count {
                                 satisfied = true;
@@ -997,7 +833,7 @@ impl<'p> Engine<'p> {
         // flag is set, skipping `finish_pipeline`); a naturally drained child under
         // the limit is marked exhausted as usual.
         if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(compiled);
+            self.finish_pipeline(compiled)?;
         }
         Ok(out)
     }
@@ -1021,114 +857,16 @@ impl<'p> Engine<'p> {
             step: usize,
             plan: &'p PhysicalPlan,
             stats: &'s StatsNode,
-            /// The join node's counters (the build's consume and merge time land there).
-            join_stats: Arc<OpStats>,
-            /// The empty build table, keyed for the join.
-            table: JoinTable,
-            kind: BreakerKind,
         }
         let mut requests: Vec<BuildRequest<'p, 's>> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
-        let mut exhaust_marks: Vec<Arc<OpStats>> = Vec::new();
         let mut node = plan;
         let mut node_stats = stats;
         let source = loop {
             if self.stopped() {
-                break Source::Rows(Vec::new());
+                break Source::Rows(Vec::new(), None);
             }
             match &node.kind {
-                PlanKind::Filter { predicate } => {
-                    steps.push(Step {
-                        kind: StepKind::Filter(bind_exec(predicate, &node.children[0].schema)?),
-                        stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: None,
-                    });
-                    exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
-                    node = &node.children[0];
-                    node_stats = &node_stats.children[0];
-                }
-                PlanKind::Project { exprs } => {
-                    let input_schema = &node.children[0].schema;
-                    steps.push(Step {
-                        kind: StepKind::Project(
-                            exprs
-                                .iter()
-                                .map(|e| bind_exec(&e.expr, input_schema))
-                                .collect::<Result<Vec<_>, _>>()?,
-                        ),
-                        stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: None,
-                    });
-                    exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
-                    node = &node.children[0];
-                    node_stats = &node_stats.children[0];
-                }
-                PlanKind::HashJoin { .. } | PlanKind::NestedLoopJoin { .. } => {
-                    let kernel = JoinKernel::new(node)?;
-                    requests.push(BuildRequest {
-                        step: steps.len(),
-                        plan: &node.children[1],
-                        stats: &node_stats.children[1],
-                        join_stats: Arc::clone(&node_stats.stats),
-                        table: kernel.table(),
-                        kind: kernel.kind,
-                    });
-                    steps.push(Step {
-                        // The table is patched in once the registered build runs.
-                        kind: StepKind::Probe {
-                            build: Built::Table(Arc::default()),
-                            kernel,
-                        },
-                        stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: Some(Progress::new(node)),
-                    });
-                    exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
-                    node = &node.children[0];
-                    node_stats = &node_stats.children[0];
-                }
-                PlanKind::IndexNestedLoopJoin {
-                    inner_table,
-                    inner_key,
-                    ..
-                } => {
-                    let table = lookup_table_arc(self.storage, inner_table)?;
-                    let inner_key_idx = table.schema().index_of(None, inner_key)?;
-                    let kernel = Box::new(IndexNlKernel::new(node, &table)?);
-                    let use_index = table.index_on_column(inner_key_idx, false).is_some();
-                    let transient = if !use_index {
-                        // No usable index: build a transient one once, shared
-                        // read-only by every worker (bounded by the base table, like
-                        // the single-threaded operator). Only the key column is read.
-                        let index = Index::from_column(
-                            IndexKind::Hash,
-                            "transient",
-                            inner_key_idx,
-                            table.column(inner_key_idx),
-                        );
-                        let entries = index.entry_count() as u64;
-                        self.shared.buffered.acquire(entries, 8 * entries);
-                        Some(Arc::new(index))
-                    } else {
-                        None
-                    };
-                    let columnar = self.shared.config.columnar;
-                    let _ = node_stats.stats.probe.set(probe_label(columnar));
-                    steps.push(Step {
-                        kind: StepKind::IndexProbe {
-                            table,
-                            inner_key_idx,
-                            use_index,
-                            transient,
-                            kernel,
-                            columnar,
-                        },
-                        stats: std::sync::Arc::clone(&node_stats.stats),
-                        progress: Some(Progress::new(node)),
-                    });
-                    exhaust_marks.push(std::sync::Arc::clone(&node_stats.stats));
-                    node = &node.children[0];
-                    node_stats = &node_stats.children[0];
-                }
                 PlanKind::SeqScan {
                     table,
                     alias,
@@ -1192,7 +930,14 @@ impl<'p> Engine<'p> {
                 PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
                     // A breaker in the middle of the chain: materialize its output and
                     // use it as the driving source of this pipeline.
-                    break Source::Rows(self.eval_rows(node, node_stats)?);
+                    let rows = match node.kind {
+                        PlanKind::Sort { .. } => {
+                            self.eval_sort(node, node_stats)?.next_batch(usize::MAX)?
+                        }
+                        _ => self.eval_aggregate(node, node_stats)?,
+                    };
+                    let stats = Some(Arc::clone(&node_stats.stats));
+                    break Source::Rows(rows.unwrap_or_default(), stats);
                 }
                 PlanKind::Limit { .. } => {
                     // The planner only places LIMIT at the plan root, where
@@ -1200,6 +945,30 @@ impl<'p> Engine<'p> {
                     return Err(ExecError::InvalidPlan(
                         "LIMIT below the plan root has no parallel implementation".into(),
                     ));
+                }
+                _ => {
+                    let config = &self.shared.config;
+                    let Some(step) = Step::new(node, self.storage, config, &node_stats.stats)?
+                    else {
+                        return Err(ExecError::InvalidPlan(format!(
+                            "{} is no chain step",
+                            node.label()
+                        )));
+                    };
+                    // An index-NL join without an index on its key builds a transient
+                    // one now, shared read-only by every worker.
+                    step.prepare(&self.shared.buffered);
+                    if step.build_table().is_some() {
+                        // The table is installed once the registered build runs.
+                        requests.push(BuildRequest {
+                            step: steps.len(),
+                            plan: &node.children[1],
+                            stats: &node_stats.children[1],
+                        });
+                    }
+                    steps.push(step);
+                    node = &node.children[0];
+                    node_stats = &node_stats.children[0];
                 }
             }
         };
@@ -1218,16 +987,7 @@ impl<'p> Engine<'p> {
                 }
                 BUILDS_STARTED.fetch_add(1, Ordering::SeqCst);
                 self.builds_started.set(self.builds_started.get() + 1);
-                let table = self.eval_build(
-                    request.plan,
-                    request.stats,
-                    request.table,
-                    request.kind,
-                    &request.join_stats,
-                )?;
-                if let StepKind::Probe { build, .. } = &mut steps[request.step].kind {
-                    *build = table;
-                }
+                self.eval_build(&mut steps[request.step], request.plan, request.stats)?;
             }
         }
         // Steps were collected root-down; they apply source-up.
@@ -1239,10 +999,7 @@ impl<'p> Engine<'p> {
         let workers = config.threads.min(morsels).max(1);
         Ok(Compiled {
             source,
-            steps: steps.into(),
-            first_step: 0,
-            first_morsel: 0,
-            exhaust_marks,
+            steps,
             morsel_rows,
             morsels,
             workers,
@@ -1272,81 +1029,69 @@ impl<'p> Engine<'p> {
         self.pool.ensure_available(workers);
         for _ in 0..workers {
             let local = ctx.sink.make();
+            let chain = WorkerChain::new(&compiled.steps);
             let job_ctx = Arc::clone(&ctx);
             ctx.task
-                .submit(move || run_chain_slice(job_ctx, local, MaskCache::new()));
+                .submit(move || run_chain_slice(job_ctx, local, chain));
         }
         ctx
     }
 
     /// Run a compiled pipeline into per-worker sink states, returning one local state
-    /// per worker (and per pass). After the main pass, each spilled join in the
-    /// chain, source-up, joins its partitions on the coordinator: the loaded blocks'
-    /// output re-enters the chain above the join as bounded `Source::Rows` passes
-    /// into the same sink (the passes of a lower join feed the probe partitions of
-    /// a higher one).
+    /// per worker and one per spilled join. After the main pass, each spilled join in
+    /// the chain, source-up, joins its partitions on the coordinator through its
+    /// step, and the output goes down the rest of the chain as one more morsel (the
+    /// output of a lower join feeds the probe partitions of a higher one).
     fn execute_pipeline<S: SinkFactory + Clone>(
         &self,
         compiled: &Arc<Compiled>,
         factory: S,
     ) -> Result<Vec<S::Local>, ExecError> {
         let mut locals = self.run_morsels(compiled, &factory)?;
-        let mut next_morsel = compiled.morsels;
-        let batch_size = self.shared.config.batch_size;
-        let bound = compiled.morsel_rows.saturating_mul(self.shared.config.threads.max(1));
-        for (idx, step) in compiled.steps.iter().enumerate() {
-            let StepKind::Probe {
-                build: Built::Spilled(grace),
-                kernel,
-            } = &step.kind
-            else {
+        let pump = || self.pump_events();
+        for (at, step) in compiled.steps.iter().enumerate() {
+            if !step.spilled() || self.shared.quiesce.load(Ordering::SeqCst) {
                 continue;
-            };
-            let mut grace = lock(grace)?;
-            grace.seal_probe()?;
-            let (mut table, mut grant) = (kernel.table(), self.shared.config.governor.reservation());
-            let (mut probe, mut scratch) = (ProbeBatch::default(), Row::default());
-            while !self.shared.quiesce.load(Ordering::SeqCst) {
-                let start = Instant::now();
-                let mut out = Vec::new();
-                while out.len() < bound {
-                    if probe.done() {
-                        let keys = kernel.probe_keys();
-                        match grace.next_probe_rows(&mut table, &mut grant, keys, batch_size)? {
-                            Some(rows) => probe = kernel.batch(Batch::Rows(rows)),
-                            None => break,
-                        }
-                    }
-                    kernel.probe(&table, &mut probe, bound, &mut scratch, &mut out)?;
-                }
-                if out.is_empty() {
-                    break;
-                }
-                step.account(out.len(), start, &self.shared, batch_size);
-                let morsels = out.len().div_ceil(compiled.morsel_rows);
-                let pass = Arc::new(Compiled {
-                    source: Source::Rows(out),
-                    steps: Arc::clone(&compiled.steps),
-                    first_step: idx + 1,
-                    first_morsel: next_morsel,
-                    exhaust_marks: Vec::new(),
-                    morsel_rows: compiled.morsel_rows,
-                    morsels,
-                    workers: compiled.workers.min(morsels),
-                });
-                next_morsel += morsels;
-                locals.extend(self.run_morsels(&pass, &factory)?);
-                self.pump_events();
             }
+            let rest = &compiled.steps[at + 1..];
+            let mut chain = WorkerChain::new(rest);
+            let (mut state, mut grant) = (step.state(), self.shared.config.governor.reservation());
+            // Its tag follows the main pass's morsels and those of lower joins.
+            let (morsel, mut local) = (compiled.morsels + at, factory.make());
+            let mut sink = |batch| feed(&factory, &mut local, morsel, Some(batch), &pump);
+            let joined = |step: &Step, state: &mut StepState, events: &dyn Events| {
+                step.next_spilled(state, &mut grant, events)
+            };
+            let shared = &self.shared;
+            let states = &mut chain.states;
+            let result = pass_on(
+                step,
+                &mut state,
+                (rest, states),
+                shared,
+                &mut sink,
+                &pump,
+                joined,
+            )
+            .and_then(|()| flush_chain(rest, states, shared, &mut sink, &pump))
+            .and_then(|()| feed(&factory, &mut local, morsel, None, &pump));
+            if let Err(error) = result {
+                shared.fail(error);
+            }
+            if let Some(error) = self.take_error() {
+                return Err(error);
+            }
+            locals.push(local);
         }
         if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(compiled);
+            self.finish_pipeline(compiled)?;
         }
         Ok(locals)
     }
 
-    /// One pass over a compiled source: inline (single worker) on the coordinator
-    /// with the event pump interleaved after every chain batch, or on the pool.
+    /// The main pass over a compiled source's morsels: inline (single worker) on the
+    /// coordinator with the event pump interleaved after every chain batch, or on
+    /// the pool.
     fn run_morsels<S: SinkFactory + Clone>(
         &self,
         compiled: &Arc<Compiled>,
@@ -1379,26 +1124,24 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Mark a fully-drained pipeline's operators exhausted and emit the one-shot
-    /// exact-cardinality progress reports of its index-NL joins (outer side drained:
-    /// the produced count is the join's true output cardinality).
-    fn finish_pipeline(&self, compiled: &Compiled) {
+    /// Mark a fully-drained pipeline's operators exhausted and send the one-shot
+    /// exact-cardinality reports of its index-NL joins (outer side drained: the
+    /// produced count is the join's true output cardinality).
+    fn finish_pipeline(&self, compiled: &Compiled) -> Result<(), ExecError> {
         if let Some(stats) = compiled.source.stats() {
             stats.finish();
         }
-        for mark in &compiled.exhaust_marks {
-            mark.finish();
+        for step in compiled.steps.iter() {
+            step.stats.finish();
         }
         for step in compiled.steps.iter() {
-            let stats = &step.stats;
-            let end = step.progress.as_ref().and_then(|p| p.end(stats.rows(), stats.batches()));
-            if let Some(event) = end {
-                self.deliver_event(event);
-                if self.stopped() {
-                    return;
-                }
+            step.end(0, &*self.shared)?;
+            self.pump_events();
+            if self.stopped() {
+                break;
             }
         }
+        Ok(())
     }
 
     /// Drain an already-compiled pipeline into a row vector, in `(morsel, sequence)`
@@ -1437,15 +1180,8 @@ impl<'p> Engine<'p> {
 /// through an `Arc` and may outlive the stack frame that compiled it.
 struct Compiled {
     source: Source,
-    /// The chain, shared with the passes of its spilled joins.
-    steps: Arc<[Step]>,
-    /// The chain step the source feeds (past the spilled join, for a pass).
-    first_step: usize,
-    /// The morsel index of the source's first morsel (after the morsels of the
-    /// main pass and earlier passes, so sink tags stay unique and ordered).
-    first_morsel: usize,
-    /// Stats of every chain operator, marked exhausted when the pipeline drains.
-    exhaust_marks: Vec<Arc<OpStats>>,
+    /// The chain, source-up.
+    steps: Vec<Step>,
     morsel_rows: usize,
     morsels: usize,
     workers: usize,
@@ -1454,10 +1190,7 @@ struct Compiled {
 impl Compiled {
     /// Whether a join in the chain spilled its build.
     fn spilled(&self) -> bool {
-        let spilled = |step: &Step| {
-            matches!(step.kind, StepKind::Probe { build: Built::Spilled(_), .. })
-        };
-        self.steps.iter().any(spilled)
+        self.steps.iter().any(Step::spilled)
     }
 }
 
@@ -1469,17 +1202,34 @@ fn _assert_pool_safe() {
     assert_send_sync::<Shared>();
 }
 
-/// Claim and process **one** morsel: push each batch-sized chunk through the chain
-/// and feed the sink with `(morsel, Some(batch))` per produced batch, then a
-/// `(morsel, None)` done marker once the morsel is fully processed (a quiesced
-/// morsel sends no marker — its partial output is abandoned). Returns `Ok(true)` if
-/// the cursor may hold more morsels, `Ok(false)` when the source is exhausted or
-/// the query quiesced.
+/// One worker's chain state: a [`StepState`] per chain step the source feeds, and
+/// the scan's kernel cache (truth tables are cheap to rebuild per worker, and
+/// keeping them private keeps the hot mask loop lock-free).
+struct WorkerChain {
+    states: Vec<StepState>,
+    cache: MaskCache,
+}
+
+impl WorkerChain {
+    fn new(steps: &[Step]) -> Self {
+        Self {
+            states: steps.iter().map(Step::state).collect(),
+            cache: MaskCache::new(),
+        }
+    }
+}
+
+/// Claim and process **one** morsel: push each batch-sized chunk through the chain,
+/// end the steps' input at the end of the morsel, and feed the sink with
+/// `(morsel, Some(batch))` per produced batch, then a `(morsel, None)` done marker
+/// (a quiesced morsel sends no marker — its partial output is abandoned). Returns
+/// `Ok(true)` if the cursor may hold more morsels, `Ok(false)` when the source is
+/// exhausted or the query quiesced.
 fn process_one_morsel(
     compiled: &Compiled,
     shared: &Shared,
     cursor: &AtomicUsize,
-    mask_cache: &mut MaskCache,
+    chain: &mut WorkerChain,
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<bool, ExecError> {
@@ -1495,35 +1245,36 @@ fn process_one_morsel(
     let end = start.saturating_add(compiled.morsel_rows).min(total);
     let mut pos = start;
     let chunk = (compiled.morsel_rows / MORSEL_BATCHES.max(1)).max(1);
+    let steps = &compiled.steps;
+    // The sink takes the chain's last batch as it is (an aggregate reads a column
+    // batch in place; other sinks decode it).
+    let mut chain_sink = |batch| sink(morsel, Some(batch));
     while pos < end {
         if shared.quiesce.load(Ordering::SeqCst) {
             return Ok(false);
         }
         let chunk_end = pos.saturating_add(chunk).min(end);
-        let batch = compiled.source.scan(pos..chunk_end, mask_cache)?;
+        let batch = compiled.source.scan(pos..chunk_end, &mut chain.cache)?;
         pos = chunk_end;
-        if batch.is_empty() {
-            continue;
+        if !batch.is_empty() {
+            push_chain(
+                steps,
+                &mut chain.states,
+                batch,
+                shared,
+                &mut chain_sink,
+                pump,
+            )?;
         }
-        // The sink takes the chain's last batch as it is (an aggregate reads a
-        // column batch in place; other sinks decode it).
-        push_chain(
-            &compiled.steps[compiled.first_step..],
-            batch,
-            shared,
-            chunk,
-            mask_cache,
-            &mut |batch| sink(compiled.first_morsel + morsel, Some(batch)),
-            pump,
-        )?;
     }
-    sink(compiled.first_morsel + morsel, None)?;
+    flush_chain(steps, &mut chain.states, shared, &mut chain_sink, pump)?;
+    sink(morsel, None)?;
     Ok(true)
 }
 
 /// The morsel loop of the inline (single-worker) path: drain the cursor on the
-/// coordinator thread, pumping observer events after every chain step. An error
-/// fails the run as a pool worker's would.
+/// coordinator thread, pumping observer events after every batch a step yields. An
+/// error fails the run as a pool worker's would.
 fn worker_loop(
     compiled: &Compiled,
     shared: &Shared,
@@ -1531,11 +1282,9 @@ fn worker_loop(
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) {
-    // Worker-private kernel cache: truth tables are cheap to rebuild per worker and
-    // this keeps the hot mask loop lock-free.
-    let mut mask_cache = MaskCache::new();
+    let mut chain = WorkerChain::new(&compiled.steps);
     loop {
-        match process_one_morsel(compiled, shared, cursor, &mut mask_cache, sink, pump) {
+        match process_one_morsel(compiled, shared, cursor, &mut chain, sink, pump) {
             Ok(true) => {}
             Ok(false) => return,
             Err(error) => return shared.fail(error),
@@ -1559,7 +1308,11 @@ struct ChainCtx<S: SinkFactory> {
 /// One scheduling quantum of a chain: process a single morsel, then either
 /// re-enqueue at the back of this query's task queue (giving equal-priority peers
 /// a turn) or retire. Runs on a pool worker; `'static` by construction.
-fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, mut cache: MaskCache) {
+fn run_chain_slice<S: SinkFactory>(
+    ctx: Arc<ChainCtx<S>>,
+    mut local: S::Local,
+    mut chain: WorkerChain,
+) {
     // Catch panics from operator code: an uncaught unwind would skip this chain's
     // `Gate::done_one`, leaving the coordinating `wait_pumping` spinning forever
     // (the pool's own catch_unwind only keeps the worker thread alive).
@@ -1570,7 +1323,7 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
             &ctx.compiled,
             &ctx.shared,
             &ctx.cursor,
-            &mut cache,
+            &mut chain,
             &mut sink,
             &pump,
         )
@@ -1579,7 +1332,7 @@ fn run_chain_slice<S: SinkFactory>(ctx: Arc<ChainCtx<S>>, mut local: S::Local, m
         Ok(Ok(true)) => {
             let job_ctx = Arc::clone(&ctx);
             ctx.task
-                .submit(move || run_chain_slice(job_ctx, local, cache));
+                .submit(move || run_chain_slice(job_ctx, local, chain));
         }
         Ok(Ok(false)) => {
             ctx.locals.lock().expect("chain locals").push(local);
@@ -1609,58 +1362,88 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Push one batch through the remaining chain steps, re-chunking fan-out output to
-/// the batch size between steps so every downstream operator (and the sink exchange)
-/// sees batch-sized units (a column batch is re-chunked by slicing). `pump` runs after
-/// every step (the inline coordinator drains observer events there, so a suspension
-/// decision stops the descent after at most one step's output instead of a whole
-/// morsel's fan-out; threaded workers pass a no-op — their coordinator pumps
-/// concurrently).
+/// The output of a chain: the sink, fed each batch the last step yields.
+type ChainSink<'s> = dyn FnMut(Batch) -> Result<(), ExecError> + 's;
+
+/// Push one batch into the first of `steps` and pass every batch it yields down the
+/// rest of the chain. `pump` runs after every yielded batch (the inline coordinator
+/// delivers observer events there, so a suspension stops the descent after one
+/// batch; a pool worker waits there until the coordinator took its events).
 fn push_chain(
     steps: &[Step],
+    states: &mut [StepState],
     batch: Batch,
     shared: &Shared,
-    batch_size: usize,
-    cache: &mut MaskCache,
-    sink: &mut dyn FnMut(Batch) -> Result<(), ExecError>,
+    sink: &mut ChainSink<'_>,
     pump: &dyn Fn(),
 ) -> Result<(), ExecError> {
-    let Some((step, rest)) = steps.split_first() else {
+    let (Some((step, steps)), Some((state, states))) =
+        (steps.split_first(), states.split_first_mut())
+    else {
         return sink(batch);
     };
-    let out = step.apply(batch, shared, batch_size, cache)?;
-    pump();
-    if out.is_empty() || shared.drop_inflight() {
-        return Ok(());
+    let start = Instant::now();
+    let pushed = step.push(state, batch);
+    step.stats.charge(start.elapsed());
+    pushed?;
+    pass_on(step, state, (steps, states), shared, sink, pump, Step::next)
+}
+
+/// End the input of every step, source-up: each remainder goes down the rest of
+/// the chain before the next step's input ends.
+fn flush_chain(
+    steps: &[Step],
+    states: &mut [StepState],
+    shared: &Shared,
+    sink: &mut ChainSink<'_>,
+    pump: &dyn Fn(),
+) -> Result<(), ExecError> {
+    for at in 0..steps.len() {
+        let (Some((step, rest)), Some((state, rest_states))) =
+            (steps[at..].split_first(), states[at..].split_first_mut())
+        else {
+            break;
+        };
+        pass_on(
+            step,
+            state,
+            (rest, rest_states),
+            shared,
+            sink,
+            pump,
+            Step::flush,
+        )?;
     }
-    if out.len() <= batch_size {
-        return push_chain(rest, out, shared, batch_size, cache, sink, pump);
-    }
-    match out {
-        Batch::Rows(rows) => {
-            let mut iter = rows.into_iter();
-            loop {
-                let chunk: RowBatch = iter.by_ref().take(batch_size).collect();
-                if chunk.is_empty() {
-                    return Ok(());
-                }
-                push_chain(rest, Batch::Rows(chunk), shared, batch_size, cache, sink, pump)?;
-                if shared.drop_inflight() {
-                    return Ok(());
-                }
-            }
+    Ok(())
+}
+
+/// Pass every batch `yields` takes from `step` ([`Step::next`], [`Step::flush`] at
+/// the end of a morsel, or [`Step::next_spilled`]) down the rest of the chain,
+/// charging the step's time, until it yields none or the run drops its in-flight
+/// work.
+fn pass_on(
+    step: &Step,
+    state: &mut StepState,
+    (steps, states): (&[Step], &mut [StepState]),
+    shared: &Shared,
+    sink: &mut ChainSink<'_>,
+    pump: &dyn Fn(),
+    mut yields: impl FnMut(&Step, &mut StepState, &dyn Events) -> Result<Option<Batch>, ExecError>,
+) -> Result<(), ExecError> {
+    while !shared.drop_inflight() {
+        let start = Instant::now();
+        let out = yields(step, state, shared);
+        step.stats.charge(start.elapsed());
+        let Some(batch) = out? else {
+            break;
+        };
+        pump();
+        if shared.drop_inflight() {
+            break;
         }
-        Batch::Cols(cols) => {
-            for start in (0..cols.len()).step_by(batch_size) {
-                let chunk = cols.slice(start..(start + batch_size).min(cols.len()));
-                push_chain(rest, Batch::Cols(chunk), shared, batch_size, cache, sink, pump)?;
-                if shared.drop_inflight() {
-                    break;
-                }
-            }
-            Ok(())
-        }
+        push_chain(steps, states, batch, shared, sink, pump)?;
     }
+    Ok(())
 }
 
 /// A pipeline sink with per-worker local state: `make` is called once per chain,
@@ -1847,13 +1630,33 @@ impl SinkFactory for CollectSink {
     }
 }
 
-/// Exchange sink of a streaming root: chain batches flow through a bounded channel
-/// to the client-pulled pipeline facade. Each chain sends through its own cloned
-/// handle. A send can only fail once the receiver is gone for
-/// good — the pipeline was suspended or dropped — so it quiesces the query
-/// rather than letting orphaned chains keep scanning.
-struct ChannelSink {
-    tx: SyncSender<RowBatch>,
+/// One message of the LIMIT root exchange: a produced batch of `morsel`, or (with
+/// `batch == None`) the marker that `morsel` is fully processed.
+struct LimitMsg {
+    morsel: usize,
+    batch: Option<RowBatch>,
+}
+
+/// Hand `batch` to a LIMIT that holds `out` and stops at `count` rows: it takes what
+/// fits and counts what it took as one output batch on its `node`, as the
+/// single-threaded `LimitOp` returns each input batch, truncated.
+fn limit_take(out: &mut Vec<Row>, batch: RowBatch, count: usize, node: &OpStats) {
+    let room = count.saturating_sub(out.len());
+    node.count(batch.len().min(room));
+    out.extend(batch.into_iter().take(room));
+}
+
+/// Exchange sink of a root: chain output flows through a bounded channel to the
+/// coordinator, each chain sending through its own cloned handle. A streaming root
+/// sends row batches, which the client-pulled pipeline facade serves. A LIMIT root
+/// sends [`LimitMsg`]s, which carry their morsel and end each fully processed
+/// morsel with a done marker, so the coordinator reassembles the stream in morsel
+/// order and quiesces the query the moment the limit is satisfied (see
+/// [`Engine::limit_stream`]). A send can only fail once the receiver is gone for
+/// good — the pipeline was suspended or dropped, or the limit is satisfied — so it
+/// quiesces the query rather than letting orphaned chains keep scanning.
+struct ChannelSink<M> {
+    tx: SyncSender<M>,
     shared: Arc<Shared>,
     /// The owning query's task handle: sends run inside its blocking section so a
     /// worker stalled behind a slow-pulling client stops counting against the
@@ -1861,7 +1664,16 @@ struct ChannelSink {
     task: TaskHandle,
 }
 
-impl SinkFactory for ChannelSink {
+impl<M> ChannelSink<M> {
+    fn send(&self, local: &SyncSender<M>, msg: M) -> Result<(), ExecError> {
+        if self.task.blocking(|| local.send(msg)).is_err() {
+            self.shared.quiesce.store(true, Ordering::SeqCst);
+        }
+        Ok(())
+    }
+}
+
+impl SinkFactory for ChannelSink<RowBatch> {
     type Local = SyncSender<RowBatch>;
 
     fn make(&self) -> SyncSender<RowBatch> {
@@ -1875,32 +1687,11 @@ impl SinkFactory for ChannelSink {
         batch: Batch,
         _pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
-        let batch = batch.into_rows();
-        if self.task.blocking(|| local.send(batch)).is_err() {
-            self.shared.quiesce.store(true, Ordering::SeqCst);
-        }
-        Ok(())
+        self.send(local, batch.into_rows())
     }
 }
 
-/// One message of the LIMIT root exchange: a produced batch of `morsel`, or (with
-/// `batch == None`) the marker that `morsel` is fully processed.
-struct LimitMsg {
-    morsel: usize,
-    batch: Option<RowBatch>,
-}
-
-/// Morsel-ordered exchange sink for LIMIT roots: batches carry their morsel index
-/// and every fully-processed morsel is terminated by a done marker, letting the
-/// coordinator reassemble the stream in morsel order and quiesce the query the
-/// moment the limit is satisfied (see [`Engine::eval_limit`]).
-struct LimitSink {
-    tx: SyncSender<LimitMsg>,
-    shared: Arc<Shared>,
-    task: TaskHandle,
-}
-
-impl SinkFactory for LimitSink {
+impl SinkFactory for ChannelSink<LimitMsg> {
     type Local = SyncSender<LimitMsg>;
 
     fn make(&self) -> SyncSender<LimitMsg> {
@@ -1914,47 +1705,23 @@ impl SinkFactory for LimitSink {
         batch: Batch,
         _pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
-        let msg = LimitMsg {
-            morsel,
-            batch: Some(batch.into_rows()),
-        };
-        if self.task.blocking(|| local.send(msg)).is_err() {
-            self.shared.quiesce.store(true, Ordering::SeqCst);
-        }
-        Ok(())
+        let batch = Some(batch.into_rows());
+        self.send(local, LimitMsg { morsel, batch })
     }
 
-    fn morsel_done(&self, local: &mut SyncSender<LimitMsg>, morsel: usize) -> Result<(), ExecError> {
-        let msg = LimitMsg {
-            morsel,
-            batch: None,
-        };
-        if self.task.blocking(|| local.send(msg)).is_err() {
-            self.shared.quiesce.store(true, Ordering::SeqCst);
-        }
-        Ok(())
+    fn morsel_done(
+        &self,
+        local: &mut SyncSender<LimitMsg>,
+        morsel: usize,
+    ) -> Result<(), ExecError> {
+        self.send(
+            local,
+            LimitMsg {
+                morsel,
+                batch: None,
+            },
+        )
     }
-}
-
-/// Merge per-worker partial aggregation states and emit the result rows. Locals
-/// arrive in worker *completion* order, which is nondeterministic — that is safe
-/// because every accumulator merges exactly (float SUM/AVG accumulate into a
-/// [`crate::exact::ExactSum`] fixed-point superaccumulator and round once at
-/// emission), making the merged values independent of merge order. In memory,
-/// groups are emitted in first-seen `(morsel, sequence)` order — the global scan
-/// order — so the output row order is also run-identical across thread counts and
-/// matches the single-threaded engine's first-seen emission; merged from spilled
-/// runs, they come in key order, as in the single-threaded engine.
-fn merge_aggregates(
-    kernel: &AggKernel,
-    locals: Vec<(GroupTable, GroupSpill)>,
-    shared: &Shared,
-) -> Result<Vec<Row>, ExecError> {
-    if !kernel.grouped() {
-        shared.buffered.acquire(1, 8);
-    }
-    let mut groups = GroupSpill::finish(kernel, locals)?;
-    Ok(groups.next_batch(usize::MAX)?.unwrap_or_default())
 }
 
 // ---------------------------------------------------------------------------
@@ -1966,7 +1733,7 @@ fn merge_aggregates(
 struct StreamingRoot {
     rx: Receiver<RowBatch>,
     /// Keeps the chain-job context (and its retirement gate) reachable.
-    ctx: Arc<ChainCtx<ChannelSink>>,
+    ctx: Arc<ChainCtx<ChannelSink<RowBatch>>>,
     compiled: Arc<Compiled>,
     /// Seam suspension: whether the one in-flight batch was already delivered.
     seam_delivered: bool,
@@ -1983,6 +1750,9 @@ enum RunState {
         /// Seam suspension: once `rows` is exhausted, report `Suspended` instead of
         /// end-of-stream.
         seam: bool,
+        /// A breaker root's node: it counts each served batch, and ran to
+        /// completion once the last one was served.
+        node: Option<Arc<OpStats>>,
     },
     /// A streaming-shaped root: chain jobs stay live on the pool across pulls,
     /// producing into a bounded exchange as fast as the client consumes.
@@ -2078,13 +1848,26 @@ impl<'p> ParallelPipeline<'p> {
         let engine = self.engine.as_mut().expect("engine");
         let governor = Arc::clone(&self.config.governor);
         let rows = move |rows: Vec<Row>| Sorted::memory(rows, governor.reservation());
-        let result = match plan.kind {
-            PlanKind::Limit { count } => engine.eval_limit(plan, &self.stats, count).map(rows),
-            PlanKind::Aggregate { .. } => engine.eval_rows(plan, &self.stats).map(rows),
-            PlanKind::Sort { .. } => engine.eval_sort(plan, &self.stats),
+        let (result, node) = match plan.kind {
+            PlanKind::Limit { count } => {
+                (engine.eval_limit(plan, &self.stats, count).map(rows), None)
+            }
+            PlanKind::Aggregate { .. } => {
+                let node = Arc::clone(&self.stats.stats);
+                (
+                    engine
+                        .eval_aggregate(plan, &self.stats)
+                        .map(|r| rows(r.unwrap_or_default())),
+                    Some(node),
+                )
+            }
+            PlanKind::Sort { .. } => {
+                let node = Arc::clone(&self.stats.stats);
+                (engine.eval_sort(plan, &self.stats), Some(node))
+            }
             _ => return self.run_streaming(),
         };
-        self.settle_materialized(result)
+        self.settle_materialized(result, node)
     }
 
     /// Start a streaming-shaped root.
@@ -2098,7 +1881,7 @@ impl<'p> ParallelPipeline<'p> {
         };
         let compiled = match compiled {
             Ok(compiled) => Arc::new(compiled),
-            Err(error) => return self.settle_materialized(Err(error)),
+            Err(error) => return self.settle_materialized(Err(error), None),
         };
         let engine = self.engine.as_ref().expect("engine");
         if engine.stopped() || compiled.workers <= 1 || compiled.spilled() {
@@ -2107,7 +1890,7 @@ impl<'p> ParallelPipeline<'p> {
             // follow the main pass: collect on the coordinator.
             let result = engine.collect_compiled(&compiled);
             let rows = result.map(|rows| Sorted::memory(rows, self.config.governor.reservation()));
-            return self.settle_materialized(rows);
+            return self.settle_materialized(rows, None);
         }
         let (tx, rx) = sync_channel::<RowBatch>(compiled.workers * 2);
         let ctx = engine.launch_chains(
@@ -2128,8 +1911,13 @@ impl<'p> ParallelPipeline<'p> {
     }
 
     /// Resolve a materialized run result into the serving/suspended/poisoned state,
-    /// mirroring the single-threaded suspension contract.
-    fn settle_materialized(&mut self, result: Result<Sorted, ExecError>) -> Result<(), ExecError> {
+    /// mirroring the single-threaded suspension contract. `node` is a breaker
+    /// root's, which counts the batches served.
+    fn settle_materialized(
+        &mut self,
+        result: Result<Sorted, ExecError>,
+        node: Option<Arc<OpStats>>,
+    ) -> Result<(), ExecError> {
         let engine = self.engine.as_mut().expect("engine");
         engine.pump_events();
         let stop = engine.stop.get();
@@ -2164,7 +1952,7 @@ impl<'p> ParallelPipeline<'p> {
             }
             seam => {
                 let seam = seam.is_some();
-                self.state = RunState::Serving { rows, seam };
+                self.state = RunState::Serving { rows, seam, node };
                 Ok(())
             }
         }
@@ -2284,7 +2072,11 @@ impl<'p> ParallelPipeline<'p> {
                         // it and the stop-mode check takes over.
                         continue;
                     }
-                    engine.finish_pipeline(&compiled);
+                    if let Err(error) = engine.finish_pipeline(&compiled) {
+                        self.state = RunState::Poisoned;
+                        self.finalize_counters();
+                        return Err(error);
+                    }
                     if engine.stop.get().is_some() {
                         continue;
                     }
@@ -2309,7 +2101,8 @@ impl<'p> ParallelPipeline<'p> {
             )),
             RunState::Done => Ok(None),
             RunState::Streaming(_) => self.stream_next(),
-            RunState::Serving { rows, seam } => match rows.next_batch(self.config.batch_size) {
+            RunState::Serving { rows, seam, node } => match rows.next_batch(self.config.batch_size)
+            {
                 Ok(None) if *seam => {
                     self.state = RunState::Suspended;
                     Err(ExecError::Suspended)
@@ -2318,7 +2111,17 @@ impl<'p> ParallelPipeline<'p> {
                     self.state = RunState::Poisoned;
                     Err(error)
                 }
-                batch => batch,
+                Ok(batch) => {
+                    if let Some(node) = node {
+                        match &batch {
+                            Some(batch) => {
+                                node.count(batch.len());
+                            }
+                            None => node.finish(),
+                        }
+                    }
+                    Ok(batch)
+                }
             },
         }
     }
@@ -2370,7 +2173,7 @@ mod tests {
     use crate::exec::{
         ExecutionObserver, Executor, ObserverDecision, ObserverHandle, DEFAULT_BATCH_SIZE,
     };
-    use crate::metrics::{MetricsNode, OperatorMetrics};
+    use crate::metrics::MetricsNode;
     use reopt_catalog::Catalog;
     use reopt_storage::Value;
     use reopt_planner::{CardinalityOverrides, Optimizer, OptimizerConfig};
@@ -2520,19 +2323,45 @@ mod tests {
         }
     }
 
-    /// The node pairs of two metrics trees of `plan`, in pre-order, each with whether
-    /// it lies below a LIMIT.
+    /// The nodes of `plan` with their metrics in two runs, in pre-order, each with
+    /// whether it lies below a LIMIT.
     fn node_pairs<'m>(
-        plan: &PhysicalPlan,
+        plan: &'m PhysicalPlan,
         (a, b): (&'m MetricsNode, &'m MetricsNode),
         below_limit: bool,
-        out: &mut Vec<(&'m OperatorMetrics, &'m OperatorMetrics, bool)>,
+        out: &mut Vec<(&'m PhysicalPlan, &'m MetricsNode, &'m MetricsNode, bool)>,
     ) {
-        out.push((&a.metrics, &b.metrics, below_limit));
+        out.push((plan, a, b, below_limit));
         let below = below_limit || matches!(plan.kind, PlanKind::Limit { .. });
         for ((child, a), b) in plan.children.iter().zip(&a.children).zip(&b.children) {
             node_pairs(child, (a, b), below, out);
         }
+    }
+
+    /// How many morsels drive the pipeline `plan` streams in: its source's rows (a
+    /// scanned table's, or a breaker's output as `metrics` counted it) in runs of
+    /// [`MORSEL_BATCHES`] batches.
+    fn pipeline_morsels(
+        plan: &PhysicalPlan,
+        metrics: &MetricsNode,
+        storage: &Storage,
+        batch_size: usize,
+    ) -> u64 {
+        let rows = match &plan.kind {
+            PlanKind::SeqScan { table, .. } => storage.table(table).unwrap().row_count() as u64,
+            PlanKind::IndexScan { .. } | PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
+                metrics.metrics.actual_rows
+            }
+            _ => {
+                return pipeline_morsels(
+                    &plan.children[0],
+                    &metrics.children[0],
+                    storage,
+                    batch_size,
+                )
+            }
+        };
+        rows.div_ceil((batch_size * MORSEL_BATCHES) as u64).max(1)
     }
 
     #[test]
@@ -2540,26 +2369,133 @@ mod tests {
         let (storage, catalog) = build_env();
         // 240 titles of 12k match, so the LIMIT stops its scan early on both engines.
         let limited = "SELECT t.id AS id FROM title AS t WHERE t.production_year = 1973 LIMIT 5";
-        for sql in SWEEP_QUERIES.iter().copied().chain([limited]) {
-            let planned = plan(sql, &storage, &catalog);
-            let run = |threads| {
-                let executor = Executor::new(&storage).with_threads(threads);
-                executor.execute(&planned.plan).unwrap().metrics.root
-            };
-            let (single, morsel) = (run(1), run(4));
-            let mut pairs = Vec::new();
-            node_pairs(&planned.plan, (&single, &morsel), false, &mut pairs);
-            for (one, four, below_limit) in pairs {
-                assert_eq!(one.label, four.label, "{sql}");
-                assert_eq!(one.exhausted, four.exhausted, "{}: {sql}", one.label);
-                if !below_limit {
-                    assert_eq!(one.actual_rows, four.actual_rows, "{}: {sql}", one.label);
+        // The LIMIT stops pulling the sort, so the sort is not exhausted.
+        let sorted = "SELECT t.id AS id FROM title AS t ORDER BY id DESC LIMIT 7";
+        for batch_size in [16, DEFAULT_BATCH_SIZE] {
+            for sql in SWEEP_QUERIES.iter().copied().chain([limited, sorted]) {
+                let planned = plan(sql, &storage, &catalog);
+                let run = |threads| {
+                    let executor =
+                        Executor::with_batch_size(&storage, batch_size).with_threads(threads);
+                    executor.execute(&planned.plan).unwrap().metrics.root
+                };
+                let (single, morsel) = (run(1), run(4));
+                let mut pairs = Vec::new();
+                node_pairs(&planned.plan, (&single, &morsel), false, &mut pairs);
+                for (node, one, four, below_limit) in pairs {
+                    let label = format!("{}: {sql} at batch size {batch_size}", one.metrics.label);
+                    let (one_m, four_m) = (&one.metrics, &four.metrics);
+                    assert_eq!(one_m.label, four_m.label, "{sql}");
+                    assert_eq!(one_m.exhausted, four_m.exhausted, "{label}");
+                    match &node.kind {
+                        // The LIMIT and the breakers count the batches they hand over,
+                        // the scans their non-empty chunks.
+                        PlanKind::Limit { .. }
+                        | PlanKind::Aggregate { .. }
+                        | PlanKind::Sort { .. } => {
+                            assert_eq!(one_m.batches, four_m.batches, "{label}");
+                        }
+                        _ if below_limit => {}
+                        PlanKind::SeqScan { .. } | PlanKind::IndexScan { .. } => {
+                            assert_eq!(one_m.batches, four_m.batches, "{label}");
+                        }
+                        // A streaming step ends its input once per morsel: at most one
+                        // partial batch more per morsel.
+                        _ => {
+                            let morsels = pipeline_morsels(node, one, &storage, batch_size);
+                            assert!(
+                                (one_m.batches..=one_m.batches + morsels).contains(&four_m.batches),
+                                "{label}: {} batches at one thread, {} at four, {morsels} morsels",
+                                one_m.batches,
+                                four_m.batches
+                            );
+                        }
+                    }
+                    if !below_limit {
+                        assert_eq!(one_m.actual_rows, four_m.actual_rows, "{label}");
+                    }
+                }
+                if sql == limited || sql == sorted {
+                    assert!(
+                        !morsel.metrics.exhausted,
+                        "a satisfied LIMIT is a truncated count"
+                    );
                 }
             }
-            if sql == limited {
+        }
+    }
+
+    /// Suspends on the first progress report.
+    struct SuspendOnProgress;
+
+    impl ExecutionObserver for SuspendOnProgress {
+        fn on_event(&mut self, event: &ExecEvent) -> ObserverDecision {
+            match event {
+                ExecEvent::Progress(_) => ObserverDecision::Suspend,
+                _ => ObserverDecision::Continue,
+            }
+        }
+    }
+
+    #[test]
+    fn a_fan_out_probe_suspends_within_a_batch_per_worker() {
+        const BATCH: usize = 16;
+        // Every outer row matches 500 inner rows, so each morsel of outer rows fans
+        // out to thousands of batches. One morsel runs inline; two run on two workers.
+        for (outer_rows, workers) in [(8, 1), (2 * BATCH * MORSEL_BATCHES, 2)] {
+            let mut storage = Storage::new();
+            let mut outer =
+                Table::new("o", Schema::new(vec![Column::not_null("k", DataType::Int)]));
+            for _ in 0..outer_rows {
+                outer
+                    .push_row(Row::from_values(vec![Value::Int(1)]))
+                    .unwrap();
+            }
+            let mut inner = Table::new(
+                "i",
+                Schema::new(vec![
+                    Column::not_null("k", DataType::Int),
+                    Column::not_null("v", DataType::Int),
+                ]),
+            );
+            for v in 0..500 {
+                inner
+                    .push_row(Row::from_values(vec![Value::Int(1), Value::Int(v)]))
+                    .unwrap();
+            }
+            inner.create_index("i_k", "k", IndexKind::Hash).unwrap();
+            storage.create_table(outer).unwrap();
+            storage.create_table(inner).unwrap();
+            let mut catalog = Catalog::new();
+            catalog.analyze_all(&storage).unwrap();
+            let config = OptimizerConfig {
+                enable_hash_joins: false,
+                ..OptimizerConfig::default()
+            };
+            let sql = "SELECT count(*) AS c FROM o AS o, i AS i WHERE o.k = i.k";
+            let planned = plan_with(sql, &storage, &catalog, config);
+            for columnar in [true, false] {
+                let observer: ObserverHandle = Rc::new(RefCell::new(SuspendOnProgress));
+                let executor = Executor::with_batch_size(&storage, BATCH)
+                    .with_threads(2)
+                    .with_columnar(columnar);
+                let mut pipeline = executor
+                    .open_observed(&planned.plan, Some(observer))
+                    .unwrap();
+                assert!(matches!(pipeline.next_batch(), Err(ExecError::Suspended)));
+                let mut join = None;
+                pipeline.metrics().root.walk(&mut |node| {
+                    if node.metrics.label.starts_with("Index Nested Loop") {
+                        join = Some(node.metrics.actual_rows);
+                    }
+                });
+                let rows = join.expect("an index nested-loop join") as usize;
+                let reported = crate::PROGRESS_INTERVAL as usize * BATCH;
+                let bound = (crate::PROGRESS_INTERVAL as usize + workers) * BATCH;
                 assert!(
-                    !morsel.metrics.exhausted,
-                    "a satisfied LIMIT is a truncated count"
+                    (reported..=bound).contains(&rows),
+                    "{workers} worker(s), columnar {columnar}: the join made {rows} rows, \
+                     the report fired at {reported} and the bound is {bound}"
                 );
             }
         }
@@ -2821,8 +2757,27 @@ mod tests {
         let mut pipeline = executor
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
-        let first = pipeline.next_batch().unwrap().expect("in-flight batch delivered");
-        assert!(!first.is_empty() && first.len() <= 4);
+        // The pull during which the report arrives delivers its in-flight batch, and
+        // the next one suspends. Workers send batches before the report is made, so
+        // earlier pulls may return those; the report is due by the join's
+        // PROGRESS_INTERVAL-th batch, so it arrives within that many pulls.
+        let reported = || {
+            let events = &observer.borrow().events;
+            events
+                .iter()
+                .any(|event| matches!(event, ExecEvent::Progress(_)))
+        };
+        for _ in 1..=crate::PROGRESS_INTERVAL {
+            let batch = pipeline
+                .next_batch()
+                .unwrap()
+                .expect("in-flight batch delivered");
+            assert!(!batch.is_empty() && batch.len() <= 4);
+            if reported() {
+                break;
+            }
+        }
+        assert!(reported(), "the report arrives within PROGRESS_INTERVAL pulls");
         assert!(!pipeline.is_suspended(), "suspension waits for the seam");
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
         assert!(pipeline.is_suspended());
