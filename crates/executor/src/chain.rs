@@ -4,7 +4,7 @@
 //! A [`Step`] is one streaming plan node, compiled once and read-only while it runs
 //! (the morsel engine's workers share one chain through an `Arc`). Whoever drives
 //! a step owns a [`StepState`]: the pushed input, the probe cursor, the pairs and
-//! rows carried toward the next output batch, a mask cache and scratch rows. The
+//! columns carried toward the next output batch, a mask cache and scratch rows. The
 //! caller pushes an input batch ([`Step::push`]) and takes output batches
 //! ([`Step::next`]) until the step needs more input; at the end of its input it
 //! takes the remainder ([`Step::flush`]). The single-threaded engine's operator
@@ -20,6 +20,12 @@
 //! * a join emits exactly `batch_size` rows, carrying rows across input batches,
 //!   and emits the remainder at the end of input.
 //!
+//! Both columnar joins, the hash or nested-loop probe (`hash_join.rs`) and the index
+//! probe (`index_nl.rs`), run through one emit loop: the kernel finds the passing
+//! `(outer position, inner row)` pairs of the outer batch a chunk at a time, and the
+//! loop gathers a column batch of exactly `batch_size` pairs, carrying the
+//! remainder. Only the index probe's row path (`columnar == false`) joins row by row.
+//!
 //! One accounting: a step counts each output batch on its node and sends the
 //! progress report a join is due every [`PROGRESS_INTERVAL`](crate::PROGRESS_INTERVAL)
 //! batches through the caller's [`Events`]; an index nested-loop join sends its
@@ -29,13 +35,14 @@ use crate::error::ExecError;
 use crate::exec::{
     bind, lookup_table_arc, probe_label, Batch, BreakerKind, ExecConfig, ExecEvent, RowBatch,
 };
-use crate::hash_join::{GraceJoin, JoinKernel, JoinTable, ProbeBatch};
+use crate::hash_join::{GraceJoin, JoinKernel, JoinTable};
 use crate::index_nl::{Cursor, IndexNlKernel, Pairs};
 use crate::instrument::{Buffered, OpStats, Progress};
 use crate::spill::Reservation;
 use reopt_expr::{filter_mask, Expr, MaskCache};
 use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_storage::{ColumnBatch, Index, IndexKind, Row, Storage, Table};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Where a step's progress reports go: to the observer, synchronously, in the
@@ -104,32 +111,37 @@ pub(crate) struct Step {
 pub(crate) struct StepState {
     /// A filter's or projection's pushed batch.
     input: Option<Batch>,
-    /// A join's probe batch and its cursor.
-    probe: ProbeBatch,
-    /// An index nested-loop join's outer batch, as columns or (row path) rows, and
-    /// the probe position in it.
-    outer: Option<ColumnBatch>,
+    /// A columnar join's outer batch, pairs and carried columns.
+    join: JoinState,
+    /// The index probe's row path: its outer rows, and the rows carried toward the
+    /// next full batch.
     outer_rows: RowBatch,
-    cursor: Cursor,
-    /// Passing pairs of `outer`; those before `emitted` are output already.
-    pairs: Pairs,
-    emitted: usize,
-    /// Column output carried toward the next full batch.
-    carried: Option<ColumnBatch>,
-    /// Row output carried toward the next full batch.
     rows: Vec<Row>,
     mask_cache: MaskCache,
     /// The row an inner fetch decodes into, and a join residual's compact row.
     inner: Row,
     scratch: Row,
     /// A spilled join's loaded partition block.
-    block: JoinTable,
+    block: Option<JoinTable>,
+}
+
+/// A columnar join's position: the outer batch, the probe position in it, its
+/// passing pairs found so far, and the output columns carried toward the next full
+/// batch.
+#[derive(Default)]
+struct JoinState {
+    outer: Option<ColumnBatch>,
+    cursor: Cursor,
+    /// Passing pairs of `outer`; those before `emitted` are output already.
+    pairs: Pairs,
+    emitted: usize,
+    carried: Option<ColumnBatch>,
 }
 
 impl StepState {
     /// Output rows produced but not yet emitted.
     pub(crate) fn pending(&self) -> usize {
-        self.rows.len() + self.carried.as_ref().map_or(0, ColumnBatch::len)
+        self.rows.len() + self.join.carried.as_ref().map_or(0, ColumnBatch::len)
     }
 }
 
@@ -206,9 +218,13 @@ impl Step {
         }
     }
 
-    /// Install a join's completed build.
+    /// Install a join's completed build (a sealed table, or the sealed build
+    /// partitions), naming an in-memory table's form on the node.
     pub(crate) fn install(&mut self, built: Built) {
         if let Kind::Probe { build, .. } = &mut self.kind {
+            if let Built::Table(table) = &built {
+                let _ = self.stats.probe.set(table.form());
+            }
             *build = built;
         }
     }
@@ -266,10 +282,8 @@ impl Step {
     /// A fresh state for one caller of the step.
     pub(crate) fn state(&self) -> StepState {
         let mut state = StepState::default();
-        match &self.kind {
-            Kind::Probe { kernel, .. } => state.block = kernel.table(),
-            Kind::IndexProbe { kernel, .. } => state.inner = kernel.read.scratch(),
-            _ => {}
+        if let Kind::IndexProbe { kernel, .. } = &self.kind {
+            state.inner = kernel.read.scratch();
         }
         state
     }
@@ -282,18 +296,18 @@ impl Step {
             Kind::Probe {
                 kernel,
                 build: Built::Table(_),
-            } => state.probe = kernel.batch(batch),
+            } => state.join.start(kernel.probe_columns(batch)),
             Kind::Probe {
                 kernel,
                 build: Built::Spilled(grace),
-            } => lock(grace)?.write(batch.into_rows(), kernel.probe_keys())?,
+            } => lock(grace)?.write(batch, kernel.probe_keys())?,
             Kind::IndexProbe {
                 kernel, columnar, ..
             } => {
-                state.cursor = Cursor::default();
                 if *columnar {
-                    state.outer = Some(kernel.outer_columns(batch));
+                    state.join.start(kernel.outer_columns(batch));
                 } else {
+                    state.join.cursor = Cursor::default();
                     state.outer_rows = batch.into_rows();
                 }
             }
@@ -320,18 +334,18 @@ impl Step {
             },
             Kind::Probe { kernel, build } => {
                 // A spilled join probes the partition block loaded into the state.
-                let table = match build {
-                    Built::Table(table) => table,
-                    Built::Spilled(_) => &state.block,
+                let table = match (build, &state.block) {
+                    (Built::Table(table), _) => table,
+                    (Built::Spilled(_), Some(block)) => block,
+                    (Built::Spilled(_), None) => return Ok(None),
                 };
-                kernel.probe(
-                    table,
-                    &mut state.probe,
+                state.join.emit(
                     batch_size,
-                    &mut state.scratch,
-                    &mut state.rows,
-                )?;
-                full(&mut state.rows, batch_size)
+                    |outer, cursor, pairs| {
+                        kernel.probe(table, outer, cursor, pairs, &mut state.mask_cache)
+                    },
+                    |outer, pairs, range| kernel.gather(table, outer, pairs, range),
+                )?
             }
             Kind::IndexProbe {
                 table,
@@ -344,9 +358,13 @@ impl Step {
                     .index_on_column(*inner_key, false)
                     .or_else(|| transient.get());
                 match index {
-                    Some(index) if *columnar => {
-                        index_columns(kernel, table, index, state, batch_size)?
-                    }
+                    Some(index) if *columnar => state.join.emit(
+                        batch_size,
+                        |outer, cursor, pairs| {
+                            kernel.probe(table, index, outer, cursor, pairs, &mut state.mask_cache)
+                        },
+                        |outer, pairs, range| kernel.gather(table, outer, pairs, range),
+                    )?,
                     Some(index) => index_rows(kernel, table, index, state, batch_size)?,
                     None => None,
                 }
@@ -362,7 +380,7 @@ impl Step {
         state: &mut StepState,
         events: &dyn Events,
     ) -> Result<Option<Batch>, ExecError> {
-        let out = match state.carried.take() {
+        let out = match state.join.carried.take() {
             Some(cols) => Some(Batch::Cols(cols)),
             None if !state.rows.is_empty() => Some(Batch::Rows(std::mem::take(&mut state.rows))),
             None => None,
@@ -407,9 +425,12 @@ impl Step {
             if let Some(batch) = self.next(state, events)? {
                 return Ok(Some(batch));
             }
-            let keys = kernel.probe_keys();
-            match grace.next_probe_rows(&mut state.block, grant, keys, self.batch_size)? {
-                Some(rows) => state.probe = kernel.batch(Batch::Rows(rows)),
+            let block = state.block.get_or_insert_with(|| kernel.table());
+            match grace.next_probe_batch(kernel, block, grant, self.batch_size)? {
+                Some(probe) => {
+                    let _ = self.stats.probe.set(block.form());
+                    state.join.start(probe);
+                }
                 None => return self.flush(state, events),
             }
         }
@@ -431,6 +452,65 @@ impl Step {
             }
         }
         Ok(Some(batch))
+    }
+}
+
+impl JoinState {
+    /// Probe the next outer batch from its start.
+    fn start(&mut self, outer: ColumnBatch) {
+        self.outer = Some(outer);
+        self.cursor = Cursor::default();
+    }
+
+    /// The columnar emit loop of both joins: probe the outer batch (`probe` finds
+    /// the next chunk of passing pairs) until a full batch of pairs is found, and
+    /// gather it (`gather`) after the columns carried from earlier outer batches.
+    /// Once every pair of the outer batch is found and fewer than a batch remain,
+    /// they are gathered into the carried columns and the outer batch is released.
+    fn emit(
+        &mut self,
+        batch_size: usize,
+        mut probe: impl FnMut(&ColumnBatch, &mut Cursor, &mut Pairs) -> Result<(), ExecError>,
+        gather: impl Fn(&ColumnBatch, &Pairs, Range<usize>) -> ColumnBatch,
+    ) -> Result<Option<Batch>, ExecError> {
+        let Some(outer) = &self.outer else {
+            return Ok(None);
+        };
+        loop {
+            let carried = self.carried.as_ref().map_or(0, ColumnBatch::len);
+            let pending = self.pairs.len() - self.emitted;
+            if carried + pending >= batch_size {
+                let end = self.emitted + (batch_size - carried);
+                let head = gather(outer, &self.pairs, self.emitted..end);
+                self.emitted = end;
+                return Ok(Some(Batch::Cols(match self.carried.take() {
+                    Some(mut out) => {
+                        out.append(head);
+                        out
+                    }
+                    None => head,
+                })));
+            }
+            if !self.cursor.done(outer.len()) {
+                // Only the pending pairs are kept: a fan-out outer batch would otherwise
+                // grow the pair list by its whole output.
+                self.pairs.discard(self.emitted);
+                self.emitted = 0;
+                probe(outer, &mut self.cursor, &mut self.pairs)?;
+                continue;
+            }
+            if pending > 0 {
+                let tail = gather(outer, &self.pairs, self.emitted..self.pairs.len());
+                match &mut self.carried {
+                    Some(carried) => carried.append(tail),
+                    None => self.carried = Some(tail),
+                }
+            }
+            self.pairs.clear();
+            self.emitted = 0;
+            self.outer = None;
+            return Ok(None);
+        }
     }
 }
 
@@ -485,7 +565,7 @@ fn index_rows(
     state: &mut StepState,
     batch_size: usize,
 ) -> Result<Option<Batch>, ExecError> {
-    let (read, cursor) = (&kernel.read, &mut state.cursor);
+    let (read, cursor) = (&kernel.read, &mut state.join.cursor);
     while let Some(outer) = state.outer_rows.get(cursor.outer) {
         let matches = index.lookup(outer.value(kernel.outer_key()));
         while let Some(&id) = matches.get(cursor.matched) {
@@ -506,64 +586,6 @@ fn index_rows(
         cursor.matched = 0;
     }
     Ok(full(&mut state.rows, batch_size))
-}
-
-/// The columnar index probe: probe the outer batch until a full batch of pairs is
-/// found, and gather it (after the columns carried from earlier outer batches).
-/// Once every pair of the outer batch is found and fewer than a batch remain, they
-/// are gathered into the carried columns and the outer batch is released.
-fn index_columns(
-    kernel: &IndexNlKernel,
-    table: &Table,
-    index: &Index,
-    state: &mut StepState,
-    batch_size: usize,
-) -> Result<Option<Batch>, ExecError> {
-    let Some(outer) = &state.outer else {
-        return Ok(None);
-    };
-    loop {
-        let carried = state.carried.as_ref().map_or(0, ColumnBatch::len);
-        let pending = state.pairs.len() - state.emitted;
-        if carried + pending >= batch_size {
-            let end = state.emitted + (batch_size - carried);
-            let head = kernel.gather(table, outer, &state.pairs, state.emitted..end);
-            state.emitted = end;
-            return Ok(Some(Batch::Cols(match state.carried.take() {
-                Some(mut out) => {
-                    out.append(head);
-                    out
-                }
-                None => head,
-            })));
-        }
-        if !state.cursor.done(outer.len()) {
-            // Only the pending pairs are kept: a fan-out outer batch would otherwise
-            // grow the pair list by its whole output.
-            state.pairs.discard(state.emitted);
-            state.emitted = 0;
-            kernel.probe(
-                table,
-                index,
-                outer,
-                &mut state.cursor,
-                &mut state.pairs,
-                &mut state.mask_cache,
-            )?;
-            continue;
-        }
-        if pending > 0 {
-            let tail = kernel.gather(table, outer, &state.pairs, state.emitted..state.pairs.len());
-            match &mut state.carried {
-                Some(carried) => carried.append(tail),
-                None => state.carried = Some(tail),
-            }
-        }
-        state.pairs.clear();
-        state.emitted = 0;
-        state.outer = None;
-        return Ok(None);
-    }
 }
 
 #[cfg(test)]
@@ -877,7 +899,8 @@ mod tests {
                         .unwrap()
                         .unwrap();
                     if let Some((mut table, _)) = step.build_table() {
-                        inner_rows().into_iter().for_each(|row| table.push(row));
+                        table.append(Batch::Rows(inner_rows()));
+                        table.seal();
                         step.install(Built::Table(Arc::new(table)));
                     }
                     step.prepare(&Buffered::default());

@@ -5,12 +5,12 @@
 //! [`DEFAULT_BATCH_SIZE`]). Batches flow in one of two shapes: **columnar**
 //! ([`ColumnBatch`], produced by sequential scans and preserved through filters and
 //! column-only projections, where predicates run as vectorized mask kernels over
-//! typed vectors and dictionary codes, and gathered by index nested-loop joins,
-//! which probe a whole outer batch through the shared kernel in `index_nl.rs`) or
-//! **row-major** (`RowBatch`, everything else). Columnar batches are decoded to
-//! rows only at the root exchange, where a pipeline breaker buffers rows, and on
-//! entry to operators without a columnar implementation; the aggregate folds them
-//! in place (`agg.rs`). Streaming
+//! typed vectors and dictionary codes, and gathered by the join kernels, which
+//! probe a whole batch through the shared kernels in `hash_join.rs` and
+//! `index_nl.rs`) or **row-major** (`RowBatch`, everything else). Columnar batches
+//! are decoded to rows only at the root exchange, where the sort buffers rows, and
+//! on entry to operators without a columnar implementation; a join build keeps
+//! them as columns and the aggregate folds them in place (`agg.rs`). Streaming
 //! operators (scans, filters, projections, the probe side of a hash join, the outer
 //! side of the nested-loop joins, limit) hold no more than one batch of state; only
 //! *pipeline breakers* buffer:
@@ -89,6 +89,33 @@ impl Batch {
         match self {
             Batch::Rows(rows) => rows,
             Batch::Cols(cols) => cols.into_rows(),
+        }
+    }
+
+    /// The batch as columns: a row batch of rows `width` values wide converts to
+    /// exact-value columns ([`ColumnBatch::from_rows`]), as it enters a columnar
+    /// kernel.
+    pub(crate) fn into_columns(self, width: usize) -> ColumnBatch {
+        match self {
+            Batch::Rows(rows) => ColumnBatch::from_rows(rows, width),
+            Batch::Cols(cols) => cols,
+        }
+    }
+
+    /// The decoded width of every value ([`Value::width`]), in either shape: what
+    /// a breaker reserves for buffering the batch.
+    pub(crate) fn width(&self) -> u64 {
+        match self {
+            Batch::Rows(rows) => rows.iter().map(|row| row.width() as u64).sum(),
+            Batch::Cols(cols) => cols
+                .columns()
+                .iter()
+                .map(|column| {
+                    (0..cols.len())
+                        .map(|row| column.width_at(row) as u64)
+                        .sum::<u64>()
+                })
+                .sum(),
         }
     }
 }
@@ -838,16 +865,15 @@ impl Metered<'_> {
         out
     }
 
-    /// Drain the operator completely (used by the row-buffering pipeline breakers:
-    /// hash build, nested-loop inner, sort), feeding every batch to `consume` as
-    /// rows — a decode boundary. The aggregate pulls [`Metered::next_batch`] instead
-    /// and reads column batches in place.
+    /// Drain the operator completely (used by the buffering pipeline breakers: hash
+    /// build, nested-loop inner, sort), feeding every batch to `consume`. The
+    /// aggregate pulls [`Metered::next_batch`] instead.
     fn drain(
         &mut self,
-        mut consume: impl FnMut(RowBatch) -> Result<(), ExecError>,
+        mut consume: impl FnMut(Batch) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         while let Some(batch) = self.next_batch()? {
-            consume(batch.into_rows())?;
+            consume(batch)?;
         }
         Ok(())
     }
@@ -1125,7 +1151,9 @@ impl TableRead {
 /// against `outer ++ inner` (the children carry every column it reads) and runs
 /// first, on a compact scratch row of just those columns; a pair that passes costs
 /// one allocation, its output row, filled through a column map from both sides.
-/// Every join operator of both engines builds its rows here.
+/// Every join of both engines lays out its output here: the columnar kernels read
+/// the column map and the residual through `index_nl::PairColumns`, and the
+/// index-NL row path builds its rows with [`JoinRows::join`].
 pub(crate) struct JoinRows {
     /// Per output column, its position in `outer ++ inner`.
     output: Vec<usize>,
@@ -1660,12 +1688,10 @@ impl JoinBuild<'_> {
         let mut grace: Option<GraceJoin> = None;
         let result = child.drain(|batch| {
             if grace.is_none() {
-                let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
+                let bytes = batch.width();
                 if self.kind == BreakerKind::NestedLoopInner || self.grant.grow(bytes) {
                     tracker.acquire(batch.len() as u64, bytes);
-                    for row in batch {
-                        table.push(row);
-                    }
+                    table.append(batch);
                     return Ok(());
                 }
                 // Grant denied. Surface memory pressure *before* committing the
@@ -1694,6 +1720,7 @@ impl JoinBuild<'_> {
         self.done = true;
         let (built, actual_rows, reusable) = match grace {
             None => {
+                table.seal();
                 let rows = table.len() as u64;
                 (Built::Table(Arc::new(table)), rows, true)
             }
@@ -1781,7 +1808,8 @@ impl DrainOp<'_> {
             })(),
             Drain::Sort(mut buffer) => input
                 .drain(|batch| {
-                    let (rows, bytes) = (batch.len() as u64, batch.iter().map(|r| r.width() as u64).sum());
+                    let (rows, bytes) = (batch.len() as u64, batch.width());
+                    let batch = batch.into_rows();
                     if buffer.push(batch, bytes, &mut pressure)? {
                         tracker.acquire(rows, bytes);
                     }

@@ -1,4 +1,5 @@
-//! The index nested-loop join kernel of both engines.
+//! The index nested-loop join kernel of both engines, and the pair machinery it
+//! shares with the hash join kernel (`hash_join.rs`).
 //!
 //! An index-NL join probes the inner table's index once per outer row and emits one
 //! output row per matching inner row. The kernel keeps that spine columnar: it takes a
@@ -16,9 +17,12 @@
 //! the gathered columns. Either way a pair passes exactly when the row path of the
 //! reference engine (`columnar == false`) would join it.
 //!
-//! Both engines run the kernel through one streaming step (`chain.rs`), which owns
-//! the batching: it emits exactly `batch_size` rows a batch and carries the rest
-//! across outer batches.
+//! The candidate collection ([`collect`], [`Cursor`], [`Pairs`]) and the residual and
+//! output gathers ([`PairColumns`]) read the inner side as a slice of columns: a
+//! stored table's here, a hash build's `ColumnBatch` in the hash join kernel. Both
+//! engines run either kernel through one streaming step (`chain.rs`), which owns the
+//! batching: it emits exactly `batch_size` rows a batch and carries the rest across
+//! outer batches.
 
 use crate::error::ExecError;
 use crate::exec::{
@@ -29,8 +33,8 @@ use reopt_planner::{PhysicalPlan, PlanKind};
 use reopt_storage::{ColumnBatch, ColumnData, Index, RowId, Table};
 use std::ops::Range;
 
-/// Candidates one [`IndexNlKernel::probe`] call collects before filtering them: it
-/// bounds the scratch a fan-out outer row can allocate at once.
+/// Candidates one probe call collects before filtering them: it bounds the scratch a
+/// fan-out outer row (or a nested-loop cross product) can allocate at once.
 const PROBE_CHUNK: usize = 1024;
 
 /// Where a gathered column comes from.
@@ -38,7 +42,7 @@ const PROBE_CHUNK: usize = 1024;
 enum Side {
     /// A column of the outer batch (its position).
     Outer(usize),
-    /// A column of the inner table (its ordinal).
+    /// A column of the inner side (its position in the inner columns).
     Inner(usize),
 }
 
@@ -80,8 +84,16 @@ impl Pairs {
         self.inner.drain(..count);
     }
 
+    /// The pairs from `start` on, as `(outer position, inner row id)`.
+    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = (usize, RowId)> + '_ {
+        self.outer[start..]
+            .iter()
+            .copied()
+            .zip(self.inner[start..].iter().copied())
+    }
+
     /// Keep the pairs from `start` on whose `keep` bit is set.
-    fn retain_from(&mut self, start: usize, keep: &[bool]) {
+    pub(crate) fn retain_from(&mut self, start: usize, keep: &[bool]) {
         let mut to = start;
         for (from, &kept) in (start..self.len()).zip(keep) {
             if kept {
@@ -93,6 +105,122 @@ impl Pairs {
         self.outer.truncate(to);
         self.inner.truncate(to);
     }
+}
+
+/// Append candidates from `cursor` on until [`PROBE_CHUNK`] are collected or the
+/// batch of `len` outer rows is exhausted; `matches(pos)` is outer row `pos`'s run of
+/// inner row ids, ascending.
+pub(crate) fn collect<'i>(
+    len: usize,
+    cursor: &mut Cursor,
+    pairs: &mut Pairs,
+    matches: impl Fn(usize) -> &'i [RowId],
+) {
+    let mut room = PROBE_CHUNK;
+    while cursor.outer < len && room > 0 {
+        let ids = matches(cursor.outer);
+        let rest = ids.get(cursor.matched..).unwrap_or(&[]);
+        let take = rest.len().min(room);
+        pairs.inner.extend_from_slice(&rest[..take]);
+        pairs
+            .outer
+            .extend(std::iter::repeat(cursor.outer).take(take));
+        room -= take;
+        if take < rest.len() {
+            cursor.matched += take;
+        } else {
+            cursor.outer += 1;
+            cursor.matched = 0;
+        }
+    }
+}
+
+/// A join's output columns and its residual, over matching pairs: each column is
+/// gathered by row id from the outer batch or from the inner side's columns. Both
+/// columnar join kernels assemble their output here.
+pub(crate) struct PairColumns {
+    /// The residual, bound to the layout of `residual_reads`.
+    residual: Option<Expr>,
+    /// The columns the residual reads, in its bound layout.
+    residual_reads: Vec<Side>,
+    /// The output columns, in the join node's schema order.
+    output: Vec<Side>,
+}
+
+impl PairColumns {
+    /// The output and residual columns of `rows`; `inner(pos)` is the inner column
+    /// holding position `pos` of `rows`' inner side.
+    pub(crate) fn new(rows: &JoinRows, inner: impl Fn(usize) -> usize) -> Self {
+        let side = |pos: usize| match pos.checked_sub(rows.outer_len()) {
+            Some(pos) => Side::Inner(inner(pos)),
+            None => Side::Outer(pos),
+        };
+        Self {
+            residual: rows.residual().cloned(),
+            residual_reads: rows.residual_reads().iter().map(|&pos| side(pos)).collect(),
+            output: rows.output().iter().map(|&pos| side(pos)).collect(),
+        }
+    }
+
+    /// Which pairs from `start` on pass the residual (`None`: there is none).
+    pub(crate) fn residual_mask(
+        &self,
+        inner: &[ColumnData],
+        outer: &ColumnBatch,
+        pairs: &Pairs,
+        start: usize,
+        cache: &mut MaskCache,
+    ) -> Result<Option<Vec<bool>>, ExecError> {
+        let Some(residual) = &self.residual else {
+            return Ok(None);
+        };
+        let gathered = gather_sides(
+            &self.residual_reads,
+            inner,
+            outer,
+            pairs,
+            start..pairs.len(),
+        );
+        if let Some(mask) = filter_mask(residual, &gathered, cache) {
+            return Ok(Some(mask));
+        }
+        (0..gathered.len())
+            .map(|row| Ok(residual.eval_predicate(&gathered.row(row))?))
+            .collect::<Result<Vec<bool>, ExecError>>()
+            .map(Some)
+    }
+
+    /// The output batch of the pairs in `range`.
+    pub(crate) fn gather(
+        &self,
+        inner: &[ColumnData],
+        outer: &ColumnBatch,
+        pairs: &Pairs,
+        range: Range<usize>,
+    ) -> ColumnBatch {
+        gather_sides(&self.output, inner, outer, pairs, range)
+    }
+}
+
+fn gather_sides(
+    sides: &[Side],
+    inner: &[ColumnData],
+    outer: &ColumnBatch,
+    pairs: &Pairs,
+    range: Range<usize>,
+) -> ColumnBatch {
+    let outer_ids = &pairs.outer[range.clone()];
+    let inner_ids = &pairs.inner[range];
+    ColumnBatch::new(
+        sides
+            .iter()
+            .map(|side| match *side {
+                Side::Outer(pos) => outer.column(pos).gather(outer_ids),
+                Side::Inner(col) => inner[col].gather(inner_ids),
+            })
+            .collect(),
+        outer_ids.len(),
+    )
 }
 
 /// One index nested-loop join node, compiled for the kernel. Shared read-only by
@@ -111,10 +239,8 @@ pub(crate) struct IndexNlKernel {
     predicate_reads: Vec<usize>,
     /// Whether the mask kernel covers the predicate over the table's encodings.
     predicate_kernel: bool,
-    /// The columns the residual reads, in its bound layout.
-    residual_reads: Vec<Side>,
-    /// The output columns, in the join node's schema order.
-    output: Vec<Side>,
+    /// The residual and the output, gathered from the outer batch and the table.
+    columns: PairColumns,
     /// Width of an outer row (a row outer batch converts at this width).
     outer_width: usize,
 }
@@ -141,14 +267,9 @@ impl IndexNlKernel {
             None => Vec::new(),
         };
         let predicate = bind_opt(inner_predicate.as_ref(), &full.project(&predicate_reads))?;
-        let side = |pos: usize| match pos.checked_sub(rows.outer_len()) {
-            Some(inner) => Side::Inner(read.column(inner)),
-            None => Side::Outer(pos),
-        };
         let mut kernel = Self {
             outer_key: key_index(outer_schema, outer_key)?,
-            residual_reads: rows.residual_reads().iter().map(|&pos| side(pos)).collect(),
-            output: rows.output().iter().map(|&pos| side(pos)).collect(),
+            columns: PairColumns::new(&rows, |pos| read.column(pos)),
             outer_width: outer_schema.len(),
             read,
             rows,
@@ -172,10 +293,7 @@ impl IndexNlKernel {
 
     /// An outer batch in column form (a row batch converts to exact-value columns).
     pub(crate) fn outer_columns(&self, batch: Batch) -> ColumnBatch {
-        match batch {
-            Batch::Cols(cols) => cols,
-            Batch::Rows(rows) => ColumnBatch::from_rows(rows, self.outer_width),
-        }
+        batch.into_columns(self.outer_width)
     }
 
     /// Probe `outer` from `cursor` on: collect about [`PROBE_CHUNK`] candidates (or
@@ -209,7 +327,10 @@ impl IndexNlKernel {
             }
         }
         if start < pairs.len() {
-            if let Some(keep) = self.residual_mask(table, outer, pairs, start, cache)? {
+            let residual =
+                self.columns
+                    .residual_mask(table.columns(), outer, pairs, start, cache)?;
+            if let Some(keep) = residual {
                 pairs.retain_from(start, &keep);
             }
         }
@@ -239,34 +360,6 @@ impl IndexNlKernel {
             .map(Some)
     }
 
-    /// Which pairs from `start` on pass the residual (`None`: there is none).
-    fn residual_mask(
-        &self,
-        table: &Table,
-        outer: &ColumnBatch,
-        pairs: &Pairs,
-        start: usize,
-        cache: &mut MaskCache,
-    ) -> Result<Option<Vec<bool>>, ExecError> {
-        let Some(residual) = self.rows.residual() else {
-            return Ok(None);
-        };
-        let gathered = self.gather_sides(
-            table,
-            outer,
-            &self.residual_reads,
-            pairs,
-            start..pairs.len(),
-        );
-        if let Some(mask) = filter_mask(residual, &gathered, cache) {
-            return Ok(Some(mask));
-        }
-        (0..gathered.len())
-            .map(|row| Ok(residual.eval_predicate(&gathered.row(row))?))
-            .collect::<Result<Vec<bool>, ExecError>>()
-            .map(Some)
-    }
-
     /// The output batch of the pairs in `range`.
     pub(crate) fn gather(
         &self,
@@ -275,29 +368,7 @@ impl IndexNlKernel {
         pairs: &Pairs,
         range: Range<usize>,
     ) -> ColumnBatch {
-        self.gather_sides(table, outer, &self.output, pairs, range)
-    }
-
-    fn gather_sides(
-        &self,
-        table: &Table,
-        outer: &ColumnBatch,
-        sides: &[Side],
-        pairs: &Pairs,
-        range: Range<usize>,
-    ) -> ColumnBatch {
-        let outer_ids = &pairs.outer[range.clone()];
-        let inner_ids = &pairs.inner[range];
-        ColumnBatch::new(
-            sides
-                .iter()
-                .map(|side| match *side {
-                    Side::Outer(pos) => outer.column(pos).gather(outer_ids),
-                    Side::Inner(col) => table.column(col).gather(inner_ids),
-                })
-                .collect(),
-            outer_ids.len(),
-        )
+        self.columns.gather(table.columns(), outer, pairs, range)
     }
 
     fn gather_inner(&self, table: &Table, columns: &[usize], ids: &[RowId]) -> ColumnBatch {
@@ -308,34 +379,6 @@ impl IndexNlKernel {
                 .collect(),
             ids.len(),
         )
-    }
-}
-
-/// Append candidates from `cursor` on until [`PROBE_CHUNK`] are collected or the
-/// batch of `len` outer rows is exhausted; `matches(pos)` is outer row `pos`'s run of
-/// inner row ids.
-fn collect<'i>(
-    len: usize,
-    cursor: &mut Cursor,
-    pairs: &mut Pairs,
-    matches: impl Fn(usize) -> &'i [RowId],
-) {
-    let mut room = PROBE_CHUNK;
-    while cursor.outer < len && room > 0 {
-        let ids = matches(cursor.outer);
-        let rest = ids.get(cursor.matched..).unwrap_or(&[]);
-        let take = rest.len().min(room);
-        pairs.inner.extend_from_slice(&rest[..take]);
-        pairs
-            .outer
-            .extend(std::iter::repeat(cursor.outer).take(take));
-        room -= take;
-        if take < rest.len() {
-            cursor.matched += take;
-        } else {
-            cursor.outer += 1;
-            cursor.matched = 0;
-        }
     }
 }
 

@@ -80,7 +80,7 @@ pub(crate) struct OpStats {
     finished: AtomicBool,
     /// For scans: how the node read its input (see [`OperatorMetrics::encoding`]).
     pub(crate) encoding: OnceLock<&'static str>,
-    /// For index nested-loop joins: how the node probed (see [`OperatorMetrics::probe`]).
+    /// For joins: how the node probed (see [`OperatorMetrics::probe`]).
     pub(crate) probe: OnceLock<&'static str>,
     /// What the node's kernel spilled, on any worker.
     pub(crate) spill: Arc<SpillStats>,

@@ -40,7 +40,10 @@ pub struct OperatorMetrics {
     /// For index nested-loop joins: how the operator probed — `"columnar"` (the
     /// kernel over column batches: native int keys, gathered output columns) or
     /// `"row"` (columnar execution off: one outer row and one fetched row at a
-    /// time). `None` for other operators.
+    /// time). For hash and plain nested-loop joins: the form of the build's key
+    /// lookup — `"int"` (the CSR index over an int key column), `"map"` (any other
+    /// key column) or `"cross"` (no key: every build row). `None` for other
+    /// operators.
     pub probe: Option<&'static str>,
     /// Bytes this operator wrote to spill files (0 unless a memory budget forced
     /// the breaker out of core).

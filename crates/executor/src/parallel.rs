@@ -300,8 +300,9 @@ enum Source {
     /// only the columns the predicate or the output reads (see [`TableRead`]);
     /// when the vectorized kernel covers the predicate the selection runs over the
     /// typed columns (dictionary codes compare as integers). The masked column
-    /// batch enters the chain as it is: an index probe reads it in place, every
-    /// other step decodes it, and a pipeline without steps hands it to its sink.
+    /// batch enters the chain as it is: the steps read it in place where their
+    /// kernels cover it (`chain.rs`), and a pipeline without steps hands it to its
+    /// sink.
     Table {
         table: Arc<Table>,
         read: TableRead,
@@ -374,11 +375,11 @@ impl Source {
 // Pipeline sinks
 // ---------------------------------------------------------------------------
 
-/// Per-worker partial state of a join build sink: rows tagged with their
-/// `(morsel, sequence)` position, so the merge step inserts them in the
+/// Per-worker partial state of a join build sink: batches tagged with their
+/// `(morsel, sequence)` position, so the merge step appends them in the
 /// single-threaded build's order, and their grant.
 struct BuildLocal {
-    rows: Vec<(Tag, Row)>,
+    batches: Vec<(Tag, Batch)>,
     seq: u64,
     grant: Reservation,
 }
@@ -619,26 +620,29 @@ impl<'p> Engine<'p> {
         }
         let merge_start = Instant::now();
         let spilled = lock(&grace)?.take();
-        let mut rows: Vec<(Tag, Row)> = Vec::new();
+        let mut batches: Vec<(Tag, Batch)> = Vec::new();
         for local in locals {
-            rows.extend(local.rows);
+            batches.extend(local.batches);
             if spilled.is_none() {
                 self.held.absorb(local.grant);
             }
         }
         // Tag order is the global scan order: the table (its probe fan-out order and
         // its extracted rows) is the single-threaded build's, at any thread count.
-        rows.sort_unstable_by_key(|(tag, _)| *tag);
-        let rows = rows.into_iter().map(|(_, row)| row);
+        batches.sort_unstable_by_key(|(tag, _)| *tag);
+        let batches = batches.into_iter().map(|(_, batch)| batch);
         let (built, actual_rows) = match spilled {
             Some(mut grace) => {
-                grace.write_build(rows.collect(), table.keys())?;
+                for batch in batches {
+                    grace.write_build(batch, table.keys())?;
+                }
                 grace.seal_build()?;
                 let input_rows = grace.input_rows;
                 (Built::Spilled(Box::new(Mutex::new(grace))), input_rows)
             }
             None => {
-                rows.for_each(|row| table.push(row));
+                batches.for_each(|batch| table.append(batch));
+                table.seal();
                 let table = Arc::new(table);
                 if self.shared.observer_active {
                     self.completed_builds.push(CompletedBuild {
@@ -1162,7 +1166,7 @@ impl<'p> Engine<'p> {
             .map(|build| {
                 let rows = match Arc::try_unwrap(build.table) {
                     Ok(mut table) => table.take_rows(),
-                    Err(shared) => shared.rows().to_vec(),
+                    Err(shared) => shared.to_rows(),
                 };
                 BreakerState {
                     kind: build.kind,
@@ -1247,7 +1251,7 @@ fn process_one_morsel(
     let chunk = (compiled.morsel_rows / MORSEL_BATCHES.max(1)).max(1);
     let steps = &compiled.steps;
     // The sink takes the chain's last batch as it is (an aggregate reads a column
-    // batch in place; other sinks decode it).
+    // batch in place and a join build keeps it; other sinks decode it).
     let mut chain_sink = |batch| sink(morsel, Some(batch));
     while pos < end {
         if shared.quiesce.load(Ordering::SeqCst) {
@@ -1497,11 +1501,11 @@ fn feed<S: SinkFactory>(
     out
 }
 
-/// Join build sink: each worker buffers its rows with their tags. A hash build
-/// reserves their bytes; on a denial (after the memory-pressure event) the first
-/// denied worker starts the join's grace-hash partitioning, and every denied worker
-/// then moves its buffered rows and its batch there. A nested-loop inner, as in the
-/// single-threaded engine, reserves nothing.
+/// Join build sink: each worker buffers its batches, as they come, with their tags.
+/// A hash build reserves their bytes; on a denial (after the memory-pressure event)
+/// the first denied worker starts the join's grace-hash partitioning, and every
+/// denied worker then moves its buffered batches and its batch there. A
+/// nested-loop inner, as in the single-threaded engine, reserves nothing.
 #[derive(Clone)]
 struct BuildSinkFactory {
     kind: BreakerKind,
@@ -1524,7 +1528,7 @@ impl SinkFactory for BuildSinkFactory {
 
     fn make(&self) -> BuildLocal {
         BuildLocal {
-            rows: Vec::new(),
+            batches: Vec::new(),
             seq: 0,
             grant: self.shared.config.governor.reservation(),
         }
@@ -1537,8 +1541,7 @@ impl SinkFactory for BuildSinkFactory {
         batch: Batch,
         pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
-        let batch = batch.into_rows();
-        let bytes: u64 = batch.iter().map(|row| row.width() as u64).sum();
+        let bytes = batch.width();
         if self.kind == BreakerKind::HashBuild && !local.grant.grow(bytes) {
             let mut grace = lock(&self.grace)?;
             let grace = match &mut *grace {
@@ -1549,16 +1552,15 @@ impl SinkFactory for BuildSinkFactory {
                     slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
                 }
             };
-            let buffered = local.rows.drain(..).map(|(_, row)| row).collect();
-            grace.write_build(buffered, &self.keys)?;
+            for (_, buffered) in local.batches.drain(..) {
+                grace.write_build(buffered, &self.keys)?;
+            }
             local.grant.release_all();
             return grace.write_build(batch, &self.keys);
         }
         self.shared.buffered.acquire(batch.len() as u64, bytes);
-        for row in batch {
-            local.rows.push(((morsel, local.seq), row));
-            local.seq += 1;
-        }
+        local.batches.push(((morsel, local.seq), batch));
+        local.seq += 1;
         Ok(())
     }
 }

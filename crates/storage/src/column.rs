@@ -492,10 +492,10 @@ impl ColumnMeta {
 }
 
 /// A columnar batch: one [`ColumnData`] per output column plus the row count. The
-/// columnar analogue of `RowBatch`, produced by scans and consumed by filter /
-/// project / hash-key kernels and by the aggregation kernel, which reads it in
-/// place; decoded to rows ([`ColumnBatch::into_rows`]) only at the root exchange
-/// and where a breaker buffers rows (hash build, nested-loop inner, sort).
+/// columnar analogue of `RowBatch`, produced by scans and the join kernels and
+/// consumed by the filter, projection, join and aggregation kernels, which read it
+/// in place; decoded to rows ([`ColumnBatch::into_rows`]) only at the root
+/// exchange, where the sort buffers rows, and where a spilling join writes them.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,
@@ -618,27 +618,6 @@ impl ColumnBatch {
             columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
             len: self.len,
         }
-    }
-
-    /// Per-row join keys over `key_columns`: `None` where any key value is NULL
-    /// (NULL never joins), the decoded key values otherwise. The typed loops touch
-    /// only the key columns — non-key columns are never decoded here.
-    pub fn extract_keys(&self, key_columns: &[usize]) -> Vec<Option<Vec<Value>>> {
-        let mut out: Vec<Option<Vec<Value>>> =
-            (0..self.len).map(|_| Some(Vec::with_capacity(key_columns.len()))).collect();
-        for &col in key_columns {
-            let column = &self.columns[col];
-            for (row, slot) in out.iter_mut().enumerate() {
-                if let Some(key) = slot {
-                    if column.is_null_at(row) {
-                        *slot = None;
-                    } else {
-                        key.push(column.value_at(row));
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -766,9 +745,6 @@ mod tests {
         let batch = ColumnBatch::new(vec![id, name], 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.column_count(), 2);
-        let keys = batch.extract_keys(&[1]);
-        assert_eq!(keys[0], Some(vec![Value::from("a")]));
-        assert_eq!(keys[1], None);
         let filtered = batch.filter(&[true, false, true]);
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.row(1).values(), &[Value::Int(3), Value::from("b")]);
