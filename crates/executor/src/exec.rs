@@ -2186,6 +2186,9 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
+        let spec = reopt_planner::bind_select(statement.query().unwrap(), &storage).unwrap();
+        let answer = crate::oracle::evaluate(&spec, &storage).unwrap();
+        assert_eq!(answer.rows()[0].value(0), &results[0]);
     }
 
     #[test]

@@ -41,6 +41,14 @@
 //! ANALYZE` to drive re-optimization. Both engines record it through one module, so
 //! each field means the same whichever engine ran the plan.
 
+// The independent reference evaluator of the test tree names this crate as the
+// integration tests do.
+#[cfg(test)]
+extern crate self as reopt_executor;
+#[cfg(test)]
+#[path = "../../../tests/oracle/mod.rs"]
+mod oracle;
+
 mod agg;
 mod chain;
 pub mod error;

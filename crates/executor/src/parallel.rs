@@ -2302,23 +2302,35 @@ mod tests {
         "SELECT sum(t.id) AS s, avg(t.id) AS a FROM title AS t WHERE t.id < 1000",
     ];
 
+    /// The independent reference's answer to `sql` (`tests/oracle`).
+    fn reference(sql: &str, storage: &Storage) -> crate::oracle::Answer {
+        let statement = parse_sql(sql).unwrap();
+        let spec = reopt_planner::bind_select(statement.query().unwrap(), storage).unwrap();
+        crate::oracle::evaluate(&spec, storage).unwrap()
+    }
+
     #[test]
     fn parallel_matches_single_threaded_on_every_operator_shape() {
         let (storage, catalog) = build_env();
         for sql in SWEEP_QUERIES {
             let planned = plan(sql, &storage, &catalog);
-            let reference = Executor::new(&storage)
+            let answer = reference(sql, &storage);
+            let single = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
                 .unwrap();
+            answer.check(&single.rows).unwrap_or_else(|e| panic!("threads=1 {sql}: {e}"));
             for threads in [2usize, 4, 8] {
                 let parallel = Executor::new(&storage)
                     .with_threads(threads)
                     .execute(&planned.plan)
                     .unwrap();
+                answer
+                    .check(&parallel.rows)
+                    .unwrap_or_else(|e| panic!("threads={threads} {sql}: {e}"));
                 assert_eq!(
                     sorted_rows(&parallel.rows),
-                    sorted_rows(&reference.rows),
+                    sorted_rows(&single.rows),
                     "threads={threads} changed the result of {sql}"
                 );
             }
@@ -2847,11 +2859,15 @@ mod tests {
              FROM title AS t GROUP BY t.production_year",
         ] {
             let planned = plan(sql, &storage, &catalog);
-            let reference = Executor::new(&storage)
+            let single = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
                 .unwrap();
-            let want = float_bits(&reference.rows);
+            // The reference adds its float terms through its own exact sum.
+            reference(sql, &storage)
+                .check(&single.rows)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let want = float_bits(&single.rows);
             for threads in [2usize, 4] {
                 for run in 0..3 {
                     let result = Executor::new(&storage)
@@ -2887,11 +2903,14 @@ mod tests {
             "SELECT t.id AS id FROM title AS t WHERE t.id < 20 LIMIT 1000",
         ] {
             let planned = plan(sql, &storage, &catalog);
-            let reference = Executor::new(&storage)
+            let single = Executor::new(&storage)
                 .with_threads(1)
                 .execute(&planned.plan)
                 .unwrap();
-            let want: Vec<String> = reference.rows.iter().map(|r| format!("{r}")).collect();
+            reference(sql, &storage)
+                .check(&single.rows)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let want: Vec<String> = single.rows.iter().map(|r| format!("{r}")).collect();
             for threads in [2usize, 4] {
                 for run in 0..2 {
                     let parallel = Executor::new(&storage)
@@ -2938,22 +2957,23 @@ mod tests {
                 has_kind(&planned.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })),
                 "expected a nested-loop join: {sql}"
             );
-            // The reference is an independent plan: the same query joined by hashing.
-            let hashed = plan_with(sql, &storage, &catalog, hash_only());
-            assert!(!has_kind(&hashed.plan, &|k| matches!(k, PlanKind::NestedLoopJoin { .. })));
-            let reference = Executor::new(&storage)
+            let answer = reference(sql, &storage);
+            assert!(!answer.rows().is_empty(), "{sql}");
+            let single = Executor::new(&storage)
                 .with_threads(1)
-                .execute(&hashed.plan)
+                .execute(&planned.plan)
                 .unwrap();
-            assert!(!reference.rows.is_empty(), "{sql}");
             for threads in [1usize, 2, 4] {
                 let result = Executor::new(&storage)
                     .with_threads(threads)
                     .execute(&planned.plan)
                     .unwrap();
+                answer
+                    .check(&result.rows)
+                    .unwrap_or_else(|e| panic!("threads={threads} {sql}: {e}"));
                 assert_eq!(
                     sorted_rows(&result.rows),
-                    sorted_rows(&reference.rows),
+                    sorted_rows(&single.rows),
                     "threads={threads} {sql}"
                 );
             }
