@@ -883,3 +883,71 @@ fn unlimited_budget_keeps_reports_spill_free_across_policies_and_threads() {
         }
     }
 }
+
+/// Every MidQuery round of 10a and 15b at one thread, per batch size, as
+/// `(trigger, relation set, observed rows)`: the events an inline run sends, and
+/// when, decide each of them (job-plain data: scale 0.02, data seed 42; threshold
+/// 8, feedback off).
+const ONE_THREAD_ROUNDS: &[(&str, usize, &str)] = &[
+    (
+        "10a",
+        7,
+        "Progress RelSet(115) 56; Progress RelSet(51) 168; Progress RelSet(115) 504; \
+         Progress RelSet(83) 616",
+    ),
+    (
+        "10a",
+        1024,
+        "Progress RelSet(48) 60; Progress RelSet(51) 669; Progress RelSet(83) 669",
+    ),
+    (
+        "15b",
+        7,
+        "Progress RelSet(239) 56; Progress RelSet(191) 56; Progress RelSet(251) 56; \
+         Progress RelSet(255) 56; Progress RelSet(255) 504; Progress RelSet(159) 448; \
+         Progress RelSet(231) 448; Progress RelSet(25) 77; Progress RelSet(111) 672; \
+         Progress RelSet(187) 896; Progress RelSet(147) 504; Progress RelSet(23) 616; \
+         Progress RelSet(7) 896; BreakerComplete RelSet(83) 90; Progress RelSet(11) 2072; \
+         Progress RelSet(12) 2072",
+    ),
+    (
+        "15b",
+        1024,
+        "Progress RelSet(96) 158; Progress RelSet(6) 39; Progress RelSet(24) 107; \
+         Progress RelSet(15) 334; Progress RelSet(11) 334; Progress RelSet(27) 90; \
+         Progress RelSet(255) 8192; Progress RelSet(80) 1856; Progress RelSet(68) 1040; \
+         Progress RelSet(108) 8192",
+    ),
+];
+
+#[test]
+fn mid_query_rounds_at_one_thread_are_pinned() {
+    let mut db = Database::new();
+    load_imdb(&mut db, &ImdbConfig { scale: 0.02, seed: 42 }).unwrap();
+    db.set_threads(Some(1));
+    let config = ReoptConfig {
+        threshold: 8.0,
+        mode: ReoptMode::MidQuery,
+        ..ReoptConfig::default()
+    }
+    .with_feedback(false);
+    let mut got = Vec::new();
+    for id in ["10a", "15b"] {
+        let query = job_query(id).unwrap();
+        for batch_size in [7, 1024] {
+            db.set_batch_size(Some(batch_size));
+            let report = execute_with_reoptimization(&mut db, &query.sql, &config).unwrap();
+            let rounds: Vec<String> = report
+                .rounds
+                .iter()
+                .map(|r| format!("{:?} {:?} {}", r.trigger, r.rel_set, r.actual_rows))
+                .collect();
+            got.push((id, batch_size, rounds.join("; ")));
+        }
+    }
+    let want: Vec<(&str, usize, String)> = ONE_THREAD_ROUNDS
+        .iter()
+        .map(|&(id, batch_size, rounds)| (id, batch_size, rounds.to_string()))
+        .collect();
+    assert_eq!(got, want);
+}
