@@ -528,8 +528,6 @@ impl Database {
                 "Spilled: {spilled_bytes} bytes in {spill_partitions} partitions\n"
             ));
         }
-        // Which engine ran the query.
-        text.push_str(&format!("Engine: {}\n", metrics.engine_label()));
         text.push_str(&format!(
             "Peak Buffered: {} rows ({} bytes)\nPlanning Time: {:.3} ms\nExecution Time: {:.3} ms\n",
             output.peak_buffered_rows,

@@ -652,7 +652,6 @@ mod tests {
                 children: vec![],
             },
             execution_time: std::time::Duration::ZERO,
-            engine: "single-thread",
         };
         let spec_ctx = ctx(2);
         let spec = dummy_spec();

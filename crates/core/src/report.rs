@@ -56,10 +56,6 @@ impl ReoptReport {
             self.peak_buffered_rows,
             self.peak_buffered_bytes,
         ));
-        // Which engine produced the final run.
-        if let Some(metrics) = &self.final_metrics {
-            out.push_str(&format!("final run: {}\n", metrics.engine_label()));
-        }
         // Spill accounting renders only when something actually spilled, keeping
         // unlimited-budget reports byte-identical to pre-out-of-core builds.
         if self.spilled_bytes > 0 || self.spill_partitions > 0 {

@@ -81,6 +81,8 @@ enum Kind {
     Probe {
         kernel: JoinKernel,
         build: Built,
+        /// The grant of an in-memory build table.
+        grant: Reservation,
     },
     IndexProbe {
         table: Arc<Table>,
@@ -181,7 +183,12 @@ impl Step {
             PlanKind::HashJoin { .. } | PlanKind::NestedLoopJoin { .. } => {
                 let kernel = JoinKernel::new(plan)?;
                 let build = Built::Table(Arc::new(kernel.table()));
-                Kind::Probe { kernel, build }
+                let grant = config.governor.reservation();
+                Kind::Probe {
+                    kernel,
+                    build,
+                    grant,
+                }
             }
             PlanKind::IndexNestedLoopJoin {
                 inner_table,
@@ -219,13 +226,15 @@ impl Step {
     }
 
     /// Install a join's completed build (a sealed table, or the sealed build
-    /// partitions), naming an in-memory table's form on the node.
-    pub(crate) fn install(&mut self, built: Built) {
-        if let Kind::Probe { build, .. } = &mut self.kind {
+    /// partitions) and the grant of its buffered bytes, naming an in-memory table's
+    /// form on the node. The step holds the grant until it is dropped.
+    pub(crate) fn install(&mut self, built: Built, held: Reservation) {
+        if let Kind::Probe { build, grant, .. } = &mut self.kind {
             if let Built::Table(table) = &built {
                 let _ = self.stats.probe.set(table.form());
             }
             *build = built;
+            grant.absorb(held);
         }
     }
 
@@ -238,17 +247,6 @@ impl Step {
                 ..
             }
         )
-    }
-
-    /// Move the rows out of a join's in-memory build table, which the step owns.
-    pub(crate) fn take_build_rows(&mut self) -> Option<Vec<Row>> {
-        match &mut self.kind {
-            Kind::Probe {
-                build: Built::Table(table),
-                ..
-            } => Arc::get_mut(table).map(JoinTable::take_rows),
-            _ => None,
-        }
     }
 
     /// Build an index nested-loop join's transient index over the inner key when
@@ -296,10 +294,12 @@ impl Step {
             Kind::Probe {
                 kernel,
                 build: Built::Table(_),
+                ..
             } => state.join.start(kernel.probe_columns(batch)),
             Kind::Probe {
                 kernel,
                 build: Built::Spilled(grace),
+                ..
             } => lock(grace)?.write(batch, kernel.probe_keys())?,
             Kind::IndexProbe {
                 kernel, columnar, ..
@@ -332,7 +332,7 @@ impl Step {
                 Some(batch) => Some(project(exprs, columns.as_deref(), batch)?),
                 None => None,
             },
-            Kind::Probe { kernel, build } => {
+            Kind::Probe { kernel, build, .. } => {
                 // A spilled join probes the partition block loaded into the state.
                 let table = match (build, &state.block) {
                     (Built::Table(table), _) => table,
@@ -415,6 +415,7 @@ impl Step {
         let Kind::Probe {
             kernel,
             build: Built::Spilled(grace),
+            ..
         } = &self.kind
         else {
             return Ok(None);
@@ -901,7 +902,7 @@ mod tests {
                     if let Some((mut table, _)) = step.build_table() {
                         table.append(Batch::Rows(inner_rows()));
                         table.seal();
-                        step.install(Built::Table(Arc::new(table)));
+                        step.install(Built::Table(Arc::new(table)), config.governor.reservation());
                     }
                     step.prepare(&Buffered::default());
                     let mut state = step.state();

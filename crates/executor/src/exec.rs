@@ -1,19 +1,23 @@
-//! The pipelined operators.
+//! The executor's public surface and the shapes every kernel shares.
 //!
-//! Execution is pull-based: every plan node becomes an operator with a
-//! `next_batch()` method producing fixed-size batches (default
-//! [`DEFAULT_BATCH_SIZE`]). Batches flow in one of two shapes: **columnar**
-//! ([`ColumnBatch`], produced by sequential scans and preserved through filters and
-//! column-only projections, where predicates run as vectorized mask kernels over
-//! typed vectors and dictionary codes, and gathered by the join kernels, which
-//! probe a whole batch through the shared kernels in `hash_join.rs` and
-//! `index_nl.rs`) or **row-major** (`RowBatch`, everything else). Columnar batches
-//! are decoded to rows only at the root exchange, where the sort buffers rows, and
-//! on entry to operators without a columnar implementation; a join build keeps
-//! them as columns and the aggregate folds them in place (`agg.rs`). Streaming
-//! operators (scans, filters, projections, the probe side of a hash join, the outer
-//! side of the nested-loop joins, limit) hold no more than one batch of state; only
-//! *pipeline breakers* buffer:
+//! [`Executor`] opens a plan as a [`Pipeline`], the morsel-driven engine of
+//! `parallel.rs`, which runs every plan at every thread count: at one thread each
+//! pipeline of the plan runs on the coordinator's inline worker, with more on the
+//! resident worker pool. This module holds what the engine and its kernels share:
+//! the [`Batch`] shapes, the execution events an [`ExecutionObserver`] sees and the
+//! [`BreakerState`] a suspended run surrenders, [`ExecConfig`], and the two read
+//! paths every access and join kernel binds through, [`TableRead`] (a narrowed
+//! base-table read) and [`JoinRows`] (a join's output layout and residual).
+//!
+//! Batches flow in one of two shapes: **columnar** ([`ColumnBatch`], produced by
+//! sequential scans and preserved through filters and column-only projections,
+//! where predicates run as vectorized mask kernels over typed vectors and
+//! dictionary codes, and gathered by the join kernels) or **row-major**
+//! (`RowBatch`, everything else). Columnar batches are decoded to rows only at the
+//! root exchange, where the sort buffers rows, and on entry to kernels without a
+//! columnar implementation; a join build keeps them as columns and the aggregate
+//! folds them in place (`agg.rs`). Streaming steps hold no more than one batch of
+//! state; only *pipeline breakers* buffer:
 //!
 //! * the build side of a hash join (the hash table),
 //! * the inner side of a plain nested-loop join,
@@ -21,39 +25,24 @@
 //! * the full input of a sort,
 //! * the row-id list of an index scan (bounded by the base table).
 //!
-//! Buffered rows (and their decoded byte widths) are accounted in a per-query
-//! `Buffered` tracker; the peaks are surfaced as
-//! [`ExecutionResult::peak_buffered_rows`] / [`ExecutionResult::peak_buffered_bytes`]
-//! so tests can assert that memory is bounded by pipeline-breaker output rather than
-//! join fan-out.
-//!
-//! Filters, projections and join probes are the streaming steps of `chain.rs`, which
-//! both engines run: here one operator shell pulls its child until the step yields.
-//!
-//! Every operator is wrapped in a `Metered` shell that records its *self* time (the
-//! pull's time minus the time its children's pulls took inside it) and counts the
-//! rows and batches it returns (a streaming step counts its own) on the operator's
-//! node of the shared counter tree (the `instrument` module), which assembles the
-//! [`QueryMetrics`] of both engines.
+//! Buffered rows (and their decoded byte widths) are accounted per run; the peaks
+//! are surfaced as [`ExecutionResult::peak_buffered_rows`] /
+//! [`ExecutionResult::peak_buffered_bytes`] so tests can assert that memory is
+//! bounded by pipeline-breaker output rather than join fan-out.
 
 use crate::error::ExecError;
-use crate::chain::{Built, Events, Step, StepState};
-use crate::hash_join::GraceJoin;
-use crate::agg::{AggKernel, GroupSpill, GroupTable, Groups};
-use crate::instrument::{observe, Buffered, OpStats, StatsNode, Stop};
 use crate::metrics::QueryMetrics;
-use crate::sort::{SortBuffer, Sorted};
 use crate::spill::{MemoryGovernor, Reservation};
 use reopt_expr::{collect_column_refs, filter_mask, Expr, MaskCache};
 use reopt_planner::plan::IndexLookup;
-use reopt_planner::{PhysicalPlan, PlanKind};
-use reopt_planner::RelSet;
+use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_storage::{ColumnBatch, ColumnData, Index, Row, Schema, Storage, Table, Value};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::{Bound, Range};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+
+pub use crate::parallel::Pipeline;
 
 /// Default number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
@@ -337,50 +326,6 @@ pub struct BreakerState {
     pub rows: Vec<Row>,
 }
 
-/// The per-operator view of the installed observer: the shared handle and the
-/// root-seam suspension flag. Cloned into every operator that emits events.
-struct ObserverCtx<'p> {
-    observer: Option<ObserverHandle<'p>>,
-    /// Set when an observer asked to suspend on the root batch seam; checked by
-    /// [`Pipeline::next_batch`] before every pull.
-    root_seam: Rc<Cell<bool>>,
-}
-
-impl<'p> ObserverCtx<'p> {
-    fn clone_ref(&self) -> ObserverCtx<'p> {
-        ObserverCtx {
-            observer: self.observer.clone(),
-            root_seam: Rc::clone(&self.root_seam),
-        }
-    }
-
-    /// Report an event, translating the stop it asks for into control flow: a stop
-    /// now unwinds with [`ExecError::Suspended`], a stop at the root seam arms the
-    /// root-seam flag.
-    fn notify(&self, event: ExecEvent) -> Result<(), ExecError> {
-        match observe(self.observer.as_ref(), &event) {
-            Some(Stop::Now) => return Err(ExecError::Suspended),
-            Some(Stop::AtRootSeam) => self.root_seam.set(true),
-            None => {}
-        }
-        Ok(())
-    }
-
-}
-
-impl Events for ObserverCtx<'_> {
-    /// Whether an observer is installed (drained breaker children are also retained
-    /// only for observed pipelines, so their state stays extractable after a
-    /// suspension).
-    fn active(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    fn send(&self, event: &dyn Fn() -> ExecEvent) -> Result<(), ExecError> {
-        self.notify(event())
-    }
-}
-
 /// The thread count the executor uses when none is configured explicitly: the
 /// machine's available parallelism, looked up once per process. A value of 1 always
 /// selects the single-threaded engine.
@@ -579,22 +524,7 @@ impl<'a> Executor<'a> {
     where
         'a: 'p,
     {
-        let inner = if self.config.threads > 1 {
-            PipelineImpl::Parallel(Box::new(crate::parallel::ParallelPipeline::new(
-                plan,
-                self.storage,
-                self.config.clone(),
-                observer,
-            )))
-        } else {
-            PipelineImpl::Single(open_single(
-                plan,
-                self.storage,
-                self.config.clone(),
-                observer,
-            )?)
-        };
-        Ok(Pipeline { inner })
+        Ok(Pipeline::new(plan, self.storage, self.config.clone(), observer))
     }
 
     /// Execute a plan to completion, returning rows and metrics.
@@ -615,270 +545,6 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Build a [`SinglePipeline`] over a plan.
-fn open_single<'p>(
-    plan: &'p PhysicalPlan,
-    storage: &'p Storage,
-    config: ExecConfig,
-    observer: Option<ObserverHandle<'p>>,
-) -> Result<SinglePipeline<'p>, ExecError> {
-    let tracker = Rc::new(Buffered::default());
-    let root_seam = Rc::new(Cell::new(false));
-    let ctx = BuildContext {
-        storage,
-        tracker: Rc::clone(&tracker),
-        clock: Rc::default(),
-        obs: ObserverCtx {
-            observer,
-            root_seam: Rc::clone(&root_seam),
-        },
-        config,
-    };
-    let stats = StatsNode::new(plan);
-    let root = build_operator(plan, &stats, &ctx)?;
-    Ok(SinglePipeline {
-        plan,
-        root,
-        stats,
-        tracker,
-        root_seam,
-        poisoned: false,
-        suspended: false,
-    })
-}
-
-/// An opened plan, ready to produce batches: either a single-threaded operator tree
-/// or a morsel-driven parallel run ([`Executor::with_threads`]). Both engines honor
-/// the same contract — batch pulls, observer events, suspension, breaker-state
-/// extraction, metrics and buffered-row accounting — so callers never branch on the
-/// engine.
-pub struct Pipeline<'p> {
-    inner: PipelineImpl<'p>,
-}
-
-enum PipelineImpl<'p> {
-    Single(SinglePipeline<'p>),
-    // Boxed: the parallel run state (streaming exchange + engine + run context)
-    // dwarfs the single-engine operator tree handle.
-    Parallel(Box<crate::parallel::ParallelPipeline<'p>>),
-}
-
-impl Pipeline<'_> {
-    /// Produce the next (non-empty) batch of output rows, or `None` when exhausted.
-    ///
-    /// An `Err` poisons the pipeline: operators may hold partially-buffered state, so
-    /// every subsequent pull fails rather than risking silently wrong results. The one
-    /// exception is [`ExecError::Suspended`] (an [`ExecutionObserver`] stopped
-    /// execution, either mid-pull or on the root batch seam): the pipeline refuses
-    /// further pulls but its completed breaker state stays extractable via
-    /// [`Pipeline::take_breaker_states`].
-    pub fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        match &mut self.inner {
-            PipelineImpl::Single(p) => p.next_batch(),
-            PipelineImpl::Parallel(p) => p.next_batch(),
-        }
-    }
-
-    /// Whether an [`ExecutionObserver`] suspended this pipeline.
-    pub fn is_suspended(&self) -> bool {
-        match &self.inner {
-            PipelineImpl::Single(p) => p.is_suspended(),
-            PipelineImpl::Parallel(p) => p.is_suspended(),
-        }
-    }
-
-    /// Move every *completed* breaker materialization out of the pipeline (hash-join
-    /// build sides and nested-loop inners, innermost first). Used after an observer
-    /// suspension: the extracted rows become virtual leaf tables for the re-planned
-    /// remainder of the query, so the work of building them is not lost. The pipeline
-    /// must not be pulled again afterwards.
-    pub fn take_breaker_states(&mut self) -> Vec<BreakerState> {
-        match &mut self.inner {
-            PipelineImpl::Single(p) => p.take_breaker_states(),
-            PipelineImpl::Parallel(p) => p.take_breaker_states(),
-        }
-    }
-
-    /// The metrics tree observed so far (complete once `next_batch` returned `None`).
-    /// For parallel runs, per-operator counters are aggregated across workers and
-    /// `elapsed` is summed worker CPU time.
-    pub fn metrics(&self) -> QueryMetrics {
-        match &self.inner {
-            PipelineImpl::Single(p) => p.metrics(),
-            PipelineImpl::Parallel(p) => p.metrics(),
-        }
-    }
-
-    /// Peak number of rows buffered by pipeline breakers so far.
-    pub fn peak_buffered_rows(&self) -> u64 {
-        match &self.inner {
-            PipelineImpl::Single(p) => p.peak_buffered_rows(),
-            PipelineImpl::Parallel(p) => p.peak_buffered_rows(),
-        }
-    }
-
-    /// Peak decoded byte width of the rows buffered by pipeline breakers so far.
-    pub fn peak_buffered_bytes(&self) -> u64 {
-        match &self.inner {
-            PipelineImpl::Single(p) => p.peak_buffered_bytes(),
-            PipelineImpl::Parallel(p) => p.peak_buffered_bytes(),
-        }
-    }
-}
-
-/// The single-threaded engine: a tree of pull-based operators.
-pub(crate) struct SinglePipeline<'p> {
-    plan: &'p PhysicalPlan,
-    root: Metered<'p>,
-    stats: StatsNode,
-    tracker: Rc<Buffered>,
-    /// Armed by an [`ObserverDecision::SuspendAtRootSeam`]; honored before the next pull.
-    root_seam: Rc<Cell<bool>>,
-    poisoned: bool,
-    suspended: bool,
-}
-
-impl SinglePipeline<'_> {
-    /// Produce the next (non-empty) batch of output rows, or `None` when exhausted.
-    ///
-    /// An `Err` poisons the pipeline: operators may hold partially-buffered state, so
-    /// every subsequent pull fails rather than risking silently wrong results. The one
-    /// exception is [`ExecError::Suspended`] (an [`ExecutionObserver`] stopped
-    /// execution, either mid-pull or on the root batch seam): the pipeline refuses
-    /// further pulls but its completed breaker state stays extractable via
-    /// [`Pipeline::take_breaker_states`].
-    pub fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        if self.suspended {
-            return Err(ExecError::Suspended);
-        }
-        if self.poisoned {
-            return Err(ExecError::InvalidPlan(
-                "pipeline poisoned by an earlier execution error".into(),
-            ));
-        }
-        // A root-seam suspension requested during the previous pull takes effect here,
-        // after that pull's batch was delivered and before any new work starts.
-        if self.root_seam.get() {
-            self.suspended = true;
-            return Err(ExecError::Suspended);
-        }
-        let out = self.root.next_batch();
-        match &out {
-            Err(ExecError::Suspended) => self.suspended = true,
-            Err(_) => self.poisoned = true,
-            Ok(_) => {}
-        }
-        // The root exchange is a decode boundary: callers always receive rows.
-        out.map(|batch| batch.map(Batch::into_rows))
-    }
-
-    /// Whether an [`ExecutionObserver`] suspended this pipeline.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    /// Move every *completed* breaker materialization out of the operator tree
-    /// (hash-join build sides and nested-loop inners, innermost first). Used after an
-    /// observer suspension: the extracted rows become virtual leaf tables for the
-    /// re-planned remainder of the query, so the work of building them is not lost.
-    /// The pipeline must not be pulled again afterwards.
-    pub fn take_breaker_states(&mut self) -> Vec<BreakerState> {
-        let mut out = Vec::new();
-        self.root.inner.collect_breaker_states(&mut out);
-        out
-    }
-
-    /// The metrics tree observed so far (complete once `next_batch` returned `None`).
-    pub fn metrics(&self) -> QueryMetrics {
-        let root = self.stats.metrics(self.plan);
-        let execution_time = root.total_elapsed();
-        QueryMetrics {
-            root,
-            execution_time,
-            engine: "single-thread",
-        }
-    }
-
-    /// Peak number of rows buffered by pipeline breakers so far.
-    pub fn peak_buffered_rows(&self) -> u64 {
-        self.tracker.peaks().0
-    }
-
-    /// Peak decoded byte width of the rows buffered by pipeline breakers so far.
-    pub fn peak_buffered_bytes(&self) -> u64 {
-        self.tracker.peaks().1
-    }
-}
-
-/// Everything needed to translate a plan node into an operator.
-struct BuildContext<'p> {
-    storage: &'p Storage,
-    config: ExecConfig,
-    tracker: Rc<Buffered>,
-    /// The time of the pulls nested directly in the pull running now (see
-    /// [`Metered::next_batch`]).
-    clock: Rc<Cell<Duration>>,
-    obs: ObserverCtx<'p>,
-}
-
-/// A batch-producing operator.
-trait Operator {
-    /// The next non-empty batch (columnar or row-major), or `None` once exhausted.
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError>;
-
-    /// Move any *completed* breaker materialization out of this operator (and recurse
-    /// into children). The default is a no-op for leaf operators without buffered
-    /// subtree state.
-    fn collect_breaker_states(&mut self, _out: &mut Vec<BreakerState>) {}
-}
-
-/// An operator plus its node of the counter tree. Parents pull through this wrapper
-/// so rows, batches and self time are recorded uniformly.
-struct Metered<'p> {
-    inner: Box<dyn Operator + 'p>,
-    stats: Arc<OpStats>,
-    /// Shared by every wrapper of the pipeline: while a pull runs, the time of the
-    /// pulls nested directly in it.
-    clock: Rc<Cell<Duration>>,
-    /// Whether the wrapper counts the batches the operator returns (a streaming
-    /// step counts its own).
-    counts: bool,
-}
-
-impl Metered<'_> {
-    /// Pull the operator's next batch. Its self time is the pull's time minus what
-    /// the children's pulls inside it took, which they add to the clock.
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        let start = Instant::now();
-        let outer = self.clock.replace(Duration::ZERO);
-        let out = self.inner.next_batch();
-        let elapsed = start.elapsed();
-        self.stats.charge(elapsed.saturating_sub(self.clock.get()));
-        self.clock.set(outer + elapsed);
-        match &out {
-            Ok(Some(batch)) if self.counts => {
-                self.stats.count(batch.len());
-            }
-            Ok(None) => self.stats.finish(),
-            _ => {}
-        }
-        out
-    }
-
-    /// Drain the operator completely (used by the buffering pipeline breakers: hash
-    /// build, nested-loop inner, sort), feeding every batch to `consume`. The
-    /// aggregate pulls [`Metered::next_batch`] instead.
-    fn drain(
-        &mut self,
-        mut consume: impl FnMut(Batch) -> Result<(), ExecError>,
-    ) -> Result<(), ExecError> {
-        while let Some(batch) = self.next_batch()? {
-            consume(batch)?;
-        }
-        Ok(())
-    }
-}
-
 pub(crate) fn bind(expr: &Expr, schema: &Schema) -> Result<Expr, ExecError> {
     expr.bind(schema)
         .map_err(|e| ExecError::BindError(e.to_string()))
@@ -895,12 +561,6 @@ pub(crate) fn key_index(
     schema
         .index_of(reference.qualifier.as_deref(), &reference.name)
         .map_err(ExecError::from)
-}
-
-pub(crate) fn lookup_table<'p>(storage: &'p Storage, name: &str) -> Result<&'p Table, ExecError> {
-    storage
-        .table(name)
-        .map_err(|_| ExecError::TableNotFound(name.to_string()))
 }
 
 /// Resolve a table to its shared chunk handle, which `'static` chain jobs and steps
@@ -1287,163 +947,6 @@ pub(crate) fn index_nl_join(
     ))
 }
 
-/// Translate a plan subtree into an operator tree counting on `stats`, the subtree's
-/// counters.
-fn build_operator<'p>(
-    plan: &'p PhysicalPlan,
-    stats: &StatsNode,
-    ctx: &BuildContext<'p>,
-) -> Result<Metered<'p>, ExecError> {
-    let children = plan
-        .children
-        .iter()
-        .zip(&stats.children)
-        .map(|(child, stats)| build_operator(child, stats, ctx))
-        .collect::<Result<Vec<_>, _>>()?;
-    // A node's input comes first; a join's build side second.
-    let mut children = children.into_iter();
-    let mut child = || {
-        children
-            .next()
-            .ok_or_else(|| ExecError::InvalidPlan(format!("{} lacks a child", plan.label())))
-    };
-    let batch_size = ctx.config.batch_size;
-    let node = &stats.stats;
-    let metered = |inner: Box<dyn Operator + 'p>, counts: bool| Metered {
-        inner,
-        stats: Arc::clone(node),
-        clock: Rc::clone(&ctx.clock),
-        counts,
-    };
-    if let Some(step) = Step::new(plan, ctx.storage, &ctx.config, node)? {
-        // The step counts its own output batches.
-        let input = child()?;
-        let build = match step.build_table() {
-            Some((_, kind)) => Some(JoinBuild {
-                child: Some(child()?),
-                done: false,
-                kind,
-                side: &plan.children[1],
-                grant: ctx.config.governor.reservation(),
-            }),
-            None => None,
-        };
-        return Ok(metered(
-            Box::new(StreamOp {
-                input,
-                build,
-                state: step.state(),
-                step,
-                drained: false,
-                tracker: Rc::clone(&ctx.tracker),
-                obs: ctx.obs.clone_ref(),
-            }),
-            false,
-        ));
-    }
-    let op: Box<dyn Operator + 'p> = match &plan.kind {
-        PlanKind::SeqScan {
-            table,
-            alias,
-            predicate,
-            ..
-        } => {
-            let table = lookup_table(ctx.storage, table)?;
-            let read = TableRead::new(
-                &relation_schema(table, alias),
-                &plan.schema,
-                predicate.as_ref(),
-            )?;
-            let mut mask_cache = MaskCache::new();
-            // Decide the scan mode once: probe kernel support against a zero-row
-            // slice of the *actual* column chunks (their encodings — including
-            // `Val` promotions — never change during a query).
-            let columnar = ctx.config.columnar && read.kernel_covers(table, &mut mask_cache);
-            let _ = node
-                .encoding
-                .set(scan_encoding_label(ctx.config.columnar, columnar, table));
-            Box::new(SeqScanOp {
-                table,
-                pos: 0,
-                read,
-                batch_size,
-                columnar,
-                mask_cache,
-            })
-        }
-        PlanKind::IndexScan {
-            table,
-            alias,
-            column,
-            lookup,
-            residual,
-            ..
-        } => {
-            let table = lookup_table(ctx.storage, table)?;
-            let column_idx = table.schema().index_of(None, column)?;
-            let needs_range = matches!(lookup, IndexLookup::Range { .. });
-            let index = table
-                .index_on_column(column_idx, needs_range)
-                .ok_or_else(|| {
-                    ExecError::InvalidPlan(format!("no usable index on column '{column}'"))
-                })?;
-            let _ = node.encoding.set("row");
-            let read = TableRead::new(
-                &relation_schema(table, alias),
-                &plan.schema,
-                residual.as_ref(),
-            )?;
-            Box::new(IndexScanOp {
-                table,
-                index,
-                lookup,
-                scratch: read.scratch(),
-                read,
-                row_ids: None,
-                pos: 0,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-            })
-        }
-        PlanKind::Aggregate { .. } | PlanKind::Sort { .. } => {
-            let input = child()?;
-            let grant = ctx.config.governor.reservation();
-            let spill = Arc::clone(&node.spill);
-            let (kind, drain) = match &plan.kind {
-                PlanKind::Sort { .. } => {
-                    (BreakerKind::SortInput, Drain::Sort(SortBuffer::new(plan, grant, spill)?))
-                }
-                _ => {
-                    let kernel = AggKernel::new(plan)?;
-                    let spill = GroupSpill::new(kernel.key_len(), grant, spill);
-                    (BreakerKind::AggregateInput, Drain::Aggregate(kernel, spill))
-                }
-            };
-            Box::new(DrainOp {
-                input: Some(input),
-                kind,
-                input_meta: (plan.children[0].rel_set, plan.children[0].estimated_rows),
-                drain: Some(drain),
-                emit: None,
-                batch_size,
-                tracker: Rc::clone(&ctx.tracker),
-                obs: ctx.obs.clone_ref(),
-            })
-        }
-        PlanKind::Limit { count } => Box::new(LimitOp {
-            input: child()?,
-            remaining: *count,
-        }),
-        _ => {
-            return Err(ExecError::InvalidPlan(format!(
-                "{} has no operator",
-                plan.label()
-            )))
-        }
-    };
-    Ok(metered(op, true))
-}
-
 /// The probe label an index nested-loop join reports in EXPLAIN ANALYZE (see
 /// [`OperatorMetrics::probe`](crate::OperatorMetrics::probe)).
 pub(crate) fn probe_label(columnar: bool) -> &'static str {
@@ -1467,391 +970,6 @@ pub(crate) fn scan_encoding_label(columnar: bool, kernel: bool, table: &Table) -
         "dictionary"
     } else {
         "native"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming operators
-// ---------------------------------------------------------------------------
-
-/// Sequential scan: slices the columns its predicate or output reads, a batch-sized
-/// range at a time. In columnar mode the predicate runs as a vectorized mask kernel
-/// ([`reopt_expr::filter_mask`] — tight typed loops over native vectors and
-/// dictionary codes) and the surviving rows stay columnar; otherwise (kill switch, or
-/// a predicate shape the kernel does not cover) each chunk is decoded to rows and
-/// filtered through the row-wise evaluator.
-struct SeqScanOp<'p> {
-    table: &'p Table,
-    pos: usize,
-    read: TableRead,
-    batch_size: usize,
-    /// Whether this scan emits columnar batches (decided once at build time by
-    /// probing kernel support against the actual column encodings).
-    columnar: bool,
-    mask_cache: MaskCache,
-}
-
-impl Operator for SeqScanOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        let total = self.table.row_count();
-        while self.pos < total {
-            let chunk_end = self.pos.saturating_add(self.batch_size).min(total);
-            let batch = self.read.scan(
-                self.table,
-                self.pos..chunk_end,
-                self.columnar,
-                &mut self.mask_cache,
-            )?;
-            self.pos = chunk_end;
-            if !batch.is_empty() {
-                return Ok(Some(batch));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Index scan: resolves the row-id list on the first pull (buffered state, bounded by
-/// the base table), then emits matching rows a batch at a time.
-struct IndexScanOp<'p> {
-    table: &'p Table,
-    index: &'p Index,
-    lookup: &'p IndexLookup,
-    /// The residual and the columns to decode per fetched row.
-    read: TableRead,
-    /// The row each fetch decodes into.
-    scratch: Row,
-    row_ids: Option<Vec<usize>>,
-    pos: usize,
-    batch_size: usize,
-    tracker: Rc<Buffered>,
-}
-
-impl Operator for IndexScanOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        let row_ids = match &mut self.row_ids {
-            Some(row_ids) => row_ids,
-            unresolved => {
-                let row_ids = resolve_index_row_ids(self.index, self.lookup);
-                self.tracker
-                    .acquire(row_ids.len() as u64, 8 * row_ids.len() as u64);
-                unresolved.insert(row_ids)
-            }
-        };
-        let mut out = Vec::new();
-        while out.is_empty() && self.pos < row_ids.len() {
-            let chunk_end = self.pos.saturating_add(self.batch_size).min(row_ids.len());
-            let ids = &row_ids[self.pos..chunk_end];
-            out = self.read.fetch_rows(self.table, ids, &mut self.scratch)?;
-            self.pos = chunk_end;
-        }
-        Ok(if out.is_empty() { None } else { Some(Batch::Rows(out)) })
-    }
-}
-
-/// Limit: stops pulling from its child once `count` rows have been emitted (early
-/// termination — upstream operators never produce the rows beyond the limit).
-struct LimitOp<'p> {
-    input: Metered<'p>,
-    remaining: usize,
-}
-
-impl Operator for LimitOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        let batch = if batch.len() > self.remaining {
-            match batch {
-                Batch::Rows(mut rows) => {
-                    rows.truncate(self.remaining);
-                    Batch::Rows(rows)
-                }
-                Batch::Cols(cols) => Batch::Cols(cols.slice(0..self.remaining)),
-            }
-        } else {
-            batch
-        };
-        self.remaining -= batch.len();
-        Ok(Some(batch))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        self.input.inner.collect_breaker_states(out);
-    }
-}
-
-/// The operator shell of a streaming step (filter, projection, join probe): it pulls
-/// its input until the step yields, and the input's end is the step's end of input.
-/// A hash or nested-loop join first drains its build side into the step's table
-/// ([`JoinBuild`]); once the build spilled, the whole probe input goes to the
-/// partitions and the step then joins them pair by pair.
-struct StreamOp<'p> {
-    input: Metered<'p>,
-    build: Option<JoinBuild<'p>>,
-    step: Step,
-    state: StepState,
-    /// Whether the input returned `None`.
-    drained: bool,
-    tracker: Rc<Buffered>,
-    obs: ObserverCtx<'p>,
-}
-
-impl Operator for StreamOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        match &mut self.build {
-            Some(build) => build.run(&mut self.step, &self.tracker, &self.obs)?,
-            None => self.step.prepare(&self.tracker),
-        }
-        loop {
-            if let Some(batch) = self.step.next(&mut self.state, &self.obs)? {
-                return Ok(Some(batch));
-            }
-            if self.drained {
-                if let Some(build) = &mut self.build {
-                    let batch =
-                        self.step
-                            .next_spilled(&mut self.state, &mut build.grant, &self.obs)?;
-                    if batch.is_some() {
-                        return Ok(batch);
-                    }
-                }
-                return self.step.flush(&mut self.state, &self.obs);
-            }
-            match self.input.next_batch()? {
-                Some(batch) => self.step.push(&mut self.state, batch)?,
-                None => {
-                    self.drained = true;
-                    self.step.end(self.state.pending(), &self.obs)?;
-                }
-            }
-        }
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // Innermost states first: recurse before extracting this join's own build.
-        self.input.inner.collect_breaker_states(out);
-        if let Some(build) = &mut self.build {
-            if let Some(child) = &mut build.child {
-                child.inner.collect_breaker_states(out);
-            }
-            // An empty completed build is still extractable: knowing a subtree
-            // produced zero rows is exactly the kind of truth a re-optimizer wants to
-            // reuse. A spilled build is not: its rows live in NULL-key-stripped
-            // on-disk partitions (its breaker event said `reusable: false`).
-            if let Some(rows) = self.step.take_build_rows().filter(|_| build.done) {
-                out.push(BreakerState {
-                    kind: build.kind,
-                    rel_set: build.side.rel_set,
-                    schema: build.side.schema.clone(),
-                    rows,
-                });
-            }
-        }
-    }
-}
-
-/// The build side of a hash or nested-loop join (see [`crate::hash_join`]), a
-/// pipeline breaker drained into the step's join table on the first pull. A hash
-/// build reserves its bytes against the governor and goes out of core through the
-/// kernel's [`GraceJoin`] when a grant is denied; a nested-loop inner has no
-/// out-of-core path and reserves nothing.
-struct JoinBuild<'p> {
-    /// Retained after draining (observed pipelines only) so that nested breaker
-    /// states below it stay reachable for [`Operator::collect_breaker_states`].
-    child: Option<Metered<'p>>,
-    done: bool,
-    kind: BreakerKind,
-    /// The build subtree.
-    side: &'p PhysicalPlan,
-    /// Byte grant for the in-memory build, and for each loaded block once spilled.
-    grant: Reservation,
-}
-
-impl JoinBuild<'_> {
-    fn run(
-        &mut self,
-        step: &mut Step,
-        tracker: &Buffered,
-        obs: &ObserverCtx<'_>,
-    ) -> Result<(), ExecError> {
-        if self.done {
-            return Ok(());
-        }
-        let (Some(mut child), Some((mut table, _))) = (self.child.take(), step.build_table())
-        else {
-            return Ok(());
-        };
-        let mut grace: Option<GraceJoin> = None;
-        let result = child.drain(|batch| {
-            if grace.is_none() {
-                let bytes = batch.width();
-                if self.kind == BreakerKind::NestedLoopInner || self.grant.grow(bytes) {
-                    tracker.acquire(batch.len() as u64, bytes);
-                    table.append(batch);
-                    return Ok(());
-                }
-                // Grant denied. Surface memory pressure *before* committing the
-                // spill: a suspending observer re-plans with every buffer intact.
-                obs.notify(MemoryPressureEvent::denied(
-                    BreakerKind::HashBuild,
-                    (self.side.rel_set, self.side.estimated_rows),
-                    table.len() as u64,
-                    &self.grant,
-                ))?;
-                let spill = Arc::clone(&step.stats.spill);
-                grace = Some(GraceJoin::start(&mut table, &mut self.grant, spill)?);
-            }
-            match grace.as_mut() {
-                Some(grace) => grace.write_build(batch, table.keys()),
-                None => Ok(()),
-            }
-        });
-        // Only observed pipelines (which may suspend and extract breaker state) need
-        // the drained subtree kept alive; everywhere else, drop it now so nested
-        // breaker buffers are freed as execution proceeds.
-        if obs.active() {
-            self.child = Some(child);
-        }
-        result?;
-        self.done = true;
-        let (built, actual_rows, reusable) = match grace {
-            None => {
-                table.seal();
-                let rows = table.len() as u64;
-                (Built::Table(Arc::new(table)), rows, true)
-            }
-            Some(mut grace) => {
-                grace.seal_build()?;
-                let rows = grace.input_rows;
-                (Built::Spilled(Box::new(Mutex::new(grace))), rows, false)
-            }
-        };
-        step.install(built);
-        obs.notify(ExecEvent::BreakerComplete(BreakerEvent {
-            kind: self.kind,
-            rel_set: self.side.rel_set,
-            estimated_rows: self.side.estimated_rows,
-            actual_rows,
-            reusable,
-        }))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline breakers: aggregate and sort
-// ---------------------------------------------------------------------------
-
-/// What an aggregate or a sort drains its input into: a kernel's state.
-enum Drain {
-    Aggregate(AggKernel, GroupSpill),
-    Sort(SortBuffer),
-}
-
-/// What it then emits.
-enum Emit {
-    Groups(Groups),
-    Sorted(Sorted),
-}
-
-/// Aggregation and sort: each drains its whole input into a kernel, the shared
-/// [`AggKernel`] (whose buffered state is one entry per group) or the
-/// [`SortBuffer`], then emits result rows in batches. Under a finite budget the
-/// kernel goes out of core when a grant is denied, spilling sorted runs of group
-/// states or of rows, and emission merges the runs.
-struct DrainOp<'p> {
-    /// Retained after draining so nested breaker states stay reachable.
-    input: Option<Metered<'p>>,
-    /// `AggregateInput` or `SortInput`.
-    kind: BreakerKind,
-    /// `(rel_set, estimated_rows)` of the input subtree.
-    input_meta: (RelSet, f64),
-    /// The kernel state, until the input is drained.
-    drain: Option<Drain>,
-    emit: Option<Emit>,
-    batch_size: usize,
-    tracker: Rc<Buffered>,
-    obs: ObserverCtx<'p>,
-}
-
-impl DrainOp<'_> {
-    fn drain_input(&mut self) -> Result<(), ExecError> {
-        let (Some(drain), Some(mut input)) = (self.drain.take(), self.input.take()) else {
-            return Ok(());
-        };
-        let (tracker, obs, kind, meta) = (&self.tracker, &self.obs, self.kind, self.input_meta);
-        // A denied grant surfaces memory pressure before the kernel spills (see
-        // `JoinBuild::run`).
-        let mut pressure = |rows: u64, grant: &Reservation| {
-            obs.notify(MemoryPressureEvent::denied(kind, meta, rows, grant))
-        };
-        let result = match drain {
-            Drain::Aggregate(kernel, mut spill) => (|| {
-                let mut table = kernel.new_table();
-                let mut admit = |table: &mut GroupTable, key_bytes: u64| {
-                    if spill.admit(table, key_bytes, &mut pressure)? {
-                        tracker.acquire(1, key_bytes);
-                    }
-                    Ok(())
-                };
-                while let Some(batch) = input.next_batch()? {
-                    kernel.consume(&mut table, batch, 0, &mut admit)?;
-                }
-                if !kernel.grouped() {
-                    // The one group of a global aggregate is never reserved or spilled.
-                    tracker.acquire(1, 8);
-                }
-                Ok(Emit::Groups(GroupSpill::finish(&kernel, vec![(table, spill)])?))
-            })(),
-            Drain::Sort(mut buffer) => input
-                .drain(|batch| {
-                    let (rows, bytes) = (batch.len() as u64, batch.width());
-                    let batch = batch.into_rows();
-                    if buffer.push(batch, bytes, &mut pressure)? {
-                        tracker.acquire(rows, bytes);
-                    }
-                    Ok(())
-                })
-                .and_then(|()| Ok(Emit::Sorted(buffer.finish()?))),
-        };
-        let input_rows = input.stats.rows();
-        // As in `JoinBuild`: retain the drained child only for observed pipelines.
-        if self.obs.active() {
-            self.input = Some(input);
-        }
-        self.emit = Some(result?);
-        self.obs.notify(ExecEvent::BreakerComplete(BreakerEvent {
-            kind: self.kind,
-            rel_set: self.input_meta.0,
-            estimated_rows: self.input_meta.1,
-            actual_rows: input_rows,
-            reusable: false,
-        }))
-    }
-}
-
-impl Operator for DrainOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.drain_input()?;
-        // `emit` stays unset when a previous pull failed mid-drain; the pipeline is
-        // poisoned at that point and further pulls just report exhaustion.
-        let rows = match self.emit.as_mut() {
-            Some(Emit::Groups(groups)) => groups.next_batch(self.batch_size)?,
-            Some(Emit::Sorted(sorted)) => sorted.next_batch(self.batch_size)?,
-            None => None,
-        };
-        Ok(rows.map(Batch::Rows))
-    }
-
-    fn collect_breaker_states(&mut self, out: &mut Vec<BreakerState>) {
-        // Group states and sort buffers are not reusable materializations; only
-        // recurse.
-        if let Some(input) = &mut self.input {
-            input.inner.collect_breaker_states(out);
-        }
     }
 }
 
@@ -2610,12 +1728,11 @@ mod tests {
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
 
-        // The join's first report falls on its PROGRESS_INTERVAL-th output batch.
-        for pull in 1..=crate::PROGRESS_INTERVAL {
-            let batch = pipeline.next_batch().unwrap();
-            assert_eq!(batch.map(|b| b.len()), Some(2), "pull {pull} delivers its batch");
-            assert!(!pipeline.is_suspended(), "suspension waits for the seam");
-        }
+        // The inline worker runs the root on the first pull, up to the join's first
+        // report (its PROGRESS_INTERVAL-th output batch), and delivers one batch.
+        let batch = pipeline.next_batch().unwrap();
+        assert_eq!(batch.map(|b| b.len()), Some(2), "the pull delivers its batch");
+        assert!(!pipeline.is_suspended(), "suspension waits for the seam");
         assert_eq!(observer.borrow().events.len(), 1, "the report armed the seam");
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
         assert!(pipeline.is_suspended());
@@ -3107,7 +2224,6 @@ mod tests {
             .execute(&planned.plan)
             .unwrap();
         assert_eq!(result.rows[0].value(0), &Value::Int(200));
-        assert_eq!(result.metrics.engine, "parallel");
         assert!(governor.denials() >= 1, "the parallel sink must have been denied");
         let (bytes, _) = result.metrics.root.total_spilled();
         assert!(bytes > 0, "the morsel engine spilled");

@@ -450,20 +450,6 @@ impl GraceJoin {
         })
     }
 
-    /// Commit a build to grace-hash partitioning: move `table`'s rows into
-    /// [`SPILL_FANOUT`] on-disk partitions and release the grant.
-    pub(crate) fn start(
-        table: &mut JoinTable,
-        reservation: &mut Reservation,
-        stats: Arc<SpillStats>,
-    ) -> Result<Self, ExecError> {
-        let mut grace = Self::new(stats)?;
-        let cols = table.take();
-        grace.write_build(Batch::Cols(cols), &table.keys)?;
-        reservation.release_all();
-        Ok(grace)
-    }
-
     /// Write build rows to their partitions. NULL-key rows count as input but never
     /// join, and a spilled build is not a reusable materialization, so they go.
     pub(crate) fn write_build(&mut self, batch: Batch, keys: &[usize]) -> Result<(), ExecError> {
@@ -916,7 +902,10 @@ mod tests {
             .unwrap()
             .unwrap();
         let kernel = JoinKernel::new(plan).unwrap();
-        step.install(Built::Table(Arc::new(table(&kernel, build, feed))));
+        step.install(
+            Built::Table(Arc::new(table(&kernel, build, feed))),
+            config.governor.reservation(),
+        );
         let mut state = step.state();
         let mut out = Vec::new();
         for batch in batches(probe, 5, feed) {

@@ -220,20 +220,8 @@ impl MetricsNode {
 pub struct QueryMetrics {
     /// The metrics tree.
     pub root: MetricsNode,
-    /// Total execution time: the sum over operators on the single-threaded engine,
-    /// wall-clock time on the morsel engine.
+    /// Total execution time: the run's wall-clock time.
     pub execution_time: Duration,
-    /// Which engine produced the result: `"parallel"` (the morsel-driven engine,
-    /// `threads > 1`) or `"single-thread"` (the pull-based operator tree).
-    pub engine: &'static str,
-}
-
-impl QueryMetrics {
-    /// The `engine=...` suffix EXPLAIN ANALYZE and `ReoptReport` append to a run,
-    /// for example `"engine=parallel"`.
-    pub fn engine_label(&self) -> String {
-        format!("engine={}", self.engine)
-    }
 }
 
 #[cfg(test)]

@@ -138,7 +138,7 @@ use crate::sort::{SortBuffer, Sorted};
 use crate::spill::Reservation;
 use reopt_expr::MaskCache;
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
-use reopt_storage::{Row, Schema, Storage, Table};
+use reopt_storage::{Row, Storage, Table};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -233,6 +233,15 @@ impl Shared {
         Ok(())
     }
 
+    /// Whether the run is a one-thread run, whose worker takes each pipeline's
+    /// source as one input and ends each step's input as it runs out
+    /// ([`end_chain`]). With more threads each morsel is an input and
+    /// [`Engine::finish_pipeline`] ends a pipeline once it drained (ROADMAP item 15
+    /// settles one rule).
+    fn one_input(&self) -> bool {
+        self.config.threads == 1
+    }
+
     /// Whether in-flight work should be abandoned mid-step (immediate suspension or
     /// an error — but not a seam suspension, whose in-flight batch is delivered).
     fn drop_inflight(&self) -> bool {
@@ -278,12 +287,12 @@ impl Events for Shared {
     }
 }
 
-/// A completed parallel build retained (only for observed pipelines) so that
-/// suspension can surrender it as a [`BreakerState`].
-struct CompletedBuild {
+/// A completed build retained (only for observed pipelines) so that suspension
+/// can surrender it as a [`BreakerState`].
+struct CompletedBuild<'p> {
     kind: BreakerKind,
-    rel_set: reopt_planner::RelSet,
-    schema: Schema,
+    /// The build subtree.
+    side: &'p PhysicalPlan,
     table: Arc<JoinTable>,
 }
 
@@ -407,7 +416,7 @@ struct Engine<'p> {
     observer: Option<ObserverHandle<'p>>,
     shared: Arc<Shared>,
     stop: std::cell::Cell<Option<Stop>>,
-    completed_builds: Vec<CompletedBuild>,
+    completed_builds: Vec<CompletedBuild<'p>>,
     /// Per-run lazy-build counters (the process-wide analogues are
     /// [`lazy_builds_planned_total`] / [`lazy_builds_started_total`]).
     builds_planned: std::cell::Cell<u64>,
@@ -417,8 +426,6 @@ struct Engine<'p> {
     /// This query's task registration: all jobs submit through it, so the pool's
     /// fairness discipline sees one queue per query.
     task: TaskHandle,
-    /// The grants of the in-memory join tables, held until the run ends.
-    held: Reservation,
 }
 
 impl<'p> Engine<'p> {
@@ -612,6 +619,7 @@ impl<'p> Engine<'p> {
             meta: (plan.rel_set, plan.estimated_rows),
             keys: table.keys().to_vec(),
             grace: Arc::clone(&grace),
+            spilled: Arc::default(),
             join: Arc::clone(join_stats),
         };
         let locals = self.execute_pipeline(&compiled, factory)?;
@@ -621,11 +629,10 @@ impl<'p> Engine<'p> {
         let merge_start = Instant::now();
         let spilled = lock(&grace)?.take();
         let mut batches: Vec<(Tag, Batch)> = Vec::new();
+        let mut grant = self.shared.config.governor.reservation();
         for local in locals {
             batches.extend(local.batches);
-            if spilled.is_none() {
-                self.held.absorb(local.grant);
-            }
+            grant.absorb(local.grant);
         }
         // Tag order is the global scan order: the table (its probe fan-out order and
         // its extracted rows) is the single-threaded build's, at any thread count.
@@ -647,8 +654,7 @@ impl<'p> Engine<'p> {
                 if self.shared.observer_active {
                     self.completed_builds.push(CompletedBuild {
                         kind,
-                        rel_set: plan.rel_set,
-                        schema: plan.schema.clone(),
+                        side: plan,
                         table: Arc::clone(&table),
                     });
                 }
@@ -664,7 +670,9 @@ impl<'p> Engine<'p> {
             actual_rows,
             reusable: matches!(built, Built::Table(_)),
         }));
-        step.install(built);
+        // The table's grant lives as long as the step that probes it: once the
+        // pipeline that probes it drained, both go.
+        step.install(built, grant);
         Ok(())
     }
 
@@ -734,13 +742,11 @@ impl<'p> Engine<'p> {
         if compiled.workers <= 1 || matches!(compiled.source, Source::Rows(..)) {
             // Inline: morsels are claimed in order by construction; stop claiming
             // the moment the limit is satisfied.
-            let cursor = AtomicUsize::new(0);
             let shared = Arc::clone(&self.shared);
             let out_ref = &mut out;
-            worker_loop(
+            run_inline(
                 compiled,
                 &self.shared,
-                &cursor,
                 &mut |_, batch| {
                     let start = Instant::now();
                     if let Some(batch) = batch {
@@ -835,8 +841,9 @@ impl<'p> Engine<'p> {
         }
         // A truncated limit leaves the child pipeline non-exhausted (the quiesce
         // flag is set, skipping `finish_pipeline`); a naturally drained child under
-        // the limit is marked exhausted as usual.
-        if !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
+        // the limit is marked exhausted as usual (by a one-thread run as it ends).
+        let ended = self.shared.one_input();
+        if !ended && !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
             self.finish_pipeline(compiled)?;
         }
         Ok(out)
@@ -977,15 +984,20 @@ impl<'p> Engine<'p> {
             }
         };
         // Execute the registered builds lazily, now that the spine's own source is
-        // runnable. Requests were collected root-down, so reverse order runs them
-        // innermost-first — matching the single-threaded engine, where the deepest
-        // probe pulls (and therefore builds) first — and a stop between builds
-        // (suspension on an inner breaker) skips every outer build.
+        // runnable, with a stop check between builds. Requests were collected
+        // root-down. One thread runs them in that order, as a pull-based run
+        // reaches them (each join builds on its first pull), so a suspension on an
+        // inner build finds every outer one complete and reusable. The pool runs
+        // them innermost-first, so a suspension on an inner breaker skips every
+        // outer build instead (ROADMAP item 15 settles one order).
         if !requests.is_empty() {
             BUILDS_PLANNED.fetch_add(requests.len() as u64, Ordering::SeqCst);
             self.builds_planned
                 .set(self.builds_planned.get() + requests.len() as u64);
-            for request in requests.into_iter().rev() {
+            if !self.shared.one_input() {
+                requests.reverse();
+            }
+            for request in requests {
                 if self.stopped() {
                     break;
                 }
@@ -1041,18 +1053,43 @@ impl<'p> Engine<'p> {
         ctx
     }
 
-    /// Run a compiled pipeline into per-worker sink states, returning one local state
-    /// per worker and one per spilled join. After the main pass, each spilled join in
-    /// the chain, source-up, joins its partitions on the coordinator through its
-    /// step, and the output goes down the rest of the chain as one more morsel (the
-    /// output of a lower join feeds the probe partitions of a higher one).
+    /// Run a compiled pipeline into per-worker sink states: one per worker (the
+    /// inline worker, or each pool worker) and one per spilled join. A one-thread
+    /// run ended each step's input as it ran out ([`end_chain`]). With more threads,
+    /// after the main pass, each spilled join in the chain, source-up, joins its
+    /// partitions on the coordinator through its step, and the output goes down the
+    /// rest of the chain as one more morsel (the output of a lower join feeds the
+    /// probe partitions of a higher one); then [`Engine::finish_pipeline`].
     fn execute_pipeline<S: SinkFactory + Clone>(
         &self,
         compiled: &Arc<Compiled>,
         factory: S,
     ) -> Result<Vec<S::Local>, ExecError> {
-        let mut locals = self.run_morsels(compiled, &factory)?;
         let pump = || self.pump_events();
+        let mut locals = if compiled.workers <= 1 {
+            let mut local = factory.make();
+            run_inline(
+                compiled,
+                &self.shared,
+                &mut |morsel, batch| feed(&factory, &mut local, morsel, batch, &pump),
+                &pump,
+            );
+            vec![local]
+        } else {
+            let ctx = self.launch_chains(compiled, factory.clone());
+            // The coordinator pumps worker-enqueued events while the pool drains
+            // the morsel queue.
+            ctx.gate.wait_pumping(&pump);
+            self.pump_events();
+            let locals = std::mem::take(&mut *ctx.locals.lock().expect("chain locals"));
+            locals
+        };
+        if let Some(error) = self.take_error() {
+            return Err(error);
+        }
+        if self.shared.one_input() {
+            return Ok(locals);
+        }
         for (at, step) in compiled.steps.iter().enumerate() {
             if !step.spilled() || self.shared.quiesce.load(Ordering::SeqCst) {
                 continue;
@@ -1093,44 +1130,10 @@ impl<'p> Engine<'p> {
         Ok(locals)
     }
 
-    /// The main pass over a compiled source's morsels: inline (single worker) on the
-    /// coordinator with the event pump interleaved after every chain batch, or on
-    /// the pool.
-    fn run_morsels<S: SinkFactory + Clone>(
-        &self,
-        compiled: &Arc<Compiled>,
-        factory: &S,
-    ) -> Result<Vec<S::Local>, ExecError> {
-        let locals = if compiled.workers <= 1 {
-            let cursor = AtomicUsize::new(0);
-            let mut local = factory.make();
-            let pump = || self.pump_events();
-            worker_loop(
-                compiled,
-                &self.shared,
-                &cursor,
-                &mut |morsel, batch| feed(factory, &mut local, morsel, batch, &pump),
-                &pump,
-            );
-            vec![local]
-        } else {
-            let ctx = self.launch_chains(compiled, factory.clone());
-            // The coordinator pumps worker-enqueued events while the pool drains
-            // the morsel queue.
-            ctx.gate.wait_pumping(&|| self.pump_events());
-            self.pump_events();
-            let locals = std::mem::take(&mut *ctx.locals.lock().expect("chain locals"));
-            locals
-        };
-        match self.take_error() {
-            Some(error) => Err(error),
-            None => Ok(locals),
-        }
-    }
-
-    /// Mark a fully-drained pipeline's operators exhausted and send the one-shot
+    /// Mark a pipeline the pool fully drained exhausted and send the one-shot
     /// exact-cardinality reports of its index-NL joins (outer side drained: the
-    /// produced count is the join's true output cardinality).
+    /// produced count is the join's true output cardinality). The inline worker
+    /// does both as each step's input ends instead ([`end_chain`]).
     fn finish_pipeline(&self, compiled: &Compiled) -> Result<(), ExecError> {
         if let Some(stats) = compiled.source.stats() {
             stats.finish();
@@ -1160,7 +1163,21 @@ impl<'p> Engine<'p> {
         Ok(batches.into_iter().flat_map(|(_, batch)| batch).collect())
     }
 
-    fn breaker_states(&mut self) -> Vec<BreakerState> {
+    /// The completed builds of `plan`'s run as breaker states, innermost first: in
+    /// plan post-order, a join's probe side before its build side before the join.
+    fn breaker_states(&mut self, plan: &PhysicalPlan) -> Vec<BreakerState> {
+        fn build_sides<'a>(plan: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
+            for child in &plan.children {
+                build_sides(child, out);
+            }
+            if let Some(side) = plan.children.get(1) {
+                out.push(side);
+            }
+        }
+        let mut order = Vec::new();
+        build_sides(plan, &mut order);
+        let position = |side: &PhysicalPlan| order.iter().position(|s| std::ptr::eq(*s, side));
+        self.completed_builds.sort_by_key(|build| position(build.side));
         self.completed_builds
             .drain(..)
             .map(|build| {
@@ -1170,8 +1187,8 @@ impl<'p> Engine<'p> {
                 };
                 BreakerState {
                     kind: build.kind,
-                    rel_set: build.rel_set,
-                    schema: build.schema,
+                    rel_set: build.side.rel_set,
+                    schema: build.side.schema.clone(),
                     rows,
                 }
             })
@@ -1223,46 +1240,44 @@ impl WorkerChain {
     }
 }
 
-/// Claim and process **one** morsel: push each batch-sized chunk through the chain,
-/// end the steps' input at the end of the morsel, and feed the sink with
-/// `(morsel, Some(batch))` per produced batch, then a `(morsel, None)` done marker
-/// (a quiesced morsel sends no marker — its partial output is abandoned). Returns
-/// `Ok(true)` if the cursor may hold more morsels, `Ok(false)` when the source is
-/// exhausted or the query quiesced.
-fn process_one_morsel(
+/// Claim **one** morsel and push each batch-sized chunk of it through the chain,
+/// feeding the sink with `(morsel, Some(batch))` per batch the chain yields. The
+/// steps' input does not end here. Returns the morsel, or `None` when the source is
+/// exhausted or the query quiesced (a morsel cut short by the quiesce is
+/// abandoned).
+fn push_one_morsel(
     compiled: &Compiled,
     shared: &Shared,
     cursor: &AtomicUsize,
     chain: &mut WorkerChain,
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
-) -> Result<bool, ExecError> {
+) -> Result<Option<usize>, ExecError> {
     if shared.quiesce.load(Ordering::SeqCst) {
-        return Ok(false);
+        return Ok(None);
     }
     let morsel = cursor.fetch_add(1, Ordering::SeqCst);
     if morsel >= compiled.morsels {
-        return Ok(false);
+        return Ok(None);
     }
     let total = compiled.source.len();
     let start = morsel.saturating_mul(compiled.morsel_rows).min(total);
     let end = start.saturating_add(compiled.morsel_rows).min(total);
     let mut pos = start;
     let chunk = (compiled.morsel_rows / MORSEL_BATCHES.max(1)).max(1);
-    let steps = &compiled.steps;
     // The sink takes the chain's last batch as it is (an aggregate reads a column
     // batch in place and a join build keeps it; other sinks decode it).
     let mut chain_sink = |batch| sink(morsel, Some(batch));
     while pos < end {
         if shared.quiesce.load(Ordering::SeqCst) {
-            return Ok(false);
+            return Ok(None);
         }
         let chunk_end = pos.saturating_add(chunk).min(end);
         let batch = compiled.source.scan(pos..chunk_end, &mut chain.cache)?;
         pos = chunk_end;
         if !batch.is_empty() {
             push_chain(
-                steps,
+                &compiled.steps,
                 &mut chain.states,
                 batch,
                 shared,
@@ -1271,29 +1286,111 @@ fn process_one_morsel(
             )?;
         }
     }
-    flush_chain(steps, &mut chain.states, shared, &mut chain_sink, pump)?;
+    Ok(Some(morsel))
+}
+
+/// A pool worker's quantum: one morsel, whose end is the end of the steps' input
+/// (each step's remainder goes down the chain), then the morsel's `(morsel, None)`
+/// done marker. `Ok(false)` once the source is exhausted or the query quiesced.
+fn process_one_morsel(
+    compiled: &Compiled,
+    shared: &Shared,
+    cursor: &AtomicUsize,
+    chain: &mut WorkerChain,
+    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+    pump: &dyn Fn(),
+) -> Result<bool, ExecError> {
+    let Some(morsel) = push_one_morsel(compiled, shared, cursor, chain, sink, pump)? else {
+        return Ok(false);
+    };
+    let mut chain_sink = |batch| sink(morsel, Some(batch));
+    flush_chain(&compiled.steps, &mut chain.states, shared, &mut chain_sink, pump)?;
     sink(morsel, None)?;
     Ok(true)
 }
 
-/// The morsel loop of the inline (single-worker) path: drain the cursor on the
-/// coordinator thread, pumping observer events after every batch a step yields. An
-/// error fails the run as a pool worker's would.
-fn worker_loop(
+/// The inline worker: the whole source on the coordinator thread, observer events
+/// delivered after every batch a step yields. In a one-thread run the source is
+/// one input ([`Shared::one_input`]): step states carry across morsels, and once
+/// the last morsel is pushed the chain ends once, source-up ([`end_chain`]). With
+/// more threads each morsel is an input of its own, as on a pool worker. A run
+/// that quiesced (a suspension, or a satisfied LIMIT) ends nothing: its counts stay
+/// truncated. An error fails the run as a pool worker's would.
+fn run_inline(
     compiled: &Compiled,
     shared: &Shared,
-    cursor: &AtomicUsize,
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) {
+    let cursor = AtomicUsize::new(0);
     let mut chain = WorkerChain::new(&compiled.steps);
-    loop {
-        match process_one_morsel(compiled, shared, cursor, &mut chain, sink, pump) {
-            Ok(true) => {}
-            Ok(false) => return,
-            Err(error) => return shared.fail(error),
+    let result = (|| {
+        if !shared.one_input() {
+            while process_one_morsel(compiled, shared, &cursor, &mut chain, sink, pump)? {}
+            return Ok(());
         }
+        let mut last = 0;
+        while let Some(morsel) = push_one_morsel(compiled, shared, &cursor, &mut chain, sink, pump)? {
+            last = morsel;
+        }
+        if shared.quiesce.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        let mut chain_sink = |batch| sink(last, Some(batch));
+        end_chain(compiled, &mut chain.states, shared, &mut chain_sink, pump)?;
+        sink(last, None)
+    })();
+    if let Err(error) = result {
+        shared.fail(error);
     }
+}
+
+/// End the inline worker's input, source-up. The source ran out; then at each
+/// step, once its input ended — a spilled join's only after its partitions are
+/// joined, their output going down the rest of the chain — an index-NL join sends
+/// its exact report (counting the rows it still carries), the step's remainder
+/// goes down the chain, and the step is marked exhausted. A stop along the way,
+/// such as a LIMIT the remainder satisfied, leaves the step and every step above
+/// it unfinished: whoever stopped took no more of their output.
+fn end_chain(
+    compiled: &Compiled,
+    states: &mut [StepState],
+    shared: &Shared,
+    sink: &mut ChainSink<'_>,
+    pump: &dyn Fn(),
+) -> Result<(), ExecError> {
+    if let Some(stats) = compiled.source.stats() {
+        stats.finish();
+    }
+    let mut grant = shared.config.governor.reservation();
+    let steps = &compiled.steps;
+    for at in 0..steps.len() {
+        let (Some((step, rest)), Some((state, rest_states))) =
+            (steps[at..].split_first(), states[at..].split_first_mut())
+        else {
+            break;
+        };
+        if step.spilled() {
+            let joined = |step: &Step, state: &mut StepState, events: &dyn Events| {
+                step.next_spilled(state, &mut grant, events)
+            };
+            pass_on(step, state, (rest, rest_states), shared, sink, pump, joined)?;
+        }
+        if shared.quiesce.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        step.end(state.pending(), shared)?;
+        pump();
+        if shared.quiesce.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        pass_on(step, state, (rest, rest_states), shared, sink, pump, Step::flush)?;
+        if shared.quiesce.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        step.stats.finish();
+    }
+    Ok(())
 }
 
 /// The shared context of one pipeline run's chain jobs on the resident pool.
@@ -1503,9 +1600,10 @@ fn feed<S: SinkFactory>(
 
 /// Join build sink: each worker buffers its batches, as they come, with their tags.
 /// A hash build reserves their bytes; on a denial (after the memory-pressure event)
-/// the first denied worker starts the join's grace-hash partitioning, and every
-/// denied worker then moves its buffered batches and its batch there. A
-/// nested-loop inner, as in the single-threaded engine, reserves nothing.
+/// the first denied worker starts the join's grace-hash partitioning. From then on
+/// every batch goes to the partitions unbuffered, and each worker first moves its
+/// buffered batches there: only rows a build keeps in memory count as buffered. A
+/// nested-loop inner reserves nothing.
 #[derive(Clone)]
 struct BuildSinkFactory {
     kind: BreakerKind,
@@ -1515,6 +1613,8 @@ struct BuildSinkFactory {
     /// The build-side key columns.
     keys: Vec<usize>,
     grace: Arc<Mutex<Option<GraceJoin>>>,
+    /// Set once `grace` holds the partitions.
+    spilled: Arc<AtomicBool>,
     /// The join node: its build's consume time and spill volume.
     join: Arc<OpStats>,
 }
@@ -1542,26 +1642,28 @@ impl SinkFactory for BuildSinkFactory {
         pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
         let bytes = batch.width();
-        if self.kind == BreakerKind::HashBuild && !local.grant.grow(bytes) {
-            let mut grace = lock(&self.grace)?;
-            let grace = match &mut *grace {
-                Some(grace) => grace,
-                slot => {
-                    let kind = BreakerKind::HashBuild;
-                    self.shared.pressure(kind, self.meta, &local.grant, pump)?;
-                    slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
-                }
-            };
-            for (_, buffered) in local.batches.drain(..) {
-                grace.write_build(buffered, &self.keys)?;
-            }
-            local.grant.release_all();
-            return grace.write_build(batch, &self.keys);
+        let spilled = self.spilled.load(Ordering::SeqCst);
+        if !spilled && (self.kind == BreakerKind::NestedLoopInner || local.grant.grow(bytes)) {
+            self.shared.buffered.acquire(batch.len() as u64, bytes);
+            local.batches.push(((morsel, local.seq), batch));
+            local.seq += 1;
+            return Ok(());
         }
-        self.shared.buffered.acquire(batch.len() as u64, bytes);
-        local.batches.push(((morsel, local.seq), batch));
-        local.seq += 1;
-        Ok(())
+        let mut grace = lock(&self.grace)?;
+        let grace = match &mut *grace {
+            Some(grace) => grace,
+            slot => {
+                let kind = BreakerKind::HashBuild;
+                self.shared.pressure(kind, self.meta, &local.grant, pump)?;
+                self.spilled.store(true, Ordering::SeqCst);
+                slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
+            }
+        };
+        for (_, buffered) in local.batches.drain(..) {
+            grace.write_build(buffered, &self.keys)?;
+        }
+        local.grant.release_all();
+        grace.write_build(batch, &self.keys)
     }
 }
 
@@ -1765,20 +1867,21 @@ enum RunState {
     Done,
 }
 
-/// A morsel-driven parallel execution of one plan, behind the same contract as the
-/// single-threaded [`Pipeline`](crate::exec::Pipeline).
+/// An opened plan, ready to produce batches: one morsel-driven run, at any thread
+/// count (see the module docs).
 ///
 /// Breaker-rooted plans (aggregate/sort) materialize their result inside the first
 /// `next_batch` call and serve it in batch-size chunks — the breaker buffers
-/// everything by definition. Streaming-shaped roots (scan/filter/project/join
-/// spines) instead keep a **live root exchange**: the first pull registers the query
-/// as a pool task and launches its chain jobs; every pull (including the first)
-/// receives the next produced batch from a bounded channel while the jobs keep
-/// running between pulls, so the root result is never buffered and a slow consumer
-/// back-pressures the pool through the channel bound. The root buffer of
-/// breaker-rooted plans is intentionally *not* charged to `peak_buffered_rows`,
-/// which keeps its cross-engine meaning of breaker-buffered rows.
-pub(crate) struct ParallelPipeline<'p> {
+/// everything by definition — and so does every plan whose spine runs on the
+/// inline worker (one thread, or a source smaller than two morsels). A
+/// streaming-shaped root on the pool instead keeps a **live root exchange**: the
+/// first pull launches its chain jobs; every pull (including the first) receives
+/// the next produced batch from a bounded channel while the jobs keep running
+/// between pulls, so the root result is never buffered and a slow consumer
+/// back-pressures the pool through the channel bound. A materialized root is
+/// intentionally *not* charged to `peak_buffered_rows`, which counts what
+/// breakers buffer.
+pub struct Pipeline<'p> {
     plan: &'p PhysicalPlan,
     storage: &'p Storage,
     config: ExecConfig,
@@ -1795,7 +1898,7 @@ pub(crate) struct ParallelPipeline<'p> {
     wall: Duration,
 }
 
-impl<'p> ParallelPipeline<'p> {
+impl<'p> Pipeline<'p> {
     pub(crate) fn new(
         plan: &'p PhysicalPlan,
         storage: &'p Storage,
@@ -1844,7 +1947,6 @@ impl<'p> ParallelPipeline<'p> {
             builds_started: std::cell::Cell::new(0),
             pool,
             task,
-            held: self.config.governor.reservation(),
         });
         let plan = self.plan;
         let engine = self.engine.as_mut().expect("engine");
@@ -1933,7 +2035,7 @@ impl<'p> ParallelPipeline<'p> {
             (result, _) => result,
         };
         let states = match &result {
-            Ok(_) => engine.breaker_states(),
+            Ok(_) => engine.breaker_states(self.plan),
             Err(_) => Vec::new(),
         };
         self.finalize_counters();
@@ -1984,7 +2086,7 @@ impl<'p> ParallelPipeline<'p> {
     }
 
     fn collect_stream_breakers(&mut self) {
-        self.breaker_states = self.engine.as_mut().expect("engine").breaker_states();
+        self.breaker_states = self.engine.as_mut().expect("engine").breaker_states(self.plan);
     }
 
     /// One pull from a live streaming root.
@@ -2091,7 +2193,15 @@ impl<'p> ParallelPipeline<'p> {
         }
     }
 
-    pub(crate) fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
+    /// Produce the next (non-empty) batch of output rows, or `None` when exhausted.
+    ///
+    /// An `Err` poisons the pipeline: kernels may hold partially-buffered state, so
+    /// every subsequent pull fails rather than risking silently wrong results. The one
+    /// exception is [`ExecError::Suspended`] (an
+    /// [`ExecutionObserver`](crate::ExecutionObserver) stopped execution, either
+    /// mid-run or on the root batch seam): the pipeline refuses further pulls but its
+    /// completed breaker state stays extractable via [`Pipeline::take_breaker_states`].
+    pub fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
         match &mut self.state {
             RunState::NotStarted => {
                 self.run()?;
@@ -2128,15 +2238,24 @@ impl<'p> ParallelPipeline<'p> {
         }
     }
 
-    pub(crate) fn is_suspended(&self) -> bool {
+    /// Whether an [`ExecutionObserver`](crate::ExecutionObserver) suspended this
+    /// pipeline.
+    pub fn is_suspended(&self) -> bool {
         matches!(self.state, RunState::Suspended)
     }
 
-    pub(crate) fn take_breaker_states(&mut self) -> Vec<BreakerState> {
+    /// Move every *completed* breaker materialization out of the pipeline (hash-join
+    /// build sides and nested-loop inners, innermost first). Used after an observer
+    /// suspension: the extracted rows become virtual leaf tables for the re-planned
+    /// remainder of the query, so the work of building them is not lost. The pipeline
+    /// must not be pulled again afterwards.
+    pub fn take_breaker_states(&mut self) -> Vec<BreakerState> {
         std::mem::take(&mut self.breaker_states)
     }
 
-    pub(crate) fn metrics(&self) -> QueryMetrics {
+    /// The metrics tree observed so far (complete once `next_batch` returned `None`):
+    /// per-operator counters summed across workers, and the run's wall-clock time.
+    pub fn metrics(&self) -> QueryMetrics {
         let execution_time = if self.wall > Duration::ZERO {
             self.wall
         } else {
@@ -2145,20 +2264,21 @@ impl<'p> ParallelPipeline<'p> {
         QueryMetrics {
             root: self.stats.metrics(self.plan),
             execution_time,
-            engine: "parallel",
         }
     }
 
-    pub(crate) fn peak_buffered_rows(&self) -> u64 {
+    /// Peak number of rows buffered by pipeline breakers so far.
+    pub fn peak_buffered_rows(&self) -> u64 {
         self.peak_buffered_rows
     }
 
-    pub(crate) fn peak_buffered_bytes(&self) -> u64 {
+    /// Peak decoded byte width of the rows buffered by pipeline breakers so far.
+    pub fn peak_buffered_bytes(&self) -> u64 {
         self.peak_buffered_bytes
     }
 }
 
-impl Drop for ParallelPipeline<'_> {
+impl Drop for Pipeline<'_> {
     fn drop(&mut self) {
         // A pipeline dropped mid-stream abandons its chains gracefully: quiesce the
         // query and close the exchange; the pool drains the remaining jobs (each
@@ -2180,7 +2300,7 @@ mod tests {
     use reopt_storage::Value;
     use reopt_planner::{CardinalityOverrides, Optimizer, OptimizerConfig};
     use reopt_sql::parse_sql;
-    use reopt_storage::{Column, DataType, IndexKind};
+    use reopt_storage::{Column, DataType, IndexKind, Schema};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -2798,17 +2918,6 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_shape_is_parallel_supported() {
-        let (storage, catalog) = build_env();
-        let result = Executor::new(&storage)
-            .with_threads(4)
-            .execute(&plan("SELECT t.id AS id FROM title AS t LIMIT 3", &storage, &catalog).plan)
-            .unwrap();
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.metrics.engine, "parallel");
-    }
-
-    #[test]
     fn limit_below_the_root_is_an_invalid_plan() {
         let (storage, catalog) = build_env();
         // The planner places LIMIT only at the root; move a planned one under an
@@ -2822,16 +2931,13 @@ mod tests {
         let mut counted = plan("SELECT count(*) AS c FROM title AS t", &storage, &catalog).plan;
         assert!(matches!(counted.kind, PlanKind::Aggregate { .. }));
         counted.children = vec![limited];
-        let single = Executor::new(&storage)
-            .with_threads(1)
-            .execute(&counted)
-            .unwrap();
-        assert_eq!(single.rows[0].value(0), &Value::Int(3));
-        let err = Executor::new(&storage)
-            .with_threads(4)
-            .execute(&counted)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::InvalidPlan(_)), "{err}");
+        for threads in [1, 4] {
+            let err = Executor::new(&storage)
+                .with_threads(threads)
+                .execute(&counted)
+                .unwrap_err();
+            assert!(matches!(err, ExecError::InvalidPlan(_)), "threads={threads}: {err}");
+        }
     }
 
     /// Render float cells as their exact bit patterns (other values as display text),
@@ -3065,7 +3171,7 @@ mod tests {
                    WHERE t.id = mk1.movie_id AND t.id = mk2.movie_id";
         let planned = plan_with(sql, &storage, &catalog, hash_only());
         // Baseline: an unsuspended run starts every registered build.
-        let mut baseline = ParallelPipeline::new(
+        let mut baseline = Pipeline::new(
             &planned.plan,
             &storage,
             ExecConfig {
@@ -3087,7 +3193,7 @@ mod tests {
             trigger: |event| matches!(event, ExecEvent::BreakerComplete(_)),
             decision: ObserverDecision::Suspend,
         }));
-        let mut pipeline = ParallelPipeline::new(
+        let mut pipeline = Pipeline::new(
             &planned.plan,
             &storage,
             ExecConfig {

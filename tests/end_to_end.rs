@@ -809,7 +809,6 @@ fn parallel_run_over_budget_spills_in_the_morsel_engine_with_its_settings() {
     db.set_threads(Some(2));
     let spilled = db.execute(sql).unwrap();
     let metrics = spilled.metrics.unwrap();
-    assert_eq!(metrics.engine, "parallel");
     assert!(metrics.root.total_spilled().0 > 0, "the morsel engine must spill");
     assert!(
         metrics.root.metrics.batches >= (unlimited.rows.len() as u64).div_ceil(48),
