@@ -139,6 +139,7 @@ use crate::spill::Reservation;
 use reopt_expr::MaskCache;
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_storage::{Row, Storage, Table};
+use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -421,14 +422,20 @@ struct Engine<'p> {
     /// [`lazy_builds_planned_total`] / [`lazy_builds_started_total`]).
     builds_planned: std::cell::Cell<u64>,
     builds_started: std::cell::Cell<u64>,
-    /// The resident pool this query's chain jobs run on.
-    pool: &'static WorkerPool,
-    /// This query's task registration: all jobs submit through it, so the pool's
-    /// fairness discipline sees one queue per query.
-    task: TaskHandle,
+    /// This query's task registration on the resident pool, made when the run
+    /// first launches chain jobs (a run on the inline worker never does): all
+    /// jobs submit through it, so the pool's fairness discipline sees one queue
+    /// per query.
+    task: OnceCell<TaskHandle>,
 }
 
 impl<'p> Engine<'p> {
+    /// This query's pool task, registered on first use.
+    fn task(&self) -> &TaskHandle {
+        self.task
+            .get_or_init(|| WorkerPool::global().register(self.shared.config.priority))
+    }
+
     fn stopped(&self) -> bool {
         self.stop.get().is_some()
     }
@@ -555,7 +562,7 @@ impl<'p> Engine<'p> {
         let spill = Arc::clone(&stats.stats.spill);
         let mut buffer = SortBuffer::new(plan, governor.reservation(), spill)?;
         let compiled = Arc::new(self.compile(child, child_stats)?);
-        let rows = self.collect_compiled(&compiled)?;
+        let batches = self.collect_compiled(&compiled)?;
         if self.stopped() {
             return none();
         }
@@ -569,12 +576,7 @@ impl<'p> Engine<'p> {
             }
             Ok(())
         };
-        let mut rows = rows.into_iter();
-        loop {
-            let batch: Vec<Row> = rows.by_ref().take(self.shared.config.batch_size).collect();
-            if batch.is_empty() {
-                break;
-            }
+        for batch in batches {
             let (len, bytes) = (batch.len() as u64, batch.iter().map(|row| row.width() as u64).sum());
             match buffer.push(batch, bytes, &mut pressure) {
                 Ok(granted) if granted => self.shared.buffered.acquire(len, bytes),
@@ -695,14 +697,14 @@ impl<'p> Engine<'p> {
             // A spilled join's partitions re-enter the chain after the main pass,
             // where no morsel-ordered cut can follow them: take from its collected
             // output.
-            let rows = self.collect_compiled(&compiled)?;
+            let batches = self.collect_compiled(&compiled)?;
             let start = Instant::now();
             let mut out = Vec::new();
-            for batch in rows.chunks(self.shared.config.batch_size) {
+            for batch in batches {
                 if out.len() >= count {
                     break;
                 }
-                limit_take(&mut out, batch.to_vec(), count, node);
+                limit_take(&mut out, batch, count, node);
             }
             node.charge(start.elapsed());
             out
@@ -767,7 +769,7 @@ impl<'p> Engine<'p> {
                 ChannelSink {
                     tx,
                     shared: Arc::clone(&self.shared),
-                    task: self.task.clone(),
+                    task: self.task().clone(),
                 },
             );
             // Reassemble in morsel order: the frontier morsel's batches flow
@@ -990,21 +992,19 @@ impl<'p> Engine<'p> {
         // inner build finds every outer one complete and reusable. The pool runs
         // them innermost-first, so a suspension on an inner breaker skips every
         // outer build instead (ROADMAP item 15 settles one order).
-        if !requests.is_empty() {
-            BUILDS_PLANNED.fetch_add(requests.len() as u64, Ordering::SeqCst);
-            self.builds_planned
-                .set(self.builds_planned.get() + requests.len() as u64);
-            if !self.shared.one_input() {
-                requests.reverse();
+        if !self.shared.one_input() {
+            requests.reverse();
+        }
+        BUILDS_PLANNED.fetch_add(requests.len() as u64, Ordering::SeqCst);
+        self.builds_planned
+            .set(self.builds_planned.get() + requests.len() as u64);
+        for request in requests {
+            if self.stopped() {
+                break;
             }
-            for request in requests {
-                if self.stopped() {
-                    break;
-                }
-                BUILDS_STARTED.fetch_add(1, Ordering::SeqCst);
-                self.builds_started.set(self.builds_started.get() + 1);
-                self.eval_build(&mut steps[request.step], request.plan, request.stats)?;
-            }
+            BUILDS_STARTED.fetch_add(1, Ordering::SeqCst);
+            self.builds_started.set(self.builds_started.get() + 1);
+            self.eval_build(&mut steps[request.step], request.plan, request.stats)?;
         }
         // Steps were collected root-down; they apply source-up.
         steps.reverse();
@@ -1040,9 +1040,9 @@ impl<'p> Engine<'p> {
             sink: factory,
             locals: Mutex::new(Vec::new()),
             gate: Gate::new(workers),
-            task: self.task.clone(),
+            task: self.task().clone(),
         });
-        self.pool.ensure_available(workers);
+        WorkerPool::global().ensure_available(workers);
         for _ in 0..workers {
             let local = ctx.sink.make();
             let chain = WorkerChain::new(&compiled.steps);
@@ -1151,16 +1151,17 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
-    /// Drain an already-compiled pipeline into a row vector, in `(morsel, sequence)`
-    /// order: the global scan order, run-identical to an inline collection.
-    fn collect_compiled(&self, compiled: &Arc<Compiled>) -> Result<Vec<Row>, ExecError> {
+    /// Drain an already-compiled pipeline into its output batches, in `(morsel,
+    /// sequence)` order: the global scan order, run-identical to an inline
+    /// collection.
+    fn collect_compiled(&self, compiled: &Arc<Compiled>) -> Result<Vec<RowBatch>, ExecError> {
         if self.stopped() {
             return Ok(Vec::new());
         }
         let mut batches: Vec<(Tag, RowBatch)> =
             self.execute_pipeline(compiled, CollectSink)?.into_iter().flatten().collect();
         batches.sort_by_key(|(tag, _)| *tag);
-        Ok(batches.into_iter().flat_map(|(_, batch)| batch).collect())
+        Ok(batches.into_iter().map(|(_, batch)| batch).collect())
     }
 
     /// The completed builds of `plan`'s run as breaker states, innermost first: in
@@ -1927,8 +1928,6 @@ impl<'p> Pipeline<'p> {
     /// return with the exchange open.
     fn run(&mut self) -> Result<(), ExecError> {
         self.started = Some(Instant::now());
-        let pool = WorkerPool::global();
-        let task = pool.register(self.config.priority);
         self.engine = Some(Engine {
             storage: self.storage,
             observer: self.observer.clone(),
@@ -1945,8 +1944,7 @@ impl<'p> Pipeline<'p> {
             completed_builds: Vec::new(),
             builds_planned: std::cell::Cell::new(0),
             builds_started: std::cell::Cell::new(0),
-            pool,
-            task,
+            task: OnceCell::new(),
         });
         let plan = self.plan;
         let engine = self.engine.as_mut().expect("engine");
@@ -1992,9 +1990,8 @@ impl<'p> Pipeline<'p> {
             // Stopped during the builds, a source too small to parallelize (tiny
             // inputs never pay the pool), or a spilled join, whose partition passes
             // follow the main pass: collect on the coordinator.
-            let result = engine.collect_compiled(&compiled);
-            let rows = result.map(|rows| Sorted::memory(rows, self.config.governor.reservation()));
-            return self.settle_materialized(rows, None);
+            let result = engine.collect_compiled(&compiled).map(Sorted::batches);
+            return self.settle_materialized(result, None);
         }
         let (tx, rx) = sync_channel::<RowBatch>(compiled.workers * 2);
         let ctx = engine.launch_chains(
@@ -2002,7 +1999,7 @@ impl<'p> Pipeline<'p> {
             ChannelSink {
                 tx,
                 shared: Arc::clone(&engine.shared),
-                task: engine.task.clone(),
+                task: engine.task().clone(),
             },
         );
         self.state = RunState::Streaming(StreamingRoot {

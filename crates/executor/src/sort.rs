@@ -153,6 +153,8 @@ impl Merge {
 
 /// Rows in sort order, served a batch at a time.
 pub(crate) enum Sorted {
+    /// Batches already in order (a collected pipeline's), served as they are.
+    Batches(std::vec::IntoIter<Vec<Row>>),
     /// Sorted in memory, with the grant that holds them.
     Memory {
         rows: std::vec::IntoIter<Row>,
@@ -170,9 +172,15 @@ impl Sorted {
         }
     }
 
-    /// The next (at most `batch_size`) rows, or `None` once every row was served.
+    pub(crate) fn batches(batches: Vec<Vec<Row>>) -> Self {
+        Sorted::Batches(batches.into_iter())
+    }
+
+    /// The next (at most `batch_size`) rows, or `None` once every row was served;
+    /// ordered batches come as they are.
     pub(crate) fn next_batch(&mut self, batch_size: usize) -> Result<Option<Vec<Row>>, ExecError> {
         let out: Vec<Row> = match self {
+            Sorted::Batches(batches) => return Ok(batches.find(|batch| !batch.is_empty())),
             Sorted::Memory { rows, .. } => rows.by_ref().take(batch_size).collect(),
             Sorted::Merge(merge) => {
                 let mut out = Vec::new();
