@@ -159,8 +159,9 @@ impl Database {
         self.exec.priority = priority;
     }
 
-    /// Pin the executor worker-pool size for every statement this database runs
-    /// (`1` = always the single-threaded engine). `None` restores the default:
+    /// Pin the executor worker count for every statement this database runs (`1`
+    /// runs every pipeline on the coordinator's inline worker, without the worker
+    /// pool). `None` restores the default:
     /// the machine's available parallelism
     /// ([`reopt_executor::default_thread_count`]).
     pub fn set_threads(&mut self, threads: Option<usize>) {

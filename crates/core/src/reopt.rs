@@ -264,9 +264,9 @@ pub struct ReoptRound {
 pub struct ReoptReport {
     /// The name of the policy that drove the run ([`ReoptPolicy::name`]).
     pub policy: String,
-    /// The executor worker-pool size every run (detection, materialization and final)
-    /// used. `1` means the single-threaded engine; larger counts select the
-    /// morsel-driven parallel engine for every plan it supports.
+    /// The executor worker count every run (detection, materialization and final)
+    /// used. `1` runs every pipeline on the coordinator's inline worker; larger
+    /// counts run pipelines of at least two morsels on the worker pool.
     pub threads: usize,
     /// The rounds that were triggered (empty when the first plan was good enough).
     pub rounds: Vec<ReoptRound>,

@@ -1,4 +1,4 @@
-//! The aggregation kernel shared by both engines.
+//! The aggregation kernel.
 //!
 //! [`AggKernel::consume`] folds one batch into a [`GroupTable`] as the batch
 //! arrives: a column batch stays undecoded and a row batch is read in place. No
@@ -45,8 +45,7 @@ use std::sync::Arc;
 /// sequence)`. A morsel is processed in full by exactly one worker, whose sequence
 /// counter grows monotonically, so sorting by tag reproduces the global scan order
 /// regardless of which worker claimed which morsel. A group's tag is where it was
-/// first seen; the single-threaded engine passes morsel 0, so its tags are plain
-/// insertion order.
+/// first seen.
 pub(crate) type Tag = (usize, u64);
 
 /// One group: its key, one accumulator per aggregate, and its first-seen tag.
@@ -354,7 +353,7 @@ fn decode_accumulators(
         .ok_or_else(|| ExecError::Spill("truncated aggregate state record".into()))
 }
 
-/// The bound aggregation of one `Aggregate` plan node, shared by both engines.
+/// The bound aggregation of one `Aggregate` plan node, shared by every worker.
 #[derive(Debug)]
 pub(crate) struct AggKernel {
     group_exprs: Vec<Expr>,

@@ -1,16 +1,15 @@
-//! The streaming steps of both engines: filter, projection, the hash and
-//! nested-loop join probe, and the index nested-loop join probe.
+//! The streaming steps: filter, projection, the hash and nested-loop join probe,
+//! and the index nested-loop join probe.
 //!
 //! A [`Step`] is one streaming plan node, compiled once and read-only while it runs
-//! (the morsel engine's workers share one chain through an `Arc`). Whoever drives
-//! a step owns a [`StepState`]: the pushed input, the probe cursor, the pairs and
+//! (the workers of a pipeline share one chain through an `Arc`). Whoever drives a
+//! step owns a [`StepState`]: the pushed input, the probe cursor, the pairs and
 //! columns carried toward the next output batch, a mask cache and scratch rows. The
 //! caller pushes an input batch ([`Step::push`]) and takes output batches
 //! ([`Step::next`]) until the step needs more input; at the end of its input it
-//! takes the remainder ([`Step::flush`]). The single-threaded engine's operator
-//! shell pulls its child until the step yields, and the child's end is the end of
-//! input; the morsel engine drives a chain of steps per morsel, and the end of the
-//! morsel is the end of input.
+//! takes the remainder ([`Step::flush`]). The engine (`parallel.rs`) drives a chain
+//! of steps per worker: a one-thread run's input is the pipeline's whole source, a
+//! pool worker's each morsel.
 //!
 //! One batching rule per kind:
 //!
@@ -45,8 +44,8 @@ use reopt_storage::{ColumnBatch, Index, IndexKind, Row, Storage, Table};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Where a step's progress reports go: to the observer, synchronously, in the
-/// single-threaded engine; onto the coordinator's queue in the morsel engine.
+/// Where a step's progress reports go: onto the coordinator's queue, which
+/// delivers them to the observer.
 pub(crate) trait Events {
     /// Whether an observer is installed (no report is built otherwise).
     fn active(&self) -> bool;
@@ -98,7 +97,7 @@ enum Kind {
     },
 }
 
-/// One streaming plan node, compiled for both engines.
+/// One streaming plan node, compiled for every worker that drives it.
 pub(crate) struct Step {
     kind: Kind,
     /// The node's counters.

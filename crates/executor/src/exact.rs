@@ -7,9 +7,8 @@
 //! *exactly* — addition is plain integer addition, which is associative and
 //! commutative. The final [`ExactSum::to_f64`] rounds the true sum once
 //! (half-to-even), so the result is independent of summation order, partitioning
-//! and thread count: the morsel-parallel engine merging per-worker partials in
-//! any order produces the bit-identical value the single-threaded engine
-//! produces row by row. Non-finite inputs are tracked as flags (also
+//! and thread count: the engine merging per-worker partials in any order
+//! produces the bit-identical value one worker produces row by row. Non-finite inputs are tracked as flags (also
 //! order-independent): any NaN — or both +inf and -inf — makes the sum NaN,
 //! otherwise a single-signed infinity wins.
 //!

@@ -4,10 +4,10 @@
 //! `parallel.rs`, which runs every plan at every thread count: at one thread each
 //! pipeline of the plan runs on the coordinator's inline worker, with more on the
 //! resident worker pool. This module holds what the engine and its kernels share:
-//! the [`Batch`] shapes, the execution events an [`ExecutionObserver`] sees and the
+//! the `Batch` shapes, the execution events an [`ExecutionObserver`] sees and the
 //! [`BreakerState`] a suspended run surrenders, [`ExecConfig`], and the two read
-//! paths every access and join kernel binds through, [`TableRead`] (a narrowed
-//! base-table read) and [`JoinRows`] (a join's output layout and residual).
+//! paths every access and join kernel binds through, `TableRead` (a narrowed
+//! base-table read) and `JoinRows` (a join's output layout and residual).
 //!
 //! Batches flow in one of two shapes: **columnar** ([`ColumnBatch`], produced by
 //! sequential scans and preserved through filters and column-only projections,
@@ -51,10 +51,10 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 pub type RowBatch = Vec<Row>;
 
 /// A batch in one of its two shapes: columnar (scans, filters, column-only
-/// projections and index nested-loop joins keep typed vectors and dictionary codes)
-/// or row-major (other join outputs, breaker emissions, and fallback paths). Decoding `Cols -> Rows` happens only at
-/// the root exchange, where a breaker buffers rows ([`Metered::drain`]), and in
-/// operators without a columnar implementation; the aggregate reads both shapes.
+/// projections and the join kernels keep typed vectors and dictionary codes) or
+/// row-major (breaker emissions and fallback paths). Decoding `Cols -> Rows`
+/// happens only at the root exchange, where a sort buffers rows, and in kernels
+/// without a columnar implementation; the aggregate reads both shapes.
 pub(crate) enum Batch {
     /// Materialized rows.
     Rows(RowBatch),
@@ -327,8 +327,7 @@ pub struct BreakerState {
 }
 
 /// The thread count the executor uses when none is configured explicitly: the
-/// machine's available parallelism, looked up once per process. A value of 1 always
-/// selects the single-threaded engine.
+/// machine's available parallelism, looked up once per process.
 pub fn default_thread_count() -> usize {
     static MACHINE_PARALLELISM: OnceLock<usize> = OnceLock::new();
     *MACHINE_PARALLELISM.get_or_init(|| {
@@ -376,7 +375,8 @@ pub const DEFAULT_PRIORITY: u8 = 1;
 pub struct ExecConfig {
     /// Rows per batch (at least one).
     pub batch_size: usize,
-    /// Worker-pool size; 1 always selects the single-threaded engine.
+    /// Worker count: 1 runs every pipeline on the coordinator's inline worker, more
+    /// run pipelines of at least two morsels on the shared worker pool.
     pub threads: usize,
     /// Whether scans emit columnar batches and predicates use the mask kernels.
     pub columnar: bool,
@@ -458,9 +458,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Set the worker-pool size for morsel-driven parallel execution (clamped to at
-    /// least one). `threads == 1` always takes the single-threaded engine; with more
-    /// threads every plan runs on the worker pool.
+    /// Set the worker count of morsel-driven execution (clamped to at least one).
+    /// `threads == 1` runs every pipeline on the coordinator's inline worker, which
+    /// never touches the worker pool; with more threads, pipelines of at least two
+    /// morsels run on the pool.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads.max(1);
         self
@@ -571,8 +572,8 @@ pub(crate) fn lookup_table_arc(storage: &Storage, name: &str) -> Result<Arc<Tabl
         .map_err(|_| ExecError::TableNotFound(name.to_string()))
 }
 
-/// Resolve the sorted, deduplicated row-id list of an index lookup (shared by the
-/// single-threaded index-scan operator and the parallel engine's index-scan source).
+/// Resolve the sorted, deduplicated row-id list of an index lookup (an index-scan
+/// source).
 pub(crate) fn resolve_index_row_ids(index: &Index, lookup: &IndexLookup) -> Vec<usize> {
     let mut row_ids: Vec<usize> = match lookup {
         IndexLookup::Equality(value) => index.lookup(value).to_vec(),
@@ -811,7 +812,7 @@ impl TableRead {
 /// against `outer ++ inner` (the children carry every column it reads) and runs
 /// first, on a compact scratch row of just those columns; a pair that passes costs
 /// one allocation, its output row, filled through a column map from both sides.
-/// Every join of both engines lays out its output here: the columnar kernels read
+/// Every join lays out its output here: the columnar kernels read
 /// the column map and the residual through `index_nl::PairColumns`, and the
 /// index-NL row path builds its rows with [`JoinRows::join`].
 pub(crate) struct JoinRows {
@@ -1068,11 +1069,11 @@ mod tests {
             .unwrap()
     }
 
-    // This module is the single-threaded engine's battery, so every helper pins
-    // `with_threads(1)`: without the pin, `default_thread_count()` would silently
-    // route these tests through the parallel engine on multi-core hosts, losing
-    // the coverage. The parallel engine has its own battery in
-    // `crate::parallel::tests`, which pins 2/4/8 explicitly.
+    // This module is the one-thread battery, so every helper pins `with_threads(1)`:
+    // without the pin, `default_thread_count()` would silently route these tests
+    // through the worker pool on multi-core hosts, losing the coverage of the
+    // inline worker. The pool has its own battery in `crate::parallel::tests`,
+    // which pins 2/4/8 explicitly.
     fn run(sql: &str, storage: &Storage, catalog: &Catalog) -> ExecutionResult {
         let planned = plan(sql, storage, catalog);
         Executor::new(storage)

@@ -1,4 +1,4 @@
-//! The hash join kernel of both engines; a plain nested-loop join is its zero-key case.
+//! The hash join kernel; a plain nested-loop join is its zero-key case.
 //!
 //! A [`JoinTable`] holds a join's build side as columns: every build batch is
 //! appended to one [`ColumnBatch`] as it arrives (a row batch enters as exact-value
@@ -22,12 +22,12 @@
 //! [`JoinKernel::gather`] then gathers the output columns by row id from the probe
 //! batch and the build's columns. No `Row`, key vector or hash of a `Value` is made
 //! per build, probe or output row of an int key; the aggregate above reads the
-//! gathered columns in place. The one streaming step of both engines (`chain.rs`)
-//! drives both calls through the same emit loop as an index nested-loop join; each
-//! engine keeps its own build, breaker events and memory accounting.
+//! gathered columns in place. The streaming step (`chain.rs`) drives both calls
+//! through the same emit loop as an index nested-loop join; the engine's build
+//! sink keeps the build, its breaker event and its memory accounting.
 //!
 //! A hash build whose grant is denied goes out of core through [`GraceJoin`],
-//! grace-hash partitioning that both engines drive the same way: write the build
+//! grace-hash partitioning that the engine drives in one order: write the build
 //! rows, seal, write the probe rows, seal, then load each partition block into a
 //! join table and probe it with the same kernel. The spill files hold rows: a
 //! column batch is encoded row by row straight from its columns
@@ -646,7 +646,7 @@ mod tests {
     //! The kernel against brute force: a nested loop over the two row lists, with the
     //! key comparison and the residual written as Rust closures, so nothing here
     //! shares code with the kernel it checks. The kernel runs through the streaming
-    //! step both engines drive (`chain.rs`), whose emit loop batches its pairs.
+    //! step (`chain.rs`), whose emit loop batches its pairs.
 
     use super::*;
     use crate::chain::{Built, Events, Step};

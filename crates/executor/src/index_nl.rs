@@ -1,4 +1,4 @@
-//! The index nested-loop join kernel of both engines, and the pair machinery it
+//! The index nested-loop join kernel, and the pair machinery it
 //! shares with the hash join kernel (`hash_join.rs`).
 //!
 //! An index-NL join probes the inner table's index once per outer row and emits one

@@ -1,22 +1,20 @@
-//! What both engines record while they run, and the one place it is recorded:
+//! What the engine records while it runs, and the one place it is recorded:
 //! a counter node per plan node ([`OpStats`], in a [`StatsNode`] tree shaped like
 //! the plan), its assembly into the public [`MetricsNode`] tree, the rows and
 //! bytes breakers buffer ([`Buffered`]), the progress reports of streaming joins
 //! ([`Progress`]), and the stop an observer's decision asks for ([`observe`]).
 //!
-//! Each field of [`OperatorMetrics`] means the same in both engines:
+//! Each field of [`OperatorMetrics`] means the same at every thread count:
 //!
 //! * `actual_rows` and `batches` count the node's output. A streaming step counts
-//!   its own batches in both engines (`chain.rs`); a LIMIT counts each input batch
-//!   it takes rows from, and an aggregate or sort each batch it hands over. The
-//!   morsel engine ends a step's input at each morsel's end, so a join there
-//!   counts at most one partial batch more per morsel.
-//! * `elapsed` is the time spent in the node's own code. The single-threaded
-//!   engine's operator wrapper takes off the time its children's pulls took
-//!   inside the same pull; the morsel engine times each source, chain step and
-//!   merge on its own, and a sink charges its consume time to the breaker it
-//!   feeds (a join's build, an aggregate). Worker times add up, so a morsel-engine
-//!   node can report more than wall-clock time.
+//!   its own batches (`chain.rs`); a LIMIT counts each input batch it takes rows
+//!   from, and an aggregate or sort each batch it hands over. A pool worker ends a
+//!   step's input at each morsel's end, so a join there counts at most one partial
+//!   batch more per morsel than a one-thread run, whose input is the whole source.
+//! * `elapsed` is the time spent in the node's own code: the engine times each
+//!   source, chain step and merge on its own, and a sink charges its consume time
+//!   to the breaker it feeds (a join's build, an aggregate). Worker times add up,
+//!   so on the pool a node can report more than wall-clock time.
 //! * `exhausted` holds when the node ran to completion and so did its whole
 //!   subtree. A count cut short, by a LIMIT above it or by a suspension, is never
 //!   read as a true cardinality.
@@ -176,7 +174,7 @@ impl StatsNode {
     }
 }
 
-/// The progress reports of one streaming join, in both engines: every
+/// The progress reports of one streaming join: every
 /// [`PROGRESS_INTERVAL`] output batches the rows produced so far (a lower bound),
 /// and for an index nested-loop join one exact report once its outer side is
 /// drained, the earliest true cardinality a pipeline without a breaker yields.

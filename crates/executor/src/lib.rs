@@ -3,21 +3,27 @@
 //! Pipelined, vectorized execution of physical plans with EXPLAIN ANALYZE style
 //! instrumentation.
 //!
-//! Operators are *pull-based batch iterators*: every plan node becomes an operator
-//! producing fixed-size batches ([`exec::DEFAULT_BATCH_SIZE`] rows by default,
-//! configurable via [`Executor::with_batch_size`]). Internally a batch is either
-//! columnar — typed column slices over the table's storage, on which scan and filter
-//! kernels run tight vectorized loops (dictionary codes compare as integers) — or a
-//! row batch; columnar batches are decoded to rows at the root seam, at breaker
-//! materialization points, and in front of row-only operators, so the public
+//! One engine runs every plan: a morsel-driven one (`parallel.rs`). A plan is
+//! decomposed into *pipelines* at its breakers, each pipeline's driving source is
+//! cut into morsels, and each morsel runs through the pipeline's chain of
+//! streaming steps (`chain.rs`) into its sink. At one thread
+//! ([`Executor::with_threads`]) every pipeline runs on the coordinator's inline
+//! worker, which takes the whole source as one input; with more, on the resident
+//! [`WorkerPool`]. Batches are fixed-size ([`exec::DEFAULT_BATCH_SIZE`] rows by
+//! default, [`Executor::with_batch_size`]). Internally a batch is either columnar —
+//! typed column slices over the table's storage, on which scan and filter kernels
+//! run tight vectorized loops (dictionary codes compare as integers) — or a row
+//! batch; columnar batches are decoded to rows at the root seam, at breaker
+//! materialization points, and in front of row-only kernels, so the public
 //! `next_batch() -> Option<RowBatch>` contract is unchanged (see
-//! [`Executor::with_columnar`], the kill switch). Memory is
-//! bounded to one in-flight batch per streaming operator plus the buffers of
-//! *pipeline breakers* — the build side of a hash join, the inner side of a
-//! nested-loop join, aggregate group states and sort buffers. The rows and bytes held by breakers are tracked and surfaced as
-//! [`ExecutionResult::peak_buffered_rows`] / `peak_buffered_bytes`, which is what
-//! lets the many-to-many JOB join graphs (tens of millions of intermediate rows)
-//! execute in bounded memory instead of materializing every intermediate.
+//! [`Executor::with_columnar`], the kill switch). Memory is bounded to one
+//! in-flight batch per streaming step plus the buffers of *pipeline breakers* —
+//! the build side of a hash join, the inner side of a nested-loop join, aggregate
+//! group states and sort buffers. The rows and bytes held by breakers are tracked
+//! and surfaced as [`ExecutionResult::peak_buffered_rows`] / `peak_buffered_bytes`,
+//! which is what lets the many-to-many JOB join graphs (tens of millions of
+//! intermediate rows) execute in bounded memory instead of materializing every
+//! intermediate.
 //!
 //! The batch seam doubles as a suspend/resume point: [`Executor::open`] returns a
 //! [`Pipeline`] that can be pulled one batch at a time, which is the hook a mid-query
@@ -38,8 +44,8 @@
 //! Every executed node produces an [`OperatorMetrics`] record with the estimated and
 //! actual output cardinality, the number of batches, and the time spent in its own
 //! code (excluding children) — the information the paper extracts from `EXPLAIN
-//! ANALYZE` to drive re-optimization. Both engines record it through one module, so
-//! each field means the same whichever engine ran the plan.
+//! ANALYZE` to drive re-optimization, recorded through one module (`instrument.rs`)
+//! at every thread count.
 
 // The independent reference evaluator of the test tree names this crate as the
 // integration tests do.

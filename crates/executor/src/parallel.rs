@@ -1,4 +1,4 @@
-//! Morsel-driven parallel execution.
+//! The execution engine: morsel-driven, at every thread count.
 //!
 //! The plan is decomposed into *pipelines* at pipeline-breaker seams, exactly the
 //! decomposition HyPer-style morsel-driven schedulers use: the build side of every
@@ -10,100 +10,105 @@
 //!
 //! Within one pipeline the driving source (a table heap, an index-scan row-id list, or
 //! a materialized breaker output) is split into **morsels** — runs of
-//! [`MORSEL_BATCHES`] batches — claimed through an atomic work-stealing cursor by
-//! *chain jobs* running on the process-wide resident [`WorkerPool`]: each query
-//! registers as a pool task, and each chain job processes one morsel then re-enqueues
-//! itself at the back of its task's queue, so concurrent queries interleave at morsel
-//! granularity under the pool's priority + round-robin discipline (see
-//! [`crate::pool`]). A chain job pushes its morsel, a batch at a time, through the
-//! pipeline's chain of streaming steps — the same `chain.rs` steps the
-//! single-threaded engine runs (filters, projections, hash and nested-loop probes
-//! against a shared immutable join table, index-NL probes against shared storage),
-//! each worker with its own step states — and the end of the morsel is the end of
-//! the steps' input, so a join carries rows across the morsel's batches and emits
-//! the remainder there. Every batch a step yields goes down the chain at once, so
-//! no fan-out is held in memory beyond one batch per step. The chain feeds the
-//! pipeline sink:
+//! [`MORSEL_BATCHES`] batches — and each morsel is pushed, a batch at a time, through
+//! the pipeline's chain of streaming steps (`chain.rs`: filters, projections, hash
+//! and nested-loop probes against a shared immutable join table, index-NL probes
+//! against shared storage). Every batch a step yields goes down the chain at once,
+//! so no fan-out is held in memory beyond one batch per step.
 //!
-//! * **streaming roots** exchange row batches through a *bounded* channel that stays
-//!   live across `next_batch` pulls — the pool keeps producing (up to the channel
-//!   bound) while the client consumes, instead of buffering the whole root result
-//!   in the first pull;
+//! Who runs the morsels:
+//!
+//! * **one thread**: the coordinator's *inline worker* runs every pipeline, taking
+//!   the whole source as one input, as a morsel-driven engine runs one worker (Leis
+//!   et al., SIGMOD 2014). Its step states carry across morsels, so a join fills
+//!   every batch but its last, and once the source ran out the chain ends once,
+//!   source-up: at each step an index-NL join sends its exact report, the step's
+//!   remainder goes down the chain, and the step is marked exhausted. Registered
+//!   join builds run root-down, as a pull-based run reaches them. A run that never
+//!   launches chain jobs never registers with the pool;
+//! * **more threads**: *chain jobs* on the process-wide resident [`WorkerPool`]
+//!   claim morsels through an atomic work-stealing cursor. Each query registers as
+//!   a pool task, and each chain job processes one morsel then re-enqueues itself at
+//!   the back of its task's queue, so concurrent queries interleave at morsel
+//!   granularity under the pool's priority + round-robin discipline (see
+//!   [`crate::pool`]). Each worker has its own step states, and the end of a morsel
+//!   is the end of the steps' input; a pipeline ends once every worker retired
+//!   (`Engine::finish_pipeline`). Builds run innermost-first. A source smaller
+//!   than two morsels runs on the inline worker, morsel by morsel, so tiny
+//!   dimension-table builds never pay the pool.
+//!
+//! The chain feeds the pipeline sink:
+//!
+//! * **streaming roots** on the pool exchange row batches through a *bounded*
+//!   channel that stays live across `next_batch` pulls — the pool keeps producing
+//!   (up to the channel bound) while the client consumes; an inline root collects
+//!   its batches and serves them in order;
 //! * **collection sinks** (sort inputs, small or spilled streaming roots) keep each
 //!   worker's batches with their `(morsel, sequence)` tags, reassembled in tag order;
 //! * **join build sinks** buffer each worker's rows with their tags; once every
 //!   worker finished, the coordinator inserts them in tag order into one join table
-//!   (`hash_join.rs`), the single-threaded build's order, so probe fan-out order and
-//!   extracted breaker-state rows are the same at every thread count. A hash build
-//!   reserves its bytes against the governor; a nested-loop inner (a join table on
-//!   zero keys) reserves nothing;
-//! * **aggregation sinks** fold their batches with the same aggregation kernel as
-//!   the single-threaded engine into per-worker group tables, merged by the
-//!   coordinator at the breaker. Accumulator merging is *exact* for every
-//!   aggregate — SUM/AVG accumulate float terms into a fixed-point
-//!   superaccumulator ([`crate::exact::ExactSum`]) and integer terms into an `i128`,
-//!   and round once at emission — and groups are emitted in first-seen
-//!   `(morsel, sequence)` order, so results are bit-identical across runs, thread
-//!   counts and merge orders;
+//!   (`hash_join.rs`), so probe fan-out order and extracted breaker-state rows are
+//!   the same at every thread count. A hash build reserves its bytes against the
+//!   governor, and the table's grant lives as long as the step that probes it; a
+//!   nested-loop inner (a join table on zero keys) reserves nothing;
+//! * **aggregation sinks** fold their batches with the aggregation kernel into
+//!   per-worker group tables, merged by the coordinator at the breaker.
+//!   Accumulator merging is *exact* for every aggregate — SUM/AVG accumulate float
+//!   terms into a fixed-point superaccumulator ([`crate::exact::ExactSum`]) and
+//!   integer terms into an `i128`, and round once at emission — and groups are
+//!   emitted in first-seen `(morsel, sequence)` order, so results are bit-identical
+//!   across runs, thread counts and merge orders;
 //! * **LIMIT roots** use a morsel-ordered exchange: workers tag batches with their
 //!   morsel index and the coordinator reassembles them in morsel order, quiescing
 //!   the query through the per-query quiesce flag the moment the limit is
-//!   satisfied — output is run-identical to the single-threaded engine.
-//!
-//! Pipelines whose source is smaller than two morsels run *inline* on the coordinator
-//! through the same chain/sink code, so tiny dimension-table builds never pay thread
-//! spawn latency.
+//!   satisfied — output is run-identical at every thread count.
 //!
 //! # Out of core
 //!
-//! Under a memory budget the engine spills in place, through the same kernels as
-//! the single-threaded engine. A denied grant first reports memory pressure: inline
-//! and on the coordinator the event is delivered before the kernel spills, so a
-//! suspending observer stops the run before anything is written; a pool worker
-//! waits (bounded) until the coordinator took the event off the queue, and a file
-//! it writes while the decision is in flight goes with the stopped run. Then a
-//! denied build worker starts the join's grace-hash partitioning (`GraceJoin`) and
-//! every worker writes its rows there; the probe step of a spilled join partitions
-//! its probe rows, and after the main pass the coordinator drives the same step over
-//! the partitions and pushes each output batch down the chain above the join into
-//! the same sink, as one more morsel. A denied aggregation worker flushes its
-//! group table as a key-sorted run for the coordinator's merge, and the coordinator
-//! runs the sort (`SortBuffer`).
+//! Under a memory budget the engine spills in place, through the kernels. A denied
+//! grant first reports memory pressure: inline and on the coordinator the event is
+//! delivered before the kernel spills, so a suspending observer stops the run
+//! before anything is written; a pool worker waits (bounded) until the coordinator
+//! took the event off the queue, and a file it writes while the decision is in
+//! flight goes with the stopped run. Then a denied build worker starts the join's
+//! grace-hash partitioning (`GraceJoin`), and every later build batch goes there;
+//! the probe step of a spilled join partitions its probe rows, and once its input
+//! ended the same step joins the partitions and pushes each output batch down the
+//! chain above the join into the same sink (on the pool the coordinator does this
+//! after the main pass, as one more morsel). A denied aggregation worker flushes
+//! its group table as a key-sorted run for the coordinator's merge, and the
+//! coordinator runs the sort (`SortBuffer`).
 //!
-//! # The observer contract under parallelism
+//! # The observer contract
 //!
 //! The installed [`ExecutionObserver`](crate::exec::ExecutionObserver) is only ever
 //! invoked from the coordinator thread (observers are deliberately not `Send`). Events
 //! funnel to it in a defined order:
 //!
-//! * workers enqueue [`ProgressEvent`](crate::ProgressEvent)s into a mutex-ordered
+//! * steps enqueue [`ProgressEvent`](crate::ProgressEvent)s into a mutex-ordered
 //!   queue (snapshots are taken under the queue lock, so produced-row counts are
-//!   monotonic in delivery order) and wait (bounded) after each batch until the
-//!   coordinator delivered them, so a suspension stops a worker within a batch;
+//!   monotonic in delivery order); the inline worker delivers them after every
+//!   batch a step yields, and a pool worker waits (bounded) after each batch until
+//!   the coordinator delivered them, so a suspension stops a worker within a batch;
 //! * the coordinator drains that queue — in queue order — before delivering any
 //!   coordinator-generated event, and emits exactly one [`BreakerEvent`] per breaker,
-//!   carrying worker-aggregated actual rows, when the merge step completes;
-//! * breaker events therefore arrive innermost-first, exactly as in single-threaded
-//!   execution.
+//!   carrying worker-aggregated actual rows, when the merge step completes.
 //!
-//! A `Suspend` decision sets the *query's own* quiesce flag; its chain jobs observe it
-//! on the next batch boundary and retire, the coordinator waits for its gate, and the
-//! pipeline reports
+//! A `Suspend` decision sets the *query's own* quiesce flag; its workers observe it
+//! on the next batch boundary and retire, and the pipeline reports
 //! [`ExecError::Suspended`] with every *completed* build retained so
-//! [`Pipeline::take_breaker_states`](crate::exec::Pipeline::take_breaker_states) still
-//! extracts reusable state — mid-query re-optimization works unchanged at
-//! `threads > 1`. `SuspendAtRootSeam` also quiesces, but the first already-produced
-//! root batch is delivered before the next pull reports `Suspended`.
+//! [`Pipeline::take_breaker_states`] still extracts reusable state, innermost first.
+//! `SuspendAtRootSeam` also quiesces, but the first already-produced root batch is
+//! delivered before the next pull reports `Suspended`.
 //!
-//! Per-operator metrics are recorded on the same counter tree as the
-//! single-threaded engine's (the `instrument` module), with the same meaning for
-//! every field: workers add to a node's rows, batches and own time (so `elapsed`
-//! can exceed wall clock), a sink charges its consume time to the breaker it feeds,
-//! an aggregate or sort counts the batches it hands over, and a node is exhausted
-//! only when its whole pipeline, and so its whole subtree, ran to completion. A
-//! streaming step counts at most one batch more per morsel than in the
-//! single-threaded engine (its partial batch at the morsel's end). Buffered rows
-//! are tracked through one shared atomic high-water mark.
+//! Per-operator metrics are recorded on one counter tree (the `instrument`
+//! module): workers add to a node's rows, batches and own time (so `elapsed` can
+//! exceed wall clock), a sink charges its consume time to the breaker it feeds, an
+//! aggregate or sort counts the batches it hands over, and a node is exhausted
+//! only when it and its whole subtree ran to completion. On the pool a streaming
+//! step counts at most one batch more per morsel than a one-thread run (its
+//! partial batch at the morsel's end). Buffered rows are tracked through one
+//! shared atomic high-water mark.
 //!
 //! # Lazy build scheduling
 //!
@@ -111,10 +116,8 @@
 //! nested-loop-inner pipelines, which in turn depend on whatever breakers feed
 //! *them*. `Engine::compile` walks the probe spine collecting the chain steps and
 //! **registering** build pipelines without executing them; builds run only after the
-//! spine's own source is runnable, innermost-first, with a stop check between each —
-//! so a suspension decision taken on an inner breaker (the common mid-query
-//! re-optimization case) skips every outer build the re-plan is about to discard
-//! instead of paying for it eagerly. [`lazy_builds_planned_total`] /
+//! spine's own source is runnable, with a stop check between each, so a suspension
+//! skips every build not yet started. [`lazy_builds_planned_total`] /
 //! [`lazy_builds_started_total`] count registered vs actually-started builds
 //! process-wide.
 //!
@@ -150,7 +153,7 @@ use std::time::{Duration, Instant};
 /// run of this many batches of the pipeline's driving source.
 pub const MORSEL_BATCHES: usize = 4;
 
-/// Always 0: no plan falls back to the single-threaded engine any more, so nothing
+/// Always 0: there is one engine, so no plan falls back to another and nothing
 /// counts fallbacks. The function stays only because the benchmark package
 /// (`benchmark/src/run.rs`) still reports it as a metric; the next change allowed
 /// to edit `benchmark/` removes both.
@@ -250,9 +253,9 @@ impl Shared {
     }
 
     /// Worker-side backpressure behind the observer: yield (bounded) until the
-    /// coordinator drained the event queue. The single-threaded engine dispatches
-    /// events synchronously from inside the producing operator; this approximates
-    /// that under parallelism, so a suspension decision stops the pool after at most
+    /// coordinator drained the event queue. The inline worker delivers events after
+    /// every batch a step yields; this approximates that under parallelism, so a
+    /// suspension decision stops the pool after at most
     /// one in-flight step per worker instead of however much work the pool can race
     /// through while the coordinator thread waits for CPU (which on few-core hosts
     /// can be milliseconds).
@@ -386,8 +389,8 @@ impl Source {
 // ---------------------------------------------------------------------------
 
 /// Per-worker partial state of a join build sink: batches tagged with their
-/// `(morsel, sequence)` position, so the merge step appends them in the
-/// single-threaded build's order, and their grant.
+/// `(morsel, sequence)` position, so the merge step appends them in scan order, and
+/// their grant.
 struct BuildLocal {
     batches: Vec<(Tag, Batch)>,
     seq: u64,
@@ -441,8 +444,8 @@ impl<'p> Engine<'p> {
     }
 
     /// Drain worker-enqueued events into the observer, in queue order. After a
-    /// suspension decision the rest of the queue is discarded (matching the
-    /// single-threaded contract: a suspended pipeline delivers no further events).
+    /// suspension decision the rest of the queue is discarded (a suspended pipeline
+    /// delivers no further events).
     fn pump_events(&self) {
         if !self.shared.observer_active {
             return;
@@ -543,8 +546,8 @@ impl<'p> Engine<'p> {
         }
         // Locals arrive in worker completion order, which is safe: every accumulator
         // merges exactly (`crate::exact`). Groups come in first-seen `(morsel,
-        // sequence)` order, the single-threaded engine's, or in key order once
-        // merged from spilled runs, as there.
+        // sequence)` order, one worker's insertion order, or in key order once
+        // merged from spilled runs.
         if !spec.kernel.grouped() {
             self.shared.buffered.acquire(1, 8);
         }
@@ -637,7 +640,7 @@ impl<'p> Engine<'p> {
             grant.absorb(local.grant);
         }
         // Tag order is the global scan order: the table (its probe fan-out order and
-        // its extracted rows) is the single-threaded build's, at any thread count.
+        // its extracted rows) is the same at any thread count.
         batches.sort_unstable_by_key(|(tag, _)| *tag);
         let batches = batches.into_iter().map(|(_, batch)| batch);
         let (built, actual_rows) = match spilled {
@@ -679,12 +682,11 @@ impl<'p> Engine<'p> {
     }
 
     /// Execute a LIMIT-rooted plan: its child's first `count` rows, from the
-    /// morsel-ordered exchange of [`Engine::limit_stream`]. Output is run-identical
-    /// to the single-threaded engine, which truncates the same scan-ordered stream,
-    /// and so are the counts: the LIMIT counts each input batch it takes rows from as
-    /// one output batch, and an aggregate or sort below it (the chain's source)
-    /// counts only the batches it handed over, as in the single-threaded `LimitOp`,
-    /// which stops pulling once it has `count` rows.
+    /// morsel-ordered exchange of [`Engine::limit_stream`]. Output is the same
+    /// scan-ordered prefix at every thread count, and so are the counts: the LIMIT
+    /// counts each input batch it takes rows from as one output batch, and an
+    /// aggregate or sort below it (the chain's source) counts only the batches it
+    /// handed over before the LIMIT was satisfied.
     fn eval_limit(
         &mut self,
         plan: &'p PhysicalPlan,
@@ -1743,8 +1745,7 @@ struct LimitMsg {
 }
 
 /// Hand `batch` to a LIMIT that holds `out` and stops at `count` rows: it takes what
-/// fits and counts what it took as one output batch on its `node`, as the
-/// single-threaded `LimitOp` returns each input batch, truncated.
+/// fits and counts what it took as one output batch on its `node`.
 fn limit_take(out: &mut Vec<Row>, batch: RowBatch, count: usize, node: &OpStats) {
     let room = count.saturating_sub(out.len());
     node.count(batch.len().min(room));
@@ -2011,8 +2012,8 @@ impl<'p> Pipeline<'p> {
         Ok(())
     }
 
-    /// Resolve a materialized run result into the serving/suspended/poisoned state,
-    /// mirroring the single-threaded suspension contract. `node` is a breaker
+    /// Resolve a materialized run result into the serving/suspended/poisoned state.
+    /// `node` is a breaker
     /// root's, which counts the batches served.
     fn settle_materialized(
         &mut self,
@@ -2046,8 +2047,7 @@ impl<'p> Pipeline<'p> {
         self.breaker_states = states;
         match stop {
             Some(Stop::Now) => {
-                // In-flight output is discarded, exactly like a mid-pull suspension
-                // of the single-threaded root.
+                // In-flight output is discarded.
                 self.state = RunState::Suspended;
                 Err(ExecError::Suspended)
             }
@@ -2498,7 +2498,7 @@ mod tests {
     #[test]
     fn metrics_mean_the_same_on_both_engines() {
         let (storage, catalog) = build_env();
-        // 240 titles of 12k match, so the LIMIT stops its scan early on both engines.
+        // 240 titles of 12k match, so the LIMIT stops its scan early at both counts.
         let limited = "SELECT t.id AS id FROM title AS t WHERE t.production_year = 1973 LIMIT 5";
         // The LIMIT stops pulling the sort, so the sort is not exhausted.
         let sorted = "SELECT t.id AS id FROM title AS t ORDER BY id DESC LIMIT 7";
@@ -2665,8 +2665,8 @@ mod tests {
             times[1]
         };
         let (single, morsel) = (aggregate_time(1), aggregate_time(4));
-        // Folding 200k rows is the aggregate's work on both engines; the morsel
-        // engine's workers charge it from their sinks.
+        // Folding 200k rows is the aggregate's work at both thread counts; the
+        // pool's workers charge it from their sinks.
         assert!(
             morsel * 10 >= single,
             "aggregate time: {morsel:?} at 4 threads against {single:?} at 1"
@@ -2994,7 +2994,7 @@ mod tests {
         let (storage, catalog) = build_env();
         for sql in [
             // Order-insensitive shapes: parallel truncation must still pick the
-            // same (scan-order) prefix as the single-threaded engine.
+            // same (scan-order) prefix as one thread.
             "SELECT t.id AS id FROM title AS t LIMIT 10",
             "SELECT t.id AS id, t.title AS name FROM title AS t
              WHERE t.production_year >= 1990 LIMIT 257",

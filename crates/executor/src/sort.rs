@@ -1,4 +1,4 @@
-//! The sort kernel of both engines, and the sorted runs every out-of-core
+//! The sort kernel, and the sorted runs every out-of-core
 //! breaker but the hash join spills through.
 //!
 //! [`SortBuffer`] buffers keyed rows against a memory grant. While the grant

@@ -8,7 +8,7 @@
 //! sessions connected before or after the change all reserve against the same
 //! counters.
 //!
-//! The out-of-core strategies live in the kernels both engines call: grace-hash
+//! The out-of-core strategies live in the kernels: grace-hash
 //! partitioning in `hash_join.rs`, sorted group runs in `agg.rs`, and the run
 //! writer, k-way merge and external sort in `sort.rs`. When a reservation is
 //! denied, a kernel does **not** immediately spill: it first reports memory

@@ -212,8 +212,7 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
     db.set_columnar(Some(false));
     let queries = job_queries();
     let mut failures = Vec::new();
-    // One pass on the single-threaded engine and one on the morsel engine, which
-    // spills in place.
+    // One pass on the inline worker of a one-thread run and one on the pool.
     for threads in [1, 2] {
         budget_pass(&mut db, &queries, threads, &mut failures);
     }

@@ -13,8 +13,8 @@ use reopt_repro::workload::{load_imdb, ImdbConfig};
 
 /// Every node of every JOB plan, on both benchmark data seeds: access paths and joins
 /// output exactly the columns visible at their relation set, and every expression of
-/// every operator binds against its inputs (opening a single-threaded pipeline binds
-/// them all without running anything).
+/// every operator binds against its inputs (a one-thread run binds them all as it
+/// compiles each pipeline, so every plan runs).
 #[test]
 fn every_job_plan_node_carries_exactly_its_visible_columns() {
     for data_seed in [42, 7] {
@@ -54,7 +54,7 @@ fn every_job_plan_node_carries_exactly_its_visible_columns() {
             assert!(root_join <= planned.spec.output.len(), "{}", query.id);
             Executor::new(db.storage())
                 .with_threads(1)
-                .open(&planned.plan)
+                .execute(&planned.plan)
                 .unwrap_or_else(|e| panic!("{} (data seed {data_seed}): {e}", query.id));
         }
     }
