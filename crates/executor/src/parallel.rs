@@ -618,6 +618,12 @@ impl<'p> Engine<'p> {
         };
         let compiled = Arc::new(self.compile(plan, stats)?);
         let grace = Arc::new(Mutex::new(None));
+        // The inline worker's batches arrive in scan order: they go straight into a
+        // table of their own instead of waiting for the merge beside it.
+        let inline = (compiled.workers <= 1)
+            .then(|| step.build_table())
+            .flatten()
+            .map(|(table, _)| Arc::new(Mutex::new(table)));
         let factory = BuildSinkFactory {
             kind,
             shared: Arc::clone(&self.shared),
@@ -625,6 +631,7 @@ impl<'p> Engine<'p> {
             keys: table.keys().to_vec(),
             grace: Arc::clone(&grace),
             spilled: Arc::default(),
+            inline: inline.clone(),
             join: Arc::clone(join_stats),
         };
         let locals = self.execute_pipeline(&compiled, factory)?;
@@ -632,6 +639,9 @@ impl<'p> Engine<'p> {
             return Ok(());
         }
         let merge_start = Instant::now();
+        if let Some(inline) = inline {
+            table.append(Batch::Cols(lock(&inline)?.take()));
+        }
         let spilled = lock(&grace)?.take();
         let mut batches: Vec<(Tag, Batch)> = Vec::new();
         let mut grant = self.shared.config.governor.reservation();
@@ -1618,6 +1628,8 @@ struct BuildSinkFactory {
     grace: Arc<Mutex<Option<GraceJoin>>>,
     /// Set once `grace` holds the partitions.
     spilled: Arc<AtomicBool>,
+    /// The table the inline worker appends to as batches come.
+    inline: Option<Arc<Mutex<JoinTable>>>,
     /// The join node: its build's consume time and spill volume.
     join: Arc<OpStats>,
 }
@@ -1648,8 +1660,13 @@ impl SinkFactory for BuildSinkFactory {
         let spilled = self.spilled.load(Ordering::SeqCst);
         if !spilled && (self.kind == BreakerKind::NestedLoopInner || local.grant.grow(bytes)) {
             self.shared.buffered.acquire(batch.len() as u64, bytes);
-            local.batches.push(((morsel, local.seq), batch));
-            local.seq += 1;
+            match &self.inline {
+                Some(table) => lock(table)?.append(batch),
+                None => {
+                    local.batches.push(((morsel, local.seq), batch));
+                    local.seq += 1;
+                }
+            }
             return Ok(());
         }
         let mut grace = lock(&self.grace)?;
@@ -1662,6 +1679,9 @@ impl SinkFactory for BuildSinkFactory {
                 slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
             }
         };
+        if let Some(table) = &self.inline {
+            grace.write_build(Batch::Cols(lock(table)?.take()), &self.keys)?;
+        }
         for (_, buffered) in local.batches.drain(..) {
             grace.write_build(buffered, &self.keys)?;
         }
