@@ -647,7 +647,10 @@ impl<'p> Engine<'p> {
         let mut grant = self.shared.config.governor.reservation();
         for local in locals {
             batches.extend(local.batches);
-            grant.absorb(local.grant);
+            // A spilled build's batches go to the partitions: their grants go.
+            if spilled.is_none() {
+                grant.absorb(local.grant);
+            }
         }
         // Tag order is the global scan order: the table (its probe fan-out order and
         // its extracted rows) is the same at any thread count.
@@ -856,8 +859,7 @@ impl<'p> Engine<'p> {
         // A truncated limit leaves the child pipeline non-exhausted (the quiesce
         // flag is set, skipping `finish_pipeline`); a naturally drained child under
         // the limit is marked exhausted as usual (by a one-thread run as it ends).
-        let ended = self.shared.one_input();
-        if !ended && !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
+        if !self.shared.one_input() && !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
             self.finish_pipeline(compiled)?;
         }
         Ok(out)
@@ -1376,6 +1378,7 @@ fn end_chain(
         stats.finish();
     }
     let mut grant = shared.config.governor.reservation();
+    let stopped = || shared.quiesce.load(Ordering::SeqCst);
     let steps = &compiled.steps;
     for at in 0..steps.len() {
         let (Some((step, rest)), Some((state, rest_states))) =
@@ -1389,16 +1392,16 @@ fn end_chain(
             };
             pass_on(step, state, (rest, rest_states), shared, sink, pump, joined)?;
         }
-        if shared.quiesce.load(Ordering::SeqCst) {
+        if stopped() {
             return Ok(());
         }
         step.end(state.pending(), shared)?;
         pump();
-        if shared.quiesce.load(Ordering::SeqCst) {
+        if stopped() {
             return Ok(());
         }
         pass_on(step, state, (rest, rest_states), shared, sink, pump, Step::flush)?;
-        if shared.quiesce.load(Ordering::SeqCst) {
+        if stopped() {
             return Ok(());
         }
         step.stats.finish();
