@@ -437,7 +437,7 @@ impl Step {
     }
 
     /// Count an output batch on the step's node and send the progress report it is
-    /// due. A suspension discards the batch, so its count is taken back.
+    /// due.
     fn emit(&self, out: Option<Batch>, events: &dyn Events) -> Result<Option<Batch>, ExecError> {
         let Some(batch) = out else {
             return Ok(None);
@@ -445,10 +445,7 @@ impl Step {
         let batches = self.stats.count(batch.len());
         if let Some(progress) = &self.progress {
             if events.active() && Progress::due(batches) {
-                if let Err(error) = events.send(&|| progress.periodic(self.stats.rows(), batches)) {
-                    self.stats.discount(batch.len());
-                    return Err(error);
-                }
+                events.send(&|| progress.periodic(self.stats.rows(), batches))?;
             }
         }
         Ok(Some(batch))

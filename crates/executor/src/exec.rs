@@ -1729,11 +1729,12 @@ mod tests {
             .open_observed(&planned.plan, Some(observer.clone() as ObserverHandle))
             .unwrap();
 
-        // The inline worker runs the root on the first pull, up to the join's first
-        // report (its PROGRESS_INTERVAL-th output batch), and delivers one batch.
-        let batch = pipeline.next_batch().unwrap();
-        assert_eq!(batch.map(|b| b.len()), Some(2), "the pull delivers its batch");
-        assert!(!pipeline.is_suspended(), "suspension waits for the seam");
+        // The join's first report falls on its PROGRESS_INTERVAL-th output batch.
+        for pull in 1..=crate::PROGRESS_INTERVAL {
+            let batch = pipeline.next_batch().unwrap();
+            assert_eq!(batch.map(|b| b.len()), Some(2), "pull {pull} delivers its batch");
+            assert!(!pipeline.is_suspended(), "suspension waits for the seam");
+        }
         assert_eq!(observer.borrow().events.len(), 1, "the report armed the seam");
         assert_eq!(pipeline.next_batch().unwrap_err(), ExecError::Suspended);
         assert!(pipeline.is_suspended());

@@ -95,12 +95,6 @@ impl OpStats {
         self.batches.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Take back the count of an output batch of `rows` rows that was discarded.
-    pub(crate) fn discount(&self, rows: usize) {
-        self.rows.fetch_sub(rows as u64, Ordering::Relaxed);
-        self.batches.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Charge `elapsed` to the node's own time.
     pub(crate) fn charge(&self, elapsed: Duration) {
         self.nanos

@@ -17,7 +17,9 @@
 //! materialization points, and in front of row-only kernels, so the public
 //! `next_batch() -> Option<RowBatch>` contract is unchanged (see
 //! [`Executor::with_columnar`], the kill switch). Memory is bounded to one
-//! in-flight batch per streaming step plus the buffers of *pipeline breakers* —
+//! in-flight batch per streaming step, the root's output in flight (a bounded
+//! exchange on the pool, one morsel's output at one thread) and the buffers of
+//! *pipeline breakers* —
 //! the build side of a hash join, the inner side of a nested-loop join, aggregate
 //! group states and sort buffers. The rows and bytes held by breakers are tracked
 //! and surfaced as [`ExecutionResult::peak_buffered_rows`] / `peak_buffered_bytes`,

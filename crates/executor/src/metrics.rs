@@ -161,13 +161,6 @@ impl MetricsNode {
         (bytes, partitions)
     }
 
-    /// Total wall-clock time across all operators.
-    pub fn total_elapsed(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        self.walk(&mut |node| total += node.metrics.elapsed);
-        total
-    }
-
     /// Render the metrics tree as EXPLAIN ANALYZE style text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -220,7 +213,8 @@ impl MetricsNode {
 pub struct QueryMetrics {
     /// The metrics tree.
     pub root: MetricsNode,
-    /// Total execution time: the run's wall-clock time.
+    /// Total execution time: the run's wall-clock time less the time the
+    /// observer's callbacks took.
     pub execution_time: Duration,
 }
 
@@ -315,7 +309,6 @@ mod tests {
         assert_eq!(joins.len(), 2);
         assert_eq!(joins[0].label, "lower join");
         assert_eq!(joins[1].label, "top join");
-        assert_eq!(tree.total_elapsed(), Duration::from_millis(5));
         let rendered = tree.render();
         assert!(rendered.contains("actual rows=500"));
         assert!(rendered.contains("q-error=100.00"));

@@ -20,12 +20,9 @@
 //!
 //! * **one thread**: the coordinator's *inline worker* runs every pipeline, taking
 //!   the whole source as one input, as a morsel-driven engine runs one worker (Leis
-//!   et al., SIGMOD 2014). Its step states carry across morsels, so a join fills
-//!   every batch but its last, and once the source ran out the chain ends once,
-//!   source-up: at each step an index-NL join sends its exact report, the step's
-//!   remainder goes down the chain, and the step is marked exhausted. Registered
-//!   join builds run root-down, as a pull-based run reaches them. A run that never
-//!   launches chain jobs never registers with the pool;
+//!   et al., SIGMOD 2014): step states carry across morsels, and the chain ends
+//!   once, source-up (`end_chain`). Registered join builds run root-down. A run
+//!   that never launches chain jobs never registers with the pool;
 //! * **more threads**: *chain jobs* on the process-wide resident [`WorkerPool`]
 //!   claim morsels through an atomic work-stealing cursor. Each query registers as
 //!   a pool task, and each chain job processes one morsel then re-enqueues itself at
@@ -41,8 +38,8 @@
 //!
 //! * **streaming roots** on the pool exchange row batches through a *bounded*
 //!   channel that stays live across `next_batch` pulls — the pool keeps producing
-//!   (up to the channel bound) while the client consumes; an inline root collects
-//!   its batches and serves them in order;
+//!   (up to the channel bound) while the client consumes; a one-thread root runs
+//!   a morsel, or the end of its input, on a pull that finds no batch to serve;
 //! * **collection sinks** (sort inputs, small or spilled streaming roots) keep each
 //!   worker's batches with their `(morsel, sequence)` tags, reassembled in tag order;
 //! * **join build sinks** buffer each worker's rows with their tags; once every
@@ -99,7 +96,9 @@
 //! [`ExecError::Suspended`] with every *completed* build retained so
 //! [`Pipeline::take_breaker_states`] still extracts reusable state, innermost first.
 //! `SuspendAtRootSeam` also quiesces, but the first already-produced root batch is
-//! delivered before the next pull reports `Suspended`.
+//! delivered before the next pull reports `Suspended`. A one-thread root serves
+//! every batch it made before a stop first, as a pull-based run had delivered
+//! them (an immediate stop drops the in-flight one, a seam stop ends with it).
 //!
 //! Per-operator metrics are recorded on one counter tree (the `instrument`
 //! module): workers add to a node's rows, batches and own time (so `elapsed` can
@@ -425,6 +424,8 @@ struct Engine<'p> {
     /// [`lazy_builds_planned_total`] / [`lazy_builds_started_total`]).
     builds_planned: std::cell::Cell<u64>,
     builds_started: std::cell::Cell<u64>,
+    /// Time spent in the observer's callbacks, which is not execution time.
+    observer_time: std::cell::Cell<Duration>,
     /// This query's task registration on the resident pool, made when the run
     /// first launches chain jobs (a run on the inline worker never does): all
     /// jobs submit through it, so the pool's fairness discipline sees one queue
@@ -487,7 +488,11 @@ impl<'p> Engine<'p> {
     /// Deliver one event and quiesce the workers on the stop it asks for (a seam
     /// stop lets them finish their in-flight batch).
     fn dispatch(&self, event: &ExecEvent) {
-        let Some(stop) = observe(self.observer.as_ref(), event) else {
+        let start = Instant::now();
+        let stop = observe(self.observer.as_ref(), event);
+        self.observer_time
+            .set(self.observer_time.get() + start.elapsed());
+        let Some(stop) = stop else {
             return;
         };
         self.stop.set(Some(stop));
@@ -618,12 +623,6 @@ impl<'p> Engine<'p> {
         };
         let compiled = Arc::new(self.compile(plan, stats)?);
         let grace = Arc::new(Mutex::new(None));
-        // The inline worker's batches arrive in scan order: they go straight into a
-        // table of their own instead of waiting for the merge beside it.
-        let inline = (compiled.workers <= 1)
-            .then(|| step.build_table())
-            .flatten()
-            .map(|(table, _)| Arc::new(Mutex::new(table)));
         let factory = BuildSinkFactory {
             kind,
             shared: Arc::clone(&self.shared),
@@ -631,7 +630,6 @@ impl<'p> Engine<'p> {
             keys: table.keys().to_vec(),
             grace: Arc::clone(&grace),
             spilled: Arc::default(),
-            inline: inline.clone(),
             join: Arc::clone(join_stats),
         };
         let locals = self.execute_pipeline(&compiled, factory)?;
@@ -639,9 +637,6 @@ impl<'p> Engine<'p> {
             return Ok(());
         }
         let merge_start = Instant::now();
-        if let Some(inline) = inline {
-            table.append(Batch::Cols(lock(&inline)?.take()));
-        }
         let spilled = lock(&grace)?.take();
         let mut batches: Vec<(Tag, Batch)> = Vec::new();
         let mut grant = self.shared.config.governor.reservation();
@@ -868,9 +863,11 @@ impl<'p> Engine<'p> {
     /// Compile the streaming segment rooted at `plan` down to its driving source.
     /// Hash-join builds and nested-loop inners are **registered, not executed**,
     /// while walking the spine (their probe steps get an empty table); they
-    /// run lazily after the spine's own source is known to be runnable,
-    /// innermost-first, with a stop check between each — a suspension taken on an
-    /// inner breaker skips every outer build a re-plan is about to discard.
+    /// run lazily after the spine's own source is known to be runnable, with a
+    /// stop check between each. A one-thread run takes them root-down, so a
+    /// suspension on an inner build finds every outer one complete; the pool
+    /// takes them innermost-first, so a suspension on an inner breaker skips every
+    /// outer build.
     /// Mid-chain breakers that *drive* the pipeline (aggregate/sort outputs) still
     /// materialize during the walk: they are the source, without which nothing
     /// downstream is runnable.
@@ -1324,39 +1321,70 @@ fn process_one_morsel(
     Ok(true)
 }
 
-/// The inline worker: the whole source on the coordinator thread, observer events
+/// The inline worker: the source on the coordinator thread, observer events
 /// delivered after every batch a step yields. In a one-thread run the source is
 /// one input ([`Shared::one_input`]): step states carry across morsels, and once
 /// the last morsel is pushed the chain ends once, source-up ([`end_chain`]). With
 /// more threads each morsel is an input of its own, as on a pool worker. A run
 /// that quiesced (a suspension, or a satisfied LIMIT) ends nothing: its counts stay
-/// truncated. An error fails the run as a pool worker's would.
+/// truncated.
+struct InlineWorker {
+    compiled: Arc<Compiled>,
+    cursor: AtomicUsize,
+    chain: WorkerChain,
+    /// The last morsel pushed, which the chain's end is tagged with.
+    last: usize,
+}
+
+impl InlineWorker {
+    fn new(compiled: &Arc<Compiled>) -> Self {
+        let chain = WorkerChain::new(&compiled.steps);
+        let (compiled, cursor) = (Arc::clone(compiled), AtomicUsize::new(0));
+        Self { compiled, cursor, chain, last: 0 }
+    }
+
+    /// One quantum: push the next morsel, or end the input once the source ran out.
+    /// `Ok(false)` once the input ended or the query quiesced; the worker is not
+    /// advanced again after that.
+    fn advance(
+        &mut self,
+        shared: &Shared,
+        sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+        pump: &dyn Fn(),
+    ) -> Result<bool, ExecError> {
+        let (compiled, cursor, chain) = (&*self.compiled, &self.cursor, &mut self.chain);
+        if !shared.one_input() {
+            return process_one_morsel(compiled, shared, cursor, chain, sink, pump);
+        }
+        if let Some(morsel) = push_one_morsel(compiled, shared, cursor, chain, sink, pump)? {
+            self.last = morsel;
+            return Ok(true);
+        }
+        if !shared.quiesce.load(Ordering::SeqCst) {
+            let last = self.last;
+            let mut chain_sink = |batch| sink(last, Some(batch));
+            end_chain(compiled, &mut chain.states, shared, &mut chain_sink, pump)?;
+            sink(last, None)?;
+        }
+        Ok(false)
+    }
+}
+
+/// Run the whole source on the inline worker. An error fails the run as a pool
+/// worker's would.
 fn run_inline(
-    compiled: &Compiled,
+    compiled: &Arc<Compiled>,
     shared: &Shared,
     sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) {
-    let cursor = AtomicUsize::new(0);
-    let mut chain = WorkerChain::new(&compiled.steps);
-    let result = (|| {
-        if !shared.one_input() {
-            while process_one_morsel(compiled, shared, &cursor, &mut chain, sink, pump)? {}
-            return Ok(());
+    let mut worker = InlineWorker::new(compiled);
+    loop {
+        match worker.advance(shared, sink, pump) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(error) => return shared.fail(error),
         }
-        let mut last = 0;
-        while let Some(morsel) = push_one_morsel(compiled, shared, &cursor, &mut chain, sink, pump)? {
-            last = morsel;
-        }
-        if shared.quiesce.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let mut chain_sink = |batch| sink(last, Some(batch));
-        end_chain(compiled, &mut chain.states, shared, &mut chain_sink, pump)?;
-        sink(last, None)
-    })();
-    if let Err(error) = result {
-        shared.fail(error);
     }
 }
 
@@ -1631,8 +1659,6 @@ struct BuildSinkFactory {
     grace: Arc<Mutex<Option<GraceJoin>>>,
     /// Set once `grace` holds the partitions.
     spilled: Arc<AtomicBool>,
-    /// The table the inline worker appends to as batches come.
-    inline: Option<Arc<Mutex<JoinTable>>>,
     /// The join node: its build's consume time and spill volume.
     join: Arc<OpStats>,
 }
@@ -1663,13 +1689,8 @@ impl SinkFactory for BuildSinkFactory {
         let spilled = self.spilled.load(Ordering::SeqCst);
         if !spilled && (self.kind == BreakerKind::NestedLoopInner || local.grant.grow(bytes)) {
             self.shared.buffered.acquire(batch.len() as u64, bytes);
-            match &self.inline {
-                Some(table) => lock(table)?.append(batch),
-                None => {
-                    local.batches.push(((morsel, local.seq), batch));
-                    local.seq += 1;
-                }
-            }
+            local.batches.push(((morsel, local.seq), batch));
+            local.seq += 1;
             return Ok(());
         }
         let mut grace = lock(&self.grace)?;
@@ -1682,9 +1703,6 @@ impl SinkFactory for BuildSinkFactory {
                 slot.insert(GraceJoin::new(Arc::clone(&self.join.spill))?)
             }
         };
-        if let Some(table) = &self.inline {
-            grace.write_build(Batch::Cols(lock(table)?.take()), &self.keys)?;
-        }
         for (_, buffered) in local.batches.drain(..) {
             grace.write_build(buffered, &self.keys)?;
         }
@@ -1868,7 +1886,7 @@ struct StreamingRoot {
     seam_delivered: bool,
 }
 
-/// How far a parallel pipeline has progressed.
+/// How far a pipeline has progressed.
 enum RunState {
     NotStarted,
     /// A materialized root (aggregate/sort breaker, inline or spilled run, or seam
@@ -1886,6 +1904,10 @@ enum RunState {
     /// A streaming-shaped root: chain jobs stay live on the pool across pulls,
     /// producing into a bounded exchange as fast as the client consumes.
     Streaming(StreamingRoot),
+    /// A streaming-shaped root of a one-thread run: a pull that finds no produced
+    /// batch left to serve advances the inline worker (`None` once its input
+    /// ended) by one quantum.
+    Inline(Option<InlineWorker>, VecDeque<RowBatch>),
     Suspended,
     Poisoned,
     /// A streaming root that ran to completion.
@@ -1897,9 +1919,11 @@ enum RunState {
 ///
 /// Breaker-rooted plans (aggregate/sort) materialize their result inside the first
 /// `next_batch` call and serve it in batch-size chunks — the breaker buffers
-/// everything by definition — and so does every plan whose spine runs on the
-/// inline worker (one thread, or a source smaller than two morsels). A
-/// streaming-shaped root on the pool instead keeps a **live root exchange**: the
+/// everything by definition — and so does a plan whose spine runs on the inline
+/// worker of a run with more threads (a source smaller than two morsels). A
+/// one-thread streaming-shaped root runs a morsel on a pull that finds no batch
+/// to serve.
+/// A streaming-shaped root on the pool instead keeps a **live root exchange**: the
 /// first pull launches its chain jobs; every pull (including the first) receives
 /// the next produced batch from a bounded channel while the jobs keep running
 /// between pulls, so the root result is never buffered and a slow consumer
@@ -1968,6 +1992,7 @@ impl<'p> Pipeline<'p> {
             completed_builds: Vec::new(),
             builds_planned: std::cell::Cell::new(0),
             builds_started: std::cell::Cell::new(0),
+            observer_time: std::cell::Cell::new(Duration::ZERO),
             task: OnceCell::new(),
         });
         let plan = self.plan;
@@ -2010,6 +2035,10 @@ impl<'p> Pipeline<'p> {
             Err(error) => return self.settle_materialized(Err(error), None),
         };
         let engine = self.engine.as_ref().expect("engine");
+        if engine.shared.one_input() {
+            self.state = RunState::Inline(Some(InlineWorker::new(&compiled)), VecDeque::new());
+            return Ok(());
+        }
         if engine.stopped() || compiled.workers <= 1 || compiled.spilled() {
             // Stopped during the builds, a source too small to parallelize (tiny
             // inputs never pay the pool), or a spilled join, whose partition passes
@@ -2109,24 +2138,81 @@ impl<'p> Pipeline<'p> {
         self.breaker_states = self.engine.as_mut().expect("engine").breaker_states(self.plan);
     }
 
+    /// End a streaming root that ran to completion.
+    fn finish(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        self.collect_stream_breakers();
+        self.state = RunState::Done;
+        self.finalize_counters();
+        Ok(None)
+    }
+
+    /// Fail the pipeline: every later pull fails too.
+    fn poison(&mut self, error: ExecError) -> Result<Option<RowBatch>, ExecError> {
+        self.state = RunState::Poisoned;
+        self.finalize_counters();
+        Err(error)
+    }
+
+    /// Suspend a streaming root whose run stopped, keeping its completed builds.
+    fn suspend(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        self.collect_stream_breakers();
+        self.state = RunState::Suspended;
+        self.finalize_counters();
+        Err(ExecError::Suspended)
+    }
+
+    /// One pull from a one-thread streaming root. The batches a quantum made are
+    /// served before the next quantum runs, or a stop taken during it suspends the
+    /// pipeline, as a pull-based run had delivered them.
+    fn inline_next(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        loop {
+            let engine = self.engine.as_ref().expect("engine");
+            let RunState::Inline(worker, out) = &mut self.state else {
+                unreachable!("inline_next outside Inline state");
+            };
+            engine.pump_events();
+            if let Some(error) = engine.take_error() {
+                return self.poison(error);
+            }
+            if let Some(batch) = out.pop_front() {
+                return Ok(Some(batch));
+            }
+            if engine.stopped() {
+                return self.suspend();
+            }
+            let Some(running) = worker else {
+                return self.finish();
+            };
+            let seam = &engine.shared.seam;
+            let mut sink = |_, batch: Option<Batch>| {
+                if let Some(batch) = batch {
+                    out.push_back(batch.into_rows());
+                    // Under a seam stop the in-flight batch is the last one made.
+                    seam.store(false, Ordering::SeqCst);
+                }
+                Ok(())
+            };
+            match running.advance(&engine.shared, &mut sink, &|| engine.pump_events()) {
+                Ok(true) => {}
+                Ok(false) => *worker = None,
+                Err(error) => engine.shared.fail(error),
+            }
+        }
+    }
+
     /// One pull from a live streaming root.
     fn stream_next(&mut self) -> Result<Option<RowBatch>, ExecError> {
         loop {
             self.engine.as_ref().expect("engine").pump_events();
             if let Some(error) = self.engine.as_ref().expect("engine").take_error() {
                 self.shed_stream();
-                self.state = RunState::Poisoned;
-                self.finalize_counters();
-                return Err(error);
+                return self.poison(error);
             }
             match self.engine.as_ref().expect("engine").stop.get() {
                 Some(Stop::Now) => {
                     // Rows still in the exchange are discarded.
                     self.shed_stream();
-                    self.collect_stream_breakers();
-                    self.state = RunState::Suspended;
-                    self.finalize_counters();
-                    return Err(ExecError::Suspended);
+                    return self.suspend();
                 }
                 Some(Stop::AtRootSeam) => {
                     let RunState::Streaming(stream) = &mut self.state else {
@@ -2155,10 +2241,7 @@ impl<'p> Pipeline<'p> {
                         }
                     }
                     self.shed_stream();
-                    self.collect_stream_breakers();
-                    self.state = RunState::Suspended;
-                    self.finalize_counters();
-                    return Err(ExecError::Suspended);
+                    return self.suspend();
                 }
                 None => {}
             }
@@ -2185,9 +2268,7 @@ impl<'p> Pipeline<'p> {
                         // (which would find nothing while quiesce stays set) would
                         // spin forever and lose the error.
                         self.shed_stream();
-                        self.state = RunState::Poisoned;
-                        self.finalize_counters();
-                        return Err(error);
+                        return self.poison(error);
                     }
                     let engine = self.engine.as_ref().expect("engine");
                     if engine.shared.quiesce.load(Ordering::SeqCst) {
@@ -2197,17 +2278,12 @@ impl<'p> Pipeline<'p> {
                         continue;
                     }
                     if let Err(error) = engine.finish_pipeline(&compiled) {
-                        self.state = RunState::Poisoned;
-                        self.finalize_counters();
-                        return Err(error);
+                        return self.poison(error);
                     }
                     if engine.stop.get().is_some() {
                         continue;
                     }
-                    self.collect_stream_breakers();
-                    self.state = RunState::Done;
-                    self.finalize_counters();
-                    return Ok(None);
+                    return self.finish();
                 }
             }
         }
@@ -2233,6 +2309,7 @@ impl<'p> Pipeline<'p> {
             )),
             RunState::Done => Ok(None),
             RunState::Streaming(_) => self.stream_next(),
+            RunState::Inline(..) => self.inline_next(),
             RunState::Serving { rows, seam, node } => match rows.next_batch(self.config.batch_size)
             {
                 Ok(None) if *seam => {
@@ -2274,13 +2351,16 @@ impl<'p> Pipeline<'p> {
     }
 
     /// The metrics tree observed so far (complete once `next_batch` returned `None`):
-    /// per-operator counters summed across workers, and the run's wall-clock time.
+    /// per-operator counters summed across workers, and the run's wall-clock time
+    /// less the time the observer's callbacks took.
     pub fn metrics(&self) -> QueryMetrics {
-        let execution_time = if self.wall > Duration::ZERO {
+        let wall = if self.wall > Duration::ZERO {
             self.wall
         } else {
             self.started.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
         };
+        let observed = self.engine.as_ref().map(|e| e.observer_time.get());
+        let execution_time = wall.saturating_sub(observed.unwrap_or_default());
         QueryMetrics {
             root: self.stats.metrics(self.plan),
             execution_time,
