@@ -661,8 +661,10 @@ pub(crate) struct TableRead {
     columns: Vec<usize>,
     /// How many of `columns` are output columns.
     output: usize,
-    /// The predicate, bound to the `columns` layout.
-    predicate: Option<Expr>,
+    /// The predicate, bound to the `columns` layout. Boxed so its nodes keep their
+    /// addresses, which key a [`MaskCache`]'s truth tables, when the read moves into
+    /// a compiled source after the kernel probe.
+    predicate: Option<Box<Expr>>,
     /// Positions (into `columns`) the predicate reads: decoded before it runs.
     first: Vec<usize>,
     /// The other output positions: decoded only for rows that pass.
@@ -692,7 +694,7 @@ impl TableRead {
                 first.push(pos);
             }
         }
-        let predicate = bind_opt(predicate, &full.project(&columns))?;
+        let predicate = bind_opt(predicate, &full.project(&columns))?.map(Box::new);
         let rest = (0..output).filter(|pos| !first.contains(pos)).collect();
         Ok(Self {
             columns,
@@ -2516,6 +2518,36 @@ mod tests {
         let mut catalog = Catalog::new();
         catalog.analyze_all(&storage).unwrap();
         (storage, catalog)
+    }
+
+    #[test]
+    fn a_moved_table_read_scans_with_its_probe_truth_tables() {
+        // The kernel probe builds the dictionary predicate's truth table; the read
+        // then moves (as it does into a compiled source), and scanning with a copy
+        // of the probe's cache finds the table instead of building another.
+        let (storage, _) = agg_env();
+        let table = lookup_table_arc(&storage, "g").unwrap();
+        let full = relation_schema(&table, "g");
+        let predicate = Expr::InList {
+            expr: Box::new(Expr::Column(reopt_expr::ColumnRef::qualified("g", "d"))),
+            list: vec![Value::from("gamma"), Value::from("b")],
+            negated: false,
+        };
+        let read = TableRead::new(&full, &full.project(&[0]), Some(&predicate)).unwrap();
+        let mut probed = MaskCache::new();
+        assert!(read.kernel_covers(&table, &mut probed));
+        assert_eq!(probed.len(), 1);
+        let moved = Box::new(read);
+        let mut cache = probed.clone();
+        let batch = moved
+            .scan(&table, 0..table.row_count(), true, &mut cache)
+            .unwrap();
+        assert_eq!(cache.len(), 1, "the scan reused the probe's truth table");
+        // Rows 2, 4, 7, 9, ... of the 61: d is "gamma" at n % 5 == 2, "b" at 4.
+        assert_eq!(
+            batch.len(),
+            (0..61).filter(|n| n % 5 == 2 || n % 5 == 4).count()
+        );
     }
 
     #[test]

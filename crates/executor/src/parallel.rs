@@ -322,6 +322,9 @@ enum Source {
         /// time against a zero-row slice, which preserves the real column
         /// representations).
         kernel: bool,
+        /// The truth tables the probe built (one per dictionary predicate): each
+        /// worker's cache starts as a copy instead of building them again.
+        probed: MaskCache,
         stats: Arc<OpStats>,
     },
     /// An index scan: the row-id list is resolved up front by the coordinator;
@@ -372,6 +375,14 @@ impl Source {
             stats.count(out.len());
         }
         Ok(out)
+    }
+
+    /// A worker's starting kernel cache: the probe's truth tables for a table scan.
+    fn probed_cache(&self) -> MaskCache {
+        match self {
+            Source::Table { probed, .. } => probed.clone(),
+            _ => MaskCache::new(),
+        }
     }
 
     /// The node that counts the source's batches.
@@ -905,9 +916,11 @@ impl<'p> Engine<'p> {
                     )?;
                     // Probe kernel support against a zero-row slice: it carries the
                     // table's real column representations, so the decision holds for
-                    // every morsel of the scan.
-                    let kernel = self.shared.config.columnar
-                        && read.kernel_covers(&table, &mut MaskCache::new());
+                    // every morsel of the scan. The truth tables it builds are the
+                    // whole dictionaries', so the workers reuse them.
+                    let mut probed = MaskCache::new();
+                    let kernel =
+                        self.shared.config.columnar && read.kernel_covers(&table, &mut probed);
                     let _ = node_stats
                         .stats
                         .encoding
@@ -916,6 +929,7 @@ impl<'p> Engine<'p> {
                         table,
                         read,
                         kernel,
+                        probed,
                         stats: Arc::clone(&node_stats.stats),
                     };
                 }
@@ -1056,7 +1070,7 @@ impl<'p> Engine<'p> {
         WorkerPool::global().ensure_available(workers);
         for _ in 0..workers {
             let local = ctx.sink.make();
-            let chain = WorkerChain::new(&compiled.steps);
+            let chain = WorkerChain::new(&compiled.steps, compiled.source.probed_cache());
             let job_ctx = Arc::clone(&ctx);
             ctx.task
                 .submit(move || run_chain_slice(job_ctx, local, chain));
@@ -1106,7 +1120,7 @@ impl<'p> Engine<'p> {
                 continue;
             }
             let rest = &compiled.steps[at + 1..];
-            let mut chain = WorkerChain::new(rest);
+            let mut chain = WorkerChain::new(rest, MaskCache::new());
             let (mut state, mut grant) = (step.state(), self.shared.config.governor.reservation());
             // Its tag follows the main pass's morsels and those of lower joins.
             let (morsel, mut local) = (compiled.morsels + at, factory.make());
@@ -1236,18 +1250,18 @@ fn _assert_pool_safe() {
 }
 
 /// One worker's chain state: a [`StepState`] per chain step the source feeds, and
-/// the scan's kernel cache (truth tables are cheap to rebuild per worker, and
-/// keeping them private keeps the hot mask loop lock-free).
+/// the scan's kernel cache (a private copy, starting from the compile-time probe's
+/// truth tables, keeps the hot mask loop lock-free).
 struct WorkerChain {
     states: Vec<StepState>,
     cache: MaskCache,
 }
 
 impl WorkerChain {
-    fn new(steps: &[Step]) -> Self {
+    fn new(steps: &[Step], cache: MaskCache) -> Self {
         Self {
             states: steps.iter().map(Step::state).collect(),
-            cache: MaskCache::new(),
+            cache,
         }
     }
 }
@@ -1338,7 +1352,7 @@ struct InlineWorker {
 
 impl InlineWorker {
     fn new(compiled: &Arc<Compiled>) -> Self {
-        let chain = WorkerChain::new(&compiled.steps);
+        let chain = WorkerChain::new(&compiled.steps, compiled.source.probed_cache());
         let (compiled, cursor) = (Arc::clone(compiled), AtomicUsize::new(0));
         Self { compiled, cursor, chain, last: 0 }
     }

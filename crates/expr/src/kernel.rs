@@ -35,13 +35,14 @@ use std::sync::Arc;
 /// Keyed by the address of the predicate node and the address of the dictionary
 /// allocation; the cached entry holds an `Arc` to the dictionary so the allocation
 /// (and therefore the key) cannot be reused while the entry is alive. One cache is
-/// expected to live as long as the operator that owns the predicate.
-#[derive(Debug, Default)]
+/// expected to live as long as the operator that owns the predicate; a clone serves
+/// the same predicate nodes (a scan's workers start from its compile-time probe's).
+#[derive(Debug, Default, Clone)]
 pub struct MaskCache {
     tables: HashMap<(usize, usize), CachedTruth>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CachedTruth {
     /// Pins the dictionary allocation so the pointer key stays unambiguous.
     _dict: Arc<StringDict>,
@@ -53,6 +54,16 @@ impl MaskCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Number of cached truth tables.
+    pub fn len(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Whether no truth table is cached.
+    pub fn is_empty(&self) -> bool {
+        self.tables.is_empty()
     }
 
     /// Look up or build the truth table for (`key`, `dict`).

@@ -23,13 +23,12 @@
 //! Every distinct subset whose cardinality is requested is counted in an
 //! [`EstimationLog`]; Table I of the paper reports exactly these counts by subset size.
 
-use crate::relset::RelSet;
+use crate::relset::{RelSet, RelSetMap};
 use crate::spec::{JoinEdge, QuerySpec};
 use reopt_catalog::{Catalog, ColumnStatistics};
 use reopt_expr::{as_column_constant_comparison, BinaryOp, Expr};
 use reopt_storage::Value;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Default selectivity of an equality predicate when no statistics help (PostgreSQL's
 /// `DEFAULT_EQ_SEL`).
@@ -70,7 +69,7 @@ struct OverrideEntry {
 /// Injected cardinalities, keyed by relation subset.
 #[derive(Debug, Clone, Default)]
 pub struct CardinalityOverrides {
-    map: HashMap<RelSet, OverrideEntry>,
+    map: RelSetMap<OverrideEntry>,
     /// Multi-relation override sets bucketed by size (`by_size[len]`), kept in sync
     /// with `map`. [`CardinalityOverrides::largest_anchor_within`] is called for
     /// every uncached multi-relation estimate, and a perfect-(n) oracle run injects
@@ -207,19 +206,11 @@ impl CardinalityOverrides {
 }
 
 /// A count of how many distinct relation subsets of each size had their cardinality
-/// estimated while planning (Table I of the paper), plus the estimator's cache and
-/// memo counters (the DPccp enumerator requests the same subsets and re-derives the
-/// same edge selectivities across thousands of csg-cmp pairs; these counters show how
-/// much of that work was served from memory).
+/// estimated while planning (Table I of the paper). A subset served from the
+/// estimator's cache is not counted again.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EstimationLog {
     counts: Vec<u64>,
-    /// Estimator calls answered from the per-subset cardinality cache.
-    pub subset_cache_hits: u64,
-    /// Join-edge / complex-predicate selectivity lookups served from the per-edge memo.
-    pub selectivity_memo_hits: u64,
-    /// Selectivity lookups that had to be computed (first touch of each edge).
-    pub selectivity_memo_misses: u64,
 }
 
 impl EstimationLog {
@@ -229,16 +220,6 @@ impl EstimationLog {
             self.counts.resize(size + 1, 0);
         }
         self.counts[size] += 1;
-    }
-
-    /// Fraction of selectivity lookups served from the memo (0 when none happened).
-    pub fn selectivity_memo_hit_rate(&self) -> f64 {
-        let total = self.selectivity_memo_hits + self.selectivity_memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.selectivity_memo_hits as f64 / total as f64
-        }
     }
 
     /// Number of distinct subsets of exactly `size` relations estimated.
@@ -261,9 +242,6 @@ impl EstimationLog {
                 self.counts[size] += count;
             }
         }
-        self.subset_cache_hits += other.subset_cache_hits;
-        self.selectivity_memo_hits += other.selectivity_memo_hits;
-        self.selectivity_memo_misses += other.selectivity_memo_misses;
     }
 
     /// The largest subset size with a recorded estimate.
@@ -280,7 +258,7 @@ pub struct CardinalityEstimator<'a> {
     spec: &'a QuerySpec,
     catalog: &'a Catalog,
     overrides: &'a CardinalityOverrides,
-    cache: RefCell<HashMap<RelSet, f64>>,
+    cache: RefCell<RelSetMap<f64>>,
     /// Per-edge join selectivities, computed once per planning call: the DPccp
     /// enumerator prices every csg-cmp pair, and each multi-relation estimate walks
     /// the edges inside its set — without the memo the same catalog lookups repeat
@@ -302,7 +280,7 @@ impl<'a> CardinalityEstimator<'a> {
             spec,
             catalog,
             overrides,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(RelSetMap::default()),
             edge_selectivity: RefCell::new(vec![None; spec.join_edges.len()]),
             complex_selectivity: RefCell::new(vec![None; spec.complex_predicates.len()]),
             log: RefCell::new(EstimationLog::default()),
@@ -326,7 +304,6 @@ impl<'a> CardinalityEstimator<'a> {
             return 0.0;
         }
         if let Some(rows) = self.cache.borrow().get(&set) {
-            self.log.borrow_mut().subset_cache_hits += 1;
             return *rows;
         }
         self.log.borrow_mut().record(set.len());
@@ -410,10 +387,8 @@ impl<'a> CardinalityEstimator<'a> {
     /// served from the memo for every later subset containing the edge.
     fn memoized_edge_selectivity(&self, edge_idx: usize) -> f64 {
         if let Some(selectivity) = self.edge_selectivity.borrow()[edge_idx] {
-            self.log.borrow_mut().selectivity_memo_hits += 1;
             return selectivity;
         }
-        self.log.borrow_mut().selectivity_memo_misses += 1;
         let selectivity = self.join_edge_selectivity(&self.spec.join_edges[edge_idx]);
         self.edge_selectivity.borrow_mut()[edge_idx] = Some(selectivity);
         selectivity
@@ -422,10 +397,8 @@ impl<'a> CardinalityEstimator<'a> {
     /// The memoized selectivity of complex predicate `pred_idx`.
     fn memoized_complex_selectivity(&self, pred_idx: usize) -> f64 {
         if let Some(selectivity) = self.complex_selectivity.borrow()[pred_idx] {
-            self.log.borrow_mut().selectivity_memo_hits += 1;
             return selectivity;
         }
-        self.log.borrow_mut().selectivity_memo_misses += 1;
         let selectivity = self.generic_selectivity(&self.spec.complex_predicates[pred_idx].1);
         self.complex_selectivity.borrow_mut()[pred_idx] = Some(selectivity);
         selectivity
@@ -826,22 +799,21 @@ mod tests {
         );
         let overrides = CardinalityOverrides::new();
         let est = CardinalityEstimator::new(&spec, &catalog, &overrides);
-        // First multi-relation estimate touches the edge: one memo miss, no hits.
-        est.estimate(RelSet::all(2));
-        let log = est.estimation_log();
-        assert_eq!(log.selectivity_memo_misses, 1);
-        assert_eq!(log.selectivity_memo_hits, 0);
-        // Identical subsets are served by the subset cache (the memo is not even
-        // consulted), so force a recomputation path by clearing the subset cache.
+        // The first multi-relation estimate fills the edge's memo slot.
+        let first = est.estimate(RelSet::all(2));
+        let selectivity = est.join_edge_selectivity(&spec.join_edges[0]);
+        assert_eq!(est.edge_selectivity.borrow()[0], Some(selectivity));
+        // Recomputed from the memo (subset cache cleared), and from scratch (memo
+        // cleared too), the estimate is the same to the bit.
         est.cache.borrow_mut().clear();
-        est.estimate(RelSet::all(2));
-        let log = est.estimation_log();
-        assert_eq!(log.selectivity_memo_misses, 1, "the edge is computed once");
-        assert_eq!(log.selectivity_memo_hits, 1);
-        assert!(log.selectivity_memo_hit_rate() > 0.49);
-        // Repeated estimates of a cached subset count as subset-cache hits.
-        est.estimate(RelSet::all(2));
-        assert_eq!(est.estimation_log().subset_cache_hits, 1);
+        assert_eq!(est.estimate(RelSet::all(2)).to_bits(), first.to_bits());
+        est.cache.borrow_mut().clear();
+        est.edge_selectivity.borrow_mut()[0] = None;
+        assert_eq!(est.estimate(RelSet::all(2)).to_bits(), first.to_bits());
+        assert_eq!(est.edge_selectivity.borrow()[0], Some(selectivity));
+        // A fresh estimator agrees.
+        let fresh = CardinalityEstimator::new(&spec, &catalog, &overrides);
+        assert_eq!(fresh.estimate(RelSet::all(2)).to_bits(), first.to_bits());
     }
 
     #[test]
@@ -886,22 +858,25 @@ mod tests {
     #[test]
     fn estimation_log_merges_cache_counters() {
         let mut a = EstimationLog::default();
+        a.record(1);
         a.record(2);
-        a.subset_cache_hits = 3;
-        a.selectivity_memo_hits = 9;
-        a.selectivity_memo_misses = 1;
-        let b = EstimationLog {
-            subset_cache_hits: 2,
-            selectivity_memo_hits: 1,
-            selectivity_memo_misses: 1,
-            ..Default::default()
-        };
+        a.record(2);
+        let mut b = EstimationLog::default();
+        b.record(2);
+        b.record(4);
         a.merge(&b);
-        assert_eq!(a.subset_cache_hits, 5);
-        assert_eq!(a.selectivity_memo_hits, 10);
-        assert_eq!(a.selectivity_memo_misses, 2);
-        assert!((a.selectivity_memo_hit_rate() - 10.0 / 12.0).abs() < 1e-9);
-        assert_eq!(EstimationLog::default().selectivity_memo_hit_rate(), 0.0);
+        assert_eq!(
+            (0..=5)
+                .map(|size| a.count_for_size(size))
+                .collect::<Vec<_>>(),
+            vec![0, 1, 3, 0, 1, 0]
+        );
+        assert_eq!(a.total(), 5);
+        assert_eq!(a.max_size(), 4);
+        // Merging an empty log changes nothing.
+        let before = a.clone();
+        a.merge(&EstimationLog::default());
+        assert_eq!(a, before);
     }
 
     #[test]

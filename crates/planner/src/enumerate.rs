@@ -25,6 +25,16 @@
 //! can flip the choice to a nested-loop strategy, which is exactly the failure mode the
 //! paper's query 18a walk-through describes. A plain nested-loop join is the fallback
 //! when neither applies.
+//!
+//! Pricing one csg-cmp pair is arithmetic. The loop looks up both inputs and the
+//! union's current best in the DP table, and the union's cardinality in the
+//! estimator's cache (all [`RelSetMap`]s, one multiply per hash). It counts the join
+//! keys and collects the indexed edge ends by testing each edge's precomputed endpoint
+//! masks, walks the complex predicates only when the query has any, and keeps a
+//! running minimum over at most four calls of `join_cost`, the cost formula that
+//! building the plan uses too. Nothing is allocated and no edge struct is read; the
+//! join edges and complex predicates themselves are only touched again when the n − 1
+//! join nodes of the winning plan are built.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::{Cost, CostModel};
@@ -32,10 +42,10 @@ use crate::error::PlanError;
 use crate::graph::JoinGraph;
 use crate::optimizer::OptimizerConfig;
 use crate::plan::{JoinAlgorithm, PhysicalPlan, PlanKind};
-use crate::relset::RelSet;
+use crate::relset::{RelSet, RelSetMap};
 use crate::spec::{ColumnUses, JoinEdge, QuerySpec};
 use reopt_expr::{conjoin, Expr};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Which enumeration strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +75,7 @@ struct DpEntry {
     split: Option<(RelSet, RelSet, JoinAlgorithm)>,
 }
 
-type DpTable = HashMap<RelSet, DpEntry>;
+type DpTable = RelSetMap<DpEntry>;
 
 /// The table's starting entries: one per base relation's access path.
 fn base_table(base_plans: &[PhysicalPlan]) -> DpTable {
@@ -108,6 +118,30 @@ impl Input {
     }
 }
 
+/// One join edge as masks: its two endpoint bits, and the relations indexed on their
+/// end of it. Pricing tests these instead of reading the [`JoinEdge`].
+#[derive(Debug, Clone, Copy)]
+struct EdgeMask {
+    left: u64,
+    right: u64,
+    indexed: RelSet,
+}
+
+impl EdgeMask {
+    /// Whether the edge has one end in each of the (disjoint) masks `a` and `b`.
+    fn connects(self, a: u64, b: u64) -> bool {
+        (self.left & a != 0 && self.right & b != 0) || (self.left & b != 0 && self.right & a != 0)
+    }
+}
+
+/// `candidate` replaces `best` only when its total is strictly smaller, so the first
+/// of equal totals wins.
+fn keep_cheaper(best: &mut Option<DpEntry>, candidate: DpEntry) {
+    if best.map_or(true, |best| candidate.cost.total < best.cost.total) {
+        *best = Some(candidate);
+    }
+}
+
 /// The join enumerator.
 pub struct JoinEnumerator<'a> {
     spec: &'a QuerySpec,
@@ -117,8 +151,9 @@ pub struct JoinEnumerator<'a> {
     config: &'a OptimizerConfig,
     /// Which columns each join node carries (its `rel_set`'s visible columns).
     uses: &'a ColumnUses,
-    /// Per join edge, the relations indexed on their end of it.
-    indexed_ends: Vec<RelSet>,
+    /// Per join edge (in [`QuerySpec::join_edges`] order), its endpoint masks and the
+    /// relations indexed on their end of it.
+    edges: Vec<EdgeMask>,
     /// Per relation, the unfiltered row count of its table.
     table_rows: Vec<f64>,
 }
@@ -135,17 +170,19 @@ impl<'a> JoinEnumerator<'a> {
         uses: &'a ColumnUses,
         index_info: &dyn IndexInfo,
     ) -> Self {
-        let indexed_ends = spec
+        let edges = spec
             .join_edges
             .iter()
-            .map(|edge| {
-                [
+            .map(|edge| EdgeMask {
+                left: RelSet::single(edge.left_rel).mask(),
+                right: RelSet::single(edge.right_rel).mask(),
+                indexed: [
                     (edge.left_rel, &edge.left_column.name),
                     (edge.right_rel, &edge.right_column.name),
                 ]
                 .into_iter()
                 .filter(|(rel, column)| index_info.has_index(*rel, column))
-                .fold(RelSet::EMPTY, |ends, (rel, _)| ends.insert(rel))
+                .fold(RelSet::EMPTY, |ends, (rel, _)| ends.insert(rel)),
             })
             .collect();
         let table_rows = (0..spec.relation_count())
@@ -158,7 +195,7 @@ impl<'a> JoinEnumerator<'a> {
             cost_model: &config.cost_model,
             config,
             uses,
-            indexed_ends,
+            edges,
             table_rows,
         }
     }
@@ -277,19 +314,31 @@ impl<'a> JoinEnumerator<'a> {
         self.spec
             .join_edges
             .iter()
-            .zip(self.indexed_ends.iter().copied())
+            .zip(self.edges.iter().map(|edge| edge.indexed))
             .filter(move |(edge, _)| edge.connects(a, b))
     }
 
     /// Price every enabled join strategy for two disjoint inputs and return the winner
     /// as the DP entry of their union, or `None` if no join edge connects them
-    /// (Cartesian products are not considered). Pure arithmetic: nothing is allocated.
+    /// (Cartesian products are not considered).
+    ///
+    /// Pure arithmetic: nothing is allocated. The join keys and the indexed ends are
+    /// counted by mask tests on each edge's [`EdgeMask`]; the complex predicates are
+    /// walked only when the query has any; the union's rows come from the estimator's
+    /// cache after its first pair. The enabled strategies are priced in a fixed order —
+    /// hash `L ⋈ R`, hash `R ⋈ L`, index nested loop with `R` inner, then with `L`
+    /// inner — into a running minimum that only a strictly smaller total replaces, so
+    /// the first of equal totals wins. A plain nested loop is the fallback when none is
+    /// enabled.
     fn cheapest_join(&self, left: Input, right: Input) -> Option<DpEntry> {
+        let (a, b) = (left.rel_set.mask(), right.rel_set.mask());
         let mut keys = 0;
         let mut indexed = RelSet::EMPTY;
-        for (_, ends) in self.connecting_edges(left.rel_set, right.rel_set) {
-            keys += 1;
-            indexed = indexed.union(ends);
+        for edge in &self.edges {
+            if edge.connects(a, b) {
+                keys += 1;
+                indexed = indexed.union(edge.indexed);
+            }
         }
         if keys == 0 {
             return None;
@@ -298,43 +347,55 @@ impl<'a> JoinEnumerator<'a> {
             .estimator
             .estimate(left.rel_set.union(right.rel_set))
             .max(1.0);
-        let complex = self
-            .spec
-            .complex_predicates_for_join(left.rel_set, right.rel_set)
-            .count();
-        let price = |algorithm, outer: Input, inner: Input| DpEntry {
+        let complex = if self.spec.complex_predicates.is_empty() {
+            0
+        } else {
+            self.spec
+                .complex_predicates_for_join(left.rel_set, right.rel_set)
+                .count()
+        };
+        use JoinAlgorithm::{Hash, IndexNestedLoop, NestedLoop};
+        let mut best = None;
+        if self.config.enable_hash_joins {
+            keep_cheaper(
+                &mut best,
+                self.priced(Hash, left, right, keys, complex, rows),
+            );
+            keep_cheaper(
+                &mut best,
+                self.priced(Hash, right, left, keys, complex, rows),
+            );
+        }
+        // An index nested-loop inner is a single base relation indexed on a join key.
+        if self.config.enable_index_nl_joins {
+            if right.rel_set.len() == 1 && right.rel_set.is_subset_of(indexed) {
+                let candidate = self.priced(IndexNestedLoop, left, right, keys, complex, rows);
+                keep_cheaper(&mut best, candidate);
+            }
+            if left.rel_set.len() == 1 && left.rel_set.is_subset_of(indexed) {
+                let candidate = self.priced(IndexNestedLoop, right, left, keys, complex, rows);
+                keep_cheaper(&mut best, candidate);
+            }
+        }
+        Some(best.unwrap_or_else(|| self.priced(NestedLoop, left, right, keys, complex, rows)))
+    }
+
+    /// The DP entry of joining `outer` with `inner` by `algorithm`, priced by
+    /// [`Self::join_cost`].
+    fn priced(
+        &self,
+        algorithm: JoinAlgorithm,
+        outer: Input,
+        inner: Input,
+        keys: usize,
+        complex: usize,
+        rows: f64,
+    ) -> DpEntry {
+        DpEntry {
             cost: self.join_cost(algorithm, outer, inner, keys, complex, rows),
             rows,
             split: Some((outer.rel_set, inner.rel_set, algorithm)),
-        };
-        // An index nested-loop inner is a single base relation indexed on a join key.
-        let index_inner = |inner: Input| {
-            self.config.enable_index_nl_joins
-                && inner.rel_set.len() == 1
-                && inner.rel_set.is_subset_of(indexed)
-        };
-        use JoinAlgorithm::{Hash, IndexNestedLoop};
-        let hash = self.config.enable_hash_joins;
-        let candidates = [
-            (hash, Hash, left, right),
-            (hash, Hash, right, left),
-            (index_inner(right), IndexNestedLoop, left, right),
-            (index_inner(left), IndexNestedLoop, right, left),
-        ];
-        // A running minimum; as with `min_by`, the first of equal totals wins.
-        let cheapest = candidates
-            .into_iter()
-            .filter(|(enabled, ..)| *enabled)
-            .map(|(_, algorithm, outer, inner)| price(algorithm, outer, inner))
-            .reduce(|best, next| {
-                if next.cost.total < best.cost.total {
-                    next
-                } else {
-                    best
-                }
-            });
-        // Plain nested loop as a last resort (always available once there is an edge).
-        Some(cheapest.unwrap_or_else(|| price(JoinAlgorithm::NestedLoop, left, right)))
+        }
     }
 
     /// The cost of joining `outer` with `inner` by `algorithm` over `keys` join keys
@@ -764,37 +825,185 @@ mod tests {
         edges
     }
 
-    /// The optimal root cost by a naive subset DP: every connected bipartition of every
-    /// connected set, in both orders, priced by the enumerator's own `cheapest_join`.
-    fn naive_root_total(enumerator: &JoinEnumerator<'_>, base: &[PhysicalPlan]) -> f64 {
+    /// The join graph shapes the reference test covers.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Chain,
+        Star,
+        Cycle,
+        Clique,
+        Snowflake,
+        Random,
+    }
+
+    /// A connected graph of `shape` over `n` relations, relabelled by a seeded
+    /// shuffle so that hubs and chain ends fall on any relation index.
+    fn shaped_edges(rng: &mut StdRng, shape: Shape, n: usize) -> Vec<(usize, usize)> {
+        let edges: Vec<(usize, usize)> = match shape {
+            Shape::Chain => (1..n).map(|i| (i - 1, i)).collect(),
+            Shape::Star => (1..n).map(|i| (0, i)).collect(),
+            Shape::Cycle => (1..n).map(|i| (i - 1, i)).chain([(n - 1, 0)]).collect(),
+            Shape::Clique => (0..n)
+                .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+                .collect(),
+            Shape::Snowflake => {
+                // Hub 0, spokes 1..=spokes, and the rest hung off the spokes in turn.
+                let spokes = (n - 1).min(3);
+                let parent = |i| {
+                    if i <= spokes {
+                        0
+                    } else {
+                        1 + (i - spokes - 1) % spokes
+                    }
+                };
+                (1..n).map(|i| (parent(i), i)).collect()
+            }
+            Shape::Random => return random_connected_edges(rng, n),
+        };
+        let mut labels: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            labels.swap(i, rng.gen_range(0..i + 1));
+        }
+        edges
+            .into_iter()
+            .map(|(a, b)| (labels[a], labels[b]))
+            .collect()
+    }
+
+    /// `cheapest_join` recomputed from the spec's edge structs and the fixture's
+    /// indexes, with the rule its doc states: the enabled strategies in order (hash
+    /// `L ⋈ R`, hash `R ⋈ L`, index nested loop with `R` inner, then `L` inner), the
+    /// first of equal totals winning, and a plain nested loop when none is enabled.
+    /// Returns the entry and whether two candidates tied on the smallest total.
+    fn reference_join(
+        enumerator: &JoinEnumerator<'_>,
+        indexes: &FixtureIndexes,
+        left: Input,
+        right: Input,
+    ) -> Option<(DpEntry, bool)> {
+        let spec = enumerator.spec;
+        let edges = spec.edges_between(left.rel_set, right.rel_set);
+        if edges.is_empty() {
+            return None;
+        }
+        let keys = edges.len();
+        let complex = spec
+            .complex_predicates_for_join(left.rel_set, right.rel_set)
+            .count();
+        let rows = enumerator
+            .estimator
+            .estimate(left.rel_set.union(right.rel_set))
+            .max(1.0);
+        let index_inner = |inner: Input| {
+            let [rel] = inner.rel_set.iter().collect::<Vec<_>>()[..] else {
+                return false;
+            };
+            enumerator.config.enable_index_nl_joins
+                && indexes.indexed.contains(rel)
+                && edges
+                    .iter()
+                    .any(|e| e.left_rel == rel || e.right_rel == rel)
+        };
+        let hash = enumerator.config.enable_hash_joins;
+        let mut candidates = Vec::new();
+        for (enabled, algorithm, outer, inner) in [
+            (hash, JoinAlgorithm::Hash, left, right),
+            (hash, JoinAlgorithm::Hash, right, left),
+            (
+                index_inner(right),
+                JoinAlgorithm::IndexNestedLoop,
+                left,
+                right,
+            ),
+            (
+                index_inner(left),
+                JoinAlgorithm::IndexNestedLoop,
+                right,
+                left,
+            ),
+        ] {
+            if enabled {
+                candidates.push(enumerator.priced(algorithm, outer, inner, keys, complex, rows));
+            }
+        }
+        let Some(min) = candidates
+            .iter()
+            .map(|c| c.cost.total)
+            .min_by(|a, b| a.total_cmp(b))
+        else {
+            let fallback =
+                enumerator.priced(JoinAlgorithm::NestedLoop, left, right, keys, complex, rows);
+            return Some((fallback, false));
+        };
+        let mut at_min = candidates.iter().filter(|c| c.cost.total == min);
+        let first = *at_min.next().expect("the minimum is a candidate's");
+        Some((first, at_min.next().is_some()))
+    }
+
+    /// Whether two DP entries are the same to the bit.
+    fn same_entry(a: DpEntry, b: DpEntry) -> bool {
+        a.cost.startup.to_bits() == b.cost.startup.to_bits()
+            && a.cost.total.to_bits() == b.cost.total.to_bits()
+            && a.rows.to_bits() == b.rows.to_bits()
+            && a.split == b.split
+    }
+
+    /// The optimal root `(cost.total, rows)` by DPsub: every connected subset in
+    /// increasing size, every split of it into two connected halves in both orders,
+    /// priced through the enumerator's own `cheapest_join`, each of whose answers is
+    /// checked against [`reference_join`]. Also returns how many priced pairs had a
+    /// tie on the smallest total, so callers can check the tie rule was exercised.
+    fn dpsub_root(
+        enumerator: &JoinEnumerator<'_>,
+        indexes: &FixtureIndexes,
+        base: &[PhysicalPlan],
+    ) -> ((f64, f64), usize) {
         let n = base.len();
         let graph = enumerator.graph;
+        let connected: Vec<bool> = (0..1u64 << n)
+            .map(|mask| mask != 0 && graph.is_connected(RelSet::from_mask(mask)))
+            .collect();
         let mut table = base_table(base);
+        let mut ties = 0;
         let mut sets: Vec<RelSet> = (1..1u64 << n)
+            .filter(|mask| connected[*mask as usize])
             .map(RelSet::from_mask)
-            .filter(|s| s.len() > 1 && graph.is_connected(*s))
+            .filter(|s| s.len() > 1)
             .collect();
         sets.sort_by_key(|s| s.len());
         for set in sets {
             for s1 in set.nonempty_subsets().filter(|s1| *s1 != set) {
                 let s2 = set.difference(s1);
-                if !graph.is_connected(s1) || !graph.is_connected(s2) {
+                if !connected[s1.mask() as usize] || !connected[s2.mask() as usize] {
                     continue;
                 }
                 let left = Input::of_entry(&table, s1).expect("smaller sets come first");
                 let right = Input::of_entry(&table, s2).expect("smaller sets come first");
-                let Some(candidate) = enumerator.cheapest_join(left, right) else {
-                    continue;
-                };
-                if table
-                    .get(&set)
-                    .map_or(true, |best| candidate.cost.total < best.cost.total)
-                {
-                    table.insert(set, candidate);
+                let candidate = enumerator.cheapest_join(left, right);
+                let reference = reference_join(enumerator, indexes, left, right);
+                match (candidate, reference) {
+                    (None, None) => continue,
+                    (Some(candidate), Some((expected, tied))) => {
+                        assert!(
+                            same_entry(candidate, expected),
+                            "{s1} ⋈ {s2}: priced {candidate:?}, expected {expected:?}"
+                        );
+                        ties += tied as usize;
+                        if table
+                            .get(&set)
+                            .map_or(true, |best| candidate.cost.total < best.cost.total)
+                        {
+                            table.insert(set, candidate);
+                        }
+                    }
+                    (candidate, reference) => {
+                        panic!("{s1} ⋈ {s2}: priced {candidate:?}, expected {reference:?}")
+                    }
                 }
             }
         }
-        table[&RelSet::all(n)].cost.total
+        let root = table[&RelSet::all(n)];
+        ((root.cost.total, root.rows), ties)
     }
 
     /// Every join node covers exactly its inputs: two disjoint children, or (index
@@ -827,18 +1036,69 @@ mod tests {
         }
     }
 
-    /// DPccp's root cost equals the naive reference's, and both DPccp and greedy build
-    /// well-formed trees over every relation, under random indexes, table sizes,
-    /// base costs, cardinality overrides and join-algorithm switches.
-    fn assert_optimal(rng: &mut StdRng, n: usize, edges: &[(usize, usize)]) {
-        let spec = spec_with_edges(n, edges);
+    /// A spec over `edges` with seeded extras: a local filter on some relations, and
+    /// (when `complex`) predicates spanning two or three relations.
+    fn random_spec(
+        rng: &mut StdRng,
+        n: usize,
+        edges: &[(usize, usize)],
+        complex: bool,
+    ) -> QuerySpec {
+        let mut spec = spec_with_edges(n, edges);
+        for (rel, predicates) in spec.local_predicates.iter_mut().enumerate() {
+            if rng.gen_bool(0.3) {
+                predicates.push(Expr::eq(
+                    Expr::col(&format!("r{rel}"), "id"),
+                    Expr::lit(7i64),
+                ));
+            }
+        }
+        if complex {
+            for _ in 0..rng.gen_range(1..4) {
+                let width = rng.gen_range(2..4usize).min(n);
+                let mut rels: Vec<usize> = Vec::new();
+                while rels.len() < width {
+                    let rel = rng.gen_range(0..n);
+                    if !rels.contains(&rel) {
+                        rels.push(rel);
+                    }
+                }
+                let column = |rel: usize| Expr::col(&format!("r{rel}"), "id");
+                let sum = rels[1..].iter().fold(column(rels[0]), |acc, &rel| {
+                    Expr::binary(reopt_expr::BinaryOp::Add, acc, column(rel))
+                });
+                let predicate = Expr::binary(reopt_expr::BinaryOp::Lt, sum, Expr::lit(100i64));
+                spec.complex_predicates
+                    .push((RelSet::from_indexes(rels), predicate));
+            }
+        }
+        spec
+    }
+
+    /// DPccp's root `(cost.total, rows)` equals DPsub's to the bit, and both DPccp and
+    /// greedy build well-formed trees over every relation, under random indexes, table
+    /// sizes, base costs, local filters, complex predicates, cardinality overrides and
+    /// index nested-loop switches. Returns the ties DPsub saw.
+    fn assert_optimal(
+        rng: &mut StdRng,
+        n: usize,
+        edges: &[(usize, usize)],
+        complex: bool,
+    ) -> usize {
+        let spec = random_spec(rng, n, edges, complex);
         let graph = JoinGraph::new(&spec);
         let catalog = reopt_catalog::Catalog::new();
         let mut overrides = CardinalityOverrides::new();
         for mask in 1..1u64 << n {
             let set = RelSet::from_mask(mask);
             if graph.is_connected(set) && rng.gen_bool(0.4) {
-                overrides.set(set, 10f64.powf(rng.gen_range(0.0..6.0)).round());
+                // Half from a coarse grid, so equal estimates (and tied prices) occur.
+                let rows = if rng.gen_bool(0.5) {
+                    10f64.powi(rng.gen_range(0..4))
+                } else {
+                    10f64.powf(rng.gen_range(0.0..6.0)).round()
+                };
+                overrides.set(set, rows);
             }
         }
         let estimator = CardinalityEstimator::new(&spec, &catalog, &overrides);
@@ -875,11 +1135,17 @@ mod tests {
         let dp = enumerator
             .enumerate(base.clone(), EnumerationAlgorithm::DpCcp)
             .unwrap();
-        let context = format!("n={n} edges={edges:?}");
+        let context = format!(
+            "n={n} edges={edges:?} complex={:?}",
+            spec.complex_predicates
+        );
+        let ((total, rows), ties) = dpsub_root(&enumerator, &indexes, &base);
         assert_eq!(
+            (dp.cost.total.to_bits(), dp.estimated_rows.to_bits()),
+            (total.to_bits(), rows.to_bits()),
+            "DPccp ({}, {}) against DPsub ({total}, {rows}): {context}",
             dp.cost.total,
-            naive_root_total(&enumerator, &base),
-            "{context}"
+            dp.estimated_rows
         );
         assert_eq!(check_join_tree(&dp), n - 1, "{context}");
         assert_eq!(dp.rel_set, RelSet::all(n), "{context}");
@@ -890,28 +1156,30 @@ mod tests {
         assert_eq!(greedy.rel_set, RelSet::all(n), "{context}");
         assert_eq!(check_join_tree(&greedy), n - 1, "{context}");
         assert!(dp.cost.total <= greedy.cost.total, "{context}");
+        ties
     }
 
     #[test]
     fn dpccp_is_optimal_on_fixtures_and_random_graphs() {
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let fixtures: [(usize, &[(usize, usize)]); 5] = [
-            (5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
-            (5, &[(0, 1), (0, 2), (0, 3), (0, 4)]),
-            (4, &[(0, 1), (1, 2), (2, 3), (3, 0)]),
-            (4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-            (7, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]),
+        let mut ties = 0;
+        let shapes = [
+            Shape::Chain,
+            Shape::Star,
+            Shape::Cycle,
+            Shape::Clique,
+            Shape::Snowflake,
+            Shape::Random,
         ];
-        for _ in 0..8 {
-            for (n, edges) in fixtures {
-                assert_optimal(&mut rng, n, edges);
+        for n in 3..=10 {
+            for shape in shapes {
+                for complex in [false, true] {
+                    let edges = shaped_edges(&mut rng, shape, n);
+                    ties += assert_optimal(&mut rng, n, &edges, complex);
+                }
             }
         }
-        for n in 3..=7 {
-            for _ in 0..12 {
-                let edges = random_connected_edges(&mut rng, n);
-                assert_optimal(&mut rng, n, &edges);
-            }
-        }
+        // Equal totals occurred, so the first-wins tie rule was checked.
+        assert!(ties > 0);
     }
 }

@@ -4,8 +4,13 @@
 //! is a `u64` bitmask over those indexes. JOB queries join at most 17 relations, so 64
 //! bits is ample. The DP enumerator, the cardinality estimator (and its override table),
 //! and the re-optimization controller all key their state by `RelSet`.
+//!
+//! The planner's hot maps are [`RelSetMap`]s: hashed by [`RelSetHasher`], one
+//! multiply per key instead of SipHash.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A set of relation indexes, stored as a 64-bit mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -143,6 +148,48 @@ impl RelSet {
         }
     }
 }
+
+/// A multiplicative hasher for [`RelSet`] keys: the 128-bit product of the mask and
+/// an odd 64-bit constant, its two halves xor-folded, so the table's bucket index (low
+/// bits) and control byte (high bits) both depend on every relation in the set.
+///
+/// SipHash's keyed hashing defends a map against keys an adversary picks to collide.
+/// A `RelSet` is made by the planner (subsets of one query's FROM list), never read
+/// from input, so that defense buys nothing here, and SipHash's rounds would be most
+/// of the cost of a DP-table lookup. The hasher is deterministic; nothing depends on
+/// the iteration order of the maps that use it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RelSetHasher(u64);
+
+impl RelSetHasher {
+    /// `2^64 / φ`, the Fibonacci-hashing multiplier.
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for RelSetHasher {
+    fn write_u64(&mut self, mask: u64) {
+        let product = u128::from(self.0 ^ mask) * u128::from(Self::K);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached through `RelSet`'s `Hash`; any other key is
+        // folded in eight bytes at a time.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by relation set, hashed by [`RelSetHasher`]: the DP table, the
+/// estimator's per-subset cache and the cardinality override table.
+pub type RelSetMap<V> = HashMap<RelSet, V, BuildHasherDefault<RelSetHasher>>;
 
 struct RelSetIter(u64);
 
@@ -288,6 +335,28 @@ mod tests {
         assert_eq!(RelSet::EMPTY.nonempty_subsets().count(), 0);
         // Singleton has exactly one.
         assert_eq!(RelSet::single(2).nonempty_subsets().count(), 1);
+    }
+
+    #[test]
+    fn relset_hasher_spreads_single_bits_over_low_and_high_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<RelSetHasher>::default();
+        let hash = |set: RelSet| build.hash_one(set);
+        // Every single-relation set lands in its own bucket of a 64-slot table and
+        // carries its own 7-bit control byte: neither end of the hash is constant.
+        let low: std::collections::HashSet<u64> =
+            (0..64).map(|i| hash(RelSet::single(i)) & 63).collect();
+        let high: std::collections::HashSet<u64> =
+            (0..64).map(|i| hash(RelSet::single(i)) >> 57).collect();
+        assert!(low.len() > 32, "low bits: {} distinct", low.len());
+        assert!(high.len() > 32, "high bits: {} distinct", high.len());
+        assert_eq!(hash(RelSet::all(5)), hash(RelSet::from_indexes(0..5)));
+
+        let mut map: RelSetMap<usize> = RelSetMap::default();
+        for mask in 1..1u64 << 10 {
+            map.insert(RelSet::from_mask(mask), mask as usize);
+        }
+        assert!((1..1u64 << 10).all(|m| map[&RelSet::from_mask(m)] == m as usize));
     }
 
     #[test]

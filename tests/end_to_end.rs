@@ -6,7 +6,9 @@ use reopt_repro::core::{
     ReoptRoundKind, ReoptTrigger, SelectiveConfig,
 };
 use reopt_repro::executor::{execute_plan, Executor, MemoryGovernor};
-use reopt_repro::planner::{CardinalityOverrides, Optimizer, OptimizerConfig, PlannedQuery};
+use reopt_repro::planner::{
+    CardinalityOverrides, JoinGraph, Optimizer, OptimizerConfig, PlannedQuery, RelSet,
+};
 use reopt_repro::sql::parse_sql;
 use reopt_repro::workload::job::{job_queries, job_query, JobQuery};
 use reopt_repro::workload::{load_imdb, load_nasdaq, ImdbConfig, NasdaqConfig, APPL_QUERY};
@@ -456,12 +458,11 @@ fn restart_and_progress_policies_trigger_on_10a() {
 }
 
 #[test]
-fn selectivity_memo_serves_most_lookups_while_planning() {
-    // The estimator memoizes join-edge selectivities across enumerated pairs: every
-    // subset estimate after the first touch of an edge is a memo hit. Inside the DP
-    // regime a 10- to 12-relation run walks each edge so often that over 90 % of
-    // lookups hit; above `greedy_threshold` greedy enumeration estimates far fewer
-    // subsets, so only the general floor applies there.
+fn planning_estimates_each_connected_subset_once() {
+    // The estimator caches every subset it estimates, so a planning call counts each
+    // subset once however many csg-cmp pairs ask for it. Inside the DP regime DPccp
+    // asks for exactly the connected subsets of the join graph (the base relations
+    // included); above `greedy_threshold` greedy asks for a fraction of them.
     let db = imdb_database();
     let greedy_threshold = OptimizerConfig::default().greedy_threshold;
     for table_count in [4usize, 7, 10, 12, 17] {
@@ -471,16 +472,25 @@ fn selectivity_memo_serves_most_lookups_while_planning() {
             .expect("the suite covers this size");
         let statement = parse_sql(&query.sql).unwrap();
         let (planned, _) = db.plan_select(statement.query().unwrap()).unwrap();
-        let log = &planned.estimation_log;
-        let hit_rate = log.selectivity_memo_hit_rate();
+        let graph = JoinGraph::new(&planned.spec);
+        let connected = (1..1u64 << table_count)
+            .filter(|mask| graph.is_connected(RelSet::from_mask(*mask)))
+            .count() as u64;
+        let estimated = planned.estimation_log.total();
         let context = format!(
-            "{table_count}-relation planning ({}): memo hit rate {hit_rate:.3} \
-             ({} hits / {} misses)",
-            query.id, log.selectivity_memo_hits, log.selectivity_memo_misses
+            "{table_count}-relation planning ({}): {estimated} subsets estimated, \
+             {connected} connected",
+            query.id
         );
-        assert!(hit_rate > 0.5, "{context}");
-        if table_count >= 10 && table_count <= greedy_threshold {
-            assert!(hit_rate > 0.9, "{context}");
+        assert_eq!(
+            planned.estimation_log.count_for_size(1),
+            table_count as u64,
+            "{context}"
+        );
+        if table_count <= greedy_threshold {
+            assert_eq!(estimated, connected, "{context}");
+        } else {
+            assert!(estimated < connected, "{context}");
         }
     }
 }
