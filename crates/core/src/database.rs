@@ -161,7 +161,8 @@ impl Database {
 
     /// Pin the executor worker count for every statement this database runs (`1`
     /// runs every pipeline on the coordinator's inline worker, without the worker
-    /// pool). `None` restores the default:
+    /// pool; more runs pipelines of at least two morsels on the pool, and every
+    /// other pipeline on the inline worker as at `1`). `None` restores the default:
     /// the machine's available parallelism
     /// ([`reopt_executor::default_thread_count`]).
     pub fn set_threads(&mut self, threads: Option<usize>) {

@@ -266,7 +266,9 @@ pub struct ReoptReport {
     pub policy: String,
     /// The executor worker count every run (detection, materialization and final)
     /// used. `1` runs every pipeline on the coordinator's inline worker; larger
-    /// counts run pipelines of at least two morsels on the worker pool.
+    /// counts run pipelines of at least two morsels on the worker pool, and every
+    /// other pipeline on the inline worker, so a query whose pipelines are all
+    /// under two morsels takes the same rounds at every count.
     pub threads: usize,
     /// The rounds that were triggered (empty when the first plan was good enough).
     pub rounds: Vec<ReoptRound>,

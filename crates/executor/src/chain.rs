@@ -8,8 +8,8 @@
 //! caller pushes an input batch ([`Step::push`]) and takes output batches
 //! ([`Step::next`]) until the step needs more input; at the end of its input it
 //! takes the remainder ([`Step::flush`]). The engine (`parallel.rs`) drives a chain
-//! of steps per worker: a one-thread run's input is the pipeline's whole source, a
-//! pool worker's each morsel.
+//! of steps per worker: the inline worker's input is the pipeline's whole source,
+//! a pool worker's each morsel.
 //!
 //! One batching rule per kind:
 //!

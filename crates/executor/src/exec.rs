@@ -375,8 +375,10 @@ pub const DEFAULT_PRIORITY: u8 = 1;
 pub struct ExecConfig {
     /// Rows per batch (at least one).
     pub batch_size: usize,
-    /// Worker count: 1 runs every pipeline on the coordinator's inline worker, more
-    /// run pipelines of at least two morsels on the shared worker pool.
+    /// Worker count. It decides only where a pipeline of at least two morsels
+    /// runs: on the shared worker pool when it is above 1. Every other pipeline,
+    /// every pipeline at 1 and every LIMIT's child runs on the coordinator's
+    /// inline worker, the same way at any thread count.
     pub threads: usize,
     /// Whether scans emit columnar batches and predicates use the mask kernels.
     pub columnar: bool,
@@ -461,7 +463,8 @@ impl<'a> Executor<'a> {
     /// Set the worker count of morsel-driven execution (clamped to at least one).
     /// `threads == 1` runs every pipeline on the coordinator's inline worker, which
     /// never touches the worker pool; with more threads, pipelines of at least two
-    /// morsels run on the pool.
+    /// morsels run on the pool. A pipeline on the inline worker (one under two
+    /// morsels, or a LIMIT's child) runs the same way at every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads.max(1);
         self

@@ -10,7 +10,7 @@
 //!   its own batches (`chain.rs`); a LIMIT counts each input batch it takes rows
 //!   from, and an aggregate or sort each batch it hands over. A pool worker ends a
 //!   step's input at each morsel's end, so a join there counts at most one partial
-//!   batch more per morsel than a one-thread run, whose input is the whole source.
+//!   batch more per morsel than the inline worker, whose input is the whole source.
 //! * `elapsed` is the time spent in the node's own code: the engine times each
 //!   source, chain step and merge on its own, and a sink charges its consume time
 //!   to the breaker it feeds (a join's build, an aggregate). Worker times add up,

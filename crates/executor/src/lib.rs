@@ -6,11 +6,13 @@
 //! One engine runs every plan: a morsel-driven one (`parallel.rs`). A plan is
 //! decomposed into *pipelines* at its breakers, each pipeline's driving source is
 //! cut into morsels, and each morsel runs through the pipeline's chain of
-//! streaming steps (`chain.rs`) into its sink. At one thread
-//! ([`Executor::with_threads`]) every pipeline runs on the coordinator's inline
-//! worker, which takes the whole source as one input; with more, on the resident
-//! [`WorkerPool`]. Batches are fixed-size ([`exec::DEFAULT_BATCH_SIZE`] rows by
-//! default, [`Executor::with_batch_size`]). Internally a batch is either columnar —
+//! streaming steps (`chain.rs`) into its sink. A pipeline runs on the
+//! coordinator's inline worker, which takes the whole source as one input, unless
+//! it spans at least two morsels and the run has more than one thread
+//! ([`Executor::with_threads`]): then it runs on the resident [`WorkerPool`],
+//! where each morsel is one input. Batches are fixed-size
+//! ([`exec::DEFAULT_BATCH_SIZE`] rows by default, [`Executor::with_batch_size`]).
+//! Internally a batch is either columnar —
 //! typed column slices over the table's storage, on which scan and filter kernels
 //! run tight vectorized loops (dictionary codes compare as integers) — or a row
 //! batch; columnar batches are decoded to rows at the root seam, at breaker
@@ -18,7 +20,7 @@
 //! `next_batch() -> Option<RowBatch>` contract is unchanged (see
 //! [`Executor::with_columnar`], the kill switch). Memory is bounded to one
 //! in-flight batch per streaming step, the root's output in flight (a bounded
-//! exchange on the pool, one morsel's output at one thread) and the buffers of
+//! exchange on the pool, one morsel's output on the inline worker) and the buffers of
 //! *pipeline breakers* —
 //! the build side of a hash join, the inner side of a nested-loop join, aggregate
 //! group states and sort buffers. The rows and bytes held by breakers are tracked

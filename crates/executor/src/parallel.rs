@@ -16,32 +16,40 @@
 //! against shared storage). Every batch a step yields goes down the chain at once,
 //! so no fan-out is held in memory beyond one batch per step.
 //!
-//! Who runs the morsels:
+//! Who runs the morsels is decided per pipeline, by where it runs; each worker
+//! keeps one rule at every thread count:
 //!
-//! * **one thread**: the coordinator's *inline worker* runs every pipeline, taking
-//!   the whole source as one input, as a morsel-driven engine runs one worker (Leis
-//!   et al., SIGMOD 2014): step states carry across morsels, and the chain ends
-//!   once, source-up (`end_chain`). Registered join builds run root-down. A run
-//!   that never launches chain jobs never registers with the pool;
-//! * **more threads**: *chain jobs* on the process-wide resident [`WorkerPool`]
-//!   claim morsels through an atomic work-stealing cursor. Each query registers as
-//!   a pool task, and each chain job processes one morsel then re-enqueues itself at
+//! * the coordinator's **inline worker** runs a pipeline whose source is smaller
+//!   than two morsels, every pipeline of a one-thread run, and every LIMIT's
+//!   child. It takes the whole source as one input, as a morsel-driven engine
+//!   runs one worker (Leis et al., SIGMOD 2014): step states carry across
+//!   morsels, and the chain ends once, source-up (`end_chain`). Its registered
+//!   join builds run root-down. A run that never launches chain jobs never
+//!   registers with the pool;
+//! * **chain jobs** on the process-wide resident [`WorkerPool`] run a pipeline of
+//!   at least two morsels when the run has more than one thread; they claim
+//!   morsels through an atomic work-stealing cursor. Each query registers as a
+//!   pool task, and each chain job processes one morsel then re-enqueues itself at
 //!   the back of its task's queue, so concurrent queries interleave at morsel
 //!   granularity under the pool's priority + round-robin discipline (see
 //!   [`crate::pool`]). Each worker has its own step states, and the end of a morsel
 //!   is the end of the steps' input; a pipeline ends once every worker retired
-//!   (`Engine::finish_pipeline`). Builds run innermost-first. A source smaller
-//!   than two morsels runs on the inline worker, morsel by morsel, so tiny
-//!   dimension-table builds never pay the pool.
+//!   (`Engine::finish_pipeline`). Its builds run innermost-first.
+//!
+//! So the thread count only decides whether a pipeline of at least two morsels
+//! goes to the pool: a run whose pipelines all fit under two morsels does the
+//! same work, in the same order, at every thread count.
 //!
 //! The chain feeds the pipeline sink:
 //!
 //! * **streaming roots** on the pool exchange row batches through a *bounded*
 //!   channel that stays live across `next_batch` pulls — the pool keeps producing
-//!   (up to the channel bound) while the client consumes; a one-thread root runs
-//!   a morsel, or the end of its input, on a pull that finds no batch to serve;
-//! * **collection sinks** (sort inputs, small or spilled streaming roots) keep each
-//!   worker's batches with their `(morsel, sequence)` tags, reassembled in tag order;
+//!   (up to the channel bound) while the client consumes; a root on the inline
+//!   worker runs a morsel, or the end of its input, on a pull that finds no batch
+//!   to serve;
+//! * **collection sinks** (sort inputs, spilled or stopped streaming roots) keep
+//!   each worker's batches with their `(morsel, sequence)` tags, reassembled in tag
+//!   order;
 //! * **join build sinks** buffer each worker's rows with their tags; once every
 //!   worker finished, the coordinator inserts them in tag order into one join table
 //!   (`hash_join.rs`), so probe fan-out order and extracted breaker-state rows are
@@ -55,10 +63,10 @@
 //!   integer terms into an `i128`, and round once at emission — and groups are
 //!   emitted in first-seen `(morsel, sequence)` order, so results are bit-identical
 //!   across runs, thread counts and merge orders;
-//! * **LIMIT roots** use a morsel-ordered exchange: workers tag batches with their
-//!   morsel index and the coordinator reassembles them in morsel order, quiescing
-//!   the query through the per-query quiesce flag the moment the limit is
-//!   satisfied — output is run-identical at every thread count.
+//! * **LIMIT roots** take their child's batches on the inline worker, which claims
+//!   morsels in order, and quiesce the query through the per-query quiesce flag
+//!   the moment the limit is satisfied — output is the same scan-ordered prefix
+//!   at every thread count.
 //!
 //! # Out of core
 //!
@@ -96,16 +104,17 @@
 //! [`ExecError::Suspended`] with every *completed* build retained so
 //! [`Pipeline::take_breaker_states`] still extracts reusable state, innermost first.
 //! `SuspendAtRootSeam` also quiesces, but the first already-produced root batch is
-//! delivered before the next pull reports `Suspended`. A one-thread root serves
-//! every batch it made before a stop first, as a pull-based run had delivered
-//! them (an immediate stop drops the in-flight one, a seam stop ends with it).
+//! delivered before the next pull reports `Suspended`. A root on the inline worker
+//! serves every batch it made before a stop first, as a pull-based run had
+//! delivered them (an immediate stop drops the in-flight one, a seam stop ends with
+//! it).
 //!
 //! Per-operator metrics are recorded on one counter tree (the `instrument`
 //! module): workers add to a node's rows, batches and own time (so `elapsed` can
 //! exceed wall clock), a sink charges its consume time to the breaker it feeds, an
 //! aggregate or sort counts the batches it hands over, and a node is exhausted
 //! only when it and its whole subtree ran to completion. On the pool a streaming
-//! step counts at most one batch more per morsel than a one-thread run (its
+//! step counts at most one batch more per morsel than on the inline worker (its
 //! partial batch at the morsel's end). Buffered rows are tracked through one
 //! shared atomic high-water mark.
 //!
@@ -142,7 +151,7 @@ use reopt_expr::MaskCache;
 use reopt_planner::{PhysicalPlan, PlanKind, RelSet};
 use reopt_storage::{Row, Storage, Table};
 use std::cell::OnceCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -234,15 +243,6 @@ impl Shared {
             return Err(ExecError::Suspended);
         }
         Ok(())
-    }
-
-    /// Whether the run is a one-thread run, whose worker takes each pipeline's
-    /// source as one input and ends each step's input as it runs out
-    /// ([`end_chain`]). With more threads each morsel is an input and
-    /// [`Engine::finish_pipeline`] ends a pipeline once it drained (ROADMAP item 15
-    /// settles one rule).
-    fn one_input(&self) -> bool {
-        self.config.threads == 1
     }
 
     /// Whether in-flight work should be abandoned mid-step (immediate suspension or
@@ -537,7 +537,7 @@ impl<'p> Engine<'p> {
             meta: (child.rel_set, child.estimated_rows),
             node: Arc::clone(&stats.stats),
         });
-        let compiled = Arc::new(self.compile(child, child_stats)?);
+        let compiled = Arc::new(self.compile(child, child_stats, self.shared.config.threads)?);
         if self.stopped() {
             return Ok(None);
         }
@@ -580,7 +580,7 @@ impl<'p> Engine<'p> {
         let (child, child_stats) = (&plan.children[0], &stats.children[0]);
         let spill = Arc::clone(&stats.stats.spill);
         let mut buffer = SortBuffer::new(plan, governor.reservation(), spill)?;
-        let compiled = Arc::new(self.compile(child, child_stats)?);
+        let compiled = Arc::new(self.compile(child, child_stats, self.shared.config.threads)?);
         let batches = self.collect_compiled(&compiled)?;
         if self.stopped() {
             return none();
@@ -632,7 +632,7 @@ impl<'p> Engine<'p> {
         let (Some((mut table, kind)), join_stats) = (step.build_table(), &step.stats) else {
             return Ok(());
         };
-        let compiled = Arc::new(self.compile(plan, stats)?);
+        let compiled = Arc::new(self.compile(plan, stats, self.shared.config.threads)?);
         let grace = Arc::new(Mutex::new(None));
         let factory = BuildSinkFactory {
             kind,
@@ -700,12 +700,14 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
-    /// Execute a LIMIT-rooted plan: its child's first `count` rows, from the
-    /// morsel-ordered exchange of [`Engine::limit_stream`]. Output is the same
-    /// scan-ordered prefix at every thread count, and so are the counts: the LIMIT
-    /// counts each input batch it takes rows from as one output batch, and an
-    /// aggregate or sort below it (the chain's source) counts only the batches it
-    /// handed over before the LIMIT was satisfied.
+    /// Execute a LIMIT-rooted plan: its child's first `count` rows in scan order.
+    /// The child runs on the inline worker at every thread count, which claims its
+    /// morsels in order, and the run quiesces the moment the limit is satisfied, so
+    /// the output and the counts are the same at every thread count: the LIMIT
+    /// counts each input batch it takes rows from as one output batch (its `node` is
+    /// charged the take time), and an aggregate or sort below it (the chain's
+    /// source) counts only the batches it handed over before the LIMIT was
+    /// satisfied.
     fn eval_limit(
         &mut self,
         plan: &'p PhysicalPlan,
@@ -713,172 +715,48 @@ impl<'p> Engine<'p> {
         count: usize,
     ) -> Result<Vec<Row>, ExecError> {
         let node = &stats.stats;
-        let compiled = Arc::new(self.compile(&plan.children[0], &stats.children[0])?);
-        let out = if compiled.spilled() {
-            // A spilled join's partitions re-enter the chain after the main pass,
-            // where no morsel-ordered cut can follow them: take from its collected
-            // output.
-            let batches = self.collect_compiled(&compiled)?;
-            let start = Instant::now();
-            let mut out = Vec::new();
-            for batch in batches {
-                if out.len() >= count {
-                    break;
-                }
-                limit_take(&mut out, batch, count, node);
-            }
-            node.charge(start.elapsed());
-            out
-        } else {
-            self.limit_stream(&compiled, node, count)?
-        };
+        let compiled = Arc::new(self.compile(&plan.children[0], &stats.children[0], 1)?);
+        let mut out: Vec<Row> = Vec::new();
         if self.stopped() {
             return Ok(out);
         }
+        let shared = &self.shared;
+        run_inline(
+            &compiled,
+            shared,
+            &mut |_, batch| {
+                let start = Instant::now();
+                limit_take(&mut out, batch.into_rows(), count, node);
+                if out.len() >= count {
+                    shared.quiesce.store(true, Ordering::SeqCst);
+                }
+                node.charge(start.elapsed());
+                Ok(())
+            },
+            &|| self.pump_events(),
+        );
+        if let Some(error) = self.take_error() {
+            return Err(error);
+        }
         // A satisfied LIMIT stops without draining its input: it ran to completion
         // only when its input ran out first.
-        if out.len() < count {
+        if !self.stopped() && out.len() < count {
             node.finish();
         }
         Ok(out)
     }
 
-    /// The first `count` rows of a compiled child pipeline in scan order. Workers tag
-    /// every batch with its morsel index and send a done marker per fully-processed
-    /// morsel; the coordinator reassembles batches in morsel order (batches within
-    /// one morsel arrive in order — one morsel is processed by exactly one worker and
-    /// the channel preserves per-sender order) and sets the query's quiesce flag the
-    /// moment the limit is satisfied, so all workers retire at their next batch
-    /// boundary. The reassembly time is charged to the LIMIT's `node`. A chain over
-    /// materialized rows runs inline, so the breaker that made them hands over only
-    /// the batches the LIMIT takes.
-    fn limit_stream(
-        &mut self,
-        compiled: &Arc<Compiled>,
-        node: &OpStats,
-        count: usize,
-    ) -> Result<Vec<Row>, ExecError> {
-        if self.stopped() {
-            return Ok(Vec::new());
-        }
-        let mut out: Vec<Row> = Vec::new();
-        if compiled.workers <= 1 || matches!(compiled.source, Source::Rows(..)) {
-            // Inline: morsels are claimed in order by construction; stop claiming
-            // the moment the limit is satisfied.
-            let shared = Arc::clone(&self.shared);
-            let out_ref = &mut out;
-            run_inline(
-                compiled,
-                &self.shared,
-                &mut |_, batch| {
-                    let start = Instant::now();
-                    if let Some(batch) = batch {
-                        limit_take(out_ref, batch.into_rows(), count, node);
-                        if out_ref.len() >= count {
-                            shared.quiesce.store(true, Ordering::SeqCst);
-                        }
-                    }
-                    node.charge(start.elapsed());
-                    Ok(())
-                },
-                &|| self.pump_events(),
-            );
-        } else {
-            let (tx, rx) = sync_channel::<LimitMsg>(compiled.workers * 2);
-            let ctx = self.launch_chains(
-                compiled,
-                ChannelSink {
-                    tx,
-                    shared: Arc::clone(&self.shared),
-                    task: self.task().clone(),
-                },
-            );
-            // Reassemble in morsel order: the frontier morsel's batches flow
-            // straight to the output; later morsels park until every earlier morsel
-            // delivered its done marker. A morsel parks no batch once it parked
-            // `count` rows — no more of it can ever be emitted — so the reorder
-            // buffer is bounded by `workers x (count + batch_size)` rows.
-            let mut next = 0usize;
-            // Per morsel: its parked batches, the rows they hold and whether the done
-            // marker arrived.
-            let mut pending: HashMap<usize, (Vec<RowBatch>, usize, bool)> = HashMap::new();
-            let mut satisfied = false;
-            loop {
-                match rx.recv_timeout(Duration::from_micros(100)) {
-                    Ok(msg) => {
-                        let start = Instant::now();
-                        let (batches, rows, done) = pending.entry(msg.morsel).or_default();
-                        match msg.batch {
-                            Some(batch) if *rows < count => {
-                                *rows += batch.len();
-                                batches.push(batch);
-                            }
-                            Some(_) => {}
-                            None => *done = true,
-                        }
-                        while let Some((batches, _, done)) = pending.get_mut(&next) {
-                            for batch in batches.drain(..) {
-                                if out.len() >= count {
-                                    break;
-                                }
-                                limit_take(&mut out, batch, count, node);
-                            }
-                            if out.len() >= count {
-                                satisfied = true;
-                                break;
-                            }
-                            if !*done {
-                                break;
-                            }
-                            pending.remove(&next);
-                            next += 1;
-                        }
-                        node.charge(start.elapsed());
-                        if satisfied {
-                            self.shared.quiesce.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if ctx.gate.finished() {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-                self.pump_events();
-                if self.stopped() {
-                    break;
-                }
-            }
-            // Teardown: close the exchange so senders blocked on the bounded channel
-            // unblock (their sends fail and quiesce the query), then wait for every
-            // chain to retire. Remaining exchange contents are discarded — either
-            // the limit is satisfied or the run is stopping.
-            drop(rx);
-            ctx.gate.wait_pumping(&|| self.pump_events());
-            self.pump_events();
-        }
-        if let Some(error) = self.take_error() {
-            return Err(error);
-        }
-        // A truncated limit leaves the child pipeline non-exhausted (the quiesce
-        // flag is set, skipping `finish_pipeline`); a naturally drained child under
-        // the limit is marked exhausted as usual (by a one-thread run as it ends).
-        if !self.shared.one_input() && !self.stopped() && !self.shared.quiesce.load(Ordering::SeqCst) {
-            self.finish_pipeline(compiled)?;
-        }
-        Ok(out)
-    }
-
-    /// Compile the streaming segment rooted at `plan` down to its driving source.
+    /// Compile the streaming segment rooted at `plan` down to its driving source,
+    /// and place it: on the pool when its source spans at least two morsels and
+    /// `threads` allows more than one worker, on the inline worker otherwise (a
+    /// LIMIT's child passes `threads` 1).
     /// Hash-join builds and nested-loop inners are **registered, not executed**,
     /// while walking the spine (their probe steps get an empty table); they
     /// run lazily after the spine's own source is known to be runnable, with a
-    /// stop check between each. A one-thread run takes them root-down, so a
-    /// suspension on an inner build finds every outer one complete; the pool
-    /// takes them innermost-first, so a suspension on an inner breaker skips every
-    /// outer build.
+    /// stop check between each. A spine on the inline worker takes them root-down,
+    /// so a suspension on an inner build finds every outer one complete; a spine on
+    /// the pool takes them innermost-first, so a suspension on an inner breaker
+    /// skips every outer build.
     /// Mid-chain breakers that *drive* the pipeline (aggregate/sort outputs) still
     /// materialize during the walk: they are the source, without which nothing
     /// downstream is runnable.
@@ -886,6 +764,7 @@ impl<'p> Engine<'p> {
         &mut self,
         plan: &'p PhysicalPlan,
         stats: &'s StatsNode,
+        threads: usize,
     ) -> Result<Compiled, ExecError> {
         struct BuildRequest<'p, 's> {
             /// Index of the probe step (in collection order) waiting for its table.
@@ -1010,14 +889,19 @@ impl<'p> Engine<'p> {
                 }
             }
         };
+        let total = source.len();
+        let batch_size = self.shared.config.batch_size;
+        let morsel_rows = batch_size.saturating_mul(MORSEL_BATCHES).max(1);
+        let morsels = total.div_ceil(morsel_rows).max(1);
+        let workers = threads.min(morsels).max(1);
         // Execute the registered builds lazily, now that the spine's own source is
         // runnable, with a stop check between builds. Requests were collected
-        // root-down. One thread runs them in that order, as a pull-based run
+        // root-down. The inline worker runs them in that order, as a pull-based run
         // reaches them (each join builds on its first pull), so a suspension on an
-        // inner build finds every outer one complete and reusable. The pool runs
-        // them innermost-first, so a suspension on an inner breaker skips every
-        // outer build instead (ROADMAP item 15 settles one order).
-        if !self.shared.one_input() {
+        // inner build finds every outer one complete and reusable. A spine on the
+        // pool runs them innermost-first, so a suspension on an inner breaker skips
+        // every outer build instead (ROADMAP item 15 settles one order).
+        if workers > 1 {
             requests.reverse();
         }
         BUILDS_PLANNED.fetch_add(requests.len() as u64, Ordering::SeqCst);
@@ -1033,11 +917,6 @@ impl<'p> Engine<'p> {
         }
         // Steps were collected root-down; they apply source-up.
         steps.reverse();
-        let total = source.len();
-        let config = &self.shared.config;
-        let morsel_rows = config.batch_size.saturating_mul(MORSEL_BATCHES).max(1);
-        let morsels = total.div_ceil(morsel_rows).max(1);
-        let workers = config.threads.min(morsels).max(1);
         Ok(Compiled {
             source,
             steps,
@@ -1079,19 +958,20 @@ impl<'p> Engine<'p> {
     }
 
     /// Run a compiled pipeline into per-worker sink states: one per worker (the
-    /// inline worker, or each pool worker) and one per spilled join. A one-thread
-    /// run ended each step's input as it ran out ([`end_chain`]). With more threads,
-    /// after the main pass, each spilled join in the chain, source-up, joins its
-    /// partitions on the coordinator through its step, and the output goes down the
-    /// rest of the chain as one more morsel (the output of a lower join feeds the
-    /// probe partitions of a higher one); then [`Engine::finish_pipeline`].
+    /// inline worker, or each pool worker) and one per spilled join on the pool.
+    /// The inline worker ends each step's input as it runs out ([`end_chain`]). On
+    /// the pool, after the main pass, each spilled join in the chain, source-up,
+    /// joins its partitions on the coordinator through its step, and the output
+    /// goes down the rest of the chain as one more morsel (the output of a lower
+    /// join feeds the probe partitions of a higher one); then
+    /// [`Engine::finish_pipeline`].
     fn execute_pipeline<S: SinkFactory + Clone>(
         &self,
         compiled: &Arc<Compiled>,
         factory: S,
     ) -> Result<Vec<S::Local>, ExecError> {
         let pump = || self.pump_events();
-        let mut locals = if compiled.workers <= 1 {
+        if compiled.workers <= 1 {
             let mut local = factory.make();
             run_inline(
                 compiled,
@@ -1099,21 +979,19 @@ impl<'p> Engine<'p> {
                 &mut |morsel, batch| feed(&factory, &mut local, morsel, batch, &pump),
                 &pump,
             );
-            vec![local]
-        } else {
-            let ctx = self.launch_chains(compiled, factory.clone());
-            // The coordinator pumps worker-enqueued events while the pool drains
-            // the morsel queue.
-            ctx.gate.wait_pumping(&pump);
-            self.pump_events();
-            let locals = std::mem::take(&mut *ctx.locals.lock().expect("chain locals"));
-            locals
-        };
+            return match self.take_error() {
+                Some(error) => Err(error),
+                None => Ok(vec![local]),
+            };
+        }
+        let ctx = self.launch_chains(compiled, factory.clone());
+        // The coordinator pumps worker-enqueued events while the pool drains the
+        // morsel queue.
+        ctx.gate.wait_pumping(&pump);
+        self.pump_events();
+        let mut locals = std::mem::take(&mut *ctx.locals.lock().expect("chain locals"));
         if let Some(error) = self.take_error() {
             return Err(error);
-        }
-        if self.shared.one_input() {
-            return Ok(locals);
         }
         for (at, step) in compiled.steps.iter().enumerate() {
             if !step.spilled() || self.shared.quiesce.load(Ordering::SeqCst) {
@@ -1124,7 +1002,7 @@ impl<'p> Engine<'p> {
             let (mut state, mut grant) = (step.state(), self.shared.config.governor.reservation());
             // Its tag follows the main pass's morsels and those of lower joins.
             let (morsel, mut local) = (compiled.morsels + at, factory.make());
-            let mut sink = |batch| feed(&factory, &mut local, morsel, Some(batch), &pump);
+            let mut sink = |batch| feed(&factory, &mut local, morsel, batch, &pump);
             let joined = |step: &Step, state: &mut StepState, events: &dyn Events| {
                 step.next_spilled(state, &mut grant, events)
             };
@@ -1139,8 +1017,7 @@ impl<'p> Engine<'p> {
                 &pump,
                 joined,
             )
-            .and_then(|()| flush_chain(rest, states, shared, &mut sink, &pump))
-            .and_then(|()| feed(&factory, &mut local, morsel, None, &pump));
+            .and_then(|()| flush_chain(rest, states, shared, &mut sink, &pump));
             if let Err(error) = result {
                 shared.fail(error);
             }
@@ -1231,6 +1108,7 @@ struct Compiled {
     steps: Vec<Step>,
     morsel_rows: usize,
     morsels: usize,
+    /// 1 places the pipeline on the inline worker, more on the pool.
     workers: usize,
 }
 
@@ -1267,8 +1145,8 @@ impl WorkerChain {
 }
 
 /// Claim **one** morsel and push each batch-sized chunk of it through the chain,
-/// feeding the sink with `(morsel, Some(batch))` per batch the chain yields. The
-/// steps' input does not end here. Returns the morsel, or `None` when the source is
+/// feeding the sink with `(morsel, batch)` per batch the chain yields. The steps'
+/// input does not end here. Returns the morsel, or `None` when the source is
 /// exhausted or the query quiesced (a morsel cut short by the quiesce is
 /// abandoned).
 fn push_one_morsel(
@@ -1276,7 +1154,7 @@ fn push_one_morsel(
     shared: &Shared,
     cursor: &AtomicUsize,
     chain: &mut WorkerChain,
-    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+    sink: &mut dyn FnMut(usize, Batch) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<Option<usize>, ExecError> {
     if shared.quiesce.load(Ordering::SeqCst) {
@@ -1293,7 +1171,7 @@ fn push_one_morsel(
     let chunk = (compiled.morsel_rows / MORSEL_BATCHES.max(1)).max(1);
     // The sink takes the chain's last batch as it is (an aggregate reads a column
     // batch in place and a join build keeps it; other sinks decode it).
-    let mut chain_sink = |batch| sink(morsel, Some(batch));
+    let mut chain_sink = |batch| sink(morsel, batch);
     while pos < end {
         if shared.quiesce.load(Ordering::SeqCst) {
             return Ok(None);
@@ -1316,32 +1194,29 @@ fn push_one_morsel(
 }
 
 /// A pool worker's quantum: one morsel, whose end is the end of the steps' input
-/// (each step's remainder goes down the chain), then the morsel's `(morsel, None)`
-/// done marker. `Ok(false)` once the source is exhausted or the query quiesced.
+/// (each step's remainder goes down the chain). `Ok(false)` once the source is
+/// exhausted or the query quiesced.
 fn process_one_morsel(
     compiled: &Compiled,
     shared: &Shared,
     cursor: &AtomicUsize,
     chain: &mut WorkerChain,
-    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+    sink: &mut dyn FnMut(usize, Batch) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) -> Result<bool, ExecError> {
     let Some(morsel) = push_one_morsel(compiled, shared, cursor, chain, sink, pump)? else {
         return Ok(false);
     };
-    let mut chain_sink = |batch| sink(morsel, Some(batch));
+    let mut chain_sink = |batch| sink(morsel, batch);
     flush_chain(&compiled.steps, &mut chain.states, shared, &mut chain_sink, pump)?;
-    sink(morsel, None)?;
     Ok(true)
 }
 
 /// The inline worker: the source on the coordinator thread, observer events
-/// delivered after every batch a step yields. In a one-thread run the source is
-/// one input ([`Shared::one_input`]): step states carry across morsels, and once
-/// the last morsel is pushed the chain ends once, source-up ([`end_chain`]). With
-/// more threads each morsel is an input of its own, as on a pool worker. A run
-/// that quiesced (a suspension, or a satisfied LIMIT) ends nothing: its counts stay
-/// truncated.
+/// delivered after every batch a step yields. The source is one input, at every
+/// thread count: step states carry across morsels, and once the last morsel is
+/// pushed the chain ends once, source-up ([`end_chain`]). A run that quiesced (a
+/// suspension, or a satisfied LIMIT) ends nothing: its counts stay truncated.
 struct InlineWorker {
     compiled: Arc<Compiled>,
     cursor: AtomicUsize,
@@ -1363,22 +1238,18 @@ impl InlineWorker {
     fn advance(
         &mut self,
         shared: &Shared,
-        sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+        sink: &mut dyn FnMut(usize, Batch) -> Result<(), ExecError>,
         pump: &dyn Fn(),
     ) -> Result<bool, ExecError> {
         let (compiled, cursor, chain) = (&*self.compiled, &self.cursor, &mut self.chain);
-        if !shared.one_input() {
-            return process_one_morsel(compiled, shared, cursor, chain, sink, pump);
-        }
         if let Some(morsel) = push_one_morsel(compiled, shared, cursor, chain, sink, pump)? {
             self.last = morsel;
             return Ok(true);
         }
         if !shared.quiesce.load(Ordering::SeqCst) {
             let last = self.last;
-            let mut chain_sink = |batch| sink(last, Some(batch));
+            let mut chain_sink = |batch| sink(last, batch);
             end_chain(compiled, &mut chain.states, shared, &mut chain_sink, pump)?;
-            sink(last, None)?;
         }
         Ok(false)
     }
@@ -1389,7 +1260,7 @@ impl InlineWorker {
 fn run_inline(
     compiled: &Arc<Compiled>,
     shared: &Shared,
-    sink: &mut dyn FnMut(usize, Option<Batch>) -> Result<(), ExecError>,
+    sink: &mut dyn FnMut(usize, Batch) -> Result<(), ExecError>,
     pump: &dyn Fn(),
 ) {
     let mut worker = InlineWorker::new(compiled);
@@ -1606,10 +1477,10 @@ fn pass_on(
 }
 
 /// A pipeline sink with per-worker local state: `make` is called once per chain,
-/// `consume` once per produced chain batch (tagged with the morsel index it came
-/// from), and `morsel_done` once per fully-processed morsel. `execute_pipeline`
-/// returns every chain's local state for the merge step. `'static` because sinks
-/// ride inside pool jobs that may outlive the coordinating stack frame.
+/// and `consume` once per produced chain batch (tagged with the morsel index it
+/// came from). `execute_pipeline` returns every chain's local state for the merge
+/// step. `'static` because sinks ride inside pool jobs that may outlive the
+/// coordinating stack frame.
 trait SinkFactory: Send + Sync + 'static {
     type Local: Send + 'static;
     fn make(&self) -> Self::Local;
@@ -1624,11 +1495,6 @@ trait SinkFactory: Send + Sync + 'static {
         batch: Batch,
         pump: &dyn Fn(),
     ) -> Result<(), ExecError>;
-    /// Called after the last batch of a fully-processed morsel (quiesced morsels
-    /// never report done).
-    fn morsel_done(&self, _local: &mut Self::Local, _morsel: usize) -> Result<(), ExecError> {
-        Ok(())
-    }
     /// The breaker node the sink feeds, charged with the sink's consume time (a
     /// join's build, an aggregate); `None` for the exchanges and collections.
     fn node(&self) -> Option<&OpStats> {
@@ -1636,18 +1502,14 @@ trait SinkFactory: Send + Sync + 'static {
     }
 }
 
-/// Hand one chain batch (or, with `None`, the done marker of `morsel`) to a sink,
-/// charging the consume time to the node it feeds.
+/// Hand one chain batch to a sink, charging the consume time to the node it feeds.
 fn feed<S: SinkFactory>(
     sink: &S,
     local: &mut S::Local,
     morsel: usize,
-    batch: Option<Batch>,
+    batch: Batch,
     pump: &dyn Fn(),
 ) -> Result<(), ExecError> {
-    let Some(batch) = batch else {
-        return sink.morsel_done(local, morsel);
-    };
     let start = Instant::now();
     let out = sink.consume(local, morsel, batch, pump);
     if let Some(node) = sink.node() {
@@ -1792,13 +1654,6 @@ impl SinkFactory for CollectSink {
     }
 }
 
-/// One message of the LIMIT root exchange: a produced batch of `morsel`, or (with
-/// `batch == None`) the marker that `morsel` is fully processed.
-struct LimitMsg {
-    morsel: usize,
-    batch: Option<RowBatch>,
-}
-
 /// Hand `batch` to a LIMIT that holds `out` and stops at `count` rows: it takes what
 /// fits and counts what it took as one output batch on its `node`.
 fn limit_take(out: &mut Vec<Row>, batch: RowBatch, count: usize, node: &OpStats) {
@@ -1807,17 +1662,13 @@ fn limit_take(out: &mut Vec<Row>, batch: RowBatch, count: usize, node: &OpStats)
     out.extend(batch.into_iter().take(room));
 }
 
-/// Exchange sink of a root: chain output flows through a bounded channel to the
-/// coordinator, each chain sending through its own cloned handle. A streaming root
-/// sends row batches, which the client-pulled pipeline facade serves. A LIMIT root
-/// sends [`LimitMsg`]s, which carry their morsel and end each fully processed
-/// morsel with a done marker, so the coordinator reassembles the stream in morsel
-/// order and quiesces the query the moment the limit is satisfied (see
-/// [`Engine::limit_stream`]). A send can only fail once the receiver is gone for
-/// good — the pipeline was suspended or dropped, or the limit is satisfied — so it
+/// Exchange sink of a streaming root on the pool: chain output flows as row
+/// batches through a bounded channel to the client-pulled pipeline facade, each
+/// chain sending through its own cloned handle. A send can only fail once the
+/// receiver is gone for good — the pipeline was suspended or dropped — so it
 /// quiesces the query rather than letting orphaned chains keep scanning.
-struct ChannelSink<M> {
-    tx: SyncSender<M>,
+struct ChannelSink {
+    tx: SyncSender<RowBatch>,
     shared: Arc<Shared>,
     /// The owning query's task handle: sends run inside its blocking section so a
     /// worker stalled behind a slow-pulling client stops counting against the
@@ -1825,16 +1676,7 @@ struct ChannelSink<M> {
     task: TaskHandle,
 }
 
-impl<M> ChannelSink<M> {
-    fn send(&self, local: &SyncSender<M>, msg: M) -> Result<(), ExecError> {
-        if self.task.blocking(|| local.send(msg)).is_err() {
-            self.shared.quiesce.store(true, Ordering::SeqCst);
-        }
-        Ok(())
-    }
-}
-
-impl SinkFactory for ChannelSink<RowBatch> {
+impl SinkFactory for ChannelSink {
     type Local = SyncSender<RowBatch>;
 
     fn make(&self) -> SyncSender<RowBatch> {
@@ -1848,40 +1690,10 @@ impl SinkFactory for ChannelSink<RowBatch> {
         batch: Batch,
         _pump: &dyn Fn(),
     ) -> Result<(), ExecError> {
-        self.send(local, batch.into_rows())
-    }
-}
-
-impl SinkFactory for ChannelSink<LimitMsg> {
-    type Local = SyncSender<LimitMsg>;
-
-    fn make(&self) -> SyncSender<LimitMsg> {
-        self.tx.clone()
-    }
-
-    fn consume(
-        &self,
-        local: &mut SyncSender<LimitMsg>,
-        morsel: usize,
-        batch: Batch,
-        _pump: &dyn Fn(),
-    ) -> Result<(), ExecError> {
-        let batch = Some(batch.into_rows());
-        self.send(local, LimitMsg { morsel, batch })
-    }
-
-    fn morsel_done(
-        &self,
-        local: &mut SyncSender<LimitMsg>,
-        morsel: usize,
-    ) -> Result<(), ExecError> {
-        self.send(
-            local,
-            LimitMsg {
-                morsel,
-                batch: None,
-            },
-        )
+        if self.task.blocking(|| local.send(batch.into_rows())).is_err() {
+            self.shared.quiesce.store(true, Ordering::SeqCst);
+        }
+        Ok(())
     }
 }
 
@@ -1894,7 +1706,7 @@ impl SinkFactory for ChannelSink<LimitMsg> {
 struct StreamingRoot {
     rx: Receiver<RowBatch>,
     /// Keeps the chain-job context (and its retirement gate) reachable.
-    ctx: Arc<ChainCtx<ChannelSink<RowBatch>>>,
+    ctx: Arc<ChainCtx<ChannelSink>>,
     compiled: Arc<Compiled>,
     /// Seam suspension: whether the one in-flight batch was already delivered.
     seam_delivered: bool,
@@ -1903,8 +1715,8 @@ struct StreamingRoot {
 /// How far a pipeline has progressed.
 enum RunState {
     NotStarted,
-    /// A materialized root (aggregate/sort breaker, inline or spilled run, or seam
-    /// tail): rows are served in batch-size chunks, a spilled sort's straight from
+    /// A materialized root (aggregate/sort breaker, LIMIT, a spilled or stopped
+    /// run on the pool, or seam tail): rows are served in batch-size chunks, a spilled sort's straight from
     /// its run merge.
     Serving {
         rows: Sorted,
@@ -1918,9 +1730,9 @@ enum RunState {
     /// A streaming-shaped root: chain jobs stay live on the pool across pulls,
     /// producing into a bounded exchange as fast as the client consumes.
     Streaming(StreamingRoot),
-    /// A streaming-shaped root of a one-thread run: a pull that finds no produced
-    /// batch left to serve advances the inline worker (`None` once its input
-    /// ended) by one quantum.
+    /// A streaming-shaped root on the inline worker: a pull that finds no produced
+    /// batch left to serve advances the worker (`None` once its input ended) by
+    /// one quantum.
     Inline(Option<InlineWorker>, VecDeque<RowBatch>),
     Suspended,
     Poisoned,
@@ -1933,10 +1745,9 @@ enum RunState {
 ///
 /// Breaker-rooted plans (aggregate/sort) materialize their result inside the first
 /// `next_batch` call and serve it in batch-size chunks — the breaker buffers
-/// everything by definition — and so does a plan whose spine runs on the inline
-/// worker of a run with more threads (a source smaller than two morsels). A
-/// one-thread streaming-shaped root runs a morsel on a pull that finds no batch
-/// to serve.
+/// everything by definition — and so does a LIMIT. A streaming-shaped root on the
+/// inline worker (a source smaller than two morsels, or a one-thread run) runs a
+/// morsel on a pull that finds no batch to serve.
 /// A streaming-shaped root on the pool instead keeps a **live root exchange**: the
 /// first pull launches its chain jobs; every pull (including the first) receives
 /// the next produced batch from a bounded channel while the jobs keep running
@@ -1985,9 +1796,9 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    /// Start executing on the resident pool. Called on the first pull. Breaker
-    /// roots run to completion here; streaming roots launch their chain jobs and
-    /// return with the exchange open.
+    /// Start executing. Called on the first pull. Breaker and LIMIT roots run to
+    /// completion here; a streaming root on the pool launches its chain jobs and
+    /// returns with the exchange open, one on the inline worker runs pull by pull.
     fn run(&mut self) -> Result<(), ExecError> {
         self.started = Some(Instant::now());
         self.engine = Some(Engine {
@@ -2039,24 +1850,24 @@ impl<'p> Pipeline<'p> {
     fn run_streaming(&mut self) -> Result<(), ExecError> {
         let plan = self.plan;
         // A streaming-shaped root: compile the spine (registered builds run lazily
-        // at the end of the compile), then serve through a live exchange.
+        // at the end of the compile), then serve from the inline worker, pull by
+        // pull, or through a live exchange with the pool.
         let compiled = {
             let engine = self.engine.as_mut().expect("engine");
-            engine.compile(plan, &self.stats)
+            engine.compile(plan, &self.stats, self.config.threads)
         };
         let compiled = match compiled {
             Ok(compiled) => Arc::new(compiled),
             Err(error) => return self.settle_materialized(Err(error), None),
         };
-        let engine = self.engine.as_ref().expect("engine");
-        if engine.shared.one_input() {
+        if compiled.workers <= 1 {
             self.state = RunState::Inline(Some(InlineWorker::new(&compiled)), VecDeque::new());
             return Ok(());
         }
-        if engine.stopped() || compiled.workers <= 1 || compiled.spilled() {
-            // Stopped during the builds, a source too small to parallelize (tiny
-            // inputs never pay the pool), or a spilled join, whose partition passes
-            // follow the main pass: collect on the coordinator.
+        let engine = self.engine.as_ref().expect("engine");
+        if engine.stopped() || compiled.spilled() {
+            // Stopped during the builds, or a spilled join, whose partition passes
+            // follow the pool's main pass: collect on the coordinator.
             let result = engine.collect_compiled(&compiled).map(Sorted::batches);
             return self.settle_materialized(result, None);
         }
@@ -2175,7 +1986,7 @@ impl<'p> Pipeline<'p> {
         Err(ExecError::Suspended)
     }
 
-    /// One pull from a one-thread streaming root. The batches a quantum made are
+    /// One pull from a streaming root on the inline worker. The batches a quantum made are
     /// served before the next quantum runs, or a stop taken during it suspends the
     /// pipeline, as a pull-based run had delivered them.
     fn inline_next(&mut self) -> Result<Option<RowBatch>, ExecError> {
@@ -2198,12 +2009,10 @@ impl<'p> Pipeline<'p> {
                 return self.finish();
             };
             let seam = &engine.shared.seam;
-            let mut sink = |_, batch: Option<Batch>| {
-                if let Some(batch) = batch {
-                    out.push_back(batch.into_rows());
-                    // Under a seam stop the in-flight batch is the last one made.
-                    seam.store(false, Ordering::SeqCst);
-                }
+            let mut sink = |_, batch: Batch| {
+                out.push_back(batch.into_rows());
+                // Under a seam stop the in-flight batch is the last one made.
+                seam.store(false, Ordering::SeqCst);
                 Ok(())
             };
             match running.advance(&engine.shared, &mut sink, &|| engine.pump_events()) {
@@ -2571,18 +2380,15 @@ mod tests {
         }
     }
 
-    /// The nodes of `plan` with their metrics in two runs, in pre-order, each with
-    /// whether it lies below a LIMIT.
+    /// The nodes of `plan` with their metrics in two runs, in pre-order.
     fn node_pairs<'m>(
         plan: &'m PhysicalPlan,
         (a, b): (&'m MetricsNode, &'m MetricsNode),
-        below_limit: bool,
-        out: &mut Vec<(&'m PhysicalPlan, &'m MetricsNode, &'m MetricsNode, bool)>,
+        out: &mut Vec<(&'m PhysicalPlan, &'m MetricsNode, &'m MetricsNode)>,
     ) {
-        out.push((plan, a, b, below_limit));
-        let below = below_limit || matches!(plan.kind, PlanKind::Limit { .. });
+        out.push((plan, a, b));
         for ((child, a), b) in plan.children.iter().zip(&a.children).zip(&b.children) {
-            node_pairs(child, (a, b), below, out);
+            node_pairs(child, (a, b), out);
         }
     }
 
@@ -2629,8 +2435,8 @@ mod tests {
                 };
                 let (single, morsel) = (run(1), run(4));
                 let mut pairs = Vec::new();
-                node_pairs(&planned.plan, (&single, &morsel), false, &mut pairs);
-                for (node, one, four, below_limit) in pairs {
+                node_pairs(&planned.plan, (&single, &morsel), &mut pairs);
+                for (node, one, four) in pairs {
                     let label = format!("{}: {sql} at batch size {batch_size}", one.metrics.label);
                     let (one_m, four_m) = (&one.metrics, &four.metrics);
                     assert_eq!(one_m.label, four_m.label, "{sql}");
@@ -2640,11 +2446,9 @@ mod tests {
                         // the scans their non-empty chunks.
                         PlanKind::Limit { .. }
                         | PlanKind::Aggregate { .. }
-                        | PlanKind::Sort { .. } => {
-                            assert_eq!(one_m.batches, four_m.batches, "{label}");
-                        }
-                        _ if below_limit => {}
-                        PlanKind::SeqScan { .. } | PlanKind::IndexScan { .. } => {
+                        | PlanKind::Sort { .. }
+                        | PlanKind::SeqScan { .. }
+                        | PlanKind::IndexScan { .. } => {
                             assert_eq!(one_m.batches, four_m.batches, "{label}");
                         }
                         // A streaming step ends its input once per morsel: at most one
@@ -2659,9 +2463,9 @@ mod tests {
                             );
                         }
                     }
-                    if !below_limit {
-                        assert_eq!(one_m.actual_rows, four_m.actual_rows, "{label}");
-                    }
+                    // A LIMIT's child runs on the inline worker at every thread
+                    // count, so even its truncated counts agree.
+                    assert_eq!(one_m.actual_rows, four_m.actual_rows, "{label}");
                 }
                 if sql == limited || sql == sorted {
                     assert!(

@@ -20,6 +20,7 @@ use reopt_repro::core::{
 };
 use reopt_repro::executor::{ExecEvent, QueryMetrics, WorkerPool};
 use reopt_repro::planner::{OptimizerConfig, QuerySpec, RelSet};
+use reopt_repro::sql::parse_sql;
 use reopt_repro::storage::{live_spill_files, Row};
 use reopt_repro::workload::job::{job_queries, job_query, JobQuery};
 use reopt_repro::workload::{load_imdb, ImdbConfig};
@@ -361,11 +362,12 @@ fn reoptimize_holding_first_replan(
 
 #[test]
 fn limit_quiesce_races_mid_query_suspension_across_sessions() {
-    // The parallel LIMIT quiesces its workers the moment the count is satisfied;
-    // a concurrent session's mid-query suspension quiesces *its* workers through
-    // the same resident pool. The two teardown paths must stay scoped per query:
-    // LIMIT output stays run-identical (exact order, morsel-ordered exchange)
-    // while the other session suspends, re-plans and resumes.
+    // A LIMIT quiesces its run the moment the count is satisfied, and a streaming
+    // scan dropped mid-stream quiesces its pool chains; a concurrent session's
+    // mid-query suspension quiesces *its* workers through the same resident pool.
+    // The teardown paths must stay scoped per query: LIMIT output stays
+    // run-identical (exact order) and the dropped scan's chains retire while the
+    // other session suspends, re-plans and resumes.
     let mut db = Database::with_config(OptimizerConfig {
         enable_index_scans: false,
         enable_index_nl_joins: false,
@@ -374,8 +376,10 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     load_imdb(&mut db, &ImdbConfig { scale: 0.03, seed: 9 }).unwrap();
     db.set_threads(Some(2));
     // 16-row batches split the ~240-row title table into four morsels, so the
-    // background LIMIT runs on pool workers rather than inline.
+    // background scan runs on pool workers rather than inline (a LIMIT runs its
+    // child on the inline worker at every thread count).
     db.set_batch_size(Some(16));
+    let scan = "SELECT t.id AS id FROM title AS t";
 
     let limits = [
         // No ORDER BY: the parallel engine must still return the scan-order prefix.
@@ -390,7 +394,16 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
         .collect();
     let skewed = job_query("10a").unwrap();
     let expected_skewed = db.execute(&skewed.sql).unwrap();
+    let scan_ids: HashSet<String> = db
+        .execute(scan)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| format!("{row}"))
+        .collect();
     db.set_threads(Some(2));
+    let scan_statement = parse_sql(scan).unwrap();
+    let scan_plan = db.plan_select(scan_statement.query().unwrap()).unwrap().0;
 
     let stop = Arc::new(AtomicBool::new(false));
     let stop_bg = Arc::clone(&stop);
@@ -402,13 +415,28 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
         while !stop_bg.load(Ordering::SeqCst) {
             for (sql, want) in limits.iter().zip(&bg_expected) {
                 let out = background.execute(sql).unwrap();
-                // Exact order, not sorted: parallel LIMIT promises run-identical
-                // output even while another query tears down mid-suspension.
+                // Exact order, not sorted: LIMIT promises run-identical output even
+                // while another query tears down mid-suspension.
                 assert_eq!(
                     &out.rows, want,
                     "LIMIT output diverged while another session suspended mid-query"
                 );
             }
+            // A streaming scan on the pool, pulled for a few batches and dropped:
+            // dropping the pipeline quiesces its chains mid-stream.
+            let executor = background.database().executor();
+            let mut pipeline = executor.open(&scan_plan.plan).unwrap();
+            for _ in 0..3 {
+                let batch = pipeline
+                    .next_batch()
+                    .unwrap()
+                    .expect("the scan has more rows");
+                assert!(
+                    batch.iter().all(|row| scan_ids.contains(&format!("{row}"))),
+                    "the pool scan produced a row the table does not hold"
+                );
+            }
+            drop(pipeline);
             completed_bg.fetch_add(1, Ordering::SeqCst);
         }
     });
@@ -434,7 +462,8 @@ fn limit_quiesce_races_mid_query_suspension_across_sessions() {
     bg_handle.join().expect("background session panicked");
     assert!(
         completed.load(Ordering::SeqCst) >= 1,
-        "the background session must complete LIMIT queries during re-optimization"
+        "the background session must complete LIMIT queries and pool scans during \
+         re-optimization"
     );
 }
 

@@ -893,11 +893,16 @@ fn unlimited_budget_keeps_reports_spill_free_across_policies_and_threads() {
     }
 }
 
-/// Every MidQuery round of 10a and 15b at one thread, per batch size, as
-/// `(trigger, relation set, observed rows)`: the events an inline run sends, and
-/// when, decide each of them (job-plain data: scale 0.02, data seed 42; threshold
-/// 8, feedback off).
-const ONE_THREAD_ROUNDS: &[(&str, usize, &str)] = &[
+/// Every MidQuery round of 10a and 15b, per batch size, as `(trigger, relation
+/// set, observed rows)`: the events an inline run sends, and when, decide each of
+/// them (job-plain data: scale 0.02, data seed 42; threshold 8, feedback off).
+///
+/// At batch size 1024 every source of both queries is under two morsels, so
+/// every pipeline runs on the inline worker at any thread count, and the rounds
+/// are checked at 1, 2 and 4 threads. Batch size 7 is checked at one thread
+/// only: there the sources span many morsels and reach the pool, whose
+/// per-morsel rule still moves the rounds (ROADMAP item 15).
+const PINNED_ROUNDS: &[(&str, usize, &str)] = &[
     (
         "10a",
         7,
@@ -930,33 +935,31 @@ const ONE_THREAD_ROUNDS: &[(&str, usize, &str)] = &[
 ];
 
 #[test]
-fn mid_query_rounds_at_one_thread_are_pinned() {
+fn mid_query_rounds_are_pinned_across_thread_counts() {
     let mut db = Database::new();
     load_imdb(&mut db, &ImdbConfig { scale: 0.02, seed: 42 }).unwrap();
-    db.set_threads(Some(1));
     let config = ReoptConfig {
         threshold: 8.0,
         mode: ReoptMode::MidQuery,
         ..ReoptConfig::default()
     }
     .with_feedback(false);
-    let mut got = Vec::new();
-    for id in ["10a", "15b"] {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for &(id, batch_size, rounds) in PINNED_ROUNDS {
         let query = job_query(id).unwrap();
-        for batch_size in [7, 1024] {
-            db.set_batch_size(Some(batch_size));
+        db.set_batch_size(Some(batch_size));
+        let thread_counts: &[usize] = if batch_size == 7 { &[1] } else { &[1, 2, 4] };
+        for &threads in thread_counts {
+            db.set_threads(Some(threads));
             let report = execute_with_reoptimization(&mut db, &query.sql, &config).unwrap();
-            let rounds: Vec<String> = report
+            let observed: Vec<String> = report
                 .rounds
                 .iter()
                 .map(|r| format!("{:?} {:?} {}", r.trigger, r.rel_set, r.actual_rows))
                 .collect();
-            got.push((id, batch_size, rounds.join("; ")));
+            got.push((id, batch_size, threads, observed.join("; ")));
+            want.push((id, batch_size, threads, rounds.to_string()));
         }
     }
-    let want: Vec<(&str, usize, String)> = ONE_THREAD_ROUNDS
-        .iter()
-        .map(|&(id, batch_size, rounds)| (id, batch_size, rounds.to_string()))
-        .collect();
     assert_eq!(got, want);
 }

@@ -39,11 +39,11 @@ use std::time::{Duration, Instant};
 
 /// The byte budget of the constrained-memory pass. At scale 0.02 (data seed 13) a
 /// budget of 1 MiB or 16 KiB spills no plain query; at 512 B, 8 plain queries spill
-/// 75 637 B with about 900 denied grants and the one-thread pass takes about 30 s
-/// on 2 vCPUs (2 KiB spills too, but with about 10 000 denials it takes about
-/// 160 s). The two-thread pass denies about 45 000 grants and takes about 90 s:
-/// the MidQuery runs of 15a and 21a end in plans whose spilled hash-join builds
-/// send a fan-out probe side of 130 to 160 MB to disk.
+/// 75 637 B with 912 denied grants and the one-thread pass takes about 30 s on 2
+/// vCPUs (2 KiB spills too, but with about 10 000 denials it takes about 160 s).
+/// At this scale every pipeline runs on the inline worker at two threads as well,
+/// so the two-thread pass reads the same: 912 denials, 75 637 B from 8 plain
+/// queries.
 const MEM_BUDGET: u64 = 512;
 
 /// The dataset scale when `REOPT_SCALE` is unset.
@@ -51,13 +51,11 @@ const DEFAULT_SCALE: f64 = 0.02;
 
 /// Rounds summed over the 113 queries at [`DEFAULT_SCALE`] (data seed 13, threshold 8,
 /// feedback off), per policy in the battery's order: Materialize, InjectOnly,
-/// MidQuery; the first row when the default thread count is 1, the second when it is
-/// more (the morsel engine's events trigger MidQuery differently). Recorded at
-/// 3198020, before materialize restarts became collapses; the second row's MidQuery
-/// total moved from 242 to 245 when both engines began to run one set of streaming
-/// steps: the morsel engine now passes each join batch up its chain as it is made,
-/// so a join above another reaches its progress report sooner (15d, 18a, 20a, 21a).
-const DEFAULT_SCALE_ROUNDS: [[usize; 3]; 2] = [[201, 471, 366], [201, 471, 245]];
+/// MidQuery. Recorded at 3198020, before materialize restarts became collapses. At
+/// this scale and the default batch size every source is under two morsels, so
+/// every pipeline runs on the inline worker, and the totals are the same at any
+/// thread count (the runner's core count picks it).
+const DEFAULT_SCALE_ROUNDS: [usize; 3] = [201, 471, 366];
 
 fn canonical(rows: &[Row]) -> Vec<String> {
     let mut rendered: Vec<String> = rows.iter().map(|row| format!("{row}")).collect();
@@ -192,9 +190,8 @@ fn full_job_suite_runs_every_query_under_every_policy() {
     );
     if scale == DEFAULT_SCALE {
         let rounds: Vec<usize> = stats.iter().map(|stats| stats.rounds).collect();
-        let parallel = reopt_repro::executor::default_thread_count() > 1;
         assert_eq!(
-            rounds, DEFAULT_SCALE_ROUNDS[usize::from(parallel)],
+            rounds, DEFAULT_SCALE_ROUNDS,
             "round totals per policy (Materialize, InjectOnly, MidQuery) moved"
         );
     }
@@ -212,7 +209,8 @@ fn full_job_suite_is_row_identical_under_a_constrained_memory_budget() {
     db.set_columnar(Some(false));
     let queries = job_queries();
     let mut failures = Vec::new();
-    // One pass on the inline worker of a one-thread run and one on the pool.
+    // One pass at one thread and one at two. At the default scale every pipeline
+    // of both runs on the inline worker; a larger `REOPT_SCALE` can reach the pool.
     for threads in [1, 2] {
         budget_pass(&mut db, &queries, threads, &mut failures);
     }
